@@ -21,17 +21,11 @@
 //! `proram-bench trace <benchmark>` dumps a benchmark's memory trace to
 //! stdout in the portable text format of `proram_workloads::tracefile`.
 //!
-//! `proram-bench hotpath [--ms N] [--threads N] [--out PATH]` measures
-//! the raw ORAM-access kernels against the recorded pre-optimization
-//! baseline and emits the `BENCH_hotpath.json` report (stdout unless
-//! `--out`). `--threads N` arms the deterministic crypto worker pool
-//! (`OramConfig::crypto_threads`); statistics stay byte-identical, only
-//! wall-clock throughput moves.
-//!
-//! `proram-bench parallel [--ms N] [--out PATH]` sweeps the encrypted
-//! kernel over `crypto_threads` in {0, 1, 2, 4}, runs the widened-cipher
-//! microbench (panics if the 4-wide keystream is not >= 1.5x the scalar
-//! reference), and emits the `BENCH_parallel.json` report.
+//! `proram-bench hotpath [--ms N] [--out PATH]` runs the widened-cipher
+//! microbench (panics if the widened keystream is not >= 1.1x the scalar
+//! reference), measures the raw ORAM-access kernels against the recorded
+//! pre-optimization baseline and emits the `BENCH_hotpath.json` report
+//! (stdout unless `--out`).
 //!
 //! `proram-bench pipeline [--scale quick|standard] [--jobs N]
 //! [--out PATH]` sweeps the staged access pipeline's bank scheduler and
@@ -51,7 +45,7 @@
 //! flat and subtree-packed store layouts on the encrypted hot-path
 //! kernel, and emits the `BENCH_treetop.json` report (written to
 //! `BENCH_treetop.json` unless `--out` overrides the path). The sweep
-//! panics if `treetop_levels = 4` is not at least 1.3x the uncached
+//! panics if `treetop_levels = 4` is not at least 1.15x the uncached
 //! baseline in accesses/sec, so it doubles as a CI smoke gate.
 //!
 //! `proram-bench fault` runs the fault-injection sweep (alias of the
@@ -70,7 +64,7 @@
 //! contracts, so it doubles as a CI smoke gate.
 
 use proram_bench::exp::{self, RunCtx};
-use proram_bench::{crash, hotpath, jobs, obs, parallel, pipeline, treetop};
+use proram_bench::{crash, hotpath, jobs, obs, pipeline, treetop};
 use proram_stats::{BarChart, Table};
 use proram_workloads::{suite, tracefile, Scale, Suite};
 use std::path::PathBuf;
@@ -100,8 +94,7 @@ fn usage() -> ExitCode {
         "usage: proram-bench <experiment|all|list> [--scale quick|standard] [--ops N] [--fp-scale F] [--seed N] [--jobs N] [--svg DIR]"
     );
     eprintln!("       proram-bench trace <benchmark> [--ops N] [--fp-scale F] [--seed N]");
-    eprintln!("       proram-bench hotpath [--ms N] [--threads N] [--out PATH]");
-    eprintln!("       proram-bench parallel [--ms N] [--out PATH]");
+    eprintln!("       proram-bench hotpath [--ms N] [--out PATH]");
     eprintln!("       proram-bench pipeline [--scale quick|standard] [--jobs N] [--out PATH]");
     eprintln!("       proram-bench crash [--out PATH]");
     eprintln!("       proram-bench treetop [--ms N] [--out PATH]");
@@ -158,12 +151,11 @@ fn write_or_print(json: &str, out: Option<&PathBuf>) -> ExitCode {
     }
 }
 
-fn run_hotpath(ms: u64, threads: usize, out: Option<&PathBuf>) -> ExitCode {
-    match threads {
-        0 => eprintln!("[measuring hot-path kernels, {ms} ms each...]"),
-        n => eprintln!("[measuring hot-path kernels, {ms} ms each, crypto_threads={n}...]"),
-    }
-    let reports = hotpath::measure(ms, threads);
+fn run_hotpath(ms: u64, out: Option<&PathBuf>) -> ExitCode {
+    eprintln!("[measuring hot-path kernels, {ms} ms each...]");
+    // measure() panics if the widened cipher loses its win over the
+    // scalar reference.
+    let reports = hotpath::measure(ms);
     for r in &reports {
         eprintln!(
             "[{}: {:.1} acc/s ({:.2}x over baseline {:.1}), {} allocations avoided]",
@@ -175,31 +167,6 @@ fn run_hotpath(ms: u64, threads: usize, out: Option<&PathBuf>) -> ExitCode {
         );
     }
     write_or_print(&hotpath::to_json(&reports, ms), out)
-}
-
-fn run_parallel(ms: u64, out: Option<&PathBuf>) -> ExitCode {
-    eprintln!(
-        "[sweeping crypto_threads over {:?}, {ms} ms each...]",
-        parallel::SWEEP
-    );
-    // measure() panics if the widened cipher loses its >= 1.5x win over
-    // the scalar reference — the satellite regression gate.
-    let report = parallel::measure(ms);
-    eprintln!(
-        "[cipher widening: {:.2}x over scalar reference (floor {})]",
-        report.cipher_speedup(),
-        parallel::CIPHER_SPEEDUP_FLOOR
-    );
-    for p in &report.points {
-        eprintln!(
-            "[crypto_threads={}: {:.1} acc/s ({:.2}x vs serial), {} cores on this machine]",
-            p.threads,
-            p.after.units_per_sec(),
-            p.after.units_per_sec() / report.baseline_accesses_per_sec(),
-            report.cores
-        );
-    }
-    write_or_print(&parallel::to_json(&report, ms), out)
 }
 
 fn run_pipeline(scale: Scale, njobs: usize, out: Option<&PathBuf>) -> ExitCode {
@@ -333,7 +300,6 @@ fn main() -> ExitCode {
     let mut njobs: usize = 1;
     let mut hotpath_ms: Option<u64> = None;
     let mut hotpath_out: Option<PathBuf> = None;
-    let mut crypto_threads: usize = 0;
     let mut obs_trace = PathBuf::from("target/obs_trace.jsonl");
     let mut i = 1;
     if which == "trace" {
@@ -391,13 +357,6 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            "--threads" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) => crypto_threads = n,
-                    None => return usage(),
-                }
-            }
             "--out" => {
                 i += 1;
                 match args.get(i) {
@@ -437,13 +396,7 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "hotpath" => run_hotpath(
-            hotpath_ms.unwrap_or(3_000),
-            crypto_threads,
-            hotpath_out.as_ref(),
-        ),
-        // Crypto-thread sweep; measure() asserts the cipher-widening win.
-        "parallel" => run_parallel(hotpath_ms.unwrap_or(1_000), hotpath_out.as_ref()),
+        "hotpath" => run_hotpath(hotpath_ms.unwrap_or(3_000), hotpath_out.as_ref()),
         // Observability smoke: measure() asserts the trace contracts.
         "obs" => run_obs(hotpath_ms.unwrap_or(500), &obs_trace, hotpath_out.as_ref()),
         // Regression smoke: measure() panics if the bank-overlap win or

@@ -86,17 +86,10 @@ impl CrashReport {
     }
 }
 
-fn config(point: KillPoint, crossing: Option<u64>) -> OramConfig {
+fn config(crash: Option<CrashConfig>) -> OramConfig {
     OramConfig {
-        // The pooled-encrypt kill lives inside the worker dispatch path,
-        // which only exists with a pool attached.
-        crypto_threads: if point == KillPoint::PooledEncrypt {
-            2
-        } else {
-            0
-        },
         trace_capacity: 0,
-        crash: crossing.map(|n| CrashConfig::at(point, n)),
+        crash,
         ..OramConfig::small_for_tests(NUM_BLOCKS)
     }
 }
@@ -110,8 +103,8 @@ fn addresses() -> Vec<BlockAddr> {
         .collect()
 }
 
-fn crash_free_digest(point: KillPoint) -> u64 {
-    let mut oram = PathOram::new(config(point, None), ORAM_SEED);
+fn crash_free_digest() -> u64 {
+    let mut oram = PathOram::new(config(None), ORAM_SEED);
     for &addr in &addresses() {
         oram.try_access_block(addr, AccessKind::Read)
             .expect("crash-free run cannot fail");
@@ -128,7 +121,7 @@ fn crash_free_digest(point: KillPoint) -> u64 {
 /// Panics if the kill never fires, recovery leaves the auditor unhappy,
 /// or the final digest diverges from `baseline`.
 fn run_cell(point: KillPoint, crossing: u64, baseline: u64) -> CrashCell {
-    let mut oram = PathOram::new(config(point, Some(crossing)), ORAM_SEED);
+    let mut oram = PathOram::new(config(Some(CrashConfig::at(point, crossing))), ORAM_SEED);
     let mut recovery = None;
     for &addr in &addresses() {
         match oram.try_access_block(addr, AccessKind::Read) {
@@ -171,21 +164,16 @@ fn run_cell(point: KillPoint, crossing: u64, baseline: u64) -> CrashCell {
 /// contract: a kill that never fires, an auditor failure after
 /// recovery, or a post-recovery digest diverging from the baseline.
 pub fn measure() -> CrashReport {
-    // The baseline digest is thread-count independent (pooled and serial
-    // crypto are byte-identical); assert that here so the report's single
-    // baseline is honest.
-    let serial = crash_free_digest(KillPoint::WriteBack);
-    let pooled = crash_free_digest(KillPoint::PooledEncrypt);
-    assert_eq!(serial, pooled, "worker pool changed observable state");
+    let baseline_digest = crash_free_digest();
     let mut cells = Vec::new();
     for point in KillPoint::ALL {
         for crossing in CROSSINGS {
-            cells.push(run_cell(point, crossing, serial));
+            cells.push(run_cell(point, crossing, baseline_digest));
         }
     }
     CrashReport {
         cells,
-        baseline_digest: serial,
+        baseline_digest,
     }
 }
 

@@ -26,6 +26,5 @@ pub mod hotpath;
 pub mod jobs;
 pub mod microbench;
 pub mod obs;
-pub mod parallel;
 pub mod pipeline;
 pub mod treetop;

@@ -224,7 +224,7 @@ struct OverheadKernel {
 
 impl OverheadKernel {
     fn warmed(obs: Obs) -> Self {
-        let mut oram = PathOram::new(hotpath::kernel_config(false, 0), 1);
+        let mut oram = PathOram::new(hotpath::kernel_config(false), 1);
         oram.attach_obs_handle(obs);
         let mut rng = Xoshiro256::seed_from(2);
         for _ in 0..hotpath::WARMUP {

@@ -25,8 +25,12 @@ const CHUNK: u64 = 256;
 pub const SWEEP: [u32; 5] = [0, 1, 2, 4, 6];
 /// Minimum accesses-per-second ratio of `treetop_levels = 4` over the
 /// uncached baseline (flat layout both sides). [`measure`] panics below
-/// this, so the CI smoke run doubles as a regression gate.
-pub const SPEEDUP_FLOOR: f64 = 1.3;
+/// this, so the CI smoke run doubles as a regression gate. The ratio
+/// measures what the skipped levels' crypto was worth: 1.54x when PR 10
+/// set a 1.3 floor, 1.35-1.42x since the path kernels of PR 12 made a
+/// level's crypto about half as expensive — same margin, lower floor. A
+/// treetop that skipped nothing would read 1.0.
+pub const SPEEDUP_FLOOR: f64 = 1.15;
 
 /// One sweep point: the measurement of a `(treetop_levels, layout)`
 /// pair on the encrypted kernel.

@@ -35,19 +35,12 @@ pub enum StageKind {
     Backoff,
     /// Tile-engine demand fetch, issue to retire.
     Demand,
-    /// A pooled write-back batch (serialize + seal + encrypt fanned over
-    /// the crypto workers). Entries count batches; cycles stay 0 — the
-    /// pool runs in wall-clock time, which has no simulated-cycle cost.
-    PoolEncrypt,
-    /// A pooled fetch/verify batch (decrypt + authenticate fanned over
-    /// the crypto workers). Entries-only, like [`StageKind::PoolEncrypt`].
-    PoolDecrypt,
 }
 
 impl StageKind {
     /// Every stage, in pipeline order; indexes agree with
     /// [`StageKind::index`].
-    pub const ALL: [StageKind; 10] = [
+    pub const ALL: [StageKind; 8] = [
         StageKind::ResolvePosmap,
         StageKind::PathFetch,
         StageKind::DecryptVerify,
@@ -56,8 +49,6 @@ impl StageKind {
         StageKind::Evict,
         StageKind::Backoff,
         StageKind::Demand,
-        StageKind::PoolEncrypt,
-        StageKind::PoolDecrypt,
     ];
 
     /// Number of stages ([`StageKind::ALL`]'s length).
@@ -79,8 +70,6 @@ impl StageKind {
             StageKind::Evict => "evict",
             StageKind::Backoff => "backoff",
             StageKind::Demand => "demand",
-            StageKind::PoolEncrypt => "pool_encrypt",
-            StageKind::PoolDecrypt => "pool_decrypt",
         }
     }
 }
@@ -132,9 +121,8 @@ impl fmt::Display for FaultKind {
 /// crate.
 ///
 /// The first six variants are the entries of the staged access pipeline;
-/// the last three sit inside the storage commit protocol: while undo
-/// entries are being journaled, during the MAC-bound epoch flip, and
-/// inside a pooled encrypt job.
+/// the last two sit inside the storage commit protocol: while undo
+/// entries are being journaled and during the MAC-bound epoch flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Entering the position-map walk.
@@ -153,8 +141,6 @@ pub enum CrashPoint {
     MidJournal,
     /// During the epoch flip (after the flip, before the journal clears).
     MidFlip,
-    /// Inside a pooled encrypt (seal) job.
-    PooledEncrypt,
 }
 
 impl CrashPoint {
@@ -169,7 +155,6 @@ impl CrashPoint {
             CrashPoint::Evict => "evict",
             CrashPoint::MidJournal => "mid_journal",
             CrashPoint::MidFlip => "mid_flip",
-            CrashPoint::PooledEncrypt => "pooled_encrypt",
         }
     }
 }
@@ -307,31 +292,6 @@ pub enum ObsEvent {
         /// Cycle the request completed.
         at: u64,
     },
-    /// The crypto worker pool fanned one batch out (emitted by the
-    /// caller thread after the join). `jobs` and `workers` are
-    /// deterministic; how the jobs split between workers and caller is
-    /// not — see [`ObsEvent::PoolSteal`].
-    PoolDispatch {
-        /// Jobs in the batch (buckets, or shards for shard batches).
-        jobs: u32,
-        /// Worker threads the pool owns (the caller participates too).
-        workers: u32,
-    },
-    /// Jobs of the last batch the *caller* thread claimed while waiting
-    /// for the join (work-stealing). Wall-clock-dependent diagnostics:
-    /// the split varies run to run even though every output is
-    /// byte-identical, so golden traces must not capture it.
-    PoolSteal {
-        /// Jobs the caller executed itself.
-        jobs: u32,
-    },
-    /// Worker park transitions observed across the last batch — how
-    /// often workers ran out of work and went to sleep. Wall-clock-
-    /// dependent diagnostics, like [`ObsEvent::PoolSteal`].
-    PoolIdle {
-        /// Park transitions since the previous batch.
-        parks: u64,
-    },
     /// A deterministic crash injection fired: the access unwinds as if
     /// the process died at this point.
     CrashInject {
@@ -377,9 +337,6 @@ impl ObsEvent {
             ObsEvent::FaultRecovered { .. } => "fault_recovered",
             ObsEvent::TileIssue { .. } => "tile_issue",
             ObsEvent::TileRetire { .. } => "tile_retire",
-            ObsEvent::PoolDispatch { .. } => "pool_dispatch",
-            ObsEvent::PoolSteal { .. } => "pool_steal",
-            ObsEvent::PoolIdle { .. } => "pool_idle",
             ObsEvent::CrashInject { .. } => "crash_inject",
             ObsEvent::JournalCommit { .. } => "journal_commit",
             ObsEvent::RecoverReplay { .. } => "recover_replay",
@@ -387,7 +344,7 @@ impl ObsEvent {
     }
 
     /// Every discriminant name, for schema checks of JSONL traces.
-    pub const KINDS: [&'static str; 19] = [
+    pub const KINDS: [&'static str; 16] = [
         "access_issued",
         "stage_enter",
         "access_retired",
@@ -401,9 +358,6 @@ impl ObsEvent {
         "fault_recovered",
         "tile_issue",
         "tile_retire",
-        "pool_dispatch",
-        "pool_steal",
-        "pool_idle",
         "crash_inject",
         "journal_commit",
         "recover_replay",
@@ -499,16 +453,6 @@ impl ObsEvent {
                 push_num(&mut s, "core", u64::from(core));
                 push_num(&mut s, "addr", addr);
                 push_num(&mut s, "at", at);
-            }
-            ObsEvent::PoolDispatch { jobs, workers } => {
-                push_num(&mut s, "jobs", u64::from(jobs));
-                push_num(&mut s, "workers", u64::from(workers));
-            }
-            ObsEvent::PoolSteal { jobs } => {
-                push_num(&mut s, "jobs", u64::from(jobs));
-            }
-            ObsEvent::PoolIdle { parks } => {
-                push_num(&mut s, "parks", parks);
             }
             ObsEvent::CrashInject { point, crossing } => {
                 s.push_str(&format!(",\"point\":\"{}\"", point.name()));
@@ -627,12 +571,6 @@ mod tests {
                 addr: 77,
                 at: 2000,
             },
-            ObsEvent::PoolDispatch {
-                jobs: 12,
-                workers: 4,
-            },
-            ObsEvent::PoolSteal { jobs: 3 },
-            ObsEvent::PoolIdle { parks: 2 },
             ObsEvent::CrashInject {
                 point: CrashPoint::MidFlip,
                 crossing: 1,

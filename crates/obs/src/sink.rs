@@ -114,10 +114,9 @@ struct ObsCore {
 ///
 /// Handles are `Send + Sync` (the core sits behind a `Mutex`), so a
 /// controller holding one can be stepped on a `proram-par` worker thread.
-/// The mutex is uncontended in practice — each shard owns its own `Obs`,
-/// and the crypto pool's workers never emit (they run pure crypto; the
-/// caller thread emits batch events after the join) — so the cost over
-/// the old `RefCell` is one uncontended lock per emission.
+/// The mutex is uncontended in practice — each shard owns its own `Obs`
+/// — so the cost over the old `RefCell` is one uncontended lock per
+/// emission.
 ///
 /// # Examples
 ///

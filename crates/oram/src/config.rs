@@ -144,24 +144,6 @@ pub struct OramConfig {
     /// pre-pipeline controller. Purely a timing-model choice: the access
     /// trace, stash behavior and statistics are unaffected.
     pub pipeline: Option<proram_mem::BankConfig>,
-    /// Threads applied to per-bucket crypto (slot MACs + encryption) on
-    /// the encrypted image's path reads and write-backs: `0` (and `1`)
-    /// run serially; `n >= 2` attaches a persistent worker pool of
-    /// `n - 1` threads that the controller thread joins. The image,
-    /// statistics and adversary trace are **byte-identical at every
-    /// setting** — results merge in bucket order and workers are pure
-    /// (DESIGN.md section 14). Requires `store_payloads` to matter;
-    /// without an image there is no crypto to parallelize.
-    pub crypto_threads: usize,
-    /// Pick the crypto thread count automatically at construction:
-    /// pooled dispatch is only attached when the host reports more than
-    /// one core **and** the off-chip per-path ciphertext is large enough
-    /// to amortize dispatch overhead (BENCH_parallel.json measured 0.39x
-    /// at 2 threads on a 1-core box). Requires `crypto_threads == 0`
-    /// (the explicit setting always wins and stays deterministic).
-    /// Because pooled and serial crypto are byte-identical by contract,
-    /// auto mode never changes observable behavior — only wall-clock.
-    pub crypto_threads_auto: bool,
     /// Deterministic crash injection (requires `store_payloads`): every
     /// access runs under the crash-consistent commit protocol of
     /// DESIGN.md section 15, and the configured kill point fires on its
@@ -212,8 +194,6 @@ impl OramConfig {
             stash_hard_capacity: None,
             scrub_interval: 0,
             pipeline: None,
-            crypto_threads: 0,
-            crypto_threads_auto: false,
             crash: None,
         }
     }
@@ -422,47 +402,9 @@ impl OramConfig {
                     "crash injection and fault injection are mutually exclusive",
                 ));
             }
-            if crash.point == crate::crash::KillPoint::PooledEncrypt && self.crypto_threads_auto {
-                return Err(ConfigError::new(
-                    "crash",
-                    format!(
-                        "the {} kill point needs a deterministic pool; \
-                         crypto_threads_auto is machine-dependent",
-                        crash.point
-                    ),
-                ));
-            }
-            if crash.point == crate::crash::KillPoint::PooledEncrypt && self.crypto_threads < 2 {
-                return Err(ConfigError::new(
-                    "crash",
-                    format!(
-                        "the {} kill point needs crypto_threads >= 2 (got {})",
-                        crash.point, self.crypto_threads
-                    ),
-                ));
-            }
             if let Err(msg) = crash.validate() {
                 return Err(ConfigError::new("crash", msg));
             }
-        }
-        if self.crypto_threads > 256 {
-            return Err(ConfigError::new(
-                "crypto_threads",
-                format!(
-                    "crypto_threads ({}) exceeds the 256-thread cap",
-                    self.crypto_threads
-                ),
-            ));
-        }
-        if self.crypto_threads_auto && self.crypto_threads != 0 {
-            return Err(ConfigError::new(
-                "crypto_threads_auto",
-                format!(
-                    "crypto_threads_auto replaces an explicit thread count; \
-                     set crypto_threads to 0 (got {})",
-                    self.crypto_threads
-                ),
-            ));
         }
         if let Some(bank) = &self.pipeline {
             if bank.banks == 0 {
@@ -662,21 +604,6 @@ impl OramConfigBuilder {
         self
     }
 
-    /// Applies `n` threads to per-bucket crypto on the encrypted image
-    /// (`0` = serial; results are byte-identical at every setting).
-    pub fn crypto_threads(mut self, n: usize) -> Self {
-        self.cfg.crypto_threads = n;
-        self
-    }
-
-    /// Picks the crypto thread count automatically at construction
-    /// (serial on small per-path payloads or single-core hosts; see
-    /// [`OramConfig::crypto_threads_auto`]).
-    pub fn crypto_threads_auto(mut self, on: bool) -> Self {
-        self.cfg.crypto_threads_auto = on;
-        self
-    }
-
     /// Arms deterministic crash injection: the kill point fires on its
     /// configured crossing and every access runs under the commit
     /// protocol (DESIGN.md section 15).
@@ -722,8 +649,6 @@ impl Default for OramConfig {
             stash_hard_capacity: None,
             scrub_interval: 0,
             pipeline: None,
-            crypto_threads: 0,
-            crypto_threads_auto: false,
             crash: None,
         }
     }
@@ -859,36 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn crypto_threads_auto_excludes_explicit_counts() {
-        let base = OramConfig::small_for_tests(256);
-        base.to_builder()
-            .crypto_threads_auto(true)
-            .build()
-            .expect("auto with crypto_threads 0 is fine");
-        let err = base
-            .to_builder()
-            .crypto_threads(2)
-            .crypto_threads_auto(true)
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field(), "crypto_threads_auto");
-        assert!(err.to_string().contains("set crypto_threads to 0"), "{err}");
-    }
-
-    #[test]
-    fn crypto_threads_auto_rejects_pooled_encrypt_kills() {
-        use crate::crash::{CrashConfig, KillPoint};
-        let err = OramConfig {
-            crash: Some(CrashConfig::first(KillPoint::PooledEncrypt)),
-            crypto_threads_auto: true,
-            ..OramConfig::small_for_tests(256)
-        }
-        .check()
-        .unwrap_err();
-        assert!(err.to_string().contains("machine-dependent"), "{err}");
-    }
-
-    #[test]
     fn fault_injection_validates_with_payloads() {
         let cfg = OramConfig {
             fault: Some(FaultConfig::silent(1)),
@@ -938,14 +833,6 @@ mod tests {
         .check()
         .unwrap_err();
         assert!(err.to_string().contains("mutually exclusive"), "{err}");
-        // PooledEncrypt can only fire inside an actual worker pool.
-        let err = OramConfig {
-            crash: Some(CrashConfig::first(KillPoint::PooledEncrypt)),
-            ..OramConfig::small_for_tests(256)
-        }
-        .check()
-        .unwrap_err();
-        assert!(err.to_string().contains("crypto_threads >= 2"), "{err}");
         // Crossings are 1-based.
         let err = OramConfig {
             crash: Some(CrashConfig::at(KillPoint::WriteBack, 0)),
@@ -957,12 +844,6 @@ mod tests {
         // And the well-formed variants pass.
         OramConfig {
             crash: Some(CrashConfig::at(KillPoint::MidJournal, 3)),
-            ..OramConfig::small_for_tests(256)
-        }
-        .validate();
-        OramConfig {
-            crash: Some(CrashConfig::first(KillPoint::PooledEncrypt)),
-            crypto_threads: 3,
             ..OramConfig::small_for_tests(256)
         }
         .validate();
@@ -1000,28 +881,16 @@ mod tests {
             .init_group_size(4)
             .stash_hard_capacity(200)
             .scrub_interval(64)
-            .crypto_threads(3)
             .build()
             .expect("consistent configuration");
         assert_eq!(cfg.num_data_blocks, 1 << 12);
         assert_eq!(cfg.init_group_size, 4);
         assert_eq!(cfg.stash_hard_capacity, Some(200));
         assert_eq!(cfg.scrub_interval, 64);
-        assert_eq!(cfg.crypto_threads, 3);
         assert_eq!(
             cfg.layout,
             crate::layout::TreeLayout::SubtreePacked { height: 1 }
         );
-    }
-
-    #[test]
-    fn builder_rejects_absurd_crypto_threads() {
-        let err = OramConfig::builder()
-            .crypto_threads(1000)
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field(), "crypto_threads");
-        assert!(err.to_string().contains("256-thread cap"), "{err}");
     }
 
     #[test]

@@ -199,16 +199,14 @@ pub struct PathOram {
     /// Reusable write-back scratch (see [`PathScratch`]).
     pub(crate) scratch: PathScratch,
     /// Reusable buffers for image verification (`verify_image` mode):
-    /// decrypted-bucket plaintext and the two address lists compared per
-    /// bucket.
-    pub(crate) verify_plain: Vec<u8>,
+    /// the path's physical bucket indices, what
+    /// [`EncryptedStore::bucket_addrs_batch`] returns for them (addresses
+    /// back to back, one end offset per bucket), and the logical tree's
+    /// address list of the bucket being compared.
+    pub(crate) verify_indices: Vec<usize>,
     pub(crate) verify_store_addrs: Vec<u64>,
+    pub(crate) verify_ends: Vec<usize>,
     pub(crate) verify_tree_addrs: Vec<u64>,
-    /// Reusable buffers for the pooled verification path: the path's
-    /// bucket indices and one address vector per bucket
-    /// ([`EncryptedStore::bucket_addrs_batch`]).
-    pub(crate) verify_batch_indices: Vec<usize>,
-    pub(crate) verify_batch_addrs: Vec<Vec<u64>>,
     /// Recovery counters owned by the controller (repairs, emergency
     /// evictions, scrub passes); the injector's own counters live in the
     /// store and the two are summed by [`PathOram::fault_stats`].
@@ -218,7 +216,7 @@ pub struct PathOram {
     /// Observability handle (events + per-stage profile); disabled by
     /// default so the hot path stays allocation- and branch-free.
     pub(crate) obs: Obs,
-    /// Countdown arm for the six pipeline-stage kill points; the three
+    /// Countdown arm for the six pipeline-stage kill points; the two
     /// store-level points are armed on the store instead
     /// ([`KillPoint::is_store_point`]).
     pub(crate) crash: Option<CrashArm>,
@@ -332,22 +330,6 @@ impl PathOram {
             for idx in layout.treetop_buckets()..tree.num_buckets() {
                 store.write_bucket(layout.phys_of(idx), tree.bucket(idx));
             }
-            // Crypto worker pool for the hot paths. `< 2` means serial:
-            // a "pool" of one thread is the caller itself. The store's
-            // batch entry points keep the image byte-identical either way.
-            // Auto mode picks the count from the host and the off-chip
-            // payload; pooled and serial crypto are byte-identical, so
-            // the machine-dependent choice never changes behavior.
-            let crypto_threads = if config.crypto_threads_auto {
-                Self::auto_crypto_threads(store.bucket_bytes(), config.off_chip_levels())
-            } else {
-                config.crypto_threads
-            };
-            if crypto_threads >= 2 {
-                store.attach_pool(std::sync::Arc::new(proram_par::WorkerPool::new(
-                    crypto_threads,
-                )));
-            }
         }
         // Crash injection arms after initialization: init traffic is not a
         // transaction and must never trip a kill point. Store-level points
@@ -408,11 +390,10 @@ impl PathOram {
             busy_until: 0,
             label: "oram".to_owned(),
             scratch: PathScratch::new(),
-            verify_plain: Vec::new(),
+            verify_indices: Vec::new(),
             verify_store_addrs: Vec::new(),
+            verify_ends: Vec::new(),
             verify_tree_addrs: Vec::new(),
-            verify_batch_indices: Vec::new(),
-            verify_batch_addrs: Vec::new(),
             ctrl_faults: FaultStats::default(),
             reads_since_scrub: 0,
             obs: Obs::disabled(),
@@ -451,23 +432,6 @@ impl PathOram {
                     .collect();
                 Block::posmap(addr, leaf, entries.into())
             }
-        }
-    }
-
-    /// Thread count for [`OramConfig::crypto_threads_auto`]: serial
-    /// unless the host has more than one core **and** one off-chip path's
-    /// ciphertext is large enough to amortize pool dispatch. The 16 KiB
-    /// floor comes from BENCH_parallel.json, where pooled dispatch at
-    /// ~6 KiB per path ran 0.39x on a single-core box.
-    fn auto_crypto_threads(bucket_bytes: usize, off_chip_levels: u32) -> usize {
-        /// Smallest per-path ciphertext worth dispatching to workers.
-        const AUTO_POOL_MIN_PATH_BYTES: u64 = 16 * 1024;
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let per_path = bucket_bytes as u64 * u64::from(off_chip_levels);
-        if cores <= 1 || per_path < AUTO_POOL_MIN_PATH_BYTES {
-            0
-        } else {
-            cores.min(8)
         }
     }
 
@@ -670,43 +634,6 @@ impl PathOram {
         Ok(())
     }
 
-    /// The crypto worker pool's cumulative dispatch counters, when
-    /// [`OramConfig::crypto_threads`] attached one (`None` otherwise).
-    pub fn pool_stats(&self) -> Option<proram_par::PoolStats> {
-        self.store.as_ref().and_then(EncryptedStore::pool_stats)
-    }
-
-    /// Emits the observability record of one pooled crypto batch: an
-    /// entries-only lane tick plus a deterministic
-    /// [`proram_obs::ObsEvent::PoolDispatch`], and — when the batch
-    /// actually moved work — wall-clock-dependent steal/idle deltas.
-    /// Associated function (no `&self`) so call sites holding a mutable
-    /// borrow of the store can still pass their own `obs` handle.
-    pub(crate) fn emit_pool_batch(
-        obs: &Obs,
-        stage: proram_obs::StageKind,
-        jobs: usize,
-        workers: usize,
-        before: proram_par::PoolStats,
-        after: proram_par::PoolStats,
-    ) {
-        obs.profile(stage, 0);
-        obs.emit(|| proram_obs::ObsEvent::PoolDispatch {
-            jobs: jobs as u32,
-            workers: workers as u32,
-        });
-        let stolen = after.jobs_caller_executed - before.jobs_caller_executed;
-        if stolen > 0 {
-            obs.emit(|| proram_obs::ObsEvent::PoolSteal {
-                jobs: stolen as u32,
-            });
-        }
-        let parks = after.worker_parks - before.worker_parks;
-        if parks > 0 {
-            obs.emit(|| proram_obs::ObsEvent::PoolIdle { parks });
-        }
-    }
-
     /// The observability handle currently attached (disabled by default).
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -758,10 +685,8 @@ impl PathOram {
                 // Keep the encrypted image coherent. Treetop buckets have
                 // no image — the on-chip plaintext is authoritative.
                 if idx >= self.layout.treetop_buckets() {
-                    let bucket = self.tree.bucket(idx).clone();
-                    let phys = self.layout.phys_of(idx);
                     if let Some(store) = self.store.as_mut() {
-                        store.write_bucket(phys, &bucket);
+                        store.write_bucket(self.layout.phys_of(idx), self.tree.bucket(idx));
                     }
                 }
                 return true;

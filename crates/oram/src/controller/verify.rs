@@ -31,112 +31,77 @@ impl PathOram {
     /// Decrypts, authenticates and cross-checks every *off-chip* bucket
     /// on the path to `leaf` against the logical tree, repairing detected
     /// faults in place when recovery is enabled. Treetop-cached levels
-    /// are trusted plaintext and skipped. Addr-only reads through
-    /// reusable buffers — no payload reconstruction, no allocation on the
-    /// clean path.
+    /// are trusted plaintext and skipped. The path goes through the
+    /// store's open kernel as one batch, into reusable buffers — no
+    /// payload reconstruction, no allocation; after a repaired bucket the
+    /// rest of the path resumes as the next batch.
     pub(crate) fn verify_path(&mut self, leaf: Leaf) -> Result<(), OramError> {
         let recover = self.recovery_enabled();
         let Some(store) = self.store.as_mut() else {
             return Ok(());
         };
         let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;
-        if !recover && store.parallel_active() {
-            // Pooled path: per-bucket decrypt + slot verification fan
-            // across the crypto workers; the merge preserves path order,
-            // so the error surfaced (if any) matches the serial loop.
-            // Recovery stays serial — repairs mutate the image mid-walk.
-            // Treetop buckets are plaintext on-chip state: nothing to
-            // decrypt, so they never enter the batch.
-            self.verify_batch_indices.clear();
-            self.verify_batch_indices.extend(
-                self.tree
-                    .path_indices(leaf)
-                    .skip(skip)
-                    .map(|idx| self.layout.phys_of(idx)),
-            );
-            let before = if self.obs.is_enabled() {
-                store.pool_stats()
-            } else {
-                None
-            };
-            store.bucket_addrs_batch(&self.verify_batch_indices, &mut self.verify_batch_addrs)?;
-            if let Some(before) = before {
-                Self::emit_pool_batch(
-                    &self.obs,
-                    proram_obs::StageKind::PoolDecrypt,
-                    self.verify_batch_indices.len(),
-                    store.pool_workers(),
-                    before,
-                    store.pool_stats().unwrap_or_default(),
-                );
-            }
-            for (&phys, store_addrs) in self
-                .verify_batch_indices
-                .iter()
-                .zip(self.verify_batch_addrs.iter_mut())
-            {
+        self.verify_indices.clear();
+        self.verify_indices.extend(
+            self.tree
+                .path_indices(leaf)
+                .skip(skip)
+                .map(|idx| self.layout.phys_of(idx)),
+        );
+        let mut rest = &self.verify_indices[..];
+        while !rest.is_empty() {
+            let opened =
+                store.bucket_addrs_batch(rest, &mut self.verify_store_addrs, &mut self.verify_ends);
+            let mut start = 0;
+            for (&phys, &end) in rest.iter().zip(&self.verify_ends) {
                 let heap = self.layout.heap_of(phys);
                 self.verify_tree_addrs.clear();
                 self.verify_tree_addrs
                     .extend(self.tree.bucket(heap).iter().map(|b| b.addr.0));
-                store_addrs.sort_unstable();
                 self.verify_tree_addrs.sort_unstable();
+                let store_addrs = &mut self.verify_store_addrs[start..end];
+                store_addrs.sort_unstable();
                 assert_eq!(
                     *store_addrs, self.verify_tree_addrs,
                     "encrypted image diverged at bucket {heap}"
                 );
+                start = end;
             }
-            return Ok(());
-        }
-        for idx in self.tree.path_indices(leaf).skip(skip) {
-            let phys = self.layout.phys_of(idx);
-            self.verify_store_addrs.clear();
-            match store.bucket_addrs_into(
-                phys,
-                &mut self.verify_plain,
-                &mut self.verify_store_addrs,
-            ) {
-                Ok(()) => {
-                    self.verify_tree_addrs.clear();
-                    self.verify_tree_addrs
-                        .extend(self.tree.bucket(idx).iter().map(|b| b.addr.0));
-                    self.verify_store_addrs.sort_unstable();
-                    self.verify_tree_addrs.sort_unstable();
-                    assert_eq!(
-                        self.verify_store_addrs, self.verify_tree_addrs,
-                        "encrypted image diverged at bucket {idx}"
-                    );
-                }
-                Err(err) if recover => {
-                    let kind = fault_kind(&err);
-                    self.obs.emit(|| ObsEvent::FaultDetected {
+            let Err(err) = opened else {
+                break;
+            };
+            if !recover {
+                return Err(err);
+            }
+            let phys = rest[self.verify_ends.len()];
+            let idx = self.layout.heap_of(phys);
+            let kind = fault_kind(&err);
+            self.obs.emit(|| ObsEvent::FaultDetected {
+                kind,
+                bucket: idx as u64,
+            });
+            match err {
+                OramError::Integrity { .. } | OramError::Rollback { .. } => {
+                    // The logical tree is trusted on-chip state: restore
+                    // the bucket by re-encrypting it under a fresh nonce
+                    // and version.
+                    store.write_bucket(phys, self.tree.bucket(idx));
+                    self.ctrl_faults.recovered += 1;
+                    self.obs.emit(|| ObsEvent::FaultRecovered {
                         kind,
                         bucket: idx as u64,
                     });
-                    match err {
-                        OramError::Integrity { .. } | OramError::Rollback { .. } => {
-                            // The logical tree is trusted on-chip state:
-                            // restore the bucket by re-encrypting it under a
-                            // fresh nonce and version.
-                            store.write_bucket(phys, self.tree.bucket(idx));
-                            self.ctrl_faults.recovered += 1;
-                            self.obs.emit(|| ObsEvent::FaultRecovered {
-                                kind,
-                                bucket: idx as u64,
-                            });
-                        }
-                        OramError::Transient { .. } => {
-                            // Retries exhausted; the logical copy still serves
-                            // the access, but the bucket went unread.
-                            self.ctrl_faults.unrecovered += 1;
-                        }
-                        OramError::StashOverflow { .. }
-                        | OramError::BlockMissing { .. }
-                        | OramError::Crashed { .. } => return Err(err),
-                    }
                 }
-                Err(err) => return Err(err),
+                OramError::Transient { .. } => {
+                    // Retries exhausted; the logical copy still serves the
+                    // access, but the bucket went unread.
+                    self.ctrl_faults.unrecovered += 1;
+                }
+                OramError::StashOverflow { .. }
+                | OramError::BlockMissing { .. }
+                | OramError::Crashed { .. } => return Err(err),
             }
+            rest = &rest[self.verify_ends.len() + 1..];
         }
         Ok(())
     }

@@ -27,42 +27,14 @@ impl PathOram {
         }
         write_path_with(&mut self.tree, &mut self.stash, leaf, &mut self.scratch);
         if let Some(store) = self.store.as_mut() {
-            if store.parallel_active() {
-                // Pooled path: serialize + seal + encrypt fan across the
-                // crypto workers; commits happen in path order on this
-                // thread, so the image is byte-identical to the serial
-                // loop below (nonces are assigned in path order before
-                // dispatch — DESIGN.md section 14).
-                let before = if self.obs.is_enabled() {
-                    store.pool_stats()
-                } else {
-                    None
-                };
-                let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;
-                let buckets: Vec<(usize, &crate::bucket::Bucket)> = self
-                    .tree
-                    .path_indices(leaf)
-                    .skip(skip)
-                    .map(|idx| (self.layout.phys_of(idx), self.tree.bucket(idx)))
-                    .collect();
-                store.write_buckets(&buckets);
-                if let Some(before) = before {
-                    Self::emit_pool_batch(
-                        &self.obs,
-                        proram_obs::StageKind::PoolEncrypt,
-                        buckets.len(),
-                        store.pool_workers(),
-                        before,
-                        store.pool_stats().unwrap_or_default(),
-                    );
-                }
-            } else {
-                // Serial path stays allocation-free.
-                let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;
-                for idx in self.tree.path_indices(leaf).skip(skip) {
-                    store.write_bucket(self.layout.phys_of(idx), self.tree.bucket(idx));
-                }
-            }
+            let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;
+            let buckets: Vec<(usize, &crate::bucket::Bucket)> = self
+                .tree
+                .path_indices(leaf)
+                .skip(skip)
+                .map(|idx| (self.layout.phys_of(idx), self.tree.bucket(idx)))
+                .collect();
+            store.write_buckets(&buckets);
         }
         self.store_crash_check()
     }

@@ -20,10 +20,9 @@ use std::fmt;
 /// One enumerable point where a simulated process death can strike.
 ///
 /// The first six variants are the entries of the staged access pipeline
-/// ([`crate::pipeline::AccessStage`]); the last three live inside the
+/// ([`crate::pipeline::AccessStage`]); the last two live inside the
 /// storage commit protocol, where a real crash is most damaging: while
-/// undo entries are being journaled, during the MAC-bound epoch flip,
-/// and inside a pooled encrypt job.
+/// undo entries are being journaled and during the MAC-bound epoch flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KillPoint {
     /// Entering the position-map walk.
@@ -45,14 +44,11 @@ pub enum KillPoint {
     /// journal has not yet been discarded, so recovery must *replay*
     /// (keep the committed image) instead of rolling back.
     MidFlip,
-    /// Inside a pooled encrypt (seal) job: the job panics mid-batch and
-    /// the whole write batch is abandoned before any bucket commits.
-    PooledEncrypt,
 }
 
 impl KillPoint {
     /// Every kill point, in pipeline-then-commit order.
-    pub const ALL: [KillPoint; 9] = [
+    pub const ALL: [KillPoint; 8] = [
         KillPoint::ResolvePosmap,
         KillPoint::PathFetch,
         KillPoint::DecryptVerify,
@@ -61,7 +57,6 @@ impl KillPoint {
         KillPoint::Evict,
         KillPoint::MidJournal,
         KillPoint::MidFlip,
-        KillPoint::PooledEncrypt,
     ];
 
     /// Stable snake_case name used in reports and JSONL traces.
@@ -75,7 +70,6 @@ impl KillPoint {
             KillPoint::Evict => "evict",
             KillPoint::MidJournal => "mid_journal",
             KillPoint::MidFlip => "mid_flip",
-            KillPoint::PooledEncrypt => "pooled_encrypt",
         }
     }
 
@@ -90,17 +84,13 @@ impl KillPoint {
             KillPoint::Evict => proram_obs::CrashPoint::Evict,
             KillPoint::MidJournal => proram_obs::CrashPoint::MidJournal,
             KillPoint::MidFlip => proram_obs::CrashPoint::MidFlip,
-            KillPoint::PooledEncrypt => proram_obs::CrashPoint::PooledEncrypt,
         }
     }
 
     /// `true` for the points that fire inside the storage commit
     /// protocol rather than at a pipeline-stage entry.
     pub fn is_store_point(self) -> bool {
-        matches!(
-            self,
-            KillPoint::MidJournal | KillPoint::MidFlip | KillPoint::PooledEncrypt
-        )
+        matches!(self, KillPoint::MidJournal | KillPoint::MidFlip)
     }
 }
 
@@ -272,7 +262,6 @@ mod tests {
     fn store_points_are_classified() {
         assert!(KillPoint::MidJournal.is_store_point());
         assert!(KillPoint::MidFlip.is_store_point());
-        assert!(KillPoint::PooledEncrypt.is_store_point());
         assert!(!KillPoint::WriteBack.is_store_point());
     }
 }

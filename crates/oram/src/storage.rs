@@ -32,17 +32,12 @@ use crate::addr::Leaf;
 use crate::block::{Block, Payload};
 use crate::bucket::Bucket;
 use crate::crash::{CrashArm, KillPoint};
-use crate::crypto::{Mac, StreamCipher};
+use crate::crypto::{Mac, MacLane, StreamCipher, MAC_LANES};
 use crate::error::OramError;
 use crate::fault::{FaultConfig, FaultyStore};
 use crate::journal::{TxnJournal, UndoEntry, EPOCH_DOMAIN};
 use crate::posmap::PosEntry;
 use proram_mem::{BlockAddr, FaultStats};
-use proram_par::WorkerPool;
-use std::sync::Arc;
-
-/// Authenticated slot header: `(addr, leaf, hit, kind, payload_len)`.
-type SlotHeader = (BlockAddr, Leaf, bool, u8, usize);
 
 /// Serialized size of one position-map entry.
 pub const ENTRY_BYTES: usize = 9;
@@ -59,6 +54,9 @@ const SLOT_TAG_OFFSET: usize = 17;
 /// IV/counter: encryption nonce, monotonic version counter, and a MAC over
 /// both (bound to the bucket index).
 const BUCKET_HEADER_BYTES: usize = 8 + 8 + 8;
+
+/// Stride of the open kernel's early loads: one per cache line.
+const CACHE_LINE: usize = 64;
 
 /// The byte backing of the image: plain memory, or the fault injector.
 #[derive(Debug, Clone)]
@@ -109,15 +107,17 @@ pub struct EncryptedStore {
     z: usize,
     payload_bytes: usize,
     num_buckets: usize,
-    /// Optional crypto worker pool. When attached (and the backing is
-    /// plain), path-batch writes and reads fan per-bucket seal/encrypt
-    /// and decrypt/verify work across its threads with an ordered merge,
-    /// keeping the image byte-identical to the serial path.
-    pool: Option<Arc<WorkerPool>>,
-    /// Recycled bucket-body buffers for the parallel batch paths.
-    body_scratch: Vec<Vec<u8>>,
-    /// Recycled per-bucket address vectors for the parallel read path.
-    addr_scratch: Vec<Vec<u64>>,
+    /// Scratch of the path kernels (DESIGN.md section 14), reused across
+    /// calls: the batch's plaintext bodies back to back. About 7 KiB for
+    /// a reference path, so it stays in L1.
+    plain: Vec<u8>,
+    /// Kernel scratch: `[index, nonce, version]` — the words the header
+    /// MAC covers — of each bucket of the batch, in batch order.
+    heads: Vec<[u64; 3]>,
+    /// Kernel scratch: the real slots of the batch, as `(batch position,
+    /// slot)` in batch order. The seal kernel computes their tags, the
+    /// open kernel verifies them and leaves the queue for its callers.
+    queue: Vec<(usize, usize)>,
     /// Trusted epoch counter; the commit flip advances it after all home
     /// writes of a transaction landed.
     epoch: u64,
@@ -127,16 +127,12 @@ pub struct EncryptedStore {
     /// armed (`None` = journaling off; writes go straight home).
     journal: Option<TxnJournal>,
     /// Countdown arm for the store-level kill points (`MidJournal`,
-    /// `MidFlip`, `PooledEncrypt`).
+    /// `MidFlip`).
     crash: Option<CrashArm>,
     /// Once a kill point fired the store is "dead": every subsequent
     /// write is dropped until [`Self::recover_txn`] clears the state,
     /// exactly as if the process had exited mid-access.
     fired: Option<KillPoint>,
-    /// Test hook: make job `N` of the next pooled write batch panic
-    /// without arming the crash machinery (exercises the graceful serial
-    /// fallback rather than the crash protocol).
-    pool_panic_job: Option<usize>,
 }
 
 /// What [`EncryptedStore::recover_txn`] did with the open journal; the
@@ -159,39 +155,16 @@ pub(crate) struct StoreRecovery {
     pub restored: usize,
 }
 
-/// One bucket's worth of parallel write work: the caller has already
-/// assigned `nonce`/`version` (in path order, on its own thread) and
-/// serialized the slot fields into `body`; a worker seals the slot MACs
-/// and encrypts.
-struct SealJob {
-    index: usize,
-    nonce: u64,
-    version: u64,
-    body: Vec<u8>,
-    /// When set the job panics instead of sealing — either the
-    /// `PooledEncrypt` kill point (simulated process death inside the
-    /// crypto worker) or the pool-panic test hook.
-    boom: bool,
-}
-
-/// One bucket's worth of parallel read work: the caller authenticated
-/// the header and copied the ciphertext body out; a worker decrypts and
-/// address-verifies every slot. `bad_slot` reports the first slot that
-/// failed authentication.
-struct VerifyJob {
-    index: usize,
-    nonce: u64,
-    version: u64,
-    body: Vec<u8>,
-    addrs: Vec<u64>,
-    bad_slot: Option<usize>,
-}
-
 impl EncryptedStore {
     /// Creates a zeroed store for `num_buckets` buckets of `z` slots whose
     /// payload area holds `payload_bytes` bytes. Every bucket starts at
     /// version 0 with an authentic all-dummy image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z` is zero.
     pub fn new(num_buckets: usize, z: usize, payload_bytes: usize, key: u64) -> Self {
+        assert!(z > 0, "a bucket needs at least one slot");
         let bucket_bytes = Self::bucket_bytes_for(z, payload_bytes);
         let mac = Mac::new(key.rotate_left(32) ^ 0x5A5A_5A5A_5A5A_5A5A);
         let mut data = vec![0; num_buckets * bucket_bytes];
@@ -211,44 +184,15 @@ impl EncryptedStore {
             z,
             payload_bytes,
             num_buckets,
-            pool: None,
-            body_scratch: Vec::new(),
-            addr_scratch: Vec::new(),
+            plain: Vec::new(),
+            heads: Vec::new(),
+            queue: Vec::new(),
             epoch: 0,
             epoch_tag: mac.tag(&[EPOCH_DOMAIN, 0], &[]),
             journal: None,
             crash: None,
             fired: None,
-            pool_panic_job: None,
         }
-    }
-
-    /// Attaches a crypto worker pool; subsequent
-    /// [`EncryptedStore::write_buckets`] and
-    /// [`EncryptedStore::bucket_addrs_batch`] calls fan their per-bucket
-    /// crypto across it. The image stays byte-identical to the serial
-    /// path (see DESIGN.md section 14 for the determinism contract).
-    pub fn attach_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Whether batch calls actually execute in parallel: a pool with at
-    /// least one worker is attached and fault injection is off (the
-    /// injector's RNG draws and bookkeeping depend on strict per-bucket
-    /// read/write order, so a faulty backing always runs serially).
-    pub fn parallel_active(&self) -> bool {
-        self.pool.as_ref().is_some_and(|p| p.workers() > 0) && !self.faults_enabled()
-    }
-
-    /// The attached pool's cumulative dispatch counters, if any.
-    pub fn pool_stats(&self) -> Option<proram_par::PoolStats> {
-        self.pool.as_ref().map(|p| p.stats())
-    }
-
-    /// Worker threads the attached pool owns (0 without a pool; the
-    /// calling thread participates in batches on top of these).
-    pub fn pool_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.workers())
     }
 
     /// Swaps the plain byte backing for a seeded fault injector.
@@ -292,6 +236,16 @@ impl EncryptedStore {
         Self::bucket_bytes_for(self.z, self.payload_bytes)
     }
 
+    /// Serialized size of one slot: header plus payload area.
+    fn slot_bytes(&self) -> usize {
+        SLOT_HEADER_BYTES + self.payload_bytes
+    }
+
+    /// Size of one bucket's encrypted body: its `z` slots.
+    fn body_bytes(&self) -> usize {
+        self.z * self.slot_bytes()
+    }
+
     /// Number of buckets in the image.
     pub fn num_buckets(&self) -> usize {
         self.num_buckets
@@ -317,8 +271,8 @@ impl EncryptedStore {
     // ----- crash-consistent commit protocol (DESIGN.md section 15) -----
 
     /// Arms (or disarms) the store-level kill points. The controller owns
-    /// the pipeline-stage points; the store fires `MidJournal`, `MidFlip`
-    /// and `PooledEncrypt` itself because only it sees those crossings.
+    /// the pipeline-stage points; the store fires `MidJournal` and
+    /// `MidFlip` itself because only it sees those crossings.
     pub(crate) fn arm_crash(&mut self, arm: Option<CrashArm>) {
         self.crash = arm;
     }
@@ -343,13 +297,6 @@ impl EncryptedStore {
     /// machinery as slots and the epoch header).
     pub(crate) fn mac(&self) -> &Mac {
         &self.mac
-    }
-
-    /// Test hook: makes job `job` of the next pooled write batch panic on
-    /// its worker, exercising the pool's panic surface and the serial
-    /// fallback without arming crash injection.
-    pub fn inject_pool_panic(&mut self, job: usize) {
-        self.pool_panic_job = Some(job);
     }
 
     /// Opens a transaction: subsequent bucket writes journal a first-touch
@@ -489,170 +436,131 @@ impl EncryptedStore {
     }
 
     /// Serializes, encrypts and stores `bucket` at `index` under a fresh
-    /// nonce, advancing the bucket's trusted version counter.
+    /// nonce, advancing the bucket's trusted version counter: a batch of
+    /// one through [`EncryptedStore::write_buckets`].
     ///
     /// # Panics
     ///
     /// Panics if the bucket exceeds `z` blocks or a payload exceeds the
     /// payload area.
     pub fn write_bucket(&mut self, index: usize, bucket: &Bucket) {
-        if self.fired.is_some() || !self.journal_record(index) {
-            return; // the "process" died; this write never reaches DRAM
-        }
-        assert!(bucket.len() <= self.z, "bucket exceeds Z");
-        let nonce = self.next_nonce;
-        self.next_nonce += 1;
-        let version = self.versions[index] + 1;
-        self.versions[index] = version;
-        self.write_bucket_at(index, bucket, nonce, version);
+        self.write_buckets(&[(index, bucket)]);
     }
 
-    /// The encrypt-and-store body of [`EncryptedStore::write_bucket`],
-    /// with the nonce/version already assigned (also the serial-fallback
-    /// path when a pooled batch loses its workers to a panic).
-    fn write_bucket_at(&mut self, index: usize, bucket: &Bucket, nonce: u64, version: u64) {
-        let bb = self.bucket_bytes();
-        let slot_bytes = SLOT_HEADER_BYTES + self.payload_bytes;
-        // Serialize and encrypt directly in the image — no staging buffer.
-        let (mac, cipher, payload_bytes) = (self.mac, self.cipher, self.payload_bytes);
-        let out = self.backing.begin_write(index, bb);
-        Self::write_header(
-            &mut out[..BUCKET_HEADER_BYTES],
-            &mac,
-            index as u64,
-            nonce,
-            version,
-        );
-        let plain = &mut out[BUCKET_HEADER_BYTES..];
-        // Zero first so unfilled slots are dummy blocks, indistinguishable
-        // after encryption.
-        plain.fill(0);
-        for (i, block) in bucket.iter().enumerate() {
-            let slot = &mut plain[i * slot_bytes..(i + 1) * slot_bytes];
-            Self::serialize_fields(block, slot, payload_bytes);
-            Self::seal_slot(slot, &mac, index as u64, version);
-        }
-        cipher.encrypt(nonce, plain);
-        self.backing.commit_write(index);
-    }
-
-    /// Serializes, encrypts and stores a whole path's buckets, exactly as
-    /// if [`EncryptedStore::write_bucket`] were called once per pair in
-    /// slice order — same nonce sequence, same version counters, same
-    /// bytes. With a pool attached ([`EncryptedStore::attach_pool`]) and
-    /// no fault injection, the expensive per-bucket work (slot MACs +
-    /// encryption) runs on the pool while this thread serializes fields
-    /// and commits results in bucket order, so the image is byte-identical
-    /// to the serial path at any thread count.
+    /// Serializes, encrypts and stores a whole path's buckets in slice
+    /// order: bucket `k` gets the `k`-th fresh nonce and its next
+    /// version, and a store-level kill at bucket `k` leaves the buckets
+    /// before it written, `k` journaled only and the rest untouched.
+    ///
+    /// A fault injector draws once per bucket write, so a faulty backing
+    /// is driven through the kernel one bucket at a time.
     ///
     /// # Panics
     ///
     /// Panics if any bucket exceeds `z` blocks or a payload exceeds the
     /// payload area.
     pub fn write_buckets(&mut self, buckets: &[(usize, &Bucket)]) {
-        if self.fired.is_some() {
-            return; // the "process" died; nothing reaches DRAM
-        }
-        if !self.parallel_active() || buckets.len() < 2 {
-            for &(index, bucket) in buckets {
-                self.write_bucket(index, bucket);
+        if self.faults_enabled() {
+            for one in buckets.chunks(1) {
+                self.seal_kernel(one);
             }
-            return;
+        } else {
+            self.seal_kernel(buckets);
         }
-        let slot_bytes = SLOT_HEADER_BYTES + self.payload_bytes;
-        let body_bytes = self.z * slot_bytes;
-        let payload_bytes = self.payload_bytes;
-        // Fork: journal first touches, assign nonces/versions and
-        // serialize slot fields in path order on this thread — the
-        // sequenced, cheap part — so workers receive pure, owned
-        // seal/encrypt jobs. Journaling and assignment both precede the
-        // dispatch so a crash anywhere in the batch (`MidJournal` here,
-        // `PooledEncrypt` in a worker) leaves every bucket of the batch
-        // covered by an undo entry, version bumps included.
-        let mut jobs: Vec<SealJob> = Vec::with_capacity(buckets.len());
-        let panic_job = self.pool_panic_job.take();
-        for (k, &(index, bucket)) in buckets.iter().enumerate() {
-            if !self.journal_record(index) {
-                // MidJournal fired mid-batch: abandon the whole batch.
-                for job in jobs {
-                    self.body_scratch.push(job.body);
-                }
-                return;
+    }
+
+    /// The seal kernel (DESIGN.md section 14): works in phases over the
+    /// whole batch so the slot MACs of different buckets run in lockstep
+    /// and every image line is written exactly once.
+    fn seal_kernel(&mut self, buckets: &[(usize, &Bucket)]) {
+        let (body, slot_bytes) = (self.body_bytes(), self.slot_bytes());
+        // Phase 1: first-touch journaling, nonces and versions, in path
+        // order. A kill (now, or earlier in this access) ends the batch
+        // here: the "process" died, nothing further reaches DRAM.
+        self.heads.clear();
+        for &(index, bucket) in buckets {
+            if self.fired.is_some() || !self.journal_record(index) {
+                break;
             }
             assert!(bucket.len() <= self.z, "bucket exceeds Z");
             let nonce = self.next_nonce;
             self.next_nonce += 1;
-            let version = self.versions[index] + 1;
-            self.versions[index] = version;
-            let boom = (self.journal.is_some() && self.cross(KillPoint::PooledEncrypt))
-                || panic_job == Some(k);
-            let mut body = self.body_scratch.pop().unwrap_or_default();
-            body.clear();
-            body.resize(body_bytes, 0);
+            self.versions[index] += 1;
+            self.heads.push([index as u64, nonce, self.versions[index]]);
+        }
+        let live = &buckets[..self.heads.len()];
+        // Phase 2: serialize the batch into the scratch. Zeroed first so
+        // unfilled slots are dummy blocks, indistinguishable after
+        // encryption.
+        if self.plain.len() < live.len() * body {
+            self.plain.resize(live.len() * body, 0);
+        }
+        self.plain[..live.len() * body].fill(0);
+        self.queue.clear();
+        for (pos, (_, bucket)) in live.iter().enumerate() {
             for (i, block) in bucket.iter().enumerate() {
-                let slot = &mut body[i * slot_bytes..(i + 1) * slot_bytes];
-                Self::serialize_fields(block, slot, payload_bytes);
+                let at = pos * body + i * slot_bytes;
+                Self::serialize_fields(
+                    block,
+                    &mut self.plain[at..at + slot_bytes],
+                    self.payload_bytes,
+                );
+                self.queue.push((pos, i));
             }
-            jobs.push(SealJob {
-                index,
-                nonce,
-                version,
-                body,
-                boom,
-            });
         }
-        // Record the assignments before the pool consumes the jobs: on a
-        // non-crash worker panic the serial fallback recomputes each
-        // bucket under its original (nonce, version), keeping the image
-        // byte-identical to an all-clean run.
-        let assigned: Vec<(u64, u64)> = jobs.iter().map(|j| (j.nonce, j.version)).collect();
-        let (mac, cipher) = (self.mac, self.cipher);
-        let pool = Arc::clone(self.pool.as_ref().expect("parallel_active implies pool"));
-        let sealed = match pool.try_run(jobs, move |mut job: SealJob| {
-            if job.boom {
-                panic!("injected panic in pooled seal job");
+        // Phase 3: seal the queued slots, MAC_LANES chains in lockstep.
+        for group in self.queue.chunks(MAC_LANES) {
+            let tags =
+                Self::slot_tags(&self.mac, group, &self.heads, &self.plain, body, slot_bytes);
+            for (&(pos, i), tag) in group.iter().zip(tags) {
+                let at = pos * body + i * slot_bytes;
+                self.plain[at + SLOT_TAG_OFFSET..at + SLOT_HEADER_BYTES]
+                    .copy_from_slice(&tag.to_le_bytes());
             }
-            for i in 0..job.body.len() / slot_bytes {
-                let slot = &mut job.body[i * slot_bytes..(i + 1) * slot_bytes];
-                if slot[0] == 1 {
-                    Self::seal_slot(slot, &mac, job.index as u64, job.version);
-                }
-            }
-            cipher.encrypt(job.nonce, &mut job.body);
-            job
-        }) {
-            Ok(sealed) => sealed,
-            Err(_) if self.fired.is_some() => {
-                // The PooledEncrypt kill point: the worker "process" died
-                // before any commit (pooled commits happen after the
-                // join), so the batch simply never lands.
-                return;
-            }
-            Err(_) => {
-                // Graceful degradation: a real (uninjected-crash) worker
-                // panic consumed the jobs; recompute serially under the
-                // recorded assignments.
-                for (&(index, bucket), &(nonce, version)) in buckets.iter().zip(&assigned) {
-                    self.write_bucket_at(index, bucket, nonce, version);
-                }
-                return;
-            }
-        };
-        // Join: commit results in bucket order, recycling the buffers.
+        }
+        // Phase 4: header, then encrypt-while-copy into the image. (A
+        // header MAC is four rounds: too short for lanes to beat the
+        // overlap the core finds between consecutive buckets by itself.)
         let bb = self.bucket_bytes();
-        for job in sealed {
-            let out = self.backing.begin_write(job.index, bb);
-            Self::write_header(
-                &mut out[..BUCKET_HEADER_BYTES],
-                &self.mac,
-                job.index as u64,
-                job.nonce,
-                job.version,
-            );
-            out[BUCKET_HEADER_BYTES..].copy_from_slice(&job.body);
-            self.backing.commit_write(job.index);
-            self.body_scratch.push(job.body);
+        for (&[index, nonce, version], plain) in
+            self.heads.iter().zip(self.plain.chunks_exact(body))
+        {
+            let out = self.backing.begin_write(index as usize, bb);
+            let (header, stored) = out.split_at_mut(BUCKET_HEADER_BYTES);
+            Self::write_header(header, &self.mac, index, nonce, version);
+            self.cipher.apply_to(nonce, plain, stored);
+            self.backing.commit_write(index as usize);
         }
+    }
+
+    /// Slot tags of up to [`MAC_LANES`] queued `(batch position, slot)`
+    /// entries in lockstep; lanes past `group.len()` are unused. A tag
+    /// binds the slot's raw bytes — header fields and the whole payload
+    /// area, used or not (zeroed padding included, so a flip past `len`
+    /// is still caught), the tag field itself excluded — plus the bucket
+    /// index and version, so replaying an authentic slot at a different
+    /// tree position or from an older version fails verification.
+    fn slot_tags(
+        mac: &Mac,
+        group: &[(usize, usize)],
+        heads: &[[u64; 3]],
+        plain: &[u8],
+        body: usize,
+        slot_bytes: usize,
+    ) -> [u64; MAC_LANES] {
+        let mut keyed = [[0u64; 2]; MAC_LANES];
+        let mut parts: [[&[u8]; 2]; MAC_LANES] = [[&[]; 2]; MAC_LANES];
+        for ((keyed, parts), &(pos, i)) in keyed.iter_mut().zip(&mut parts).zip(group) {
+            let [index, _, version] = heads[pos];
+            *keyed = [index, version];
+            let slot = &plain[pos * body + i * slot_bytes..][..slot_bytes];
+            *parts = [&slot[..SLOT_TAG_OFFSET], &slot[SLOT_HEADER_BYTES..]];
+        }
+        let lanes: [MacLane<'_>; MAC_LANES] =
+            std::array::from_fn(|l| (&keyed[l][..], &parts[l][..]));
+        let mut tags = [0; MAC_LANES];
+        mac.tag_lanes(&lanes[..group.len()], &mut tags[..group.len()]);
+        tags
     }
 
     /// Reads, decrypts, authenticates and deserializes bucket `index`.
@@ -663,115 +571,31 @@ impl EncryptedStore {
     /// image as [`OramError::Rollback`], and a transient read failure that
     /// exhausted its retry budget as [`OramError::Transient`].
     pub fn try_read_bucket(&mut self, index: usize) -> Result<Vec<Block>, OramError> {
-        let mut plain = Vec::new();
-        let version = self.authenticated_plain(index, &mut plain)?;
-        let slot_bytes = SLOT_HEADER_BYTES + self.payload_bytes;
-        let mut blocks = Vec::new();
-        for i in 0..self.z {
-            let slot = &plain[i * slot_bytes..(i + 1) * slot_bytes];
-            match Self::deserialize_block(slot, &self.mac, index as u64, version) {
-                Ok(Some(b)) => blocks.push(b),
-                Ok(None) => {}
-                Err(()) => {
-                    let err = OramError::Integrity {
-                        bucket: index,
-                        slot: Some(i),
-                    };
-                    self.note_detected(index, &err);
-                    return Err(err);
-                }
-            }
-        }
-        self.note_clean_read(index);
-        Ok(blocks)
-    }
-
-    /// Authenticates bucket `index`'s cleartext header against the trusted
-    /// version counter; returns the stored `(nonce, version)` on success.
-    /// Pure with respect to the store (no fault bookkeeping) so the
-    /// parallel read path can pre-authenticate a whole path.
-    fn check_header(&self, index: usize) -> Result<(u64, u64), OramError> {
-        let bb = self.bucket_bytes();
-        let raw = &self.backing.bytes()[index * bb..(index + 1) * bb];
-        let nonce = u64::from_le_bytes(raw[0..8].try_into().expect("nonce"));
-        let version = u64::from_le_bytes(raw[8..16].try_into().expect("version"));
-        let stored_tag = u64::from_le_bytes(raw[16..24].try_into().expect("header tag"));
-        if stored_tag != self.mac.tag(&[index as u64, nonce, version], &[]) {
-            return Err(OramError::Integrity {
-                bucket: index,
-                slot: None,
-            });
-        }
-        let expected = self.versions[index];
-        if version != expected {
-            // The header authenticates, so (nonce, version) was once valid
-            // for this bucket: an old version is a replayed stale image.
-            // (A version ahead of the trusted counter cannot be produced
-            // by replay; classify it as corruption defensively.)
-            return Err(if version < expected {
-                OramError::Rollback {
-                    bucket: index,
-                    stored_version: version,
-                    expected_version: expected,
-                }
-            } else {
-                OramError::Integrity {
-                    bucket: index,
-                    slot: None,
-                }
-            });
-        }
-        Ok((nonce, version))
-    }
-
-    /// Runs the transient-read gate, authenticates bucket `index`'s header
-    /// against the trusted version counter, and decrypts the body into the
-    /// caller's reusable buffer. Returns the authenticated version.
-    fn authenticated_plain(&mut self, index: usize, plain: &mut Vec<u8>) -> Result<u64, OramError> {
-        if let Backing::Faulty(f) = &mut self.backing {
-            if let Err(attempts) = f.read_gate() {
-                return Err(OramError::Transient {
-                    bucket: index,
-                    attempts,
-                });
-            }
-        }
-        let (nonce, version) = match self.check_header(index) {
-            Ok(hv) => hv,
-            Err(err) => {
-                self.note_detected(index, &err);
-                return Err(err);
-            }
-        };
-        let bb = self.bucket_bytes();
-        let raw = &self.backing.bytes()[index * bb..(index + 1) * bb];
-        plain.clear();
-        plain.extend_from_slice(&raw[BUCKET_HEADER_BYTES..]);
-        if nonce != 0 {
-            self.cipher.decrypt(nonce, plain);
-        }
-        Ok(version)
-    }
-
-    fn note_detected(&mut self, index: usize, err: &OramError) {
-        if let Backing::Faulty(f) = &mut self.backing {
-            f.note_detected(index, err);
-        }
-    }
-
-    fn note_clean_read(&mut self, index: usize) {
-        if let Backing::Faulty(f) = &mut self.backing {
-            f.note_clean_read(index);
-        }
+        let mut plain = std::mem::take(&mut self.plain);
+        let opened = self.open_batch(&[index], &mut plain);
+        let slot_bytes = self.slot_bytes();
+        let blocks = opened.map_err(|(_, err)| err).and_then(|()| {
+            self.queue
+                .iter()
+                .map(|&(_, i)| {
+                    Self::decode_block(&plain[i * slot_bytes..(i + 1) * slot_bytes]).ok_or(
+                        OramError::Integrity {
+                            bucket: index,
+                            slot: Some(i),
+                        },
+                    )
+                })
+                .collect()
+        });
+        self.plain = plain;
+        blocks
     }
 
     /// Authenticates bucket `index` and appends the address of every real
     /// block it holds to `addrs`, without reconstructing payloads.
     ///
-    /// `plain` is a caller-owned scratch buffer reused across calls, so
-    /// the per-bucket verification the controller performs in
-    /// [`verify_image` mode](crate::OramConfig::verify_image) allocates
-    /// nothing.
+    /// `plain` is a caller-owned scratch buffer reused across calls (it
+    /// receives the bucket's plaintext), so nothing is allocated.
     ///
     /// # Errors
     ///
@@ -782,157 +606,50 @@ impl EncryptedStore {
         plain: &mut Vec<u8>,
         addrs: &mut Vec<u64>,
     ) -> Result<(), OramError> {
-        let version = self.authenticated_plain(index, plain)?;
-        let slot_bytes = SLOT_HEADER_BYTES + self.payload_bytes;
-        for i in 0..self.z {
-            let slot = &plain[i * slot_bytes..(i + 1) * slot_bytes];
-            match Self::check_slot(slot, &self.mac, index as u64, version) {
-                Ok(Some((addr, ..))) => addrs.push(addr.0),
-                Ok(None) => {}
-                Err(()) => {
-                    let err = OramError::Integrity {
-                        bucket: index,
-                        slot: Some(i),
-                    };
-                    self.note_detected(index, &err);
-                    return Err(err);
-                }
-            }
-        }
-        self.note_clean_read(index);
+        self.open_batch(&[index], plain).map_err(|(_, err)| err)?;
+        let slot_bytes = self.slot_bytes();
+        addrs.extend(
+            self.queue
+                .iter()
+                .map(|&(_, i)| word(plain, i * slot_bytes + 1)),
+        );
         Ok(())
     }
 
-    /// Batch analogue of [`EncryptedStore::bucket_addrs_into`] over a
-    /// whole path: fills `out` with one address vector per entry of
-    /// `indices` (same order). With a pool attached and fault injection
-    /// off, header authentication stays on this thread while per-bucket
-    /// decryption and slot verification fan across the workers; results
-    /// merge in path order, so the first error reported is the same one
-    /// the serial loop would hit. Vectors already in `out` are recycled.
+    /// [`EncryptedStore::bucket_addrs_into`] over a whole path: `addrs`
+    /// receives the real-block addresses of every bucket of `indices`
+    /// back to back and `ends[k]` the end of bucket `k`'s run in it.
     ///
     /// # Errors
     ///
-    /// Same classification as [`EncryptedStore::try_read_bucket`]; on
-    /// error `out` holds the address vectors of the buckets preceding the
-    /// failing one.
+    /// Same classification as [`EncryptedStore::try_read_bucket`], and
+    /// the error is the first in path order: `ends.len()` is then the
+    /// position of the failing bucket, and `addrs` / `ends` cover the
+    /// buckets before it, all authenticated.
     pub fn bucket_addrs_batch(
         &mut self,
         indices: &[usize],
-        out: &mut Vec<Vec<u64>>,
+        addrs: &mut Vec<u64>,
+        ends: &mut Vec<usize>,
     ) -> Result<(), OramError> {
-        for mut v in out.drain(..) {
-            v.clear();
-            self.addr_scratch.push(v);
-        }
-        if !self.parallel_active() || indices.len() < 2 {
-            return self.bucket_addrs_batch_serial(indices, out);
-        }
-        // Fork: authenticate every header in path order first. A header
-        // failure here bails to the serial loop so the error reported is
-        // the first one *in path order* (a later bucket's slots might
-        // also be corrupt; the serial loop arbitrates).
-        let bb = self.bucket_bytes();
-        let mut jobs: Vec<VerifyJob> = Vec::with_capacity(indices.len());
-        for &index in indices {
-            let (nonce, version) = match self.check_header(index) {
-                Ok(hv) => hv,
-                Err(_) => {
-                    for job in jobs {
-                        self.body_scratch.push(job.body);
-                        self.addr_scratch.push(job.addrs);
-                    }
-                    return self.bucket_addrs_batch_serial(indices, out);
-                }
-            };
-            let raw = &self.backing.bytes()[index * bb..(index + 1) * bb];
-            let mut body = self.body_scratch.pop().unwrap_or_default();
-            body.clear();
-            body.extend_from_slice(&raw[BUCKET_HEADER_BYTES..]);
-            let mut addrs = self.addr_scratch.pop().unwrap_or_default();
-            addrs.clear();
-            jobs.push(VerifyJob {
-                index,
-                nonce,
-                version,
-                body,
-                addrs,
-                bad_slot: None,
-            });
-        }
-        let (mac, cipher) = (self.mac, self.cipher);
-        let slot_bytes = SLOT_HEADER_BYTES + self.payload_bytes;
-        let z = self.z;
-        let pool = Arc::clone(self.pool.as_ref().expect("parallel_active implies pool"));
-        let done = match pool.try_run(jobs, move |mut job: VerifyJob| {
-            if job.nonce != 0 {
-                cipher.decrypt(job.nonce, &mut job.body);
-            }
-            for i in 0..z {
-                let slot = &job.body[i * slot_bytes..(i + 1) * slot_bytes];
-                match Self::check_slot(slot, &mac, job.index as u64, job.version) {
-                    Ok(Some((addr, ..))) => job.addrs.push(addr.0),
-                    Ok(None) => {}
-                    Err(()) => {
-                        job.bad_slot = Some(i);
-                        break;
-                    }
-                }
-            }
-            job
-        }) {
-            Ok(done) => done,
-            // Graceful degradation: a worker panic consumed the jobs (and
-            // their scratch buffers); the read is side-effect-free, so
-            // just redo it serially.
-            Err(_) => return self.bucket_addrs_batch_serial(indices, out),
+        addrs.clear();
+        ends.clear();
+        let mut plain = std::mem::take(&mut self.plain);
+        let opened = self.open_batch(indices, &mut plain);
+        let (body, slot_bytes) = (self.body_bytes(), self.slot_bytes());
+        let good = match &opened {
+            Ok(()) => indices.len(),
+            Err((pos, _)) => *pos,
         };
-        // Join: merge in path order; the first bad slot wins.
-        let mut first_err = None;
-        for job in done {
-            if first_err.is_none() {
-                if let Some(slot) = job.bad_slot {
-                    first_err = Some(OramError::Integrity {
-                        bucket: job.index,
-                        slot: Some(slot),
-                    });
-                    self.addr_scratch.push(job.addrs);
-                } else {
-                    out.push(job.addrs);
-                }
-            } else {
-                self.addr_scratch.push(job.addrs);
+        let mut queue = self.queue.iter().peekable();
+        for pos in 0..good {
+            while let Some(&(_, i)) = queue.next_if(|&&(p, _)| p == pos) {
+                addrs.push(word(&plain, pos * body + i * slot_bytes + 1));
             }
-            self.body_scratch.push(job.body);
+            ends.push(addrs.len());
         }
-        match first_err {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
-    }
-
-    /// The serial body of [`EncryptedStore::bucket_addrs_batch`]: one
-    /// [`EncryptedStore::bucket_addrs_into`] call per bucket, in order.
-    fn bucket_addrs_batch_serial(
-        &mut self,
-        indices: &[usize],
-        out: &mut Vec<Vec<u64>>,
-    ) -> Result<(), OramError> {
-        let mut plain = self.body_scratch.pop().unwrap_or_default();
-        for &index in indices {
-            let mut addrs = self.addr_scratch.pop().unwrap_or_default();
-            addrs.clear();
-            match self.bucket_addrs_into(index, &mut plain, &mut addrs) {
-                Ok(()) => out.push(addrs),
-                Err(err) => {
-                    self.addr_scratch.push(addrs);
-                    self.body_scratch.push(plain);
-                    return Err(err);
-                }
-            }
-        }
-        self.body_scratch.push(plain);
-        Ok(())
+        self.plain = plain;
+        opened.map_err(|(_, err)| err)
     }
 
     /// Verifies one bucket's header and slot authentication tags.
@@ -941,7 +658,10 @@ impl EncryptedStore {
     ///
     /// Same classification as [`EncryptedStore::try_read_bucket`].
     pub fn verify_bucket(&mut self, index: usize) -> Result<(), OramError> {
-        self.try_read_bucket(index).map(|_| ())
+        let mut plain = std::mem::take(&mut self.plain);
+        let opened = self.open_batch(&[index], &mut plain);
+        self.plain = plain;
+        opened.map_err(|(_, err)| err)
     }
 
     /// Verifies every bucket's authentication tags (the scrub pass).
@@ -952,6 +672,160 @@ impl EncryptedStore {
     pub fn verify_all(&mut self) -> Result<(), OramError> {
         for idx in 0..self.num_buckets {
             self.verify_bucket(idx)?;
+        }
+        Ok(())
+    }
+
+    /// Opens the buckets of `indices` into `plain` — body `k` at
+    /// `k * body_bytes` — and leaves their real slots in `self.queue`.
+    /// The whole batch goes through the open kernel at once; a fault
+    /// injector draws once per bucket read, and a failure must surface
+    /// as the first one in path order, so a faulty backing and a failed
+    /// batch go through it bucket by bucket instead.
+    ///
+    /// On error, the position of the failing bucket comes with it; the
+    /// plaintext and queue entries of the buckets before it are valid.
+    fn open_batch(
+        &mut self,
+        indices: &[usize],
+        plain: &mut Vec<u8>,
+    ) -> Result<(), (usize, OramError)> {
+        let need = indices.len() * self.body_bytes();
+        if plain.len() < need {
+            plain.resize(need, 0);
+        }
+        self.queue.clear();
+        if !self.faults_enabled() && self.open_kernel(indices, 0, plain).is_ok() {
+            return Ok(());
+        }
+        self.queue.clear();
+        for (pos, &index) in indices.iter().enumerate() {
+            let queued = self.queue.len();
+            if let Backing::Faulty(f) = &mut self.backing {
+                if let Err(attempts) = f.read_gate() {
+                    let exhausted = OramError::Transient {
+                        bucket: index,
+                        attempts,
+                    };
+                    return Err((pos, exhausted));
+                }
+            }
+            let opened = self.open_kernel(&[index], pos, plain);
+            if let Backing::Faulty(f) = &mut self.backing {
+                match &opened {
+                    Ok(()) => f.note_clean_read(index),
+                    Err(err) => f.note_detected(index, err),
+                }
+            }
+            if let Err(err) = opened {
+                self.queue.truncate(queued);
+                return Err((pos, err));
+            }
+        }
+        Ok(())
+    }
+
+    /// The open kernel (DESIGN.md section 14): authenticates and decrypts
+    /// `indices` into `plain` from batch position `first` on, in phases
+    /// over the whole batch. Pure with respect to the image and the
+    /// injector; a failure is *a* failure of the batch, not necessarily
+    /// the first in path order.
+    fn open_kernel(
+        &mut self,
+        indices: &[usize],
+        first: usize,
+        plain: &mut [u8],
+    ) -> Result<(), OramError> {
+        let (bb, body, slot_bytes) = (self.bucket_bytes(), self.body_bytes(), self.slot_bytes());
+        let image = self.backing.bytes();
+        // Phase 1: authenticate every header against the trusted version
+        // counters. The loads come first: the header words, and one byte
+        // of every cache line the bucket reaches into. Nothing waits on
+        // them, so the misses of the deep (cold) levels overlap instead
+        // of surfacing one by one under the decrypt loop (`black_box`
+        // keeps the loads whose value nobody needs).
+        self.heads.clear();
+        let mut touched = 0;
+        for &index in indices {
+            let stored = &image[index * bb..(index + 1) * bb];
+            self.heads
+                .push([index as u64, word(stored, 0), word(stored, 8)]);
+            let lines = stored.iter().step_by(CACHE_LINE).chain(stored.last());
+            touched ^= lines.fold(0, |acc, b| acc ^ b);
+        }
+        std::hint::black_box(touched);
+        for &[index, nonce, version] in &self.heads {
+            let bucket = index as usize;
+            if self.mac.tag(&[index, nonce, version], &[]) != word(image, bucket * bb + 16) {
+                return Err(OramError::Integrity { bucket, slot: None });
+            }
+            let expected = self.versions[bucket];
+            if version < expected {
+                // The header authenticates, so (nonce, version) was once
+                // valid for this bucket: a replayed stale image.
+                return Err(OramError::Rollback {
+                    bucket,
+                    stored_version: version,
+                    expected_version: expected,
+                });
+            }
+            if version > expected {
+                // Ahead of the trusted counter: replay cannot produce it;
+                // classify as corruption defensively.
+                return Err(OramError::Integrity { bucket, slot: None });
+            }
+        }
+        // Phase 2: decrypt-while-copy each body into the scratch. Nonce 0
+        // marks a never-written bucket, whose body is stored in the clear.
+        let plain = &mut plain[first * body..(first + indices.len()) * body];
+        for ((&index, &[_, nonce, _]), out) in indices
+            .iter()
+            .zip(&self.heads)
+            .zip(plain.chunks_exact_mut(body))
+        {
+            let stored = &image[index * bb + BUCKET_HEADER_BYTES..(index + 1) * bb];
+            if nonce == 0 {
+                out.copy_from_slice(stored);
+            } else {
+                self.cipher.apply_to(nonce, stored, out);
+            }
+        }
+        // Phase 3: classify the slots up to the first bad one. A dummy is
+        // all-zero after decryption (any other value in the valid flag is
+        // tampering); a real slot's length field must fit the payload
+        // area, and its tag is queued for phase 4.
+        let queued = self.queue.len();
+        let mut bad = None;
+        'classify: for (k, bucket) in plain.chunks_exact(body).enumerate() {
+            for (i, slot) in bucket.chunks_exact(slot_bytes).enumerate() {
+                let real = slot[0] == 1;
+                if real && usize::from(half(slot, 15)) <= self.payload_bytes {
+                    self.queue.push((k, i));
+                } else if real || !all_zero(slot) {
+                    bad = Some((k, i));
+                    break 'classify;
+                }
+            }
+        }
+        // Phase 4: verify the queued tags, MAC_LANES chains in lockstep.
+        // Every queued slot precedes the one phase 3 stopped at, so a
+        // forged tag is the earlier failure of the two.
+        let forged = self.queue[queued..].chunks(MAC_LANES).find_map(|group| {
+            let tags = Self::slot_tags(&self.mac, group, &self.heads, plain, body, slot_bytes);
+            let stored =
+                |&(k, i): &(usize, usize)| word(plain, k * body + i * slot_bytes + SLOT_TAG_OFFSET);
+            let mut checked = group.iter().zip(tags);
+            checked.find_map(|(at, tag)| (tag != stored(at)).then_some(*at))
+        });
+        if let Some((k, i)) = forged.or(bad) {
+            return Err(OramError::Integrity {
+                bucket: indices[k],
+                slot: Some(i),
+            });
+        }
+        // Queue positions are batch positions from here on.
+        for entry in &mut self.queue[queued..] {
+            entry.0 += first;
         }
         Ok(())
     }
@@ -971,10 +845,8 @@ impl EncryptedStore {
     }
 
     /// Writes a block's slot fields — valid flag, address, leaf, hit,
-    /// payload kind/length and the payload bytes — leaving the tag field
-    /// zero. [`Self::seal_slot`] computes the tag afterwards; the split
-    /// lets the cheap field writes stay on the dispatching thread while
-    /// workers do the MAC work.
+    /// payload kind/length and the payload bytes — into a zeroed slot,
+    /// leaving the tag field zero for [`Self::slot_tags`] to fill.
     fn serialize_fields(block: &Block, slot: &mut [u8], payload_bytes: usize) {
         let (head, body_area) = slot.split_at_mut(SLOT_HEADER_BYTES);
         head[0] = 1; // valid
@@ -1013,101 +885,51 @@ impl EncryptedStore {
         head[15..17].copy_from_slice(&(len as u16).to_le_bytes());
     }
 
-    /// Computes and stores a serialized slot's authentication tag. The
-    /// tag binds the slot's raw bytes — header fields and the whole
-    /// payload area, used or not (zeroed padding included, so a flip
-    /// past `len` is still caught) — plus the bucket index and version,
-    /// so replaying an authentic slot at a different tree position or
-    /// from an older epoch fails verification. The tag field itself is
-    /// zero at this point and excluded from coverage.
-    fn seal_slot(slot: &mut [u8], mac: &Mac, bucket_index: u64, version: u64) {
-        let (head, body_area) = slot.split_at_mut(SLOT_HEADER_BYTES);
-        let tag = mac.tag_parts(
-            &[bucket_index, version],
-            &[&head[..SLOT_TAG_OFFSET], body_area],
-        );
-        head[SLOT_TAG_OFFSET..SLOT_HEADER_BYTES].copy_from_slice(&tag.to_le_bytes());
-    }
-
-    /// Validates and authenticates one slot without touching the payload
-    /// encoding: `Ok(None)` = dummy slot, `Ok(Some((addr, leaf, hit, kind,
-    /// len)))` = authenticated header, `Err(())` = tampering.
-    fn check_slot(
-        slot: &[u8],
-        mac: &Mac,
-        bucket_index: u64,
-        version: u64,
-    ) -> Result<Option<SlotHeader>, ()> {
-        if slot[0] != 1 {
-            // Dummy slots are all-zero after decryption; any other value
-            // in the valid flag is tampering.
-            return if slot.iter().all(|&b| b == 0) {
-                Ok(None)
-            } else {
-                Err(())
-            };
-        }
-        let addr = BlockAddr(u64::from_le_bytes(slot[1..9].try_into().expect("addr")));
-        let leaf = Leaf(u32::from_le_bytes(slot[9..13].try_into().expect("leaf")));
-        let hit = slot[13] != 0;
-        let kind = slot[14];
-        let len = u16::from_le_bytes(slot[15..17].try_into().expect("len")) as usize;
-        if len > slot.len().saturating_sub(SLOT_HEADER_BYTES) {
-            return Err(()); // corrupted length field
-        }
-        let stored_tag = u64::from_le_bytes(
-            slot[SLOT_TAG_OFFSET..SLOT_HEADER_BYTES]
-                .try_into()
-                .expect("tag"),
-        );
-        let expected = mac.tag_parts(
-            &[bucket_index, version],
-            &[&slot[..SLOT_TAG_OFFSET], &slot[SLOT_HEADER_BYTES..]],
-        );
-        if stored_tag != expected {
-            return Err(());
-        }
-        Ok(Some((addr, leaf, hit, kind, len)))
-    }
-
-    /// `Ok(None)` = dummy slot, `Ok(Some)` = authenticated block,
-    /// `Err(())` = tag mismatch.
-    fn deserialize_block(
-        slot: &[u8],
-        mac: &Mac,
-        bucket_index: u64,
-        version: u64,
-    ) -> Result<Option<Block>, ()> {
-        let Some((addr, leaf, hit, kind, len)) =
-            Self::check_slot(slot, mac, bucket_index, version)?
-        else {
-            return Ok(None);
-        };
+    /// Rebuilds the block of an authenticated real slot; `None` if the
+    /// payload kind is not one this store writes.
+    fn decode_block(slot: &[u8]) -> Option<Block> {
+        let len = usize::from(half(slot, 15));
         let body = &slot[SLOT_HEADER_BYTES..SLOT_HEADER_BYTES + len];
-        let payload = match kind {
+        let payload = match slot[14] {
             0 => Payload::Opaque,
             1 => Payload::Data(body.to_vec().into()),
-            2 => {
-                let mut entries = Vec::with_capacity(len / ENTRY_BYTES);
-                for chunk in body.chunks_exact(ENTRY_BYTES) {
-                    entries.push(PosEntry {
+            2 => Payload::PosMap(
+                body.chunks_exact(ENTRY_BYTES)
+                    .map(|chunk| PosEntry {
                         leaf: Leaf(u32::from_le_bytes(chunk[0..4].try_into().expect("eleaf"))),
                         merge: i16::from_le_bytes(chunk[4..6].try_into().expect("merge")),
                         brk: i16::from_le_bytes(chunk[6..8].try_into().expect("brk")),
                         prefetch: chunk[8] != 0,
-                    });
-                }
-                Payload::PosMap(entries.into())
-            }
-            _ => return Err(()), // unknown payload kind: tampering
+                    })
+                    .collect::<Vec<_>>()
+                    .into(),
+            ),
+            _ => return None,
         };
-        Ok(Some(Block {
-            addr,
-            leaf,
-            hit,
+        Some(Block {
+            addr: BlockAddr(word(slot, 1)),
+            leaf: Leaf(u32::from_le_bytes(slot[9..13].try_into().expect("leaf"))),
+            hit: slot[13] != 0,
             payload,
-        }))
+        })
     }
+}
+
+/// The little-endian `u64` at `bytes[at..at + 8]`.
+fn word(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// The little-endian `u16` at `bytes[at..at + 2]`.
+fn half(bytes: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes(bytes[at..at + 2].try_into().expect("2 bytes"))
+}
+
+/// Whether every byte is zero, tested a word at a time.
+fn all_zero(bytes: &[u8]) -> bool {
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder().iter().fold(0, |acc, &b| acc | b);
+    words.fold(u64::from(tail), |acc, w| acc | word(w, 0)) == 0
 }
 
 #[cfg(test)]
@@ -1513,124 +1335,6 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    /// The same batch written through the serial loop and through a
-    /// pooled `write_buckets` must yield byte-identical images: same
-    /// nonce sequence, same versions, same ciphertext.
-    #[test]
-    fn write_buckets_is_byte_identical_to_serial_loop() {
-        for threads in [2usize, 4, 7] {
-            let mut serial = store();
-            let mut pooled = store();
-            pooled.attach_pool(Arc::new(WorkerPool::new(threads)));
-            assert!(pooled.parallel_active());
-            for round in 0..6u64 {
-                let batch: Vec<(usize, Bucket)> = (0..4)
-                    .map(|i| {
-                        let mut b = Bucket::new(3);
-                        for j in 0..=(i % 3) {
-                            b.push(data_block(round * 16 + i as u64 * 4 + j as u64, i as u8));
-                        }
-                        ((i + round as usize) % 8, b)
-                    })
-                    .collect();
-                let refs: Vec<(usize, &Bucket)> = batch.iter().map(|(idx, b)| (*idx, b)).collect();
-                for &(idx, b) in &refs {
-                    serial.write_bucket(idx, b);
-                }
-                pooled.write_buckets(&refs);
-            }
-            for idx in 0..8 {
-                assert_eq!(
-                    serial.ciphertext(idx),
-                    pooled.ciphertext(idx),
-                    "threads={threads} bucket={idx}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bucket_addrs_batch_matches_per_bucket_reads() {
-        let mut s = store();
-        s.attach_pool(Arc::new(WorkerPool::new(4)));
-        let batch: Vec<(usize, Bucket)> = (0..8)
-            .map(|i| {
-                let mut b = Bucket::new(3);
-                b.push(data_block(i as u64 * 2, i as u8));
-                b.push(data_block(i as u64 * 2 + 1, i as u8));
-                (i, b)
-            })
-            .collect();
-        let refs: Vec<(usize, &Bucket)> = batch.iter().map(|(idx, b)| (*idx, b)).collect();
-        s.write_buckets(&refs);
-        let indices: Vec<usize> = (0..8).collect();
-        let mut out = Vec::new();
-        s.bucket_addrs_batch(&indices, &mut out).expect("authentic");
-        assert_eq!(out.len(), 8);
-        let mut plain = Vec::new();
-        for (i, addrs) in out.iter().enumerate() {
-            let mut expect = Vec::new();
-            s.bucket_addrs_into(i, &mut plain, &mut expect).unwrap();
-            assert_eq!(addrs, &expect, "bucket {i}");
-        }
-        // A second round recycles the previous vectors.
-        s.bucket_addrs_batch(&indices, &mut out).expect("authentic");
-        assert_eq!(out.len(), 8);
-    }
-
-    #[test]
-    fn bucket_addrs_batch_reports_first_error_in_path_order() {
-        let corrupt_and_read = |pool: bool, corrupt: &[usize]| {
-            let mut s = store();
-            if pool {
-                s.attach_pool(Arc::new(WorkerPool::new(4)));
-            }
-            for i in 0..8 {
-                let mut b = Bucket::new(3);
-                b.push(data_block(i as u64, 1));
-                s.write_bucket(i, &b);
-            }
-            for &idx in corrupt {
-                s.corrupt_byte(idx, BUCKET_HEADER_BYTES + 5, 0x20); // slot area
-            }
-            let mut out = Vec::new();
-            s.bucket_addrs_batch(&(0..8).collect::<Vec<_>>(), &mut out)
-        };
-        // Two corrupted buckets: the earlier one must be reported, with
-        // or without a pool.
-        let serial = corrupt_and_read(false, &[2, 5]);
-        let pooled = corrupt_and_read(true, &[2, 5]);
-        assert_eq!(serial, pooled);
-        assert!(matches!(
-            serial,
-            Err(OramError::Integrity { bucket: 2, .. })
-        ));
-        // Header corruption falls back to the serial arbitration.
-        let serial = corrupt_and_read(false, &[6]);
-        let pooled = corrupt_and_read(true, &[6]);
-        assert_eq!(serial, pooled);
-    }
-
-    #[test]
-    fn faulty_backing_disables_parallel_batches() {
-        let mut s = store();
-        s.attach_pool(Arc::new(WorkerPool::new(4)));
-        assert!(s.parallel_active());
-        s.enable_faults(FaultConfig::silent(7));
-        assert!(
-            !s.parallel_active(),
-            "fault injection must force the serial path"
-        );
-        // Batches still work, via the serial fallback.
-        let mut b = Bucket::new(3);
-        b.push(data_block(1, 0x33));
-        let b2 = b.clone();
-        s.write_buckets(&[(0, &b), (1, &b2)]);
-        let mut out = Vec::new();
-        s.bucket_addrs_batch(&[0, 1], &mut out).expect("authentic");
-        assert_eq!(out[0], vec![1]);
-    }
-
     #[test]
     #[should_panic(expected = "exceeds slot")]
     fn oversized_payload_panics() {
@@ -1738,65 +1442,265 @@ mod tests {
         assert_eq!(s.try_read_bucket(6).unwrap()[0].addr, BlockAddr(40));
     }
 
-    /// A genuine (non-injected-crash) worker panic must degrade to the
-    /// serial path and still produce the byte-identical image.
-    #[test]
-    fn pooled_panic_falls_back_to_byte_identical_serial_writes() {
-        for boom_job in [0usize, 2, 3] {
-            let mut serial = store();
-            let mut pooled = store();
-            pooled.attach_pool(Arc::new(WorkerPool::new(3)));
-            for round in 0..3u64 {
-                let batch: Vec<(usize, Bucket)> = (0..4)
-                    .map(|i| {
-                        (
-                            (i + round as usize) % 8,
-                            one_block_bucket(round * 8 + i as u64, i as u8),
-                        )
-                    })
-                    .collect();
-                let refs: Vec<(usize, &Bucket)> = batch.iter().map(|(idx, b)| (*idx, b)).collect();
-                for &(idx, b) in &refs {
-                    serial.write_bucket(idx, b);
-                }
-                if round == 1 {
-                    pooled.inject_pool_panic(boom_job);
-                }
-                pooled.write_buckets(&refs);
-            }
-            for idx in 0..8 {
-                assert_eq!(
-                    serial.ciphertext(idx),
-                    pooled.ciphertext(idx),
-                    "boom_job={boom_job} bucket={idx}"
-                );
-            }
-        }
-    }
+    /// The path kernels against the per-bucket loop (batches of one) and
+    /// against a bucket image assembled from the single-message
+    /// primitives, which the kernels do not use.
+    mod kernels {
+        use super::*;
 
-    #[test]
-    fn pooled_encrypt_crash_abandons_the_batch_and_rolls_back() {
-        let mut s = store();
-        s.attach_pool(Arc::new(WorkerPool::new(2)));
-        s.write_bucket(0, &one_block_bucket(50, 0x50));
-        let before: Vec<Vec<u8>> = (0..8).map(|i| s.ciphertext(i).to_vec()).collect();
-        s.begin_txn(vec![0xA]);
-        s.arm_crash(Some(CrashArm::new(CrashConfig::at(
-            KillPoint::PooledEncrypt,
-            2,
-        ))));
-        let b0 = one_block_bucket(51, 0x51);
-        let b1 = one_block_bucket(52, 0x52);
-        let b2 = one_block_bucket(53, 0x53);
-        s.write_buckets(&[(0, &b0), (1, &b1), (2, &b2)]);
-        assert_eq!(s.crash_fired(), Some(KillPoint::PooledEncrypt));
-        for (i, img) in before.iter().enumerate() {
-            assert_eq!(s.ciphertext(i), &img[..], "no commit before join");
+        /// One "path": nine buckets of a 32-bucket store, out of index
+        /// order, so slot queues span several lane groups and a remainder.
+        const PATH: [usize; 9] = [0, 2, 5, 11, 23, 24, 17, 30, 31];
+
+        fn store() -> EncryptedStore {
+            EncryptedStore::new(32, 3, 128, 0x5EED)
         }
-        let rec = s.recover_txn().expect("open transaction");
-        assert!(!rec.replay);
-        assert_eq!(rec.entries, 3, "whole batch journaled before dispatch");
-        s.verify_all().expect("version counters rolled back");
-        assert_eq!(s.try_read_bucket(0).unwrap()[0].addr, BlockAddr(50));
+
+        /// `len` buckets of the path holding `(position + round) % 4`
+        /// blocks each, data and position-map blocks mixed.
+        fn batch(round: u64, len: usize) -> Vec<(usize, Bucket)> {
+            let bucket = |k: usize| {
+                let mut b = Bucket::new(3);
+                for j in 0..(k + round as usize) % 4 {
+                    let addr = round * 100 + k as u64 * 4 + j as u64;
+                    b.push(if j == 1 {
+                        let entries = vec![PosEntry::new(Leaf(k as u32)); 5];
+                        Block::posmap(BlockAddr(addr), Leaf(2), entries.into())
+                    } else {
+                        data_block(addr, addr as u8)
+                    });
+                }
+                b
+            };
+            PATH[..len]
+                .iter()
+                .enumerate()
+                .map(|(k, &index)| (index, bucket(k)))
+                .collect()
+        }
+
+        fn refs(batch: &[(usize, Bucket)]) -> Vec<(usize, &Bucket)> {
+            batch.iter().map(|(index, b)| (*index, b)).collect()
+        }
+
+        /// Everything a write can leave behind: image, trusted versions,
+        /// nonce counter, undo entries, kill state.
+        type Left = (Vec<u8>, Vec<u64>, u64, Vec<UndoEntry>, Option<KillPoint>);
+
+        fn left(s: &EncryptedStore) -> Left {
+            let entries = s.journal.as_ref().map_or(Vec::new(), |j| j.entries.clone());
+            (
+                s.backing.bytes().to_vec(),
+                s.versions.clone(),
+                s.next_nonce,
+                entries,
+                s.fired,
+            )
+        }
+
+        /// One bucket image, one slot at a time, from `Mac::tag`,
+        /// `Mac::tag_parts` and `StreamCipher::apply`.
+        fn reference_image(
+            s: &EncryptedStore,
+            index: usize,
+            bucket: &Bucket,
+            nonce: u64,
+            version: u64,
+        ) -> Vec<u8> {
+            let mut image = vec![0; s.bucket_bytes()];
+            let (header, body) = image.split_at_mut(BUCKET_HEADER_BYTES);
+            for (block, slot) in bucket.iter().zip(body.chunks_exact_mut(s.slot_bytes())) {
+                EncryptedStore::serialize_fields(block, slot, s.payload_bytes);
+                let tag = s.mac.tag_parts(
+                    &[index as u64, version],
+                    &[&slot[..SLOT_TAG_OFFSET], &slot[SLOT_HEADER_BYTES..]],
+                );
+                slot[SLOT_TAG_OFFSET..SLOT_HEADER_BYTES].copy_from_slice(&tag.to_le_bytes());
+            }
+            s.cipher.apply(nonce, body);
+            EncryptedStore::write_header(header, &s.mac, index as u64, nonce, version);
+            image
+        }
+
+        #[test]
+        fn write_buckets_equals_the_write_bucket_loop_and_the_reference_image() {
+            for txn in [false, true] {
+                for len in [0, 1, 2, PATH.len()] {
+                    let (mut looped, mut batched) = (store(), store());
+                    for round in 0..3 {
+                        let batch = batch(round, len);
+                        let first_nonce = batched.next_nonce;
+                        if txn {
+                            looped.begin_txn(vec![round as u8]);
+                            batched.begin_txn(vec![round as u8]);
+                        }
+                        for (index, bucket) in &batch {
+                            looped.write_bucket(*index, bucket);
+                        }
+                        batched.write_buckets(&refs(&batch));
+                        assert_eq!(
+                            left(&looped),
+                            left(&batched),
+                            "txn={txn} len={len} round={round}"
+                        );
+                        for (k, (index, bucket)) in batch.iter().enumerate() {
+                            let (nonce, version) =
+                                (first_nonce + k as u64, batched.versions[*index]);
+                            assert_eq!(
+                                batched.ciphertext(*index),
+                                reference_image(&batched, *index, bucket, nonce, version),
+                                "txn={txn} len={len} round={round} position={k}"
+                            );
+                        }
+                        if txn {
+                            assert_eq!(looped.commit_txn(vec![]), batched.commit_txn(vec![]));
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn mid_journal_kill_at_every_batch_position_leaves_what_the_loop_leaves() {
+            let mut warm = store();
+            warm.write_buckets(&refs(&batch(0, PATH.len())));
+            let doomed = batch(1, PATH.len());
+            for k in 0..PATH.len() {
+                let run = |batched: bool| {
+                    let mut s = warm.clone();
+                    s.begin_txn(vec![0xA]);
+                    let kill = CrashConfig::at(KillPoint::MidJournal, k as u64 + 1);
+                    s.arm_crash(Some(CrashArm::new(kill)));
+                    if batched {
+                        s.write_buckets(&refs(&doomed));
+                    } else {
+                        for (index, bucket) in &doomed {
+                            s.write_bucket(*index, bucket);
+                        }
+                    }
+                    s
+                };
+                let (looped, batched) = (run(false), run(true));
+                assert_eq!(left(&looped), left(&batched), "kill at position {k}");
+                assert_eq!(batched.crash_fired(), Some(KillPoint::MidJournal));
+                // Buckets before k landed, k is journaled only, the rest
+                // are neither written nor journaled.
+                let journaled: Vec<usize> =
+                    left(&batched).3.iter().map(|entry| entry.index).collect();
+                assert_eq!(journaled, PATH[..=k]);
+                for (pos, &index) in PATH.iter().enumerate() {
+                    let landed = batched.ciphertext(index) != warm.ciphertext(index);
+                    assert_eq!(landed, pos < k, "kill at {k}, position {pos}");
+                }
+            }
+        }
+
+        /// `bucket_addrs_batch` and the `bucket_addrs_into` loop on the
+        /// same store: result, addresses and per-bucket ends.
+        type Opened = (Result<(), OramError>, Vec<u64>, Vec<usize>);
+
+        fn open_both_ways(s: &mut EncryptedStore) -> (Opened, Opened) {
+            let (mut plain, mut addrs, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+            let mut looped = Ok(());
+            for &index in &PATH {
+                match s.bucket_addrs_into(index, &mut plain, &mut addrs) {
+                    Ok(()) => ends.push(addrs.len()),
+                    Err(err) => {
+                        looped = Err(err);
+                        break;
+                    }
+                }
+            }
+            let (mut batch_addrs, mut batch_ends) = (vec![7], vec![7]);
+            let batched = s.bucket_addrs_batch(&PATH, &mut batch_addrs, &mut batch_ends);
+            ((looped, addrs, ends), (batched, batch_addrs, batch_ends))
+        }
+
+        #[test]
+        fn bucket_addrs_batch_equals_the_bucket_addrs_into_loop() {
+            let mut s = store();
+            for round in 0..4 {
+                let batch = batch(round, PATH.len());
+                s.write_buckets(&refs(&batch));
+                let (looped, batched) = open_both_ways(&mut s);
+                assert_eq!(looped, batched);
+                assert_eq!(batched.0, Ok(()));
+                let mut start = 0;
+                for ((_, bucket), end) in batch.iter().zip(batched.2) {
+                    let want: Vec<u64> = bucket.iter().map(|b| b.addr.0).collect();
+                    assert_eq!(batched.1[start..end], want);
+                    start = end;
+                }
+            }
+        }
+
+        #[test]
+        fn a_flipped_byte_anywhere_on_the_path_reports_what_the_loop_reports() {
+            let mut clean = store();
+            // Fill (position + 2) % 4: every bucket position sees real
+            // data, real posmap and dummy slots somewhere on the path.
+            clean.write_buckets(&refs(&batch(2, PATH.len())));
+            let slot_bytes = clean.slot_bytes();
+            // Bucket header: nonce, version, tag. Per slot: valid flag,
+            // address, length field, tag, a payload byte past any `len`.
+            let mut flips: Vec<(usize, Option<usize>)> = vec![(0, None), (8, None), (16, None)];
+            for slot in 0..3 {
+                for field in [0, 1, 15, SLOT_TAG_OFFSET, SLOT_HEADER_BYTES + 100] {
+                    flips.push((BUCKET_HEADER_BYTES + slot * slot_bytes + field, Some(slot)));
+                }
+            }
+            for (pos, &bucket) in PATH.iter().enumerate() {
+                for &(offset, slot) in &flips {
+                    let mut s = clean.clone();
+                    s.corrupt_byte(bucket, offset, 0x04);
+                    let (looped, batched) = open_both_ways(&mut s);
+                    assert_eq!(looped, batched, "position {pos} offset {offset}");
+                    assert_eq!(batched.0, Err(OramError::Integrity { bucket, slot }));
+                    assert_eq!(batched.2.len(), pos, "the buckets before the flip opened");
+                    assert_eq!(s.verify_bucket(bucket), batched.0);
+                    assert_eq!(s.try_read_bucket(bucket).map(|_| ()), batched.0);
+                }
+            }
+        }
+
+        #[test]
+        fn the_first_of_several_failures_in_path_order_is_reported() {
+            let mut s = store();
+            s.write_buckets(&refs(&batch(2, PATH.len())));
+            let slot_bytes = s.slot_bytes();
+            // A dummy slot late on the path, a header before it, and in
+            // one bucket a bad tag in slot 1 ahead of a bad dummy in slot 2.
+            s.corrupt_byte(PATH[6], BUCKET_HEADER_BYTES + 9, 0x01);
+            s.corrupt_byte(PATH[5], 16, 0x01);
+            s.corrupt_byte(PATH[4], BUCKET_HEADER_BYTES + 2 * slot_bytes + 50, 0x01);
+            s.corrupt_byte(
+                PATH[4],
+                BUCKET_HEADER_BYTES + slot_bytes + SLOT_TAG_OFFSET,
+                0x01,
+            );
+            let (looped, batched) = open_both_ways(&mut s);
+            assert_eq!(looped, batched);
+            let (bucket, slot) = (PATH[4], Some(1));
+            assert_eq!(batched.0, Err(OramError::Integrity { bucket, slot }));
+            assert_eq!(batched.2.len(), 4);
+        }
+
+        #[test]
+        fn zero_rate_injector_is_observationally_identical_on_batches() {
+            let run = |faulty: bool| {
+                let mut s = store();
+                if faulty {
+                    s.enable_faults(FaultConfig::silent(123));
+                }
+                let mut opened = Vec::new();
+                for round in 0..4 {
+                    s.write_buckets(&refs(&batch(round, PATH.len())));
+                    opened.push(open_both_ways(&mut s));
+                    s.verify_all().expect("authentic image");
+                }
+                (opened, left(&s), s.fault_stats())
+            };
+            assert_eq!(run(false), run(true));
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! that run — stats counters, stash-occupancy histogram, physical access
 //! trace, stash peak — was captured on the seed implementation and is
 //! pinned here as constants. `hotpath_equivalence.rs` asserts the
-//! allocation-free hot path reproduces them; `parallel_determinism.rs`
-//! asserts the crypto worker pool reproduces them at every thread count.
+//! allocation-free hot path reproduces them; `image_goldens.rs` pins the
+//! bytes of the encrypted image the same run leaves behind.
 
 // Each integration-test binary compiles its own copy of this module and
 // uses a different subset of it.
@@ -90,6 +90,11 @@ pub const GOLDEN_OPAQUE: Goldens = Goldens {
     stash_peak: 21,
 };
 
+/// [`image_hash`] after the golden run with `store_payloads(true)`,
+/// captured on the per-bucket implementation that preceded the path
+/// crypto kernels.
+pub const GOLDEN_IMAGE: u64 = 0xd916_3881_6d87_7bc1;
+
 /// The golden configuration with payloads on or off.
 pub fn golden_config(store_payloads: bool) -> OramConfig {
     OramConfig::small_for_tests(TREE_BLOCKS)
@@ -112,6 +117,12 @@ pub fn replay_cfg(cfg: OramConfig) -> RunDigest {
 /// Replays the golden workload under `cfg` with `obs` attached and
 /// digests every observable.
 pub fn replay_observed(cfg: OramConfig, obs: Obs) -> RunDigest {
+    digest_state(&run_golden(cfg, obs))
+}
+
+/// Runs the golden workload under `cfg` with `obs` attached and returns
+/// the controller it leaves behind.
+pub fn run_golden(cfg: OramConfig, obs: Obs) -> PathOram {
     let mut oram = PathOram::new(cfg, ORAM_SEED);
     oram.attach_obs_handle(obs);
     let mut rng = Xoshiro256::seed_from(WORKLOAD_SEED);
@@ -119,7 +130,7 @@ pub fn replay_observed(cfg: OramConfig, obs: Obs) -> RunDigest {
         oram.try_access_block(BlockAddr(rng.next_below(TREE_BLOCKS)), AccessKind::Read)
             .unwrap();
     }
-    digest_state(&oram)
+    oram
 }
 
 /// Digests every observable of a finished replay (for tests that drive
@@ -150,6 +161,14 @@ pub fn digest_state(oram: &PathOram) -> RunDigest {
         stash_peak: oram.stash().peak(),
         allocs_avoided: oram.allocs_avoided(),
     }
+}
+
+/// FNV fold of every byte of the encrypted image, in store order.
+pub fn image_hash(oram: &PathOram) -> u64 {
+    let store = oram.storage().expect("payloads on");
+    (0..store.num_buckets())
+        .flat_map(|index| store.ciphertext(index))
+        .fold(FNV_INIT, |acc, &byte| fnv(acc, u64::from(byte)))
 }
 
 /// Asserts the goldens shared by every configuration of the golden run.

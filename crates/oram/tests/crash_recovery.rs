@@ -23,11 +23,8 @@ const ACCESSES: usize = 40;
 const ORAM_SEED: u64 = 7;
 const WORKLOAD_SEED: u64 = 3;
 
-fn base_config(crypto_threads: usize) -> OramConfig {
-    OramConfig {
-        crypto_threads,
-        ..OramConfig::small_for_tests(BLOCKS)
-    }
+fn base_config() -> OramConfig {
+    OramConfig::small_for_tests(BLOCKS)
 }
 
 /// The fixed workload: `ACCESSES` reads at externally-drawn addresses (so
@@ -51,15 +48,15 @@ fn crash_free_digest_cfg(cfg: OramConfig) -> u64 {
 }
 
 /// Runs the workload crash-free and returns the final state digest.
-fn crash_free_digest(crypto_threads: usize) -> u64 {
-    crash_free_digest_cfg(base_config(crypto_threads))
+fn crash_free_digest() -> u64 {
+    crash_free_digest_cfg(base_config())
 }
 
 /// Runs the workload with `crash` armed, recovering (and, after a
 /// rollback, retrying) every injected kill. Returns the final digest and
 /// the crash counters.
-fn run_with_recovery(crash: CrashConfig, crypto_threads: usize) -> (u64, CrashStats) {
-    run_with_recovery_cfg(crash, base_config(crypto_threads))
+fn run_with_recovery(crash: CrashConfig) -> (u64, CrashStats) {
+    run_with_recovery_cfg(crash, base_config())
 }
 
 /// [`run_with_recovery`] under an arbitrary base configuration.
@@ -89,20 +86,11 @@ fn run_with_recovery_cfg(crash: CrashConfig, base: OramConfig) -> (u64, CrashSta
 
 #[test]
 fn exhaustive_kill_point_sweep_recovers_to_crash_free_state() {
-    let serial_digest = crash_free_digest(1);
-    let pooled_digest = crash_free_digest(2);
-    // Pooled and serial crypto are byte-identical by contract, so the
-    // plaintext state digest cannot differ either.
-    assert_eq!(serial_digest, pooled_digest, "pool changed behavior");
+    let crash_free = crash_free_digest();
     for point in KillPoint::ALL {
         for crossing in 1..=3u64 {
-            let threads = if point == KillPoint::PooledEncrypt {
-                2
-            } else {
-                1
-            };
             let crash = CrashConfig::at(point, crossing);
-            let (digest, stats) = run_with_recovery(crash, threads);
+            let (digest, stats) = run_with_recovery(crash);
             assert_eq!(
                 stats.crashes_injected, 1,
                 "{point} crossing {crossing}: kill never fired"
@@ -113,7 +101,7 @@ fn exhaustive_kill_point_sweep_recovers_to_crash_free_state() {
                 "{point} crossing {crossing}: recovery miscounted"
             );
             assert_eq!(
-                digest, serial_digest,
+                digest, crash_free,
                 "{point} crossing {crossing}: post-recovery state diverged"
             );
         }
@@ -128,7 +116,7 @@ fn exhaustive_kill_point_sweep_recovers_to_crash_free_state() {
 #[test]
 fn treetop_rollback_and_replay_recover_to_crash_free_state() {
     for treetop in [1u32, 2] {
-        let base = base_config(1)
+        let base = base_config()
             .to_builder()
             .treetop_levels(treetop)
             .build()
@@ -163,25 +151,25 @@ fn recovery_is_deterministic_across_runs() {
         KillPoint::MidJournal,
         KillPoint::MidFlip,
     ] {
-        let a = run_with_recovery(CrashConfig::at(point, 2), 1);
-        let b = run_with_recovery(CrashConfig::at(point, 2), 1);
+        let a = run_with_recovery(CrashConfig::at(point, 2));
+        let b = run_with_recovery(CrashConfig::at(point, 2));
         assert_eq!(a, b, "{point}: same seed, different recovery outcome");
     }
 }
 
 #[test]
 fn pre_flip_crashes_roll_back_and_post_flip_crashes_replay() {
-    let (_, writeback) = run_with_recovery(CrashConfig::first(KillPoint::WriteBack), 1);
+    let (_, writeback) = run_with_recovery(CrashConfig::first(KillPoint::WriteBack));
     assert_eq!(writeback.rollbacks, 1, "pre-flip kill must roll back");
     assert_eq!(writeback.replays, 0);
 
-    let (_, mid_flip) = run_with_recovery(CrashConfig::first(KillPoint::MidFlip), 1);
+    let (_, mid_flip) = run_with_recovery(CrashConfig::first(KillPoint::MidFlip));
     assert_eq!(mid_flip.replays, 1, "post-flip kill must replay");
     assert_eq!(mid_flip.rollbacks, 0);
 
     // A kill at the very first stage entry strikes before any journaled
     // write: recovery finds nothing pending.
-    let (_, resolve) = run_with_recovery(CrashConfig::first(KillPoint::ResolvePosmap), 1);
+    let (_, resolve) = run_with_recovery(CrashConfig::first(KillPoint::ResolvePosmap));
     assert_eq!(resolve.clean_recoveries + resolve.rollbacks, 1);
 }
 
@@ -190,7 +178,7 @@ fn armed_but_unfired_injector_is_observationally_silent() {
     let run = |crash: Option<CrashConfig>| {
         let cfg = OramConfig {
             crash,
-            ..base_config(1)
+            ..base_config()
         };
         let mut oram = PathOram::new(cfg, ORAM_SEED);
         for &addr in &addresses() {
@@ -216,7 +204,7 @@ fn armed_but_unfired_injector_is_observationally_silent() {
 fn memory_backend_recovers_and_retries_transparently() {
     let cfg = OramConfig {
         crash: Some(CrashConfig::at(KillPoint::WriteBack, 2)),
-        ..base_config(1)
+        ..base_config()
     };
     let mut oram = PathOram::new(cfg, ORAM_SEED);
     let mut now = 0;
@@ -236,7 +224,7 @@ fn memory_backend_recovers_and_retries_transparently() {
 
 #[test]
 fn recover_without_a_crash_is_a_clean_no_op() {
-    let mut oram = PathOram::new(base_config(1), ORAM_SEED);
+    let mut oram = PathOram::new(base_config(), ORAM_SEED);
     oram.try_access_block(BlockAddr(5), AccessKind::Read)
         .unwrap();
     let before = oram.state_digest();
@@ -252,7 +240,7 @@ fn recover_without_a_crash_is_a_clean_no_op() {
 fn recovery_reports_work_and_charges_latency() {
     let cfg = OramConfig {
         crash: Some(CrashConfig::at(KillPoint::MidJournal, 3)),
-        ..base_config(1)
+        ..base_config()
     };
     let mut oram = PathOram::new(cfg, ORAM_SEED);
     let mut report = None;
@@ -280,7 +268,7 @@ fn crash_events_reach_an_attached_sink() {
 
     let cfg = OramConfig {
         crash: Some(CrashConfig::first(KillPoint::WriteBack)),
-        ..base_config(1)
+        ..base_config()
     };
     let mut oram = PathOram::new(cfg, ORAM_SEED);
     oram.attach_obs_handle(Obs::ring(4096));

@@ -1,0 +1,88 @@
+//! Byte goldens of the encrypted image.
+//!
+//! The path crypto kernels (DESIGN.md section 14) may change how a path
+//! is sealed and opened, never what is stored: same buckets, same fresh
+//! nonce per write in path order, same tags, same keystream. These tests
+//! replay the shared `common` golden workload and compare an FNV fold of
+//! every image byte against constants captured on the per-bucket
+//! implementation the kernels replaced — for the flat and subtree-packed
+//! layouts, treetop 0-2, and with the undo journal, the zero-rate fault
+//! injector and per-read verification on or off, none of which may move
+//! a byte.
+
+mod common;
+
+use common::{assert_golden, golden_config, image_hash, run_golden, GOLDEN_IMAGE, GOLDEN_PAYLOADS};
+use proram_obs::Obs;
+use proram_oram::{CrashConfig, FaultConfig, KillPoint, OramConfigBuilder, TreeLayout};
+
+/// Image hash after the golden replay with `treetop_levels` 1 and 2
+/// (the store holds the off-chip suffix only; flat and no treetop is
+/// [`GOLDEN_IMAGE`]).
+const IMAGE_TREETOP: [u64; 2] = [0x2429_1ebc_2061_9eb0, 0x2078_2c83_262f_5a80];
+/// ... subtree-packed: `(height, treetop_levels, hash)`.
+const IMAGE_PACKED: [(u32, u32, u64); 3] = [
+    (2, 0, 0x15a3_adf2_120a_ceb0),
+    (4, 0, 0x51d4_1aba_a7ce_4a1a),
+    (3, 2, 0x48bd_c12c_8cd7_ab10),
+];
+
+/// Replays the golden workload under the golden configuration as
+/// modified by `edit`; returns the run digest and the image hash.
+fn replay(edit: impl FnOnce(OramConfigBuilder) -> OramConfigBuilder) -> (common::RunDigest, u64) {
+    let cfg = edit(golden_config(true).to_builder())
+        .build()
+        .expect("valid golden configuration");
+    let oram = run_golden(cfg, Obs::disabled());
+    (common::digest_state(&oram), image_hash(&oram))
+}
+
+#[test]
+fn flat_image_matches_the_pinned_bytes() {
+    let (digest, image) = replay(|b| b);
+    assert_golden(&digest, &GOLDEN_PAYLOADS);
+    assert_eq!(image, GOLDEN_IMAGE, "got {image:#018x}");
+}
+
+#[test]
+fn treetop_images_match_the_pinned_bytes() {
+    for (treetop, want) in (1u32..).zip(IMAGE_TREETOP) {
+        let (_, image) = replay(|b| b.treetop_levels(treetop));
+        assert_eq!(image, want, "treetop {treetop}: got {image:#018x}");
+    }
+}
+
+#[test]
+fn subtree_packed_images_match_the_pinned_bytes() {
+    for (height, treetop, want) in IMAGE_PACKED {
+        let (_, image) = replay(|b| {
+            b.treetop_levels(treetop)
+                .tree_layout(TreeLayout::SubtreePacked { height })
+        });
+        assert_eq!(
+            image, want,
+            "height {height} treetop {treetop}: got {image:#018x}"
+        );
+    }
+}
+
+/// The undo journal, a zero-rate fault injector and per-read image
+/// verification leave the run digest and every image byte alone.
+#[test]
+fn journal_injector_and_verification_move_no_byte() {
+    let never = CrashConfig::at(KillPoint::MidFlip, u64::MAX);
+    let (digest, image) = replay(|b| b.crash(never));
+    assert_golden(&digest, &GOLDEN_PAYLOADS);
+    assert_eq!(image, GOLDEN_IMAGE, "journal armed: got {image:#018x}");
+    let (digest, image) = replay(|b| b.fault(FaultConfig::silent(0xDEAD)));
+    assert_golden(&digest, &GOLDEN_PAYLOADS);
+    assert_eq!(image, GOLDEN_IMAGE, "zero-rate injector: got {image:#018x}");
+    let (digest, image) = replay(|b| b.verify_image(false));
+    assert_golden(&digest, &GOLDEN_PAYLOADS);
+    assert_eq!(image, GOLDEN_IMAGE, "verification off: got {image:#018x}");
+    let (_, image) = replay(|b| b.treetop_levels(2).crash(never));
+    assert_eq!(
+        image, IMAGE_TREETOP[1],
+        "journal armed, treetop 2: got {image:#018x}"
+    );
+}

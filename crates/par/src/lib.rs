@@ -6,9 +6,9 @@
 //! result vector is **always returned in item order**, so the output of a
 //! `run` call is a pure function of its inputs — independent of thread
 //! count, scheduling, or claim interleaving. That ordered-merge contract
-//! is what lets the encrypted ORAM store parallelize per-bucket crypto
-//! while keeping its byte image golden-identical to the single-threaded
-//! build (DESIGN.md section 14).
+//! is what lets `ShardedOram::access_batch` step whole shard controllers
+//! on worker threads while its outcomes stay identical to the serial
+//! walk (DESIGN.md sections 12 and 14).
 //!
 //! Design constraints, in priority order:
 //!
@@ -16,10 +16,11 @@
 //!    item; the pool never injects time, randomness, or thread identity
 //!    into a job. The only nondeterminism is *which* thread runs an item,
 //!    which the ordered merge erases.
-//! 2. **Low dispatch latency.** The ORAM hot path dispatches a batch
-//!    every few microseconds, so workers spin briefly on a generation
+//! 2. **Low dispatch latency.** Workers spin briefly on a generation
 //!    counter before parking on a condvar. A park/unpark costs ~µs; a
-//!    spin-observed dispatch costs ~100ns.
+//!    spin-observed dispatch costs ~100ns. (A whole fork/join still
+//!    measures ~1.8 µs — too much for per-path crypto, which is why the
+//!    encrypted store no longer uses the pool.)
 //! 3. **`std`-only and `forbid(unsafe_code)`.** Jobs are owned
 //!    (`'static`) values published through an `Arc`; there is no lifetime
 //!    erasure, no channels, no external crates.

@@ -1,0 +1,112 @@
+//! Tier-1 contract suite: one cell of each byte-identity and robustness
+//! sweep that lives in `crates/oram/tests`, so plain `cargo test` guards
+//! them too. The fixture and its goldens are the ORAM crate's own.
+
+#[path = "../crates/oram/tests/common/mod.rs"]
+mod common;
+
+use common::{
+    assert_golden, digest_state, golden_config, image_hash, replay_cfg, run_golden, RunDigest,
+    GOLDEN_IMAGE, GOLDEN_PAYLOADS,
+};
+use proram::oram::{
+    CrashConfig, FaultClass, FaultConfig, KillPoint, OramConfig, OramError, PathOram, RecoveryMode,
+    TreeLayout,
+};
+use proram_mem::{AccessKind, BlockAddr};
+use proram_obs::Obs;
+use proram_stats::{Rng64, Xoshiro256};
+
+/// The golden read stream, for the cells that drive a prefix of it.
+fn golden_addresses() -> Vec<BlockAddr> {
+    let mut rng = Xoshiro256::seed_from(common::WORKLOAD_SEED);
+    (0..common::ACCESSES)
+        .map(|_| BlockAddr(rng.next_below(common::TREE_BLOCKS)))
+        .collect()
+}
+
+#[test]
+fn encrypted_golden_run_and_image_are_byte_identical() {
+    let oram = run_golden(golden_config(true), Obs::disabled());
+    assert_golden(&digest_state(&oram), &GOLDEN_PAYLOADS);
+    assert_eq!(image_hash(&oram), GOLDEN_IMAGE);
+}
+
+#[test]
+fn mid_journal_kill_recovers_auditor_clean_to_the_crash_free_state() {
+    let run = |crash: Option<CrashConfig>| {
+        let cfg = OramConfig {
+            crash,
+            ..golden_config(true)
+        };
+        let mut oram = PathOram::new(cfg, common::ORAM_SEED);
+        for addr in golden_addresses().into_iter().take(40) {
+            match oram.try_access_block(addr, AccessKind::Read) {
+                Ok(_) => {}
+                Err(OramError::Crashed { point }) => {
+                    assert_eq!(point, KillPoint::MidJournal);
+                    assert_eq!(oram.recover().mode, RecoveryMode::RolledBack);
+                    oram.audit_full();
+                    oram.try_access_block(addr, AccessKind::Read)
+                        .expect("retry after rollback");
+                }
+                Err(err) => panic!("unexpected {err}"),
+            }
+        }
+        oram.audit_full();
+        (oram.state_digest(), image_hash(&oram), oram.crash_stats())
+    };
+    let (digest, image, _) = run(None);
+    let (recovered, _, stats) = run(Some(CrashConfig::at(KillPoint::MidJournal, 2)));
+    assert_eq!(stats.crashes_injected, 1);
+    assert_eq!(stats.rollbacks, 1);
+    assert_eq!(recovered, digest);
+    // Armed but never fired: not a byte of the image moves.
+    let never = run(Some(CrashConfig::at(KillPoint::MidJournal, u64::MAX)));
+    assert_eq!((never.0, never.1), (digest, image));
+}
+
+#[test]
+fn injected_bit_flips_are_all_detected_and_repaired() {
+    let cfg = golden_config(true)
+        .to_builder()
+        .fault(FaultConfig::single(FaultClass::BitFlip, 0.05, 0xF00D))
+        .build()
+        .expect("valid faulty configuration");
+    let mut oram = PathOram::new(cfg, common::ORAM_SEED);
+    for addr in golden_addresses().into_iter().take(500) {
+        oram.try_access_block(addr, AccessKind::Read)
+            .expect("injected faults must be recovered");
+    }
+    let faults = oram.fault_stats();
+    assert!(faults.total_injected() > 0);
+    assert_eq!(faults.undetected, 0);
+    assert!(faults.recovered > 0);
+    oram.audit_full();
+}
+
+#[test]
+fn treetop_two_changes_only_the_byte_accounting() {
+    let base = replay_cfg(golden_config(true));
+    let treetop = |layout| {
+        let cfg = golden_config(true)
+            .to_builder()
+            .treetop_levels(2)
+            .tree_layout(layout)
+            .build()
+            .expect("valid treetop configuration");
+        replay_cfg(cfg)
+    };
+    let flat = treetop(TreeLayout::Flat);
+    // Two of the eight levels stay on chip.
+    assert_eq!(flat.bytes_moved * 8, base.bytes_moved * 6);
+    let bytes_moved = base.bytes_moved;
+    assert_eq!(
+        RunDigest {
+            bytes_moved,
+            ..flat
+        },
+        base
+    );
+    assert_eq!(treetop(TreeLayout::SubtreePacked { height: 3 }), flat);
+}

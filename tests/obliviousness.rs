@@ -198,6 +198,73 @@ fn ciphertexts_refresh_on_every_write() {
 }
 
 #[test]
+fn every_bucket_of_a_fetched_path_is_refreshed_and_no_other() {
+    // What DRAM shows of one access: every off-chip bucket on a fetched
+    // path comes back under a fresh nonce with a different ciphertext of
+    // the same length — buckets whose content did not change and
+    // all-dummy buckets included — and no other bucket changes at all.
+    use proram::oram::TreeLayout;
+    use std::collections::BTreeSet;
+    let nonce = |image: &[u8]| u64::from_le_bytes(image[..8].try_into().unwrap());
+    for (treetop, layout) in [
+        (0, TreeLayout::Flat),
+        (2, TreeLayout::SubtreePacked { height: 3 }),
+    ] {
+        let cfg = OramConfig::small_for_tests(256)
+            .to_builder()
+            .treetop_levels(treetop)
+            .tree_layout(layout)
+            .build()
+            .expect("valid configuration");
+        let mut oram = PathOram::new(cfg, 31);
+        let buckets = oram.storage().expect("payloads on").num_buckets();
+        let mut rng = Xoshiro256::seed_from(8);
+        let (mut unchanged_content, mut all_dummy) = (0, 0);
+        for _ in 0..40 {
+            let store = oram.storage_mut().expect("payloads on");
+            let before: Vec<_> = (0..buckets)
+                .map(|i| {
+                    (
+                        store.ciphertext(i).to_vec(),
+                        store.try_read_bucket(i).unwrap(),
+                    )
+                })
+                .collect();
+            let newest = before.iter().map(|(image, _)| nonce(image)).max().unwrap();
+            oram.clear_trace();
+            oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
+                .unwrap();
+            let fetched: BTreeSet<usize> = oram
+                .trace()
+                .events()
+                .iter()
+                .flat_map(|event| oram.bucket_read_batch(event.leaf()))
+                .map(|read| read.bucket as usize)
+                .collect();
+            assert!(!fetched.is_empty());
+            let store = oram.storage_mut().expect("payloads on");
+            for (i, (image, blocks)) in before.iter().enumerate() {
+                let after = store.ciphertext(i);
+                if !fetched.contains(&i) {
+                    assert_eq!(after, &image[..], "bucket {i} is off every fetched path");
+                    continue;
+                }
+                assert_eq!(after.len(), image.len());
+                assert_ne!(after, &image[..], "bucket {i} kept its ciphertext");
+                assert!(nonce(after) > newest, "bucket {i} reused a nonce");
+                let now = store.try_read_bucket(i).unwrap();
+                unchanged_content += usize::from(now == *blocks);
+                all_dummy += usize::from(now.is_empty() && blocks.is_empty());
+            }
+        }
+        assert!(
+            unchanged_content > 0 && all_dummy > 0,
+            "the run never exercised them"
+        );
+    }
+}
+
+#[test]
 fn merge_and_break_do_not_leak_into_the_trace() {
     // Force heavy merge/break churn and check uniformity still holds.
     let cfg = traced_config(1 << 10);
