@@ -2,7 +2,9 @@
 //! paper's evaluation (Section 5).
 //!
 //! Each experiment module produces the same rows/series the paper plots;
-//! the `proram-bench` binary prints them as text tables. Absolute numbers
+//! the `proram-bench` binary prints them as text tables ([`obs`] is the
+//! trace / stage-table viewer beside them). Everything reported here is
+//! simulated cycles; host time is `perf/`'s job. Absolute numbers
 //! differ from the paper (different workload substitution and scale — see
 //! EXPERIMENTS.md) but the comparisons the paper draws are reproduced.
 //!
@@ -20,11 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod common;
-pub mod crash;
 pub mod exp;
-pub mod hotpath;
 pub mod jobs;
-pub mod microbench;
 pub mod obs;
-pub mod pipeline;
-pub mod treetop;

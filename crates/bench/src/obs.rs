@@ -1,7 +1,8 @@
-//! The observability demo + smoke harness behind `proram-bench obs`.
+//! The trace / stage-table viewer behind `proram-bench obs`.
 //!
-//! Three instrumented runs share one ring-buffered [`Obs`] handle so the
-//! resulting trace exercises every layer the obs layer hooks into:
+//! Three instrumented runs, each on its own ring-buffered [`Obs`]
+//! handle, so the resulting trace exercises every layer the obs layer
+//! hooks into:
 //!
 //! 1. a staged-pipeline kernel (`PathOram` demand reads) for the
 //!    per-stage attribution table,
@@ -10,23 +11,19 @@
 //! 3. a directly driven [`ShardedOram`] for the per-shard attribution
 //!    table.
 //!
-//! The collected events are emitted as one-line-per-event JSONL; the
-//! overhead microbench replays the hot-path kernel with the sink
-//! disabled, with a [`NoopSink`], and with a [`RingSink`]-backed handle
-//! and reports the throughput ratios in `BENCH_obs.json`. [`check`]
-//! panics when the trace violates the bounded-retention or JSONL-schema
-//! contracts, so running the subcommand doubles as a CI smoke gate.
-//!
-//! [`RingSink`]: proram_obs::RingSink
+//! The collected events are emitted as one-line-per-event JSONL.
+//! [`check`] panics when the trace violates the bounded-retention or
+//! JSONL-schema contracts, so running the subcommand doubles as a CI
+//! smoke gate. What the enabled sinks cost in host time is measured by
+//! `perf/` (`obs.ring_overhead_share`, `obs.events_per_op`,
+//! `obs.ring_dropped`), not here.
 
-use crate::hotpath;
 use proram_mem::{AccessKind, BlockAddr, MemRequest, MemoryBackend};
-use proram_obs::{NoopSink, Obs, ObsEvent, StageKind, StageProfile};
+use proram_obs::{Obs, ObsEvent, StageKind, StageProfile};
 use proram_oram::{OramConfig, PathOram};
 use proram_sim::{MemoryKind, MultiCoreSystem, ShardedOram, SystemConfig};
 use proram_stats::{Rng64, Table, Xoshiro256};
 use proram_workloads::synthetic::LocalityMix;
-use std::time::Instant;
 
 use proram_core::SchemeConfig;
 
@@ -73,24 +70,6 @@ pub struct ObsReport {
     pub profile: StageProfile,
     /// Per-shard attribution from the direct sharded run.
     pub shards: Vec<ShardRow>,
-    /// Hot-path throughput with observability detached.
-    pub disabled_accesses_per_sec: f64,
-    /// Hot-path throughput with an enabled no-op sink.
-    pub noop_accesses_per_sec: f64,
-    /// Hot-path throughput with a live ring sink.
-    pub ring_accesses_per_sec: f64,
-}
-
-impl ObsReport {
-    /// Fractional slowdown of the enabled no-op sink vs. detached.
-    pub fn noop_overhead(&self) -> f64 {
-        1.0 - self.noop_accesses_per_sec / self.disabled_accesses_per_sec
-    }
-
-    /// Fractional slowdown of the live ring sink vs. detached.
-    pub fn ring_overhead(&self) -> f64 {
-        1.0 - self.ring_accesses_per_sec / self.disabled_accesses_per_sec
-    }
 }
 
 fn stage_kernel_config() -> OramConfig {
@@ -215,96 +194,11 @@ fn run_sharded(obs: &Obs) -> Vec<ShardRow> {
         .collect()
 }
 
-/// One mode's warmed hot-path kernel for the overhead microbench.
-struct OverheadKernel {
-    oram: PathOram,
-    rng: Xoshiro256,
-    slices: Vec<f64>,
-}
-
-impl OverheadKernel {
-    fn warmed(obs: Obs) -> Self {
-        let mut oram = PathOram::new(hotpath::kernel_config(false), 1);
-        oram.attach_obs_handle(obs);
-        let mut rng = Xoshiro256::seed_from(2);
-        for _ in 0..hotpath::WARMUP {
-            oram.try_access_block(
-                BlockAddr(rng.next_below(hotpath::NUM_BLOCKS)),
-                AccessKind::Read,
-            )
-            .expect("no faults injected");
-        }
-        OverheadKernel {
-            oram,
-            rng,
-            slices: Vec::new(),
-        }
-    }
-
-    /// Accesses per timed batch.
-    const BATCH: u64 = 4 * hotpath::CHUNK;
-
-    /// Runs one fixed-size batch and records its duration.
-    fn run_batch(&mut self) {
-        let start = Instant::now();
-        for _ in 0..Self::BATCH {
-            self.oram
-                .try_access_block(
-                    BlockAddr(self.rng.next_below(hotpath::NUM_BLOCKS)),
-                    AccessKind::Read,
-                )
-                .expect("no faults injected");
-        }
-        self.slices.push(start.elapsed().as_secs_f64());
-    }
-
-    /// Best-batch throughput. Scheduler preemption, frequency dips and
-    /// other machine noise only ever add time, so the fastest batch is
-    /// the least-contaminated estimate of the kernel's true speed.
-    fn accesses_per_sec(&self) -> f64 {
-        let best = self.slices.iter().copied().fold(f64::INFINITY, f64::min);
-        Self::BATCH as f64 / best
-    }
-}
-
-/// Measures the detached / no-op / ring kernels in interleaved
-/// fixed-size batches for roughly `ms` per mode, rotating the mode
-/// order every round and discarding a priming round, then reports each
-/// mode's best-batch throughput (see [`OverheadKernel::accesses_per_sec`]).
-fn measure_overhead(ms: u64) -> (f64, f64, f64) {
-    let mut kernels = [
-        OverheadKernel::warmed(Obs::disabled()),
-        OverheadKernel::warmed(Obs::with_sink(Box::new(NoopSink))),
-        OverheadKernel::warmed(Obs::ring(RING_CAPACITY)),
-    ];
-    let budget = std::time::Duration::from_millis(ms * 3);
-    let start = Instant::now();
-    let mut round = 0usize;
-    while round == 0 || (start.elapsed() < budget && round < 10_000) {
-        for k in 0..kernels.len() {
-            kernels[(round + k) % kernels.len()].run_batch();
-        }
-        if round == 0 {
-            // Priming round: every mode ran once; start measuring fresh.
-            for kernel in &mut kernels {
-                kernel.slices.clear();
-            }
-        }
-        round += 1;
-    }
-    let [disabled, noop, ring] = kernels;
-    (
-        disabled.accesses_per_sec(),
-        noop.accesses_per_sec(),
-        ring.accesses_per_sec(),
-    )
-}
-
 /// Runs the three instrumented workloads, each with its own ring so an
-/// event-heavy run cannot starve the others out of the trace, then the
-/// overhead microbench. Events are concatenated in run order; the stage
-/// profiles are merged.
-fn collect() -> (Vec<ObsEvent>, u64, StageProfile, Vec<ShardRow>) {
+/// event-heavy run cannot starve the others out of the trace, and
+/// [`check`]s the result. Events are concatenated in run order; the
+/// stage profiles are merged.
+pub fn measure() -> ObsReport {
     let rings = [
         Obs::ring(RING_CAPACITY),
         Obs::ring(RING_CAPACITY),
@@ -321,21 +215,11 @@ fn collect() -> (Vec<ObsEvent>, u64, StageProfile, Vec<ShardRow>) {
         dropped += obs.dropped();
         profile.merge(&obs.profile_snapshot());
     }
-    (events, dropped, profile, shards)
-}
-
-/// Runs all three instrumented workloads plus the overhead microbench.
-pub fn measure(overhead_ms: u64) -> ObsReport {
-    let (events, dropped, profile, shards) = collect();
-    let (disabled, noop, ring) = measure_overhead(overhead_ms);
     let report = ObsReport {
         events,
         dropped,
         profile,
         shards,
-        disabled_accesses_per_sec: disabled,
-        noop_accesses_per_sec: noop,
-        ring_accesses_per_sec: ring,
     };
     check(&report);
     report
@@ -448,60 +332,14 @@ pub fn kind_table(events: &[ObsEvent]) -> Table {
     t
 }
 
-/// Renders the report as the `BENCH_obs.json` document.
-pub fn to_json(report: &ObsReport, overhead_ms: u64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"observability layer\",\n");
-    out.push_str("  \"harness\": \"proram-bench obs\",\n");
-    out.push_str(&format!("  \"ring_capacity\": {RING_CAPACITY},\n"));
-    out.push_str(&format!(
-        "  \"trace\": {{\"events_retained\": {}, \"events_dropped\": {}}},\n",
-        report.events.len(),
-        report.dropped
-    ));
-    out.push_str("  \"stages\": [\n");
-    let stages: Vec<_> = report.profile.iter().collect();
-    for (i, (stage, cycles, entries)) in stages.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"entries\": {entries}, \"cycles\": {cycles}}}{}\n",
-            stage.name(),
-            if i + 1 == stages.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"overhead\": {{\"measure_ms\": {overhead_ms}, \"disabled_accesses_per_sec\": {:.1}, \"noop_accesses_per_sec\": {:.1}, \"ring_accesses_per_sec\": {:.1}, \"noop_overhead\": {:.4}, \"ring_overhead\": {:.4}}}\n",
-        report.disabled_accesses_per_sec,
-        report.noop_accesses_per_sec,
-        report.ring_accesses_per_sec,
-        report.noop_overhead(),
-        report.ring_overhead()
-    ));
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn collected() -> ObsReport {
-        let (events, dropped, profile, shards) = collect();
-        ObsReport {
-            events,
-            dropped,
-            profile,
-            shards,
-            disabled_accesses_per_sec: 100.0,
-            noop_accesses_per_sec: 99.0,
-            ring_accesses_per_sec: 97.0,
-        }
-    }
-
     #[test]
     fn collected_trace_passes_the_smoke_contracts() {
-        let report = collected();
-        check(&report);
+        // measure() already ran check() on the report.
+        let report = measure();
         // The three runs cover tile, scheme and controller layers.
         let kinds: std::collections::BTreeSet<_> = report.events.iter().map(|e| e.kind()).collect();
         assert!(kinds.contains("access_issued"));
@@ -512,7 +350,7 @@ mod tests {
 
     #[test]
     fn jsonl_is_one_line_per_event() {
-        let report = collected();
+        let report = measure();
         let jsonl = to_jsonl(&report.events);
         assert_eq!(jsonl.lines().count(), report.events.len());
         for line in jsonl.lines() {
@@ -522,11 +360,8 @@ mod tests {
     }
 
     #[test]
-    fn tables_and_json_render() {
-        let report = collected();
-        let json = to_json(&report, 100);
-        assert!(json.contains("\"ring_overhead\": 0.0300"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    fn tables_render() {
+        let report = measure();
         assert!(stage_table(&report.profile)
             .to_string()
             .contains("resolve_posmap"));

@@ -2,7 +2,7 @@
 //! memory, implemented by the DRAM model and by the ORAM controllers.
 
 use crate::request::{BlockAddr, Cycle, MemRequest};
-use proram_obs::{MetricsRegistry, Obs};
+use proram_obs::Obs;
 
 /// Read-only view of the last-level cache's tag array.
 ///
@@ -144,32 +144,6 @@ impl FaultStats {
             let caught = obs - self.undetected;
             caught as f64 / obs as f64
         })
-    }
-
-    /// Adds every counter to `registry` under `prefix` (e.g.
-    /// `"backend.faults."`), so fault telemetry from any number of
-    /// backends lands in one namespace.
-    pub fn snapshot_into(&self, registry: &mut MetricsRegistry, prefix: &str) {
-        let pairs = [
-            ("injected_bit_flips", self.injected_bit_flips),
-            ("injected_torn_writes", self.injected_torn_writes),
-            ("injected_rollbacks", self.injected_rollbacks),
-            ("injected_transients", self.injected_transients),
-            ("detected_integrity", self.detected_integrity),
-            ("detected_rollback", self.detected_rollback),
-            ("transient_retries", self.transient_retries),
-            ("backoff_cycles", self.backoff_cycles),
-            ("recovered", self.recovered),
-            ("unrecovered", self.unrecovered),
-            ("emergency_evictions", self.emergency_evictions),
-            ("scrub_runs", self.scrub_runs),
-            ("scrub_buckets", self.scrub_buckets),
-            ("masked_by_overwrite", self.masked_by_overwrite),
-            ("undetected", self.undetected),
-        ];
-        for (name, value) in pairs {
-            registry.counter_add(&format!("{prefix}{name}"), value);
-        }
     }
 }
 
@@ -355,32 +329,6 @@ impl BackendStats {
             self.dummy_accesses as f64 / self.physical_accesses as f64
         }
     }
-
-    /// Adds every counter to `registry` under `prefix` (e.g.
-    /// `"backend."`); fault counters land under `prefix + "faults."`.
-    pub fn snapshot_into(&self, registry: &mut MetricsRegistry, prefix: &str) {
-        let pairs = [
-            ("demand_accesses", self.demand_accesses),
-            ("prefetch_requests", self.prefetch_requests),
-            ("physical_accesses", self.physical_accesses),
-            ("dummy_accesses", self.dummy_accesses),
-            ("posmap_accesses", self.posmap_accesses),
-            ("bytes_moved", self.bytes_moved),
-            ("prefetch_hits", self.prefetch_hits),
-            ("prefetch_misses", self.prefetch_misses),
-            ("busy_cycles", self.busy_cycles),
-            ("data_path_cycles", self.data_path_cycles),
-            ("posmap_path_cycles", self.posmap_path_cycles),
-            ("dummy_path_cycles", self.dummy_path_cycles),
-            ("treetop_hits", self.treetop_hits),
-            ("treetop_bytes_saved", self.treetop_bytes_saved),
-        ];
-        for (name, value) in pairs {
-            registry.counter_add(&format!("{prefix}{name}"), value);
-        }
-        self.faults
-            .snapshot_into(registry, &format!("{prefix}faults."));
-    }
 }
 
 /// A main-memory technology: DRAM, Path ORAM, or an ORAM with super
@@ -521,43 +469,5 @@ mod tests {
         s.physical_accesses = 10;
         s.dummy_accesses = 4;
         assert!((s.dummy_rate() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_covers_every_counter() {
-        let s = BackendStats {
-            demand_accesses: 1,
-            prefetch_requests: 2,
-            physical_accesses: 3,
-            dummy_accesses: 4,
-            posmap_accesses: 5,
-            bytes_moved: 6,
-            prefetch_hits: 7,
-            prefetch_misses: 8,
-            busy_cycles: 9,
-            data_path_cycles: 10,
-            posmap_path_cycles: 11,
-            dummy_path_cycles: 12,
-            treetop_hits: 15,
-            treetop_bytes_saved: 16,
-            faults: FaultStats {
-                injected_bit_flips: 13,
-                undetected: 14,
-                ..Default::default()
-            },
-        };
-        let mut reg = MetricsRegistry::new();
-        s.snapshot_into(&mut reg, "backend.");
-        assert_eq!(reg.counter("backend.demand_accesses"), 1);
-        assert_eq!(reg.counter("backend.dummy_path_cycles"), 12);
-        assert_eq!(reg.counter("backend.treetop_hits"), 15);
-        assert_eq!(reg.counter("backend.treetop_bytes_saved"), 16);
-        assert_eq!(reg.counter("backend.faults.injected_bit_flips"), 13);
-        assert_eq!(reg.counter("backend.faults.undetected"), 14);
-        // 14 backend counters + 15 fault counters, all registered.
-        assert_eq!(reg.counters_with_prefix("backend.").count(), 29);
-        // Snapshotting a second copy accumulates (shard aggregation).
-        s.snapshot_into(&mut reg, "backend.");
-        assert_eq!(reg.counter("backend.demand_accesses"), 2);
     }
 }

@@ -10,10 +10,7 @@
 //!    super-block merges/breaks, prefetch-window decisions,
 //!    fault/recovery); sinks behind [`ObsSink`] decide retention, with
 //!    the fixed-capacity [`RingSink`] as the standard collector.
-//! 2. **Metrics registry** — [`MetricsRegistry`] gives counters, gauges
-//!    and log-scaled histograms one deterministic namespace that the
-//!    existing per-crate stat structs snapshot into.
-//! 3. **Profiling hooks** — [`StageProfile`] accumulates simulated
+//! 2. **Profiling hooks** — [`StageProfile`] accumulates simulated
 //!    cycles per [`StageKind`], fed by [`Obs::profile`] and the scoped
 //!    [`CycleScope`] timer.
 //!
@@ -45,10 +42,8 @@
 
 mod event;
 mod profile;
-mod registry;
 mod sink;
 
 pub use event::{rate_to_ppm, CrashPoint, FaultKind, ObsEvent, StageKind};
 pub use profile::StageProfile;
-pub use registry::{log2_bucket, MetricsRegistry};
 pub use sink::{CycleScope, NoopSink, Obs, ObsSink, RingSink};

@@ -128,7 +128,7 @@ impl PathOram {
     ///
     /// Allocates the returned vector; the per-access hot path instead
     /// charges the identical batch analytically, so this is for explicit
-    /// scheduler callers (experiments, `proram-bench pipeline`).
+    /// scheduler callers (experiments and tests).
     pub fn bucket_read_batch(&self, leaf: Leaf) -> Vec<BucketRead> {
         let bucket_bytes = self.config.timing.bucket_wire_bytes(self.config.z);
         let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;

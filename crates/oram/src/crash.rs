@@ -13,7 +13,7 @@
 //! Injection is countdown-based, not rate-based, so a sweep over
 //! `KillPoint::ALL` × crossing indices enumerates every distinct crash
 //! schedule deterministically — the property the crash-recovery test
-//! suite and the `crash` bench subcommand rely on.
+//! suite relies on.
 
 use std::fmt;
 

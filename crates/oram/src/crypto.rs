@@ -138,10 +138,8 @@ impl StreamCipher {
     }
 
     /// The pre-widening implementation of [`Self::apply`]: one keystream
-    /// word per iteration. Retained verbatim as the baseline for the
-    /// cipher microbench (`proram-bench hotpath` asserts the widened path
-    /// beats it) and as an equality oracle in tests. Output is
-    /// byte-identical to [`Self::apply`].
+    /// word per iteration. Retained verbatim as the byte-equality oracle
+    /// of `crypto::tests`: output is byte-identical to [`Self::apply`].
     pub fn apply_scalar_reference(&self, nonce: u64, buf: &mut [u8]) {
         let mut ks = SplitMix64::new(self.seed(nonce));
         let mut chunks = buf.chunks_exact_mut(8);

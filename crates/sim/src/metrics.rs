@@ -3,7 +3,6 @@
 
 use proram_cache::{CacheStats, HierarchyStats};
 use proram_mem::{BackendStats, Cycle, FaultStats};
-use proram_obs::MetricsRegistry;
 
 /// Per-core (per-tile) measurements from one simulation run.
 ///
@@ -59,33 +58,6 @@ impl CoreMetrics {
         } else {
             self.cycles as f64 / self.trace_ops as f64
         }
-    }
-
-    /// Accumulates this core's counters into `registry` under `prefix`
-    /// (e.g. `run.core0.`).
-    pub fn snapshot_into(&self, registry: &mut MetricsRegistry, prefix: &str) {
-        let counters = [
-            ("cycles", self.cycles),
-            ("trace_ops", self.trace_ops),
-            ("demand_fetches", self.demand_fetches),
-            ("writebacks", self.writebacks),
-            ("unused_prefetch_evictions", self.unused_prefetch_evictions),
-            (
-                "prefetch_candidates_filtered",
-                self.prefetch_candidates_filtered,
-            ),
-            ("l1.hits", self.l1.hits),
-            ("l1.misses", self.l1.misses),
-            ("llc.hits", self.llc.hits),
-            ("llc.misses", self.llc.misses),
-            ("llc.evictions", self.llc.evictions),
-            ("llc.dirty_evictions", self.llc.dirty_evictions),
-        ];
-        for (name, value) in counters {
-            registry.counter_add(&format!("{prefix}{name}"), value);
-        }
-        self.faults
-            .snapshot_into(registry, &format!("{prefix}faults."));
     }
 }
 
@@ -171,35 +143,6 @@ impl RunMetrics {
     pub fn stage_cycles_consistent(&self) -> bool {
         self.backend.stage_cycles_consistent()
     }
-
-    /// Accumulates the run into `registry`: run totals under `run.`,
-    /// backend counters under `run.backend.`, and every core's breakdown
-    /// under `run.core{i}.` — so the per-core view is derivable from the
-    /// registry alone (see [`RunMetrics::registry_consistent`]).
-    pub fn snapshot_into(&self, registry: &mut MetricsRegistry) {
-        registry.counter_add("run.cycles", self.cycles);
-        registry.counter_add("run.trace_ops", self.trace_ops);
-        registry.counter_add("run.demand_fetches", self.demand_fetches);
-        registry.counter_add("run.writebacks", self.writebacks);
-        registry.gauge_set("run.cpi", self.cpi());
-        registry.gauge_set("run.llc_miss_rate", self.llc_miss_rate());
-        self.backend.snapshot_into(registry, "run.backend.");
-        for (i, core) in self.per_core.iter().enumerate() {
-            core.snapshot_into(registry, &format!("run.core{i}."));
-        }
-    }
-
-    /// Cross-checks that the per-core counters written by
-    /// [`RunMetrics::snapshot_into`] re-aggregate to this run's totals —
-    /// the invariant that makes the registry a faithful substitute for
-    /// `per_core`.
-    pub fn registry_consistent(&self, registry: &MetricsRegistry) -> bool {
-        registry.sum_matching("run.core", ".trace_ops") == self.trace_ops
-            && registry.sum_matching("run.core", ".demand_fetches") == self.demand_fetches
-            && registry.sum_matching("run.core", ".writebacks") == self.writebacks
-            && registry.sum_matching("run.core", ".l1.hits") == self.caches.l1.hits
-            && registry.sum_matching("run.core", ".l1.misses") == self.caches.l1.misses
-    }
 }
 
 #[cfg(test)]
@@ -284,47 +227,6 @@ mod tests {
         assert_eq!(c.writebacks, 5);
         assert_eq!(c.l1.hits, 90);
         assert_eq!(c.l1.misses, 30);
-    }
-
-    #[test]
-    fn registry_snapshot_re_aggregates_per_core_totals() {
-        let mut core0 = CoreMetrics {
-            cycles: 900,
-            trace_ops: 120,
-            demand_fetches: 30,
-            writebacks: 4,
-            ..CoreMetrics::default()
-        };
-        core0.l1.hits = 70;
-        core0.l1.misses = 50;
-        let mut core1 = CoreMetrics {
-            cycles: 1000,
-            trace_ops: 80,
-            demand_fetches: 10,
-            writebacks: 2,
-            ..CoreMetrics::default()
-        };
-        core1.l1.hits = 55;
-        core1.l1.misses = 25;
-        let mut m = RunMetrics {
-            cycles: 1000,
-            trace_ops: 200,
-            demand_fetches: 40,
-            writebacks: 6,
-            per_core: vec![core0, core1],
-            ..RunMetrics::default()
-        };
-        m.caches.l1.hits = 125;
-        m.caches.l1.misses = 75;
-        let mut registry = MetricsRegistry::new();
-        m.snapshot_into(&mut registry);
-        assert_eq!(registry.counter("run.trace_ops"), 200);
-        assert_eq!(registry.counter("run.core0.trace_ops"), 120);
-        assert_eq!(registry.counter("run.core1.demand_fetches"), 10);
-        assert!(m.registry_consistent(&registry));
-        // A tampered registry fails the cross-check.
-        registry.counter_add("run.core1.writebacks", 1);
-        assert!(!m.registry_consistent(&registry));
     }
 
     #[test]

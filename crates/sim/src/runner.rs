@@ -49,6 +49,7 @@ pub fn run_multicore(
 mod tests {
     use super::*;
     use crate::config::MemoryKind;
+    use crate::metrics::CoreMetrics;
     use proram_core::SchemeConfig;
     use proram_workloads::Suite;
 
@@ -96,6 +97,53 @@ mod tests {
             let m = run_spec(spec, quick_scale(), &cfg);
             assert_eq!(m.trace_ops, 1500, "{}", spec.name);
         }
+    }
+
+    /// Whether the per-core counters re-aggregate to the run totals.
+    fn per_core_sums_to_totals(m: &RunMetrics) -> bool {
+        let sum = |f: fn(&CoreMetrics) -> u64| m.per_core.iter().map(f).sum::<u64>();
+        sum(|c| c.trace_ops) == m.trace_ops
+            && sum(|c| c.demand_fetches) == m.demand_fetches
+            && sum(|c| c.writebacks) == m.writebacks
+            && sum(|c| c.l1.hits) == m.caches.l1.hits
+            && sum(|c| c.l1.misses) == m.caches.l1.misses
+    }
+
+    /// The Table 1 system: paper-default ORAM under the dynamic scheme.
+    fn table1_config() -> SystemConfig {
+        let mut cfg = SystemConfig::paper_default(MemoryKind::Oram(SchemeConfig::dynamic(2)));
+        cfg.oram.num_data_blocks = 1 << 14;
+        cfg
+    }
+
+    #[test]
+    fn per_core_counters_reaggregate_to_run_totals() {
+        use proram_workloads::synthetic::LocalityMix;
+        let scale = Scale {
+            ops: 4_000,
+            warmup_ops: 500,
+            footprint_scale: 0.03,
+            seed: 3,
+        };
+        let single = run_spec(suite::specs(Suite::Splash2)[0], scale, &table1_config());
+        assert_eq!(single.per_core.len(), 1);
+        assert!(single.trace_ops > 0 && single.demand_fetches > 0);
+        assert!(per_core_sums_to_totals(&single));
+
+        let mut dual = run_multicore(&table1_config(), 2, 0, |id| {
+            Box::new(LocalityMix::with_stride(
+                1 << 18,
+                0.8,
+                2_000,
+                11 + id as u64,
+                64,
+            ))
+        });
+        assert_eq!(dual.per_core.len(), 2);
+        assert!(per_core_sums_to_totals(&dual));
+        // A tampered per-core counter must break the cross-check.
+        dual.per_core[0].trace_ops += 1;
+        assert!(!per_core_sums_to_totals(&dual));
     }
 
     #[test]
