@@ -21,11 +21,13 @@
 //! `proram-bench trace <benchmark>` dumps a benchmark's memory trace to
 //! stdout in the portable text format of `proram_workloads::tracefile`.
 //!
-//! `proram-bench obs [--trace PATH]` runs three instrumented workloads,
-//! each with its own ring sink, dumps the event trace as JSONL to
-//! `--trace` (default `target/obs_trace.jsonl`) and prints the
-//! per-kind, per-stage and per-shard attribution tables. The command
-//! panics if the trace violates the bounded-retention or JSONL-schema
+//! `proram-bench obs [--trace PATH]` runs two instrumented workloads (a
+//! two-core simulation and a directly driven sharded controller), each
+//! with its own ring sink, dumps the event trace as JSONL to `--trace`
+//! (default `target/obs_trace.jsonl`) and prints the per-kind, per-stage
+//! and per-shard attribution tables; the stage table is the cycle split
+//! of the accesses those runs retired. The command panics if the trace
+//! violates the bounded-retention, JSONL-schema or attribution
 //! contracts, so it doubles as a CI smoke gate.
 //!
 //! A flag that does not apply to the chosen subcommand is an error
@@ -101,8 +103,8 @@ fn dump_trace(bench: &str, mut scale: Scale) -> ExitCode {
 
 fn run_obs(trace_path: &Path) -> ExitCode {
     eprintln!("[running instrumented workloads...]");
-    // measure() panics if the trace breaks the bounded-retention or
-    // JSONL-schema contracts — the CI smoke gate.
+    // measure() panics if the trace breaks the bounded-retention,
+    // JSONL-schema or attribution contracts — the CI smoke gate.
     let report = obs::measure();
     if let Some(dir) = trace_path.parent() {
         if !dir.as_os_str().is_empty() {

@@ -2,8 +2,8 @@
 //! observation — one ORAM controller serializes every request, so extra
 //! cores buy almost nothing — then relax it two ways: across requests
 //! with address-partitioned controller shards
-//! ([`proram_sim::ShardedOram`]), and inside one request with the staged
-//! pipeline's bank-aware fetch scheduler ([`proram_mem::BankConfig`]).
+//! ([`proram_sim::ShardedOram`]), and inside one request with the fetch
+//! pipeline's bank-aware scheduler ([`proram_mem::BankConfig`]).
 //!
 //! `shards=1` must track the stock single controller; larger shard
 //! counts recover multi-core scaling in proportion to how much of the
@@ -116,7 +116,7 @@ fn bank_sweep(ctx: RunCtx) -> (Vec<u64>, Vec<u64>) {
 /// Regenerates the two serialization-ablation tables: aggregate
 /// throughput (trace ops per kilocycle) of the stock serialized
 /// controller next to `OramShards(N)` for every core count, and the
-/// bank sweep of the staged pipeline (cycles one path fetch costs, and
+/// bank sweep of the fetch pipeline (cycles one path fetch costs, and
 /// a single-core run's completion time, per bank count).
 pub fn run(ctx: RunCtx) -> Vec<Table> {
     let mut shards = Table::new(&["cores", "oram", "oram_sh1", "oram_sh2", "oram_sh4"]).with_title(

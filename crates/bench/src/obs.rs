@@ -1,40 +1,39 @@
 //! The trace / stage-table viewer behind `proram-bench obs`.
 //!
-//! Three instrumented runs, each on its own ring-buffered [`Obs`]
+//! Two instrumented runs, each on its own ring-buffered [`Obs`]
 //! handle, so the resulting trace exercises every layer the obs layer
 //! hooks into:
 //!
-//! 1. a staged-pipeline kernel (`PathOram` demand reads) for the
-//!    per-stage attribution table,
-//! 2. a two-core sharded-ORAM simulation for tile issue/retire events
-//!    and the `Demand` round-trip profile,
-//! 3. a directly driven [`ShardedOram`] for the per-shard attribution
+//! 1. a two-core sharded-ORAM simulation: tile issue/retire events, the
+//!    `Demand` round-trip profile, and — because every ORAM access
+//!    retires through `AccessReport::retire` — the per-stage attribution
+//!    table of the simulated run itself,
+//! 2. a directly driven [`ShardedOram`] for the per-shard attribution
 //!    table.
 //!
 //! The collected events are emitted as one-line-per-event JSONL.
-//! [`check`] panics when the trace violates the bounded-retention or
-//! JSONL-schema contracts, so running the subcommand doubles as a CI
-//! smoke gate. What the enabled sinks cost in host time is measured by
-//! `perf/` (`obs.ring_overhead_share`, `obs.events_per_op`,
-//! `obs.ring_dropped`), not here.
+//! [`check`] panics when the trace violates the bounded-retention,
+//! JSONL-schema or attribution contracts, so running the subcommand
+//! doubles as a CI smoke gate. What the enabled sinks cost in host time
+//! is measured by `perf/` (`obs.ring_overhead_share`,
+//! `obs.events_per_op`, `obs.ring_dropped`), not here.
 
-use proram_mem::{AccessKind, BlockAddr, MemRequest, MemoryBackend};
-use proram_obs::{Obs, ObsEvent, StageKind, StageProfile};
-use proram_oram::{OramConfig, PathOram};
+use proram_mem::{BlockAddr, MemRequest, MemoryBackend};
+use proram_obs::{Obs, ObsEvent, StageProfile};
 use proram_sim::{MemoryKind, MultiCoreSystem, ShardedOram, SystemConfig};
 use proram_stats::{Rng64, Table, Xoshiro256};
 use proram_workloads::synthetic::LocalityMix;
 
 use proram_core::SchemeConfig;
 
-/// Ring capacity of each instrumented run's sink.
-pub const RING_CAPACITY: usize = 1 << 14;
+/// Ring capacity of each instrumented run's sink: large enough that
+/// neither run drops an event (the multi-core run emits ~20k), so the
+/// kind table counts every access the runs retired.
+pub const RING_CAPACITY: usize = 1 << 15;
 
 /// Upper bound on the emitted trace: one ring per instrumented run.
-pub const MAX_TRACE_EVENTS: usize = 3 * RING_CAPACITY;
+pub const MAX_TRACE_EVENTS: usize = 2 * RING_CAPACITY;
 
-/// Accesses driven through the staged-pipeline kernel.
-const STAGE_KERNEL_ACCESSES: u64 = 2_000;
 /// Per-core trace ops in the multi-core run.
 const SIM_OPS: u64 = 4_000;
 /// Requests driven directly through the sharded controller.
@@ -68,34 +67,15 @@ pub struct ObsReport {
     pub dropped: u64,
     /// Per-stage cycle attribution aggregated over every run.
     pub profile: StageProfile,
+    /// `access_retired` events the simulated (multi-core) run retained.
+    pub sim_retired: usize,
     /// Per-shard attribution from the direct sharded run.
     pub shards: Vec<ShardRow>,
 }
 
-fn stage_kernel_config() -> OramConfig {
-    OramConfig::builder()
-        .num_data_blocks(1 << 10)
-        .entries_per_posmap_block(8)
-        .store_payloads(false)
-        .trace_capacity(0)
-        .build()
-        .expect("valid stage-kernel configuration")
-}
-
-/// Run 1: demand reads through the staged access pipeline, populating
-/// the `ResolvePosmap..Backoff` rows of the stage profile.
-fn run_stage_kernel(obs: &Obs) {
-    let mut oram = PathOram::new(stage_kernel_config(), 17);
-    oram.attach_obs_handle(obs.clone());
-    let mut rng = Xoshiro256::seed_from(23);
-    for _ in 0..STAGE_KERNEL_ACCESSES {
-        oram.try_access_block(BlockAddr(rng.next_below(1 << 10)), AccessKind::Read)
-            .expect("no faults injected");
-    }
-}
-
-/// Run 2: a two-core system over a two-shard dynamic-scheme ORAM —
-/// tile issue/retire events plus the `Demand` round-trip profile.
+/// Run 1: a two-core system over a two-shard dynamic-scheme ORAM —
+/// tile issue/retire events, the `Demand` round-trip profile and the
+/// cycle split of every access the shards retire.
 fn run_multicore(obs: &Obs) {
     let cfg = SystemConfig::quick_test(MemoryKind::OramShards(SchemeConfig::dynamic(2), 2));
     let mut sys = MultiCoreSystem::build(&cfg, 2, |id| {
@@ -144,7 +124,7 @@ impl proram_mem::CacheProbe for FifoLlc {
     }
 }
 
-/// Run 3: drive a sharded controller directly and read back per-shard
+/// Run 2: drive a sharded controller directly and read back per-shard
 /// attribution through [`ShardedOram::shard`].
 fn run_sharded(obs: &Obs) -> Vec<ShardRow> {
     let cfg = SystemConfig::quick_test(MemoryKind::OramShards(SchemeConfig::dynamic(2), SHARDS));
@@ -194,45 +174,45 @@ fn run_sharded(obs: &Obs) -> Vec<ShardRow> {
         .collect()
 }
 
-/// Runs the three instrumented workloads, each with its own ring so an
-/// event-heavy run cannot starve the others out of the trace, and
+/// Runs the two instrumented workloads, each with its own ring so an
+/// event-heavy run cannot starve the other out of the trace, and
 /// [`check`]s the result. Events are concatenated in run order; the
 /// stage profiles are merged.
 pub fn measure() -> ObsReport {
-    let rings = [
-        Obs::ring(RING_CAPACITY),
-        Obs::ring(RING_CAPACITY),
-        Obs::ring(RING_CAPACITY),
-    ];
-    run_stage_kernel(&rings[0]);
-    run_multicore(&rings[1]);
-    let shards = run_sharded(&rings[2]);
-    let mut events = Vec::new();
-    let mut dropped = 0;
-    let mut profile = StageProfile::default();
-    for obs in &rings {
-        events.extend(obs.events());
-        dropped += obs.dropped();
-        profile.merge(&obs.profile_snapshot());
-    }
+    let (sim, direct) = (Obs::ring(RING_CAPACITY), Obs::ring(RING_CAPACITY));
+    run_multicore(&sim);
+    let shards = run_sharded(&direct);
+    let mut events = sim.events();
+    let sim_retired = count_kind(&events, "access_retired");
+    events.extend(direct.events());
+    let mut profile = sim.profile_snapshot();
+    profile.merge(&direct.profile_snapshot());
     let report = ObsReport {
         events,
-        dropped,
+        dropped: sim.dropped() + direct.dropped(),
         profile,
+        sim_retired,
         shards,
     };
     check(&report);
     report
 }
 
-/// The smoke-gate contracts: bounded retention and JSONL shape.
+fn count_kind(events: &[ObsEvent], kind: &str) -> usize {
+    events.iter().filter(|e| e.kind() == kind).count()
+}
+
+/// The smoke-gate contracts: bounded retention, JSONL shape, and every
+/// stage attributed.
 ///
 /// # Panics
 ///
 /// Panics if the ring retained more events than its capacity, if the
 /// trace is empty, if any event renders to something other than a
-/// single-line flat JSON object, or if an event kind falls outside the
-/// published taxonomy.
+/// single-line flat JSON object, if an event kind falls outside the
+/// published taxonomy, if a lane of the stage table has no entries, if
+/// an `access_issued` lacks its `access_retired`, or if the simulated
+/// run retired no access.
 pub fn check(report: &ObsReport) {
     assert!(
         report.events.len() <= MAX_TRACE_EVENTS,
@@ -260,9 +240,18 @@ pub fn check(report: &ObsReport) {
             "event JSON must be flat: {line}"
         );
     }
-    // Both the machine stages and the sim's demand round trip were hit.
-    assert!(report.profile.entries(StageKind::ResolvePosmap) > 0);
-    assert!(report.profile.entries(StageKind::Demand) > 0);
+    for (stage, _, entries) in report.profile.iter() {
+        assert!(entries > 0, "stage lane {stage} has no entries");
+    }
+    assert_eq!(
+        count_kind(&report.events, "access_issued"),
+        count_kind(&report.events, "access_retired"),
+        "every issued access must retire"
+    );
+    assert!(
+        report.sim_retired > 0,
+        "the simulated run retired no access into the trace"
+    );
     assert!(report.shards.iter().any(|s| s.demand_reads > 0));
 }
 
@@ -279,7 +268,7 @@ pub fn to_jsonl(events: &[ObsEvent]) -> String {
 /// The per-stage cycle-attribution table.
 pub fn stage_table(profile: &StageProfile) -> Table {
     let mut t = Table::new(&["stage", "entries", "cycles", "avg cycles"])
-        .with_title("per-stage attribution (pipeline kernel + demand round trips)");
+        .with_title("per-stage attribution (retired accesses + demand round trips)");
     for (stage, cycles, entries) in profile.iter() {
         let avg = if entries == 0 {
             0.0
@@ -324,7 +313,7 @@ pub fn shard_table(rows: &[ShardRow]) -> Table {
 pub fn kind_table(events: &[ObsEvent]) -> Table {
     let mut t = Table::new(&["event kind", "count"]).with_title("retained trace by event kind");
     for kind in ObsEvent::KINDS {
-        let n = events.iter().filter(|e| e.kind() == kind).count();
+        let n = count_kind(events, kind);
         if n > 0 {
             t.row(&[kind.to_string(), n.to_string()]);
         }
@@ -340,7 +329,7 @@ mod tests {
     fn collected_trace_passes_the_smoke_contracts() {
         // measure() already ran check() on the report.
         let report = measure();
-        // The three runs cover tile, scheme and controller layers.
+        // The two runs cover tile, scheme and controller layers.
         let kinds: std::collections::BTreeSet<_> = report.events.iter().map(|e| e.kind()).collect();
         assert!(kinds.contains("access_issued"));
         assert!(kinds.contains("tile_issue"));

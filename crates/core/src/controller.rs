@@ -31,7 +31,8 @@ use proram_mem::{
 };
 use proram_obs::{rate_to_ppm, Obs, ObsEvent};
 use proram_oram::{
-    AccessReport, OramBackend, OramConfig, OramError, PathKind, PathOram, RecoveryMode, StageCycles,
+    AccessReport, Leaf, OramBackend, OramConfig, OramError, PathKind, PathOram, RecoveryMode,
+    StageCycles,
 };
 use std::collections::HashSet;
 
@@ -167,7 +168,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
 
     /// Attaches an observability handle to the scheme layer *and* the
     /// underlying ORAM backend, so one sink interleaves super-block
-    /// decisions with the backend's per-stage events.
+    /// decisions and access retirements with the backend's own events.
     pub fn attach_obs_handle(&mut self, obs: Obs) {
         self.oram.attach_obs(obs.clone());
         self.obs = obs;
@@ -240,6 +241,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
         llc: &dyn CacheProbe,
     ) -> Result<(AccessReport, Vec<Fill>), OramError> {
         self.stats.demand_reads += 1;
+        let backoff_before = self.oram.fault_stats().backoff_cycles;
         let posmap_accesses = self.oram.resolve_posmap(addr)?;
         let sb = self.detect(addr);
         let old_leaf = self.oram.entry(addr).leaf;
@@ -346,27 +348,37 @@ impl<O: OramBackend> SuperBlockOram<O> {
             });
         }
 
+        let report = self.finish(
+            addr,
+            AccessKind::Read,
+            old_leaf,
+            posmap_accesses,
+            backoff_before,
+        )?;
+        Ok((report, fills))
+    }
+
+    /// The closing steps every access shares with
+    /// [`PathOram::try_access_block`]: write the fetched path back, drain
+    /// the stash, retire.
+    fn finish(
+        &mut self,
+        addr: BlockAddr,
+        kind: AccessKind,
+        old_leaf: Leaf,
+        posmap_accesses: u64,
+        backoff_before: u64,
+    ) -> Result<AccessReport, OramError> {
         self.oram.write_path_from_stash(old_leaf)?;
         let background_evictions = self.oram.drain_background()?;
-        let tree_accesses = 1 + posmap_accesses + background_evictions;
-        // A merged super-block fetch is one larger bucket-read batch on
-        // one shared path, so it is charged exactly one fetch.
-        let fetch_cycles = self.oram.fetch_cycles();
-        let stages = StageCycles {
-            posmap: posmap_accesses * fetch_cycles,
-            fetch: fetch_cycles,
-            evict: background_evictions * fetch_cycles,
-            backoff: 0,
-        };
-        Ok((
-            AccessReport {
-                latency: stages.total(),
-                tree_accesses,
-                posmap_accesses,
-                background_evictions,
-                stages,
-            },
-            fills,
+        Ok(AccessReport::retire(
+            &self.obs,
+            addr,
+            kind,
+            posmap_accesses,
+            background_evictions,
+            self.oram.fetch_cycles(),
+            self.oram.fault_stats().backoff_cycles - backoff_before,
         ))
     }
 
@@ -459,6 +471,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
 
     fn writeback(&mut self, addr: BlockAddr) -> Result<(AccessReport, Vec<Fill>), OramError> {
         self.stats.writebacks += 1;
+        let backoff_before = self.oram.fault_stats().backoff_cycles;
         let posmap_accesses = self.oram.resolve_posmap(addr)?;
         let sb = self.detect(addr);
         let old_leaf = self.oram.entry(addr).leaf;
@@ -474,26 +487,14 @@ impl<O: OramBackend> SuperBlockOram<O> {
                 b.leaf = new_leaf;
             }
         }
-        self.oram.write_path_from_stash(old_leaf)?;
-        let background_evictions = self.oram.drain_background()?;
-        let tree_accesses = 1 + posmap_accesses + background_evictions;
-        let fetch_cycles = self.oram.fetch_cycles();
-        let stages = StageCycles {
-            posmap: posmap_accesses * fetch_cycles,
-            fetch: fetch_cycles,
-            evict: background_evictions * fetch_cycles,
-            backoff: 0,
-        };
-        Ok((
-            AccessReport {
-                latency: stages.total(),
-                tree_accesses,
-                posmap_accesses,
-                background_evictions,
-                stages,
-            },
-            Vec::new(),
-        ))
+        let report = self.finish(
+            addr,
+            AccessKind::Write,
+            old_leaf,
+            posmap_accesses,
+            backoff_before,
+        )?;
+        Ok((report, Vec::new()))
     }
 
     fn schedule(&mut self, now: Cycle, latency: u64) -> Cycle {
@@ -501,6 +502,32 @@ impl<O: OramBackend> SuperBlockOram<O> {
         let complete = start + latency;
         self.busy_until = complete;
         complete
+    }
+
+    /// What a request gets when the normal path did not serve it (a
+    /// replayed crash, an unrecovered fault): its demand fill, and a
+    /// report charging `latency` as one lump to the fetch lane. Never
+    /// retired into the obs sink.
+    fn served_outside_the_path(
+        req: MemRequest,
+        latency: u64,
+        tree_accesses: u64,
+    ) -> (AccessReport, Vec<Fill>) {
+        let fills = match req.kind {
+            AccessKind::Read => vec![Fill::demand(req.block)],
+            AccessKind::Write => Vec::new(),
+        };
+        let report = AccessReport {
+            latency,
+            tree_accesses,
+            posmap_accesses: 0,
+            background_evictions: 0,
+            stages: StageCycles {
+                fetch: latency,
+                ..StageCycles::default()
+            },
+        };
+        (report, fills)
     }
 
     /// One transactional attempt at serving `req`: the whole composite
@@ -538,24 +565,7 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
             if let Some(rec) = self.oram.recover_crash() {
                 self.scheme_faults.recovered += 1;
                 attempt = if rec.mode == RecoveryMode::Replayed {
-                    let latency = rec.cycles.max(1);
-                    let fills = match req.kind {
-                        AccessKind::Read => vec![Fill::demand(req.block)],
-                        AccessKind::Write => Vec::new(),
-                    };
-                    Ok((
-                        AccessReport {
-                            latency,
-                            tree_accesses: 0,
-                            posmap_accesses: 0,
-                            background_evictions: 0,
-                            stages: StageCycles {
-                                fetch: latency,
-                                ..StageCycles::default()
-                            },
-                        },
-                        fills,
-                    ))
+                    Ok(Self::served_outside_the_path(req, rec.cycles.max(1), 0))
                 } else {
                     self.attempt_txn(req, llc).map(|(mut r, f)| {
                         r.latency += rec.cycles;
@@ -571,23 +581,7 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
         // the run's fault counters.
         let (report, fills) = attempt.unwrap_or_else(|_err| {
             self.scheme_faults.unrecovered += 1;
-            let fills = match req.kind {
-                AccessKind::Read => vec![Fill::demand(req.block)],
-                AccessKind::Write => Vec::new(),
-            };
-            (
-                AccessReport {
-                    latency: self.oram.fetch_cycles(),
-                    tree_accesses: 1,
-                    posmap_accesses: 0,
-                    background_evictions: 0,
-                    stages: StageCycles {
-                        fetch: self.oram.fetch_cycles(),
-                        ..StageCycles::default()
-                    },
-                },
-                fills,
-            )
+            Self::served_outside_the_path(req, self.oram.fetch_cycles(), 1)
         });
         let complete_at = self.schedule(now, report.latency);
         let elapsed = complete_at.saturating_sub(self.last_complete).max(1);
@@ -1089,12 +1083,94 @@ mod tests {
         assert_eq!(merges, oram.scheme_stats().merges);
         assert_eq!(breaks, oram.scheme_stats().breaks);
         assert_eq!(windows, oram.scheme_stats().demand_reads);
-        // The shared sink interleaves the backend's events too (the scheme
-        // drives stage primitives, so the backend contributes stash
-        // watermarks rather than whole-access lifecycles).
+        // Every access retires into the same sink, and the backend's own
+        // events (stash watermarks) interleave with them.
+        let retired = events
+            .iter()
+            .filter(|e| matches!(e, ObsEvent::AccessRetired { .. }))
+            .count() as u64;
+        assert_eq!(retired, oram.scheme_stats().demand_reads);
         assert!(events
             .iter()
             .any(|e| matches!(e, ObsEvent::StashWatermark { .. })));
+    }
+
+    /// Drives `n` chained uniform reads over a 128-block baseline
+    /// controller, checking every fill; returns the final completion
+    /// cycle.
+    fn drive_baseline(oram: &mut SuperBlockOram, n: usize) -> Cycle {
+        let mut rng = Xoshiro256::seed_from(3);
+        let mut now = 0;
+        for _ in 0..n {
+            let addr = BlockAddr(rng.next_below(128));
+            let out = oram.access(now, MemRequest::read(addr), &NoProbe);
+            assert_eq!(out.fills, vec![Fill::demand(addr)], "fill must be served");
+            now = out.complete_at;
+        }
+        now
+    }
+
+    fn baseline_128(edit: impl FnOnce(&mut OramConfig)) -> SuperBlockOram {
+        let mut cfg = OramConfig::small_for_tests(128);
+        edit(&mut cfg);
+        SuperBlockOram::new(cfg, SchemeConfig::baseline(), 7)
+    }
+
+    #[test]
+    fn stage_kill_points_fire_and_recover_under_the_scheme_driver() {
+        use proram_oram::{CrashConfig, KillPoint};
+        let mut oram = baseline_128(|c| c.crash = Some(CrashConfig::at(KillPoint::WriteBack, 2)));
+        drive_baseline(&mut oram, 40);
+        let crash = oram.oram().crash_stats();
+        assert_eq!(crash.crashes_injected, 1, "the armed kill never fired");
+        assert_eq!(crash.rollbacks, 1);
+        // The crash was recovered and retried, not absorbed as a degraded
+        // access.
+        assert_eq!(oram.stats().faults.unrecovered, 0);
+        oram.oram().audit_full();
+    }
+
+    #[test]
+    fn scrub_interval_ticks_under_the_scheme_driver() {
+        let mut oram = baseline_128(|c| c.scrub_interval = 4);
+        drive_baseline(&mut oram, 20);
+        assert_eq!(
+            oram.stats().faults.scrub_runs,
+            5,
+            "one scrub per 4 accesses"
+        );
+    }
+
+    #[test]
+    fn transient_backoff_is_charged_under_the_scheme_driver() {
+        use proram_oram::{FaultClass, FaultConfig};
+        let mut oram = baseline_128(|c| {
+            c.fault = Some(FaultConfig {
+                retry_backoff_cycles: 100,
+                ..FaultConfig::single(FaultClass::Transient, 0.2, 7)
+            });
+        });
+        let done = drive_baseline(&mut oram, 50);
+        let s = oram.stats();
+        assert!(s.faults.backoff_cycles > 0, "no backoff charged");
+        assert_eq!(
+            done,
+            s.physical_accesses * oram.oram().path_cycles() + s.faults.backoff_cycles,
+            "completion time must include retry backoff"
+        );
+    }
+
+    #[test]
+    fn unrecovered_faults_degrade_instead_of_panicking() {
+        // Without recovery (no injector), a detected corruption is
+        // absorbed into the unrecovered counter and the fill still served.
+        let mut oram = baseline_128(|_| {});
+        oram.oram_mut()
+            .storage_mut()
+            .expect("payloads on")
+            .corrupt_byte(0, 30, 0x01);
+        drive_baseline(&mut oram, 1);
+        assert_eq!(oram.stats().faults.unrecovered, 1);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub enum AccessKind {
 
 /// One bucket read inside a path-fetch batch.
 ///
-/// A Path ORAM access reads every bucket on one tree path; the staged
+/// A Path ORAM access reads every bucket on one tree path; the fetch
 /// pipeline turns that into a batch of `BucketRead`s handed to the
 /// bank-aware scheduler ([`crate::BankScheduler`]) so independent buckets
 /// can overlap across banks. The bucket index only labels the transfer (a

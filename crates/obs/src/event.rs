@@ -1,8 +1,8 @@
 //! The typed event taxonomy.
 //!
 //! Every observable state transition of the stack is one [`ObsEvent`]
-//! variant: logical accesses entering and retiring from the staged
-//! pipeline, bank-scheduler dispatches, stash high-water marks,
+//! variant: logical accesses retiring with their cycle split,
+//! bank-scheduler dispatches, stash high-water marks,
 //! super-block merge/break decisions, prefetch-window publications,
 //! fault/recovery transitions and tile-engine issue/retire. Events are
 //! `Copy` and carry only integers, so recording one into a sink is a
@@ -10,25 +10,19 @@
 
 use std::fmt;
 
-/// A pipeline stage (or stage-adjacent cost center) an event or profiled
-/// span is attributed to.
+/// A cost center a profiled span is attributed to: one lane of the stage
+/// table.
 ///
-/// The first six variants mirror the `AccessMachine` stages of the ORAM
-/// controller; `Backoff` is the transient-retry cost charged by fault
-/// injection, and `Demand` is the tile engine's end-to-end demand-fetch
-/// span (issue to retire), which subsumes the controller stages.
+/// The first four variants are the lanes of an access's cycle split
+/// (`StageCycles` in `proram-oram`), recorded once per retired access and
+/// summing to its latency; `Demand` is the tile engine's end-to-end
+/// demand-fetch span (issue to retire), which subsumes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StageKind {
     /// Position-map walk and remap.
     ResolvePosmap,
-    /// The data path's bucket-read batch.
+    /// The data path's round trip (fetch through write-back).
     PathFetch,
-    /// Decrypt and authenticate the fetched buckets.
-    DecryptVerify,
-    /// Move path blocks into the stash, claim the target.
-    StashUpdate,
-    /// Write the path back from the stash.
-    WriteBack,
     /// Background eviction (dummy) paths after the access.
     Evict,
     /// Transient-retry backoff from fault injection.
@@ -40,12 +34,9 @@ pub enum StageKind {
 impl StageKind {
     /// Every stage, in pipeline order; indexes agree with
     /// [`StageKind::index`].
-    pub const ALL: [StageKind; 8] = [
+    pub const ALL: [StageKind; 5] = [
         StageKind::ResolvePosmap,
         StageKind::PathFetch,
-        StageKind::DecryptVerify,
-        StageKind::StashUpdate,
-        StageKind::WriteBack,
         StageKind::Evict,
         StageKind::Backoff,
         StageKind::Demand,
@@ -64,9 +55,6 @@ impl StageKind {
         match self {
             StageKind::ResolvePosmap => "resolve_posmap",
             StageKind::PathFetch => "path_fetch",
-            StageKind::DecryptVerify => "decrypt_verify",
-            StageKind::StashUpdate => "stash_update",
-            StageKind::WriteBack => "write_back",
             StageKind::Evict => "evict",
             StageKind::Backoff => "backoff",
             StageKind::Demand => "demand",
@@ -120,8 +108,10 @@ impl fmt::Display for FaultKind {
 /// the controller's kill-point taxonomy without depending on the ORAM
 /// crate.
 ///
-/// The first six variants are the entries of the staged access pipeline;
-/// the last two sit inside the storage commit protocol: while undo
+/// The first six variants are crossed at the entry of the controller's
+/// path primitives (posmap walk, path read, write-back, drain) — by every
+/// path an access performs, posmap and eviction paths included; the last
+/// two sit inside the storage commit protocol: while undo
 /// entries are being journaled and during the MAC-bound epoch flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
@@ -172,19 +162,13 @@ impl fmt::Display for CrashPoint {
 /// string escaping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEvent {
-    /// A logical access entered the pipeline (`ResolvePosmap`).
+    /// A logical access was served; always immediately followed by its
+    /// [`ObsEvent::AccessRetired`].
     AccessIssued {
         /// Logical block address.
         addr: u64,
         /// `true` for writes (identical on the wire; kept for attribution).
         write: bool,
-    },
-    /// An in-flight access entered a stage.
-    StageEnter {
-        /// Logical block address of the access.
-        addr: u64,
-        /// The stage being entered.
-        stage: StageKind,
     },
     /// A logical access retired with its per-stage cycle attribution.
     AccessRetired {
@@ -325,7 +309,6 @@ impl ObsEvent {
     pub fn kind(&self) -> &'static str {
         match self {
             ObsEvent::AccessIssued { .. } => "access_issued",
-            ObsEvent::StageEnter { .. } => "stage_enter",
             ObsEvent::AccessRetired { .. } => "access_retired",
             ObsEvent::BankDispatch { .. } => "bank_dispatch",
             ObsEvent::BankDrain { .. } => "bank_drain",
@@ -344,9 +327,8 @@ impl ObsEvent {
     }
 
     /// Every discriminant name, for schema checks of JSONL traces.
-    pub const KINDS: [&'static str; 16] = [
+    pub const KINDS: [&'static str; 15] = [
         "access_issued",
-        "stage_enter",
         "access_retired",
         "bank_dispatch",
         "bank_drain",
@@ -374,10 +356,6 @@ impl ObsEvent {
             ObsEvent::AccessIssued { addr, write } => {
                 push_num(&mut s, "addr", addr);
                 s.push_str(&format!(",\"write\":{write}"));
-            }
-            ObsEvent::StageEnter { addr, stage } => {
-                push_num(&mut s, "addr", addr);
-                s.push_str(&format!(",\"stage\":\"{}\"", stage.name()));
             }
             ObsEvent::AccessRetired {
                 addr,
@@ -508,10 +486,6 @@ mod tests {
             ObsEvent::AccessIssued {
                 addr: 5,
                 write: true,
-            },
-            ObsEvent::StageEnter {
-                addr: 5,
-                stage: StageKind::PathFetch,
             },
             ObsEvent::AccessRetired {
                 addr: 5,

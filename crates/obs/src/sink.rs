@@ -188,6 +188,27 @@ impl Obs {
         }
     }
 
+    /// Records the events and `(stage, cycles)` profile lanes built by
+    /// `build`, in order, under one lock acquisition — how a retiring
+    /// access reports itself. Like [`Obs::emit`], a disabled handle never
+    /// evaluates the closure.
+    #[inline]
+    pub fn emit_profiled<const E: usize, const L: usize>(
+        &self,
+        build: impl FnOnce() -> ([ObsEvent; E], [(StageKind, u64); L]),
+    ) {
+        if let Some(core) = &self.inner {
+            let (events, lanes) = build();
+            let mut core = lock(core);
+            for e in &events {
+                core.sink.record(e);
+            }
+            for (stage, cycles) in lanes {
+                core.profile.record(stage, cycles);
+            }
+        }
+    }
+
     /// Opens a scoped cycle timer over simulated time; close it with
     /// [`CycleScope::finish`] to attribute the elapsed cycles to `stage`.
     pub fn scope(&self, stage: StageKind, start: u64) -> CycleScope {
@@ -309,6 +330,22 @@ mod tests {
         // Time moving backwards clamps to zero rather than wrapping.
         obs.scope(StageKind::Demand, 50).finish(10);
         assert_eq!(obs.profile_snapshot().cycles(StageKind::Demand), 75);
+    }
+
+    #[test]
+    fn emit_profiled_records_events_and_lanes_together() {
+        let obs = Obs::ring(8);
+        obs.emit_profiled(|| {
+            (
+                [ev(1), ev(2)],
+                [(StageKind::Evict, 0), (StageKind::Backoff, 9)],
+            )
+        });
+        assert_eq!(obs.events(), vec![ev(1), ev(2)]);
+        let p = obs.profile_snapshot();
+        assert_eq!(p.entries(StageKind::Evict), 1);
+        assert_eq!(p.cycles(StageKind::Backoff), 9);
+        Obs::disabled().emit_profiled::<1, 1>(|| unreachable!("not evaluated when disabled"));
     }
 
     #[test]

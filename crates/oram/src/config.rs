@@ -89,13 +89,6 @@ pub struct OramConfig {
     /// access; level `k` needs `(2^k - 1) * Z` on-chip block slots, so
     /// only a handful of levels are realistic.
     pub treetop_levels: u32,
-    /// Physical arrangement of the off-chip buckets in the encrypted
-    /// store. [`crate::TreeLayout::Flat`] (the default) keeps heap order
-    /// and is byte-identical to the pre-layout goldens;
-    /// [`crate::TreeLayout::SubtreePacked`] packs subtrees contiguously for
-    /// DRAM-row / host-cache locality. Purely a physical-address choice:
-    /// every logical observable is identical across layouts.
-    pub layout: crate::layout::TreeLayout,
     /// Timing model.
     pub timing: OramTiming,
     /// Keep and verify real payload bytes and an encrypted DRAM image.
@@ -130,8 +123,9 @@ pub struct OramConfig {
     /// fails, fail-stop via [`crate::OramError::StashOverflow`]. `None`
     /// keeps the legacy behavior (soft `stash_limit` only).
     pub stash_hard_capacity: Option<usize>,
-    /// Scrub period in path accesses: every `scrub_interval` data-path
-    /// reads, re-authenticate the whole encrypted image
+    /// Scrub period in logical accesses: every `scrub_interval` accesses
+    /// (counted by the background drain that closes each one),
+    /// re-authenticate the whole encrypted image
     /// ([`crate::EncryptedStore::verify_all`]) and repair what it flags.
     /// `0` disables scrubbing. Requires `store_payloads`.
     pub scrub_interval: u64,
@@ -189,7 +183,6 @@ impl OramConfig {
             init_group_size: 1,
             dense_tree: false,
             treetop_levels: 0,
-            layout: crate::layout::TreeLayout::Flat,
             fault: None,
             stash_hard_capacity: None,
             scrub_interval: 0,
@@ -335,24 +328,6 @@ impl OramConfig {
                     self.treetop_levels, self.treetop_levels
                 ),
             ));
-        }
-        if let crate::layout::TreeLayout::SubtreePacked { height } = self.layout {
-            if height == 0 {
-                return Err(ConfigError::new(
-                    "layout",
-                    "subtree-packed layout needs a height of at least 1",
-                ));
-            }
-            let depth = self.off_chip_levels();
-            if !depth.is_multiple_of(height) {
-                return Err(ConfigError::new(
-                    "layout",
-                    format!(
-                        "subtree height ({height}) must divide the off-chip depth \
-                         (off_chip_levels() = {depth})"
-                    ),
-                ));
-            }
         }
         if self.store_payloads {
             let entry_bytes = crate::storage::ENTRY_BYTES as u64;
@@ -544,12 +519,6 @@ impl OramConfigBuilder {
         self
     }
 
-    /// Sets the physical arrangement of the off-chip bucket store.
-    pub fn tree_layout(mut self, layout: crate::layout::TreeLayout) -> Self {
-        self.cfg.layout = layout;
-        self
-    }
-
     /// Sets the timing model.
     pub fn timing(mut self, timing: OramTiming) -> Self {
         self.cfg.timing = timing;
@@ -644,7 +613,6 @@ impl Default for OramConfig {
             init_group_size: 1,
             dense_tree: false,
             treetop_levels: 0,
-            layout: crate::layout::TreeLayout::Flat,
             fault: None,
             stash_hard_capacity: None,
             scrub_interval: 0,
@@ -737,39 +705,6 @@ mod tests {
             ..OramConfig::small_for_tests(64)
         };
         cfg.validate();
-    }
-
-    #[test]
-    fn subtree_layout_height_must_divide_off_chip_depth() {
-        use crate::layout::TreeLayout;
-        // small_for_tests(256) builds an 8-level tree; with treetop 2 the
-        // off-chip depth is 6.
-        let base = OramConfig {
-            treetop_levels: 2,
-            ..OramConfig::small_for_tests(256)
-        };
-        for height in [1, 2, 3, 6] {
-            OramConfig {
-                layout: TreeLayout::SubtreePacked { height },
-                ..base.clone()
-            }
-            .validate();
-        }
-        let err = OramConfig {
-            layout: TreeLayout::SubtreePacked { height: 4 },
-            ..base.clone()
-        }
-        .check()
-        .unwrap_err();
-        assert_eq!(err.field(), "layout");
-        assert!(err.to_string().contains("off_chip_levels() = 6"), "{err}");
-        let err = OramConfig {
-            layout: TreeLayout::SubtreePacked { height: 0 },
-            ..base
-        }
-        .check()
-        .unwrap_err();
-        assert!(err.to_string().contains("at least 1"), "{err}");
     }
 
     #[test]
@@ -874,7 +809,6 @@ mod tests {
             .plb_blocks(8)
             .dense_tree(false)
             .treetop_levels(1)
-            .tree_layout(crate::layout::TreeLayout::SubtreePacked { height: 1 })
             .store_payloads(true)
             .verify_image(true)
             .trace_capacity(1 << 10)
@@ -887,10 +821,6 @@ mod tests {
         assert_eq!(cfg.init_group_size, 4);
         assert_eq!(cfg.stash_hard_capacity, Some(200));
         assert_eq!(cfg.scrub_interval, 64);
-        assert_eq!(
-            cfg.layout,
-            crate::layout::TreeLayout::SubtreePacked { height: 1 }
-        );
     }
 
     #[test]

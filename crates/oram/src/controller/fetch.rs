@@ -11,6 +11,7 @@
 
 use super::{PathKind, PathOram};
 use crate::addr::Leaf;
+use crate::crash::KillPoint;
 use crate::error::OramError;
 use crate::eviction::read_path;
 use crate::trace::PhysEvent;
@@ -30,32 +31,31 @@ impl PathOram {
     /// re-encrypted from the trusted logical tree; exhausted transient
     /// reads are counted and skipped. Without it, faults propagate.
     ///
+    /// Crosses the `PathFetch`, `DecryptVerify` and `StashUpdate` kill
+    /// points on the way, whatever kind of path this is.
+    ///
     /// # Errors
     ///
-    /// Returns the detected [`OramError`] when recovery is disabled.
+    /// Returns the detected [`OramError`] when recovery is disabled, or
+    /// [`OramError::Crashed`] when an armed crossing is reached.
     pub fn try_read_path_into_stash(
         &mut self,
         leaf: Leaf,
         kind: PathKind,
     ) -> Result<(), OramError> {
-        self.verify_gate(leaf)?;
-        self.fill_path_into_stash(leaf, kind);
-        Ok(())
-    }
-
-    /// The decrypt/verify stage gate: authenticates the path when image
-    /// verification is configured (explicitly or via fault injection),
-    /// repairing in place when recovery is on.
-    pub(crate) fn verify_gate(&mut self, leaf: Leaf) -> Result<(), OramError> {
+        self.crash_gate(KillPoint::PathFetch)?;
+        self.crash_gate(KillPoint::DecryptVerify)?;
         if self.config.verify_image || self.recovery_enabled() {
             self.verify_path(leaf)?;
         }
+        self.crash_gate(KillPoint::StashUpdate)?;
+        self.fill_path_into_stash(leaf, kind);
         Ok(())
     }
 
     /// The stash-update half of a path fetch: moves the (verified) path's
     /// blocks into the stash and records stats, trace and occupancy.
-    pub(crate) fn fill_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) {
+    fn fill_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) {
         if self.txn_open {
             // A fetched path's buckets lose blocks to the stash; recovery
             // must re-verify them even if the crash lands before the
@@ -119,8 +119,8 @@ impl PathOram {
 
     /// Renders the path to `leaf` as an explicit bucket-read batch for the
     /// bank-aware scheduler: one [`BucketRead`] per off-chip bucket,
-    /// addressed by its *physical* store index under the configured
-    /// [`crate::TreeLayout`], each
+    /// addressed by its *physical* store index
+    /// ([`crate::StoreLayout::phys_of`]), each
     /// moving the derate-adjusted wire bytes of one bucket
     /// ([`crate::OramTiming::bucket_wire_bytes`]). Treetop-cached levels
     /// are on-chip and never appear in the batch. A super-block merged

@@ -1,23 +1,26 @@
-//! The Path ORAM controller, split into pipeline stage modules.
+//! The Path ORAM controller, one module per step of an access.
 //!
 //! Implements the five-step access of paper Section 2.2 on top of the
 //! unified recursive position map of Section 2.3 and background eviction
-//! of Section 2.4. Each stage of an access lives in its own child module
-//! and the stages communicate through the typed
-//! [`crate::pipeline::AccessMachine`] state machine instead of one deep
-//! call chain:
+//! of Section 2.4. Each step of an access is a primitive in its own child
+//! module:
 //!
 //! * `posmap` — position-map resolve and remap (PLB, top table),
 //! * `fetch` — path fetch: bucket-read batches, stash fill, block claim,
 //! * `verify` — decrypt/authenticate/repair of the encrypted image,
-//! * `writeback` — path write-back, background and emergency eviction.
+//! * `writeback` — path write-back, background and emergency eviction,
+//!   periodic scrub.
 //!
-//! [`PathOram::try_access_block`] is a thin driver that steps the machine
-//! to completion; the super-block schemes in `proram-core` compose the
-//! same stage primitives ([`PathOram::try_resolve_posmap`],
+//! [`PathOram::try_access_block`] calls them in order; the super-block
+//! schemes in `proram-core` compose the same primitives
+//! ([`PathOram::try_resolve_posmap`],
 //! [`PathOram::try_read_path_into_stash`],
-//! [`PathOram::write_path_from_stash`], entry accessors) into grouped
-//! accesses.
+//! [`PathOram::write_path_from_stash`],
+//! [`PathOram::try_drain_background`], entry accessors) into grouped
+//! accesses. Everything an access does besides moving blocks — crossing
+//! the crash kill points, ticking the scrub interval — lives inside the
+//! primitives, and both callers retire through
+//! [`AccessReport::retire`], so the two are the same access.
 //!
 //! # Fault handling
 //!
@@ -46,17 +49,14 @@ use crate::error::OramError;
 use crate::eviction::PathScratch;
 use crate::journal::Checkpoint;
 use crate::layout::StoreLayout;
-use crate::pipeline::{AccessMachine, AccessRequest, StageCycles};
+use crate::pipeline::AccessReport;
 use crate::plb::Plb;
 use crate::posmap::PosEntry;
 use crate::stash::Stash;
 use crate::storage::EncryptedStore;
 use crate::trace::TraceRecorder;
 use crate::tree::OramTree;
-use proram_mem::{
-    AccessKind, AccessOutcome, BackendStats, BankScheduler, BlockAddr, CacheProbe, Cycle,
-    FaultStats, Fill, MemRequest, MemoryBackend,
-};
+use proram_mem::{AccessKind, BankScheduler, BlockAddr, FaultStats};
 use proram_obs::Obs;
 use proram_stats::{Rng64, Xoshiro256};
 
@@ -136,22 +136,6 @@ pub enum PathKind {
     Dummy,
 }
 
-/// Result of one logical access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessReport {
-    /// Cycles the access occupied the ORAM (path transfers + overheads).
-    /// Always equals [`StageCycles::total`] of `stages`.
-    pub latency: u64,
-    /// Total tree path accesses performed (data + posmap + background).
-    pub tree_accesses: u64,
-    /// Position-map path accesses among them.
-    pub posmap_accesses: u64,
-    /// Background evictions among them.
-    pub background_evictions: u64,
-    /// Per-stage cycle attribution summing to `latency`.
-    pub stages: StageCycles,
-}
-
 /// The Path ORAM controller plus its in-DRAM tree.
 ///
 /// # Examples
@@ -194,8 +178,6 @@ pub struct PathOram {
     /// [`StoreLayout::treetop_buckets`] heap buckets live on chip and
     /// have no store image.
     pub(crate) layout: StoreLayout,
-    pub(crate) busy_until: Cycle,
-    pub(crate) label: String,
     /// Reusable write-back scratch (see [`PathScratch`]).
     pub(crate) scratch: PathScratch,
     /// Reusable buffers for image verification (`verify_image` mode):
@@ -211,12 +193,12 @@ pub struct PathOram {
     /// evictions, scrub passes); the injector's own counters live in the
     /// store and the two are summed by [`PathOram::fault_stats`].
     pub(crate) ctrl_faults: FaultStats,
-    /// Data-path reads since the last scrub pass.
+    /// Accesses drained since the last scrub pass.
     pub(crate) reads_since_scrub: u64,
     /// Observability handle (events + per-stage profile); disabled by
     /// default so the hot path stays allocation- and branch-free.
     pub(crate) obs: Obs,
-    /// Countdown arm for the six pipeline-stage kill points; the two
+    /// Countdown arm for the six stage kill points; the two
     /// store-level points are armed on the store instead
     /// ([`KillPoint::is_store_point`]).
     pub(crate) crash: Option<CrashArm>,
@@ -283,10 +265,10 @@ impl PathOram {
         let mut stash = Stash::new(resting_limit);
         // The store only holds the off-chip buckets: the treetop lives in
         // trusted on-chip memory and never gets a ciphertext image. With
-        // `treetop_levels == 0` and the flat layout the map is the
-        // identity, so the image (and its nonce sequence) is byte-
-        // identical to the pre-layout goldens.
-        let layout = StoreLayout::new(levels, config.treetop_levels, config.layout);
+        // `treetop_levels == 0` the map is the identity, so the image
+        // (and its nonce sequence) is byte-identical to the pre-treetop
+        // goldens.
+        let layout = StoreLayout::new(levels, config.treetop_levels);
         let mut store = if config.store_payloads {
             let mut store = EncryptedStore::new(
                 layout.num_off_chip(),
@@ -387,8 +369,6 @@ impl PathOram {
             path_bytes,
             treetop_saved_bytes,
             layout,
-            busy_until: 0,
-            label: "oram".to_owned(),
             scratch: PathScratch::new(),
             verify_indices: Vec::new(),
             verify_store_addrs: Vec::new(),
@@ -548,12 +528,11 @@ impl PathOram {
     /// five steps of paper Section 2.2, plus recursion and background
     /// eviction.
     ///
-    /// This is a thin driver: it builds an
-    /// [`AccessMachine`] for the request and steps it through the pipeline
-    /// stages (posmap resolve → path fetch → decrypt/verify → stash
-    /// update → write-back → evict) until it yields a completion. The
-    /// reported latency charges every tree access at the fetch cost plus
-    /// any transient-retry backoff the injected faults incurred.
+    /// Straight-line calls into the stage primitives, inside one commit
+    /// transaction: posmap resolve → remap → path read → claim →
+    /// write-back → background drain → retire. The reported latency
+    /// charges every tree access at the fetch cost plus any
+    /// transient-retry backoff the injected faults incurred.
     ///
     /// # Errors
     ///
@@ -575,25 +554,25 @@ impl PathOram {
             "access_block takes data blocks"
         );
         self.txn_begin();
-        let mut machine = AccessMachine::new(AccessRequest { addr, kind });
-        loop {
-            if let Some(completion) = machine.step(self)? {
-                self.txn_commit()?;
-                return Ok(completion.report);
-            }
-        }
-    }
-
-    /// Records the start of one logical access (pipeline stage hook).
-    pub(crate) fn note_logical_access(&mut self) {
         self.stats.logical_accesses += 1;
-    }
-
-    /// Cumulative transient-retry backoff cycles charged by the injector.
-    pub(crate) fn backoff_cycles(&self) -> u64 {
-        self.store
-            .as_ref()
-            .map_or(0, |s| s.fault_stats().backoff_cycles)
+        let backoff_before = self.fault_stats().backoff_cycles;
+        let posmap_accesses = self.try_resolve_posmap(addr)?;
+        let (old_leaf, new_leaf) = self.remap_block(addr);
+        self.try_read_path_into_stash(old_leaf, PathKind::Data)?;
+        self.claim_block(addr, old_leaf, new_leaf)?;
+        self.write_path_from_stash(old_leaf)?;
+        let background_evictions = self.try_drain_background()?;
+        let report = AccessReport::retire(
+            &self.obs,
+            addr,
+            kind,
+            posmap_accesses,
+            background_evictions,
+            self.fetch_cycles,
+            self.fault_stats().backoff_cycles - backoff_before,
+        );
+        self.txn_commit()?;
+        Ok(report)
     }
 
     /// Reads the data payload of `addr` (a full ORAM access).
@@ -640,7 +619,7 @@ impl PathOram {
     }
 
     /// Attaches an observability handle: subsequent accesses emit typed
-    /// [`proram_obs::ObsEvent`]s and per-stage cycle profiles into it.
+    /// [`proram_obs::ObsEvent`]s and their per-lane cycle split into it.
     pub fn attach_obs_handle(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -798,9 +777,10 @@ impl PathOram {
         .seal(store.mac())
     }
 
-    /// Crosses a pipeline-stage kill point. Fires only inside an open
-    /// transaction — steppers driving the [`AccessMachine`] without the
-    /// commit protocol (no [`OramConfig::crash`]) never unwind here.
+    /// Crosses a stage kill point; the path primitives call this at
+    /// their entry. Fires only inside an open transaction, so primitives
+    /// driven without the commit protocol (no [`OramConfig::crash`], or
+    /// outside an access) never unwind here.
     ///
     /// # Errors
     ///
@@ -1153,15 +1133,6 @@ impl PathOram {
     fn block_is_findable(&self, addr: BlockAddr, leaf: Leaf) -> bool {
         self.locate(addr, leaf).is_some()
     }
-
-    /// Schedules `cycles` of work on the serialized ORAM resource starting
-    /// no earlier than `now`; returns the completion cycle.
-    fn schedule_cycles(&mut self, now: Cycle, cycles: u64) -> Cycle {
-        let start = now.max(self.busy_until);
-        let complete = start + cycles;
-        self.busy_until = complete;
-        complete
-    }
 }
 
 impl crate::backend_trait::OramBackend for PathOram {
@@ -1239,90 +1210,6 @@ impl crate::backend_trait::OramBackend for PathOram {
 
     fn backend_name(&self) -> &'static str {
         "path"
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.attach_obs_handle(obs);
-    }
-}
-
-impl MemoryBackend for PathOram {
-    fn access(&mut self, now: Cycle, req: MemRequest, _llc: &dyn CacheProbe) -> AccessOutcome {
-        let latency = match self.try_access_block(req.block, req.kind) {
-            Ok(report) => report.latency,
-            Err(OramError::Crashed { .. }) => {
-                // Simulated process death: run crash recovery, then retry
-                // the access once. A rolled-back transaction re-executes
-                // (the checkpointed RNG replays identical randomness); a
-                // replayed one already committed, so retrying would
-                // double-apply the remap.
-                let rec = self.recover();
-                let retry = if rec.mode == RecoveryMode::Replayed {
-                    0
-                } else {
-                    match self.try_access_block(req.block, req.kind) {
-                        Ok(report) => report.latency,
-                        Err(_) => {
-                            self.ctrl_faults.unrecovered += 1;
-                            self.fetch_cycles
-                        }
-                    }
-                };
-                rec.cycles + retry
-            }
-            Err(_) => {
-                // Unrecoverable fault: count it and serve the request
-                // degraded (one path's worth of latency, data from the
-                // trusted logical tree) instead of aborting the run.
-                self.ctrl_faults.unrecovered += 1;
-                self.fetch_cycles
-            }
-        };
-        let complete_at = self.schedule_cycles(now, latency);
-        let fills = match req.kind {
-            AccessKind::Read => vec![Fill {
-                block: req.block,
-                prefetched: req.prefetch,
-            }],
-            AccessKind::Write => Vec::new(),
-        };
-        AccessOutcome { complete_at, fills }
-    }
-
-    fn dummy_access(&mut self, now: Cycle) -> Cycle {
-        if self.try_background_evict().is_err() {
-            self.ctrl_faults.unrecovered += 1;
-        }
-        self.schedule_cycles(now, self.fetch_cycles)
-    }
-
-    fn free_at(&self) -> Cycle {
-        self.busy_until
-    }
-
-    fn stats(&self) -> BackendStats {
-        let s = self.stats;
-        BackendStats {
-            demand_accesses: s.logical_accesses,
-            prefetch_requests: 0,
-            physical_accesses: s.total_path_accesses(),
-            dummy_accesses: s.background_evictions,
-            posmap_accesses: s.posmap_path_accesses,
-            bytes_moved: s.bytes_moved,
-            prefetch_hits: 0,
-            prefetch_misses: 0,
-            busy_cycles: s.total_path_accesses() * self.fetch_cycles,
-            data_path_cycles: s.data_path_accesses * self.fetch_cycles,
-            posmap_path_cycles: s.posmap_path_accesses * self.fetch_cycles,
-            dummy_path_cycles: s.background_evictions * self.fetch_cycles,
-            treetop_hits: s.treetop_hits,
-            treetop_bytes_saved: s.treetop_bytes_saved,
-            faults: self.fault_stats(),
-        }
-    }
-
-    fn label(&self) -> &str {
-        &self.label
     }
 
     fn attach_obs(&mut self, obs: Obs) {
@@ -1499,48 +1386,6 @@ mod tests {
             "stash drained to the resting limit after access"
         );
         oram.check_invariants();
-    }
-
-    #[test]
-    fn memory_backend_serializes_accesses() {
-        use proram_mem::NoProbe;
-        let mut oram = small();
-        let a = oram.access(0, MemRequest::read(BlockAddr(1)), &NoProbe);
-        let b = oram.access(0, MemRequest::read(BlockAddr(2)), &NoProbe);
-        assert!(b.complete_at >= a.complete_at + oram.path_cycles());
-    }
-
-    #[test]
-    fn memory_backend_write_returns_no_fills() {
-        use proram_mem::NoProbe;
-        let mut oram = small();
-        let o = oram.access(0, MemRequest::write(BlockAddr(1)), &NoProbe);
-        assert!(o.fills.is_empty());
-        let o2 = oram.access(0, MemRequest::read(BlockAddr(1)), &NoProbe);
-        assert_eq!(o2.fills, vec![Fill::demand(BlockAddr(1))]);
-    }
-
-    #[test]
-    fn backend_stats_are_consistent() {
-        use proram_mem::NoProbe;
-        let mut oram = small();
-        for i in 0..20 {
-            oram.access(0, MemRequest::read(BlockAddr(i)), &NoProbe);
-        }
-        let s = MemoryBackend::stats(&oram);
-        assert_eq!(s.demand_accesses, 20);
-        assert!(s.physical_accesses >= 20);
-        assert!(s.bytes_moved > 0);
-        assert!(s.stage_cycles_consistent(), "stage attribution incomplete");
-    }
-
-    #[test]
-    fn dummy_access_is_background_eviction() {
-        let mut oram = small();
-        let before = oram.oram_stats().background_evictions;
-        let done = oram.dummy_access(100);
-        assert!(done >= 100 + oram.path_cycles());
-        assert_eq!(oram.oram_stats().background_evictions, before + 1);
     }
 
     #[test]
@@ -1960,21 +1805,6 @@ mod fault_tests {
             other => panic!("expected StashOverflow, got {other:?}"),
         }
         assert!(oram.fault_stats().emergency_evictions > 0);
-    }
-
-    #[test]
-    fn unrecovered_faults_degrade_instead_of_panicking() {
-        use proram_mem::NoProbe;
-        // Without recovery (no injector), MemoryBackend::access absorbs a
-        // detected corruption into the unrecovered counter and still
-        // serves the fill.
-        let mut oram = PathOram::new(OramConfig::small_for_tests(256), 2);
-        oram.storage_mut()
-            .expect("payloads on")
-            .corrupt_byte(0, 30, 0x01);
-        let o = oram.access(0, MemRequest::read(BlockAddr(1)), &NoProbe);
-        assert_eq!(o.fills.len(), 1);
-        assert_eq!(MemoryBackend::stats(&oram).faults.unrecovered, 1);
     }
 }
 

@@ -3,12 +3,12 @@
 //! Walks the unified recursive position map (paper Section 2.3) through
 //! the PLB and the on-chip top table, fetching missing posmap blocks with
 //! real path accesses, and remaps blocks to fresh random leaves. These
-//! are the primitives behind the `ResolvePosmap` stage of
-//! [`crate::pipeline::AccessMachine`] and the grouped accesses in
-//! `proram-core`.
+//! are the primitives behind step 1 of [`PathOram::try_access_block`]
+//! and of the grouped accesses in `proram-core`.
 
 use super::{PathKind, PathOram};
 use crate::addr::{Hierarchy, Leaf};
+use crate::crash::KillPoint;
 use crate::error::OramError;
 use crate::posmap::PosEntry;
 use proram_mem::BlockAddr;
@@ -30,10 +30,13 @@ impl PathOram {
     /// # Errors
     ///
     /// Propagates unrecovered faults from the path reads (see
-    /// [`PathOram::try_read_path_into_stash`]), or
+    /// [`PathOram::try_read_path_into_stash`]),
     /// [`OramError::BlockMissing`] if a fetched posmap block is on neither
-    /// its mapped path nor in the stash.
+    /// its mapped path nor in the stash, or [`OramError::Crashed`] when
+    /// the armed `ResolvePosmap` crossing is reached (one crossing per
+    /// level of the walk).
     pub fn try_resolve_posmap(&mut self, child: BlockAddr) -> Result<u64, OramError> {
+        self.crash_gate(KillPoint::ResolvePosmap)?;
         let h = self.parent_hierarchy(child);
         if h == self.space.top_hierarchy() {
             return Ok(0); // entry lives in the on-chip table

@@ -1,8 +1,8 @@
 //! Stage 3: decrypt, authenticate, repair.
 //!
 //! Cross-checks the encrypted DRAM image against the trusted logical tree
-//! — per-path during an access (the `DecryptVerify` stage) and image-wide
-//! in the periodic scrub. With fault injection configured the stage
+//! — per-path inside every path read and image-wide in the periodic
+//! scrub. With fault injection configured the stage
 //! *recovers*: flagged buckets are re-encrypted from the logical tree;
 //! without it, detected faults propagate as typed [`OramError`]s.
 

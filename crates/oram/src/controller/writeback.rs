@@ -3,10 +3,12 @@
 //! Greedily writes stash blocks back onto the just-read path, keeps the
 //! encrypted image coherent, and drains the stash with background
 //! (dummy) evictions — paper Section 2.4 — bounded per access so an
-//! eviction storm degrades throughput instead of livelocking.
+//! eviction storm degrades throughput instead of livelocking. The drain
+//! closes every access, so it also carries the periodic image scrub.
 
 use super::{PathOram, MAX_BACKGROUND_EVICTIONS_PER_ACCESS, MAX_EMERGENCY_EVICTIONS};
 use crate::addr::Leaf;
+use crate::crash::KillPoint;
 use crate::error::OramError;
 use crate::eviction::write_path_with;
 use proram_obs::{FaultKind, ObsEvent};
@@ -17,11 +19,12 @@ impl PathOram {
     ///
     /// # Errors
     ///
-    /// Returns [`OramError::Crashed`] when a store-level crash kill point
-    /// fired during the write-back; the encrypted image keeps its
-    /// pre-crash bytes and [`PathOram::recover`] must run before the next
-    /// access.
+    /// Returns [`OramError::Crashed`] when the armed `WriteBack` crossing
+    /// is reached on entry, or a store-level crash kill point fired during
+    /// the write-back; the encrypted image keeps its pre-crash bytes and
+    /// [`PathOram::recover`] must run before the next access.
     pub fn write_path_from_stash(&mut self, leaf: Leaf) -> Result<(), OramError> {
+        self.crash_gate(KillPoint::WriteBack)?;
         if self.txn_open {
             self.txn_touched.extend(self.tree.path_indices(leaf));
         }
@@ -51,10 +54,12 @@ impl PathOram {
         self.write_path_from_stash(leaf)
     }
 
-    /// Issues background evictions until the stash is under its limit,
-    /// bounded per call so a persistent eviction storm degrades
-    /// throughput instead of livelocking the simulator; returns how many
-    /// evictions ran.
+    /// The closing step of one access: issues background evictions until
+    /// the stash is under its limit, bounded per call so a persistent
+    /// eviction storm degrades throughput instead of livelocking the
+    /// simulator, then ticks the periodic image scrub
+    /// ([`crate::OramConfig::scrub_interval`], counted in calls — one per
+    /// access). Returns how many evictions ran.
     ///
     /// With [`crate::OramConfig::stash_hard_capacity`] set, a stash still
     /// above the hard capacity after the bounded drain enters **emergency
@@ -66,9 +71,11 @@ impl PathOram {
     /// # Errors
     ///
     /// Returns [`OramError::StashOverflow`] when emergency eviction cannot
-    /// bring occupancy under the hard capacity, or propagates unrecovered
-    /// path-read faults.
+    /// bring occupancy under the hard capacity, [`OramError::Crashed`]
+    /// when the armed `Evict` crossing is reached on entry, or propagates
+    /// unrecovered path-read and scrub faults.
     pub fn try_drain_background(&mut self) -> Result<u64, OramError> {
+        self.crash_gate(KillPoint::Evict)?;
         let mut n = 0;
         while self.stash.over_limit() && n < MAX_BACKGROUND_EVICTIONS_PER_ACCESS {
             self.try_background_evict()?;
@@ -103,19 +110,6 @@ impl PathOram {
                 });
             }
         }
-        Ok(n)
-    }
-
-    /// The eviction stage of one access: bounded background drain plus
-    /// the periodic image scrub driven by
-    /// [`crate::OramConfig::scrub_interval`]. Returns the background
-    /// evictions run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates drain and scrub failures.
-    pub(crate) fn drain_and_periodic_scrub(&mut self) -> Result<u64, OramError> {
-        let background_evictions = self.try_drain_background()?;
         if self.config.scrub_interval > 0 {
             self.reads_since_scrub += 1;
             if self.reads_since_scrub >= self.config.scrub_interval {
@@ -123,6 +117,6 @@ impl PathOram {
                 self.scrub()?;
             }
         }
-        Ok(background_evictions)
+        Ok(n)
     }
 }

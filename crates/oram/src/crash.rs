@@ -19,15 +19,20 @@ use std::fmt;
 
 /// One enumerable point where a simulated process death can strike.
 ///
-/// The first six variants are the entries of the staged access pipeline
-/// ([`crate::pipeline::AccessStage`]); the last two live inside the
+/// The first six variants are crossed at the entry of the controller's
+/// path primitives ([`crate::PathOram::try_resolve_posmap`],
+/// [`crate::PathOram::try_read_path_into_stash`],
+/// [`crate::PathOram::write_path_from_stash`],
+/// [`crate::PathOram::try_drain_background`]), so every path an access
+/// performs — data, position-map or eviction — crosses them, under any
+/// driver of those primitives; the last two live inside the
 /// storage commit protocol, where a real crash is most damaging: while
 /// undo entries are being journaled and during the MAC-bound epoch flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KillPoint {
     /// Entering the position-map walk.
     ResolvePosmap,
-    /// Entering the data-path fetch.
+    /// Entering a path fetch.
     PathFetch,
     /// Entering decrypt/authenticate.
     DecryptVerify,
@@ -35,7 +40,7 @@ pub enum KillPoint {
     StashUpdate,
     /// Entering the path write-back.
     WriteBack,
-    /// Entering background eviction.
+    /// Entering the post-access background drain.
     Evict,
     /// While appending an undo entry to the commit journal: the entry is
     /// durable, the home bucket write it guards never happens.

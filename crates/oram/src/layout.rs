@@ -5,48 +5,9 @@
 //! encrypted store, so the store only holds the `2^levels - 2^t`
 //! off-chip buckets. [`StoreLayout`] is the bijection between the
 //! tree's heap indices (root = 0, breadth-first) and the store's
-//! physical bucket indices; [`TreeLayout`] selects how the off-chip
-//! buckets are arranged:
-//!
-//! * [`TreeLayout::Flat`] keeps heap (breadth-first) order, shifted
-//!   down past the treetop. With `treetop_levels = 0` this is the
-//!   identity map, which is what keeps the flat default byte-identical
-//!   to the pre-layout goldens.
-//! * [`TreeLayout::SubtreePacked`] packs each subtree of `height`
-//!   levels contiguously ("Optimizing Path ORAM for Cloud Storage
-//!   Applications", Wolfe et al.), so the buckets a path touches within
-//!   one packed subtree are adjacent in the backing store — fewer
-//!   simulated DRAM rows (and fewer host cache lines) per path.
-//!
-//! The map is pure address arithmetic: both layouts store the same
-//! bucket images and the controller always addresses the store through
-//! [`StoreLayout::phys_of`], so the choice is invisible to every
-//! logical observable.
-
-/// How the off-chip buckets are arranged in the encrypted store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TreeLayout {
-    /// Heap (breadth-first) order, shifted past the treetop. The
-    /// golden-identical default.
-    #[default]
-    Flat,
-    /// Subtrees of `height` levels are packed contiguously; `height`
-    /// must divide the off-chip depth
-    /// ([`OramConfig::off_chip_levels`](crate::OramConfig::off_chip_levels)).
-    SubtreePacked {
-        /// Levels per packed subtree (>= 1).
-        height: u32,
-    },
-}
-
-impl std::fmt::Display for TreeLayout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TreeLayout::Flat => write!(f, "flat"),
-            TreeLayout::SubtreePacked { height } => write!(f, "subtree_packed({height})"),
-        }
-    }
-}
+//! physical bucket indices: heap order, shifted down past the treetop.
+//! With `treetop_levels = 0` this is the identity map, which is what
+//! keeps the image byte-identical to the pre-treetop goldens.
 
 /// The heap-index ↔ physical-index bijection for one tree geometry.
 ///
@@ -57,10 +18,6 @@ impl std::fmt::Display for TreeLayout {
 pub struct StoreLayout {
     levels: u32,
     treetop_levels: u32,
-    kind: TreeLayout,
-    /// Physical offset of each packed band (levels `t .. t+h`,
-    /// `t+h .. t+2h`, ...); empty for the flat layout.
-    band_starts: Vec<usize>,
 }
 
 impl StoreLayout {
@@ -69,54 +26,24 @@ impl StoreLayout {
     ///
     /// # Panics
     ///
-    /// Panics if `treetop_levels >= levels`, or (for
-    /// [`TreeLayout::SubtreePacked`]) if `height` is zero or does not
-    /// divide the off-chip depth. [`OramConfig::check`] rejects these
-    /// geometries first with a proper error.
+    /// Panics if `treetop_levels >= levels`. [`OramConfig::check`]
+    /// rejects that geometry first with a proper error.
     ///
     /// [`OramConfig::check`]: crate::OramConfig::check
-    pub fn new(levels: u32, treetop_levels: u32, kind: TreeLayout) -> StoreLayout {
+    pub fn new(levels: u32, treetop_levels: u32) -> StoreLayout {
         assert!(
             treetop_levels < levels,
             "treetop ({treetop_levels}) must leave at least one off-chip level of {levels}"
         );
-        let band_starts = match kind {
-            TreeLayout::Flat => Vec::new(),
-            TreeLayout::SubtreePacked { height } => {
-                let depth = levels - treetop_levels;
-                assert!(height >= 1, "subtree height must be at least 1");
-                assert!(
-                    depth.is_multiple_of(height),
-                    "subtree height ({height}) must divide the off-chip depth ({depth})"
-                );
-                // Band b starts where the previous bands end: all
-                // off-chip buckets above level t + b*h.
-                (0..depth / height)
-                    .map(|b| (1usize << (treetop_levels + b * height)) - (1usize << treetop_levels))
-                    .collect()
-            }
-        };
         StoreLayout {
             levels,
             treetop_levels,
-            kind,
-            band_starts,
         }
-    }
-
-    /// Tree levels of the geometry this layout maps.
-    pub fn levels(&self) -> u32 {
-        self.levels
     }
 
     /// On-chip (treetop) levels.
     pub fn treetop_levels(&self) -> u32 {
         self.treetop_levels
-    }
-
-    /// The layout variant in effect.
-    pub fn kind(&self) -> TreeLayout {
-        self.kind
     }
 
     /// Buckets held on chip: `2^treetop_levels - 1`.
@@ -141,41 +68,14 @@ impl StoreLayout {
             "heap index {heap} is on chip (treetop holds {})",
             self.treetop_buckets()
         );
-        match self.kind {
-            TreeLayout::Flat => heap - self.treetop_buckets(),
-            TreeLayout::SubtreePacked { height } => {
-                let level = (heap + 1).ilog2();
-                // Position of the node within its level.
-                let pos = heap + 1 - (1usize << level);
-                let rel = level - self.treetop_levels;
-                let band = (rel / height) as usize;
-                // Depth of the node inside its packed subtree.
-                let depth = rel % height;
-                let subtree = pos >> depth;
-                let local = ((1usize << depth) - 1) + (pos & ((1usize << depth) - 1));
-                self.band_starts[band] + subtree * ((1usize << height) - 1) + local
-            }
-        }
+        heap - self.treetop_buckets()
     }
 
     /// Heap index of physical store index `phys` (inverse of
     /// [`StoreLayout::phys_of`]).
     pub fn heap_of(&self, phys: usize) -> usize {
         debug_assert!(phys < self.num_off_chip(), "physical index out of range");
-        match self.kind {
-            TreeLayout::Flat => phys + self.treetop_buckets(),
-            TreeLayout::SubtreePacked { height } => {
-                let band = self.band_starts.partition_point(|&s| s <= phys) - 1;
-                let rel = phys - self.band_starts[band];
-                let subtree_size = (1usize << height) - 1;
-                let subtree = rel / subtree_size;
-                let local = rel % subtree_size;
-                let depth = (local + 1).ilog2();
-                let pos = (subtree << depth) + (local + 1 - (1usize << depth));
-                let level = self.treetop_levels + band as u32 * height + depth;
-                (1usize << level) - 1 + pos
-            }
-        }
+        phys + self.treetop_buckets()
     }
 }
 
@@ -183,24 +83,9 @@ impl StoreLayout {
 mod tests {
     use super::*;
 
-    fn geometries() -> Vec<(u32, u32, TreeLayout)> {
-        vec![
-            (8, 0, TreeLayout::Flat),
-            (8, 2, TreeLayout::Flat),
-            (8, 7, TreeLayout::Flat),
-            (8, 0, TreeLayout::SubtreePacked { height: 4 }),
-            (8, 0, TreeLayout::SubtreePacked { height: 2 }),
-            (8, 2, TreeLayout::SubtreePacked { height: 3 }),
-            (8, 2, TreeLayout::SubtreePacked { height: 6 }),
-            (12, 4, TreeLayout::SubtreePacked { height: 2 }),
-            (12, 0, TreeLayout::SubtreePacked { height: 1 }),
-            (5, 1, TreeLayout::SubtreePacked { height: 4 }),
-        ]
-    }
-
     #[test]
-    fn flat_with_no_treetop_is_the_identity() {
-        let l = StoreLayout::new(8, 0, TreeLayout::Flat);
+    fn no_treetop_is_the_identity() {
+        let l = StoreLayout::new(8, 0);
         assert_eq!(l.treetop_buckets(), 0);
         assert_eq!(l.num_off_chip(), 255);
         for heap in 0..255 {
@@ -211,47 +96,21 @@ mod tests {
 
     #[test]
     fn every_geometry_is_a_bijection() {
-        for (levels, treetop, kind) in geometries() {
-            let l = StoreLayout::new(levels, treetop, kind);
+        for (levels, treetop) in [(8, 0), (8, 2), (8, 7), (12, 4), (5, 1)] {
+            let l = StoreLayout::new(levels, treetop);
             let num_buckets = (1usize << levels) - 1;
             assert_eq!(l.num_off_chip() + l.treetop_buckets(), num_buckets);
-            let mut seen = vec![false; l.num_off_chip()];
             for heap in l.treetop_buckets()..num_buckets {
                 let phys = l.phys_of(heap);
-                assert!(phys < l.num_off_chip(), "{kind} t={treetop}: phys {phys}");
-                assert!(!seen[phys], "{kind} t={treetop}: phys {phys} hit twice");
-                seen[phys] = true;
-                assert_eq!(
-                    l.heap_of(phys),
-                    heap,
-                    "{kind} t={treetop}: heap {heap} does not round-trip"
-                );
+                assert!(phys < l.num_off_chip(), "t={treetop}: phys {phys}");
+                assert_eq!(l.heap_of(phys), heap, "t={treetop}: heap {heap}");
             }
-            assert!(
-                seen.iter().all(|&b| b),
-                "{kind} t={treetop}: store has holes"
-            );
         }
     }
 
     #[test]
-    fn packed_subtrees_are_contiguous() {
-        // One packed subtree: its root and both children are adjacent.
-        let l = StoreLayout::new(4, 0, TreeLayout::SubtreePacked { height: 2 });
-        // Heap 0 (root), 1, 2 form the first packed subtree.
-        assert_eq!(l.phys_of(0), 0);
-        assert_eq!(l.phys_of(1), 1);
-        assert_eq!(l.phys_of(2), 2);
-        // The second band packs each leaf-side subtree of 3 buckets.
-        // Heap 3 roots the subtree holding heaps 7 and 8.
-        assert_eq!(l.phys_of(3), 3);
-        assert_eq!(l.phys_of(7), 4);
-        assert_eq!(l.phys_of(8), 5);
-    }
-
-    #[test]
-    fn treetop_shifts_the_flat_map() {
-        let l = StoreLayout::new(4, 2, TreeLayout::Flat);
+    fn treetop_shifts_the_map() {
+        let l = StoreLayout::new(4, 2);
         assert_eq!(l.treetop_buckets(), 3);
         assert_eq!(l.num_off_chip(), 12);
         assert_eq!(l.phys_of(3), 0);
@@ -262,21 +121,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one off-chip level")]
     fn treetop_covering_the_tree_panics() {
-        StoreLayout::new(4, 4, TreeLayout::Flat);
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide the off-chip depth")]
-    fn indivisible_subtree_height_panics() {
-        StoreLayout::new(8, 1, TreeLayout::SubtreePacked { height: 3 });
-    }
-
-    #[test]
-    fn display_names_are_stable() {
-        assert_eq!(TreeLayout::Flat.to_string(), "flat");
-        assert_eq!(
-            TreeLayout::SubtreePacked { height: 3 }.to_string(),
-            "subtree_packed(3)"
-        );
+        StoreLayout::new(4, 4);
     }
 }

@@ -17,15 +17,14 @@
 //!   obliviousness test-suite,
 //! * a first-principles **timing model** (path bytes / pin bandwidth,
 //!   [`timing`]),
-//! * the **staged access pipeline** ([`pipeline`]): a typed
-//!   request/completion state machine over the five access steps, with
-//!   per-stage cycle attribution and an optional bank-aware fetch cost
-//!   ([`config::OramConfig::pipeline`]).
+//! * the **access report** ([`pipeline`]): the one place an access
+//!   retires, with per-stage cycle attribution and an optional bank-aware
+//!   fetch cost ([`config::OramConfig::pipeline`]).
 //!
-//! The high-level entry point is [`PathOram`]; it also implements
-//! [`proram_mem::MemoryBackend`] so it can serve as the `oram` baseline in
-//! the system simulator. The super-block machinery of the paper itself
-//! lives in the `proram-core` crate, built on the primitives exposed here.
+//! The high-level entry point is [`PathOram`]. The super-block machinery
+//! of the paper itself lives in the `proram-core` crate, built on the
+//! primitives exposed here ([`OramBackend`]); its `SuperBlockOram` at the
+//! baseline scheme is the `oram` memory backend of the system simulator.
 //!
 //! # Examples
 //!
@@ -71,14 +70,14 @@ pub use backend_trait::OramBackend;
 pub use block::{Block, Payload};
 pub use bucket::Bucket;
 pub use config::{ConfigError, OramConfig, OramConfigBuilder};
-pub use controller::{AccessReport, OramStats, PathKind, PathOram};
+pub use controller::{OramStats, PathKind, PathOram};
 pub use crash::{CrashConfig, CrashStats, KillPoint, RecoveryMode, RecoveryReport};
 pub use crypto::{Mac, StreamCipher};
 pub use error::OramError;
 pub use eviction::PathScratch;
 pub use fault::{FaultClass, FaultConfig, FaultyStore};
-pub use layout::{StoreLayout, TreeLayout};
-pub use pipeline::{AccessCompletion, AccessMachine, AccessRequest, AccessStage, StageCycles};
+pub use layout::StoreLayout;
+pub use pipeline::{AccessReport, StageCycles};
 pub use plb::Plb;
 pub use posmap::PosEntry;
 pub use shi::{ShiOram, ShiOramConfig};
@@ -97,8 +96,9 @@ pub use tree::OramTree;
 pub mod prelude {
     pub use crate::backend_trait::OramBackend;
     pub use crate::config::{ConfigError, OramConfig, OramConfigBuilder};
-    pub use crate::controller::{AccessReport, PathOram};
+    pub use crate::controller::PathOram;
     pub use crate::crash::{CrashConfig, CrashStats, KillPoint, RecoveryMode, RecoveryReport};
     pub use crate::error::OramError;
+    pub use crate::pipeline::AccessReport;
     pub use proram_obs::{NoopSink, Obs, ObsEvent, ObsSink, RingSink};
 }

@@ -28,12 +28,14 @@ use crate::block::Block;
 use crate::controller::{OramStats, PathKind};
 use crate::error::OramError;
 use crate::eviction::{read_path, write_path};
+use crate::pipeline::AccessReport;
 use crate::posmap::PosEntry;
 use crate::stash::Stash;
 use crate::timing::OramTiming;
 use crate::trace::{PhysEvent, TraceRecorder};
 use crate::tree::OramTree;
 use proram_mem::BlockAddr;
+use proram_obs::Obs;
 use proram_stats::{Rng64, Xoshiro256};
 
 /// Bound on background evictions per request (see `PathOram`).
@@ -266,11 +268,7 @@ impl ShiOram {
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
-    pub fn access_block(
-        &mut self,
-        addr: BlockAddr,
-        _kind: proram_mem::AccessKind,
-    ) -> crate::controller::AccessReport {
+    pub fn access_block(&mut self, addr: BlockAddr, kind: proram_mem::AccessKind) -> AccessReport {
         self.stats.logical_accesses += 1;
         let old_leaf = self.entry(addr).leaf;
         let new_leaf = self.random_leaf();
@@ -287,20 +285,15 @@ impl ShiOram {
         let background_evictions = self
             .drain_background()
             .expect("shi backend has no encrypted image to fault");
-        let tree_accesses = 1 + background_evictions;
-        let stages = crate::pipeline::StageCycles {
-            posmap: 0,
-            fetch: self.path_cycles,
-            evict: background_evictions * self.path_cycles,
-            backoff: 0,
-        };
-        crate::controller::AccessReport {
-            latency: stages.total(),
-            tree_accesses,
-            posmap_accesses: 0,
+        AccessReport::retire(
+            &Obs::disabled(),
+            addr,
+            kind,
+            0,
             background_evictions,
-            stages,
-        }
+            self.path_cycles,
+            0,
+        )
     }
 
     /// Verifies that every block sits on its mapped path or in the stash.

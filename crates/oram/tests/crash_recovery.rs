@@ -1,7 +1,9 @@
 //! Crash-consistency acceptance suite (DESIGN.md section 15).
 //!
-//! Exhaustively sweeps every [`KillPoint`] over several crossing indices,
-//! and after every injected crash requires:
+//! Exhaustively sweeps every [`KillPoint`] over several crossing indices
+//! (a stage point's crossing may land in a position-map or eviction path
+//! as well as the data path — the path primitives cross them, not the
+//! driver), and after every injected crash requires:
 //!
 //! * **auditor-clean recovery** — block conservation (every logical block
 //!   exactly once across stash ∪ PLB ∪ tree) and posmap↔tree agreement
@@ -12,7 +14,7 @@
 //! * **observational silence when disarmed** — an armed-but-never-fired
 //!   injector and no injector at all produce byte-identical images.
 
-use proram_mem::{AccessKind, BlockAddr, Fill, MemRequest, MemoryBackend, NoProbe};
+use proram_mem::{AccessKind, BlockAddr};
 use proram_oram::{
     CrashConfig, CrashStats, KillPoint, OramConfig, OramError, PathOram, RecoveryMode,
 };
@@ -198,28 +200,6 @@ fn armed_but_unfired_injector_is_observationally_silent() {
         armed_image, clean_image,
         "commit protocol changed the image"
     );
-}
-
-#[test]
-fn memory_backend_recovers_and_retries_transparently() {
-    let cfg = OramConfig {
-        crash: Some(CrashConfig::at(KillPoint::WriteBack, 2)),
-        ..base_config()
-    };
-    let mut oram = PathOram::new(cfg, ORAM_SEED);
-    let mut now = 0;
-    for &addr in &addresses() {
-        let out = oram.access(now, MemRequest::read(addr), &NoProbe);
-        assert_eq!(out.fills, vec![Fill::demand(addr)], "fill must be served");
-        now = out.complete_at;
-    }
-    let stats = oram.crash_stats();
-    assert_eq!(stats.crashes_injected, 1, "the armed kill never fired");
-    assert_eq!(stats.rollbacks, 1);
-    // The degraded-fault counter must stay clean: the crash was recovered,
-    // not absorbed.
-    assert_eq!(MemoryBackend::stats(&oram).faults.unrecovered, 0);
-    oram.audit_full();
 }
 
 #[test]

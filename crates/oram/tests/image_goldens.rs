@@ -5,8 +5,8 @@
 //! nonce per write in path order, same tags, same keystream. These tests
 //! replay the shared `common` golden workload and compare an FNV fold of
 //! every image byte against constants captured on the per-bucket
-//! implementation the kernels replaced — for the flat and subtree-packed
-//! layouts, treetop 0-2, and with the undo journal, the zero-rate fault
+//! implementation the kernels replaced — for treetop 0-2, and with the
+//! undo journal, the zero-rate fault
 //! injector and per-read verification on or off, none of which may move
 //! a byte.
 
@@ -14,18 +14,12 @@ mod common;
 
 use common::{assert_golden, golden_config, image_hash, run_golden, GOLDEN_IMAGE, GOLDEN_PAYLOADS};
 use proram_obs::Obs;
-use proram_oram::{CrashConfig, FaultConfig, KillPoint, OramConfigBuilder, TreeLayout};
+use proram_oram::{CrashConfig, FaultConfig, KillPoint, OramConfigBuilder};
 
 /// Image hash after the golden replay with `treetop_levels` 1 and 2
-/// (the store holds the off-chip suffix only; flat and no treetop is
+/// (the store holds the off-chip suffix only; no treetop is
 /// [`GOLDEN_IMAGE`]).
 const IMAGE_TREETOP: [u64; 2] = [0x2429_1ebc_2061_9eb0, 0x2078_2c83_262f_5a80];
-/// ... subtree-packed: `(height, treetop_levels, hash)`.
-const IMAGE_PACKED: [(u32, u32, u64); 3] = [
-    (2, 0, 0x15a3_adf2_120a_ceb0),
-    (4, 0, 0x51d4_1aba_a7ce_4a1a),
-    (3, 2, 0x48bd_c12c_8cd7_ab10),
-];
 
 /// Replays the golden workload under the golden configuration as
 /// modified by `edit`; returns the run digest and the image hash.
@@ -49,20 +43,6 @@ fn treetop_images_match_the_pinned_bytes() {
     for (treetop, want) in (1u32..).zip(IMAGE_TREETOP) {
         let (_, image) = replay(|b| b.treetop_levels(treetop));
         assert_eq!(image, want, "treetop {treetop}: got {image:#018x}");
-    }
-}
-
-#[test]
-fn subtree_packed_images_match_the_pinned_bytes() {
-    for (height, treetop, want) in IMAGE_PACKED {
-        let (_, image) = replay(|b| {
-            b.treetop_levels(treetop)
-                .tree_layout(TreeLayout::SubtreePacked { height })
-        });
-        assert_eq!(
-            image, want,
-            "height {height} treetop {treetop}: got {image:#018x}"
-        );
     }
 }
 

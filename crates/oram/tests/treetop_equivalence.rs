@@ -1,5 +1,4 @@
-//! Behavior-identity goldens for the functional treetop cache and the
-//! subtree-packed store layout.
+//! Behavior-identity goldens for the functional treetop cache.
 //!
 //! Treetop caching keeps the top `treetop_levels` buckets in trusted
 //! on-chip memory, so a path access only serializes/encrypts/verifies
@@ -7,8 +6,6 @@
 //! selection, eviction order, stash behavior and the adversary-visible
 //! leaf trace must stay byte-identical to the uncached run — only the
 //! DRAM byte accounting shrinks, by exactly the cached levels' share.
-//! The subtree-packed layout is a pure address permutation of the
-//! off-chip store and must be invisible to *every* observable.
 
 mod common;
 
@@ -17,29 +14,25 @@ use common::{
     TREE_BLOCKS,
 };
 use proram_mem::{AccessKind, BlockAddr};
-use proram_oram::{FaultClass, FaultConfig, OramConfig, PathOram, TreeLayout};
+use proram_oram::{FaultClass, FaultConfig, OramConfig, PathOram};
 use proram_stats::{Rng64, Xoshiro256};
 
 /// Tree levels of the golden 256-block configuration.
 const GOLDEN_LEVELS: u64 = 8;
 
-fn treetop_config(treetop_levels: u32, layout: TreeLayout) -> OramConfig {
+fn treetop_config(treetop_levels: u32) -> OramConfig {
     golden_config(true)
         .to_builder()
         .treetop_levels(treetop_levels)
-        .tree_layout(layout)
         .build()
         .expect("valid treetop configuration")
 }
 
-/// `treetop_levels = 0` with the flat layout is the pre-treetop code
-/// path: it must still reproduce the seed goldens bit for bit.
+/// `treetop_levels = 0` is the pre-treetop code path: it must still
+/// reproduce the seed goldens bit for bit.
 #[test]
 fn treetop_zero_flat_matches_the_goldens() {
-    assert_golden(
-        &replay_cfg(treetop_config(0, TreeLayout::Flat)),
-        &GOLDEN_PAYLOADS,
-    );
+    assert_golden(&replay_cfg(treetop_config(0)), &GOLDEN_PAYLOADS);
 }
 
 /// Treetop caching changes only the DRAM byte accounting: every logical
@@ -48,9 +41,9 @@ fn treetop_zero_flat_matches_the_goldens() {
 /// levels' share of each path.
 #[test]
 fn treetop_levels_change_only_the_byte_accounting() {
-    let base = replay_cfg(treetop_config(0, TreeLayout::Flat));
+    let base = replay_cfg(treetop_config(0));
     for treetop in [1u32, 2] {
-        let d = replay_cfg(treetop_config(treetop, TreeLayout::Flat));
+        let d = replay_cfg(treetop_config(treetop));
         // bytes_moved is linear in the off-chip level count.
         assert_eq!(
             d.bytes_moved * GOLDEN_LEVELS,
@@ -68,33 +61,13 @@ fn treetop_levels_change_only_the_byte_accounting() {
     }
 }
 
-/// The subtree-packed layout is a bijective relabeling of the off-chip
-/// store: at any packing height, every observable — byte accounting
-/// included — matches the flat layout exactly.
-#[test]
-fn subtree_packed_layout_is_invisible_at_every_height() {
-    for (treetop, heights) in [(0u32, vec![1u32, 2, 4, 8]), (2, vec![1, 2, 3, 6])] {
-        let flat = replay_cfg(treetop_config(treetop, TreeLayout::Flat));
-        for height in heights {
-            let packed = replay_cfg(treetop_config(
-                treetop,
-                TreeLayout::SubtreePacked { height },
-            ));
-            assert_eq!(
-                packed, flat,
-                "subtree_packed({height}) at treetop {treetop} diverged from flat"
-            );
-        }
-    }
-}
-
 /// The encrypted store holds exactly the off-chip buckets — the treetop
 /// has no ciphertext image, so neither the fault injector nor any other
 /// store-level adversary can reach it.
 #[test]
 fn store_holds_only_off_chip_buckets() {
     for treetop in [0u32, 1, 2, 4] {
-        let oram = PathOram::new(treetop_config(treetop, TreeLayout::Flat), ORAM_SEED);
+        let oram = PathOram::new(treetop_config(treetop), ORAM_SEED);
         let layout = oram.store_layout();
         assert_eq!(layout.treetop_levels(), treetop);
         assert_eq!(
@@ -130,7 +103,7 @@ fn fault_sweep_recovers_with_nonzero_treetop() {
         FaultClass::TornWrite,
         FaultClass::Rollback,
     ] {
-        let cfg = treetop_config(2, TreeLayout::SubtreePacked { height: 3 })
+        let cfg = treetop_config(2)
             .to_builder()
             .fault(FaultConfig::single(class, 0.05, 0xF00D))
             .build()

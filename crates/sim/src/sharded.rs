@@ -12,7 +12,8 @@
 //! rather than the access pattern.
 //!
 //! Each shard is a full [`SuperBlockOram`] over [`PathOram`], so sharding
-//! composes with super-block prefetching and the staged access pipeline.
+//! composes with super-block prefetching and the bank-aware fetch
+//! pipeline.
 
 use crate::config::SystemConfig;
 use proram_core::{SchemeConfig, SuperBlockOram};

@@ -9,11 +9,11 @@ use common::{
     assert_golden, digest_state, golden_config, image_hash, replay_cfg, run_golden, RunDigest,
     GOLDEN_IMAGE, GOLDEN_PAYLOADS,
 };
+use proram::core_scheme::{SchemeConfig, SuperBlockOram};
 use proram::oram::{
     CrashConfig, FaultClass, FaultConfig, KillPoint, OramConfig, OramError, PathOram, RecoveryMode,
-    TreeLayout,
 };
-use proram_mem::{AccessKind, BlockAddr};
+use proram_mem::{AccessKind, BlockAddr, MemRequest, MemoryBackend, NoProbe};
 use proram_obs::Obs;
 use proram_stats::{Rng64, Xoshiro256};
 
@@ -88,25 +88,62 @@ fn injected_bit_flips_are_all_detected_and_repaired() {
 #[test]
 fn treetop_two_changes_only_the_byte_accounting() {
     let base = replay_cfg(golden_config(true));
-    let treetop = |layout| {
-        let cfg = golden_config(true)
-            .to_builder()
-            .treetop_levels(2)
-            .tree_layout(layout)
-            .build()
-            .expect("valid treetop configuration");
-        replay_cfg(cfg)
-    };
-    let flat = treetop(TreeLayout::Flat);
+    let cfg = golden_config(true)
+        .to_builder()
+        .treetop_levels(2)
+        .build()
+        .expect("valid treetop configuration");
+    let treetop = replay_cfg(cfg);
     // Two of the eight levels stay on chip.
-    assert_eq!(flat.bytes_moved * 8, base.bytes_moved * 6);
+    assert_eq!(treetop.bytes_moved * 8, base.bytes_moved * 6);
     let bytes_moved = base.bytes_moved;
     assert_eq!(
         RunDigest {
             bytes_moved,
-            ..flat
+            ..treetop
         },
         base
     );
-    assert_eq!(treetop(TreeLayout::SubtreePacked { height: 3 }), flat);
+}
+
+/// The two callers of the stage primitives are the same access: the
+/// golden stream, every third access a write, through
+/// `PathOram::try_access_block` and through the baseline `SuperBlockOram`
+/// (the simulator's `oram` backend) leaves the same controller state,
+/// the same path counts and the same total latency.
+#[test]
+fn both_drivers_of_the_stage_primitives_are_one_access() {
+    let mut direct = PathOram::new(golden_config(true), common::ORAM_SEED);
+    let mut scheme = SuperBlockOram::new(
+        golden_config(true),
+        SchemeConfig::baseline(),
+        common::ORAM_SEED,
+    );
+    let (mut latency, mut now) = (0, 0);
+    for (i, addr) in golden_addresses().into_iter().take(500).enumerate() {
+        let (kind, req) = if i % 3 == 0 {
+            (AccessKind::Write, MemRequest::write(addr))
+        } else {
+            (AccessKind::Read, MemRequest::read(addr))
+        };
+        latency += direct.try_access_block(addr, kind).unwrap().latency;
+        now = scheme.access(now, req, &NoProbe).complete_at;
+    }
+    assert_eq!(scheme.oram().state_digest(), direct.state_digest());
+    let (a, b) = (direct.oram_stats(), scheme.oram().oram_stats());
+    assert_eq!(
+        (
+            a.data_path_accesses,
+            a.posmap_path_accesses,
+            a.background_evictions,
+            a.bytes_moved
+        ),
+        (
+            b.data_path_accesses,
+            b.posmap_path_accesses,
+            b.background_evictions,
+            b.bytes_moved
+        )
+    );
+    assert_eq!(now, latency);
 }

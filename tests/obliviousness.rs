@@ -203,17 +203,12 @@ fn every_bucket_of_a_fetched_path_is_refreshed_and_no_other() {
     // path comes back under a fresh nonce with a different ciphertext of
     // the same length — buckets whose content did not change and
     // all-dummy buckets included — and no other bucket changes at all.
-    use proram::oram::TreeLayout;
     use std::collections::BTreeSet;
     let nonce = |image: &[u8]| u64::from_le_bytes(image[..8].try_into().unwrap());
-    for (treetop, layout) in [
-        (0, TreeLayout::Flat),
-        (2, TreeLayout::SubtreePacked { height: 3 }),
-    ] {
+    for treetop in [0, 2] {
         let cfg = OramConfig::small_for_tests(256)
             .to_builder()
             .treetop_levels(treetop)
-            .tree_layout(layout)
             .build()
             .expect("valid configuration");
         let mut oram = PathOram::new(cfg, 31);
