@@ -75,13 +75,10 @@ pub struct OramConfig {
     pub stash_limit: usize,
     /// PLB capacity in posmap blocks.
     pub plb_blocks: usize,
-    /// Override for the number of tree levels; `None` sizes the tree so
-    /// total blocks occupy about a third of the slots (Z=3).
-    pub levels_override: Option<u32>,
     /// Use a tree one level shorter than the default sizing, doubling
     /// occupancy (~2/3 of slots at Z=3). Denser trees shorten paths but
     /// raise background-eviction pressure — the trade-off explored in
-    /// \[25\]. Ignored when `levels_override` is set.
+    /// \[25\].
     pub dense_tree: bool,
     /// Number of levels at the top of the tree held in on-chip SRAM
     /// (*treetop caching*, part of the design space of the paper's
@@ -175,7 +172,6 @@ impl OramConfig {
             on_tree_hierarchies: 2,
             stash_limit: 50,
             plb_blocks: 8,
-            levels_override: None,
             timing: OramTiming::default(),
             store_payloads: true,
             verify_image: true,
@@ -200,14 +196,11 @@ impl OramConfig {
         )
     }
 
-    /// Number of tree levels: the override, or a tree whose slot count is
-    /// roughly `3x` the block count (leaves = next power of two of half
-    /// the blocks), matching the occupancy regime of the paper's baseline
+    /// Number of tree levels: a tree whose slot count is roughly `3x` the
+    /// block count at Z = 3 (leaves = next power of two of half the
+    /// blocks), matching the occupancy regime of the paper's baseline
     /// \[25\].
     pub fn tree_levels(&self) -> u32 {
-        if let Some(l) = self.levels_override {
-            return l;
-        }
         let total = self.address_space().total_tree_blocks();
         let half = (total / 2).max(2);
         // Round *down* to a power of two: with Z = 3 this puts occupancy a
@@ -295,7 +288,7 @@ impl OramConfig {
         let slots = (1u64 << levels).saturating_sub(1) * self.z as u64;
         if space.total_tree_blocks() > slots {
             return Err(ConfigError::new(
-                "num_data_blocks",
+                "z",
                 format!(
                     "tree too small: {} blocks, {} slots",
                     space.total_tree_blocks(),
@@ -306,7 +299,7 @@ impl OramConfig {
         let leaves = 1u64 << (levels - 1);
         if leaves > u64::from(u32::MAX) {
             return Err(ConfigError::new(
-                "levels_override",
+                "num_data_blocks",
                 "leaf labels overflow u32",
             ));
         }
@@ -501,12 +494,6 @@ impl OramConfigBuilder {
         self
     }
 
-    /// Overrides the number of tree levels.
-    pub fn levels_override(mut self, levels: u32) -> Self {
-        self.cfg.levels_override = Some(levels);
-        self
-    }
-
     /// Uses a tree one level shorter than the default sizing.
     pub fn dense_tree(mut self, dense: bool) -> Self {
         self.cfg.dense_tree = dense;
@@ -605,7 +592,6 @@ impl Default for OramConfig {
             on_tree_hierarchies: 2,
             stash_limit: 100,
             plb_blocks: 64,
-            levels_override: None,
             timing: OramTiming::paper_calibrated(),
             store_payloads: false,
             verify_image: false,
@@ -651,22 +637,16 @@ mod tests {
     }
 
     #[test]
-    fn levels_override_respected() {
-        let cfg = OramConfig {
-            levels_override: Some(22),
-            ..OramConfig::default()
-        };
-        assert_eq!(cfg.tree_levels(), 22);
-    }
-
-    #[test]
-    #[should_panic(expected = "tree too small")]
     fn undersized_tree_rejected() {
+        // The tree is sized for about three slots per block at Z = 3; one
+        // slot per bucket cannot hold the blocks.
         let cfg = OramConfig {
-            levels_override: Some(5),
+            z: 1,
             ..OramConfig::default()
         };
-        cfg.validate();
+        let err = cfg.check().unwrap_err();
+        assert_eq!(err.field(), "z");
+        assert!(err.to_string().contains("tree too small"));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use super::{PathKind, PathOram};
 use crate::addr::Leaf;
+use crate::block::Block;
 use crate::crash::KillPoint;
 use crate::error::OramError;
 use crate::eviction::read_path;
@@ -57,10 +58,7 @@ impl PathOram {
     /// blocks into the stash and records stats, trace and occupancy.
     fn fill_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) {
         if self.txn_open {
-            // A fetched path's buckets lose blocks to the stash; recovery
-            // must re-verify them even if the crash lands before the
-            // write-back journals them.
-            self.txn_touched.extend(self.tree.path_indices(leaf));
+            self.txn_leaves.push(leaf);
         }
         let peak_before = self.stash.peak();
         read_path(&mut self.tree, &mut self.stash, leaf);
@@ -97,7 +95,7 @@ impl PathOram {
     }
 
     /// Claims a just-fetched block for the access: finds `addr` in the
-    /// stash and points it at its fresh leaf.
+    /// stash, points it at its fresh leaf and hands it to the caller.
     ///
     /// # Errors
     ///
@@ -108,13 +106,13 @@ impl PathOram {
         addr: proram_mem::BlockAddr,
         old_leaf: Leaf,
         new_leaf: Leaf,
-    ) -> Result<(), OramError> {
+    ) -> Result<&mut Block, OramError> {
         let block = self.stash.get_mut(addr).ok_or(OramError::BlockMissing {
             addr: addr.0,
             leaf: old_leaf.0,
         })?;
         block.leaf = new_leaf;
-        Ok(())
+        Ok(block)
     }
 
     /// Renders the path to `leaf` as an explicit bucket-read batch for the
@@ -131,11 +129,9 @@ impl PathOram {
     /// scheduler callers (experiments and tests).
     pub fn bucket_read_batch(&self, leaf: Leaf) -> Vec<BucketRead> {
         let bucket_bytes = self.config.timing.bucket_wire_bytes(self.config.z);
-        let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;
-        self.tree
-            .path_indices(leaf)
-            .skip(skip)
-            .map(|idx| BucketRead::new(self.layout.phys_of(idx) as u64, bucket_bytes))
+        self.layout
+            .off_chip_path(leaf)
+            .map(|(_, phys)| BucketRead::new(phys as u64, bucket_bytes))
             .collect()
     }
 }

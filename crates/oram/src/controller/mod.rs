@@ -198,19 +198,16 @@ pub struct PathOram {
     /// Observability handle (events + per-stage profile); disabled by
     /// default so the hot path stays allocation- and branch-free.
     pub(crate) obs: Obs,
-    /// Countdown arm for the six stage kill points; the two
-    /// store-level points are armed on the store instead
-    /// ([`KillPoint::is_store_point`]).
-    pub(crate) crash: Option<CrashArm>,
     /// Whether a commit transaction is open (between [`PathOram::txn_begin`]
     /// and the matching commit or recovery).
     pub(crate) txn_open: bool,
-    /// Heap indices of tree buckets this transaction fetched or wrote;
-    /// recovery re-reads exactly this set (unioned with the journal's)
-    /// from the store image.
-    pub(crate) txn_touched: std::collections::BTreeSet<usize>,
+    /// Leaves of the paths this transaction fetched. A fetched path's
+    /// buckets lose blocks to the stash before the write-back journals
+    /// them, so recovery re-reads their off-chip buckets (with the
+    /// journal's) from the store image.
+    pub(crate) txn_leaves: Vec<Leaf>,
     /// `true` once the crash of the open transaction was counted and
-    /// emitted (store-level crashes surface through several callers).
+    /// emitted (a dead store surfaces through several callers).
     pub(crate) crash_surfaced: bool,
     /// Cumulative crash-injection and recovery counters.
     pub(crate) crash_stats: CrashStats,
@@ -314,20 +311,12 @@ impl PathOram {
             }
         }
         // Crash injection arms after initialization: init traffic is not a
-        // transaction and must never trip a kill point. Store-level points
-        // live on the store (only it sees those crossings); pipeline-stage
-        // points live on the controller.
-        let mut crash = None;
+        // transaction and must never trip a kill point.
         if let Some(cfg) = config.crash {
-            let arm = CrashArm::new(cfg);
-            if cfg.point.is_store_point() {
-                store
-                    .as_mut()
-                    .expect("config validation requires store_payloads")
-                    .arm_crash(Some(arm));
-            } else {
-                crash = Some(arm);
-            }
+            store
+                .as_mut()
+                .expect("config validation requires store_payloads")
+                .arm_crash(Some(CrashArm::new(cfg)));
         }
 
         let trace = if config.trace_capacity > 0 {
@@ -377,9 +366,8 @@ impl PathOram {
             ctrl_faults: FaultStats::default(),
             reads_since_scrub: 0,
             obs: Obs::disabled(),
-            crash,
             txn_open: false,
-            txn_touched: std::collections::BTreeSet::new(),
+            txn_leaves: Vec::new(),
             crash_surfaced: false,
             crash_stats: CrashStats::default(),
         }
@@ -507,7 +495,7 @@ impl PathOram {
 
     /// Draws a fresh uniformly random leaf.
     pub fn random_leaf(&mut self) -> Leaf {
-        Leaf(self.rng.next_below(u64::from(self.tree.num_leaves())) as u32)
+        Leaf(self.rng.next_below(u64::from(self.layout.num_leaves())) as u32)
     }
 
     /// Whether `addr` is currently in the stash.
@@ -528,11 +516,8 @@ impl PathOram {
     /// five steps of paper Section 2.2, plus recursion and background
     /// eviction.
     ///
-    /// Straight-line calls into the stage primitives, inside one commit
-    /// transaction: posmap resolve → remap → path read → claim →
-    /// write-back → background drain → retire. The reported latency
-    /// charges every tree access at the fetch cost plus any
-    /// transient-retry backoff the injected faults incurred.
+    /// The reported latency charges every tree access at the fetch cost
+    /// plus any transient-retry backoff the injected faults incurred.
     ///
     /// # Errors
     ///
@@ -548,6 +533,23 @@ impl PathOram {
         addr: BlockAddr,
         kind: AccessKind,
     ) -> Result<AccessReport, OramError> {
+        self.access_with(addr, kind, |_| {})
+    }
+
+    /// The one access body: straight-line calls into the stage
+    /// primitives, inside one commit transaction — posmap resolve →
+    /// remap → path read → claim → write-back → background drain →
+    /// retire. `on_block` runs on the claimed block while it sits in the
+    /// stash, between the path read and the write-back, which is where
+    /// Path ORAM's `Access(op, a, data*)` reads or replaces the data: a
+    /// payload it writes is sealed once, with its path, journaled, and
+    /// part of checkpoint B.
+    fn access_with(
+        &mut self,
+        addr: BlockAddr,
+        kind: AccessKind,
+        on_block: impl FnOnce(&mut Block),
+    ) -> Result<AccessReport, OramError> {
         assert_eq!(
             self.space.hierarchy_of(addr),
             0,
@@ -559,7 +561,7 @@ impl PathOram {
         let posmap_accesses = self.try_resolve_posmap(addr)?;
         let (old_leaf, new_leaf) = self.remap_block(addr);
         self.try_read_path_into_stash(old_leaf, PathKind::Data)?;
-        self.claim_block(addr, old_leaf, new_leaf)?;
+        on_block(self.claim_block(addr, old_leaf, new_leaf)?);
         self.write_path_from_stash(old_leaf)?;
         let background_evictions = self.try_drain_background()?;
         let report = AccessReport::retire(
@@ -587,8 +589,13 @@ impl PathOram {
     ///
     /// Panics if `addr` is not a data block.
     pub fn try_read_block(&mut self, addr: BlockAddr) -> Result<Option<Vec<u8>>, OramError> {
-        self.try_access_block(addr, AccessKind::Read)?;
-        Ok(self.with_data_block(addr, |bytes| bytes.to_vec()))
+        let mut data = None;
+        self.access_with(addr, AccessKind::Read, |block| {
+            if let Payload::Data(bytes) = &block.payload {
+                data = Some(bytes.to_vec());
+            }
+        })?;
+        Ok(data)
     }
 
     /// Writes the data payload of `addr` (a full ORAM access).
@@ -599,17 +606,23 @@ impl PathOram {
     ///
     /// # Panics
     ///
-    /// Panics if payload storage is disabled, `bytes` is not exactly one
-    /// block, or `addr` is not a data block.
+    /// Panics — before the access starts — if payload storage is
+    /// disabled, `bytes` is not exactly one block, or `addr` is not a
+    /// data block.
     pub fn try_write_block(&mut self, addr: BlockAddr, bytes: &[u8]) -> Result<(), OramError> {
+        assert!(
+            self.config.store_payloads,
+            "payload storage disabled; enable store_payloads"
+        );
         assert_eq!(
             bytes.len(),
             self.config.timing.block_bytes as usize,
             "payload must be exactly one block"
         );
-        self.try_access_block(addr, AccessKind::Write)?;
-        let found = self.update_data_block(addr, bytes);
-        assert!(found, "payload storage disabled; enable store_payloads");
+        self.access_with(addr, AccessKind::Write, |block| match &mut block.payload {
+            Payload::Data(data) => data.copy_from_slice(bytes),
+            _ => unreachable!("with store_payloads every data block carries one block of bytes"),
+        })?;
         Ok(())
     }
 
@@ -622,66 +635,6 @@ impl PathOram {
     /// [`proram_obs::ObsEvent`]s and their per-lane cycle split into it.
     pub fn attach_obs_handle(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// Applies `f` to the payload bytes of a data block wherever it
-    /// currently lives (stash or tree).
-    fn with_data_block<T>(&mut self, addr: BlockAddr, f: impl FnOnce(&[u8]) -> T) -> Option<T> {
-        let block = self.find_block(addr)?;
-        match &block.payload {
-            Payload::Data(bytes) => Some(f(bytes)),
-            _ => None,
-        }
-    }
-
-    fn update_data_block(&mut self, addr: BlockAddr, bytes: &[u8]) -> bool {
-        // The block is in the stash or somewhere on its mapped path
-        // (write-back just ran).
-        if let Some(block) = self.stash.get_mut(addr) {
-            return match &mut block.payload {
-                Payload::Data(old) => {
-                    *old = bytes.to_vec().into();
-                    true
-                }
-                _ => false,
-            };
-        }
-        let Some(leaf) = self.known_leaf(addr) else {
-            return false;
-        };
-        for idx in self.tree.path_indices(leaf) {
-            let updated = match self.tree.bucket_mut(idx).block_mut(addr) {
-                Some(block) => match &mut block.payload {
-                    Payload::Data(old) => {
-                        *old = bytes.to_vec().into();
-                        true
-                    }
-                    _ => return false,
-                },
-                None => false,
-            };
-            if updated {
-                // Keep the encrypted image coherent. Treetop buckets have
-                // no image — the on-chip plaintext is authoritative.
-                if idx >= self.layout.treetop_buckets() {
-                    if let Some(store) = self.store.as_mut() {
-                        store.write_bucket(self.layout.phys_of(idx), self.tree.bucket(idx));
-                    }
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    fn find_block(&self, addr: BlockAddr) -> Option<&Block> {
-        if let Some(b) = self.stash.get(addr) {
-            return Some(b);
-        }
-        let leaf = self.known_leaf(addr)?;
-        self.tree
-            .path_indices(leaf)
-            .find_map(|idx| self.tree.bucket(idx).iter().find(|b| b.addr == addr))
     }
 
     // ------------------------------------------------------------------
@@ -715,7 +668,7 @@ impl PathOram {
             .expect("crash injection requires store_payloads")
             .begin_txn(checkpoint_a);
         self.txn_open = true;
-        self.txn_touched.clear();
+        self.txn_leaves.clear();
         self.crash_surfaced = false;
     }
 
@@ -739,12 +692,11 @@ impl PathOram {
             Ok(entries) => {
                 let epoch = store.epoch();
                 self.txn_open = false;
-                self.txn_touched.clear();
                 self.obs
                     .emit(|| proram_obs::ObsEvent::JournalCommit { entries, epoch });
                 Ok(())
             }
-            Err(_) => Err(self.note_store_crash()),
+            Err(_) => Err(self.surface_crash()),
         }
     }
 
@@ -777,55 +729,44 @@ impl PathOram {
         .seal(store.mac())
     }
 
-    /// Crosses a stage kill point; the path primitives call this at
-    /// their entry. Fires only inside an open transaction, so primitives
-    /// driven without the commit protocol (no [`OramConfig::crash`], or
-    /// outside an access) never unwind here.
+    /// Crosses a stage kill point on the store's arm; the path
+    /// primitives call this at their entry. Fires only inside an open
+    /// transaction, so primitives driven without the commit protocol (no
+    /// [`OramConfig::crash`], or outside an access) never unwind here.
     ///
     /// # Errors
     ///
-    /// [`OramError::Crashed`] when the armed crossing is reached.
+    /// [`OramError::Crashed`] when the armed crossing is reached; the
+    /// store is dead from then until [`PathOram::recover`].
     pub(crate) fn crash_gate(&mut self, point: KillPoint) -> Result<(), OramError> {
-        if !self.txn_open {
-            return Ok(());
+        if self.txn_open && self.store.as_mut().is_some_and(|s| s.cross(point)) {
+            return Err(self.surface_crash());
         }
-        let fired = self.crash.as_mut().is_some_and(|arm| arm.cross(point));
-        if !fired {
-            return Ok(());
-        }
-        self.crash_stats.crashes_injected += 1;
-        self.crash_surfaced = true;
-        let crossing = self.config.crash.map_or(0, |c| c.crossing);
-        self.obs.emit(|| proram_obs::ObsEvent::CrashInject {
-            point: point.obs(),
-            crossing,
-        });
-        Err(OramError::Crashed { point })
+        Ok(())
     }
 
-    /// Surfaces a store-level kill that fired during a write the store
-    /// silently dropped (the "dead store" contract): `Ok` when the store
-    /// is alive, the typed crash otherwise.
+    /// Surfaces a kill that fired during a write the store silently
+    /// dropped (the "dead store" contract): `Ok` when the store is alive,
+    /// the typed crash otherwise.
     ///
     /// # Errors
     ///
-    /// [`OramError::Crashed`] naming the store kill point that fired.
+    /// [`OramError::Crashed`] naming the kill point that fired.
     pub(crate) fn store_crash_check(&mut self) -> Result<(), OramError> {
-        let fired = self.store.as_ref().and_then(EncryptedStore::crash_fired);
-        match fired {
+        match self.store.as_ref().and_then(EncryptedStore::crash_fired) {
             None => Ok(()),
-            Some(_) => Err(self.note_store_crash()),
+            Some(_) => Err(self.surface_crash()),
         }
     }
 
-    /// Counts and emits a store-level crash exactly once, returning the
-    /// typed error for the caller to propagate.
-    fn note_store_crash(&mut self) -> OramError {
+    /// Counts and emits the fired kill exactly once per transaction,
+    /// returning the typed error for the caller to propagate.
+    fn surface_crash(&mut self) -> OramError {
         let point = self
             .store
             .as_ref()
             .and_then(EncryptedStore::crash_fired)
-            .expect("store crash to surface");
+            .expect("a fired kill to surface");
         if !self.crash_surfaced {
             self.crash_surfaced = true;
             self.crash_stats.crashes_injected += 1;
@@ -859,8 +800,8 @@ impl PathOram {
         let Some(rec) = store.recover_txn() else {
             // Crash before the first journaled write (or no crash at
             // all): volatile state is still the pre-access state, the
-            // image never changed. Only the transaction bookkeeping and
-            // any pipeline-stage arm state need clearing.
+            // image never changed. Only the transaction bookkeeping needs
+            // clearing.
             self.crash_stats.clean_recoveries += 1;
             return self.clean_recovery();
         };
@@ -912,18 +853,14 @@ impl PathOram {
         // Rebuild the tree mirror of every off-chip bucket the transaction
         // touched from the (rolled-back or replayed) store image. The
         // store is the durable medium; decrypt-and-authenticate is what
-        // makes the rebuilt plaintext trustworthy. The journal's indices
-        // are already physical; the controller's touched set is heap-side
-        // and drops its treetop prefix (those buckets came back with the
-        // checkpoint above).
-        let taken = std::mem::take(&mut self.txn_touched);
+        // makes the rebuilt plaintext trustworthy. Written buckets are in
+        // the journal; a bucket only fetched so far is on the path of a
+        // fetched leaf (the treetop prefix of those paths came back with
+        // the checkpoint above).
         let mut touched: std::collections::BTreeSet<usize> = rec.touched.iter().copied().collect();
-        touched.extend(
-            taken
-                .into_iter()
-                .filter(|&heap| heap >= treetop)
-                .map(|heap| self.layout.phys_of(heap)),
-        );
+        for &leaf in &self.txn_leaves {
+            touched.extend(self.layout.off_chip_path(leaf).map(|(_, phys)| phys));
+        }
         let mut reverified = 0usize;
         for &phys in &touched {
             let heap = self.layout.heap_of(phys);
@@ -973,7 +910,6 @@ impl PathOram {
     /// reports [`RecoveryMode::Clean`].
     fn clean_recovery(&mut self) -> RecoveryReport {
         self.txn_open = false;
-        self.txn_touched.clear();
         self.crash_surfaced = false;
         RecoveryReport {
             mode: RecoveryMode::Clean,
@@ -1348,10 +1284,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "payload must be exactly one block")]
-    fn wrong_payload_size_panics() {
-        let mut oram = small();
-        oram.try_write_block(BlockAddr(0), &[1, 2, 3]).unwrap();
+    fn rejected_writes_panic_before_the_access_starts() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let opaque = OramConfig {
+            store_payloads: false,
+            ..OramConfig::small_for_tests(256)
+        };
+        for (cfg, len, why) in [
+            (
+                OramConfig::small_for_tests(256),
+                3,
+                "payload must be exactly one block",
+            ),
+            (opaque, 128, "payload storage disabled"),
+        ] {
+            let mut oram = PathOram::new(cfg, 42);
+            let write = AssertUnwindSafe(|| oram.try_write_block(BlockAddr(0), &vec![1; len]));
+            let panic = catch_unwind(write).expect_err("the write must be rejected");
+            // `assert!` with a literal panics with `&str`, `assert_eq!`
+            // with a formatted `String`.
+            let message = match panic.downcast_ref::<&str>() {
+                Some(literal) => literal.to_string(),
+                None => panic.downcast_ref::<String>().cloned().unwrap_or_default(),
+            };
+            assert!(message.contains(why), "{message}");
+            assert_eq!(oram.oram_stats(), OramStats::default(), "{why}");
+            oram.check_invariants();
+        }
     }
 
     #[test]

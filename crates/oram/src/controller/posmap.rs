@@ -74,19 +74,6 @@ impl PathOram {
         (old_leaf, new_leaf)
     }
 
-    /// The currently mapped leaf of `addr`, if its covering posmap entry
-    /// is on-chip (no accesses are performed).
-    pub(crate) fn known_leaf(&self, addr: BlockAddr) -> Option<Leaf> {
-        let h = self.parent_hierarchy(addr);
-        if h == self.space.top_hierarchy() {
-            let base = self.space.region_base(h - 1);
-            return Some(self.top[(addr.0 - base) as usize].leaf);
-        }
-        let pm_addr = self.space.posmap_block_for(addr, h);
-        let block = self.plb.peek(pm_addr)?;
-        Some(block.entries()[self.space.entry_index(addr)].leaf)
-    }
-
     /// Borrows `child`'s position-map entry.
     ///
     /// # Panics

@@ -2,9 +2,10 @@
 //!
 //! Cross-checks the encrypted DRAM image against the trusted logical tree
 //! — per-path inside every path read and image-wide in the periodic
-//! scrub. With fault injection configured the stage
-//! *recovers*: flagged buckets are re-encrypted from the logical tree;
-//! without it, detected faults propagate as typed [`OramError`]s.
+//! scrub. With fault injection configured the stage *recovers* — both
+//! callers hand a flagged bucket to the one `repair_bucket`, which
+//! re-encrypts it from the logical tree; without it, detected faults
+//! propagate as typed [`OramError`]s.
 
 use super::PathOram;
 use crate::addr::Leaf;
@@ -36,22 +37,20 @@ impl PathOram {
     /// payload reconstruction, no allocation; after a repaired bucket the
     /// rest of the path resumes as the next batch.
     pub(crate) fn verify_path(&mut self, leaf: Leaf) -> Result<(), OramError> {
-        let recover = self.recovery_enabled();
-        let Some(store) = self.store.as_mut() else {
+        if self.store.is_none() {
             return Ok(());
-        };
-        let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;
+        }
         self.verify_indices.clear();
-        self.verify_indices.extend(
-            self.tree
-                .path_indices(leaf)
-                .skip(skip)
-                .map(|idx| self.layout.phys_of(idx)),
-        );
-        let mut rest = &self.verify_indices[..];
-        while !rest.is_empty() {
-            let opened =
-                store.bucket_addrs_batch(rest, &mut self.verify_store_addrs, &mut self.verify_ends);
+        self.verify_indices
+            .extend(self.layout.off_chip_path(leaf).map(|(_, phys)| phys));
+        let mut done = 0;
+        while done < self.verify_indices.len() {
+            let rest = &self.verify_indices[done..];
+            let opened = self
+                .store
+                .as_mut()
+                .expect("checked above")
+                .bucket_addrs_batch(rest, &mut self.verify_store_addrs, &mut self.verify_ends);
             let mut start = 0;
             for (&phys, &end) in rest.iter().zip(&self.verify_ends) {
                 let heap = self.layout.heap_of(phys);
@@ -70,40 +69,58 @@ impl PathOram {
             let Err(err) = opened else {
                 break;
             };
-            if !recover {
-                return Err(err);
-            }
-            let phys = rest[self.verify_ends.len()];
-            let idx = self.layout.heap_of(phys);
-            let kind = fault_kind(&err);
-            self.obs.emit(|| ObsEvent::FaultDetected {
-                kind,
-                bucket: idx as u64,
-            });
-            match err {
-                OramError::Integrity { .. } | OramError::Rollback { .. } => {
-                    // The logical tree is trusted on-chip state: restore
-                    // the bucket by re-encrypting it under a fresh nonce
-                    // and version.
-                    store.write_bucket(phys, self.tree.bucket(idx));
-                    self.ctrl_faults.recovered += 1;
-                    self.obs.emit(|| ObsEvent::FaultRecovered {
-                        kind,
-                        bucket: idx as u64,
-                    });
-                }
-                OramError::Transient { .. } => {
-                    // Retries exhausted; the logical copy still serves the
-                    // access, but the bucket went unread.
-                    self.ctrl_faults.unrecovered += 1;
-                }
-                OramError::StashOverflow { .. }
-                | OramError::BlockMissing { .. }
-                | OramError::Crashed { .. } => return Err(err),
-            }
-            rest = &rest[self.verify_ends.len() + 1..];
+            let clean = self.verify_ends.len();
+            self.repair_bucket(rest[clean], err)?;
+            done += clean + 1;
         }
         Ok(())
+    }
+
+    /// The one answer to a store read that failed on bucket `phys`:
+    /// without recovery the error propagates; with it, a corrupted or
+    /// rolled-back image is re-encrypted from the logical tree and an
+    /// exhausted transient read is counted and skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns `err` itself when recovery is disabled or `err` is not a
+    /// fault of the medium.
+    fn repair_bucket(&mut self, phys: usize, err: OramError) -> Result<(), OramError> {
+        if !self.recovery_enabled() {
+            return Err(err);
+        }
+        let heap = self.layout.heap_of(phys);
+        let kind = fault_kind(&err);
+        self.obs.emit(|| ObsEvent::FaultDetected {
+            kind,
+            bucket: heap as u64,
+        });
+        match err {
+            OramError::Integrity { .. } | OramError::Rollback { .. } => {
+                // The logical tree is trusted on-chip state: restore the
+                // bucket by re-encrypting it under a fresh nonce and
+                // version.
+                self.store
+                    .as_mut()
+                    .expect("a store reported the fault")
+                    .write_bucket(phys, self.tree.bucket(heap));
+                self.ctrl_faults.recovered += 1;
+                self.obs.emit(|| ObsEvent::FaultRecovered {
+                    kind,
+                    bucket: heap as u64,
+                });
+                Ok(())
+            }
+            OramError::Transient { .. } => {
+                // Retries exhausted; the logical copy still serves the
+                // access, but the bucket went unread.
+                self.ctrl_faults.unrecovered += 1;
+                Ok(())
+            }
+            OramError::StashOverflow { .. }
+            | OramError::BlockMissing { .. }
+            | OramError::Crashed { .. } => Err(err),
+        }
     }
 
     /// Verifies the whole encrypted image ([`crate::EncryptedStore::verify_all`])
@@ -116,48 +133,24 @@ impl PathOram {
     ///
     /// Returns the first detected [`OramError`] when recovery is disabled.
     pub fn scrub(&mut self) -> Result<(), OramError> {
-        let recover = self.recovery_enabled();
         let Some(store) = self.store.as_mut() else {
             return Ok(());
         };
+        let num_buckets = store.num_buckets();
         self.ctrl_faults.scrub_runs += 1;
-        self.ctrl_faults.scrub_buckets += store.num_buckets() as u64;
+        self.ctrl_faults.scrub_buckets += num_buckets as u64;
         // Fast path: one clean sweep of the whole image.
-        match store.verify_all() {
-            Ok(()) => return Ok(()),
-            Err(err) if !recover => return Err(err),
-            Err(_) => {}
+        let Err(err) = store.verify_all() else {
+            return Ok(());
+        };
+        if !self.recovery_enabled() {
+            return Err(err);
         }
         // Something is wrong: re-verify bucket by bucket and repair.
-        for idx in 0..store.num_buckets() {
-            match store.verify_bucket(idx) {
-                Ok(()) => {}
-                Err(err @ (OramError::Integrity { .. } | OramError::Rollback { .. })) => {
-                    let kind = fault_kind(&err);
-                    self.obs.emit(|| ObsEvent::FaultDetected {
-                        kind,
-                        bucket: idx as u64,
-                    });
-                    store.write_bucket(idx, self.tree.bucket(self.layout.heap_of(idx)));
-                    self.ctrl_faults.recovered += 1;
-                    self.obs.emit(|| ObsEvent::FaultRecovered {
-                        kind,
-                        bucket: idx as u64,
-                    });
-                }
-                Err(err @ OramError::Transient { .. }) => {
-                    let kind = fault_kind(&err);
-                    self.obs.emit(|| ObsEvent::FaultDetected {
-                        kind,
-                        bucket: idx as u64,
-                    });
-                    self.ctrl_faults.unrecovered += 1;
-                }
-                Err(
-                    err @ (OramError::StashOverflow { .. }
-                    | OramError::BlockMissing { .. }
-                    | OramError::Crashed { .. }),
-                ) => return Err(err),
+        for phys in 0..num_buckets {
+            let store = self.store.as_mut().expect("checked above");
+            if let Err(err) = store.verify_bucket(phys) {
+                self.repair_bucket(phys, err)?;
             }
         }
         Ok(())

@@ -20,22 +20,17 @@ impl PathOram {
     /// # Errors
     ///
     /// Returns [`OramError::Crashed`] when the armed `WriteBack` crossing
-    /// is reached on entry, or a store-level crash kill point fired during
+    /// is reached on entry, or the `MidJournal` kill point fired during
     /// the write-back; the encrypted image keeps its pre-crash bytes and
     /// [`PathOram::recover`] must run before the next access.
     pub fn write_path_from_stash(&mut self, leaf: Leaf) -> Result<(), OramError> {
         self.crash_gate(KillPoint::WriteBack)?;
-        if self.txn_open {
-            self.txn_touched.extend(self.tree.path_indices(leaf));
-        }
         write_path_with(&mut self.tree, &mut self.stash, leaf, &mut self.scratch);
         if let Some(store) = self.store.as_mut() {
-            let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;
             let buckets: Vec<(usize, &crate::bucket::Bucket)> = self
-                .tree
-                .path_indices(leaf)
-                .skip(skip)
-                .map(|idx| (self.layout.phys_of(idx), self.tree.bucket(idx)))
+                .layout
+                .off_chip_path(leaf)
+                .map(|(heap, phys)| (phys, self.tree.bucket(heap)))
                 .collect();
             store.write_buckets(&buckets);
         }

@@ -25,9 +25,11 @@ use std::fmt;
 /// [`crate::PathOram::write_path_from_stash`],
 /// [`crate::PathOram::try_drain_background`]), so every path an access
 /// performs — data, position-map or eviction — crosses them, under any
-/// driver of those primitives; the last two live inside the
+/// driver of those primitives; the last two are crossed inside the
 /// storage commit protocol, where a real crash is most damaging: while
 /// undo entries are being journaled and during the MAC-bound epoch flip.
+/// All eight count down on the one arm the store owns, and a fired kill
+/// of any of them leaves the store dead until recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KillPoint {
     /// Entering the position-map walk.
@@ -90,12 +92,6 @@ impl KillPoint {
             KillPoint::MidJournal => proram_obs::CrashPoint::MidJournal,
             KillPoint::MidFlip => proram_obs::CrashPoint::MidFlip,
         }
-    }
-
-    /// `true` for the points that fire inside the storage commit
-    /// protocol rather than at a pipeline-stage entry.
-    pub fn is_store_point(self) -> bool {
-        matches!(self, KillPoint::MidJournal | KillPoint::MidFlip)
     }
 }
 
@@ -261,12 +257,5 @@ mod tests {
     fn zero_crossing_rejected() {
         assert!(CrashConfig::at(KillPoint::MidFlip, 0).validate().is_err());
         assert!(CrashConfig::first(KillPoint::MidFlip).validate().is_ok());
-    }
-
-    #[test]
-    fn store_points_are_classified() {
-        assert!(KillPoint::MidJournal.is_store_point());
-        assert!(KillPoint::MidFlip.is_store_point());
-        assert!(!KillPoint::WriteBack.is_store_point());
     }
 }

@@ -320,11 +320,6 @@ impl FaultyStore {
             self.stats.undetected += 1;
         }
     }
-
-    /// Consumes the wrapper, returning the raw image.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.data
-    }
 }
 
 #[cfg(test)]

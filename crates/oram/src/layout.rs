@@ -9,6 +9,8 @@
 //! With `treetop_levels = 0` this is the identity map, which is what
 //! keeps the image byte-identical to the pre-treetop goldens.
 
+use crate::addr::Leaf;
+
 /// The heap-index ↔ physical-index bijection for one tree geometry.
 ///
 /// Heap indices `0..treetop_buckets()` are on-chip and have no physical
@@ -56,6 +58,11 @@ impl StoreLayout {
         ((1usize << self.levels) - 1) - self.treetop_buckets()
     }
 
+    /// Leaves of the tree: `2^(levels - 1)`.
+    pub fn num_leaves(&self) -> u32 {
+        1 << (self.levels - 1)
+    }
+
     /// Physical store index of off-chip heap index `heap`.
     ///
     /// # Panics
@@ -76,6 +83,18 @@ impl StoreLayout {
     pub fn heap_of(&self, phys: usize) -> usize {
         debug_assert!(phys < self.num_off_chip(), "physical index out of range");
         phys + self.treetop_buckets()
+    }
+
+    /// The off-chip buckets on the path to `leaf`, root side first, as
+    /// `(heap index, physical index)` pairs: the path minus its treetop
+    /// prefix. This is the one enumeration of "what a path access moves
+    /// through the store".
+    pub fn off_chip_path(&self, leaf: Leaf) -> impl Iterator<Item = (usize, usize)> + '_ {
+        debug_assert!(leaf.0 < self.num_leaves(), "{leaf} out of range");
+        (self.treetop_levels..self.levels).map(move |level| {
+            let heap = (1usize << level) - 1 + (leaf.0 >> (self.levels - 1 - level)) as usize;
+            (heap, self.phys_of(heap))
+        })
     }
 }
 
@@ -116,6 +135,23 @@ mod tests {
         assert_eq!(l.phys_of(3), 0);
         assert_eq!(l.heap_of(0), 3);
         assert_eq!(l.phys_of(14), 11);
+    }
+
+    #[test]
+    fn off_chip_path_is_the_tree_path_minus_the_treetop() {
+        for (levels, treetop) in [(8, 0), (8, 2), (8, 7), (5, 1)] {
+            let l = StoreLayout::new(levels, treetop);
+            let tree = crate::tree::OramTree::new(levels, 1);
+            assert_eq!(l.num_leaves(), tree.num_leaves());
+            for leaf in (0..tree.num_leaves()).map(Leaf) {
+                let expected: Vec<(usize, usize)> = tree
+                    .path_indices(leaf)
+                    .skip(treetop as usize)
+                    .map(|heap| (heap, l.phys_of(heap)))
+                    .collect();
+                assert_eq!(l.off_chip_path(leaf).collect::<Vec<_>>(), expected);
+            }
+        }
     }
 
     #[test]

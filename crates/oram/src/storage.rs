@@ -126,8 +126,9 @@ pub struct EncryptedStore {
     /// Undo journal of the open transaction, when crash consistency is
     /// armed (`None` = journaling off; writes go straight home).
     journal: Option<TxnJournal>,
-    /// Countdown arm for the store-level kill points (`MidJournal`,
-    /// `MidFlip`).
+    /// Countdown arm for the kill points: the store crosses `MidJournal`
+    /// and `MidFlip` itself, the controller's path primitives cross the
+    /// six stage points through [`Self::cross`].
     crash: Option<CrashArm>,
     /// Once a kill point fired the store is "dead": every subsequent
     /// write is dropped until [`Self::recover_txn`] clears the state,
@@ -270,9 +271,8 @@ impl EncryptedStore {
 
     // ----- crash-consistent commit protocol (DESIGN.md section 15) -----
 
-    /// Arms (or disarms) the store-level kill points. The controller owns
-    /// the pipeline-stage points; the store fires `MidJournal` and
-    /// `MidFlip` itself because only it sees those crossings.
+    /// Arms (or disarms) crash injection. The store holds the one arm so
+    /// that a kill at any point leaves it dead, whoever crossed the point.
     pub(crate) fn arm_crash(&mut self, arm: Option<CrashArm>) {
         self.crash = arm;
     }
@@ -423,9 +423,9 @@ impl EncryptedStore {
         !self.cross(KillPoint::MidJournal)
     }
 
-    /// Crosses a store-level kill point; `true` means it fired and the
-    /// store is now dead.
-    fn cross(&mut self, point: KillPoint) -> bool {
+    /// Crosses a kill point; `true` means it fired and the store is now
+    /// dead.
+    pub(crate) fn cross(&mut self, point: KillPoint) -> bool {
         if let Some(arm) = self.crash.as_mut() {
             if arm.cross(point) {
                 self.fired = Some(point);

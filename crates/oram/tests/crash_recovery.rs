@@ -12,7 +12,9 @@
 //!   crash-free run's digest (rollbacks retry with the checkpointed RNG,
 //!   replays keep the committed state);
 //! * **observational silence when disarmed** — an armed-but-never-fired
-//!   injector and no injector at all produce byte-identical images.
+//!   injector and no injector at all produce byte-identical images;
+//! * **no lost write** — a payload whose write returned `Ok` or recovered
+//!   as `Replayed` is what the next read returns, at every kill point.
 
 use proram_mem::{AccessKind, BlockAddr};
 use proram_oram::{
@@ -262,15 +264,19 @@ fn crash_events_reach_an_attached_sink() {
             point: KillPoint::WriteBack
         }
     ));
+    // A stage-point kill is a process death like any other: the store
+    // drops writes until recovery.
+    let fired = |oram: &PathOram| oram.storage().expect("payloads on").crash_fired();
+    assert_eq!(fired(&oram), Some(KillPoint::WriteBack));
     oram.recover();
+    assert_eq!(fired(&oram), None);
     oram.try_access_block(addr, AccessKind::Read).unwrap();
+    assert_eq!(oram.crash_stats().crashes_injected, 1);
     let events = oram.obs().events();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, ObsEvent::CrashInject { crossing: 1, .. })),
-        "crash_inject missing"
-    );
+    let injected = events
+        .iter()
+        .filter(|e| matches!(e, ObsEvent::CrashInject { crossing: 1, .. }));
+    assert_eq!(injected.count(), 1, "one crash_inject per kill");
     assert!(
         events
             .iter()
@@ -283,4 +289,80 @@ fn crash_events_reach_an_attached_sink() {
             .any(|e| matches!(e, ObsEvent::JournalCommit { .. })),
         "journal_commit missing (retry must commit)"
     );
+}
+
+/// A write is durable exactly when it returned `Ok` or recovered as
+/// `Replayed`: over an alternating write/read stream with versioned
+/// payloads, killed once at every point × crossing, every read returns
+/// the last durable version of its block.
+#[test]
+fn payload_writes_survive_every_kill_point() {
+    let block_bytes = base_config().timing.block_bytes as usize;
+    // Runs one operation to completion — recover after a kill, retry unless
+    // the killed attempt turned out durable — and returns the version read.
+    let settle = |oram: &mut PathOram, addr: BlockAddr, write: Option<u8>| loop {
+        let attempt = match write {
+            Some(version) => oram
+                .try_write_block(addr, &vec![version; block_bytes])
+                .map(|()| None),
+            None => oram.try_read_block(addr),
+        };
+        match attempt {
+            Ok(None) => break None,
+            Ok(Some(bytes)) => {
+                assert_eq!(bytes.len(), block_bytes);
+                assert!(bytes.iter().all(|&b| b == bytes[0]), "torn payload");
+                break Some(bytes[0]);
+            }
+            Err(OramError::Crashed { .. }) => {
+                let mode = oram.recover().mode;
+                oram.audit_full();
+                // A replayed write is durable; a replayed read lost only
+                // its answer, so it is asked again.
+                if mode == RecoveryMode::Replayed && write.is_some() {
+                    break None;
+                }
+            }
+            Err(e) => panic!("unexpected {e}"),
+        }
+    };
+    for point in KillPoint::ALL {
+        for crossing in 1..=3u64 {
+            let cfg = OramConfig {
+                crash: Some(CrashConfig::at(point, crossing)),
+                ..base_config()
+            };
+            let mut oram = PathOram::new(cfg, ORAM_SEED);
+            let mut durable = vec![0u8; BLOCKS as usize];
+            for (i, &addr) in addresses().iter().enumerate() {
+                let slot = addr.0 as usize;
+                // Alternating, after three leading writes: `MidFlip` is
+                // crossed once per access, so each swept crossing of it
+                // lands in a write.
+                if i < 3 || i % 2 == 0 {
+                    durable[slot] = i as u8 + 1;
+                    settle(&mut oram, addr, Some(durable[slot]));
+                } else {
+                    assert_eq!(
+                        settle(&mut oram, addr, None),
+                        Some(durable[slot]),
+                        "{point} crossing {crossing}: access {i} read a stale {addr}"
+                    );
+                }
+            }
+            assert_eq!(
+                oram.crash_stats().crashes_injected,
+                1,
+                "{point} crossing {crossing}: kill never fired"
+            );
+            oram.audit_full();
+            for slot in 0..BLOCKS {
+                assert_eq!(
+                    settle(&mut oram, BlockAddr(slot), None),
+                    Some(durable[slot as usize]),
+                    "{point} crossing {crossing}: block {slot} lost its last durable write"
+                );
+            }
+        }
+    }
 }

@@ -66,6 +66,30 @@ fn mid_journal_kill_recovers_auditor_clean_to_the_crash_free_state() {
     assert_eq!((never.0, never.1), (digest, image));
 }
 
+/// The write cell of `payload_writes_survive_every_kill_point`: a write
+/// killed after the epoch flip recovers as "durable, do not retry", so
+/// the payload must be in the image recovery replays.
+#[test]
+fn mid_flip_kill_replays_the_payload_it_reported_durable() {
+    let cfg = OramConfig {
+        crash: Some(CrashConfig::first(KillPoint::MidFlip)),
+        ..golden_config(true)
+    };
+    let payload = vec![0xA5; cfg.timing.block_bytes as usize];
+    let mut oram = PathOram::new(cfg, common::ORAM_SEED);
+    let addr = golden_addresses()[0];
+    assert_eq!(
+        oram.try_write_block(addr, &payload),
+        Err(OramError::Crashed {
+            point: KillPoint::MidFlip
+        }),
+        "the first flip is killed"
+    );
+    assert_eq!(oram.recover().mode, RecoveryMode::Replayed);
+    oram.audit_full();
+    assert_eq!(oram.try_read_block(addr).unwrap(), Some(payload));
+}
+
 #[test]
 fn injected_bit_flips_are_all_detected_and_repaired() {
     let cfg = golden_config(true)

@@ -6,7 +6,10 @@
 //! number.
 
 use proram::core_scheme::{SchemeConfig, SuperBlock, SuperBlockOram};
-use proram::oram::{eviction, Block, Leaf, OramConfig, OramTree, PathOram, Stash, StreamCipher};
+use proram::oram::{
+    eviction, Block, CrashConfig, KillPoint, Leaf, OramConfig, OramTree, PathOram, Stash,
+    StreamCipher,
+};
 use proram_mem::{AccessKind, BlockAddr, MemRequest, MemoryBackend, NoProbe};
 use proram_stats::{Rng64, Xoshiro256};
 use std::collections::HashSet;
@@ -217,26 +220,38 @@ fn super_block_oram_invariants_hold_under_mixed_traffic() {
 
 #[test]
 fn payloads_survive_arbitrary_interleavings() {
+    // The commit protocol armed on a crossing it never reaches must be
+    // invisible to the payload model: same reads, same final state.
+    let never_fired = CrashConfig::at(KillPoint::MidFlip, u64::MAX);
     for seed in 0..48u64 {
-        let mut oram = PathOram::new(OramConfig::small_for_tests(64), seed);
-        let mut rng = Xoshiro256::seed_from(seed ^ 0x5151);
-        let mut shadow: Vec<Option<u8>> = vec![None; 64];
-        for _ in 0..40 {
-            let addr = rng.next_below(64);
-            if rng.next_bool(0.5) {
-                let fill = rng.next_below(256) as u8;
-                oram.try_write_block(BlockAddr(addr), &[fill; 128]).unwrap();
-                shadow[addr as usize] = Some(fill);
-            } else if let Some(expected) = shadow[addr as usize] {
-                let got = oram
-                    .try_read_block(BlockAddr(addr))
-                    .unwrap()
-                    .expect("payloads on");
-                assert!(
-                    got.iter().all(|&b| b == expected),
-                    "payload corrupted (seed {seed})"
-                );
+        let run = |crash: Option<CrashConfig>| {
+            let cfg = OramConfig {
+                crash,
+                ..OramConfig::small_for_tests(64)
+            };
+            let mut oram = PathOram::new(cfg, seed);
+            let mut rng = Xoshiro256::seed_from(seed ^ 0x5151);
+            let mut shadow: Vec<Option<u8>> = vec![None; 64];
+            for _ in 0..40 {
+                let addr = rng.next_below(64);
+                if rng.next_bool(0.5) {
+                    let fill = rng.next_below(256) as u8;
+                    oram.try_write_block(BlockAddr(addr), &[fill; 128]).unwrap();
+                    shadow[addr as usize] = Some(fill);
+                } else if let Some(expected) = shadow[addr as usize] {
+                    let got = oram
+                        .try_read_block(BlockAddr(addr))
+                        .unwrap()
+                        .expect("payloads on");
+                    assert!(
+                        got.iter().all(|&b| b == expected),
+                        "payload corrupted (seed {seed})"
+                    );
+                }
             }
-        }
+            oram.audit_full();
+            oram.state_digest()
+        };
+        assert_eq!(run(Some(never_fired)), run(None), "seed {seed}");
     }
 }
