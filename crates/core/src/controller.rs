@@ -1130,6 +1130,65 @@ mod tests {
         oram.oram().audit_full();
     }
 
+    /// The commit's checkpoint delta is built from dirty logs; merge and
+    /// break counters, prefetch bits and group remaps write position-map
+    /// entries and stashed blocks the baseline access never touches. Over
+    /// 5 000 accesses of a stream that merges and breaks, the sealed
+    /// records decode to the live controller state after every commit —
+    /// also across dummy accesses, which move volatile state outside any
+    /// transaction.
+    #[test]
+    fn sealed_checkpoints_track_the_live_state_under_the_dynamic_scheme() {
+        use proram_oram::{CrashConfig, KillPoint};
+        let cfg = OramConfig {
+            crash: Some(CrashConfig::at(KillPoint::MidFlip, u64::MAX)),
+            ..OramConfig::small_for_tests(256)
+        };
+        let mut oram = SuperBlockOram::new(cfg, SchemeConfig::dynamic(2), 99);
+        let mut llc = SetProbe::default();
+        let mut resident = std::collections::VecDeque::new();
+        let mut rng = Xoshiro256::seed_from(5);
+        let mut now = 0;
+        for i in 0..5_000u64 {
+            // Phases of pairwise locality (merges) alternate with uniform
+            // phases that waste the prefetches (breaks).
+            let addr = if (i / 500) % 2 == 0 {
+                (rng.next_below(16) * 2 + i % 2) % 256
+            } else {
+                rng.next_below(256)
+            };
+            let req = if i % 5 == 4 {
+                MemRequest::write(BlockAddr(addr))
+            } else {
+                MemRequest::read(BlockAddr(addr))
+            };
+            let out = oram.access(now, req, &llc);
+            now = out.complete_at;
+            oram.oram().audit_checkpoints();
+            llc.insert_fills(&out.fills);
+            resident.extend(out.fills.iter().map(|f| f.block));
+            while resident.len() > 24 {
+                let victim = resident.pop_front().expect("non-empty");
+                if llc.0.remove(&victim.0) {
+                    oram.note_llc_eviction(victim);
+                }
+            }
+            if i % 97 == 96 {
+                now = oram.dummy_access(now);
+            }
+        }
+        let scheme = oram.scheme_stats();
+        assert!(scheme.merges > 0 && scheme.breaks > 0, "{scheme:?}");
+        let crash = oram.oram().crash_stats();
+        assert_eq!(crash.early_full_seals, 0, "{crash:?}");
+        // One Full at construction, one per 64-record chain, one after
+        // each dummy access; everything else is a delta.
+        assert!(crash.delta_seals > 4_800, "{crash:?}");
+        assert!(crash.full_seals > 5_000 / 97, "{crash:?}");
+        assert_eq!(oram.stats().faults.unrecovered, 0);
+        oram.oram().audit_full();
+    }
+
     #[test]
     fn scrub_interval_ticks_under_the_scheme_driver() {
         let mut oram = baseline_128(|c| c.scrub_interval = 4);

@@ -57,7 +57,7 @@ impl PathOram {
     /// The stash-update half of a path fetch: moves the (verified) path's
     /// blocks into the stash and records stats, trace and occupancy.
     fn fill_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) {
-        if self.txn_open {
+        if self.tracking() {
             self.txn_leaves.push(leaf);
         }
         let peak_before = self.stash.peak();

@@ -47,7 +47,7 @@ use crate::config::OramConfig;
 use crate::crash::{CrashArm, CrashStats, KillPoint, RecoveryMode, RecoveryReport};
 use crate::error::OramError;
 use crate::eviction::PathScratch;
-use crate::journal::Checkpoint;
+use crate::journal::{self, Checkpoint, DeltaParts, RecordShape, FULL_SEAL_EVERY};
 use crate::layout::StoreLayout;
 use crate::pipeline::AccessReport;
 use crate::plb::Plb;
@@ -206,6 +206,18 @@ pub struct PathOram {
     /// them, so recovery re-reads their off-chip buckets (with the
     /// journal's) from the store image.
     pub(crate) txn_leaves: Vec<Leaf>,
+    /// Top-table indices written in the open transaction
+    /// ([`PathOram::entry_mut`] is the one writer).
+    pub(crate) top_dirty: Vec<u32>,
+    /// Scratch of the commit: the treetop buckets on `txn_leaves`' paths.
+    pub(crate) treetop_dirty: Vec<usize>,
+    /// Set when volatile state moves outside a transaction (a primitive
+    /// driven directly, e.g. a dummy access): the committed checkpoint
+    /// records no longer describe it, so the next transaction opens with
+    /// a `Full` seal. Never read without [`OramConfig::crash`].
+    pub(crate) unsealed: bool,
+    /// Sizes of the two checkpoint record kinds under this configuration.
+    pub(crate) shape: RecordShape,
     /// `true` once the crash of the open transaction was counted and
     /// emitted (a dead store surfaces through several callers).
     pub(crate) crash_surfaced: bool,
@@ -318,6 +330,7 @@ impl PathOram {
                 .expect("config validation requires store_payloads")
                 .arm_crash(Some(CrashArm::new(cfg)));
         }
+        let shape = RecordShape::new(&config, top.len());
 
         let trace = if config.trace_capacity > 0 {
             TraceRecorder::enabled(config.trace_capacity)
@@ -342,7 +355,7 @@ impl PathOram {
                     + u64::from(config.timing.fixed_overhead_cycles)
             }
         };
-        PathOram {
+        let mut oram = PathOram {
             plb: Plb::new(config.plb_blocks),
             config,
             space,
@@ -368,9 +381,18 @@ impl PathOram {
             obs: Obs::disabled(),
             txn_open: false,
             txn_leaves: Vec::new(),
+            top_dirty: Vec::new(),
+            treetop_dirty: Vec::new(),
+            unsealed: false,
+            shape,
             crash_surfaced: false,
             crash_stats: CrashStats::default(),
+        };
+        // The chain every later delta extends starts at the initial state.
+        if oram.config.crash.is_some() {
+            oram.seal_checkpoint(true);
         }
+        oram
     }
 
     fn make_block(
@@ -495,6 +517,7 @@ impl PathOram {
 
     /// Draws a fresh uniformly random leaf.
     pub fn random_leaf(&mut self) -> Leaf {
+        self.tracking();
         Leaf(self.rng.next_below(u64::from(self.layout.num_leaves())) as u32)
     }
 
@@ -505,6 +528,7 @@ impl PathOram {
 
     /// Mutably borrows a stashed block.
     pub fn stash_block_mut(&mut self, addr: BlockAddr) -> Option<&mut Block> {
+        self.tracking();
         self.stash.get_mut(addr)
     }
 
@@ -646,10 +670,25 @@ impl PathOram {
         self.crash_stats
     }
 
-    /// Opens the commit transaction of one logical access: seals
-    /// checkpoint A (the pre-access volatile state) into the store journal
-    /// and starts first-touch undo journaling. No-op without
-    /// [`OramConfig::crash`] — the protocol costs nothing when disarmed.
+    /// Whether a transaction is open, i.e. whether the funnels that
+    /// mutate volatile state (this, [`PathOram::entry_mut`], the PLB and
+    /// stash logs, `txn_leaves`) are logging for the commit's delta.
+    /// Every such funnel asks here first, so a mutation outside a
+    /// transaction leaves its mark instead.
+    pub(crate) fn tracking(&mut self) -> bool {
+        if !self.txn_open {
+            self.unsealed = true;
+        }
+        self.txn_open
+    }
+
+    /// Opens the commit transaction of one logical access: starts
+    /// first-touch undo journaling and the dirty logs. Nothing is sealed —
+    /// the pre-access volatile state is what the committed checkpoint
+    /// records describe — unless it moved outside a transaction since the
+    /// last seal, in which case one `Full` brings the records up to date.
+    /// No-op without [`OramConfig::crash`] — the protocol costs nothing
+    /// when disarmed.
     pub(crate) fn txn_begin(&mut self) {
         if self.config.crash.is_none() {
             return;
@@ -662,13 +701,18 @@ impl PathOram {
             // open-journal assertion.
             self.recover();
         }
-        let checkpoint_a = self.seal_checkpoint();
+        if self.unsealed {
+            self.seal_checkpoint(true);
+        }
         self.store
             .as_mut()
             .expect("crash injection requires store_payloads")
-            .begin_txn(checkpoint_a);
+            .begin_txn();
         self.txn_open = true;
         self.txn_leaves.clear();
+        self.top_dirty.clear();
+        self.plb.start_log();
+        self.stash.start_log();
         self.crash_surfaced = false;
     }
 
@@ -683,12 +727,12 @@ impl PathOram {
         if !self.txn_open {
             return Ok(());
         }
-        let checkpoint_b = self.seal_checkpoint();
+        self.seal_checkpoint(false);
         let store = self
             .store
             .as_mut()
             .expect("crash injection requires store_payloads");
-        match store.commit_txn(checkpoint_b) {
+        match store.commit_txn() {
             Ok(entries) => {
                 let epoch = store.epoch();
                 self.txn_open = false;
@@ -701,32 +745,132 @@ impl PathOram {
     }
 
     /// Seals the controller's volatile state (RNG, top table, stash, PLB,
-    /// treetop buckets) into one MAC-bound checkpoint record.
+    /// treetop buckets) as of now into the store's checkpoint chain, and
+    /// ends the dirty logs: the sealed state is what the next log is
+    /// relative to.
+    ///
+    /// The record is a `Delta` — what the funnels logged since
+    /// [`PathOram::txn_begin`] — unless `full` is asked for, the chain
+    /// reached [`FULL_SEAL_EVERY`] records, or the delta does not fit its
+    /// fixed size (an *early* `Full`). Either kind is written from the
+    /// live structures into the store's reusable arena: nothing is
+    /// cloned, nothing allocated.
     ///
     /// The treetop is volatile on-chip SRAM with no ciphertext image, so
-    /// its buckets ride in the checkpoint: recovery adopts checkpoint A's
-    /// pre-access treetop after a rollback and checkpoint B's post-access
-    /// treetop after a replay — exactly like the stash.
-    fn seal_checkpoint(&self) -> Vec<u8> {
-        let store = self
-            .store
-            .as_ref()
-            .expect("crash injection requires store_payloads");
-        let mut stash: Vec<Block> = self.stash.iter().cloned().collect();
-        // The stash map iterates in hash order; the checkpoint is a
-        // canonical record, so impose address order.
-        stash.sort_unstable_by_key(|b| b.addr.0);
-        Checkpoint {
-            epoch: store.epoch(),
-            rng: self.rng.state(),
-            top: self.top.clone(),
+    /// its buckets ride in the records: the on-chip prefix of every
+    /// fetched path in a `Delta`, all of it in a `Full`.
+    fn seal_checkpoint(&mut self, full: bool) {
+        let PathOram {
+            store,
+            rng,
+            top,
+            top_dirty,
+            plb,
             stash,
-            plb: self.plb.iter().cloned().collect(),
-            treetop: (0..self.layout.treetop_buckets())
-                .map(|idx| self.tree.bucket(idx).iter().cloned().collect())
-                .collect(),
+            tree,
+            layout,
+            txn_leaves,
+            treetop_dirty,
+            shape,
+            crash_stats,
+            ..
+        } = self;
+        let store = store
+            .as_mut()
+            .expect("crash injection requires store_payloads");
+        let mut sealed = None;
+        if !full && store.checkpoint_chain_len() < FULL_SEAL_EVERY {
+            top_dirty.sort_unstable();
+            top_dirty.dedup();
+            treetop_dirty.clear();
+            for &leaf in txn_leaves.iter() {
+                let prefix = 0..layout.treetop_levels();
+                treetop_dirty.extend(prefix.map(|level| tree.bucket_index(leaf, level)));
+            }
+            treetop_dirty.sort_unstable();
+            treetop_dirty.dedup();
+            sealed = store.seal_checkpoint(false, shape.delta_bytes, |out| {
+                let parts = DeltaParts {
+                    rng: rng.state(),
+                    top,
+                    top_dirty,
+                    plb_ops: plb.logged_ops(),
+                    plb_dirty: plb.logged_dirty(),
+                    stash_removed: stash.logged_removed(),
+                    stash_dirty: stash.logged_dirty(),
+                    treetop: treetop_dirty.iter().map(|&idx| (idx, tree.bucket(idx))),
+                };
+                journal::write_delta(out, parts);
+            });
+            match sealed {
+                Some(_) => crash_stats.delta_seals += 1,
+                None => crash_stats.early_full_seals += 1,
+            }
         }
-        .seal(store.mac())
+        let bytes = sealed.unwrap_or_else(|| {
+            crash_stats.full_seals += 1;
+            let fill =
+                |out: &mut Vec<u8>| Self::write_volatile(out, rng, top, stash, plb, tree, layout);
+            store
+                .seal_checkpoint(true, shape.full_bytes, fill)
+                .expect("a Full record is never refused")
+        });
+        crash_stats.checkpoint_bytes += bytes as u64;
+        plb.stop_log();
+        stash.stop_log();
+        self.unsealed = false;
+    }
+
+    /// The plaintext of a `Full` record: the whole volatile state.
+    fn write_volatile(
+        out: &mut Vec<u8>,
+        rng: &Xoshiro256,
+        top: &[PosEntry],
+        stash: &Stash,
+        plb: &Plb,
+        tree: &OramTree,
+        layout: &StoreLayout,
+    ) {
+        let treetop = (0..layout.treetop_buckets()).map(|idx| tree.bucket(idx));
+        journal::write_full(out, rng.state(), top, stash.iter(), plb.iter(), treetop);
+    }
+
+    /// Checkpoint auditor: asserts that the committed checkpoint records,
+    /// decoded from their sealed bytes — the `Full` with every `Delta`
+    /// since applied — describe exactly the live volatile state (RNG, top
+    /// table, stash, PLB in recency order, treetop). A mutation the dirty
+    /// logs missed fails here. Vacuous without [`OramConfig::crash`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain fails its seal or differs from the live state,
+    /// or if called inside an open transaction.
+    pub fn audit_checkpoints(&self) {
+        let Some(store) = self.store.as_ref().filter(|_| self.config.crash.is_some()) else {
+            return;
+        };
+        assert!(!self.txn_open, "checkpoints describe committed state");
+        let sealed = store
+            .fold_checkpoints()
+            .expect("checkpoint chain failed its seal");
+        let live = Checkpoint::capture(store.epoch(), |out| {
+            Self::write_volatile(
+                out,
+                &self.rng,
+                &self.top,
+                &self.stash,
+                &self.plb,
+                &self.tree,
+                &self.layout,
+            );
+        });
+        // Field by field, so a failure names what diverged.
+        assert_eq!(sealed.epoch, live.epoch, "sealed epoch");
+        assert_eq!(sealed.rng, live.rng, "sealed RNG state");
+        assert_eq!(sealed.top, live.top, "sealed top table");
+        assert_eq!(sealed.stash, live.stash, "sealed stash");
+        assert_eq!(sealed.plb, live.plb, "sealed PLB (MRU first)");
+        assert_eq!(sealed.treetop, live.treetop, "sealed treetop");
     }
 
     /// Crosses a stage kill point on the store's arm; the path
@@ -798,25 +942,22 @@ impl PathOram {
             return self.clean_recovery();
         };
         let Some(rec) = store.recover_txn() else {
-            // Crash before the first journaled write (or no crash at
-            // all): volatile state is still the pre-access state, the
-            // image never changed. Only the transaction bookkeeping needs
-            // clearing.
+            // No transaction was open: volatile state and image are what
+            // they were. Only the bookkeeping needs clearing.
             self.crash_stats.clean_recoveries += 1;
             return self.clean_recovery();
         };
-        let checkpoint =
-            Checkpoint::unseal(&rec.checkpoint, store.mac()).expect("checkpoint failed its seal");
-        // Checkpoint A is sealed at the begin epoch; checkpoint B is
-        // sealed during commit just *before* the flip. Either way the
-        // record must be from this transaction's begin epoch.
-        let begin_epoch = if rec.replay {
-            store.epoch() - 1
-        } else {
-            store.epoch()
-        };
+        // The committed records are the pre-access state after a
+        // rollback; after a replay the store committed the pending
+        // checkpoint B on top, which makes them the post-access state.
+        // Either way they end at the store's epoch. Nothing live is
+        // consulted: everything volatile comes back from sealed bytes.
+        let checkpoint = store
+            .fold_checkpoints()
+            .expect("checkpoint failed its seal");
         assert_eq!(
-            checkpoint.epoch, begin_epoch,
+            checkpoint.epoch,
+            store.epoch(),
             "adopted checkpoint is from another epoch"
         );
         // Adopt the checkpointed volatile state: RNG (so a rolled-back
@@ -828,15 +969,18 @@ impl PathOram {
         for block in checkpoint.stash {
             stash.insert(block);
         }
+        // The adopted stash is the sealed state the next log is
+        // relative to.
+        stash.stop_log();
         self.stash = stash;
         let mut plb = Plb::new(self.plb.capacity());
         for block in checkpoint.plb.into_iter().rev() {
             plb.insert(block);
         }
         self.plb = plb;
+        self.unsealed = false;
         // The treetop is volatile SRAM with no store image: adopt the
-        // checkpointed buckets wholesale (A's pre-access contents after a
-        // rollback, B's post-access contents after a replay).
+        // checkpointed buckets wholesale.
         let treetop = self.layout.treetop_buckets();
         assert_eq!(
             checkpoint.treetop.len(),
@@ -885,7 +1029,8 @@ impl PathOram {
         self.txn_open = false;
         self.crash_surfaced = false;
         let replay = rec.replay;
-        let restored = rec.restored as u64;
+        // A rollback restored every journaled image; a replay none.
+        let restored = if replay { 0 } else { rec.touched.len() as u64 };
         self.obs.emit(|| proram_obs::ObsEvent::RecoverReplay {
             replay,
             restored,
@@ -899,8 +1044,8 @@ impl PathOram {
         let cycles = (restored + reverified as u64) * per_bucket;
         RecoveryReport {
             mode,
-            journal_entries: rec.entries,
-            buckets_restored: rec.restored,
+            journal_entries: rec.touched.len(),
+            buckets_restored: restored as usize,
             buckets_reverified: reverified,
             cycles,
         }

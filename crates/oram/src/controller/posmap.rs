@@ -42,6 +42,8 @@ impl PathOram {
             return Ok(0); // entry lives in the on-chip table
         }
         let pm_addr = self.space.posmap_block_for(child, h);
+        // From here on the PLB's recency order moves.
+        self.tracking();
         if self.plb.get_mut(pm_addr).is_some() {
             return Ok(0);
         }
@@ -96,7 +98,10 @@ impl PathOram {
         &block.entries()[idx]
     }
 
-    /// Mutably borrows `child`'s position-map entry.
+    /// Mutably borrows `child`'s position-map entry: the one place the
+    /// top table and PLB-resident entries are written, so also where an
+    /// open transaction logs them for its checkpoint delta (the PLB logs
+    /// its own blocks in [`crate::Plb::peek_mut`]).
     ///
     /// # Panics
     ///
@@ -104,9 +109,13 @@ impl PathOram {
     pub fn entry_mut(&mut self, child: BlockAddr) -> &mut PosEntry {
         let h = self.parent_hierarchy(child);
         let idx = self.space.entry_index(child);
+        let tracking = self.tracking();
         if h == self.space.top_hierarchy() {
             let base = self.space.region_base(h - 1);
             let off = (child.0 - base) as usize;
+            if tracking {
+                self.top_dirty.push(off as u32);
+            }
             return &mut self.top[off];
         }
         let pm_addr = self.space.posmap_block_for(child, h);

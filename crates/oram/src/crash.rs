@@ -228,6 +228,18 @@ pub struct CrashStats {
     pub replays: u64,
     /// Recoveries that found a consistent store (nothing pending).
     pub clean_recoveries: u64,
+    /// `Full` checkpoint records sealed: one at construction, one in
+    /// place of the delta every 64th commit, one whenever volatile state
+    /// moved outside a transaction, plus the early ones below.
+    pub full_seals: u64,
+    /// `Delta` checkpoint records sealed (one per ordinary commit).
+    pub delta_seals: u64,
+    /// Commits whose delta did not fit the fixed record size and sealed a
+    /// `Full` instead (counted in `full_seals` too) — the one way a
+    /// record's length depends on what an access did.
+    pub early_full_seals: u64,
+    /// Total sealed checkpoint bytes written to the journal area.
+    pub checkpoint_bytes: u64,
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! victim returns to the stash.
 
 use crate::block::Block;
+use crate::journal::{PLB_OP_INSERT, PLB_OP_INSERT_EVICT};
 use proram_mem::BlockAddr;
 use std::collections::VecDeque;
 
@@ -34,6 +35,15 @@ pub struct Plb {
     capacity: usize,
     hits: u64,
     misses: u64,
+    /// Set between [`Plb::start_log`] and [`Plb::stop_log`] (an open
+    /// commit transaction): the recency order is state, so every change
+    /// to it is logged for the checkpoint delta.
+    logging: bool,
+    /// While logging: the position each hit moved to the front from, and
+    /// `PLB_OP_INSERT` / `PLB_OP_INSERT_EVICT` per insert, in order.
+    ops: Vec<u32>,
+    /// While logging: addresses of blocks inserted or borrowed mutably.
+    dirty: Vec<u64>,
 }
 
 impl Plb {
@@ -49,7 +59,41 @@ impl Plb {
             capacity,
             hits: 0,
             misses: 0,
+            logging: false,
+            ops: Vec::new(),
+            dirty: Vec::new(),
         }
+    }
+
+    /// Starts an empty log of recency changes and rewritten blocks.
+    pub(crate) fn start_log(&mut self) {
+        self.logging = true;
+        self.ops.clear();
+        self.dirty.clear();
+    }
+
+    /// Stops logging; the log stays readable until the next start.
+    pub(crate) fn stop_log(&mut self) {
+        self.logging = false;
+    }
+
+    /// Logs `addr` as inserted or mutably borrowed, if a log is running.
+    fn log_dirty(&mut self, addr: BlockAddr) {
+        if self.logging && !self.dirty.contains(&addr.0) {
+            self.dirty.push(addr.0);
+        }
+    }
+
+    /// The logged recency changes, oldest first.
+    pub(crate) fn logged_ops(&self) -> &[u32] {
+        &self.ops
+    }
+
+    /// `(position, block)` of every resident block the log marks as
+    /// inserted or mutably borrowed.
+    pub(crate) fn logged_dirty(&self) -> impl Iterator<Item = (usize, &Block)> {
+        let dirty = |(_, b): &(usize, &Block)| self.dirty.contains(&b.addr.0);
+        self.blocks.iter().enumerate().filter(dirty)
     }
 
     /// Capacity in blocks.
@@ -77,6 +121,10 @@ impl Plb {
                     let b = self.blocks.remove(pos).expect("position just found");
                     self.blocks.push_front(b);
                 }
+                if self.logging && pos != 0 {
+                    self.ops.push(pos as u32);
+                }
+                self.log_dirty(addr);
                 Some(&mut self.blocks[0])
             }
             None => {
@@ -95,6 +143,7 @@ impl Plb {
     /// counters. Used for entry reads that follow an already-counted
     /// lookup.
     pub fn peek_mut(&mut self, addr: BlockAddr) -> Option<&mut Block> {
+        self.log_dirty(addr);
         self.blocks.iter_mut().find(|b| b.addr == addr)
     }
 
@@ -116,6 +165,13 @@ impl Plb {
         } else {
             None
         };
+        if self.logging {
+            self.ops.push(match victim {
+                Some(_) => PLB_OP_INSERT_EVICT,
+                None => PLB_OP_INSERT,
+            });
+        }
+        self.log_dirty(block.addr);
         self.blocks.push_front(block);
         victim
     }
@@ -200,6 +256,27 @@ mod tests {
         let all = p.drain();
         assert_eq!(all.len(), 2);
         assert!(p.is_empty());
+    }
+
+    #[test]
+    fn log_records_recency_changes_and_rewritten_blocks() {
+        let mut p = Plb::new(3);
+        p.insert(pm(1));
+        p.insert(pm(2));
+        p.insert(pm(3)); // MRU first: 3 2 1
+        p.get_mut(BlockAddr(1)); // unlogged
+        p.start_log();
+        p.get_mut(BlockAddr(1)); // already MRU: no move, still borrowed
+        p.get_mut(BlockAddr(2)); // position 2 -> front: 2 1 3
+        p.insert(pm(4)); // 4 2 1, 3 leaves
+        p.peek_mut(BlockAddr(2));
+        p.get_mut(BlockAddr(9)); // miss
+        assert_eq!(p.logged_ops(), [2, PLB_OP_INSERT_EVICT]);
+        let dirty: Vec<(usize, u64)> = p.logged_dirty().map(|(i, b)| (i, b.addr.0)).collect();
+        assert_eq!(dirty, [(0, 4), (1, 2), (2, 1)]);
+        p.stop_log();
+        p.get_mut(BlockAddr(1));
+        assert_eq!(p.logged_ops().len(), 2, "nothing is logged once stopped");
     }
 
     #[test]

@@ -33,6 +33,18 @@ pub struct Stash {
     limit: usize,
     occupancy_hist: Histogram,
     peak: usize,
+    /// Set between [`Stash::start_log`] and [`Stash::stop_log`] (an open
+    /// commit transaction).
+    logging: bool,
+    /// Addresses resident when the log last stopped (the last sealed
+    /// state). One of these gone at the next seal is a removal; a resident
+    /// block that is not one of these is an arrival.
+    sealed: Vec<u64>,
+    /// While logging: the addresses of `sealed` inserted or borrowed
+    /// mutably since — the blocks that may have been rewritten in place.
+    /// Bounded by `sealed`, so the log of a long access is no longer than
+    /// that of a short one.
+    dirty: Vec<u64>,
 }
 
 impl Stash {
@@ -49,6 +61,44 @@ impl Stash {
             limit,
             occupancy_hist: Histogram::new(),
             peak: 0,
+            logging: false,
+            sealed: Vec::new(),
+            dirty: Vec::new(),
+        }
+    }
+
+    /// Starts an empty log of changes to the sealed state.
+    pub(crate) fn start_log(&mut self) {
+        self.logging = true;
+        self.dirty.clear();
+    }
+
+    /// Stops logging and takes the current contents as the sealed state
+    /// the next log is relative to.
+    pub(crate) fn stop_log(&mut self) {
+        self.logging = false;
+        self.sealed.clear();
+        self.sealed.extend(self.blocks.keys());
+    }
+
+    /// Addresses of the sealed state that are no longer resident.
+    pub(crate) fn logged_removed(&self) -> impl Iterator<Item = u64> + '_ {
+        let gone = |addr: &u64| !self.blocks.contains_key(addr);
+        self.sealed.iter().copied().filter(gone)
+    }
+
+    /// Resident blocks that arrived since the sealed state or that the
+    /// log marks as possibly rewritten.
+    pub(crate) fn logged_dirty(&self) -> impl Iterator<Item = &Block> {
+        let changed = |a: &u64| !self.sealed.contains(a) || self.dirty.contains(a);
+        self.blocks.values().filter(move |b| changed(&b.addr.0))
+    }
+
+    /// Logs `addr` as possibly rewritten, if it is part of the sealed
+    /// state and a log is running.
+    fn log(&mut self, addr: u64) {
+        if self.logging && self.sealed.contains(&addr) && !self.dirty.contains(&addr) {
+            self.dirty.push(addr);
         }
     }
 
@@ -80,6 +130,7 @@ impl Stash {
     /// Panics if a block with the same address is already stashed (the
     /// controller must never duplicate blocks).
     pub fn insert(&mut self, block: Block) {
+        self.log(block.addr.0);
         let prev = self.blocks.insert(block.addr.0, block);
         assert!(prev.is_none(), "duplicate block in stash");
         self.peak = self.peak.max(self.blocks.len());
@@ -97,6 +148,7 @@ impl Stash {
 
     /// Mutably borrows the stashed block with this address.
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut Block> {
+        self.log(addr.0);
         self.blocks.get_mut(&addr.0)
     }
 
@@ -177,6 +229,28 @@ mod tests {
         s.insert(blk(1));
         s.get_mut(BlockAddr(1)).unwrap().leaf = Leaf(9);
         assert_eq!(s.get(BlockAddr(1)).unwrap().leaf, Leaf(9));
+    }
+
+    #[test]
+    fn log_is_relative_to_the_last_sealed_state() {
+        let mut s = Stash::new(10);
+        s.insert(blk(1));
+        s.insert(blk(2));
+        s.insert(blk(3));
+        s.stop_log(); // sealed: 1 2 3
+        s.start_log();
+        s.take(BlockAddr(1)); // removed
+        s.get_mut(BlockAddr(2)); // rewritten
+        s.insert(blk(4)); // arrives and stays
+        s.insert(blk(5)); // passes through
+        s.take(BlockAddr(5));
+        let mut dirty: Vec<u64> = s.logged_dirty().map(|b| b.addr.0).collect();
+        dirty.sort_unstable();
+        assert_eq!(dirty, [2, 4], "3 was never touched, 5 is gone");
+        assert_eq!(s.logged_removed().collect::<Vec<_>>(), [1]);
+        s.stop_log();
+        s.start_log();
+        assert_eq!(s.logged_dirty().count() + s.logged_removed().count(), 0);
     }
 
     #[test]

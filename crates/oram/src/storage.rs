@@ -35,7 +35,7 @@ use crate::crash::{CrashArm, KillPoint};
 use crate::crypto::{Mac, MacLane, StreamCipher, MAC_LANES};
 use crate::error::OramError;
 use crate::fault::{FaultConfig, FaultyStore};
-use crate::journal::{TxnJournal, UndoEntry, EPOCH_DOMAIN};
+use crate::journal::{Checkpoint, CheckpointChain, TxnJournal, EPOCH_DOMAIN};
 use crate::posmap::PosEntry;
 use proram_mem::{BlockAddr, FaultStats};
 
@@ -123,9 +123,12 @@ pub struct EncryptedStore {
     epoch: u64,
     /// The durable epoch header's MAC, binding [`Self::epoch`].
     epoch_tag: u64,
-    /// Undo journal of the open transaction, when crash consistency is
-    /// armed (`None` = journaling off; writes go straight home).
-    journal: Option<TxnJournal>,
+    /// Undo journal; while no transaction is open, writes go straight
+    /// home.
+    journal: TxnJournal,
+    /// The sealed checkpoint records: the controller's volatile state as
+    /// of the last commit, plus the pending record of a commit in flight.
+    checkpoints: CheckpointChain,
     /// Countdown arm for the kill points: the store crosses `MidJournal`
     /// and `MidFlip` itself, the controller's path primitives cross the
     /// six stage points through [`Self::cross`].
@@ -142,18 +145,14 @@ pub struct EncryptedStore {
 #[derive(Debug)]
 pub(crate) struct StoreRecovery {
     /// `true` = the epoch had already flipped: home images are
-    /// authoritative and checkpoint B is adopted. `false` = rollback:
-    /// journaled images were restored and checkpoint A is adopted.
+    /// authoritative and the pending checkpoint record was committed.
+    /// `false` = rollback: journaled images were restored and the pending
+    /// record, if any, dropped.
     pub replay: bool,
-    /// The sealed checkpoint to adopt (A on rollback, B on replay).
-    pub checkpoint: Vec<u8>,
     /// Bucket indices touched by the transaction's journal, in first-write
-    /// order — the set whose tree mirror must be rebuilt and re-verified.
+    /// order — the set whose tree mirror must be rebuilt and re-verified,
+    /// and on a rollback the images that were restored.
     pub touched: Vec<usize>,
-    /// Undo entries the journal held.
-    pub entries: usize,
-    /// Bucket images physically restored (0 on replay).
-    pub restored: usize,
 }
 
 impl EncryptedStore {
@@ -190,7 +189,8 @@ impl EncryptedStore {
             queue: Vec::new(),
             epoch: 0,
             epoch_tag: mac.tag(&[EPOCH_DOMAIN, 0], &[]),
-            journal: None,
+            journal: TxnJournal::default(),
+            checkpoints: CheckpointChain::default(),
             crash: None,
             fired: None,
         }
@@ -293,33 +293,67 @@ impl EncryptedStore {
         self.epoch_tag == self.mac.tag(&[EPOCH_DOMAIN, self.epoch], &[])
     }
 
-    /// The store's MAC (checkpoints are sealed under the same key domain
-    /// machinery as slots and the epoch header).
-    pub(crate) fn mac(&self) -> &Mac {
-        &self.mac
-    }
-
     /// Opens a transaction: subsequent bucket writes journal a first-touch
-    /// undo entry (old image + old version) before touching home.
+    /// undo entry (old image + old version) before touching home. Nothing
+    /// is sealed: the pre-access volatile state is what the committed
+    /// checkpoint records already describe.
     ///
     /// # Panics
     ///
     /// Panics if a transaction is already open — the controller must
     /// commit or recover first.
-    pub(crate) fn begin_txn(&mut self, checkpoint_a: Vec<u8>) {
-        assert!(self.journal.is_none(), "transaction already open");
-        self.journal = Some(TxnJournal {
-            begin_epoch: self.epoch,
-            entries: Vec::new(),
-            checkpoint_a,
-            checkpoint_b: None,
-        });
+    pub(crate) fn begin_txn(&mut self) {
+        assert!(!self.journal.open, "transaction already open");
+        self.journal.begin(self.epoch, self.num_buckets);
     }
 
-    /// Commits the open transaction: stores checkpoint B, flips the
-    /// MAC-bound epoch header, and discards the journal. After the flip
-    /// the transaction is durable — a crash between flip and discard is
-    /// replayed forward by recovery, not rolled back.
+    /// Seals one checkpoint record into the journal area — encrypted
+    /// under the store's cipher, tagged under its MAC — as `size` bytes:
+    /// `fill` appends the plaintext. Inside a transaction the record is
+    /// checkpoint B: labelled with the epoch the commit flips to and
+    /// pending until [`Self::commit_txn`] or recovery settles it. Outside
+    /// one it describes the current epoch and is committed at once.
+    ///
+    /// Returns the sealed length, or `None` for a `Delta` (`full ==
+    /// false`) that does not fit `size`; nothing is written then.
+    pub(crate) fn seal_checkpoint(
+        &mut self,
+        full: bool,
+        size: usize,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Option<usize> {
+        let epoch = self.epoch + u64::from(self.journal.open);
+        let keys = (self.cipher, self.mac);
+        let sealed = self.checkpoints.seal(keys, epoch, full, size, fill)?;
+        if !self.journal.open {
+            self.checkpoints.commit();
+        }
+        Some(sealed)
+    }
+
+    /// Number of committed checkpoint records (one `Full`, then `Delta`s).
+    pub(crate) fn checkpoint_chain_len(&self) -> usize {
+        self.checkpoints.len()
+    }
+
+    /// The sealed bytes of the committed checkpoint records in the
+    /// journal area, oldest first — what an adversary reading untrusted
+    /// storage sees of the controller's volatile state (for tests).
+    pub fn checkpoint_records(&self) -> impl Iterator<Item = &[u8]> {
+        self.checkpoints.sealed()
+    }
+
+    /// Rebuilds the volatile state the committed checkpoint records
+    /// describe from their sealed bytes; `None` if any record fails
+    /// authentication or does not decode.
+    pub(crate) fn fold_checkpoints(&self) -> Option<Checkpoint> {
+        self.checkpoints.fold((self.cipher, self.mac))
+    }
+
+    /// Commits the open transaction, whose checkpoint B is sealed: flips
+    /// the MAC-bound epoch header, then discards the journal and commits
+    /// B. After the flip the transaction is durable — a crash between
+    /// flip and discard is replayed forward by recovery, not rolled back.
     ///
     /// Returns the journal's entry count (for observability).
     ///
@@ -330,11 +364,13 @@ impl EncryptedStore {
     ///
     /// # Panics
     ///
-    /// Panics if no transaction is open.
-    pub(crate) fn commit_txn(&mut self, checkpoint_b: Vec<u8>) -> Result<u64, OramError> {
-        let journal = self.journal.as_mut().expect("commit without begin_txn");
-        journal.checkpoint_b = Some(checkpoint_b);
-        let entries = journal.entries.len() as u64;
+    /// Panics if no transaction is open or checkpoint B is missing.
+    pub(crate) fn commit_txn(&mut self) -> Result<u64, OramError> {
+        assert!(self.journal.open, "commit without begin_txn");
+        assert!(
+            self.checkpoints.has_pending(),
+            "commit without checkpoint B"
+        );
         self.epoch += 1;
         self.epoch_tag = self.mac.tag(&[EPOCH_DOMAIN, self.epoch], &[]);
         if self.cross(KillPoint::MidFlip) {
@@ -342,19 +378,20 @@ impl EncryptedStore {
                 point: KillPoint::MidFlip,
             });
         }
-        self.journal = None;
-        Ok(entries)
+        self.journal.open = false;
+        self.checkpoints.commit();
+        Ok(self.journal.entries.len() as u64)
     }
 
     /// Store-level recovery: compares the epoch header against the open
     /// journal's begin epoch. Not yet flipped → roll every journaled
-    /// image and version counter back; flipped → home is authoritative,
-    /// discard the undo images. Either way the journal closes, the crash
-    /// state clears, and the sealed checkpoint to adopt (A on rollback, B
-    /// on replay) is handed to the controller.
+    /// image and version counter back and drop a pending checkpoint
+    /// record; flipped → home is authoritative, discard the undo images
+    /// and commit the pending record. Either way the journal closes and
+    /// the crash state clears; the controller then adopts
+    /// [`Self::fold_checkpoints`].
     ///
-    /// Returns `None` when no transaction was open (a crash before the
-    /// first journaled write needs only checkpoint-free cleanup).
+    /// Returns `None` when no transaction was open.
     ///
     /// # Panics
     ///
@@ -363,38 +400,27 @@ impl EncryptedStore {
     pub(crate) fn recover_txn(&mut self) -> Option<StoreRecovery> {
         assert!(self.epoch_header_ok(), "epoch header failed authentication");
         self.fired = None;
-        let journal = self.journal.take()?;
-        let entries = journal.entries.len();
-        let touched: Vec<usize> = journal.entries.iter().map(|e| e.index).collect();
-        if self.epoch == journal.begin_epoch {
-            // Rollback: restore the pre-transaction image and trusted
-            // version of every touched bucket, newest-first so a bucket
-            // journaled once is restored exactly once either way.
-            let bb = self.bucket_bytes();
-            for e in journal.entries.iter().rev() {
-                self.backing.bytes_mut()[e.index * bb..(e.index + 1) * bb]
-                    .copy_from_slice(&e.image);
-                self.versions[e.index] = e.version;
-            }
-            Some(StoreRecovery {
-                replay: false,
-                checkpoint: journal.checkpoint_a,
-                touched,
-                entries,
-                restored: entries,
-            })
-        } else {
-            let checkpoint = journal
-                .checkpoint_b
-                .expect("a flipped transaction always carries checkpoint B");
-            Some(StoreRecovery {
-                replay: true,
-                checkpoint,
-                touched,
-                entries,
-                restored: 0,
-            })
+        if !self.journal.open {
+            return None;
         }
+        self.journal.open = false;
+        let entries = &self.journal.entries;
+        let touched: Vec<usize> = entries.iter().map(|&(index, _)| index).collect();
+        let replay = self.epoch != self.journal.begin_epoch;
+        if !replay {
+            // Rollback: restore the pre-transaction image and trusted
+            // version of every touched bucket (each was journaled once).
+            let bb = self.bucket_bytes();
+            let images = self.journal.arena.chunks_exact(bb);
+            for (&(index, version), image) in entries.iter().zip(images) {
+                self.backing.bytes_mut()[index * bb..(index + 1) * bb].copy_from_slice(image);
+                self.versions[index] = version;
+            }
+            self.checkpoints.abort();
+        } else {
+            self.checkpoints.commit();
+        }
+        Some(StoreRecovery { replay, touched })
     }
 
     /// Records a first-touch undo entry for `index` if a transaction is
@@ -402,25 +428,13 @@ impl EncryptedStore {
     /// this crossing — the caller must drop the write (the undo entry
     /// itself is durable; the home write never happens).
     fn journal_record(&mut self, index: usize) -> bool {
-        let Some(journal) = self.journal.as_mut() else {
-            return true;
-        };
-        if journal.touched(index) {
+        if !self.journal.open {
             return true;
         }
         let bb = self.bucket_bytes();
-        let image = self.backing.bytes()[index * bb..(index + 1) * bb].to_vec();
-        let version = self.versions[index];
-        self.journal
-            .as_mut()
-            .expect("journal open")
-            .entries
-            .push(UndoEntry {
-                index,
-                image,
-                version,
-            });
-        !self.cross(KillPoint::MidJournal)
+        let image = &self.backing.bytes()[index * bb..(index + 1) * bb];
+        !self.journal.record(index, self.versions[index], image)
+            || !self.cross(KillPoint::MidJournal)
     }
 
     /// Crosses a kill point; `true` means it fired and the store is now
@@ -1352,23 +1366,39 @@ mod tests {
         b
     }
 
+    /// Seals a checkpoint record whose plaintext is `marker`: the store
+    /// does not look inside.
+    fn seal_marker(s: &mut EncryptedStore, full: bool, marker: u8) {
+        let fill = |out: &mut Vec<u8>| out.push(marker);
+        assert_eq!(s.seal_checkpoint(full, 64, fill), Some(64));
+    }
+
+    fn committed_records(s: &EncryptedStore) -> Vec<Vec<u8>> {
+        s.checkpoint_records().map(<[u8]>::to_vec).collect()
+    }
+
     #[test]
     fn txn_rollback_restores_images_and_versions() {
         let mut s = store();
         s.write_bucket(2, &one_block_bucket(10, 0xAA));
         s.write_bucket(3, &one_block_bucket(11, 0xBB));
         let before: Vec<Vec<u8>> = (0..8).map(|i| s.ciphertext(i).to_vec()).collect();
-        s.begin_txn(vec![0xCA; 4]);
+        seal_marker(&mut s, true, 0xCA);
+        let chain = committed_records(&s);
+        s.begin_txn();
         s.write_bucket(2, &one_block_bucket(12, 0xCC));
         s.write_bucket(2, &one_block_bucket(13, 0xDD)); // second touch: one undo entry
         s.write_bucket(5, &one_block_bucket(14, 0xEE));
         assert_ne!(s.ciphertext(2), &before[2][..]);
+        seal_marker(&mut s, false, 0xCB);
         let rec = s.recover_txn().expect("open transaction");
         assert!(!rec.replay);
-        assert_eq!(rec.checkpoint, vec![0xCA; 4]);
-        assert_eq!(rec.entries, 2, "first-touch journaling");
-        assert_eq!(rec.restored, 2);
-        assert_eq!(rec.touched, vec![2, 5]);
+        assert_eq!(rec.touched, vec![2, 5], "first-touch journaling");
+        assert_eq!(
+            committed_records(&s),
+            chain,
+            "a rollback drops the pending checkpoint record"
+        );
         for (i, img) in before.iter().enumerate() {
             assert_eq!(s.ciphertext(i), &img[..], "bucket {i} rolled back");
         }
@@ -1385,10 +1415,16 @@ mod tests {
     fn txn_commit_discards_journal_and_flips_epoch() {
         let mut s = store();
         assert_eq!(s.epoch(), 0);
-        s.begin_txn(vec![1]);
+        seal_marker(&mut s, true, 1);
+        let chain = committed_records(&s);
+        s.begin_txn();
         s.write_bucket(1, &one_block_bucket(5, 0x55));
-        let entries = s.commit_txn(vec![2]).expect("no crash armed");
+        seal_marker(&mut s, false, 2);
+        assert_eq!(committed_records(&s), chain, "B is pending");
+        let entries = s.commit_txn().expect("no crash armed");
         assert_eq!(entries, 1);
+        assert_eq!(committed_records(&s).len(), 2);
+        assert_eq!(committed_records(&s)[0], chain[0]);
         assert_eq!(s.epoch(), 1);
         assert!(s.epoch_header_ok());
         assert!(s.recover_txn().is_none(), "journal discarded at commit");
@@ -1399,10 +1435,14 @@ mod tests {
     fn mid_flip_crash_replays_forward() {
         let mut s = store();
         s.write_bucket(4, &one_block_bucket(30, 0x30));
-        s.begin_txn(vec![0xA]);
+        seal_marker(&mut s, true, 0xA);
+        s.begin_txn();
         s.write_bucket(4, &one_block_bucket(31, 0x31));
         s.arm_crash(Some(CrashArm::new(CrashConfig::first(KillPoint::MidFlip))));
-        let err = s.commit_txn(vec![0xB]).expect_err("MidFlip fires");
+        // The `Full` due every `FULL_SEAL_EVERY` commits, as checkpoint B.
+        let before = committed_records(&s);
+        seal_marker(&mut s, true, 0xB);
+        let err = s.commit_txn().expect_err("MidFlip fires");
         assert!(matches!(
             err,
             OramError::Crashed {
@@ -1413,8 +1453,9 @@ mod tests {
         assert_eq!(s.epoch(), 1, "the flip itself landed");
         let rec = s.recover_txn().expect("journal still open");
         assert!(rec.replay, "flipped epoch means roll forward");
-        assert_eq!(rec.checkpoint, vec![0xB], "checkpoint B is adopted");
-        assert_eq!(rec.restored, 0);
+        let after = committed_records(&s);
+        assert_eq!(after.len(), 1, "B, a Full, replaces the chain");
+        assert_ne!(after, before, "checkpoint B is committed");
         assert!(s.crash_fired().is_none());
         s.verify_all().expect("committed image authenticates");
         assert_eq!(s.try_read_bucket(4).unwrap()[0].addr, BlockAddr(31));
@@ -1425,7 +1466,7 @@ mod tests {
         let mut s = store();
         s.write_bucket(6, &one_block_bucket(40, 0x40));
         let before = s.ciphertext(6).to_vec();
-        s.begin_txn(vec![0xA]);
+        s.begin_txn();
         s.arm_crash(Some(CrashArm::new(CrashConfig::first(
             KillPoint::MidJournal,
         ))));
@@ -1437,7 +1478,7 @@ mod tests {
         assert!(s.try_read_bucket(7).unwrap().is_empty());
         let rec = s.recover_txn().expect("open transaction");
         assert!(!rec.replay);
-        assert_eq!(rec.entries, 1, "the undo entry itself is durable");
+        assert_eq!(rec.touched, [6], "the undo entry itself is durable");
         s.verify_all().expect("rolled-back image authenticates");
         assert_eq!(s.try_read_bucket(6).unwrap()[0].addr, BlockAddr(40));
     }
@@ -1485,15 +1526,20 @@ mod tests {
 
         /// Everything a write can leave behind: image, trusted versions,
         /// nonce counter, undo entries, kill state.
-        type Left = (Vec<u8>, Vec<u64>, u64, Vec<UndoEntry>, Option<KillPoint>);
+        type Left = (
+            Vec<u8>,
+            Vec<u64>,
+            u64,
+            (Vec<(usize, u64)>, Vec<u8>),
+            Option<KillPoint>,
+        );
 
         fn left(s: &EncryptedStore) -> Left {
-            let entries = s.journal.as_ref().map_or(Vec::new(), |j| j.entries.clone());
             (
                 s.backing.bytes().to_vec(),
                 s.versions.clone(),
                 s.next_nonce,
-                entries,
+                (s.journal.entries.clone(), s.journal.arena.clone()),
                 s.fired,
             )
         }
@@ -1531,8 +1577,8 @@ mod tests {
                         let batch = batch(round, len);
                         let first_nonce = batched.next_nonce;
                         if txn {
-                            looped.begin_txn(vec![round as u8]);
-                            batched.begin_txn(vec![round as u8]);
+                            looped.begin_txn();
+                            batched.begin_txn();
                         }
                         for (index, bucket) in &batch {
                             looped.write_bucket(*index, bucket);
@@ -1553,7 +1599,10 @@ mod tests {
                             );
                         }
                         if txn {
-                            assert_eq!(looped.commit_txn(vec![]), batched.commit_txn(vec![]));
+                            for s in [&mut looped, &mut batched] {
+                                s.seal_checkpoint(true, 64, |_| {});
+                            }
+                            assert_eq!(looped.commit_txn(), batched.commit_txn());
                         }
                     }
                 }
@@ -1568,7 +1617,7 @@ mod tests {
             for k in 0..PATH.len() {
                 let run = |batched: bool| {
                     let mut s = warm.clone();
-                    s.begin_txn(vec![0xA]);
+                    s.begin_txn();
                     let kill = CrashConfig::at(KillPoint::MidJournal, k as u64 + 1);
                     s.arm_crash(Some(CrashArm::new(kill)));
                     if batched {
@@ -1585,8 +1634,7 @@ mod tests {
                 assert_eq!(batched.crash_fired(), Some(KillPoint::MidJournal));
                 // Buckets before k landed, k is journaled only, the rest
                 // are neither written nor journaled.
-                let journaled: Vec<usize> =
-                    left(&batched).3.iter().map(|entry| entry.index).collect();
+                let journaled: Vec<usize> = batched.journal.entries.iter().map(|e| e.0).collect();
                 assert_eq!(journaled, PATH[..=k]);
                 for (pos, &index) in PATH.iter().enumerate() {
                     let landed = batched.ciphertext(index) != warm.ciphertext(index);

@@ -14,7 +14,7 @@
 
 use proram_mem::{AccessKind, BlockAddr};
 use proram_obs::Obs;
-use proram_oram::{OramConfig, PathOram};
+use proram_oram::{CrashConfig, KillPoint, OramConfig, PathOram};
 use proram_stats::{Rng64, Xoshiro256};
 
 /// Data blocks in the golden tree.
@@ -192,4 +192,38 @@ pub fn assert_golden(d: &RunDigest, g: &Goldens) {
     assert_eq!(d.hist_hash, g.hist_hash);
     assert_eq!(d.trace_hash, g.trace_hash);
     assert_eq!(d.stash_peak, g.stash_peak);
+}
+
+/// The `ctrl_durable` shape of `perf/`: 2^16 blocks, posmap fanout 8, an
+/// encrypted verified image, the commit protocol armed and never fired.
+pub fn durable_shape() -> OramConfig {
+    OramConfig::builder()
+        .num_data_blocks(1 << 16)
+        .entries_per_posmap_block(8)
+        .store_payloads(true)
+        .verify_image(true)
+        .trace_capacity(0)
+        .crash(CrashConfig::at(KillPoint::MidFlip, u64::MAX))
+        .build()
+        .expect("valid durable configuration")
+}
+
+/// Alternating write / read at the addresses `next` yields, as
+/// `ctrl_durable` issues them; `after` runs after every commit.
+pub fn drive_durable(
+    oram: &mut PathOram,
+    accesses: usize,
+    mut next: impl FnMut() -> u64,
+    mut after: impl FnMut(&PathOram),
+) {
+    let payload = vec![0x5A; oram.config().timing.block_bytes as usize];
+    for i in 0..accesses {
+        let addr = BlockAddr(next());
+        if i % 2 == 0 {
+            oram.try_write_block(addr, &payload).unwrap();
+        } else {
+            oram.try_read_block(addr).unwrap();
+        }
+        after(oram);
+    }
 }

@@ -14,8 +14,15 @@
 //! * **observational silence when disarmed** — an armed-but-never-fired
 //!   injector and no injector at all produce byte-identical images;
 //! * **no lost write** — a payload whose write returned `Ok` or recovered
-//!   as `Replayed` is what the next read returns, at every kill point.
+//!   as `Replayed` is what the next read returns, at every kill point;
+//! * **sealed = live** — after every commit, the checkpoint records
+//!   decoded from their sealed bytes describe exactly the live volatile
+//!   state ([`PathOram::audit_checkpoints`]), and their lengths do not
+//!   depend on the addresses accessed.
 
+mod common;
+
+use common::{drive_durable, durable_shape};
 use proram_mem::{AccessKind, BlockAddr};
 use proram_oram::{
     CrashConfig, CrashStats, KillPoint, OramConfig, OramError, PathOram, RecoveryMode,
@@ -34,10 +41,13 @@ fn base_config() -> OramConfig {
 /// The fixed workload: `ACCESSES` reads at externally-drawn addresses (so
 /// the address sequence is independent of the controller's RNG).
 fn addresses() -> Vec<BlockAddr> {
+    addresses_n(ACCESSES)
+}
+
+/// The first `n` addresses of the fixed workload's stream.
+fn addresses_n(n: usize) -> Vec<BlockAddr> {
     let mut rng = Xoshiro256::seed_from(WORKLOAD_SEED);
-    (0..ACCESSES)
-        .map(|_| BlockAddr(rng.next_below(BLOCKS)))
-        .collect()
+    (0..n).map(|_| BlockAddr(rng.next_below(BLOCKS))).collect()
 }
 
 /// Runs the workload crash-free under `cfg` and returns the final state
@@ -112,11 +122,11 @@ fn exhaustive_kill_point_sweep_recovers_to_crash_free_state() {
     }
 }
 
-/// With a nonzero treetop, checkpoints carry the on-chip buckets: a
-/// pre-flip kill rolls the treetop back to its pre-access contents
-/// (checkpoint A), a post-flip kill replays the committed ones
-/// (checkpoint B), and either way the recovered state matches the
-/// crash-free run under the same treetop exactly.
+/// With a nonzero treetop, checkpoint records carry the on-chip buckets:
+/// a pre-flip kill rolls the treetop back to its pre-access contents (the
+/// committed records), a post-flip kill replays the committed ones (with
+/// the pending checkpoint B on top), and either way the recovered state
+/// matches the crash-free run under the same treetop exactly.
 #[test]
 fn treetop_rollback_and_replay_recover_to_crash_free_state() {
     for treetop in [1u32, 2] {
@@ -365,4 +375,213 @@ fn payload_writes_survive_every_kill_point() {
             }
         }
     }
+}
+
+/// Enough accesses to cross the first periodic `Full` seal: the chain
+/// starts with the construction `Full`, commits 1..=63 append deltas, and
+/// commit 64 seals a `Full` in their place.
+const LONG_ACCESSES: usize = 70;
+
+/// Runs the long read workload with `crash` armed, recovering and (after
+/// a rollback) retrying the killed access; the checkpoint auditor runs
+/// after every commit and every recovery. Returns the final digest, the
+/// counters, and the 1-based number of the access the kill fired in.
+fn run_long(crash: Option<CrashConfig>) -> (u64, CrashStats, Option<usize>) {
+    let cfg = OramConfig {
+        crash,
+        ..base_config()
+    };
+    let mut oram = PathOram::new(cfg, ORAM_SEED);
+    let mut fired_in = None;
+    for (i, &addr) in addresses_n(LONG_ACCESSES).iter().enumerate() {
+        match oram.try_access_block(addr, AccessKind::Read) {
+            Ok(_) => {}
+            Err(OramError::Crashed { point }) => {
+                fired_in = Some(i + 1);
+                let rec = oram.recover();
+                oram.audit_full();
+                oram.audit_checkpoints();
+                if rec.mode != RecoveryMode::Replayed {
+                    oram.try_access_block(addr, AccessKind::Read)
+                        .unwrap_or_else(|e| panic!("retry after {point} rollback failed: {e}"));
+                }
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+        oram.audit_checkpoints();
+    }
+    oram.audit_full();
+    (oram.state_digest(), oram.crash_stats(), fired_in)
+}
+
+/// The first crossing of `point` that lands in access number `access`
+/// (1-based) of the long workload. Every access crosses every point at
+/// least once — and no more often than it journals buckets, three paths
+/// of eight — and later crossings land in later accesses, so bisection
+/// finds it.
+fn crossing_landing_in(point: KillPoint, access: usize) -> u64 {
+    let lands_in = |crossing: u64| {
+        let cfg = OramConfig {
+            crash: Some(CrashConfig::at(point, crossing)),
+            ..base_config()
+        };
+        let mut oram = PathOram::new(cfg, ORAM_SEED);
+        let killed = |&addr: &BlockAddr| oram.try_access_block(addr, AccessKind::Read).is_err();
+        addresses_n(LONG_ACCESSES).iter().position(killed)
+    };
+    let (mut lo, mut hi) = (access as u64, access as u64 * 24);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if lands_in(mid).is_some_and(|i| i + 1 < access) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The kill-point sweep across a compaction boundary: every point killed
+/// in commit 63 (the last delta of a chain), 64 (the periodic `Full`
+/// itself) and 65 (the first delta on top of it). Rollback must fold the
+/// old chain, replay must adopt the pending record — the `Full` included,
+/// which replaces the chain — and every cell ends auditor-clean in the
+/// crash-free state.
+#[test]
+fn kill_points_across_a_full_seal_recover_to_the_crash_free_state() {
+    let (crash_free, quiet, _) = run_long(None);
+    assert_eq!(quiet, CrashStats::default(), "disarmed: nothing is sealed");
+    let (armed, sealed, _) = run_long(Some(CrashConfig::at(KillPoint::MidFlip, u64::MAX)));
+    assert_eq!(armed, crash_free);
+    assert_eq!(
+        (
+            sealed.full_seals,
+            sealed.delta_seals,
+            sealed.early_full_seals
+        ),
+        (2, LONG_ACCESSES as u64 - 1, 0),
+        "construction Full, then commit 64 seals the periodic one"
+    );
+    for point in KillPoint::ALL {
+        for access in [63, 64, 65] {
+            let crossing = crossing_landing_in(point, access);
+            let (digest, stats, fired_in) = run_long(Some(CrashConfig::at(point, crossing)));
+            let cell = format!("{point} crossing {crossing} (commit {access})");
+            assert_eq!(fired_in, Some(access), "{cell}: landed elsewhere");
+            assert_eq!(stats.crashes_injected, 1, "{cell}");
+            assert_eq!(
+                stats.rollbacks + stats.replays + stats.clean_recoveries,
+                1,
+                "{cell}: recovery miscounted"
+            );
+            assert_eq!(stats.replays == 1, point == KillPoint::MidFlip, "{cell}");
+            assert_eq!(digest, crash_free, "{cell}: post-recovery state diverged");
+        }
+    }
+}
+
+/// The test a missed dirty site fails: after every one of 5 000 commits
+/// the sealed records — one `Full` plus up to 63 deltas — decode to the
+/// live state, PLB recency order and treetop buckets included. The
+/// second shape keeps two levels on chip; the third is a crowded Z = 2
+/// tree of 64 blocks, where accesses keep finding their block already in
+/// the stash and PLB hits are the rule.
+#[test]
+fn sealed_checkpoints_equal_the_live_state_after_every_commit() {
+    let never = Some(CrashConfig::at(KillPoint::MidFlip, u64::MAX));
+    let treetop = OramConfig {
+        treetop_levels: 2,
+        crash: never,
+        ..OramConfig::small_for_tests(1 << 10)
+    };
+    let crowded = OramConfig {
+        z: 2,
+        crash: never,
+        ..OramConfig::small_for_tests(64)
+    };
+    for cfg in [durable_shape(), treetop, crowded] {
+        let blocks = cfg.num_data_blocks;
+        let mut oram = PathOram::new(cfg, ORAM_SEED);
+        oram.audit_checkpoints();
+        let mut rng = Xoshiro256::seed_from(WORKLOAD_SEED);
+        drive_durable(
+            &mut oram,
+            5_000,
+            || rng.next_below(blocks),
+            PathOram::audit_checkpoints,
+        );
+        let stats = oram.crash_stats();
+        assert_eq!(stats.full_seals + stats.delta_seals, 5_001);
+        assert!(stats.delta_seals > 4_500, "{blocks} blocks: {stats:?}");
+        oram.audit_full();
+    }
+}
+
+/// Record lengths are public, so they must not depend on what was
+/// accessed: a uniform stream (PLB misses, stash churn) and a stream
+/// confined to sixteen blocks (PLB hits, hardly any) seal the identical
+/// sequence of (kind, length) — a `Full` every 64th commit, fixed-size
+/// deltas between — and no delta overflows into an early `Full`.
+#[test]
+fn checkpoint_record_lengths_do_not_depend_on_the_addresses() {
+    let lengths = |mut next: Box<dyn FnMut() -> u64>| {
+        let mut oram = PathOram::new(durable_shape(), ORAM_SEED);
+        let mut fulls = oram.crash_stats().full_seals;
+        let mut seen = Vec::new();
+        drive_durable(&mut oram, 3_000, &mut next, |oram| {
+            let records = oram.storage().expect("payloads on").checkpoint_records();
+            let newest = records.last().expect("a committed record").len();
+            let full = oram.crash_stats().full_seals > fulls;
+            fulls = oram.crash_stats().full_seals;
+            seen.push((full, newest));
+        });
+        assert_eq!(oram.crash_stats().early_full_seals, 0);
+        seen
+    };
+    let mut uniform = Xoshiro256::seed_from(WORKLOAD_SEED);
+    let mut hot = Xoshiro256::seed_from(WORKLOAD_SEED + 1);
+    let a = lengths(Box::new(move || uniform.next_below(1 << 16)));
+    let b = lengths(Box::new(move || 4_096 + hot.next_below(16)));
+    assert_eq!(a, b);
+    let fulls: Vec<usize> = (0..a.len()).filter(|&i| a[i].0).collect();
+    assert_eq!(fulls, (63..a.len()).step_by(64).collect::<Vec<_>>());
+    let mut sizes: Vec<usize> = a.iter().map(|r| r.1).collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    assert_eq!(
+        sizes.len(),
+        2,
+        "one Delta size and one Full size: {sizes:?}"
+    );
+}
+
+/// What reaches the journal area is ciphertext: on a crowded tree whose
+/// stash holds written blocks at most commits, no sealed record ever
+/// shows a run of the payload byte.
+#[test]
+fn sealed_records_never_show_a_stashed_payload() {
+    let cfg = OramConfig {
+        z: 2,
+        crash: Some(CrashConfig::at(KillPoint::MidFlip, u64::MAX)),
+        ..OramConfig::small_for_tests(64)
+    };
+    let payload = vec![0xAB; cfg.timing.block_bytes as usize];
+    let mut oram = PathOram::new(cfg, ORAM_SEED);
+    let mut rng = Xoshiro256::seed_from(WORKLOAD_SEED);
+    let mut stashed_payloads = 0;
+    for _ in 0..500 {
+        oram.try_write_block(BlockAddr(rng.next_below(64)), &payload)
+            .unwrap();
+        stashed_payloads += oram.stash().len();
+        for record in oram.storage().expect("payloads on").checkpoint_records() {
+            assert!(
+                !record.windows(16).any(|w| w == &payload[..16]),
+                "a payload is readable in the journal area"
+            );
+        }
+    }
+    assert!(
+        stashed_payloads > 50,
+        "the stash was mostly empty: {stashed_payloads}"
+    );
 }

@@ -90,6 +90,34 @@ fn mid_flip_kill_replays_the_payload_it_reported_durable() {
     assert_eq!(oram.try_read_block(addr).unwrap(), Some(payload));
 }
 
+/// The host-independent guard of the O(delta) commit: on the shape of
+/// `perf/`'s `ctrl_durable` workload (2^16 blocks, posmap fanout 8, write
+/// / read alternating at uniform addresses) a steady-state commit seals
+/// under 3 KiB — one fixed-size delta, plus its 64th of the periodic
+/// `Full` — where sealing the whole volatile state at begin and at commit
+/// took 30 080 bytes.
+#[test]
+fn durable_commits_seal_a_delta_not_the_volatile_state() {
+    let mut oram = PathOram::new(common::durable_shape(), common::ORAM_SEED);
+    let mut rng = Xoshiro256::seed_from(common::WORKLOAD_SEED);
+    let mut drive = |oram: &mut PathOram, n: u64| {
+        common::drive_durable(oram, n as usize, || rng.next_below(1 << 16), |_| {});
+    };
+    drive(&mut oram, 256);
+    let warm = oram.crash_stats();
+    let commits = 2_048;
+    drive(&mut oram, commits);
+    let stats = oram.crash_stats();
+    assert_eq!(stats.full_seals - warm.full_seals, commits / 64);
+    assert_eq!(stats.early_full_seals, 0);
+    let per_commit = (stats.checkpoint_bytes - warm.checkpoint_bytes) / commits;
+    assert!(
+        per_commit <= 3 * 1024,
+        "{per_commit} checkpoint bytes per commit"
+    );
+    oram.audit_checkpoints();
+}
+
 #[test]
 fn injected_bit_flips_are_all_detected_and_repaired() {
     let cfg = golden_config(true)
