@@ -1,18 +1,23 @@
-//! Fault sweep: detection rate, recovery rate and latency overhead of
-//! the ORAM's fault machinery across fault class x injection rate.
+//! Fault sweep: what the ORAM's fault machinery detects, what it survives
+//! and when it stops, across fault class x injection rate.
 //!
 //! Each cell runs a seeded read stream against a [`PathOram`] whose
 //! backing store injects one fault class at one rate, with the periodic
-//! scrub and the stash hard capacity engaged. The experiment asserts the
-//! robustness contract directly: **zero undetected corruptions** in every
-//! cell (the injector's ground-truth `undetected` counter stays zero) and
-//! a zero-rate injector that is observationally identical to running with
-//! no injector at all.
+//! scrub and the stash hard capacity engaged. The image is the only copy
+//! of a bucket, so a corrupted, torn or rolled-back bucket cannot be
+//! repaired: the first read that meets one fail-stops the controller with
+//! the typed error, and the cell reports how many accesses were served
+//! until then. Transient read failures leave the medium intact and are
+//! retried. The experiment asserts the robustness contract directly:
+//! **zero undetected corruptions** in every cell (the injector's
+//! ground-truth `undetected` counter stays zero), a fail-stop that is
+//! typed and latched, and a zero-rate injector that is observationally
+//! identical to running with no injector at all.
 
 use crate::exp::RunCtx;
 use crate::jobs::parallel_map;
 use proram_mem::{AccessKind, BlockAddr, FaultStats};
-use proram_oram::{FaultClass, FaultConfig, OramConfig, PathOram};
+use proram_oram::{FaultClass, FaultConfig, OramConfig, OramError, PathOram};
 use proram_stats::{table, Rng64, Table, Xoshiro256};
 
 /// Data blocks in the swept tree: small enough that every cell runs in
@@ -28,9 +33,12 @@ const RATES: [f64; 3] = [0.002, 0.01, 0.05];
 
 struct CellOutcome {
     stats: FaultStats,
-    /// Accesses that surfaced a typed error to the caller (degraded, not
-    /// panicked).
-    errored_accesses: u64,
+    /// Accesses served before the run ended: all of them, or those ahead
+    /// of the fail-stop.
+    served: u64,
+    /// The typed error the controller fail-stopped on, if it did.
+    stopped: Option<OramError>,
+    /// Latency of the served accesses.
     total_latency: u64,
 }
 
@@ -43,60 +51,81 @@ fn run_cell(fault: Option<FaultConfig>, ops: u64) -> CellOutcome {
     cfg.fault = fault;
     let mut oram = PathOram::new(cfg, 42);
     let mut rng = Xoshiro256::seed_from(7);
-    let mut errored_accesses = 0u64;
-    let mut total_latency = 0u64;
+    let mut next = || BlockAddr(rng.next_below(NUM_BLOCKS));
+    let (mut served, mut stopped, mut total_latency) = (0, None, 0);
     for _ in 0..ops {
-        let addr = BlockAddr(rng.next_below(NUM_BLOCKS));
-        match oram.try_access_block(addr, AccessKind::Read) {
-            Ok(report) => total_latency += report.latency,
-            Err(_) => errored_accesses += 1,
+        match oram.try_access_block(next(), AccessKind::Read) {
+            Ok(report) => {
+                served += 1;
+                total_latency += report.latency;
+            }
+            Err(err) => {
+                // Fail-stop: the error is latched, not a one-off.
+                assert_eq!(
+                    oram.try_access_block(next(), AccessKind::Read),
+                    Err(err),
+                    "the access after a fail-stop must return the same error"
+                );
+                stopped = Some(err);
+                break;
+            }
         }
     }
     CellOutcome {
         stats: oram.fault_stats(),
-        errored_accesses,
+        served,
+        stopped,
         total_latency,
     }
 }
 
-fn row_cells(
-    class_name: &str,
-    rate: f64,
-    cell: &CellOutcome,
-    baseline_latency: u64,
-) -> Vec<String> {
+/// `mean_latency` is the fault-free latency per access; `latency_x` is
+/// the cell's relative to it, for the cells that served the whole stream
+/// (a prefix of a few cold accesses says nothing about overhead).
+fn row_cells(class_name: &str, rate: f64, cell: &CellOutcome, mean_latency: f64) -> Vec<String> {
     let s = cell.stats;
+    let stopped_by = match cell.stopped {
+        None => "-",
+        Some(OramError::Integrity { .. }) => "integrity",
+        Some(OramError::Rollback { .. }) => "rollback",
+        Some(OramError::Transient { .. }) => "transient",
+        Some(other) => panic!("{class_name} at rate {rate} ended with {other}"),
+    };
     vec![
         class_name.to_owned(),
         format!("{rate}"),
         s.total_injected().to_string(),
         s.masked_by_overwrite.to_string(),
         s.total_detected().to_string(),
-        s.recovered.to_string(),
-        (s.unrecovered + cell.errored_accesses).to_string(),
         s.undetected.to_string(),
-        s.detection_rate()
-            .map_or_else(|| "-".to_owned(), table::pct),
+        cell.served.to_string(),
+        stopped_by.to_owned(),
+        s.recovered.to_string(),
         s.transient_retries.to_string(),
         s.scrub_runs.to_string(),
         s.emergency_evictions.to_string(),
-        table::f3(cell.total_latency as f64 / baseline_latency as f64),
+        match cell.stopped {
+            None => table::f3(cell.total_latency as f64 / cell.served as f64 / mean_latency),
+            Some(_) => "-".to_owned(),
+        },
     ]
 }
 
-/// Runs the sweep and builds the detection/recovery/overhead table.
+/// Runs the sweep and builds the detection / fail-stop / overhead table.
 ///
 /// # Panics
 ///
 /// Panics if any injected corruption survives undetected (a false
-/// negative) or if the zero-rate injector perturbs the fault-free run —
-/// the assertions CI's fault smoke relies on.
+/// negative), if a run ends in anything but a typed, latched fault of
+/// the medium, or if the zero-rate injector perturbs the fault-free run
+/// — the assertions CI's fault smoke relies on.
 pub fn run(ctx: RunCtx) -> Vec<Table> {
     // Enough accesses that even the lowest rate injects faults, scaled
     // down for --scale quick.
     let ops = (ctx.scale.ops / 10).clamp(2_000, 6_000);
     let baseline = run_cell(None, ops);
-    assert!(baseline.total_latency > 0, "baseline did not execute");
+    assert_eq!(baseline.served, ops, "baseline did not execute");
+    let mean_latency = baseline.total_latency as f64 / ops as f64;
 
     // Zero-rate identity: a structurally present but silent injector must
     // not change anything observable.
@@ -125,19 +154,19 @@ pub fn run(ctx: RunCtx) -> Vec<Table> {
         "injected",
         "masked",
         "detected",
-        "recovered",
-        "unrecovered",
         "undetected",
-        "detect%",
+        "served",
+        "stopped_by",
+        "recovered",
         "retries",
         "scrubs",
         "emerg_evict",
         "latency_x",
     ])
     .with_title(format!(
-        "Fault sweep: detection / recovery / overhead ({ops} reads, {NUM_BLOCKS} blocks)"
+        "Fault sweep: detection / fail-stop / overhead ({ops} reads, {NUM_BLOCKS} blocks)"
     ));
-    t.row(&row_cells("none", 0.0, &baseline, baseline.total_latency));
+    t.row(&row_cells("none", 0.0, &baseline, mean_latency));
     for (class, rate, cell) in &outcomes {
         assert_eq!(
             cell.stats.undetected,
@@ -150,12 +179,13 @@ pub fn run(ctx: RunCtx) -> Vec<Table> {
             "{} at rate {rate} injected nothing; sweep too short",
             class.name()
         );
-        t.row(&row_cells(
-            class.name(),
-            *rate,
-            cell,
-            baseline.total_latency,
-        ));
+        assert_eq!(
+            cell.stopped.is_none(),
+            cell.served == ops,
+            "{} at rate {rate}: only a fail-stop ends a run early",
+            class.name()
+        );
+        t.row(&row_cells(class.name(), *rate, cell, mean_latency));
     }
     vec![t]
 }
@@ -176,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn corruption_cells_recover() {
+    fn corruption_cells_fail_stop_typed() {
         let ops = 2_000;
         let cell = run_cell(
             Some(FaultConfig::single(FaultClass::BitFlip, 0.05, INJECT_SEED)),
@@ -184,7 +214,9 @@ mod tests {
         );
         assert!(cell.stats.injected_bit_flips > 0);
         assert_eq!(cell.stats.undetected, 0);
-        assert!(cell.stats.recovered > 0, "repairs must succeed");
-        assert_eq!(cell.errored_accesses, 0, "recovery keeps accesses alive");
+        assert_eq!(cell.stats.detected_integrity, 1, "the first one met stops");
+        assert_eq!(cell.stats.recovered, 0, "there is nothing to repair from");
+        assert!(matches!(cell.stopped, Some(OramError::Integrity { .. })));
+        assert!(cell.served < ops);
     }
 }

@@ -1221,15 +1221,16 @@ mod tests {
 
     #[test]
     fn unrecovered_faults_degrade_instead_of_panicking() {
-        // Without recovery (no injector), a detected corruption is
-        // absorbed into the unrecovered counter and the fill still served.
+        // A detected corruption fail-stops the backend; the scheme layer
+        // absorbs that access and every later one into the unrecovered
+        // counter, and the fills are still served.
         let mut oram = baseline_128(|_| {});
         oram.oram_mut()
             .storage_mut()
             .expect("payloads on")
             .corrupt_byte(0, 30, 0x01);
-        drive_baseline(&mut oram, 1);
-        assert_eq!(oram.stats().faults.unrecovered, 1);
+        drive_baseline(&mut oram, 3);
+        assert_eq!(oram.stats().faults.unrecovered, 3);
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub struct AccessOutcome {
 /// DRAM).
 ///
 /// Injection counters are ground truth recorded by the fault injector
-/// itself; detection/recovery counters are recorded by the controller's
-/// verification and repair paths. `undetected` counts injected corruptions
+/// itself; detection/recovery counters are recorded where a read is
+/// authenticated or retried. `undetected` counts injected corruptions
 /// that survived a full authenticated read — the false negatives the
 /// fault-sweep experiment asserts to be zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,10 +95,11 @@ pub struct FaultStats {
     pub transient_retries: u64,
     /// Extra cycles spent in retry backoff.
     pub backoff_cycles: u64,
-    /// Faults survived: transient reads that succeeded on retry plus
-    /// corrupted/rolled-back buckets repaired from the trusted state.
+    /// Faults survived: transient reads that succeeded on retry, crashed
+    /// accesses the scheme layer recovered and retried.
     pub recovered: u64,
-    /// Typed errors that could not be recovered and were reported upward.
+    /// Accesses that ended in a typed error and were served degraded by
+    /// the scheme layer (every access after a controller's fail-stop).
     pub unrecovered: u64,
     /// Emergency background evictions run past the normal per-access bound
     /// because the stash crossed its hard capacity (degradation mode).

@@ -251,7 +251,8 @@ pub enum ObsEvent {
         /// Bucket concerned (0 for non-bucket-local faults).
         bucket: u64,
     },
-    /// A previously detected fault was repaired or relieved.
+    /// A previously detected condition was relieved (stash pressure
+    /// drained by emergency eviction).
     FaultRecovered {
         /// What was recovered.
         kind: FaultKind,

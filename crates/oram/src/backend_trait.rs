@@ -25,10 +25,10 @@ use proram_obs::Obs;
 /// A tree-based ORAM offering the primitives super-block schemes need.
 ///
 /// The fallible methods return [`OramError`] for faults the backend
-/// detected but could not recover from (corruption or rollback with
-/// recovery disabled, exhausted transient retries, stash overflow past the
-/// hard capacity); backends with recovery enabled repair in place and
-/// return `Ok`.
+/// detected and could not survive: corruption, rollback or exhausted
+/// transient retries of a bucket it has no second copy of (it then
+/// fail-stops — every later call returns the same error), stash overflow
+/// past the hard capacity, or an injected crash.
 pub trait OramBackend {
     /// The unified block-address-space layout.
     fn space(&self) -> &AddressSpace;

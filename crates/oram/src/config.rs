@@ -88,17 +88,12 @@ pub struct OramConfig {
     pub treetop_levels: u32,
     /// Timing model.
     pub timing: OramTiming,
-    /// Keep and verify real payload bytes and an encrypted DRAM image.
-    /// Functional/crypto tests and examples only — costs memory and time.
+    /// Carry real payload bytes, in an encrypted DRAM image that is then
+    /// the only copy of every bucket below the treetop: a path fetch
+    /// authenticates, decrypts and decodes its buckets out of the image,
+    /// a write-back seals them into it. Off (opaque mode), the tree is
+    /// plaintext metadata only — what the timing experiments run on.
     pub store_payloads: bool,
-    /// With `store_payloads`, re-read and authenticate the encrypted image
-    /// on every path read and cross-check it against the logical tree.
-    /// Purely an internal consistency check — it draws no randomness and
-    /// changes no state, so results are identical either way. On by
-    /// default in [`OramConfig::small_for_tests`], off elsewhere: the
-    /// per-access decrypt-and-MAC of a full path roughly doubles hot-path
-    /// cost. Ignored without `store_payloads`.
-    pub verify_image: bool,
     /// Capacity of the adversary-trace recorder (0 = disabled).
     pub trace_capacity: usize,
     /// Initial super-block grouping: every aligned group of this many data
@@ -110,9 +105,11 @@ pub struct OramConfig {
     /// Seeded fault injection on the encrypted image (requires
     /// `store_payloads`). `None` disables the injector entirely; `Some`
     /// with all rates zero installs it silently — the injector draws from
-    /// its own RNG, so observable behavior is unchanged. Enabling faults
-    /// also enables per-path image verification (detection needs reads to
-    /// be authenticated) and typed-error recovery instead of panics.
+    /// its own RNG, so observable behavior is unchanged. Transient read
+    /// failures are retried within the injector's budget; a corrupted,
+    /// torn or rolled-back bucket is detected by the read that meets it
+    /// and fail-stops the controller with the typed error (there is no
+    /// second copy to repair it from).
     pub fault: Option<FaultConfig>,
     /// Hard stash capacity: if set, exceeding it after the bounded
     /// background-eviction drain triggers *emergency eviction* (a degraded
@@ -123,7 +120,8 @@ pub struct OramConfig {
     /// Scrub period in logical accesses: every `scrub_interval` accesses
     /// (counted by the background drain that closes each one),
     /// re-authenticate the whole encrypted image
-    /// ([`crate::EncryptedStore::verify_all`]) and repair what it flags.
+    /// ([`crate::EncryptedStore::verify_all`]); a bucket it flags
+    /// fail-stops the controller before an access can walk into it.
     /// `0` disables scrubbing. Requires `store_payloads`.
     pub scrub_interval: u64,
     /// Bank-aware fetch pipeline: when set, the per-path fetch cost is
@@ -174,7 +172,6 @@ impl OramConfig {
             plb_blocks: 8,
             timing: OramTiming::default(),
             store_payloads: true,
-            verify_image: true,
             trace_capacity: 1 << 16,
             init_group_size: 1,
             dense_tree: false,
@@ -512,15 +509,17 @@ impl OramConfigBuilder {
         self
     }
 
-    /// Keeps and verifies real payload bytes and an encrypted image.
+    /// Carries real payload bytes, in an encrypted image.
     pub fn store_payloads(mut self, on: bool) -> Self {
         self.cfg.store_payloads = on;
         self
     }
 
-    /// Re-authenticates the encrypted image on every path read.
-    pub fn verify_image(mut self, on: bool) -> Self {
-        self.cfg.verify_image = on;
+    /// Does nothing: every path read authenticates the image it fetches
+    /// from, so there is nothing left to switch. Kept only because the
+    /// frozen benchmark crate (`perf/src/workloads.rs`) still calls it;
+    /// it goes with the next `benchmark` PR (ROADMAP item 6).
+    pub fn verify_image(self, _: bool) -> Self {
         self
     }
 
@@ -594,7 +593,6 @@ impl Default for OramConfig {
             plb_blocks: 64,
             timing: OramTiming::paper_calibrated(),
             store_payloads: false,
-            verify_image: false,
             trace_capacity: 0,
             init_group_size: 1,
             dense_tree: false,
@@ -790,7 +788,6 @@ mod tests {
             .dense_tree(false)
             .treetop_levels(1)
             .store_payloads(true)
-            .verify_image(true)
             .trace_capacity(1 << 10)
             .init_group_size(4)
             .stash_hard_capacity(200)
@@ -868,7 +865,6 @@ mod tests {
         let derived = base
             .to_builder()
             .store_payloads(false)
-            .verify_image(false)
             .build()
             .expect("still consistent");
         assert_eq!(derived.num_data_blocks, base.num_data_blocks);

@@ -2,7 +2,8 @@
 //!
 //! Brings every bucket on a path into the stash, records the
 //! adversary-visible event and byte movement, and claims the requested
-//! block for remapping. A path fetch is a *batch* of bucket reads —
+//! block for remapping; with an encrypted image the off-chip part of the
+//! path comes out of it here. A path fetch is a *batch* of bucket reads —
 //! [`PathOram::bucket_read_batch`] renders one explicitly for the
 //! bank-aware scheduler in `proram-mem`; the per-access timing model
 //! charges the same batch analytically via
@@ -17,7 +18,11 @@ use crate::error::OramError;
 use crate::eviction::read_path;
 use crate::trace::PhysEvent;
 use proram_mem::BucketRead;
-use proram_obs::ObsEvent;
+use proram_obs::{FaultKind, ObsEvent};
+
+/// More levels than any tree has ([`crate::OramTree::new`] caps them at
+/// 31): the size of a path's on-stack index buffer.
+const MAX_LEVELS: usize = 32;
 
 impl PathOram {
     /// Reads every bucket on the path to `leaf` into the stash, recording
@@ -25,36 +30,68 @@ impl PathOram {
     /// must pair this with [`PathOram::write_path_from_stash`] on the same
     /// leaf.
     ///
-    /// When the encrypted image is kept and verification is on (explicit
-    /// `verify_image`, or implied by fault injection), every bucket on the
-    /// path is decrypted and authenticated first. With fault injection the
-    /// controller *recovers*: corrupted or rolled-back buckets are
-    /// re-encrypted from the trusted logical tree; exhausted transient
-    /// reads are counted and skipped. Without it, faults propagate.
+    /// With an encrypted image, the off-chip buckets of the path are
+    /// opened from it as one batch — MAC-verified, decrypted — and their
+    /// real blocks decoded, in slot order, into the tree's staging row,
+    /// from where they reach the stash with the treetop's. A bucket that
+    /// fails has no second copy to be repaired from: the controller
+    /// fail-stops — this and every later path read return the error —
+    /// and no block of that path reaches the stash.
     ///
     /// Crosses the `PathFetch`, `DecryptVerify` and `StashUpdate` kill
     /// points on the way, whatever kind of path this is.
     ///
     /// # Errors
     ///
-    /// Returns the detected [`OramError`] when recovery is disabled, or
+    /// Returns the [`OramError`] the controller fail-stopped on, or
     /// [`OramError::Crashed`] when an armed crossing is reached.
     pub fn try_read_path_into_stash(
         &mut self,
         leaf: Leaf,
         kind: PathKind,
     ) -> Result<(), OramError> {
+        if let Some(err) = self.failed {
+            return Err(err);
+        }
         self.crash_gate(KillPoint::PathFetch)?;
         self.crash_gate(KillPoint::DecryptVerify)?;
-        if self.config.verify_image || self.recovery_enabled() {
-            self.verify_path(leaf)?;
+        if let Some(store) = self.store.as_mut() {
+            let mut path = [0; MAX_LEVELS];
+            let mut len = 0;
+            for (_, phys) in self.layout.off_chip_path(leaf) {
+                path[len] = phys;
+                len += 1;
+            }
+            if let Err(err) = store.read_path(&path[..len], self.tree.staging_mut()) {
+                return Err(self.fail_stop(err));
+            }
         }
         self.crash_gate(KillPoint::StashUpdate)?;
         self.fill_path_into_stash(leaf, kind);
         Ok(())
     }
 
-    /// The stash-update half of a path fetch: moves the (verified) path's
+    /// The one answer to a fault of the medium (a forged or stale image,
+    /// a transient failure past its retry budget): latches `err` unless a
+    /// fault is latched already, voids the staged plaintext of the failed
+    /// path and returns what is latched, as every later path read will —
+    /// the half-done access has already remapped position-map entries, so
+    /// going on is not safe.
+    pub(crate) fn fail_stop(&mut self, err: OramError) -> OramError {
+        self.tree.clear_staging();
+        let kind = match err {
+            OramError::Rollback { .. } => FaultKind::Rollback,
+            OramError::Transient { .. } => FaultKind::Transient,
+            _ => FaultKind::Integrity,
+        };
+        let bucket = err
+            .bucket()
+            .map_or(0, |phys| self.layout.heap_of(phys) as u64);
+        self.obs.emit(|| ObsEvent::FaultDetected { kind, bucket });
+        *self.failed.get_or_insert(err)
+    }
+
+    /// The stash-update half of a path fetch: moves the fetched path's
     /// blocks into the stash and records stats, trace and occupancy.
     fn fill_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) {
         if self.tracking() {

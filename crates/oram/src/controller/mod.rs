@@ -6,10 +6,14 @@
 //! module:
 //!
 //! * `posmap` — position-map resolve and remap (PLB, top table),
-//! * `fetch` — path fetch: bucket-read batches, stash fill, block claim,
-//! * `verify` — decrypt/authenticate/repair of the encrypted image,
-//! * `writeback` — path write-back, background and emergency eviction,
-//!   periodic scrub.
+//! * `fetch` — path fetch: open the path's image (authenticate, decrypt,
+//!   decode), stash fill, block claim, fail-stop,
+//! * `writeback` — path write-back and seal, background and emergency
+//!   eviction, periodic scrub.
+//!
+//! Where each piece of state lives — and that, with a store, the
+//! encrypted image is the only copy of every bucket below the treetop —
+//! is DESIGN.md section 16.
 //!
 //! [`PathOram::try_access_block`] calls them in order; the super-block
 //! schemes in `proram-core` compose the same primitives
@@ -27,22 +31,23 @@
 //! Every fallible primitive returns [`Result<_, OramError>`] — the
 //! `try_` forms ([`PathOram::try_access_block`],
 //! [`PathOram::try_read_block`], [`PathOram::try_write_block`]) are the
-//! only access API; the old panicking wrappers are gone. With
-//! [`OramConfig::fault`] set, the controller recovers in place: corrupted
-//! or rolled-back buckets flagged by per-path verification (or the
-//! periodic scrub) are re-encrypted from the trusted logical tree,
-//! transient read failures retry with exponential backoff charged to
-//! access latency, and a stash past its hard capacity enters emergency
-//! eviction before fail-stop. Counters live in [`proram_mem::FaultStats`],
-//! surfaced via [`PathOram::fault_stats`].
+//! only access API. A bucket that fails its MAC, carries a stale version
+//! or exhausts its transient retry budget has no second copy to be
+//! repaired from: the access returns the typed error and the controller
+//! **fail-stops** — it latches the error and every later access returns
+//! it, so no payload ever comes from a bucket that did not authenticate.
+//! What leaves the medium intact is survived: transient read failures
+//! retry within their budget with backoff charged to access latency, and
+//! a stash past its hard capacity enters emergency eviction first.
+//! Counters: [`proram_mem::FaultStats`] via [`PathOram::fault_stats`].
 
 pub(crate) mod fetch;
 pub(crate) mod posmap;
-pub(crate) mod verify;
 pub(crate) mod writeback;
 
 use crate::addr::{AddressSpace, Leaf};
 use crate::block::{Block, Payload};
+use crate::bucket::Bucket;
 use crate::config::OramConfig;
 use crate::crash::{CrashArm, CrashStats, KillPoint, RecoveryMode, RecoveryReport};
 use crate::error::OramError;
@@ -59,6 +64,7 @@ use crate::tree::OramTree;
 use proram_mem::{AccessKind, BankScheduler, BlockAddr, FaultStats};
 use proram_obs::Obs;
 use proram_stats::{Rng64, Xoshiro256};
+use std::collections::HashMap;
 
 /// Bound on background evictions after one access. A dense tree with a
 /// tiny stash target can enter a persistent eviction storm (the regime of
@@ -136,7 +142,9 @@ pub enum PathKind {
     Dummy,
 }
 
-/// The Path ORAM controller plus its in-DRAM tree.
+/// The Path ORAM controller plus its in-DRAM tree: `store`'s encrypted
+/// image below the treetop, `tree` for the treetop — or, without a store,
+/// `tree` for all of it.
 ///
 /// # Examples
 ///
@@ -180,19 +188,13 @@ pub struct PathOram {
     pub(crate) layout: StoreLayout,
     /// Reusable write-back scratch (see [`PathScratch`]).
     pub(crate) scratch: PathScratch,
-    /// Reusable buffers for image verification (`verify_image` mode):
-    /// the path's physical bucket indices, what
-    /// [`EncryptedStore::bucket_addrs_batch`] returns for them (addresses
-    /// back to back, one end offset per bucket), and the logical tree's
-    /// address list of the bucket being compared.
-    pub(crate) verify_indices: Vec<usize>,
-    pub(crate) verify_store_addrs: Vec<u64>,
-    pub(crate) verify_ends: Vec<usize>,
-    pub(crate) verify_tree_addrs: Vec<u64>,
-    /// Recovery counters owned by the controller (repairs, emergency
-    /// evictions, scrub passes); the injector's own counters live in the
-    /// store and the two are summed by [`PathOram::fault_stats`].
+    /// Counters owned by the controller (emergency evictions, scrub
+    /// passes); the injector's own counters live in the store and the two
+    /// are summed by [`PathOram::fault_stats`].
     pub(crate) ctrl_faults: FaultStats,
+    /// The fault of the medium this controller fail-stopped on: once set,
+    /// every path read returns it.
+    pub(crate) failed: Option<OramError>,
     /// Accesses drained since the last scrub pass.
     pub(crate) reads_since_scrub: u64,
     /// Observability handle (events + per-stage profile); disabled by
@@ -237,7 +239,13 @@ impl PathOram {
         let space = config.address_space();
         let levels = config.tree_levels();
         let mut rng = Xoshiro256::seed_from(seed);
-        let mut tree = OramTree::new(levels, config.z);
+        // With a store the tree keeps the treetop only; see the struct.
+        let resident_levels = if config.store_payloads {
+            config.treetop_levels
+        } else {
+            levels
+        };
+        let mut tree = OramTree::with_resident_levels(levels, config.z, resident_levels);
         let num_leaves = tree.num_leaves();
 
         // Random initial leaf for every on-tree block. Data blocks may be
@@ -295,31 +303,42 @@ impl PathOram {
             None
         };
 
-        // Materialize blocks and place each as deep as possible on its
-        // own path.
+        // Place each block as deep as possible on its own path. Placement
+        // needs occupancy only: a block bound for the image is noted as
+        // `(bucket, address)` and materialized when its bucket is sealed.
+        let resident = tree.resident_buckets();
+        let mut occupancy = vec![0; tree.num_buckets() - resident];
+        let mut off_chip: Vec<(usize, u64)> = Vec::new();
+        let make = |addr: u64| {
+            let leaf = leaves[addr as usize];
+            Self::make_block(&config, &space, BlockAddr(addr), leaf, &leaves)
+        };
         for addr in 0..total {
-            let block = Self::make_block(
-                &config,
-                &space,
-                BlockAddr(addr),
-                leaves[addr as usize],
-                &leaves,
-            );
-            let mut placed = false;
-            for idx in tree.path_indices(block.leaf).rev() {
-                if !tree.bucket(idx).is_full() {
-                    tree.bucket_mut(idx).push(block.clone());
-                    placed = true;
-                    break;
+            let free = |&idx: &usize| match idx.checked_sub(resident) {
+                None => !tree.bucket(idx).is_full(),
+                Some(off) => occupancy[off] < config.z,
+            };
+            match tree.path_indices(leaves[addr as usize]).rev().find(free) {
+                Some(idx) if idx < resident => tree.bucket_mut(idx).push(make(addr)),
+                Some(idx) => {
+                    occupancy[idx - resident] += 1;
+                    off_chip.push((idx, addr));
                 }
-            }
-            if !placed {
-                stash.insert(block);
+                None => stash.insert(make(addr)),
             }
         }
         if let Some(store) = store.as_mut() {
-            for idx in layout.treetop_buckets()..tree.num_buckets() {
-                store.write_bucket(layout.phys_of(idx), tree.bucket(idx));
+            // Heap order, ascending addresses inside a bucket: the nonce
+            // sequence and slot order the image goldens pin.
+            off_chip.sort_unstable();
+            let mut members = off_chip.iter().peekable();
+            let mut bucket = Bucket::new(config.z);
+            for idx in resident..tree.num_buckets() {
+                while let Some(&(_, addr)) = members.next_if(|m| m.0 == idx) {
+                    bucket.push(make(addr));
+                }
+                store.write_bucket(layout.phys_of(idx), &bucket);
+                bucket.drain();
             }
         }
         // Crash injection arms after initialization: init traffic is not a
@@ -372,11 +391,8 @@ impl PathOram {
             treetop_saved_bytes,
             layout,
             scratch: PathScratch::new(),
-            verify_indices: Vec::new(),
-            verify_store_addrs: Vec::new(),
-            verify_ends: Vec::new(),
-            verify_tree_addrs: Vec::new(),
             ctrl_faults: FaultStats::default(),
+            failed: None,
             reads_since_scrub: 0,
             obs: Obs::disabled(),
             txn_open: false,
@@ -473,20 +489,14 @@ impl PathOram {
     }
 
     /// Fault injection, detection and recovery counters: the injector's
-    /// (store-side) counters plus the controller's recovery counters.
-    /// All-zero when fault injection is disabled.
+    /// (store-side) counters plus the controller's own (emergency
+    /// evictions, scrub passes).
     pub fn fault_stats(&self) -> FaultStats {
         let injector = self
             .store
             .as_ref()
             .map_or_else(FaultStats::default, EncryptedStore::fault_stats);
         injector + self.ctrl_faults
-    }
-
-    /// Whether detected faults are repaired in place rather than
-    /// propagated (on whenever an injector is configured).
-    pub(crate) fn recovery_enabled(&self) -> bool {
-        self.config.fault.is_some()
     }
 
     /// The stash (for occupancy statistics).
@@ -545,9 +555,9 @@ impl PathOram {
     ///
     /// # Errors
     ///
-    /// Returns the typed [`OramError`] when a fault is detected and
-    /// recovery is disabled, or when recovery itself fails
-    /// ([`OramError::StashOverflow`]).
+    /// Returns the typed [`OramError`] of a detected fault of the medium
+    /// — this access's, or the one the controller fail-stopped on — or
+    /// [`OramError::StashOverflow`] when emergency eviction fails.
     ///
     /// # Panics
     ///
@@ -688,9 +698,10 @@ impl PathOram {
     /// records describe — unless it moved outside a transaction since the
     /// last seal, in which case one `Full` brings the records up to date.
     /// No-op without [`OramConfig::crash`] — the protocol costs nothing
-    /// when disarmed.
+    /// when disarmed — and after a fail-stop, whose half-done transaction
+    /// stays as it is.
     pub(crate) fn txn_begin(&mut self) {
-        if self.config.crash.is_none() {
+        if self.config.crash.is_none() || self.failed.is_some() {
             return;
         }
         if self.txn_open {
@@ -924,9 +935,9 @@ impl PathOram {
     }
 
     /// Recovers from a crashed access: closes the store journal (rollback
-    /// or replay), adopts the matching sealed checkpoint, rebuilds the
-    /// touched tree buckets by re-reading and re-authenticating the store
-    /// image, and clears the transaction state.
+    /// or replay), adopts the matching sealed checkpoint, re-authenticates
+    /// the image of every bucket the transaction touched, and clears the
+    /// transaction state.
     ///
     /// Safe to call when nothing crashed — it reports
     /// [`RecoveryMode::Clean`] and changes nothing.
@@ -994,31 +1005,28 @@ impl PathOram {
                 bucket.push(block);
             }
         }
-        // Rebuild the tree mirror of every off-chip bucket the transaction
-        // touched from the (rolled-back or replayed) store image. The
-        // store is the durable medium; decrypt-and-authenticate is what
-        // makes the rebuilt plaintext trustworthy. Written buckets are in
+        // Plaintext of a fetched path the crash left staged is void: its
+        // blocks are in the image or came back with the checkpoint.
+        self.tree.clear_staging();
+        // Re-authenticate the (rolled-back or replayed) image of every
+        // off-chip bucket the transaction touched. Written buckets are in
         // the journal; a bucket only fetched so far is on the path of a
         // fetched leaf (the treetop prefix of those paths came back with
         // the checkpoint above).
-        let mut touched: std::collections::BTreeSet<usize> = rec.touched.iter().copied().collect();
+        let journal_entries = rec.touched.len();
+        let mut touched = rec.touched;
         for &leaf in &self.txn_leaves {
             touched.extend(self.layout.off_chip_path(leaf).map(|(_, phys)| phys));
         }
-        let mut reverified = 0usize;
+        touched.sort_unstable();
+        touched.dedup();
+        let store = self.store.as_mut().expect("store present above");
         for &phys in &touched {
-            let heap = self.layout.heap_of(phys);
-            let store = self.store.as_mut().expect("store present above");
-            let blocks = store
-                .try_read_bucket(phys)
+            store
+                .verify_bucket(phys)
                 .expect("recovered bucket failed authentication");
-            let bucket = self.tree.bucket_mut(heap);
-            bucket.drain();
-            for block in blocks {
-                bucket.push(block);
-            }
-            reverified += 1;
         }
+        let reverified = touched.len();
         let mode = if rec.replay {
             self.crash_stats.replays += 1;
             RecoveryMode::Replayed
@@ -1030,7 +1038,7 @@ impl PathOram {
         self.crash_surfaced = false;
         let replay = rec.replay;
         // A rollback restored every journaled image; a replay none.
-        let restored = if replay { 0 } else { rec.touched.len() as u64 };
+        let restored = if replay { 0 } else { journal_entries as u64 };
         self.obs.emit(|| proram_obs::ObsEvent::RecoverReplay {
             replay,
             restored,
@@ -1044,7 +1052,7 @@ impl PathOram {
         let cycles = (restored + reverified as u64) * per_bucket;
         RecoveryReport {
             mode,
-            journal_entries: rec.touched.len(),
+            journal_entries,
             buckets_restored: restored as usize,
             buckets_reverified: reverified,
             cycles,
@@ -1065,9 +1073,32 @@ impl PathOram {
         }
     }
 
+    /// Hands every bucket of the tree, in heap order, to `f` — for the
+    /// auditors. A resident bucket is borrowed as it is; one that lives in
+    /// the image is decoded by a pure read
+    /// ([`EncryptedStore::peek_bucket`]), so auditing changes nothing.
+    fn for_each_bucket(&self, mut f: impl FnMut(usize, &Bucket)) {
+        let resident = self.tree.resident_buckets();
+        for idx in 0..resident {
+            f(idx, self.tree.bucket(idx));
+        }
+        // Without a store every bucket is resident.
+        let Some(store) = self.store.as_ref() else {
+            return;
+        };
+        let mut bucket = Bucket::new(self.config.z);
+        for idx in resident..self.tree.num_buckets() {
+            store
+                .peek_bucket(self.layout.phys_of(idx), &mut bucket)
+                .expect("auditor: image bucket failed authentication");
+            f(idx, &bucket);
+        }
+    }
+
     /// Full-state auditor: asserts block conservation — every logical
     /// block of the address space lives in exactly one place (stash, PLB,
-    /// or one tree bucket) — and then the per-block placement invariant
+    /// or one tree bucket) — that no plaintext of an off-chip bucket
+    /// outlived its access, and then the per-block placement invariant
     /// ([`PathOram::check_invariants`]). The crash-recovery suite runs
     /// this after every recovery.
     ///
@@ -1075,6 +1106,10 @@ impl PathOram {
     ///
     /// Panics on the first duplicated, missing, or misplaced block.
     pub fn audit_full(&self) {
+        assert!(
+            self.tree.staging().iter().all(Bucket::is_empty),
+            "plaintext of an off-chip bucket is resident between accesses"
+        );
         let total = self.space.total_tree_blocks();
         let mut count = vec![0u32; total as usize];
         let mut tally = |addr: BlockAddr, where_: &str| {
@@ -1087,11 +1122,11 @@ impl PathOram {
         for b in self.plb.iter() {
             tally(b.addr, "PLB");
         }
-        for idx in 0..self.tree.num_buckets() {
-            for b in self.tree.bucket(idx).iter() {
+        self.for_each_bucket(|_, bucket| {
+            for b in bucket.iter() {
                 tally(b.addr, "tree");
             }
-        }
+        });
         for (addr, &n) in count.iter().enumerate() {
             assert_eq!(n, 1, "block {addr} appears {n} times across stash/PLB/tree");
         }
@@ -1121,12 +1156,12 @@ impl PathOram {
         for b in self.plb.iter() {
             Self::digest_block(&mut h, b);
         }
-        for idx in 0..self.tree.num_buckets() {
+        self.for_each_bucket(|idx, bucket| {
             h.write_u64(idx as u64);
-            for b in self.tree.bucket(idx).iter() {
+            for b in bucket.iter() {
                 Self::digest_block(&mut h, b);
             }
-        }
+        });
         h.finish()
     }
 
@@ -1165,21 +1200,37 @@ impl PathOram {
     /// Panics on the first violation. Intended for tests; cost is
     /// `O(total blocks * levels)`.
     pub fn check_invariants(&self) {
+        // One pass over the tree: the bucket holding each block, and the
+        // position-map blocks themselves (the walk reads their entries).
+        let total = self.space.total_tree_blocks();
+        let mut on_tree = OnTree {
+            bucket: vec![usize::MAX; total as usize],
+            posmap: HashMap::new(),
+        };
+        self.for_each_bucket(|idx, bucket| {
+            for b in bucket.iter() {
+                if let Some(home) = on_tree.bucket.get_mut(b.addr.0 as usize) {
+                    *home = idx;
+                }
+                if b.payload.is_posmap() {
+                    on_tree.posmap.insert(b.addr, b.clone());
+                }
+            }
+        });
         // Walk the posmap chain top-down, gathering the authoritative leaf
         // of every block, then check placement.
-        let total = self.space.total_tree_blocks();
         for addr in 0..total {
             let addr = BlockAddr(addr);
-            if let Some(leaf) = self.authoritative_leaf(addr) {
+            if let Some(leaf) = self.authoritative_leaf(addr, &on_tree) {
                 assert!(
-                    self.block_is_findable(addr, leaf),
+                    self.block_is_findable(addr, leaf, &on_tree),
                     "invariant violation: block {addr} mapped to {leaf} is not on its path/stash/PLB"
                 );
             }
         }
     }
 
-    fn authoritative_leaf(&self, addr: BlockAddr) -> Option<Leaf> {
+    fn authoritative_leaf(&self, addr: BlockAddr, on_tree: &OnTree) -> Option<Leaf> {
         let h = self.parent_hierarchy(addr);
         if h == self.space.top_hierarchy() {
             let base = self.space.region_base(h - 1);
@@ -1191,29 +1242,30 @@ impl PathOram {
         }
         // The parent itself must be findable; read its entry wherever it
         // is (stash or tree).
-        let parent_leaf = self.authoritative_leaf(pm_addr)?;
-        let parent = self.locate(pm_addr, parent_leaf)?;
+        let parent_leaf = self.authoritative_leaf(pm_addr, on_tree)?;
+        let parent = self
+            .stash
+            .get(pm_addr)
+            .or_else(|| on_tree.posmap.get(&pm_addr))
+            .filter(|_| self.block_is_findable(pm_addr, parent_leaf, on_tree))?;
         Some(parent.entries()[self.space.entry_index(addr)].leaf)
     }
 
-    fn locate(&self, addr: BlockAddr, leaf: Leaf) -> Option<&Block> {
-        if let Some(b) = self.stash.get(addr) {
-            return Some(b);
-        }
-        if let Some(b) = self.plb.peek(addr) {
-            return Some(b);
-        }
-        for idx in self.tree.path_indices(leaf) {
-            if let Some(b) = self.tree.bucket(idx).iter().find(|b| b.addr == addr) {
-                return Some(b);
-            }
-        }
-        None
+    fn block_is_findable(&self, addr: BlockAddr, leaf: Leaf, on_tree: &OnTree) -> bool {
+        let home = on_tree.bucket[addr.0 as usize];
+        self.stash.contains(addr)
+            || self.plb.peek(addr).is_some()
+            || self.tree.path_indices(leaf).any(|idx| idx == home)
     }
+}
 
-    fn block_is_findable(&self, addr: BlockAddr, leaf: Leaf) -> bool {
-        self.locate(addr, leaf).is_some()
-    }
+/// The auditors' index of the tree.
+struct OnTree {
+    /// Heap index of the bucket holding each address; `usize::MAX` for
+    /// one that is not on the tree.
+    bucket: Vec<usize>,
+    /// The position-map blocks on the tree.
+    posmap: HashMap<BlockAddr, Block>,
 }
 
 impl crate::backend_trait::OramBackend for PathOram {
@@ -1611,30 +1663,6 @@ mod tests {
     }
 
     #[test]
-    fn verification_gating_does_not_change_behavior() {
-        // verify_image draws no randomness and mutates nothing, so runs
-        // with and without it must be step-for-step identical.
-        let run = |verify: bool| {
-            let cfg = OramConfig {
-                verify_image: verify,
-                ..OramConfig::small_for_tests(256)
-            };
-            let mut oram = PathOram::new(cfg, 42);
-            let mut rng = Xoshiro256::seed_from(3);
-            for _ in 0..200 {
-                oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
-                    .unwrap();
-            }
-            (
-                oram.oram_stats(),
-                oram.trace().observed_leaves(),
-                oram.stash().peak(),
-            )
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn write_backs_reuse_the_scratch() {
         let mut oram = small();
         oram.try_access_block(BlockAddr(1), AccessKind::Read)
@@ -1701,7 +1729,7 @@ mod fault_tests {
     }
 
     #[test]
-    fn every_fault_class_is_recovered_without_panic() {
+    fn a_corrupted_bucket_fail_stops_typed_and_transients_retry() {
         for class in FaultClass::ALL {
             let rate = match class {
                 FaultClass::Transient => 0.05,
@@ -1709,10 +1737,13 @@ mod fault_tests {
             };
             let mut oram = PathOram::new(faulty_cfg(FaultConfig::single(class, rate, 17)), 21);
             let mut rng = Xoshiro256::seed_from(8);
+            let mut stopped = None;
             for _ in 0..150 {
                 let addr = BlockAddr(rng.next_below(256));
-                oram.try_access_block(addr, AccessKind::Read)
-                    .unwrap_or_else(|e| panic!("{} not recovered: {e}", class.name()));
+                if let Err(err) = oram.try_access_block(addr, AccessKind::Read) {
+                    stopped = Some(err);
+                    break;
+                }
             }
             let stats = oram.fault_stats();
             assert!(
@@ -1721,17 +1752,30 @@ mod fault_tests {
                 class.name()
             );
             assert_eq!(stats.undetected, 0, "{}: false negatives", class.name());
-            oram.check_invariants();
+            match (class, stopped) {
+                // The medium is intact: every read succeeds on a retry.
+                (FaultClass::Transient, None) => assert!(stats.recovered > 0),
+                (FaultClass::BitFlip | FaultClass::TornWrite, Some(err)) => {
+                    assert!(matches!(err, OramError::Integrity { .. }), "{err}");
+                }
+                (FaultClass::Rollback, Some(err)) => {
+                    assert!(matches!(err, OramError::Rollback { .. }), "{err}");
+                }
+                (_, stopped) => panic!("{}: ended with {stopped:?}", class.name()),
+            }
+            // Once stopped, every access returns the latched error.
+            if let Some(err) = stopped {
+                for a in 0..3 {
+                    assert_eq!(oram.try_read_block(BlockAddr(a)), Err(err));
+                }
+                assert_eq!(oram.scrub(), Err(err));
+            }
         }
     }
 
     #[test]
-    fn payloads_survive_fault_recovery() {
-        let fault = FaultConfig {
-            bit_flip_rate: 0.02,
-            rollback_rate: 0.02,
-            ..FaultConfig::silent(33)
-        };
+    fn payloads_survive_transient_retries() {
+        let fault = FaultConfig::single(FaultClass::Transient, 0.05, 33);
         let mut oram = PathOram::new(faulty_cfg(fault), 5);
         for a in 0..16u64 {
             oram.try_write_block(BlockAddr(a), &[a as u8; 128]).unwrap();
@@ -1745,10 +1789,11 @@ mod fault_tests {
             assert_eq!(
                 oram.try_read_block(BlockAddr(a)).unwrap().unwrap(),
                 vec![a as u8; 128],
-                "payload of block {a} lost through recovery"
+                "payload of block {a} lost through a retried read"
             );
         }
         assert!(oram.fault_stats().recovered > 0);
+        oram.audit_full();
     }
 
     #[test]
@@ -1778,32 +1823,33 @@ mod fault_tests {
     }
 
     #[test]
-    fn scrub_repairs_out_of_path_corruption() {
+    fn scrub_catches_out_of_path_corruption_and_fail_stops() {
         let cfg = OramConfig {
             scrub_interval: 10,
-            ..faulty_cfg(FaultConfig::silent(1))
+            ..OramConfig::small_for_tests(256)
         };
         let mut oram = PathOram::new(cfg, 13);
-        // Corrupt a bucket directly (not via the injector) — the scrub
-        // pass must find and repair it even if no access walks past it.
+        // Corrupt a bucket directly (not via an injector): the scrub pass
+        // must find it even if no access walks past it. There is nothing
+        // to repair it from, so what it finds ends the run.
         let nb = oram.storage().expect("payloads on").num_buckets();
         oram.storage_mut()
             .expect("payloads on")
             .corrupt_byte(nb - 1, 30, 0x08);
         let mut rng = Xoshiro256::seed_from(6);
-        for _ in 0..10 {
+        let mut access = |oram: &mut PathOram| {
             oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
-                .unwrap();
-        }
+        };
+        let served = (0..10).take_while(|_| access(&mut oram).is_ok()).count();
+        let stopped = access(&mut oram).expect_err("fail-stopped");
+        assert_eq!(stopped.bucket(), Some(nb - 1));
+        assert!(matches!(stopped, OramError::Integrity { .. }));
         let stats = oram.fault_stats();
-        assert!(stats.scrub_runs >= 1, "scrub never ran");
-        assert!(stats.recovered >= 1, "scrub did not repair");
-        // After the scrub the whole image verifies again.
-        assert!(oram
-            .storage_mut()
-            .expect("payloads on")
-            .verify_all()
-            .is_ok());
+        assert!(
+            served < 9 || stats.scrub_runs == 1,
+            "neither an access nor the scrub met the bucket"
+        );
+        assert_eq!(stats.recovered, 0, "nothing to repair from");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Stages 4 & 5: path write-back and background eviction.
 //!
-//! Greedily writes stash blocks back onto the just-read path, keeps the
-//! encrypted image coherent, and drains the stash with background
+//! Greedily writes stash blocks back onto the just-read path, seals its
+//! off-chip buckets into the encrypted image (where, and only where,
+//! they then live), and drains the stash with background
 //! (dummy) evictions — paper Section 2.4 — bounded per access so an
 //! eviction storm degrades throughput instead of livelocking. The drain
 //! closes every access, so it also carries the periodic image scrub.
@@ -14,8 +15,9 @@ use crate::eviction::write_path_with;
 use proram_obs::{FaultKind, ObsEvent};
 
 impl PathOram {
-    /// Greedily writes stash blocks back to the path to `leaf` and
-    /// re-encrypts the touched buckets into the storage image.
+    /// Greedily writes stash blocks back to the path to `leaf`; with an
+    /// encrypted image, seals the off-chip buckets into it straight from
+    /// the staging row and drops their plaintext.
     ///
     /// # Errors
     ///
@@ -27,12 +29,9 @@ impl PathOram {
         self.crash_gate(KillPoint::WriteBack)?;
         write_path_with(&mut self.tree, &mut self.stash, leaf, &mut self.scratch);
         if let Some(store) = self.store.as_mut() {
-            let buckets: Vec<(usize, &crate::bucket::Bucket)> = self
-                .layout
-                .off_chip_path(leaf)
-                .map(|(heap, phys)| (phys, self.tree.bucket(heap)))
-                .collect();
-            store.write_buckets(&buckets);
+            let indices = self.layout.off_chip_path(leaf).map(|(_, phys)| phys);
+            store.write_buckets(indices.zip(self.tree.staging()));
+            self.tree.clear_staging();
         }
         self.store_crash_check()
     }
@@ -42,7 +41,7 @@ impl PathOram {
     ///
     /// # Errors
     ///
-    /// Propagates unrecovered faults from the path read.
+    /// Propagates the path read's fail-stop and crash errors.
     pub fn try_background_evict(&mut self) -> Result<(), OramError> {
         let leaf = self.random_leaf();
         self.try_read_path_into_stash(leaf, super::PathKind::Dummy)?;
@@ -68,7 +67,7 @@ impl PathOram {
     /// Returns [`OramError::StashOverflow`] when emergency eviction cannot
     /// bring occupancy under the hard capacity, [`OramError::Crashed`]
     /// when the armed `Evict` crossing is reached on entry, or propagates
-    /// unrecovered path-read and scrub faults.
+    /// the fail-stop of a path read or of the scrub.
     pub fn try_drain_background(&mut self) -> Result<u64, OramError> {
         self.crash_gate(KillPoint::Evict)?;
         let mut n = 0;
@@ -113,5 +112,25 @@ impl PathOram {
             }
         }
         Ok(n)
+    }
+
+    /// Verifies the whole encrypted image
+    /// ([`crate::EncryptedStore::verify_all`]): the periodic scrub pass
+    /// driven by [`crate::OramConfig::scrub_interval`]; it can also be
+    /// called directly. It catches corruption no access has walked into
+    /// yet but cannot undo it: a bucket it flags fail-stops the
+    /// controller as a failed path read does.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`OramError`] the controller fail-stopped on: the first
+    /// bucket that fails, unless an earlier fault is latched already.
+    pub fn scrub(&mut self) -> Result<(), OramError> {
+        let Some(store) = self.store.as_mut() else {
+            return Ok(());
+        };
+        self.ctrl_faults.scrub_runs += 1;
+        self.ctrl_faults.scrub_buckets += store.num_buckets() as u64;
+        store.verify_all().map_err(|err| self.fail_stop(err))
     }
 }

@@ -89,7 +89,7 @@ impl StoreLayout {
     /// `(heap index, physical index)` pairs: the path minus its treetop
     /// prefix. This is the one enumeration of "what a path access moves
     /// through the store".
-    pub fn off_chip_path(&self, leaf: Leaf) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub fn off_chip_path(&self, leaf: Leaf) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
         debug_assert!(leaf.0 < self.num_leaves(), "{leaf} out of range");
         (self.treetop_levels..self.levels).map(move |level| {
             let heap = (1usize << level) - 1 + (leaf.0 >> (self.levels - 1 - level)) as usize;

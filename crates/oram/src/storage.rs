@@ -38,6 +38,7 @@ use crate::fault::{FaultConfig, FaultyStore};
 use crate::journal::{Checkpoint, CheckpointChain, TxnJournal, EPOCH_DOMAIN};
 use crate::posmap::PosEntry;
 use proram_mem::{BlockAddr, FaultStats};
+use std::borrow::Borrow;
 
 /// Serialized size of one position-map entry.
 pub const ENTRY_BYTES: usize = 9;
@@ -108,16 +109,8 @@ pub struct EncryptedStore {
     payload_bytes: usize,
     num_buckets: usize,
     /// Scratch of the path kernels (DESIGN.md section 14), reused across
-    /// calls: the batch's plaintext bodies back to back. About 7 KiB for
-    /// a reference path, so it stays in L1.
-    plain: Vec<u8>,
-    /// Kernel scratch: `[index, nonce, version]` — the words the header
-    /// MAC covers — of each bucket of the batch, in batch order.
-    heads: Vec<[u64; 3]>,
-    /// Kernel scratch: the real slots of the batch, as `(batch position,
-    /// slot)` in batch order. The seal kernel computes their tags, the
-    /// open kernel verifies them and leaves the queue for its callers.
-    queue: Vec<(usize, usize)>,
+    /// calls.
+    kernel: KernelScratch,
     /// Trusted epoch counter; the commit flip advances it after all home
     /// writes of a transaction landed.
     epoch: u64,
@@ -139,9 +132,25 @@ pub struct EncryptedStore {
     fired: Option<KillPoint>,
 }
 
+/// Scratch of one kernel call. The open kernel takes it by reference
+/// rather than from the store, so a pure read can bring its own.
+#[derive(Debug, Clone, Default)]
+struct KernelScratch {
+    /// The batch's plaintext bodies back to back. About 7 KiB for a
+    /// reference path, so it stays in L1.
+    plain: Vec<u8>,
+    /// `[index, nonce, version]` — the words the header MAC covers — of
+    /// each bucket of the batch, in batch order.
+    heads: Vec<[u64; 3]>,
+    /// The real slots of the batch, as `(batch position, slot)` in batch
+    /// order. The seal kernel computes their tags, the open kernel
+    /// verifies them and leaves the queue for its callers.
+    queue: Vec<(usize, usize)>,
+}
+
 /// What [`EncryptedStore::recover_txn`] did with the open journal; the
-/// controller finishes recovery from this (checkpoint adoption, tree
-/// rebuild, re-verification).
+/// controller finishes recovery from this (checkpoint adoption,
+/// re-verification).
 #[derive(Debug)]
 pub(crate) struct StoreRecovery {
     /// `true` = the epoch had already flipped: home images are
@@ -150,8 +159,8 @@ pub(crate) struct StoreRecovery {
     /// record, if any, dropped.
     pub replay: bool,
     /// Bucket indices touched by the transaction's journal, in first-write
-    /// order — the set whose tree mirror must be rebuilt and re-verified,
-    /// and on a rollback the images that were restored.
+    /// order — re-verified by the controller, and on a rollback the
+    /// images that were restored.
     pub touched: Vec<usize>,
 }
 
@@ -184,9 +193,7 @@ impl EncryptedStore {
             z,
             payload_bytes,
             num_buckets,
-            plain: Vec::new(),
-            heads: Vec::new(),
-            queue: Vec::new(),
+            kernel: KernelScratch::default(),
             epoch: 0,
             epoch_tag: mac.tag(&[EPOCH_DOMAIN, 0], &[]),
             journal: TxnJournal::default(),
@@ -458,13 +465,17 @@ impl EncryptedStore {
     /// Panics if the bucket exceeds `z` blocks or a payload exceeds the
     /// payload area.
     pub fn write_bucket(&mut self, index: usize, bucket: &Bucket) {
-        self.write_buckets(&[(index, bucket)]);
+        self.write_buckets([(index, bucket)]);
     }
 
-    /// Serializes, encrypts and stores a whole path's buckets in slice
-    /// order: bucket `k` gets the `k`-th fresh nonce and its next
+    /// Serializes, encrypts and stores a whole path's buckets in the
+    /// order given: bucket `k` gets the `k`-th fresh nonce and its next
     /// version, and a store-level kill at bucket `k` leaves the buckets
     /// before it written, `k` journaled only and the rest untouched.
+    /// `buckets` is any re-iterable sequence of `(index, bucket)`, by
+    /// value or by reference: a slice of pairs, or indices zipped with
+    /// the buckets where they lie (the controller seals a path straight
+    /// from the tree's staging row).
     ///
     /// A fault injector draws once per bucket write, so a faulty backing
     /// is driven through the kernel one bucket at a time.
@@ -473,10 +484,15 @@ impl EncryptedStore {
     ///
     /// Panics if any bucket exceeds `z` blocks or a payload exceeds the
     /// payload area.
-    pub fn write_buckets(&mut self, buckets: &[(usize, &Bucket)]) {
+    pub fn write_buckets<'a, I>(&mut self, buckets: I)
+    where
+        I: IntoIterator<IntoIter: Clone>,
+        I::Item: Borrow<(usize, &'a Bucket)>,
+    {
+        let buckets = buckets.into_iter().map(|pair| *pair.borrow());
         if self.faults_enabled() {
-            for one in buckets.chunks(1) {
-                self.seal_kernel(one);
+            for one in buckets {
+                self.seal_kernel(std::iter::once(one));
             }
         } else {
             self.seal_kernel(buckets);
@@ -486,13 +502,13 @@ impl EncryptedStore {
     /// The seal kernel (DESIGN.md section 14): works in phases over the
     /// whole batch so the slot MACs of different buckets run in lockstep
     /// and every image line is written exactly once.
-    fn seal_kernel(&mut self, buckets: &[(usize, &Bucket)]) {
-        let (body, slot_bytes) = (self.body_bytes(), self.slot_bytes());
+    fn seal_kernel<'a>(&mut self, buckets: impl Iterator<Item = (usize, &'a Bucket)> + Clone) {
+        let (bb, body, slot_bytes) = (self.bucket_bytes(), self.body_bytes(), self.slot_bytes());
         // Phase 1: first-touch journaling, nonces and versions, in path
         // order. A kill (now, or earlier in this access) ends the batch
         // here: the "process" died, nothing further reaches DRAM.
-        self.heads.clear();
-        for &(index, bucket) in buckets {
+        self.kernel.heads.clear();
+        for (index, bucket) in buckets.clone() {
             if self.fired.is_some() || !self.journal_record(index) {
                 break;
             }
@@ -500,45 +516,39 @@ impl EncryptedStore {
             let nonce = self.next_nonce;
             self.next_nonce += 1;
             self.versions[index] += 1;
-            self.heads.push([index as u64, nonce, self.versions[index]]);
+            let head = [index as u64, nonce, self.versions[index]];
+            self.kernel.heads.push(head);
         }
-        let live = &buckets[..self.heads.len()];
+        let k = &mut self.kernel;
+        let live = k.heads.len();
         // Phase 2: serialize the batch into the scratch. Zeroed first so
         // unfilled slots are dummy blocks, indistinguishable after
         // encryption.
-        if self.plain.len() < live.len() * body {
-            self.plain.resize(live.len() * body, 0);
+        if k.plain.len() < live * body {
+            k.plain.resize(live * body, 0);
         }
-        self.plain[..live.len() * body].fill(0);
-        self.queue.clear();
-        for (pos, (_, bucket)) in live.iter().enumerate() {
+        k.plain[..live * body].fill(0);
+        k.queue.clear();
+        for (pos, (_, bucket)) in buckets.take(live).enumerate() {
             for (i, block) in bucket.iter().enumerate() {
-                let at = pos * body + i * slot_bytes;
-                Self::serialize_fields(
-                    block,
-                    &mut self.plain[at..at + slot_bytes],
-                    self.payload_bytes,
-                );
-                self.queue.push((pos, i));
+                let slot = &mut k.plain[pos * body + i * slot_bytes..][..slot_bytes];
+                Self::serialize_fields(block, slot, self.payload_bytes);
+                k.queue.push((pos, i));
             }
         }
         // Phase 3: seal the queued slots, MAC_LANES chains in lockstep.
-        for group in self.queue.chunks(MAC_LANES) {
-            let tags =
-                Self::slot_tags(&self.mac, group, &self.heads, &self.plain, body, slot_bytes);
+        for group in k.queue.chunks(MAC_LANES) {
+            let tags = Self::slot_tags(&self.mac, group, &k.heads, &k.plain, body, slot_bytes);
             for (&(pos, i), tag) in group.iter().zip(tags) {
                 let at = pos * body + i * slot_bytes;
-                self.plain[at + SLOT_TAG_OFFSET..at + SLOT_HEADER_BYTES]
+                k.plain[at + SLOT_TAG_OFFSET..at + SLOT_HEADER_BYTES]
                     .copy_from_slice(&tag.to_le_bytes());
             }
         }
         // Phase 4: header, then encrypt-while-copy into the image. (A
         // header MAC is four rounds: too short for lanes to beat the
         // overlap the core finds between consecutive buckets by itself.)
-        let bb = self.bucket_bytes();
-        for (&[index, nonce, version], plain) in
-            self.heads.iter().zip(self.plain.chunks_exact(body))
-        {
+        for (&[index, nonce, version], plain) in k.heads.iter().zip(k.plain.chunks_exact(body)) {
             let out = self.backing.begin_write(index as usize, bb);
             let (header, stored) = out.split_at_mut(BUCKET_HEADER_BYTES);
             Self::write_header(header, &self.mac, index, nonce, version);
@@ -577,7 +587,8 @@ impl EncryptedStore {
         tags
     }
 
-    /// Reads, decrypts, authenticates and deserializes bucket `index`.
+    /// Reads, decrypts, authenticates and deserializes bucket `index`: a
+    /// path of one through [`EncryptedStore::read_path`].
     ///
     /// # Errors
     ///
@@ -585,24 +596,60 @@ impl EncryptedStore {
     /// image as [`OramError::Rollback`], and a transient read failure that
     /// exhausted its retry budget as [`OramError::Transient`].
     pub fn try_read_bucket(&mut self, index: usize) -> Result<Vec<Block>, OramError> {
-        let mut plain = std::mem::take(&mut self.plain);
-        let opened = self.open_batch(&[index], &mut plain);
-        let slot_bytes = self.slot_bytes();
-        let blocks = opened.map_err(|(_, err)| err).and_then(|()| {
-            self.queue
-                .iter()
-                .map(|&(_, i)| {
-                    Self::decode_block(&plain[i * slot_bytes..(i + 1) * slot_bytes]).ok_or(
-                        OramError::Integrity {
-                            bucket: index,
-                            slot: Some(i),
-                        },
-                    )
-                })
-                .collect()
-        });
-        self.plain = plain;
-        blocks
+        let mut row = [Bucket::new(self.z)];
+        self.read_path(&[index], &mut row)?;
+        Ok(row[0].drain().collect())
+    }
+
+    /// The path decoder — the fetch half of an access: authenticates and
+    /// decrypts the buckets of `indices` as one batch, then rebuilds the
+    /// real blocks of bucket `k`, in slot order, into `row[k]`.
+    ///
+    /// # Errors
+    ///
+    /// Same classification as [`EncryptedStore::try_read_bucket`], and
+    /// the error is the first in path order. Nothing is decoded then.
+    pub fn read_path(&mut self, indices: &[usize], row: &mut [Bucket]) -> Result<(), OramError> {
+        let mut k = std::mem::take(&mut self.kernel);
+        let opened = self.open_batch(indices, &mut k).map_err(|(_, err)| err);
+        let read = opened.and_then(|()| self.decode_queue(&k, indices, row));
+        self.kernel = k;
+        read
+    }
+
+    /// Reads bucket `index` into `out` (emptied first) without side
+    /// effects — the injector is not consulted, the store's scratch not
+    /// used — so an auditor holding `&self` can walk the image.
+    ///
+    /// # Errors
+    ///
+    /// As [`EncryptedStore::try_read_bucket`], transients excepted.
+    pub fn peek_bucket(&self, index: usize, out: &mut Bucket) -> Result<(), OramError> {
+        out.drain();
+        let mut k = KernelScratch::default();
+        k.plain.resize(self.body_bytes(), 0);
+        self.open_kernel(&[index], 0, &mut k)?;
+        self.decode_queue(&k, &[index], std::slice::from_mut(out))
+    }
+
+    /// Rebuilds the blocks of the slots an open left queued in `k`, from
+    /// its plaintext bodies, into the row.
+    fn decode_queue(
+        &self,
+        k: &KernelScratch,
+        indices: &[usize],
+        row: &mut [Bucket],
+    ) -> Result<(), OramError> {
+        let (body, slot_bytes) = (self.body_bytes(), self.slot_bytes());
+        for &(pos, i) in &k.queue {
+            let slot = &k.plain[pos * body + i * slot_bytes..][..slot_bytes];
+            let block = Self::decode_block(slot).ok_or(OramError::Integrity {
+                bucket: indices[pos],
+                slot: Some(i),
+            })?;
+            row[pos].push(block);
+        }
+        Ok(())
     }
 
     /// Authenticates bucket `index` and appends the address of every real
@@ -620,49 +667,19 @@ impl EncryptedStore {
         plain: &mut Vec<u8>,
         addrs: &mut Vec<u64>,
     ) -> Result<(), OramError> {
-        self.open_batch(&[index], plain).map_err(|(_, err)| err)?;
-        let slot_bytes = self.slot_bytes();
-        addrs.extend(
-            self.queue
-                .iter()
-                .map(|&(_, i)| word(plain, i * slot_bytes + 1)),
-        );
-        Ok(())
-    }
-
-    /// [`EncryptedStore::bucket_addrs_into`] over a whole path: `addrs`
-    /// receives the real-block addresses of every bucket of `indices`
-    /// back to back and `ends[k]` the end of bucket `k`'s run in it.
-    ///
-    /// # Errors
-    ///
-    /// Same classification as [`EncryptedStore::try_read_bucket`], and
-    /// the error is the first in path order: `ends.len()` is then the
-    /// position of the failing bucket, and `addrs` / `ends` cover the
-    /// buckets before it, all authenticated.
-    pub fn bucket_addrs_batch(
-        &mut self,
-        indices: &[usize],
-        addrs: &mut Vec<u64>,
-        ends: &mut Vec<usize>,
-    ) -> Result<(), OramError> {
-        addrs.clear();
-        ends.clear();
-        let mut plain = std::mem::take(&mut self.plain);
-        let opened = self.open_batch(indices, &mut plain);
-        let (body, slot_bytes) = (self.body_bytes(), self.slot_bytes());
-        let good = match &opened {
-            Ok(()) => indices.len(),
-            Err((pos, _)) => *pos,
-        };
-        let mut queue = self.queue.iter().peekable();
-        for pos in 0..good {
-            while let Some(&(_, i)) = queue.next_if(|&&(p, _)| p == pos) {
-                addrs.push(word(&plain, pos * body + i * slot_bytes + 1));
-            }
-            ends.push(addrs.len());
+        let mut k = std::mem::take(&mut self.kernel);
+        std::mem::swap(&mut k.plain, plain);
+        let opened = self.open_batch(&[index], &mut k);
+        std::mem::swap(&mut k.plain, plain);
+        if opened.is_ok() {
+            let slot_bytes = self.slot_bytes();
+            addrs.extend(
+                k.queue
+                    .iter()
+                    .map(|&(_, i)| word(plain, i * slot_bytes + 1)),
+            );
         }
-        self.plain = plain;
+        self.kernel = k;
         opened.map_err(|(_, err)| err)
     }
 
@@ -672,9 +689,9 @@ impl EncryptedStore {
     ///
     /// Same classification as [`EncryptedStore::try_read_bucket`].
     pub fn verify_bucket(&mut self, index: usize) -> Result<(), OramError> {
-        let mut plain = std::mem::take(&mut self.plain);
-        let opened = self.open_batch(&[index], &mut plain);
-        self.plain = plain;
+        let mut k = std::mem::take(&mut self.kernel);
+        let opened = self.open_batch(&[index], &mut k);
+        self.kernel = k;
         opened.map_err(|(_, err)| err)
     }
 
@@ -690,8 +707,8 @@ impl EncryptedStore {
         Ok(())
     }
 
-    /// Opens the buckets of `indices` into `plain` — body `k` at
-    /// `k * body_bytes` — and leaves their real slots in `self.queue`.
+    /// Opens the buckets of `indices` into the scratch — body `n` at
+    /// `n * body_bytes` of its plaintext, their real slots in its queue.
     /// The whole batch goes through the open kernel at once; a fault
     /// injector draws once per bucket read, and a failure must surface
     /// as the first one in path order, so a faulty backing and a failed
@@ -702,19 +719,19 @@ impl EncryptedStore {
     fn open_batch(
         &mut self,
         indices: &[usize],
-        plain: &mut Vec<u8>,
+        kernel: &mut KernelScratch,
     ) -> Result<(), (usize, OramError)> {
         let need = indices.len() * self.body_bytes();
-        if plain.len() < need {
-            plain.resize(need, 0);
+        if kernel.plain.len() < need {
+            kernel.plain.resize(need, 0);
         }
-        self.queue.clear();
-        if !self.faults_enabled() && self.open_kernel(indices, 0, plain).is_ok() {
+        kernel.queue.clear();
+        if !self.faults_enabled() && self.open_kernel(indices, 0, kernel).is_ok() {
             return Ok(());
         }
-        self.queue.clear();
+        kernel.queue.clear();
         for (pos, &index) in indices.iter().enumerate() {
-            let queued = self.queue.len();
+            let queued = kernel.queue.len();
             if let Backing::Faulty(f) = &mut self.backing {
                 if let Err(attempts) = f.read_gate() {
                     let exhausted = OramError::Transient {
@@ -724,7 +741,7 @@ impl EncryptedStore {
                     return Err((pos, exhausted));
                 }
             }
-            let opened = self.open_kernel(&[index], pos, plain);
+            let opened = self.open_kernel(&[index], pos, kernel);
             if let Backing::Faulty(f) = &mut self.backing {
                 match &opened {
                     Ok(()) => f.note_clean_read(index),
@@ -732,7 +749,7 @@ impl EncryptedStore {
                 }
             }
             if let Err(err) = opened {
-                self.queue.truncate(queued);
+                kernel.queue.truncate(queued);
                 return Err((pos, err));
             }
         }
@@ -740,17 +757,19 @@ impl EncryptedStore {
     }
 
     /// The open kernel (DESIGN.md section 14): authenticates and decrypts
-    /// `indices` into `plain` from batch position `first` on, in phases
-    /// over the whole batch. Pure with respect to the image and the
-    /// injector; a failure is *a* failure of the batch, not necessarily
-    /// the first in path order.
+    /// `indices` into the scratch's plaintext from batch position `first`
+    /// on, in phases over the whole batch, appending their real slots to
+    /// its queue. Pure — the image, the injector and the store's own
+    /// scratch are untouched; a failure is *a* failure of the batch, not
+    /// necessarily the first in path order.
     fn open_kernel(
-        &mut self,
+        &self,
         indices: &[usize],
         first: usize,
-        plain: &mut [u8],
+        kernel: &mut KernelScratch,
     ) -> Result<(), OramError> {
         let (bb, body, slot_bytes) = (self.bucket_bytes(), self.body_bytes(), self.slot_bytes());
+        let (heads, queue) = (&mut kernel.heads, &mut kernel.queue);
         let image = self.backing.bytes();
         // Phase 1: authenticate every header against the trusted version
         // counters. The loads come first: the header words, and one byte
@@ -758,17 +777,16 @@ impl EncryptedStore {
         // them, so the misses of the deep (cold) levels overlap instead
         // of surfacing one by one under the decrypt loop (`black_box`
         // keeps the loads whose value nobody needs).
-        self.heads.clear();
+        heads.clear();
         let mut touched = 0;
         for &index in indices {
             let stored = &image[index * bb..(index + 1) * bb];
-            self.heads
-                .push([index as u64, word(stored, 0), word(stored, 8)]);
+            heads.push([index as u64, word(stored, 0), word(stored, 8)]);
             let lines = stored.iter().step_by(CACHE_LINE).chain(stored.last());
             touched ^= lines.fold(0, |acc, b| acc ^ b);
         }
         std::hint::black_box(touched);
-        for &[index, nonce, version] in &self.heads {
+        for &[index, nonce, version] in heads.iter() {
             let bucket = index as usize;
             if self.mac.tag(&[index, nonce, version], &[]) != word(image, bucket * bb + 16) {
                 return Err(OramError::Integrity { bucket, slot: None });
@@ -791,10 +809,10 @@ impl EncryptedStore {
         }
         // Phase 2: decrypt-while-copy each body into the scratch. Nonce 0
         // marks a never-written bucket, whose body is stored in the clear.
-        let plain = &mut plain[first * body..(first + indices.len()) * body];
+        let plain = &mut kernel.plain[first * body..(first + indices.len()) * body];
         for ((&index, &[_, nonce, _]), out) in indices
             .iter()
-            .zip(&self.heads)
+            .zip(heads.iter())
             .zip(plain.chunks_exact_mut(body))
         {
             let stored = &image[index * bb + BUCKET_HEADER_BYTES..(index + 1) * bb];
@@ -808,13 +826,13 @@ impl EncryptedStore {
         // all-zero after decryption (any other value in the valid flag is
         // tampering); a real slot's length field must fit the payload
         // area, and its tag is queued for phase 4.
-        let queued = self.queue.len();
+        let queued = queue.len();
         let mut bad = None;
         'classify: for (k, bucket) in plain.chunks_exact(body).enumerate() {
             for (i, slot) in bucket.chunks_exact(slot_bytes).enumerate() {
                 let real = slot[0] == 1;
                 if real && usize::from(half(slot, 15)) <= self.payload_bytes {
-                    self.queue.push((k, i));
+                    queue.push((k, i));
                 } else if real || !all_zero(slot) {
                     bad = Some((k, i));
                     break 'classify;
@@ -824,8 +842,8 @@ impl EncryptedStore {
         // Phase 4: verify the queued tags, MAC_LANES chains in lockstep.
         // Every queued slot precedes the one phase 3 stopped at, so a
         // forged tag is the earlier failure of the two.
-        let forged = self.queue[queued..].chunks(MAC_LANES).find_map(|group| {
-            let tags = Self::slot_tags(&self.mac, group, &self.heads, plain, body, slot_bytes);
+        let forged = queue[queued..].chunks(MAC_LANES).find_map(|group| {
+            let tags = Self::slot_tags(&self.mac, group, heads, plain, body, slot_bytes);
             let stored =
                 |&(k, i): &(usize, usize)| word(plain, k * body + i * slot_bytes + SLOT_TAG_OFFSET);
             let mut checked = group.iter().zip(tags);
@@ -838,7 +856,7 @@ impl EncryptedStore {
             });
         }
         // Queue positions are batch positions from here on.
-        for entry in &mut self.queue[queued..] {
+        for entry in &mut queue[queued..] {
             entry.0 += first;
         }
         Ok(())
@@ -1643,29 +1661,31 @@ mod tests {
             }
         }
 
-        /// `bucket_addrs_batch` and the `bucket_addrs_into` loop on the
-        /// same store: result, addresses and per-bucket ends.
-        type Opened = (Result<(), OramError>, Vec<u64>, Vec<usize>);
+        /// What opening [`PATH`] gives: the result, and the blocks of each
+        /// bucket (none if it failed).
+        type Opened = (Result<(), OramError>, Vec<Vec<Block>>);
 
+        /// The `try_read_bucket` loop — the reference — and the path
+        /// decoder on the same store.
         fn open_both_ways(s: &mut EncryptedStore) -> (Opened, Opened) {
-            let (mut plain, mut addrs, mut ends) = (Vec::new(), Vec::new(), Vec::new());
-            let mut looped = Ok(());
-            for &index in &PATH {
-                match s.bucket_addrs_into(index, &mut plain, &mut addrs) {
-                    Ok(()) => ends.push(addrs.len()),
+            let mut looped = (Ok(()), vec![Vec::new(); PATH.len()]);
+            for (&index, blocks) in PATH.iter().zip(&mut looped.1) {
+                match s.try_read_bucket(index) {
+                    Ok(read) => *blocks = read,
                     Err(err) => {
-                        looped = Err(err);
+                        looped = (Err(err), vec![Vec::new(); PATH.len()]);
                         break;
                     }
                 }
             }
-            let (mut batch_addrs, mut batch_ends) = (vec![7], vec![7]);
-            let batched = s.bucket_addrs_batch(&PATH, &mut batch_addrs, &mut batch_ends);
-            ((looped, addrs, ends), (batched, batch_addrs, batch_ends))
+            let mut row = vec![Bucket::new(3); PATH.len()];
+            let batched = s.read_path(&PATH, &mut row);
+            let rows = row.iter().map(|b| b.iter().cloned().collect()).collect();
+            (looped, (batched, rows))
         }
 
         #[test]
-        fn bucket_addrs_batch_equals_the_bucket_addrs_into_loop() {
+        fn read_path_equals_the_try_read_bucket_loop() {
             let mut s = store();
             for round in 0..4 {
                 let batch = batch(round, PATH.len());
@@ -1673,13 +1693,39 @@ mod tests {
                 let (looped, batched) = open_both_ways(&mut s);
                 assert_eq!(looped, batched);
                 assert_eq!(batched.0, Ok(()));
-                let mut start = 0;
-                for ((_, bucket), end) in batch.iter().zip(batched.2) {
-                    let want: Vec<u64> = bucket.iter().map(|b| b.addr.0).collect();
-                    assert_eq!(batched.1[start..end], want);
-                    start = end;
+                // Every block, payload included, in slot order.
+                for ((_, bucket), read) in batch.iter().zip(batched.1) {
+                    let want: Vec<Block> = bucket.iter().cloned().collect();
+                    assert_eq!(read, want);
                 }
             }
+        }
+
+        #[test]
+        fn peek_bucket_reads_what_try_read_bucket_reads_and_leaves_no_trace() {
+            let mut s = store();
+            // Every read attempt of the injector fails: a peek must not ask.
+            s.enable_faults(FaultConfig {
+                retry_budget: 0,
+                ..FaultConfig::single(FaultClass::Transient, 1.0, 5)
+            });
+            let batch = batch(2, PATH.len());
+            s.write_buckets(&refs(&batch));
+            let before = (left(&s), s.fault_stats(), s.kernel.queue.clone());
+            let mut out = Bucket::new(3);
+            out.push(data_block(999, 9)); // emptied first
+            for (index, bucket) in &batch {
+                s.peek_bucket(*index, &mut out).expect("authentic bucket");
+                assert_eq!(&out, bucket);
+            }
+            assert_eq!(before, (left(&s), s.fault_stats(), s.kernel.queue.clone()));
+            assert!(matches!(
+                s.try_read_bucket(PATH[0]),
+                Err(OramError::Transient { .. })
+            ));
+            s.corrupt_byte(PATH[3], 40, 0x10);
+            let tampered = s.peek_bucket(PATH[3], &mut out);
+            assert_eq!(tampered.unwrap_err().bucket(), Some(PATH[3]));
         }
 
         #[test]
@@ -1704,7 +1750,6 @@ mod tests {
                     let (looped, batched) = open_both_ways(&mut s);
                     assert_eq!(looped, batched, "position {pos} offset {offset}");
                     assert_eq!(batched.0, Err(OramError::Integrity { bucket, slot }));
-                    assert_eq!(batched.2.len(), pos, "the buckets before the flip opened");
                     assert_eq!(s.verify_bucket(bucket), batched.0);
                     assert_eq!(s.try_read_bucket(bucket).map(|_| ()), batched.0);
                 }
@@ -1730,7 +1775,7 @@ mod tests {
             assert_eq!(looped, batched);
             let (bucket, slot) = (PATH[4], Some(1));
             assert_eq!(batched.0, Err(OramError::Integrity { bucket, slot }));
-            assert_eq!(batched.2.len(), 4);
+            assert!(batched.1.iter().all(Vec::is_empty), "nothing is decoded");
         }
 
         #[test]

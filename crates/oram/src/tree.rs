@@ -3,6 +3,13 @@
 //! A complete binary tree of [`Bucket`]s in heap layout: level 0 is the
 //! root, level `L` the leaves (paper Figure 1). The path to leaf `s` is the
 //! set of buckets whose level-`l` ancestor index matches `s`'s.
+//!
+//! An [`OramTree`] holds the buckets *resident* in plaintext: every
+//! level, or only the top ones when the rest lives in the encrypted
+//! image. The rest of a path then passes through a *staging row* — one
+//! bucket per non-resident level — which the controller fills from the
+//! image before [`crate::eviction::read_path`] and seals back after
+//! [`crate::eviction::write_path_with`].
 
 use crate::addr::Leaf;
 use crate::bucket::Bucket;
@@ -22,6 +29,10 @@ use crate::bucket::Bucket;
 pub struct OramTree {
     levels: u32,
     z: usize,
+    /// Levels (from the root) whose buckets are held here.
+    resident_levels: u32,
+    /// The resident buckets in heap order, then the staging row: one
+    /// bucket per non-resident level, root side first.
     buckets: Vec<Bucket>,
 }
 
@@ -34,11 +45,23 @@ impl OramTree {
     /// Panics if `levels` is zero or large enough to overflow leaf labels
     /// (more than 31), or `z` is zero.
     pub fn new(levels: u32, z: usize) -> Self {
+        Self::with_resident_levels(levels, z, levels)
+    }
+
+    /// A tree that holds only its top `resident_levels` levels. A heap
+    /// index below them resolves to its level's bucket of the staging
+    /// row, which stands for whichever path is staged in it.
+    pub(crate) fn with_resident_levels(levels: u32, z: usize, resident_levels: u32) -> Self {
         assert!((1..=31).contains(&levels), "levels must be in 1..=31");
         assert!(z > 0, "Z must be positive");
-        let num_buckets = (1usize << levels) - 1;
-        let buckets = vec![Bucket::new(z); num_buckets];
-        OramTree { levels, z, buckets }
+        assert!(resident_levels <= levels, "resident levels out of range");
+        let held = (1usize << resident_levels) - 1 + (levels - resident_levels) as usize;
+        OramTree {
+            levels,
+            z,
+            resident_levels,
+            buckets: vec![Bucket::new(z); held],
+        }
     }
 
     /// Number of levels (root through leaves). The paper's `L` is
@@ -59,7 +82,42 @@ impl OramTree {
 
     /// Number of buckets, `2^levels - 1`.
     pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
+        (1usize << self.levels) - 1
+    }
+
+    /// Number of resident buckets: heap indices `0..resident_buckets()`.
+    pub(crate) fn resident_buckets(&self) -> usize {
+        (1usize << self.resident_levels) - 1
+    }
+
+    /// The staging row (empty when every level is resident).
+    pub(crate) fn staging(&self) -> &[Bucket] {
+        &self.buckets[self.resident_buckets()..]
+    }
+
+    /// Mutable staging row.
+    pub(crate) fn staging_mut(&mut self) -> &mut [Bucket] {
+        let resident = self.resident_buckets();
+        &mut self.buckets[resident..]
+    }
+
+    /// Drops whatever plaintext the staging row holds.
+    pub(crate) fn clear_staging(&mut self) {
+        for bucket in self.staging_mut() {
+            bucket.drain();
+        }
+    }
+
+    /// Where heap index `index` is held: itself when resident, else its
+    /// level's place in the staging row.
+    #[inline]
+    fn held_at(&self, index: usize) -> usize {
+        let resident = self.resident_buckets();
+        if index < resident {
+            index
+        } else {
+            resident + ((index + 1).ilog2() - self.resident_levels) as usize
+        }
     }
 
     /// Total real-block capacity, `Z * num_buckets`.
@@ -101,12 +159,13 @@ impl OramTree {
 
     /// Borrows the bucket at a heap index.
     pub fn bucket(&self, index: usize) -> &Bucket {
-        &self.buckets[index]
+        &self.buckets[self.held_at(index)]
     }
 
     /// Mutably borrows the bucket at a heap index.
     pub fn bucket_mut(&mut self, index: usize) -> &mut Bucket {
-        &mut self.buckets[index]
+        let at = self.held_at(index);
+        &mut self.buckets[at]
     }
 
     /// Deepest level (0-based) shared by the paths to `a` and `b`.
@@ -124,7 +183,7 @@ impl OramTree {
         }
     }
 
-    /// Number of real blocks currently stored in the tree.
+    /// Number of real blocks currently held (staging row included).
     pub fn occupancy(&self) -> usize {
         self.buckets.iter().map(Bucket::len).sum()
     }
@@ -289,6 +348,29 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_leaf_panics() {
         OramTree::new(3, 2).bucket_index(Leaf(4), 0);
+    }
+
+    #[test]
+    fn non_resident_levels_pass_through_the_staging_row() {
+        let mut t = OramTree::with_resident_levels(4, 2, 1);
+        assert_eq!(t.num_buckets(), 15);
+        assert_eq!(t.resident_buckets(), 1);
+        assert_eq!(t.staging().len(), 3);
+        // The path to leaf 5 is heap 0, 2, 5, 12: the root is resident,
+        // the rest lands in the row, root side first.
+        for idx in t.path_indices(Leaf(5)) {
+            t.bucket_mut(idx)
+                .push(Block::opaque(BlockAddr(idx as u64), Leaf(5)));
+        }
+        assert_eq!(t.bucket(0).len(), 1);
+        let staged: Vec<u64> = t
+            .staging()
+            .iter()
+            .flat_map(|b| b.iter().map(|b| b.addr.0))
+            .collect();
+        assert_eq!(staged, [2, 5, 12]);
+        assert_eq!(t.occupancy(), 4);
+        assert!(OramTree::new(4, 2).staging().is_empty());
     }
 
     #[test]

@@ -195,13 +195,12 @@ pub fn assert_golden(d: &RunDigest, g: &Goldens) {
 }
 
 /// The `ctrl_durable` shape of `perf/`: 2^16 blocks, posmap fanout 8, an
-/// encrypted verified image, the commit protocol armed and never fired.
+/// encrypted image, the commit protocol armed and never fired.
 pub fn durable_shape() -> OramConfig {
     OramConfig::builder()
         .num_data_blocks(1 << 16)
         .entries_per_posmap_block(8)
         .store_payloads(true)
-        .verify_image(true)
         .trace_capacity(0)
         .crash(CrashConfig::at(KillPoint::MidFlip, u64::MAX))
         .build()

@@ -14,7 +14,7 @@ use common::{
     TREE_BLOCKS,
 };
 use proram_mem::{AccessKind, BlockAddr};
-use proram_oram::{FaultClass, FaultConfig, OramConfig, PathOram};
+use proram_oram::{FaultClass, FaultConfig, OramConfig, OramError, PathOram};
 use proram_stats::{Rng64, Xoshiro256};
 
 /// Tree levels of the golden 256-block configuration.
@@ -94,10 +94,11 @@ fn store_holds_only_off_chip_buckets() {
 }
 
 /// Fault sweep with a nonzero treetop: injected store corruption lands
-/// only on off-chip buckets, the verify/repair machinery still detects
-/// and recovers everything, and no false negatives appear.
+/// only on off-chip buckets, the first read that meets it detects it and
+/// fail-stops the controller with the typed error, and no false
+/// negatives appear.
 #[test]
-fn fault_sweep_recovers_with_nonzero_treetop() {
+fn fault_sweep_fail_stops_typed_with_nonzero_treetop() {
     for class in [
         FaultClass::BitFlip,
         FaultClass::TornWrite,
@@ -109,15 +110,27 @@ fn fault_sweep_recovers_with_nonzero_treetop() {
             .build()
             .expect("valid faulty treetop configuration");
         let mut oram = PathOram::new(cfg, ORAM_SEED);
+        let off_chip = oram.store_layout().num_off_chip();
         let mut rng = Xoshiro256::seed_from(9);
-        for _ in 0..ACCESSES / 4 {
-            oram.try_access_block(BlockAddr(rng.next_below(TREE_BLOCKS)), AccessKind::Read)
-                .expect("injected faults must be recovered");
-        }
+        let mut next = || BlockAddr(rng.next_below(TREE_BLOCKS));
+        let stopped = (0..ACCESSES / 4)
+            .find_map(|_| oram.try_access_block(next(), AccessKind::Read).err())
+            .unwrap_or_else(|| panic!("{}: no corruption was met", class.name()));
+        assert!(
+            matches!(
+                stopped,
+                OramError::Integrity { .. } | OramError::Rollback { .. }
+            ),
+            "{}: {stopped}",
+            class.name()
+        );
+        assert!(stopped.bucket().is_some_and(|phys| phys < off_chip));
+        assert_eq!(
+            oram.try_access_block(next(), AccessKind::Read),
+            Err(stopped)
+        );
         let f = oram.fault_stats();
         assert!(f.total_injected() > 0, "{}: nothing injected", class.name());
         assert_eq!(f.undetected, 0, "{}: false negatives", class.name());
-        assert!(f.recovered > 0, "{}: nothing repaired", class.name());
-        oram.audit_full();
     }
 }

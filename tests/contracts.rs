@@ -118,23 +118,30 @@ fn durable_commits_seal_a_delta_not_the_volatile_state() {
     oram.audit_checkpoints();
 }
 
+/// Every injected bit flip a read meets is detected; with no second copy
+/// to repair the bucket from, the first one ends the run typed, and the
+/// controller keeps returning that error.
 #[test]
-fn injected_bit_flips_are_all_detected_and_repaired() {
+fn injected_bit_flips_are_all_detected_and_fail_stop() {
     let cfg = golden_config(true)
         .to_builder()
         .fault(FaultConfig::single(FaultClass::BitFlip, 0.05, 0xF00D))
         .build()
         .expect("valid faulty configuration");
     let mut oram = PathOram::new(cfg, common::ORAM_SEED);
-    for addr in golden_addresses().into_iter().take(500) {
-        oram.try_access_block(addr, AccessKind::Read)
-            .expect("injected faults must be recovered");
-    }
+    let mut stream = golden_addresses().into_iter().take(500);
+    let stopped = stream
+        .by_ref()
+        .find_map(|addr| oram.try_access_block(addr, AccessKind::Read).err())
+        .expect("a flipped bucket is met within 500 accesses");
+    assert!(matches!(stopped, OramError::Integrity { .. }), "{stopped}");
+    let next = stream.next().expect("the flip is met early");
+    assert_eq!(oram.try_read_block(next), Err(stopped));
     let faults = oram.fault_stats();
-    assert!(faults.total_injected() > 0);
+    assert!(faults.injected_bit_flips > 0);
+    assert_eq!(faults.detected_integrity, 1);
     assert_eq!(faults.undetected, 0);
-    assert!(faults.recovered > 0);
-    oram.audit_full();
+    assert_eq!(faults.recovered, 0);
 }
 
 #[test]

@@ -183,17 +183,29 @@ fn dummy_accesses_are_indistinguishable_from_real_ones() {
 #[test]
 fn ciphertexts_refresh_on_every_write() {
     // With payload storage enabled the encrypted image must change on
-    // every path write-back even when the logical data is unchanged.
+    // every path write-back even when the logical data is unchanged:
+    // access the same block twice and compare the images in between.
     let cfg = OramConfig::small_for_tests(128);
     let mut oram = PathOram::new(cfg, 4);
-    // Access the same block twice; between the accesses every bucket on
-    // the written path was re-encrypted. Functionally verified inside the
-    // controller (it checks the store against the tree on every read), so
-    // here we only need the accesses to succeed.
-    oram.try_access_block(BlockAddr(5), AccessKind::Read)
-        .unwrap();
-    oram.try_access_block(BlockAddr(5), AccessKind::Read)
-        .unwrap();
+    let image = |oram: &PathOram| -> Vec<Vec<u8>> {
+        let store = oram.storage().expect("payloads on");
+        (0..store.num_buckets())
+            .map(|i| store.ciphertext(i).to_vec())
+            .collect()
+    };
+    let mut images = vec![image(&oram)];
+    for _ in 0..2 {
+        oram.try_access_block(BlockAddr(5), AccessKind::Read)
+            .unwrap();
+        images.push(image(&oram));
+    }
+    // The root is on every path: three ciphertexts, all different.
+    assert_ne!(images[0][0], images[1][0]);
+    assert_ne!(images[1][0], images[2][0]);
+    assert_ne!(images[0][0], images[2][0]);
+    // A rewritten bucket never returns to a ciphertext it had before.
+    let rewritten = (0..images[0].len()).filter(|&i| images[2][i] != images[1][i]);
+    assert!(rewritten.into_iter().all(|i| images[2][i] != images[0][i]));
     oram.check_invariants();
 }
 
