@@ -2,6 +2,7 @@
 //! [`OramConfigBuilder`] and the typed [`ConfigError`].
 
 use crate::addr::AddressSpace;
+use crate::bucket::Bucket;
 use crate::fault::FaultConfig;
 use crate::timing::OramTiming;
 use std::fmt;
@@ -59,7 +60,8 @@ impl std::error::Error for ConfigError {}
 pub struct OramConfig {
     /// Number of data blocks stored (paper: 2^26; scaled default 2^20).
     pub num_data_blocks: u64,
-    /// Blocks per bucket (paper default 3).
+    /// Blocks per bucket (paper default 3), at most
+    /// [`Bucket::MAX_Z`](crate::Bucket::MAX_Z).
     pub z: usize,
     /// Position-map entries per posmap block (paper: 32 entries of 25+2
     /// bits in a 128-byte block).
@@ -253,6 +255,15 @@ impl OramConfig {
         }
         if self.z == 0 {
             return Err(ConfigError::new("z", "Z must be positive"));
+        }
+        if self.z > Bucket::MAX_Z {
+            return Err(ConfigError::new(
+                "z",
+                format!(
+                    "Z above {}, the slots a bucket is laid out for",
+                    Bucket::MAX_Z
+                ),
+            ));
         }
         if self.entries_per_posmap_block < 2 {
             return Err(ConfigError::new(
@@ -645,6 +656,22 @@ mod tests {
         let err = cfg.check().unwrap_err();
         assert_eq!(err.field(), "z");
         assert!(err.to_string().contains("tree too small"));
+    }
+
+    #[test]
+    fn oversized_bucket_rejected() {
+        let cfg = OramConfig {
+            z: Bucket::MAX_Z + 1,
+            ..OramConfig::default()
+        };
+        let err = cfg.check().unwrap_err();
+        assert_eq!(err.field(), "z");
+        assert!(err.to_string().contains("Z above 4"));
+        let cfg = OramConfig {
+            z: Bucket::MAX_Z,
+            ..OramConfig::default()
+        };
+        assert_eq!(cfg.check(), Ok(()));
     }
 
     #[test]

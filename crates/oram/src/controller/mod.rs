@@ -47,7 +47,7 @@ pub(crate) mod writeback;
 
 use crate::addr::{AddressSpace, Leaf};
 use crate::block::{Block, Payload};
-use crate::bucket::Bucket;
+use crate::bucket::{BlockRef, Bucket};
 use crate::config::OramConfig;
 use crate::crash::{CrashArm, CrashStats, KillPoint, RecoveryMode, RecoveryReport};
 use crate::error::OramError;
@@ -1165,11 +1165,12 @@ impl PathOram {
         h.finish()
     }
 
-    fn digest_block(h: &mut Fnv1a, b: &Block) {
+    fn digest_block<'a>(h: &mut Fnv1a, b: impl Into<BlockRef<'a>>) {
+        let b = b.into();
         h.write_u64(b.addr.0);
         h.write_u64(u64::from(b.leaf.0));
         h.write_u64(u64::from(b.hit));
-        match &b.payload {
+        match b.payload {
             Payload::Opaque => h.write_u64(0),
             Payload::Data(bytes) => {
                 h.write_u64(1);
@@ -1213,7 +1214,7 @@ impl PathOram {
                     *home = idx;
                 }
                 if b.payload.is_posmap() {
-                    on_tree.posmap.insert(b.addr, b.clone());
+                    on_tree.posmap.insert(b.addr, b.to_block());
                 }
             }
         });

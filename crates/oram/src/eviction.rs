@@ -8,9 +8,10 @@
 //! anything.
 //!
 //! Both operations are allocation-free on the hot path: the path-index
-//! iterator owns its geometry (no collected `Vec`), bucket drains keep
-//! their slot storage, and write-back bins candidates into a reusable
-//! [`PathScratch`] instead of sorting a freshly allocated candidate list.
+//! iterator owns its geometry (no collected `Vec`), a bucket is a fixed
+//! inline record that blocks move in and out of by value, and write-back
+//! bins candidates into a reusable [`PathScratch`] instead of sorting a
+//! freshly allocated candidate list.
 
 use crate::addr::Leaf;
 use crate::stash::Stash;

@@ -37,7 +37,7 @@
 
 use crate::addr::Leaf;
 use crate::block::{Block, Payload};
-use crate::bucket::Bucket;
+use crate::bucket::{BlockRef, Bucket};
 use crate::config::OramConfig;
 use crate::crypto::{Mac, StreamCipher};
 use crate::posmap::PosEntry;
@@ -553,11 +553,12 @@ fn decode_entry(r: &mut Reader<'_>) -> Option<PosEntry> {
     })
 }
 
-fn encode_block(out: &mut Vec<u8>, b: &Block) {
+fn encode_block<'a>(out: &mut Vec<u8>, b: impl Into<BlockRef<'a>>) {
+    let b = b.into();
     out.extend_from_slice(&b.addr.0.to_le_bytes());
     out.extend_from_slice(&b.leaf.0.to_le_bytes());
     out.push(u8::from(b.hit));
-    match &b.payload {
+    match b.payload {
         Payload::Opaque => out.push(0),
         Payload::Data(data) => {
             out.push(1);

@@ -68,7 +68,7 @@ pub mod tree;
 pub use addr::{AddressSpace, Leaf};
 pub use backend_trait::OramBackend;
 pub use block::{Block, Payload};
-pub use bucket::Bucket;
+pub use bucket::{BlockRef, Bucket};
 pub use config::{ConfigError, OramConfig, OramConfigBuilder};
 pub use controller::{OramStats, PathKind, PathOram};
 pub use crash::{CrashConfig, CrashStats, KillPoint, RecoveryMode, RecoveryReport};

@@ -25,6 +25,7 @@
 use crate::addr::{AddressSpace, Leaf};
 use crate::backend_trait::OramBackend;
 use crate::block::Block;
+use crate::bucket::Bucket;
 use crate::controller::{OramStats, PathKind};
 use crate::error::OramError;
 use crate::eviction::{read_path, write_path};
@@ -46,7 +47,7 @@ const MAX_BACKGROUND_EVICTIONS_PER_ACCESS: u64 = 64;
 pub struct ShiOramConfig {
     /// Number of data blocks.
     pub num_data_blocks: u64,
-    /// Blocks per bucket.
+    /// Blocks per bucket, at most [`Bucket::MAX_Z`].
     pub z: usize,
     /// Stash capacity (physical, including one in-flight path).
     pub stash_limit: usize,
@@ -97,6 +98,7 @@ impl ShiOramConfig {
     pub fn validate(&self) {
         assert!(self.num_data_blocks > 0, "need data blocks");
         assert!(self.z > 0, "Z must be positive");
+        assert!(self.z <= Bucket::MAX_Z, "Z above {}", Bucket::MAX_Z);
         assert!(self.eviction_rate > 0, "eviction rate must be positive");
         assert!(
             self.init_group_size.is_power_of_two(),

@@ -30,7 +30,7 @@
 
 use crate::addr::Leaf;
 use crate::block::{Block, Payload};
-use crate::bucket::Bucket;
+use crate::bucket::{BlockRef, Bucket};
 use crate::crash::{CrashArm, KillPoint};
 use crate::crypto::{Mac, MacLane, StreamCipher, MAC_LANES};
 use crate::error::OramError;
@@ -879,7 +879,7 @@ impl EncryptedStore {
     /// Writes a block's slot fields — valid flag, address, leaf, hit,
     /// payload kind/length and the payload bytes — into a zeroed slot,
     /// leaving the tag field zero for [`Self::slot_tags`] to fill.
-    fn serialize_fields(block: &Block, slot: &mut [u8], payload_bytes: usize) {
+    fn serialize_fields(block: BlockRef<'_>, slot: &mut [u8], payload_bytes: usize) {
         let (head, body_area) = slot.split_at_mut(SLOT_HEADER_BYTES);
         head[0] = 1; // valid
         head[1..9].copy_from_slice(&block.addr.0.to_le_bytes());
@@ -887,7 +887,7 @@ impl EncryptedStore {
         head[13] = u8::from(block.hit);
         // Serialize the payload straight into the slot's body area — no
         // staging Vec; the MAC is computed over the written bytes.
-        let (kind, len): (u8, usize) = match &block.payload {
+        let (kind, len): (u8, usize) = match block.payload {
             Payload::Opaque => (0, 0),
             Payload::Data(bytes) => {
                 assert!(
@@ -1033,6 +1033,25 @@ mod tests {
         let mut s = store();
         s.write_bucket(2, &Bucket::new(3));
         assert!(s.try_read_bucket(2).expect("authentic bucket").is_empty());
+    }
+
+    #[test]
+    fn a_refilled_bucket_seals_no_stale_payload() {
+        // A slot that held a payload and then takes an opaque block seals
+        // to the bytes a bucket that never held one seals to.
+        let mut reused = Bucket::new(3);
+        reused.push(data_block(1, 0xAA));
+        reused.drain();
+        let mut fresh = Bucket::new(3);
+        for bucket in [&mut reused, &mut fresh] {
+            bucket.push(Block::opaque(BlockAddr(2), Leaf(5)));
+        }
+        let (mut a, mut b) = (store(), store());
+        a.write_bucket(2, &reused);
+        b.write_bucket(2, &fresh);
+        assert_eq!(a.ciphertext(2), b.ciphertext(2));
+        let blocks = a.try_read_bucket(2).expect("authentic bucket");
+        assert_eq!(blocks, [Block::opaque(BlockAddr(2), Leaf(5))]);
     }
 
     #[test]
@@ -1680,7 +1699,10 @@ mod tests {
             }
             let mut row = vec![Bucket::new(3); PATH.len()];
             let batched = s.read_path(&PATH, &mut row);
-            let rows = row.iter().map(|b| b.iter().cloned().collect()).collect();
+            let rows = row
+                .iter()
+                .map(|b| b.iter().map(|b| b.to_block()).collect())
+                .collect();
             (looped, (batched, rows))
         }
 
@@ -1695,7 +1717,7 @@ mod tests {
                 assert_eq!(batched.0, Ok(()));
                 // Every block, payload included, in slot order.
                 for ((_, bucket), read) in batch.iter().zip(batched.1) {
-                    let want: Vec<Block> = bucket.iter().cloned().collect();
+                    let want: Vec<Block> = bucket.iter().map(|b| b.to_block()).collect();
                     assert_eq!(read, want);
                 }
             }

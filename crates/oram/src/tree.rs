@@ -2,7 +2,9 @@
 //!
 //! A complete binary tree of [`Bucket`]s in heap layout: level 0 is the
 //! root, level `L` the leaves (paper Figure 1). The path to leaf `s` is the
-//! set of buckets whose level-`l` ancestor index matches `s`'s.
+//! set of buckets whose level-`l` ancestor index matches `s`'s. The
+//! buckets are fixed 64-byte records in one dense vector: a tree of
+//! opaque blocks owns no other memory.
 //!
 //! An [`OramTree`] holds the buckets *resident* in plaintext: every
 //! level, or only the top ones when the rest lives in the encrypted
@@ -43,7 +45,7 @@ impl OramTree {
     /// # Panics
     ///
     /// Panics if `levels` is zero or large enough to overflow leaf labels
-    /// (more than 31), or `z` is zero.
+    /// (more than 31), or `z` is zero or above [`Bucket::MAX_Z`].
     pub fn new(levels: u32, z: usize) -> Self {
         Self::with_resident_levels(levels, z, levels)
     }

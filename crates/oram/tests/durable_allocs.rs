@@ -1,14 +1,19 @@
-//! The commit protocol allocates nothing in steady state.
+//! The commit protocol and the opaque access path allocate nothing in
+//! steady state.
 //!
 //! Sealing a checkpoint record writes into one arena the store reuses,
 //! and an undo entry is an offset into another. This binary counts heap
 //! allocations with its own `#[global_allocator]`: once the buffers have
 //! reached their working size, the same stream costs the armed controller
 //! exactly as many allocations as the disarmed one: the journal and the
-//! seals add zero.
+//! seals add zero. The opaque controller (every paper figure) is held to
+//! the absolute: a bucket is a fixed inline record, so once every bucket
+//! that position-map blocks pass through has its payload side array, an
+//! access allocates nothing at all.
 
 mod common;
 
+use proram_mem::{AccessKind, BlockAddr};
 use proram_oram::{CrashConfig, KillPoint, OramConfig, PathOram};
 use proram_stats::{Rng64, Xoshiro256};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,4 +83,29 @@ fn steady_state_commits_allocate_nothing() {
         armed, disarmed,
         "journaling and sealing {MEASURED} commits (15 Full records among them) allocated"
     );
+}
+
+#[test]
+fn steady_state_opaque_accesses_allocate_nothing() {
+    let cfg = OramConfig {
+        store_payloads: false,
+        trace_capacity: 0,
+        ..OramConfig::small_for_tests(BLOCKS)
+    };
+    let mut oram = PathOram::new(cfg, 11);
+    let mut rng = Xoshiro256::seed_from(5);
+    let mut drive = |oram: &mut PathOram, accesses: usize| {
+        for _ in 0..accesses {
+            oram.try_access_block(BlockAddr(rng.next_below(BLOCKS)), AccessKind::Read)
+                .expect("no faults injected");
+        }
+    };
+    // A bucket allocates once in its life, when the first position-map
+    // block lands in it: warm up until the buckets those blocks reach
+    // have all done so (the last one does before access 30 000).
+    drive(&mut oram, 30 * WARM_UP);
+    let before = ALLOCATIONS.with(Cell::get);
+    drive(&mut oram, MEASURED);
+    let allocated = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(allocated, 0, "{MEASURED} opaque accesses allocated");
 }

@@ -40,12 +40,14 @@ pub trait Rng64 {
             return self.next_u64() & (bound - 1);
         }
         // Reject values in the final partial copy of `0..bound` so every
-        // residue class is equally likely.
-        let zone = u64::MAX - (u64::MAX % bound) - 1;
+        // residue class is equally likely: `v` is kept iff the copy it
+        // falls in, `v - r ..= v - r + bound - 1`, ends below `u64::MAX`.
+        // One division per draw.
         loop {
             let v = self.next_u64();
-            if v <= zone {
-                return v % bound;
+            let r = v % bound;
+            if v - r <= u64::MAX - bound {
+                return r;
             }
         }
     }
@@ -292,6 +294,62 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn next_below_keeps_the_accept_set_of_the_two_division_form() {
+        /// Replays a script and counts the draws.
+        struct Scripted {
+            values: Vec<u64>,
+            drawn: usize,
+        }
+        impl Rng64 for Scripted {
+            fn next_u64(&mut self) -> u64 {
+                self.drawn += 1;
+                self.values[self.drawn - 1]
+            }
+        }
+        /// `next_below` as it was: a zone computed up front, a second
+        /// division on acceptance.
+        fn reference(rng: &mut Scripted, bound: u64) -> u64 {
+            let zone = u64::MAX - (u64::MAX % bound) - 1;
+            loop {
+                let v = rng.next_u64();
+                if v <= zone {
+                    return v % bound;
+                }
+            }
+        }
+        for bound in [3, 40, 1000, (1 << 63) + 1, u64::MAX] {
+            // The last full copy of `0..bound` ends at `edge - 1`; `edge`
+            // and everything above it is the rejected tail.
+            let edge = u64::MAX - u64::MAX % bound;
+            let mut values = vec![
+                edge,
+                u64::MAX,
+                edge - 1,
+                0,
+                bound - 1,
+                bound,
+                u64::MAX,
+                edge,
+            ];
+            let mut noise = Xoshiro256::seed_from(bound);
+            values.extend((0..64).map(|_| noise.next_u64()));
+            // Accepted under every bound: a call that starts before it
+            // cannot run off the script.
+            values.push(0);
+            let script = |values: &Vec<u64>| Scripted {
+                values: values.clone(),
+                drawn: 0,
+            };
+            let (mut new, mut old) = (script(&values), script(&values));
+            while new.drawn < values.len() - 1 {
+                assert_eq!(new.next_below(bound), reference(&mut old, bound));
+                assert_eq!(new.drawn, old.drawn, "bound {bound}");
+            }
+            assert!(new.drawn > 8, "the rejected tail was met and skipped");
+        }
     }
 
     #[test]

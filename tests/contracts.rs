@@ -11,7 +11,8 @@ use common::{
 };
 use proram::core_scheme::{SchemeConfig, SuperBlockOram};
 use proram::oram::{
-    CrashConfig, FaultClass, FaultConfig, KillPoint, OramConfig, OramError, PathOram, RecoveryMode,
+    Bucket, CrashConfig, FaultClass, FaultConfig, KillPoint, OramConfig, OramError, PathOram,
+    RecoveryMode,
 };
 use proram_mem::{AccessKind, BlockAddr, MemRequest, MemoryBackend, NoProbe};
 use proram_obs::Obs;
@@ -205,4 +206,12 @@ fn both_drivers_of_the_stage_primitives_are_one_access() {
         )
     );
     assert_eq!(now, latency);
+}
+
+/// The resident tree costs one cache line per bucket: headers inline,
+/// payloads behind one pointer. A field added to `Bucket` must not
+/// silently double every tree.
+#[test]
+fn a_tree_bucket_is_64_bytes() {
+    assert_eq!(std::mem::size_of::<Bucket>(), 64);
 }
