@@ -14,6 +14,39 @@ struct Line {
     used: bool,
 }
 
+impl Line {
+    /// What an unoccupied slot holds; never read (see [`Cache`]).
+    const EMPTY: Line = Line {
+        block: BlockAddr(0),
+        dirty: false,
+        prefetched: false,
+        used: false,
+    };
+
+    /// The record of this line leaving the cache.
+    fn evicted(self) -> Evicted {
+        Evicted {
+            block: self.block,
+            dirty: self.dirty,
+            prefetched_unused: self.prefetched && !self.used,
+        }
+    }
+}
+
+/// Makes `line` the most recently used of `lines`: the `pos` lines before
+/// it move one slot down (over slot `pos`) and it takes slot 0. An MRU
+/// hit (`pos == 0`) moves nothing.
+///
+/// A loop and not `copy_within`: at most `ways - 1` records move, and
+/// moving them here costs less than the call to a `memmove` of run-time
+/// length (DESIGN.md section 10).
+fn place_at_front(lines: &mut [Line], pos: usize, line: Line) {
+    for i in (0..pos).rev() {
+        lines[i + 1] = lines[i];
+    }
+    lines[0] = line;
+}
+
 /// Information returned on a cache hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HitInfo {
@@ -90,8 +123,12 @@ impl CacheStats {
 /// A set-associative, write-back, write-allocate cache with true-LRU
 /// replacement.
 ///
-/// Each set is kept in recency order (index 0 = most recently used), which
-/// makes LRU exact and cheap at simulator-scale associativities.
+/// All lines live in one dense, set-major array: set `s` owns slots
+/// `s * ways .. (s + 1) * ways`, of which the first `live[s]` are
+/// resident, kept in recency order (slot 0 = most recently used, the
+/// last live slot = the LRU victim). That makes LRU exact and cheap at
+/// simulator-scale associativities, and a hit on the MRU line — most hits
+/// of a strided sweep — a flag update with nothing moved.
 ///
 /// # Examples
 ///
@@ -108,17 +145,32 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    /// Resident lines per set.
+    live: Vec<u8>,
+    ways: usize,
+    /// `num_sets - 1`; the set count is a power of two.
+    set_mask: u64,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`CacheConfig::check`] — its fields are
+    /// public, so it may have been edited since `CacheConfig::new`.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = vec![Vec::with_capacity(config.ways as usize); config.num_sets() as usize];
+        config.check();
+        let num_sets = config.num_sets();
+        let ways = config.ways as usize;
         Cache {
             config,
-            sets,
+            lines: vec![Line::EMPTY; num_sets as usize * ways],
+            live: vec![0; num_sets as usize],
+            ways,
+            set_mask: num_sets - 1,
             stats: CacheStats::default(),
         }
     }
@@ -133,19 +185,40 @@ impl Cache {
         self.stats
     }
 
+    /// The set `block` maps to.
+    fn set_index(&self, block: BlockAddr) -> usize {
+        (block.0 & self.set_mask) as usize
+    }
+
+    /// The resident lines of `set`, most recently used first.
+    fn resident(&self, set: usize) -> &[Line] {
+        &self.lines[set * self.ways..][..usize::from(self.live[set])]
+    }
+
+    /// Mutable form of [`resident`](Self::resident).
+    fn resident_mut(&mut self, set: usize) -> &mut [Line] {
+        &mut self.lines[set * self.ways..][..usize::from(self.live[set])]
+    }
+
     /// Demand lookup. On a hit the line becomes MRU, `write` marks it
     /// dirty, and a prefetched line records its first use. Returns `None`
     /// on a miss.
+    ///
+    /// Inlined across crates together with [`TiledHierarchy::access`]: an
+    /// L1 hit is the whole cost of most trace ops.
+    ///
+    /// [`TiledHierarchy::access`]: crate::TiledHierarchy::access
+    #[inline]
     pub fn lookup(&mut self, block: BlockAddr, write: bool) -> Option<HitInfo> {
-        let set = self.config.set_index(block.0);
-        let lines = &mut self.sets[set];
+        let set = self.set_index(block);
+        let lines = self.resident_mut(set);
         match lines.iter().position(|l| l.block == block) {
             Some(pos) => {
-                let mut line = lines.remove(pos);
+                let mut line = lines[pos];
                 line.dirty |= write;
                 let first_use = line.prefetched && !line.used;
                 line.used = true;
-                lines.insert(0, line);
+                place_at_front(lines, pos, line);
                 self.stats.hits += 1;
                 Some(HitInfo {
                     prefetch_first_use: first_use,
@@ -160,8 +233,8 @@ impl Cache {
 
     /// Tag-only probe; does not disturb LRU or counters.
     pub fn peek(&self, block: BlockAddr) -> bool {
-        let set = self.config.set_index(block.0);
-        self.sets[set].iter().any(|l| l.block == block)
+        let set = self.set_index(block);
+        self.resident(set).iter().any(|l| l.block == block)
     }
 
     /// Inserts `block` as MRU, evicting the LRU line if the set is full.
@@ -170,29 +243,28 @@ impl Cache {
     /// already resident the existing line is refreshed instead (its dirty
     /// bit is kept; a resident line is never downgraded to prefetched).
     pub fn insert(&mut self, block: BlockAddr, prefetched: bool) -> Option<Evicted> {
-        let set = self.config.set_index(block.0);
-        let lines = &mut self.sets[set];
+        let set = self.set_index(block);
+        let last_way = self.ways - 1;
+        let lines = self.resident_mut(set);
         if let Some(pos) = lines.iter().position(|l| l.block == block) {
-            let line = lines.remove(pos);
-            lines.insert(0, line);
+            place_at_front(lines, pos, lines[pos]);
             return None;
         }
-        let victim = if lines.len() == self.config.ways as usize {
-            let v = lines.pop().expect("set nonempty");
-            self.stats.evictions += 1;
-            if v.dirty {
-                self.stats.dirty_evictions += 1;
+        // A full set gives up its last slot, the LRU line.
+        let victim = lines.get(last_way).copied();
+        match victim {
+            Some(v) => {
+                self.stats.evictions += 1;
+                self.stats.dirty_evictions += u64::from(v.dirty);
             }
-            Some(Evicted {
-                block: v.block,
-                dirty: v.dirty,
-                prefetched_unused: v.prefetched && !v.used,
-            })
-        } else {
-            None
-        };
-        lines.insert(
-            0,
+            None => self.live[set] += 1,
+        }
+        // The new line takes slot 0 and everything else moves one slot
+        // down: into the slot just made live, or over the victim.
+        let lines = self.resident_mut(set);
+        place_at_front(
+            lines,
+            lines.len() - 1,
             Line {
                 block,
                 dirty: false,
@@ -200,13 +272,13 @@ impl Cache {
                 used: !prefetched,
             },
         );
-        victim
+        victim.map(Line::evicted)
     }
 
     /// Marks a resident line dirty; returns `false` if absent.
     pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
-        let set = self.config.set_index(block.0);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.block == block) {
+        let set = self.set_index(block);
+        if let Some(line) = self.resident_mut(set).iter_mut().find(|l| l.block == block) {
             line.dirty = true;
             true
         } else {
@@ -218,30 +290,28 @@ impl Cache {
     ///
     /// Used for inclusive-hierarchy back-invalidation.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Evicted> {
-        let set = self.config.set_index(block.0);
-        let lines = &mut self.sets[set];
+        let set = self.set_index(block);
+        let lines = self.resident_mut(set);
         let pos = lines.iter().position(|l| l.block == block)?;
-        let v = lines.remove(pos);
-        Some(Evicted {
-            block: v.block,
-            dirty: v.dirty,
-            prefetched_unused: v.prefetched && !v.used,
-        })
+        let v = lines[pos];
+        lines.copy_within(pos + 1.., pos);
+        self.live[set] -= 1;
+        Some(v.evicted())
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.live.iter().map(|&n| usize::from(n)).sum()
     }
 
     /// `true` if no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.live.iter().all(|&n| n == 0)
     }
 
     /// Iterates over resident blocks (unspecified order).
     pub fn resident_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.sets.iter().flatten().map(|l| l.block)
+        (0..self.live.len()).flat_map(|set| self.resident(set).iter().map(|l| l.block))
     }
 }
 
@@ -398,6 +468,24 @@ mod tests {
         assert!(c.insert(BlockAddr(1), false).is_none());
         // Third block in set 0 evicts.
         assert!(c.insert(BlockAddr(8), false).is_some());
+    }
+
+    #[test]
+    fn set_index_wraps() {
+        let c = Cache::new(CacheConfig::new(1024, 2, 128, 1)); // 4 sets
+        assert_eq!(c.set_index(BlockAddr(0)), 0);
+        assert_eq!(c.set_index(BlockAddr(5)), 1);
+        assert_eq!(c.set_index(BlockAddr(7)), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn hand_edited_geometry_is_checked_again() {
+        // Three sets would alias through the mask; `CacheConfig::new` never
+        // saw this value.
+        let mut config = CacheConfig::new(1024, 2, 128, 1);
+        config.capacity_bytes = 3 * 2 * 128;
+        Cache::new(config);
     }
 
     #[test]

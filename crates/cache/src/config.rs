@@ -28,30 +28,45 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless capacity, ways and line size are positive, capacity is
-    /// a multiple of `ways * line_bytes`, and the resulting set count is a
-    /// power of two (required for the index function).
+    /// Panics if the geometry fails [`check`](CacheConfig::check).
     pub fn new(capacity_bytes: u64, ways: u32, line_bytes: u32, hit_latency: u32) -> Self {
-        assert!(
-            capacity_bytes > 0 && ways > 0 && line_bytes > 0,
-            "cache geometry must be positive"
-        );
         let cfg = CacheConfig {
             capacity_bytes,
             ways,
             line_bytes,
             hit_latency,
         };
-        let set_bytes = u64::from(ways) * u64::from(line_bytes);
+        cfg.check();
+        cfg
+    }
+
+    /// Checks the geometry. The fields are public, so a configuration can
+    /// be edited after [`new`](CacheConfig::new) accepted it;
+    /// [`Cache::new`](crate::Cache::new) runs this again on what it is
+    /// actually given.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless capacity, ways and line size are positive, there are
+    /// at most 255 ways (a set's live count is a `u8`), capacity is a
+    /// multiple of `ways * line_bytes`, and the resulting set count is a
+    /// power of two (the set index is a mask).
+    pub fn check(&self) {
         assert!(
-            capacity_bytes.is_multiple_of(set_bytes),
-            "capacity {capacity_bytes} not a multiple of ways*line ({set_bytes})"
+            self.capacity_bytes > 0 && self.ways > 0 && self.line_bytes > 0,
+            "cache geometry must be positive"
+        );
+        assert!(self.ways <= 255, "at most 255 ways, got {}", self.ways);
+        let set_bytes = u64::from(self.ways) * u64::from(self.line_bytes);
+        assert!(
+            self.capacity_bytes.is_multiple_of(set_bytes),
+            "capacity {} not a multiple of ways*line ({set_bytes})",
+            self.capacity_bytes
         );
         assert!(
-            cfg.num_sets().is_power_of_two(),
+            self.num_sets().is_power_of_two(),
             "set count must be a power of two"
         );
-        cfg
     }
 
     /// Number of sets.
@@ -62,11 +77,6 @@ impl CacheConfig {
     /// Total number of lines.
     pub fn num_lines(&self) -> u64 {
         self.capacity_bytes / u64::from(self.line_bytes)
-    }
-
-    /// Set index for a block address.
-    pub fn set_index(&self, block: u64) -> usize {
-        (block & (self.num_sets() - 1)) as usize
     }
 
     /// The paper's L1: 32 KB, 4-way (Table 1).
@@ -92,14 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn set_index_wraps() {
-        let c = CacheConfig::new(1024, 2, 128, 1); // 4 sets
-        assert_eq!(c.set_index(0), 0);
-        assert_eq!(c.set_index(5), 1);
-        assert_eq!(c.set_index(7), 3);
-    }
-
-    #[test]
     fn paper_configs() {
         assert_eq!(CacheConfig::paper_l1(128).num_lines(), 256);
         assert_eq!(CacheConfig::paper_l2(128).num_lines(), 4096);
@@ -120,5 +122,11 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_ways_panic() {
         CacheConfig::new(1024, 0, 128, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 ways")]
+    fn more_ways_than_a_live_count_holds_panic() {
+        CacheConfig::new(256 * 128, 256, 128, 1);
     }
 }

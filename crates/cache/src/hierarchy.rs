@@ -155,10 +155,11 @@ impl CacheHierarchy {
     /// Installs a block arriving from memory.
     ///
     /// `prefetched` fills stop at the L2; demand fills are also promoted
-    /// into the L1, where `write` marks them dirty. Returns the evictions
-    /// that must leave the hierarchy entirely: dirty ones need a memory
-    /// writeback, clean ones only a notification.
-    pub fn fill(&mut self, block: BlockAddr, prefetched: bool, write: bool) -> Vec<Evicted> {
+    /// into the L1, where `write` marks them dirty. Returns the line that
+    /// must leave the hierarchy entirely, if the fill displaced one: a
+    /// dirty one needs a memory writeback, a clean one only a
+    /// notification.
+    pub fn fill(&mut self, block: BlockAddr, prefetched: bool, write: bool) -> Option<Evicted> {
         self.tiled.fill(0, block, prefetched, write)
     }
 
@@ -209,7 +210,7 @@ mod tests {
         let mut h = small();
         let a = h.access(BlockAddr(0), false);
         assert_eq!(a, CacheAccess::Miss { latency: 9 });
-        assert!(h.fill(BlockAddr(0), false, false).is_empty());
+        assert!(h.fill(BlockAddr(0), false, false).is_none());
         let b = h.access(BlockAddr(0), false);
         assert_eq!(b, CacheAccess::L1Hit { latency: 1 });
     }
@@ -259,10 +260,9 @@ mod tests {
         h.fill(BlockAddr(0), false, true); // store -> dirty in L1
                                            // Evict 0 from L2 set 0 by filling two more blocks in that set.
         h.fill(BlockAddr(2), false, false);
-        let evs = h.fill(BlockAddr(4), false, false);
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].block, BlockAddr(0));
-        assert!(evs[0].dirty, "dirtiness must fold in from the L1 copy");
+        let ev = h.fill(BlockAddr(4), false, false).expect("set is full");
+        assert_eq!(ev.block, BlockAddr(0));
+        assert!(ev.dirty, "dirtiness must fold in from the L1 copy");
         assert!(!h.contains_block(BlockAddr(0)));
     }
 
@@ -271,9 +271,8 @@ mod tests {
         let mut h = small();
         h.fill(BlockAddr(0), false, false);
         h.fill(BlockAddr(2), false, false);
-        let evs = h.fill(BlockAddr(4), false, false);
-        assert_eq!(evs.len(), 1);
-        assert!(!evs[0].dirty);
+        let ev = h.fill(BlockAddr(4), false, false).expect("set is full");
+        assert!(!ev.dirty);
     }
 
     #[test]
@@ -294,9 +293,8 @@ mod tests {
         let mut h = small();
         h.fill(BlockAddr(0), true, false);
         h.fill(BlockAddr(2), false, false);
-        let evs = h.fill(BlockAddr(4), false, false);
-        assert_eq!(evs.len(), 1);
-        assert!(evs[0].prefetched_unused);
+        let ev = h.fill(BlockAddr(4), false, false).expect("set is full");
+        assert!(ev.prefetched_unused);
     }
 
     #[test]
@@ -309,8 +307,8 @@ mod tests {
         ));
         // Force the line out of both levels and check the writeback.
         h.fill(BlockAddr(2), false, false);
-        let evs = h.fill(BlockAddr(4), false, false);
-        assert!(evs[0].dirty);
+        let ev = h.fill(BlockAddr(4), false, false).expect("set is full");
+        assert!(ev.dirty);
     }
 
     #[test]

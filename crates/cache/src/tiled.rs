@@ -74,6 +74,7 @@ impl TiledHierarchy {
     ///
     /// On an LLC hit the line is promoted into the tile's L1; any dirty
     /// L1 victim folds its dirty bit into the (inclusive) LLC copy.
+    #[inline]
     pub fn access(&mut self, tile: usize, block: BlockAddr, write: bool) -> CacheAccess {
         let l1_lat = u64::from(self.config.l1.hit_latency);
         if self.l1s[tile].lookup(block, write).is_some() {
@@ -96,17 +97,19 @@ impl TiledHierarchy {
     ///
     /// `prefetched` fills stop at the shared LLC; demand fills are also
     /// promoted into the tile's L1, where `write` marks them dirty.
-    /// Returns the evictions that must leave the fabric entirely: dirty
-    /// ones need a memory writeback, clean ones only a notification.
+    /// Returns the line that must leave the fabric entirely, if the LLC
+    /// insert displaced one (it displaces at most one; an L1 victim stays
+    /// in the inclusive LLC): a dirty one needs a memory writeback, a
+    /// clean one only a notification.
     pub fn fill(
         &mut self,
         tile: usize,
         block: BlockAddr,
         prefetched: bool,
         write: bool,
-    ) -> Vec<Evicted> {
-        let mut out = Vec::new();
-        if let Some(mut victim) = self.l2.insert(block, prefetched) {
+    ) -> Option<Evicted> {
+        let mut victim = self.l2.insert(block, prefetched);
+        if let Some(victim) = &mut victim {
             // Inclusive fabric: every L1 copy (any tile) must go too, and
             // its dirtiness folds into the departing line.
             for l1 in &mut self.l1s {
@@ -114,14 +117,13 @@ impl TiledHierarchy {
                     victim.dirty |= l1_victim.dirty;
                 }
             }
-            out.push(victim);
         }
         if prefetched {
             debug_assert!(!write, "prefetch fills cannot be stores");
         } else {
             self.promote_to_l1(tile, block, write);
         }
-        out
+        victim
     }
 
     fn promote_to_l1(&mut self, tile: usize, block: BlockAddr, write: bool) {
@@ -230,9 +232,10 @@ mod tests {
         t.fill(0, BlockAddr(0), false, false);
         t.access(1, BlockAddr(0), false); // promote into tile 1's L1 too
         t.fill(0, BlockAddr(2), false, false);
-        let evs = t.fill(1, BlockAddr(4), false, false); // evicts 0 from LLC
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].block, BlockAddr(0));
+        let ev = t
+            .fill(1, BlockAddr(4), false, false)
+            .expect("evicts 0 from LLC");
+        assert_eq!(ev.block, BlockAddr(0));
         // A fresh access from either tile must be a full miss.
         assert!(matches!(
             t.access(0, BlockAddr(0), false),
@@ -249,10 +252,9 @@ mod tests {
         let mut t = small(2);
         t.fill(1, BlockAddr(0), false, true); // dirty in tile 1's L1 only
         t.fill(0, BlockAddr(2), false, false);
-        let evs = t.fill(0, BlockAddr(4), false, false);
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].block, BlockAddr(0));
-        assert!(evs[0].dirty, "tile 1's dirtiness must fold in");
+        let ev = t.fill(0, BlockAddr(4), false, false).expect("set is full");
+        assert_eq!(ev.block, BlockAddr(0));
+        assert!(ev.dirty, "tile 1's dirtiness must fold in");
     }
 
     #[test]
@@ -276,7 +278,7 @@ mod tests {
             t.access(0, BlockAddr(0), false),
             CacheAccess::Miss { latency: 9 }
         );
-        assert!(t.fill(0, BlockAddr(0), false, false).is_empty());
+        assert!(t.fill(0, BlockAddr(0), false, false).is_none());
         assert_eq!(
             t.access(0, BlockAddr(0), false),
             CacheAccess::L1Hit { latency: 1 }

@@ -114,8 +114,15 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if cache, DRAM and ORAM line sizes disagree.
+    /// Panics if cache, DRAM and ORAM line sizes disagree, or if the line
+    /// size is not a power of two (the engine turns a byte address into a
+    /// block address by a shift).
     pub fn validate(&self) {
+        assert!(
+            self.line_bytes().is_power_of_two(),
+            "line size {} is not a power of two",
+            self.line_bytes()
+        );
         assert_eq!(
             self.hierarchy.l1.line_bytes, self.hierarchy.l2.line_bytes,
             "L1/L2 line sizes differ"
@@ -140,6 +147,7 @@ impl Default for SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proram_cache::CacheConfig;
 
     #[test]
     fn defaults_match_table_1() {
@@ -178,6 +186,19 @@ mod tests {
             MemoryKind::OramShards(SchemeConfig::baseline(), 4).label(),
             "oram_sh4"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn line_size_that_is_not_a_power_of_two_rejected() {
+        // Every component agrees on 96 bytes and each cache geometry is
+        // valid on its own (64 x 4 and 512 x 8 sets).
+        let mut cfg = SystemConfig::default();
+        cfg.hierarchy.l1 = CacheConfig::new(64 * 4 * 96, 4, 96, 1);
+        cfg.hierarchy.l2 = CacheConfig::new(512 * 8 * 96, 8, 96, 8);
+        cfg.dram.line_bytes = 96;
+        cfg.oram.timing.block_bytes = 96;
+        cfg.validate();
     }
 
     #[test]

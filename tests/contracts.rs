@@ -14,6 +14,8 @@ use proram::oram::{
     Bucket, CrashConfig, FaultClass, FaultConfig, KillPoint, OramConfig, OramError, PathOram,
     RecoveryMode,
 };
+use proram::sim::{runner, MemoryKind, SystemConfig};
+use proram::workloads::{suite, Scale, Suite};
 use proram_mem::{AccessKind, BlockAddr, MemRequest, MemoryBackend, NoProbe};
 use proram_obs::Obs;
 use proram_stats::{Rng64, Xoshiro256};
@@ -214,4 +216,51 @@ fn both_drivers_of_the_stage_primitives_are_one_access() {
 #[test]
 fn a_tree_bucket_is_64_bytes() {
     assert_eq!(std::mem::size_of::<Bucket>(), 64);
+}
+
+/// The cache model's observable behaviour, pinned where `cargo test -q`
+/// sees it: one LLC-resident trace and one that evicts from the LLC, both
+/// under `dynamic(2)`. Every number is decided by `proram-cache` (which
+/// line hits, which line is the victim, which victim is dirty or an
+/// unused prefetch), so a change of its set layout that is not
+/// behaviour-neutral moves at least one of them. Constants captured at
+/// the last commit with one heap `Vec` per set.
+#[test]
+fn cache_model_counters_are_pinned() {
+    let run = |name: &str, scale: Scale| {
+        let spec = suite::specs(Suite::Splash2)
+            .into_iter()
+            .find(|s| s.name == name)
+            .expect("registered benchmark");
+        let mut cfg = SystemConfig::paper_default(MemoryKind::Oram(SchemeConfig::dynamic(2)));
+        cfg.oram.num_data_blocks = 1 << 13;
+        let m = runner::run_spec(spec, scale, &cfg);
+        let (l1, l2) = (m.caches.l1, m.caches.l2);
+        [
+            m.cycles,
+            l1.hits,
+            l1.misses,
+            l2.hits,
+            l2.misses,
+            l2.evictions,
+            l2.dirty_evictions,
+            m.writebacks,
+            m.demand_fetches,
+            m.unused_prefetch_evictions,
+        ]
+    };
+    let resident = Scale {
+        ops: 6_000,
+        warmup_ops: 2_000,
+        footprint_scale: 0.0625,
+        seed: 42,
+    };
+    assert_eq!(
+        run("water_ns", resident),
+        [523_134, 4_994, 1_006, 880, 126, 0, 0, 0, 126, 0]
+    );
+    assert_eq!(
+        run("ocean_nc", Scale::quick()),
+        [9_926_666, 12_675, 7_325, 2_999, 4_326, 3_803, 2_732, 2_732, 4_326, 91]
+    );
 }
