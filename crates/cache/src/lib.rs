@@ -35,5 +35,5 @@ pub mod tiled;
 
 pub use crate::cache::{Cache, CacheStats, Evicted, HitInfo};
 pub use config::CacheConfig;
-pub use hierarchy::{CacheAccess, CacheHierarchy, HierarchyConfig, HierarchyStats};
+pub use hierarchy::{CacheAccess, HierarchyConfig, HierarchyStats};
 pub use tiled::TiledHierarchy;

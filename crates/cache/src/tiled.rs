@@ -2,17 +2,14 @@
 //! inclusive LLC.
 //!
 //! This is the single implementation of the fill/evict/promote path used
-//! by every simulated chip shape. The single-tile [`CacheHierarchy`]
-//! (`hierarchy.rs`) and the multi-core tile engine in `proram-sim` are
-//! both thin views over this structure, so the two simulation paths
-//! cannot diverge in cache semantics.
+//! by every simulated chip shape: the engine in `proram-sim` runs one
+//! tile for a single core and several for the multi-core ablations, so
+//! the two cannot diverge in cache semantics.
 //!
 //! Inclusion is maintained globally: every line resident in any tile's L1
 //! is also resident in the shared LLC, and an LLC eviction
 //! back-invalidates the line from every L1, folding any L1 dirtiness into
 //! the departing line.
-//!
-//! [`CacheHierarchy`]: crate::CacheHierarchy
 
 use crate::cache::{Cache, CacheStats, Evicted};
 use crate::hierarchy::{CacheAccess, HierarchyConfig, HierarchyStats};

@@ -377,7 +377,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             kind,
             posmap_accesses,
             background_evictions,
-            self.oram.fetch_cycles(),
+            self.oram.path_cycles(),
             self.oram.fault_stats().backoff_cycles - backoff_before,
         ))
     }
@@ -581,7 +581,7 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
         // the run's fault counters.
         let (report, fills) = attempt.unwrap_or_else(|_err| {
             self.scheme_faults.unrecovered += 1;
-            Self::served_outside_the_path(req, self.oram.fetch_cycles(), 1)
+            Self::served_outside_the_path(req, self.oram.path_cycles(), 1)
         });
         let complete_at = self.schedule(now, report.latency);
         let elapsed = complete_at.saturating_sub(self.last_complete).max(1);
@@ -595,7 +595,7 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
         if self.oram.background_evict().is_err() {
             self.scheme_faults.unrecovered += 1;
         }
-        self.schedule(now, self.oram.fetch_cycles())
+        self.schedule(now, self.oram.path_cycles())
     }
 
     fn free_at(&self) -> Cycle {
@@ -632,10 +632,10 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
             bytes_moved: o.bytes_moved,
             prefetch_hits: self.stats.prefetch_hits,
             prefetch_misses: self.stats.prefetch_misses,
-            busy_cycles: o.total_path_accesses() * self.oram.fetch_cycles(),
-            data_path_cycles: o.data_path_accesses * self.oram.fetch_cycles(),
-            posmap_path_cycles: o.posmap_path_accesses * self.oram.fetch_cycles(),
-            dummy_path_cycles: o.background_evictions * self.oram.fetch_cycles(),
+            busy_cycles: o.total_path_accesses() * self.oram.path_cycles(),
+            data_path_cycles: o.data_path_accesses * self.oram.path_cycles(),
+            posmap_path_cycles: o.posmap_path_accesses * self.oram.path_cycles(),
+            dummy_path_cycles: o.background_evictions * self.oram.path_cycles(),
             treetop_hits: o.treetop_hits,
             treetop_bytes_saved: o.treetop_bytes_saved,
             faults: self.oram.fault_stats() + self.scheme_faults,

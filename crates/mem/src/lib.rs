@@ -35,7 +35,6 @@ pub mod backend;
 pub mod dram;
 pub mod periodic;
 pub mod request;
-pub mod scheduler;
 
 pub use adaptive_periodic::{AdaptivePeriodic, AdaptivePeriodicConfig};
 pub use backend::{
@@ -43,5 +42,4 @@ pub use backend::{
 };
 pub use dram::{Dram, DramConfig};
 pub use periodic::Periodic;
-pub use request::{AccessKind, BlockAddr, BucketRead, Cycle, MemRequest};
-pub use scheduler::{BankConfig, BankScheduler, BatchOutcome};
+pub use request::{AccessKind, BlockAddr, Cycle, MemRequest};

@@ -75,35 +75,6 @@ pub enum AccessKind {
     Write,
 }
 
-/// One bucket read inside a path-fetch batch.
-///
-/// A Path ORAM access reads every bucket on one tree path; the fetch
-/// pipeline turns that into a batch of `BucketRead`s handed to the
-/// bank-aware scheduler ([`crate::BankScheduler`]) so independent buckets
-/// can overlap across banks. The bucket index only labels the transfer (a
-/// tree node id); timing depends solely on `bytes`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BucketRead {
-    /// Tree-bucket index this read targets (label only).
-    pub bucket: u64,
-    /// Bytes the bucket transfer moves (ciphertext + metadata, read and
-    /// write-back halves combined when the caller charges a full path).
-    pub bytes: u64,
-}
-
-impl BucketRead {
-    /// A read of `bytes` from tree bucket `bucket`.
-    pub fn new(bucket: u64, bytes: u64) -> Self {
-        BucketRead { bucket, bytes }
-    }
-}
-
-impl fmt::Display for BucketRead {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bkt{}:{}B", self.bucket, self.bytes)
-    }
-}
-
 /// One request presented to a [`crate::MemoryBackend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRequest {

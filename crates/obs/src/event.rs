@@ -1,8 +1,8 @@
 //! The typed event taxonomy.
 //!
 //! Every observable state transition of the stack is one [`ObsEvent`]
-//! variant: logical accesses retiring with their cycle split,
-//! bank-scheduler dispatches, stash high-water marks,
+//! variant: logical accesses retiring with their cycle split, stash
+//! high-water marks,
 //! super-block merge/break decisions, prefetch-window publications,
 //! fault/recovery transitions and tile-engine issue/retire. Events are
 //! `Copy` and carry only integers, so recording one into a sink is a
@@ -185,24 +185,6 @@ pub enum ObsEvent {
         /// Transient-retry backoff cycles.
         backoff: u64,
     },
-    /// The bank scheduler dispatched one bucket read to a bank.
-    BankDispatch {
-        /// Bank the read was steered to.
-        bank: u32,
-        /// Cycle the bank starts the read.
-        start: u64,
-        /// Cycle the read's bus transfer completes.
-        complete: u64,
-    },
-    /// The bank scheduler drained a whole path batch.
-    BankDrain {
-        /// Bucket reads in the batch.
-        buckets: u32,
-        /// Bytes the batch moved over the bus.
-        bytes: u64,
-        /// Cycle the last transfer completed.
-        complete: u64,
-    },
     /// The stash reached a new occupancy high-water mark.
     StashWatermark {
         /// Occupancy that set the mark.
@@ -311,8 +293,6 @@ impl ObsEvent {
         match self {
             ObsEvent::AccessIssued { .. } => "access_issued",
             ObsEvent::AccessRetired { .. } => "access_retired",
-            ObsEvent::BankDispatch { .. } => "bank_dispatch",
-            ObsEvent::BankDrain { .. } => "bank_drain",
             ObsEvent::StashWatermark { .. } => "stash_watermark",
             ObsEvent::SuperBlockMerge { .. } => "super_block_merge",
             ObsEvent::SuperBlockBreak { .. } => "super_block_break",
@@ -328,11 +308,9 @@ impl ObsEvent {
     }
 
     /// Every discriminant name, for schema checks of JSONL traces.
-    pub const KINDS: [&'static str; 15] = [
+    pub const KINDS: [&'static str; 13] = [
         "access_issued",
         "access_retired",
-        "bank_dispatch",
-        "bank_drain",
         "stash_watermark",
         "super_block_merge",
         "super_block_break",
@@ -372,24 +350,6 @@ impl ObsEvent {
                 push_num(&mut s, "fetch", fetch);
                 push_num(&mut s, "evict", evict);
                 push_num(&mut s, "backoff", backoff);
-            }
-            ObsEvent::BankDispatch {
-                bank,
-                start,
-                complete,
-            } => {
-                push_num(&mut s, "bank", u64::from(bank));
-                push_num(&mut s, "start", start);
-                push_num(&mut s, "complete", complete);
-            }
-            ObsEvent::BankDrain {
-                buckets,
-                bytes,
-                complete,
-            } => {
-                push_num(&mut s, "buckets", u64::from(buckets));
-                push_num(&mut s, "bytes", bytes);
-                push_num(&mut s, "complete", complete);
             }
             ObsEvent::StashWatermark { occupancy, peak } => {
                 push_num(&mut s, "occupancy", occupancy);
@@ -496,16 +456,6 @@ mod tests {
                 evict: 2,
                 backoff: 1,
             },
-            ObsEvent::BankDispatch {
-                bank: 1,
-                start: 0,
-                complete: 7,
-            },
-            ObsEvent::BankDrain {
-                buckets: 8,
-                bytes: 1024,
-                complete: 99,
-            },
             ObsEvent::StashWatermark {
                 occupancy: 12,
                 peak: 12,
@@ -560,6 +510,7 @@ mod tests {
                 reverified: 30,
             },
         ];
+        assert_eq!(ObsEvent::KINDS.len(), 13);
         assert_eq!(events.len(), ObsEvent::KINDS.len());
         for e in &events {
             let line = e.to_json();

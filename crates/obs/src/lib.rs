@@ -6,7 +6,7 @@
 //! every runtime crate reports into:
 //!
 //! 1. **Typed event tracing** — [`ObsEvent`] covers the stack's state
-//!    transitions (access retirement, bank dispatches, stash watermarks,
+//!    transitions (access retirement, stash watermarks,
 //!    super-block merges/breaks, prefetch-window decisions,
 //!    fault/recovery); sinks behind [`ObsSink`] decide retention, with
 //!    the fixed-capacity [`RingSink`] as the standard collector.

@@ -119,10 +119,9 @@ pub trait OramBackend {
     /// Cycles one physical tree access costs.
     fn path_cycles(&self) -> u64;
 
-    /// Cycles one physical tree access costs with the fetch pipeline
-    /// applied. Equal to [`OramBackend::path_cycles`] for backends
-    /// without a bank-aware fetch stage (the default), and smaller when
-    /// bucket reads overlap across banks.
+    /// Alias of [`OramBackend::path_cycles`], kept only because the frozen
+    /// `perf/src/span.rs` overrides it; no backend in this workspace does.
+    /// ROADMAP item 2's `benchmark` PR removes it with that override.
     fn fetch_cycles(&self) -> u64 {
         self.path_cycles()
     }

@@ -126,15 +126,6 @@ pub struct OramConfig {
     /// fail-stops the controller before an access can walk into it.
     /// `0` disables scrubbing. Requires `store_payloads`.
     pub scrub_interval: u64,
-    /// Bank-aware fetch pipeline: when set, the per-path fetch cost is
-    /// computed by scheduling the path's bucket reads on a
-    /// [`proram_mem::BankScheduler`] with this configuration (overlapping
-    /// row-access latencies across banks) instead of the lump-sum
-    /// [`OramTiming::path_cycles`] charge. `None` keeps the lump-sum
-    /// model — behavior and timing are then bit-identical to the
-    /// pre-pipeline controller. Purely a timing-model choice: the access
-    /// trace, stash behavior and statistics are unaffected.
-    pub pipeline: Option<proram_mem::BankConfig>,
     /// Deterministic crash injection (requires `store_payloads`): every
     /// access runs under the crash-consistent commit protocol of
     /// DESIGN.md section 15, and the configured kill point fires on its
@@ -181,7 +172,6 @@ impl OramConfig {
             fault: None,
             stash_hard_capacity: None,
             scrub_interval: 0,
-            pipeline: None,
             crash: None,
         }
     }
@@ -237,15 +227,10 @@ impl OramConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when a field is out of range on its own
-    /// (zero blocks, zero `z`, non-power-of-two pipeline banks, ...) or
-    /// the fields are jointly inconsistent (tree too small for the
-    /// blocks, treetop cache covering the whole tree, fault injection
+    /// (zero blocks, zero `z`, a fault rate that is not a probability,
+    /// ...) or the fields are jointly inconsistent (tree too small for
+    /// the blocks, treetop cache covering the whole tree, fault injection
     /// without a stored image, ...).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an attached [`FaultConfig`] is itself invalid (its rates
-    /// are probabilities validated by [`FaultConfig::validate`]).
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.num_data_blocks == 0 {
             return Err(ConfigError::new(
@@ -346,7 +331,9 @@ impl OramConfig {
                     "fault injection requires store_payloads (there is no image to corrupt otherwise)",
                 ));
             }
-            fault.validate();
+            if let Err(msg) = fault.validate() {
+                return Err(ConfigError::new("fault", msg));
+            }
         }
         if let Some(cap) = self.stash_hard_capacity {
             if cap < self.stash_limit {
@@ -380,29 +367,6 @@ impl OramConfig {
             }
             if let Err(msg) = crash.validate() {
                 return Err(ConfigError::new("crash", msg));
-            }
-        }
-        if let Some(bank) = &self.pipeline {
-            if bank.banks == 0 {
-                return Err(ConfigError::new(
-                    "pipeline",
-                    "pipeline needs at least one bank",
-                ));
-            }
-            if !bank.banks.is_power_of_two() {
-                return Err(ConfigError::new(
-                    "pipeline",
-                    format!(
-                        "pipeline bank count must be a power of two (got {})",
-                        bank.banks
-                    ),
-                ));
-            }
-            if bank.bytes_per_cycle == 0 {
-                return Err(ConfigError::new(
-                    "pipeline",
-                    "pipeline bus bandwidth must be positive",
-                ));
             }
         }
         Ok(())
@@ -564,12 +528,6 @@ impl OramConfigBuilder {
         self
     }
 
-    /// Enables the bank-aware fetch pipeline with this bank layout.
-    pub fn pipeline(mut self, bank: proram_mem::BankConfig) -> Self {
-        self.cfg.pipeline = Some(bank);
-        self
-    }
-
     /// Arms deterministic crash injection: the kill point fires on its
     /// configured crossing and every access runs under the commit
     /// protocol (DESIGN.md section 15).
@@ -583,10 +541,10 @@ impl OramConfigBuilder {
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] found by [`OramConfig::check`]
-    /// — zero-block trees, bank counts that are not powers of two,
-    /// treetop caches covering the whole tree, fault injection or
-    /// scrubbing without a stored image, and the other field
-    /// inconsistencies documented there.
+    /// — zero-block trees, treetop caches covering the whole tree, fault
+    /// rates that are not probabilities, fault injection or scrubbing
+    /// without a stored image, and the other field inconsistencies
+    /// documented there.
     pub fn build(self) -> Result<OramConfig, ConfigError> {
         self.cfg.check()?;
         Ok(self.cfg)
@@ -611,7 +569,6 @@ impl Default for OramConfig {
             fault: None,
             stash_hard_capacity: None,
             scrub_interval: 0,
-            pipeline: None,
             crash: None,
         }
     }
@@ -838,29 +795,29 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_non_power_of_two_banks() {
-        let err = OramConfig::builder()
-            .pipeline(proram_mem::BankConfig {
-                banks: 3,
-                ..proram_mem::BankConfig::default()
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field(), "pipeline");
-        assert!(err.to_string().contains("power of two"), "{err}");
-    }
-
-    #[test]
-    fn builder_rejects_zero_bandwidth_pipeline() {
-        let err = OramConfig::builder()
-            .pipeline(proram_mem::BankConfig {
-                bytes_per_cycle: 0,
-                ..proram_mem::BankConfig::default()
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field(), "pipeline");
-        assert!(err.to_string().contains("bandwidth"), "{err}");
+    fn builder_reports_bad_fault_rates_as_a_config_error() {
+        // Out of range, NaN, and write rates that sum past 1: each comes
+        // back typed from the `Result` path instead of panicking.
+        let out_of_range = FaultConfig::single(crate::fault::FaultClass::BitFlip, 1.5, 0);
+        let nan = FaultConfig::single(crate::fault::FaultClass::Transient, f64::NAN, 0);
+        let sum_past_one = FaultConfig {
+            bit_flip_rate: 0.6,
+            torn_write_rate: 0.6,
+            ..FaultConfig::silent(0)
+        };
+        for (fault, needle) in [
+            (out_of_range, "bit_flip_rate 1.5 outside [0, 1]"),
+            (nan, "transient_rate NaN outside [0, 1]"),
+            (sum_past_one, "sum to at most 1"),
+        ] {
+            let err = OramConfig::small_for_tests(256)
+                .to_builder()
+                .fault(fault)
+                .build()
+                .unwrap_err();
+            assert_eq!(err.field(), "fault");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -3,12 +3,7 @@
 //! Brings every bucket on a path into the stash, records the
 //! adversary-visible event and byte movement, and claims the requested
 //! block for remapping; with an encrypted image the off-chip part of the
-//! path comes out of it here. A path fetch is a *batch* of bucket reads —
-//! [`PathOram::bucket_read_batch`] renders one explicitly for the
-//! bank-aware scheduler in `proram-mem`; the per-access timing model
-//! charges the same batch analytically via
-//! [`proram_mem::BankScheduler::path_fetch_cycles`] so the hot path stays
-//! allocation-free.
+//! path comes out of it here, opened as one batch.
 
 use super::{PathKind, PathOram};
 use crate::addr::Leaf;
@@ -17,7 +12,6 @@ use crate::crash::KillPoint;
 use crate::error::OramError;
 use crate::eviction::read_path;
 use crate::trace::PhysEvent;
-use proram_mem::BucketRead;
 use proram_obs::{FaultKind, ObsEvent};
 
 /// More levels than any tree has ([`crate::OramTree::new`] caps them at
@@ -150,25 +144,5 @@ impl PathOram {
         })?;
         block.leaf = new_leaf;
         Ok(block)
-    }
-
-    /// Renders the path to `leaf` as an explicit bucket-read batch for the
-    /// bank-aware scheduler: one [`BucketRead`] per off-chip bucket,
-    /// addressed by its *physical* store index
-    /// ([`crate::StoreLayout::phys_of`]), each
-    /// moving the derate-adjusted wire bytes of one bucket
-    /// ([`crate::OramTiming::bucket_wire_bytes`]). Treetop-cached levels
-    /// are on-chip and never appear in the batch. A super-block merged
-    /// fetch is simply one larger batch (several paths concatenated).
-    ///
-    /// Allocates the returned vector; the per-access hot path instead
-    /// charges the identical batch analytically, so this is for explicit
-    /// scheduler callers (experiments and tests).
-    pub fn bucket_read_batch(&self, leaf: Leaf) -> Vec<BucketRead> {
-        let bucket_bytes = self.config.timing.bucket_wire_bytes(self.config.z);
-        self.layout
-            .off_chip_path(leaf)
-            .map(|(_, phys)| BucketRead::new(phys as u64, bucket_bytes))
-            .collect()
     }
 }

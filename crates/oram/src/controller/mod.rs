@@ -61,7 +61,7 @@ use crate::stash::Stash;
 use crate::storage::EncryptedStore;
 use crate::trace::TraceRecorder;
 use crate::tree::OramTree;
-use proram_mem::{AccessKind, BankScheduler, BlockAddr, FaultStats};
+use proram_mem::{AccessKind, BlockAddr, FaultStats};
 use proram_obs::Obs;
 use proram_stats::{Rng64, Xoshiro256};
 use std::collections::HashMap;
@@ -174,10 +174,6 @@ pub struct PathOram {
     pub(crate) trace: TraceRecorder,
     pub(crate) stats: OramStats,
     pub(crate) path_cycles: u64,
-    /// Per-path fetch cost actually charged: equals `path_cycles` with the
-    /// lump-sum timing model, smaller with the bank-aware pipeline
-    /// ([`OramConfig::pipeline`]).
-    pub(crate) fetch_cycles: u64,
     pub(crate) path_bytes: u64,
     /// DRAM bytes one path access would additionally move without the
     /// treetop cache (full-path bytes minus off-chip `path_bytes`).
@@ -363,17 +359,6 @@ impl PathOram {
         let path_cycles = config.timing.path_cycles(off_chip, config.z);
         let path_bytes = config.timing.path_bytes(off_chip, config.z);
         let treetop_saved_bytes = config.timing.path_bytes(levels, config.z) - path_bytes;
-        // With the bank-aware pipeline, the per-path fetch cost comes from
-        // scheduling one path's bucket-read batch on an idle bank
-        // scheduler; the lump-sum model keeps fetch == path cost.
-        let fetch_cycles = match config.pipeline {
-            None => path_cycles,
-            Some(bank) => {
-                let bucket_bytes = config.timing.bucket_wire_bytes(config.z);
-                BankScheduler::path_fetch_cycles(bank, bucket_bytes, u64::from(off_chip))
-                    + u64::from(config.timing.fixed_overhead_cycles)
-            }
-        };
         let mut oram = PathOram {
             plb: Plb::new(config.plb_blocks),
             config,
@@ -386,7 +371,6 @@ impl PathOram {
             trace,
             stats: OramStats::default(),
             path_cycles,
-            fetch_cycles,
             path_bytes,
             treetop_saved_bytes,
             layout,
@@ -460,16 +444,10 @@ impl PathOram {
         &self.space
     }
 
-    /// Cycles one path access costs under the lump-sum timing model.
+    /// Cycles one path access costs: off-chip path bytes over pin
+    /// bandwidth plus the fixed overhead ([`crate::OramTiming::path_cycles`]).
     pub fn path_cycles(&self) -> u64 {
         self.path_cycles
-    }
-
-    /// Cycles one path fetch actually costs: equal to
-    /// [`PathOram::path_cycles`] without the pipeline, smaller when the
-    /// bank-aware scheduler overlaps bucket reads ([`OramConfig::pipeline`]).
-    pub fn fetch_cycles(&self) -> u64 {
-        self.fetch_cycles
     }
 
     /// Statistics so far.
@@ -604,7 +582,7 @@ impl PathOram {
             kind,
             posmap_accesses,
             background_evictions,
-            self.fetch_cycles,
+            self.path_cycles,
             self.fault_stats().backoff_cycles - backoff_before,
         );
         self.txn_commit()?;
@@ -1330,10 +1308,6 @@ impl crate::backend_trait::OramBackend for PathOram {
         PathOram::path_cycles(self)
     }
 
-    fn fetch_cycles(&self) -> u64 {
-        PathOram::fetch_cycles(self)
-    }
-
     fn oram_stats(&self) -> OramStats {
         PathOram::oram_stats(self)
     }
@@ -1585,82 +1559,35 @@ mod tests {
                 .try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
                 .unwrap();
             assert_eq!(r.latency, r.stages.total(), "stage attribution broken");
-            assert_eq!(r.stages.fetch, oram.fetch_cycles());
-            assert_eq!(r.stages.posmap, r.posmap_accesses * oram.fetch_cycles());
-            assert_eq!(r.stages.evict, r.background_evictions * oram.fetch_cycles());
+            assert_eq!(r.stages.fetch, oram.path_cycles());
+            assert_eq!(r.stages.posmap, r.posmap_accesses * oram.path_cycles());
+            assert_eq!(r.stages.evict, r.background_evictions * oram.path_cycles());
         }
     }
 
     #[test]
-    fn pipeline_off_keeps_lump_sum_fetch_cost() {
-        let oram = small();
-        assert_eq!(oram.fetch_cycles(), oram.path_cycles());
-    }
-
-    #[test]
-    fn pipeline_on_is_behavior_identical_and_overlaps_banks() {
-        use proram_mem::BankConfig;
-        // The pipeline is purely a timing-model change: stats, trace and
-        // stash must match the lump-sum run step for step.
-        let run = |pipeline: Option<BankConfig>| {
+    fn every_path_costs_the_lump_sum() {
+        // One price per path: off-chip bytes over pin bandwidth, with or
+        // without a treetop, and an access is its paths times that price.
+        for treetop_levels in [0, 2] {
             let cfg = OramConfig {
-                pipeline,
+                treetop_levels,
                 ..OramConfig::small_for_tests(256)
             };
+            let lump = cfg.timing.path_cycles(cfg.off_chip_levels(), cfg.z);
             let mut oram = PathOram::new(cfg, 42);
+            assert_eq!(oram.path_cycles(), lump);
             let mut rng = Xoshiro256::seed_from(3);
-            for _ in 0..200 {
-                oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
+            for _ in 0..100 {
+                let r = oram
+                    .try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
                     .unwrap();
+                assert_eq!(
+                    r.latency,
+                    r.tree_accesses * oram.path_cycles() + r.stages.backoff
+                );
             }
-            (
-                oram.oram_stats(),
-                oram.trace().observed_leaves(),
-                oram.stash().peak(),
-                oram.fetch_cycles(),
-            )
-        };
-        let banks = |n| {
-            Some(BankConfig {
-                banks: n,
-                ..BankConfig::default()
-            })
-        };
-        let (base_stats, base_leaves, base_peak, base_fetch) = run(None);
-        let (serial_stats, serial_leaves, serial_peak, serial_fetch) = run(banks(1));
-        let (pipe_stats, pipe_leaves, pipe_peak, pipe_fetch) = run(banks(8));
-        assert_eq!(base_stats, serial_stats);
-        assert_eq!(base_stats, pipe_stats);
-        assert_eq!(base_leaves, serial_leaves);
-        assert_eq!(base_leaves, pipe_leaves);
-        assert_eq!(base_peak, serial_peak);
-        assert_eq!(base_peak, pipe_peak);
-        // One bank serializes every bucket's DRAM latency; multiple banks
-        // overlap them, leaving only the bus transfers plus one latency.
-        assert!(
-            pipe_fetch < serial_fetch,
-            "bank overlap must cut the fetch cost: {pipe_fetch} vs {serial_fetch}"
-        );
-        // Versus the lump-sum model the banked fetch keeps the full bus
-        // transfer and adds the (previously unmodelled) leading DRAM
-        // latency — it is costlier than the pure pin-bandwidth bound but
-        // far cheaper than the fully serialized single-bank schedule.
-        assert!(pipe_fetch >= base_fetch);
-        assert!(serial_fetch > base_fetch);
-    }
-
-    #[test]
-    fn bucket_read_batch_covers_off_chip_path() {
-        let oram = small();
-        let batch = oram.bucket_read_batch(Leaf(0));
-        assert_eq!(
-            batch.len() as u32,
-            oram.config().off_chip_levels(),
-            "one read per off-chip bucket"
-        );
-        let per_bucket = oram.config().timing.bucket_wire_bytes(oram.config().z);
-        let total: u64 = batch.iter().map(|r| r.bytes).sum();
-        assert_eq!(total, per_bucket * batch.len() as u64);
+        }
     }
 
     #[test]

@@ -120,22 +120,25 @@ impl FaultConfig {
     /// Checks rates are probabilities and write-fault rates are mutually
     /// exclusive per write.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a rate outside `[0, 1]` or write rates summing past 1.
-    pub fn validate(&self) {
+    /// Names the first rate outside `[0, 1]` (NaN included), or reports
+    /// write rates summing past 1.
+    pub fn validate(&self) -> Result<(), String> {
         for (name, r) in [
             ("bit_flip_rate", self.bit_flip_rate),
             ("torn_write_rate", self.torn_write_rate),
             ("rollback_rate", self.rollback_rate),
             ("transient_rate", self.transient_rate),
         ] {
-            assert!((0.0..=1.0).contains(&r), "{name} {r} outside [0, 1]");
+            if !(0.0..=1.0).contains(&r) {
+                return Err(format!("{name} {r} outside [0, 1]"));
+            }
         }
-        assert!(
-            self.bit_flip_rate + self.torn_write_rate + self.rollback_rate <= 1.0,
-            "write-fault rates must sum to at most 1"
-        );
+        if self.write_rate() > 1.0 {
+            return Err("write-fault rates must sum to at most 1".into());
+        }
+        Ok(())
     }
 
     fn write_rate(&self) -> f64 {
@@ -166,7 +169,9 @@ impl FaultyStore {
     /// Panics if the configuration is invalid or `data` is not a whole
     /// number of buckets.
     pub fn new(data: Vec<u8>, bucket_bytes: usize, cfg: FaultConfig) -> Self {
-        cfg.validate();
+        if let Err(msg) = cfg.validate() {
+            panic!("{msg}");
+        }
         assert!(bucket_bytes > 0, "bucket size must be positive");
         assert_eq!(data.len() % bucket_bytes, 0, "partial bucket in image");
         let num_buckets = data.len() / bucket_bytes;
@@ -496,6 +501,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn invalid_rate_rejected() {
-        FaultConfig::single(FaultClass::BitFlip, 1.5, 0).validate();
+        store(FaultConfig::single(FaultClass::BitFlip, 1.5, 0));
     }
 }

@@ -18,8 +18,7 @@
 //! * a first-principles **timing model** (path bytes / pin bandwidth,
 //!   [`timing`]),
 //! * the **access report** ([`pipeline`]): the one place an access
-//!   retires, with per-stage cycle attribution and an optional bank-aware
-//!   fetch cost ([`config::OramConfig::pipeline`]).
+//!   retires, with per-stage cycle attribution at one price per path.
 //!
 //! The high-level entry point is [`PathOram`]. The super-block machinery
 //! of the paper itself lives in the `proram-core` crate, built on the

@@ -7,9 +7,9 @@
 //! in `proram-core` (which claim more than one block from the fetched
 //! path). Both end in [`AccessReport::retire`], which turns the access's
 //! path counts into its cycle split ([`StageCycles`]) and reports it to
-//! the attached observability handle. With [`crate::OramConfig::pipeline`]
-//! set, the per-path cost it is handed is the bank-overlapped one computed
-//! by [`proram_mem::BankScheduler`] instead of the serialized lump sum.
+//! the attached observability handle. Every path — data, position-map or
+//! dummy — costs the same [`crate::PathOram::path_cycles`]: path bytes over
+//! pin bandwidth, the paper's one price for an access (Section 2.6).
 //!
 //! [`PathOram::try_access_block`]: crate::PathOram::try_access_block
 
@@ -56,10 +56,10 @@ pub struct AccessReport {
 impl AccessReport {
     /// Retires one logical access to `addr`: one data path plus
     /// `posmap_accesses` position-map paths and `background_evictions`
-    /// dummy paths, each charged `fetch_cycles`, plus the transient-retry
+    /// dummy paths, each charged `path_cycles`, plus the transient-retry
     /// `backoff` the injected faults incurred. A merged super-block fetch
-    /// is one larger bucket-read batch on one shared path, so it is still
-    /// exactly one data path.
+    /// claims more blocks from one shared path, so it is still exactly one
+    /// data path.
     ///
     /// An enabled `obs` receives `access_issued`, `access_retired` and one
     /// profile entry per cycle lane, under a single lock acquisition.
@@ -69,13 +69,13 @@ impl AccessReport {
         kind: AccessKind,
         posmap_accesses: u64,
         background_evictions: u64,
-        fetch_cycles: u64,
+        path_cycles: u64,
         backoff: u64,
     ) -> AccessReport {
         let stages = StageCycles {
-            posmap: posmap_accesses * fetch_cycles,
-            fetch: fetch_cycles,
-            evict: background_evictions * fetch_cycles,
+            posmap: posmap_accesses * path_cycles,
+            fetch: path_cycles,
+            evict: background_evictions * path_cycles,
             backoff,
         };
         obs.emit_profiled(|| {

@@ -39,8 +39,7 @@ impl OramTiming {
     /// Cycles for one full path access (read + write of every bucket on
     /// the path) of a tree with `levels` levels and `z` blocks per bucket.
     pub fn path_cycles(&self, levels: u32, z: usize) -> u64 {
-        let bytes =
-            2u64 * u64::from(levels) * z as u64 * u64::from(self.block_bytes + self.meta_bytes);
+        let bytes = self.path_bytes(levels, z);
         let transfer =
             (bytes as f64 * self.bandwidth_derate / f64::from(self.bytes_per_cycle)).ceil() as u64;
         transfer + u64::from(self.fixed_overhead_cycles)
@@ -49,16 +48,6 @@ impl OramTiming {
     /// Bytes moved on the memory bus by one path access.
     pub fn path_bytes(&self, levels: u32, z: usize) -> u64 {
         2u64 * u64::from(levels) * z as u64 * u64::from(self.block_bytes + self.meta_bytes)
-    }
-
-    /// Derate-adjusted wire bytes one bucket moves per path access (read
-    /// and write-back halves combined) — the per-bucket transfer size the
-    /// bank-aware fetch scheduler overlaps across banks. Summed over the
-    /// off-chip levels this reproduces the transfer term of
-    /// [`OramTiming::path_cycles`].
-    pub fn bucket_wire_bytes(&self, z: usize) -> u64 {
-        let bytes = 2u64 * z as u64 * u64::from(self.block_bytes + self.meta_bytes);
-        (bytes as f64 * self.bandwidth_derate).ceil() as u64
     }
 
     /// Timing with the paper's Table 1 parameters and a derate calibrated
@@ -121,16 +110,6 @@ mod tests {
             err < 0.02,
             "calibrated latency {cycles} not within 2% of 2364"
         );
-    }
-
-    #[test]
-    fn bucket_wire_bytes_matches_path_formula() {
-        let t = OramTiming::default();
-        // 2 * 3 * 144 = 864 bytes per bucket at derate 1.0.
-        assert_eq!(t.bucket_wire_bytes(3), 864);
-        assert_eq!(t.bucket_wire_bytes(3) * 20, t.path_bytes(20, 3));
-        let cal = OramTiming::paper_calibrated();
-        assert_eq!(cal.bucket_wire_bytes(3), (864.0f64 * 1.64).ceil() as u64);
     }
 
     #[test]

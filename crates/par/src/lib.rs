@@ -52,16 +52,12 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A batch failed because one or more jobs panicked.
-///
-/// Returned by [`WorkerPool::try_run`]. The pool itself survives — the
-/// panic is contained to the batch — so callers can fall back to running
-/// the work serially (recomputing from their own source data; items
-/// consumed by the failed batch are not returned).
+/// A batch failed because one or more jobs panicked. The pool itself
+/// survives — the panic is contained to the batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolError {
+struct PoolError {
     /// Number of jobs in the batch that panicked.
-    pub panicked_jobs: usize,
+    panicked_jobs: usize,
 }
 
 impl std::fmt::Display for PoolError {
@@ -69,8 +65,6 @@ impl std::fmt::Display for PoolError {
         write!(f, "{} worker-pool job(s) panicked", self.panicked_jobs)
     }
 }
-
-impl std::error::Error for PoolError {}
 
 /// Spin iterations a worker burns watching the generation counter before
 /// parking. Dispatch under load is spin-observed (no syscall); an idle
@@ -101,8 +95,6 @@ struct Shared {
     shutdown: AtomicBool,
     /// Wakes parked workers on dispatch and shutdown.
     wake: Condvar,
-    /// Times a worker gave up spinning and parked (idle indicator).
-    parks: AtomicU64,
 }
 
 /// The per-batch state: the job closure, claimable items, and slots for
@@ -143,36 +135,17 @@ where
     }
 }
 
-/// Cumulative dispatch counters, for observability (`proram-obs` lanes
-/// and the parallel bench report). All values are monotone.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Batches dispatched through the worker path (inline runs excluded).
-    pub batches_dispatched: u64,
-    /// Total items across dispatched batches.
-    pub jobs_dispatched: u64,
-    /// Items the *calling* thread claimed while helping — the pool's
-    /// "steal" measure (callers steal work back from the pool).
-    pub jobs_caller_executed: u64,
-    /// Times a worker exhausted its spin budget and parked (idle).
-    pub worker_parks: u64,
-}
-
 /// A fixed-size pool of persistent worker threads with a fork/join
 /// [`run`](WorkerPool::run) API and deterministic, item-ordered results.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    batches_dispatched: AtomicU64,
-    jobs_dispatched: AtomicU64,
-    jobs_caller_executed: AtomicU64,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("workers", &self.handles.len())
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -188,7 +161,6 @@ impl WorkerPool {
             generation: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             wake: Condvar::new(),
-            parks: AtomicU64::new(0),
         });
         let workers = threads.saturating_sub(1);
         let handles = (0..workers)
@@ -200,34 +172,13 @@ impl WorkerPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool {
-            shared,
-            handles,
-            batches_dispatched: AtomicU64::new(0),
-            jobs_dispatched: AtomicU64::new(0),
-            jobs_caller_executed: AtomicU64::new(0),
-        }
+        WorkerPool { shared, handles }
     }
 
     /// Number of spawned worker threads (total parallelism minus the
     /// caller).
     pub fn workers(&self) -> usize {
         self.handles.len()
-    }
-
-    /// Total threads a `run` call applies (workers plus the caller).
-    pub fn threads(&self) -> usize {
-        self.handles.len() + 1
-    }
-
-    /// Snapshot of the cumulative dispatch counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            batches_dispatched: self.batches_dispatched.load(Ordering::Relaxed),
-            jobs_dispatched: self.jobs_dispatched.load(Ordering::Relaxed),
-            jobs_caller_executed: self.jobs_caller_executed.load(Ordering::Relaxed),
-            worker_parks: self.shared.parks.load(Ordering::Relaxed),
-        }
     }
 
     /// Applies `f` to every item, in parallel across the pool plus the
@@ -240,9 +191,8 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// Panics on the calling thread if any job panicked. Callers that
-    /// need to survive a job panic (e.g. to fall back to a serial
-    /// recompute) should use [`try_run`](WorkerPool::try_run) instead.
+    /// Panics on the calling thread if any job panicked; the pool itself
+    /// survives and runs the next batch.
     pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + 'static,
@@ -255,17 +205,10 @@ impl WorkerPool {
         }
     }
 
-    /// Fallible form of [`run`](WorkerPool::run): applies `f` to every
-    /// item in parallel and returns the results in item order, or
-    /// `Err(PoolError)` if any job panicked.
-    ///
-    /// A job panic is contained to its batch — the pool's workers, locks
-    /// and counters all survive (poisoned mutexes are recovered via
-    /// [`PoisonError::into_inner`]), so the caller can degrade gracefully
-    /// by redoing the batch serially. Items consumed by a failed batch
-    /// are not returned; the caller must recompute from its own source
-    /// data.
-    pub fn try_run<T, R, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, PoolError>
+    /// [`run`](WorkerPool::run) with a job panic as an `Err`: the panic is
+    /// contained to its batch — the pool's workers and locks survive
+    /// (poisoned mutexes are recovered via [`PoisonError::into_inner`]).
+    fn try_run<T, R, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, PoolError>
     where
         T: Send + 'static,
         R: Send + 'static,
@@ -299,8 +242,6 @@ impl WorkerPool {
             done: AtomicUsize::new(0),
             panicked: AtomicUsize::new(0),
         });
-        self.batches_dispatched.fetch_add(1, Ordering::Relaxed);
-        self.jobs_dispatched.fetch_add(n as u64, Ordering::Relaxed);
         {
             let mut slot = relock(&self.shared.slot);
             *slot = Some(Arc::clone(&batch) as Arc<dyn Batch>);
@@ -311,12 +252,7 @@ impl WorkerPool {
         }
         self.shared.wake.notify_all();
         // The caller helps: claim items until the batch is exhausted.
-        let mut helped = 0u64;
-        while batch.run_one() {
-            helped += 1;
-        }
-        self.jobs_caller_executed
-            .fetch_add(helped, Ordering::Relaxed);
+        while batch.run_one() {}
         // Wait for claimed-but-unfinished items on worker threads. The
         // tail is at most (workers) jobs long, so spin.
         while batch.done.load(Ordering::Acquire) < n {
@@ -373,7 +309,6 @@ fn worker_loop(shared: &Shared) {
         }
         // Exhausted the spin budget: park until dispatch or shutdown.
         spins = 0;
-        shared.parks.fetch_add(1, Ordering::Relaxed);
         let guard = relock(&shared.slot);
         if shared.shutdown.load(Ordering::Acquire)
             || shared.generation.load(Ordering::Acquire) != last_seen
@@ -393,10 +328,8 @@ mod tests {
     fn inline_pool_runs_on_caller() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.workers(), 0);
-        assert_eq!(pool.threads(), 1);
         let out = pool.run(vec![1u64, 2, 3], |x| x * 10);
         assert_eq!(out, vec![10, 20, 30]);
-        assert_eq!(pool.stats().batches_dispatched, 0);
     }
 
     #[test]
@@ -419,9 +352,6 @@ mod tests {
             let out = pool.run(vec![round, round + 1], |x| x + 1);
             assert_eq!(out, vec![round + 1, round + 2]);
         }
-        let s = pool.stats();
-        assert_eq!(s.batches_dispatched, 100);
-        assert_eq!(s.jobs_dispatched, 200);
         assert_eq!(pool.workers(), 3);
     }
 
@@ -430,7 +360,6 @@ mod tests {
         let pool = WorkerPool::new(4);
         let out = pool.run(vec![41u32], |x| x + 1);
         assert_eq!(out, vec![42]);
-        assert_eq!(pool.stats().batches_dispatched, 0);
     }
 
     #[test]
@@ -446,16 +375,6 @@ mod tests {
         for (i, hit) in hits.iter().enumerate() {
             assert_eq!(hit.load(Ordering::Relaxed), 1, "item {i}");
         }
-    }
-
-    #[test]
-    fn caller_participates_in_batches() {
-        let pool = WorkerPool::new(2);
-        // Many cheap jobs: the caller must claim at least one.
-        for _ in 0..10 {
-            pool.run((0..1024u64).collect(), |x| x ^ 0xFF);
-        }
-        assert!(pool.stats().jobs_caller_executed > 0);
     }
 
     #[test]
@@ -522,9 +441,8 @@ mod tests {
 
     #[test]
     fn pool_is_shareable_across_threads() {
-        // The store clones its Arc<WorkerPool>; Send + Sync must hold.
+        // A `ShardedOram` carries its pool across experiment threads.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<WorkerPool>();
-        assert_send_sync::<Arc<WorkerPool>>();
     }
 }

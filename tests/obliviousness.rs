@@ -245,8 +245,8 @@ fn every_bucket_of_a_fetched_path_is_refreshed_and_no_other() {
                 .trace()
                 .events()
                 .iter()
-                .flat_map(|event| oram.bucket_read_batch(event.leaf()))
-                .map(|read| read.bucket as usize)
+                .flat_map(|event| oram.store_layout().off_chip_path(event.leaf()))
+                .map(|(_, phys)| phys)
                 .collect();
             assert!(!fetched.is_empty());
             let store = oram.storage_mut().expect("payloads on");
