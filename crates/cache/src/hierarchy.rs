@@ -65,11 +65,6 @@ impl CacheAccess {
             | CacheAccess::Miss { latency } => latency,
         }
     }
-
-    /// `true` unless main memory is needed.
-    pub fn is_hit(&self) -> bool {
-        !matches!(self, CacheAccess::Miss { .. })
-    }
 }
 
 /// Hit/miss counters for both levels.

@@ -14,8 +14,9 @@
 //! * The per-block *hit* and *prefetch* bits are physically "stored with
 //!   each data block in the ORAM and the LLC" / "in the Pos-Map blocks"
 //!   (Section 4.5.1); their maintenance is explicitly off the critical
-//!   path. We track them in controller-side sets plus the pos-map entry
-//!   bits, with identical semantics and zero timing cost.
+//!   path. We track them in one controller-side ledger (block → hit bit,
+//!   present while the prefetch bit is set) plus the pos-map entry bits,
+//!   with identical semantics and zero timing cost.
 //! * Dirty LLC write-backs access the super block and remap it as a unit
 //!   (preserving co-location) but perform no merge/break processing and
 //!   return no prefetches — the paper does not specify write-back
@@ -34,7 +35,7 @@ use proram_oram::{
     AccessReport, Leaf, OramBackend, OramConfig, OramError, PathKind, PathOram, RecoveryMode,
     StageCycles,
 };
-use std::collections::HashSet;
+use proram_stats::FxHashMap;
 
 /// Counters specific to the super-block machinery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,11 +85,10 @@ pub struct SuperBlockOram<O: OramBackend = PathOram> {
     oram: O,
     scheme: SchemeConfig,
     window: WindowStats,
-    /// Blocks delivered as prefetches whose fate is not yet decided
-    /// (the prefetch bit).
-    outstanding: HashSet<u64>,
-    /// Outstanding prefetches that have been used (the hit bit).
-    hit: HashSet<u64>,
+    /// The prefetch ledger: a key is a block delivered as a prefetch whose
+    /// fate is not yet decided (the prefetch bit), its value whether it
+    /// has been used since (the hit bit).
+    prefetched: FxHashMap<u64, bool>,
     stats: SchemeStats,
     /// Faults that surfaced to the scheme layer unrecovered (the backend
     /// already counts its own detections/recoveries).
@@ -155,8 +155,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             window: WindowStats::new(scheme.window),
             oram: backend,
             scheme,
-            outstanding: HashSet::new(),
-            hit: HashSet::new(),
+            prefetched: FxHashMap::default(),
             stats: SchemeStats::default(),
             scheme_faults: FaultStats::default(),
             busy_until: 0,
@@ -265,12 +264,8 @@ impl<O: OramBackend> SuperBlockOram<O> {
             if llc.contains(m) {
                 continue; // still in the LLC: not "coming from ORAM"
             }
-            if self.outstanding.remove(&m.0) {
-                if self.hit.remove(&m.0) {
-                    break_counter += 1;
-                } else {
-                    break_counter -= 1;
-                }
+            if let Some(hit) = self.prefetched.remove(&m.0) {
+                break_counter += if hit { 1 } else { -1 };
             }
             self.oram.entry_mut(m).prefetch = false;
         }
@@ -399,8 +394,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
                 continue;
             }
             self.oram.entry_mut(m).prefetch = true;
-            self.outstanding.insert(m.0);
-            self.hit.remove(&m.0);
+            self.prefetched.insert(m.0, false);
             self.stats.prefetches_issued += 1;
             fills.push(Fill::prefetch(m));
         }
@@ -552,21 +546,33 @@ impl<O: OramBackend> SuperBlockOram<O> {
 
 impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
     fn access(&mut self, now: Cycle, req: MemRequest, llc: &dyn CacheProbe) -> AccessOutcome {
+        // The ledger and the counters are edited before the access
+        // commits, so they are part of what a rollback must undo; saved
+        // only when the backend can roll back at all.
+        let saved = self
+            .oram
+            .txn_armed()
+            .then(|| (self.prefetched.clone(), self.stats));
         let mut attempt = self.attempt_txn(req, llc);
         // A crashed access recovers in place: the backend rolls its
         // journal back (or replays it forward past the epoch flip), and a
-        // rolled-back request is retried once — the checkpointed RNG
-        // replays identical randomness. A replayed transaction already
-        // committed, so the fill is delivered without re-executing (a
-        // retry would double-apply the remap); only the recovery work is
-        // charged. Backends without a commit protocol return `None` and
-        // fall through to the degraded-fault path below.
+        // rolled-back request is retried once from the pre-attempt scheme
+        // state — the checkpointed RNG replays identical randomness. A
+        // replayed transaction already committed, so it keeps its edits
+        // and the fill is delivered without re-executing (a retry would
+        // double-apply the remap); only the recovery work is charged.
+        // Backends without a commit protocol return `None` and fall
+        // through to the degraded-fault path below.
         if let Err(OramError::Crashed { .. }) = attempt {
             if let Some(rec) = self.oram.recover_crash() {
                 self.scheme_faults.recovered += 1;
                 attempt = if rec.mode == RecoveryMode::Replayed {
                     Ok(Self::served_outside_the_path(req, rec.cycles.max(1), 0))
                 } else {
+                    if let Some((prefetched, stats)) = saved {
+                        self.prefetched = prefetched;
+                        self.stats = stats;
+                    }
                     self.attempt_txn(req, llc).map(|(mut r, f)| {
                         r.latency += rec.cycles;
                         r.stages.fetch += rec.cycles;
@@ -603,9 +609,11 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
     }
 
     fn note_llc_hit(&mut self, block: BlockAddr) {
-        if self.outstanding.contains(&block.0) && self.hit.insert(block.0) {
-            self.stats.prefetch_hits += 1;
-            self.window.record_prefetch(true);
+        if let Some(hit) = self.prefetched.get_mut(&block.0) {
+            if !std::mem::replace(hit, true) {
+                self.stats.prefetch_hits += 1;
+                self.window.record_prefetch(true);
+            }
         }
     }
 
@@ -615,7 +623,7 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
         // next load; double counting is impossible because an evicted
         // block can only be evicted again after a re-delivery, which
         // resets its bits.
-        if self.outstanding.contains(&block.0) && !self.hit.contains(&block.0) {
+        if self.prefetched.get(&block.0) == Some(&false) {
             self.stats.prefetch_misses += 1;
             self.window.record_prefetch(false);
         }
@@ -656,6 +664,7 @@ mod tests {
     use super::*;
     use proram_mem::NoProbe;
     use proram_stats::{Rng64, Xoshiro256};
+    use std::collections::HashSet;
 
     /// LLC stub for driving the merge scheme: whatever is in the set is
     /// "resident".

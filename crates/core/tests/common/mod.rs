@@ -1,0 +1,99 @@
+//! One cell of the crash × scheme matrix (`tests/crash_matrix.rs`; the
+//! workspace root's `tests/contracts.rs` pins one cell for tier-1).
+//!
+//! The driver plays the part of the cache hierarchy: a small FIFO LLC
+//! that reports hits and departures to the scheme layer and turns some
+//! departures into write-backs, under a stream that sweeps sequentially
+//! (so the dynamic scheme merges), re-reads a few blocks behind the sweep
+//! (prefetch hits) and jumps away every seventh op (prefetches that leave
+//! unused — misses, break-counter decrements).
+
+use proram_core::{SchemeConfig, SchemeStats, SuperBlockOram};
+use proram_mem::{BlockAddr, CacheProbe, MemRequest, MemoryBackend};
+use proram_oram::{CrashConfig, CrashStats, OramConfig};
+use std::collections::VecDeque;
+
+const BLOCKS: u64 = 256;
+const OPS: u64 = 900;
+/// The sweep wraps here, many times in a run and well past the LLC, so a
+/// load often finds a prefetch bit an earlier pass left set — the bit a
+/// killed attempt consumes and its retry must find again (with these
+/// constants the `stat` and `dyn` x `write_back` x 200 cells kill such a
+/// load: restoring the counters alone leaves their digests different).
+const REGION: u64 = 32;
+const LLC_LINES: usize = 6;
+
+#[derive(Debug, Default)]
+struct FifoLlc(VecDeque<BlockAddr>);
+
+impl CacheProbe for FifoLlc {
+    fn contains(&self, block: BlockAddr) -> bool {
+        self.0.contains(&block)
+    }
+}
+
+/// What a cell ends with. `reads` / `writes` are the requests the driver
+/// issued, the count `scheme`'s `demand_reads` / `writebacks` must equal
+/// whatever crashed in between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellOutcome {
+    pub scheme: SchemeStats,
+    pub state_digest: u64,
+    pub crash: CrashStats,
+    pub unrecovered: u64,
+    pub reads: u64,
+    pub writes: u64,
+}
+
+fn stream(i: u64) -> u64 {
+    let sweep = (i / 2) % REGION;
+    match i % 7 {
+        4 => (i * 37 + 11) % BLOCKS,
+        1 | 3 => (sweep + REGION - 3) % REGION,
+        _ => sweep,
+    }
+}
+
+/// Runs the stream under `scheme` with `crash` armed, recovering in place
+/// (the scheme layer's own `access` does), and audits the final state.
+pub fn run_cell(scheme: SchemeConfig, crash: CrashConfig) -> CellOutcome {
+    let cfg = OramConfig {
+        crash: Some(crash),
+        ..OramConfig::small_for_tests(BLOCKS)
+    };
+    let mut oram = SuperBlockOram::new(cfg, scheme, 99);
+    let mut llc = FifoLlc::default();
+    let (mut now, mut reads, mut writes) = (0, 0, 0);
+    for i in 0..OPS {
+        let block = BlockAddr(stream(i));
+        if llc.contains(block) {
+            oram.note_llc_hit(block);
+            continue;
+        }
+        let out = oram.access(now, MemRequest::read(block), &llc);
+        now = out.complete_at;
+        reads += 1;
+        for fill in &out.fills {
+            llc.0.push_back(fill.block);
+            while llc.0.len() > LLC_LINES {
+                let victim = llc.0.pop_front().expect("non-empty");
+                oram.note_llc_eviction(victim);
+                if victim.0 % 4 == 0 {
+                    now = oram
+                        .access(now, MemRequest::write(victim), &llc)
+                        .complete_at;
+                    writes += 1;
+                }
+            }
+        }
+    }
+    oram.oram().audit_full();
+    CellOutcome {
+        scheme: oram.scheme_stats(),
+        state_digest: oram.oram().state_digest(),
+        crash: oram.oram().crash_stats(),
+        unrecovered: oram.stats().faults.unrecovered,
+        reads,
+        writes,
+    }
+}

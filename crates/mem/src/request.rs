@@ -12,38 +12,10 @@ pub type Cycle = u64;
 /// configuration). A `BlockAddr` is the program byte address divided by the
 /// line size; neighbor arithmetic for super blocks (Section 3.2) happens
 /// directly on these values.
-///
-/// # Examples
-///
-/// ```
-/// use proram_mem::BlockAddr;
-///
-/// let a = BlockAddr::from_byte_addr(0x1280, 128);
-/// assert_eq!(a, BlockAddr(0x25));
-/// assert_eq!(a.byte_addr(128), 0x1280);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockAddr(pub u64);
 
 impl BlockAddr {
-    /// Converts a byte address to a block address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_bytes` is not a power of two.
-    pub fn from_byte_addr(byte_addr: u64, line_bytes: u64) -> Self {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        BlockAddr(byte_addr >> line_bytes.trailing_zeros())
-    }
-
-    /// The first byte address covered by this block.
-    pub fn byte_addr(self, line_bytes: u64) -> u64 {
-        self.0 * line_bytes
-    }
-
     /// The block at `self + offset` in the block address space.
     pub fn offset(self, offset: u64) -> Self {
         BlockAddr(self.0 + offset)
@@ -131,22 +103,6 @@ impl fmt::Display for MemRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn byte_block_round_trip() {
-        for line in [64u64, 128, 256] {
-            for byte in [0u64, 127, 128, 4096, 123_456_789] {
-                let b = BlockAddr::from_byte_addr(byte, line);
-                assert_eq!(b.byte_addr(line), byte / line * line);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_pow2_line_panics() {
-        BlockAddr::from_byte_addr(0, 100);
-    }
 
     #[test]
     fn offset_moves_block() {

@@ -104,20 +104,25 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// A deterministic crash (kill) point inside an ORAM access, mirroring
-/// the controller's kill-point taxonomy without depending on the ORAM
-/// crate.
+/// One enumerable point where a simulated process death can strike an
+/// ORAM access. Defined here, below the ORAM crate, so the
+/// [`ObsEvent::CrashInject`] event and the controller's crash injector
+/// (`proram_oram::CrashConfig`) name the same type.
 ///
 /// The first six variants are crossed at the entry of the controller's
-/// path primitives (posmap walk, path read, write-back, drain) — by every
-/// path an access performs, posmap and eviction paths included; the last
-/// two sit inside the storage commit protocol: while undo
-/// entries are being journaled and during the MAC-bound epoch flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
+/// path primitives (posmap walk, path read, write-back, drain), so every
+/// path an access performs — data, position-map or eviction — crosses
+/// them, under any driver of those primitives; the last two are crossed
+/// inside the storage commit protocol, where a real crash is most
+/// damaging: while undo entries are being journaled and during the
+/// MAC-bound epoch flip. All eight count down on the one arm the store
+/// owns, and a fired kill of any of them leaves the store dead until
+/// recovery.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KillPoint {
     /// Entering the position-map walk.
     ResolvePosmap,
-    /// Entering the data-path fetch.
+    /// Entering a path fetch.
     PathFetch,
     /// Entering decrypt/authenticate.
     DecryptVerify,
@@ -125,31 +130,46 @@ pub enum CrashPoint {
     StashUpdate,
     /// Entering the path write-back.
     WriteBack,
-    /// Entering background eviction.
+    /// Entering the post-access background drain.
     Evict,
-    /// While appending an undo entry to the commit journal.
+    /// While appending an undo entry to the commit journal: the entry is
+    /// durable, the home bucket write it guards never happens.
     MidJournal,
-    /// During the epoch flip (after the flip, before the journal clears).
+    /// During the epoch flip: the epoch header has advanced but the
+    /// journal has not yet been discarded, so recovery must *replay*
+    /// (keep the committed image) instead of rolling back.
     MidFlip,
 }
 
-impl CrashPoint {
-    /// Stable snake_case name used in JSONL traces.
+impl KillPoint {
+    /// Every kill point, in pipeline-then-commit order.
+    pub const ALL: [KillPoint; 8] = [
+        KillPoint::ResolvePosmap,
+        KillPoint::PathFetch,
+        KillPoint::DecryptVerify,
+        KillPoint::StashUpdate,
+        KillPoint::WriteBack,
+        KillPoint::Evict,
+        KillPoint::MidJournal,
+        KillPoint::MidFlip,
+    ];
+
+    /// Stable snake_case name used in reports and JSONL traces.
     pub fn name(self) -> &'static str {
         match self {
-            CrashPoint::ResolvePosmap => "resolve_posmap",
-            CrashPoint::PathFetch => "path_fetch",
-            CrashPoint::DecryptVerify => "decrypt_verify",
-            CrashPoint::StashUpdate => "stash_update",
-            CrashPoint::WriteBack => "write_back",
-            CrashPoint::Evict => "evict",
-            CrashPoint::MidJournal => "mid_journal",
-            CrashPoint::MidFlip => "mid_flip",
+            KillPoint::ResolvePosmap => "resolve_posmap",
+            KillPoint::PathFetch => "path_fetch",
+            KillPoint::DecryptVerify => "decrypt_verify",
+            KillPoint::StashUpdate => "stash_update",
+            KillPoint::WriteBack => "write_back",
+            KillPoint::Evict => "evict",
+            KillPoint::MidJournal => "mid_journal",
+            KillPoint::MidFlip => "mid_flip",
         }
     }
 }
 
-impl fmt::Display for CrashPoint {
+impl fmt::Display for KillPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
@@ -263,7 +283,7 @@ pub enum ObsEvent {
     /// the process died at this point.
     CrashInject {
         /// Where the simulated death struck.
-        point: CrashPoint,
+        point: KillPoint,
         /// Which crossing of the point fired (1-based).
         crossing: u64,
     },
@@ -442,6 +462,14 @@ mod tests {
     }
 
     #[test]
+    fn all_kill_points_have_unique_names() {
+        let mut names: Vec<&str> = KillPoint::ALL.iter().map(|p| p.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), KillPoint::ALL.len());
+    }
+
+    #[test]
     fn jsonl_lines_are_flat_objects_with_known_types() {
         let events = [
             ObsEvent::AccessIssued {
@@ -497,7 +525,7 @@ mod tests {
                 at: 2000,
             },
             ObsEvent::CrashInject {
-                point: CrashPoint::MidFlip,
+                point: KillPoint::MidFlip,
                 crossing: 1,
             },
             ObsEvent::JournalCommit {

@@ -8,11 +8,10 @@
 //! 1. **Typed event tracing** — [`ObsEvent`] covers the stack's state
 //!    transitions (access retirement, stash watermarks,
 //!    super-block merges/breaks, prefetch-window decisions,
-//!    fault/recovery); sinks behind [`ObsSink`] decide retention, with
-//!    the fixed-capacity [`RingSink`] as the standard collector.
+//!    fault/recovery); [`Obs::ring`] retains the first `capacity` of
+//!    them in one fixed-size buffer and counts the rest as dropped.
 //! 2. **Profiling hooks** — [`StageProfile`] accumulates simulated
-//!    cycles per [`StageKind`], fed by [`Obs::profile`] and the scoped
-//!    [`CycleScope`] timer.
+//!    cycles per [`StageKind`], fed by [`Obs::profile`].
 //!
 //! The [`Obs`] handle ties it together: a disabled handle (the default
 //! everywhere) is a `None` whose [`Obs::emit`] never evaluates its
@@ -27,8 +26,7 @@
 //!
 //! let obs = Obs::ring(1024);
 //! obs.emit(|| ObsEvent::AccessIssued { addr: 42, write: false });
-//! let scope = obs.scope(StageKind::PathFetch, 1_000);
-//! scope.finish(1_640);
+//! obs.profile(StageKind::PathFetch, 1_640 - 1_000);
 //!
 //! assert_eq!(obs.event_count(), 1);
 //! assert_eq!(obs.profile_snapshot().cycles(StageKind::PathFetch), 640);
@@ -44,6 +42,6 @@ mod event;
 mod profile;
 mod sink;
 
-pub use event::{rate_to_ppm, CrashPoint, FaultKind, ObsEvent, StageKind};
+pub use event::{rate_to_ppm, FaultKind, KillPoint, ObsEvent, StageKind};
 pub use profile::StageProfile;
-pub use sink::{CycleScope, NoopSink, Obs, ObsSink, RingSink};
+pub use sink::Obs;

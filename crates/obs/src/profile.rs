@@ -4,11 +4,10 @@ use crate::event::StageKind;
 
 /// Accumulated simulated cycles and entry counts per [`StageKind`].
 ///
-/// This is the destination of [`Obs::profile`](crate::Obs::profile) and
-/// [`CycleScope`](crate::CycleScope): each record adds to one stage's
-/// cycle total and bumps its entry count, so a finished run can report
-/// "where the cycles went" and "how many spans landed there" without
-/// retaining per-span events.
+/// This is the destination of [`Obs::profile`](crate::Obs::profile):
+/// each record adds to one stage's cycle total and bumps its entry count,
+/// so a finished run can report "where the cycles went" and "how many
+/// spans landed there" without retaining per-span events.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageProfile {
     cycles: [u64; StageKind::COUNT],
@@ -31,13 +30,6 @@ impl StageProfile {
     /// Number of spans attributed to `stage`.
     pub fn entries(&self, stage: StageKind) -> u64 {
         self.entries[stage.index()]
-    }
-
-    /// Sum of cycles over `stages` (use for "pipeline total" sums that
-    /// should exclude the engine-level [`StageKind::Demand`] span, which
-    /// subsumes the controller stages).
-    pub fn cycles_over(&self, stages: &[StageKind]) -> u64 {
-        stages.iter().map(|&s| self.cycles(s)).sum()
     }
 
     /// `true` if nothing has been recorded.
@@ -77,18 +69,6 @@ mod tests {
         assert_eq!(p.cycles(StageKind::Evict), 0);
         assert_eq!(p.entries(StageKind::Evict), 1);
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn cycles_over_sums_a_subset() {
-        let mut p = StageProfile::default();
-        p.record(StageKind::ResolvePosmap, 10);
-        p.record(StageKind::PathFetch, 20);
-        p.record(StageKind::Demand, 999);
-        assert_eq!(
-            p.cycles_over(&[StageKind::ResolvePosmap, StageKind::PathFetch]),
-            30
-        );
     }
 
     #[test]

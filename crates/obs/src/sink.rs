@@ -1,54 +1,18 @@
-//! Event sinks and the shared [`Obs`] handle.
+//! The event buffer and the shared [`Obs`] handle.
 //!
 //! Instrumented components hold an [`Obs`] handle and call
 //! [`Obs::emit`] with a *closure* that constructs the event. A disabled
 //! handle (the default) is a `None` — the closure is never evaluated, no
 //! event is built, and the hot path stays byte-identical to the
 //! uninstrumented code (asserted by the `hotpath_equivalence` goldens).
-//! An enabled handle shares one [`ObsSink`] plus a
+//! An enabled handle shares one fixed-capacity ring buffer plus a
 //! [`StageProfile`](crate::StageProfile) between every component it was
-//! attached to, so one ring buffer sees the whole stack's events in
-//! emission order.
+//! attached to, so one buffer sees the whole stack's events in emission
+//! order.
 
 use crate::event::{ObsEvent, StageKind};
 use crate::profile::StageProfile;
-use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Receives events from instrumented components.
-///
-/// Implementations decide retention: [`NoopSink`] drops everything,
-/// [`RingSink`] keeps a bounded buffer. The default accessor methods
-/// return "nothing retained", so sinks that only aggregate need not
-/// implement them.
-pub trait ObsSink: fmt::Debug {
-    /// Records one event. Called once per emitted event, in emission
-    /// order.
-    fn record(&mut self, event: &ObsEvent);
-
-    /// The retained events, oldest first (empty if the sink retains
-    /// nothing).
-    fn events(&self) -> &[ObsEvent] {
-        &[]
-    }
-
-    /// Events offered but not retained (capacity pressure).
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// A sink that discards every event.
-///
-/// This is what an enabled-but-unconfigured [`Obs`] would use; it exists
-/// mostly so overhead experiments can separate "handle enabled" from
-/// "events retained".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopSink;
-
-impl ObsSink for NoopSink {
-    fn record(&mut self, _event: &ObsEvent) {}
-}
 
 /// A fixed-capacity event buffer.
 ///
@@ -56,16 +20,15 @@ impl ObsSink for NoopSink {
 /// counts the ones that arrive after the buffer is full — the head of a
 /// run is usually what attribution wants, and never reallocating keeps
 /// the record cost flat.
-#[derive(Debug, Clone, Default)]
-pub struct RingSink {
+#[derive(Debug)]
+struct RingSink {
     events: Vec<ObsEvent>,
     capacity: usize,
     dropped: u64,
 }
 
 impl RingSink {
-    /// A sink retaining at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         RingSink {
             events: Vec::with_capacity(capacity.min(1 << 20)),
             capacity,
@@ -73,13 +36,6 @@ impl RingSink {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl ObsSink for RingSink {
     fn record(&mut self, event: &ObsEvent) {
         if self.events.len() < self.capacity {
             self.events.push(*event);
@@ -87,19 +43,11 @@ impl ObsSink for RingSink {
             self.dropped += 1;
         }
     }
-
-    fn events(&self) -> &[ObsEvent] {
-        &self.events
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 #[derive(Debug)]
 struct ObsCore {
-    sink: Box<dyn ObsSink + Send>,
+    sink: RingSink,
     profile: StageProfile,
 }
 
@@ -149,16 +97,13 @@ impl Obs {
         Obs { inner: None }
     }
 
-    /// An enabled handle over a [`RingSink`] of the given capacity.
+    /// An enabled handle retaining the first `capacity` events and
+    /// counting the rest as dropped (capacity 0: enabled, every event
+    /// built, none retained).
     pub fn ring(capacity: usize) -> Self {
-        Obs::with_sink(Box::new(RingSink::new(capacity)))
-    }
-
-    /// An enabled handle over an arbitrary sink.
-    pub fn with_sink(sink: Box<dyn ObsSink + Send>) -> Self {
         Obs {
             inner: Some(Arc::new(Mutex::new(ObsCore {
-                sink,
+                sink: RingSink::new(capacity),
                 profile: StageProfile::default(),
             }))),
         }
@@ -209,21 +154,10 @@ impl Obs {
         }
     }
 
-    /// Opens a scoped cycle timer over simulated time; close it with
-    /// [`CycleScope::finish`] to attribute the elapsed cycles to `stage`.
-    pub fn scope(&self, stage: StageKind, start: u64) -> CycleScope {
-        CycleScope {
-            obs: self.clone(),
-            stage,
-            start,
-        }
-    }
-
-    /// A copy of the retained events (empty when disabled or when the
-    /// sink retains nothing).
+    /// A copy of the retained events (empty when disabled).
     pub fn events(&self) -> Vec<ObsEvent> {
         match &self.inner {
-            Some(core) => lock(core).sink.events().to_vec(),
+            Some(core) => lock(core).sink.events.clone(),
             None => Vec::new(),
         }
     }
@@ -231,7 +165,7 @@ impl Obs {
     /// Number of retained events.
     pub fn event_count(&self) -> usize {
         match &self.inner {
-            Some(core) => lock(core).sink.events().len(),
+            Some(core) => lock(core).sink.events.len(),
             None => 0,
         }
     }
@@ -239,7 +173,7 @@ impl Obs {
     /// Events offered to the sink but not retained.
     pub fn dropped(&self) -> u64 {
         match &self.inner {
-            Some(core) => lock(core).sink.dropped(),
+            Some(core) => lock(core).sink.dropped,
             None => 0,
         }
     }
@@ -250,27 +184,6 @@ impl Obs {
             Some(core) => lock(core).profile.clone(),
             None => StageProfile::default(),
         }
-    }
-}
-
-/// An open per-stage cycle span (see [`Obs::scope`]).
-///
-/// Simulated time has no ambient clock, so the scope is closed explicitly
-/// with the end cycle rather than on drop; a scope that is never finished
-/// records nothing.
-#[derive(Debug)]
-#[must_use = "finish the scope with the end cycle to record it"]
-pub struct CycleScope {
-    obs: Obs,
-    stage: StageKind,
-    start: u64,
-}
-
-impl CycleScope {
-    /// Closes the span at `end`, attributing `end - start` cycles (0 if
-    /// time did not advance).
-    pub fn finish(self, end: u64) {
-        self.obs.profile(self.stage, end.saturating_sub(self.start));
     }
 }
 
@@ -320,19 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_attributes_elapsed_cycles() {
-        let obs = Obs::ring(1);
-        let scope = obs.scope(StageKind::Demand, 100);
-        scope.finish(175);
-        let p = obs.profile_snapshot();
-        assert_eq!(p.cycles(StageKind::Demand), 75);
-        assert_eq!(p.entries(StageKind::Demand), 1);
-        // Time moving backwards clamps to zero rather than wrapping.
-        obs.scope(StageKind::Demand, 50).finish(10);
-        assert_eq!(obs.profile_snapshot().cycles(StageKind::Demand), 75);
-    }
-
-    #[test]
     fn emit_profiled_records_events_and_lanes_together() {
         let obs = Obs::ring(8);
         obs.emit_profiled(|| {
@@ -360,16 +260,5 @@ mod tests {
             .unwrap();
         obs.emit(|| ev(2));
         assert_eq!(obs.event_count(), 2);
-    }
-
-    #[test]
-    fn noop_sink_retains_nothing() {
-        let obs = Obs::with_sink(Box::new(NoopSink));
-        for a in 0..5 {
-            obs.emit(|| ev(a));
-        }
-        assert!(obs.is_enabled());
-        assert_eq!(obs.event_count(), 0);
-        assert_eq!(obs.dropped(), 0);
     }
 }

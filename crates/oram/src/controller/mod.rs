@@ -904,10 +904,8 @@ impl PathOram {
             self.crash_surfaced = true;
             self.crash_stats.crashes_injected += 1;
             let crossing = self.config.crash.map_or(0, |c| c.crossing);
-            self.obs.emit(|| proram_obs::ObsEvent::CrashInject {
-                point: point.obs(),
-                crossing,
-            });
+            self.obs
+                .emit(|| proram_obs::ObsEvent::CrashInject { point, crossing });
         }
         OramError::Crashed { point }
     }
@@ -1274,6 +1272,10 @@ impl crate::backend_trait::OramBackend for PathOram {
 
     fn txn_begin(&mut self) {
         PathOram::txn_begin(self);
+    }
+
+    fn txn_armed(&self) -> bool {
+        self.config.crash.is_some()
     }
 
     fn txn_commit(&mut self) -> Result<(), OramError> {

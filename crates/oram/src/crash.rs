@@ -4,7 +4,8 @@
 //! *medium*: bytes flip, writes tear, stale images replay. This module
 //! models a dying *controller process*: the access is killed at an exact,
 //! enumerable point and everything volatile is presumed lost. Each
-//! [`KillPoint`] names one such point; arming a [`CrashConfig`] makes the
+//! [`KillPoint`] (defined in `proram-obs`, whose `CrashInject` event
+//! carries it) names one such point; arming a [`CrashConfig`] makes the
 //! Nth crossing of that point unwind the access as
 //! [`crate::OramError::Crashed`], after which the harness runs
 //! [`crate::PathOram::recover`] to roll back or replay the store's undo
@@ -15,91 +16,8 @@
 //! schedule deterministically — the property the crash-recovery test
 //! suite relies on.
 
+pub use proram_obs::KillPoint;
 use std::fmt;
-
-/// One enumerable point where a simulated process death can strike.
-///
-/// The first six variants are crossed at the entry of the controller's
-/// path primitives ([`crate::PathOram::try_resolve_posmap`],
-/// [`crate::PathOram::try_read_path_into_stash`],
-/// [`crate::PathOram::write_path_from_stash`],
-/// [`crate::PathOram::try_drain_background`]), so every path an access
-/// performs — data, position-map or eviction — crosses them, under any
-/// driver of those primitives; the last two are crossed inside the
-/// storage commit protocol, where a real crash is most damaging: while
-/// undo entries are being journaled and during the MAC-bound epoch flip.
-/// All eight count down on the one arm the store owns, and a fired kill
-/// of any of them leaves the store dead until recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KillPoint {
-    /// Entering the position-map walk.
-    ResolvePosmap,
-    /// Entering a path fetch.
-    PathFetch,
-    /// Entering decrypt/authenticate.
-    DecryptVerify,
-    /// Entering the stash update.
-    StashUpdate,
-    /// Entering the path write-back.
-    WriteBack,
-    /// Entering the post-access background drain.
-    Evict,
-    /// While appending an undo entry to the commit journal: the entry is
-    /// durable, the home bucket write it guards never happens.
-    MidJournal,
-    /// During the epoch flip: the epoch header has advanced but the
-    /// journal has not yet been discarded, so recovery must *replay*
-    /// (keep the committed image) instead of rolling back.
-    MidFlip,
-}
-
-impl KillPoint {
-    /// Every kill point, in pipeline-then-commit order.
-    pub const ALL: [KillPoint; 8] = [
-        KillPoint::ResolvePosmap,
-        KillPoint::PathFetch,
-        KillPoint::DecryptVerify,
-        KillPoint::StashUpdate,
-        KillPoint::WriteBack,
-        KillPoint::Evict,
-        KillPoint::MidJournal,
-        KillPoint::MidFlip,
-    ];
-
-    /// Stable snake_case name used in reports and JSONL traces.
-    pub fn name(self) -> &'static str {
-        match self {
-            KillPoint::ResolvePosmap => "resolve_posmap",
-            KillPoint::PathFetch => "path_fetch",
-            KillPoint::DecryptVerify => "decrypt_verify",
-            KillPoint::StashUpdate => "stash_update",
-            KillPoint::WriteBack => "write_back",
-            KillPoint::Evict => "evict",
-            KillPoint::MidJournal => "mid_journal",
-            KillPoint::MidFlip => "mid_flip",
-        }
-    }
-
-    /// The obs-crate mirror of this point.
-    pub(crate) fn obs(self) -> proram_obs::CrashPoint {
-        match self {
-            KillPoint::ResolvePosmap => proram_obs::CrashPoint::ResolvePosmap,
-            KillPoint::PathFetch => proram_obs::CrashPoint::PathFetch,
-            KillPoint::DecryptVerify => proram_obs::CrashPoint::DecryptVerify,
-            KillPoint::StashUpdate => proram_obs::CrashPoint::StashUpdate,
-            KillPoint::WriteBack => proram_obs::CrashPoint::WriteBack,
-            KillPoint::Evict => proram_obs::CrashPoint::Evict,
-            KillPoint::MidJournal => proram_obs::CrashPoint::MidJournal,
-            KillPoint::MidFlip => proram_obs::CrashPoint::MidFlip,
-        }
-    }
-}
-
-impl fmt::Display for KillPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Arms deterministic crash injection on a controller
 /// ([`crate::config::OramConfig::crash`]).
@@ -245,14 +163,6 @@ pub struct CrashStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_points_have_unique_names() {
-        let mut names: Vec<&str> = KillPoint::ALL.iter().map(|p| p.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), KillPoint::ALL.len());
-    }
 
     #[test]
     fn arm_fires_on_the_nth_crossing_exactly_once() {

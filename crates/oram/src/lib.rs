@@ -91,7 +91,7 @@ pub use tree::OramTree;
 /// Downstream crates should `use proram_oram::prelude::*` instead of
 /// deep-importing module paths: it re-exports the controller, its
 /// configuration (builder and typed error included), the Result-based
-/// access API's types and the observability handle/sink traits.
+/// access API's types and the observability handle.
 pub mod prelude {
     pub use crate::backend_trait::OramBackend;
     pub use crate::config::{ConfigError, OramConfig, OramConfigBuilder};
@@ -99,5 +99,5 @@ pub mod prelude {
     pub use crate::crash::{CrashConfig, CrashStats, KillPoint, RecoveryMode, RecoveryReport};
     pub use crate::error::OramError;
     pub use crate::pipeline::AccessReport;
-    pub use proram_obs::{NoopSink, Obs, ObsEvent, ObsSink, RingSink};
+    pub use proram_obs::{Obs, ObsEvent};
 }

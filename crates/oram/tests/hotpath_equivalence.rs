@@ -16,7 +16,7 @@ use common::{
     assert_golden, golden_config, replay, replay_cfg, replay_observed, GOLDEN_OPAQUE,
     GOLDEN_PAYLOADS,
 };
-use proram_obs::{NoopSink, Obs};
+use proram_obs::Obs;
 use proram_oram::FaultConfig;
 
 #[test]
@@ -43,13 +43,13 @@ fn golden_run_with_silent_fault_injector() {
     assert_golden(&replay_cfg(cfg), &GOLDEN_PAYLOADS);
 }
 
-/// Attaching an enabled-but-retaining-nothing observability sink must
-/// leave every golden byte-identical: the obs layer reads controller
-/// state but never feeds back into path selection, eviction, or byte
-/// accounting.
+/// Attaching an enabled handle that retains nothing (a zero-capacity
+/// ring: every event is built, all are dropped) must leave every golden
+/// byte-identical: the obs layer reads controller state but never feeds
+/// back into path selection, eviction, or byte accounting.
 #[test]
-fn goldens_unchanged_with_noop_sink_attached() {
-    let d = replay_observed(golden_config(true), Obs::with_sink(Box::new(NoopSink)));
+fn goldens_unchanged_with_a_zero_capacity_ring_attached() {
+    let d = replay_observed(golden_config(true), Obs::ring(0));
     assert_golden(&d, &GOLDEN_PAYLOADS);
 }
 

@@ -2,7 +2,7 @@
 //! plot.
 
 use proram_cache::{CacheStats, HierarchyStats};
-use proram_mem::{BackendStats, Cycle, FaultStats};
+use proram_mem::{BackendStats, Cycle};
 
 /// Per-core (per-tile) measurements from one simulation run.
 ///
@@ -31,9 +31,6 @@ pub struct CoreMetrics {
     pub unused_prefetch_evictions: u64,
     /// Prefetcher candidates dropped because the line was resident.
     pub prefetch_candidates_filtered: u64,
-    /// Fault injection / detection / recovery counters attributed to this
-    /// core's demand fetches (all-zero without fault injection).
-    pub faults: FaultStats,
 }
 
 impl CoreMetrics {
@@ -48,7 +45,6 @@ impl CoreMetrics {
         self.writebacks -= baseline.writebacks;
         self.unused_prefetch_evictions -= baseline.unused_prefetch_evictions;
         self.prefetch_candidates_filtered -= baseline.prefetch_candidates_filtered;
-        self.faults = self.faults - baseline.faults;
     }
 
     /// Average cycles per trace op on this core.

@@ -11,7 +11,7 @@
 //! Simulation-internal only — like [`crate::rng`], not for adversarial
 //! input.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// rustc's FxHash multiplier (64-bit golden-ratio-derived constant).
@@ -81,9 +81,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@
 //!
 //! * [`Zipf`] — Zipfian sampler for the YCSB-like workload,
 //! * [`Histogram`] — integer histograms (stash occupancy, path usage),
-//! * [`Summary`] — streaming mean / variance / min / max,
+//! * [`summary::geometric_mean`] — the average the speedup tables report,
 //! * [`chi2`] — chi-square uniformity tests over observed leaf sequences,
 //! * [`table`] — plain-text table rendering for figure/table regeneration.
 //!
@@ -44,9 +44,8 @@ pub mod zipf;
 
 pub use chart::BarChart;
 pub use chi2::{chi2_uniform, serial_correlation};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use histogram::Histogram;
 pub use rng::{Rng64, SplitMix64, Xoshiro256};
-pub use summary::Summary;
 pub use table::Table;
 pub use zipf::Zipf;

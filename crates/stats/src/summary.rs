@@ -1,145 +1,4 @@
-//! Streaming summary statistics.
-//!
-//! [`Summary`] accumulates mean and variance with Welford's algorithm so the
-//! simulator can track quantities like stash occupancy without storing every
-//! sample.
-
-use std::fmt;
-
-/// Streaming mean / variance / min / max accumulator.
-///
-/// # Examples
-///
-/// ```
-/// use proram_stats::Summary;
-///
-/// let s: Summary = [1.0, 2.0, 3.0].into_iter().collect();
-/// assert_eq!(s.len(), 3);
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// assert_eq!(s.min(), Some(1.0));
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Summary {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary::default()
-    }
-
-    /// Adds one sample.
-    pub fn record(&mut self, x: f64) {
-        if self.n == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of samples recorded.
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// `true` if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Mean of the samples; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance; `0.0` with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample, if any.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Merges another summary into this one (parallel Welford combine).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_empty() {
-            return write!(f, "(no samples)");
-        }
-        write!(
-            f,
-            "n={} mean={:.4} sd={:.4} min={:.4} max={:.4}",
-            self.n,
-            self.mean(),
-            self.stddev(),
-            self.min,
-            self.max
-        )
-    }
-}
-
-impl Extend<f64> for Summary {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.record(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut s = Summary::new();
-        s.extend(iter);
-        s
-    }
-}
+//! Averages over benchmark results.
 
 /// Geometric mean of a set of strictly positive values.
 ///
@@ -170,73 +29,9 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Arithmetic mean of a slice; `0.0` when empty.
-pub fn arithmetic_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_and_variance() {
-        let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_summary() {
-        let s = Summary::new();
-        assert!(s.is_empty());
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(format!("{s}"), "(no samples)");
-    }
-
-    #[test]
-    fn single_sample() {
-        let s: Summary = [3.5].into_iter().collect();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), Some(3.5));
-        assert_eq!(s.max(), Some(3.5));
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let all: Summary = (0..100).map(|i| i as f64).collect();
-        let mut a: Summary = (0..40).map(|i| i as f64).collect();
-        let b: Summary = (40..100).map(|i| i as f64).collect();
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-        assert_eq!(a.len(), all.len());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: Summary = [1.0, 2.0].into_iter().collect();
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-        let mut empty = Summary::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
 
     #[test]
     fn geometric_mean_of_ratios() {
@@ -248,19 +43,5 @@ mod tests {
     #[should_panic(expected = "positive values")]
     fn geometric_mean_rejects_zero() {
         geometric_mean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn arithmetic_mean_basics() {
-        assert_eq!(arithmetic_mean(&[]), 0.0);
-        assert!((arithmetic_mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_has_fields() {
-        let s: Summary = [1.0, 3.0].into_iter().collect();
-        let txt = format!("{s}");
-        assert!(txt.contains("n=2"));
-        assert!(txt.contains("mean=2.0000"));
     }
 }

@@ -4,6 +4,8 @@
 
 #[path = "../crates/oram/tests/common/mod.rs"]
 mod common;
+#[path = "../crates/core/tests/common/mod.rs"]
+mod scheme_cell;
 
 use common::{
     assert_golden, digest_state, golden_config, image_hash, replay_cfg, run_golden, RunDigest,
@@ -91,6 +93,26 @@ fn mid_flip_kill_replays_the_payload_it_reported_durable() {
     assert_eq!(oram.recover().mode, RecoveryMode::Replayed);
     oram.audit_full();
     assert_eq!(oram.try_read_block(addr).unwrap(), Some(payload));
+}
+
+/// The pinned cell of `crates/core/tests/crash_matrix.rs`: the 200th
+/// write-back is killed under a load that consumed a prefetch bit, the
+/// backend rolls back and the request is retried — and the scheme layer's
+/// counters and prefetch / hit bits, which sit outside the backend's
+/// transaction, end where the crash-free run's do.
+#[test]
+fn a_rolled_back_access_leaves_no_trace_in_the_scheme_layer() {
+    let run = |crash| scheme_cell::run_cell(SchemeConfig::static_scheme(2), crash);
+    let free = run(CrashConfig::at(KillPoint::MidFlip, u64::MAX));
+    let got = run(CrashConfig::at(KillPoint::WriteBack, 200));
+    assert_eq!(free.crash.crashes_injected, 0);
+    assert_eq!(got.crash.crashes_injected, 1);
+    assert_eq!(got.crash.rollbacks, 1);
+    assert_eq!(got.unrecovered, 0);
+    assert_eq!(got.scheme.demand_reads, got.reads);
+    assert_eq!(got.scheme.writebacks, got.writes);
+    assert_eq!(got.scheme, free.scheme);
+    assert_eq!(got.state_digest, free.state_digest);
 }
 
 /// The host-independent guard of the O(delta) commit: on the shape of
