@@ -12,7 +12,9 @@
 //! only.
 //!
 //! With `--svg DIR`, every regenerated table is also rendered as a
-//! grouped bar chart into `DIR/<experiment>_<n>.svg`.
+//! grouped bar chart into `DIR/<experiment>_<n>.svg`. A chart that
+//! cannot be written is reported on stderr and makes the run exit 1,
+//! after every table has printed.
 //!
 //! Experiments: `table1`, `fig5`, `fig6a`, `fig6b`, `fig7`, `fig8`,
 //! `fig9`, `fig10`, `fig11`, `fig12`, `fig13`, `fig14`, `fig15`,
@@ -35,29 +37,35 @@
 //! on the simulated clock; host time is measured by `perf/` only.
 
 use proram_bench::exp::{self, RunCtx};
-use proram_bench::{jobs, obs};
+use proram_bench::obs;
+use proram_par::WorkerPool;
 use proram_stats::{BarChart, Table};
 use proram_workloads::{suite, tracefile, Scale, Suite};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn emit(name: &str, tables: &[Table], svg_dir: Option<&PathBuf>) {
+/// Prints every table and, with `svg_dir`, renders each chartable one
+/// into `DIR/<name>_<i>.svg`. Returns `false` if any chart was not
+/// written; each failure is reported on stderr and never stops the
+/// remaining tables from printing.
+fn emit(name: &str, tables: &[Table], svg_dir: Option<&Path>) -> bool {
+    let mut written = true;
     for (i, table) in tables.iter().enumerate() {
         println!("{table}");
         let Some(dir) = svg_dir else { continue };
         let Some(chart) = BarChart::from_table(table) else {
             continue;
         };
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return;
-        }
         let path = dir.join(format!("{name}_{i}.svg"));
-        match std::fs::write(&path, chart.to_svg()) {
+        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, chart.to_svg())) {
             Ok(()) => eprintln!("[wrote {}]", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+            Err(e) => {
+                eprintln!("cannot write {}: {e}", path.display());
+                written = false;
+            }
         }
     }
+    written
 }
 
 fn usage() -> ExitCode {
@@ -246,22 +254,30 @@ fn main() -> ExitCode {
             // experiment's tables come back in registry order, so stdout
             // matches a serial run byte for byte.
             let runs: Vec<_> = exp::EXPERIMENTS.to_vec();
-            let results = jobs::parallel_map(njobs, runs, |(name, runner)| {
+            let results = WorkerPool::new(njobs).run(runs, |(name, runner)| {
                 eprintln!("[running {name}...]");
                 (name, runner(RunCtx::serial(scale)))
             });
+            let mut written = true;
             for (name, tables) in results {
-                emit(name, &tables, svg_dir.as_ref());
+                written &= emit(name, &tables, svg_dir.as_deref());
             }
-            ExitCode::SUCCESS
+            svg_exit(written)
         }
-        Command::Experiment(name, runner) => {
-            emit(
-                name,
-                &runner(RunCtx::with_jobs(scale, njobs)),
-                svg_dir.as_ref(),
-            );
-            ExitCode::SUCCESS
-        }
+        Command::Experiment(name, runner) => svg_exit(emit(
+            name,
+            &runner(RunCtx::with_jobs(scale, njobs)),
+            svg_dir.as_deref(),
+        )),
+    }
+}
+
+/// Exit status of an experiment run: every table has printed either
+/// way, and a chart that was not written fails the run.
+fn svg_exit(written: bool) -> ExitCode {
+    if written {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

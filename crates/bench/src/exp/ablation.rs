@@ -6,6 +6,7 @@
 use crate::common;
 use crate::exp::RunCtx;
 use proram_core::SchemeConfig;
+use proram_par::WorkerPool;
 use proram_sim::runner;
 use proram_stats::{table, Table};
 use proram_workloads::synthetic::StridedScan;
@@ -366,7 +367,7 @@ pub fn run(ctx: RunCtx) -> Vec<Table> {
         stash_occupancy,
         multicore_scaling,
     ];
-    crate::jobs::parallel_map(ctx.jobs, studies, |study| study(ctx.scale))
+    WorkerPool::new(ctx.jobs).run(studies, |study| study(ctx.scale))
 }
 
 #[cfg(test)]

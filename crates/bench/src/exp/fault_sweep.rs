@@ -15,9 +15,9 @@
 //! identical to running with no injector at all.
 
 use crate::exp::RunCtx;
-use crate::jobs::parallel_map;
 use proram_mem::{AccessKind, BlockAddr, FaultStats};
 use proram_oram::{FaultClass, FaultConfig, OramConfig, OramError, PathOram};
+use proram_par::WorkerPool;
 use proram_stats::{table, Rng64, Table, Xoshiro256};
 
 /// Data blocks in the swept tree: small enough that every cell runs in
@@ -143,7 +143,7 @@ pub fn run(ctx: RunCtx) -> Vec<Table> {
         .into_iter()
         .flat_map(|class| RATES.into_iter().map(move |rate| (class, rate)))
         .collect();
-    let outcomes = parallel_map(ctx.jobs, grid, |(class, rate)| {
+    let outcomes = WorkerPool::new(ctx.jobs).run(grid, |(class, rate)| {
         let cell = run_cell(Some(FaultConfig::single(class, rate, INJECT_SEED)), ops);
         (class, rate, cell)
     });

@@ -6,8 +6,8 @@
 
 use crate::common;
 use crate::exp::RunCtx;
-use crate::jobs::parallel_map;
 use proram_core::SchemeConfig;
+use proram_par::WorkerPool;
 use proram_sim::runner;
 use proram_stats::{table, Table};
 use proram_workloads::Suite;
@@ -36,7 +36,7 @@ pub fn run(ctx: RunCtx) -> Table {
         .into_iter()
         .filter(|s| BENCHMARKS.contains(&s.name))
         .collect();
-    let rows = parallel_map(ctx.jobs, specs, |spec| {
+    let rows = WorkerPool::new(ctx.jobs).run(specs, |spec| {
         let scale = ctx.scale;
         let oram = runner::run_spec(spec, scale, &common::oram_config(SchemeConfig::baseline()));
         let mut row = vec![spec.name.to_owned()];

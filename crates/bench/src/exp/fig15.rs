@@ -6,8 +6,8 @@
 
 use crate::common;
 use crate::exp::RunCtx;
-use crate::jobs::parallel_map;
 use proram_core::SchemeConfig;
+use proram_par::WorkerPool;
 use proram_sim::runner;
 use proram_stats::{summary, table, Table};
 use proram_workloads::Suite;
@@ -27,7 +27,7 @@ pub fn run_suite(suite: Suite, ctx: RunCtx) -> Table {
         cfg
     };
     let mut gains: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    let per_spec = parallel_map(ctx.jobs, common::specs(suite), |spec| {
+    let per_spec = WorkerPool::new(ctx.jobs).run(common::specs(suite), |spec| {
         let scale = ctx.scale;
         let base = runner::run_spec(spec, scale, &periodic(SchemeConfig::baseline()));
         let oram_np = runner::run_spec(spec, scale, &common::oram_config(SchemeConfig::baseline()));

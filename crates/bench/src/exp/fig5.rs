@@ -6,8 +6,8 @@
 
 use crate::common;
 use crate::exp::RunCtx;
-use crate::jobs::parallel_map;
 use proram_core::SchemeConfig;
+use proram_par::WorkerPool;
 use proram_sim::runner;
 use proram_stats::{table, Table};
 use proram_workloads::{splash2, suite, BenchSpec, Suite};
@@ -24,7 +24,7 @@ pub fn run(ctx: RunCtx) -> Vec<Table> {
         .collect();
     // Each benchmark's four runs are independent of every other
     // benchmark's; fan the benchmarks over the worker pool.
-    let gains = parallel_map(ctx.jobs, specs, |spec| {
+    let gains = WorkerPool::new(ctx.jobs).run(specs, |spec| {
         let scale = ctx.scale;
         let dram = runner::run_spec(spec, scale, &common::dram_config());
         let mut dram_pf = common::dram_config();

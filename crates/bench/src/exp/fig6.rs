@@ -5,8 +5,8 @@
 
 use crate::common;
 use crate::exp::RunCtx;
-use crate::jobs::parallel_map;
 use proram_core::SchemeConfig;
+use proram_par::WorkerPool;
 use proram_sim::SystemConfig;
 use proram_stats::{table, Table};
 use proram_workloads::synthetic::{LocalityMix, PhaseChange};
@@ -43,7 +43,7 @@ pub fn run_6a(ctx: RunCtx) -> Table {
     let scale = ctx.scale;
     let footprint = footprint_for(scale.ops);
     // The six sweep points are independent triples of runs.
-    let rows = parallel_map(ctx.jobs, vec![0.0, 0.2, 0.4, 0.6, 0.8, 1.0], |pct| {
+    let rows = WorkerPool::new(ctx.jobs).run(vec![0.0, 0.2, 0.4, 0.6, 0.8, 1.0], |pct| {
         let build = || LocalityMix::with_stride(footprint, pct, scale.ops, scale.seed, STRIDE);
         let oram = common::run_built(build, &z4(SchemeConfig::baseline()));
         let stat = common::run_built(build, &z4(SchemeConfig::static_scheme(2)));

@@ -4,7 +4,7 @@
 
 use crate::common;
 use crate::exp::RunCtx;
-use crate::jobs::parallel_map;
+use proram_par::WorkerPool;
 use proram_stats::{summary, table, Table};
 use proram_workloads::Suite;
 
@@ -22,7 +22,7 @@ pub fn run_suite(suite: Suite, ctx: RunCtx) -> Table {
     let mut dyn_ratio = Vec::new();
     let mut stat_mem = Vec::new();
     let mut dyn_mem = Vec::new();
-    let per_spec = parallel_map(ctx.jobs, common::specs(suite), |spec| {
+    let per_spec = WorkerPool::new(ctx.jobs).run(common::specs(suite), |spec| {
         let (oram, stat, dynamic) = common::run_three_schemes(spec, ctx.scale);
         (
             spec,

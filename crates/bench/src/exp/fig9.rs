@@ -7,7 +7,7 @@
 
 use crate::common;
 use crate::exp::RunCtx;
-use crate::jobs::parallel_map;
+use proram_par::WorkerPool;
 use proram_stats::{table, Table};
 use proram_workloads::Suite;
 
@@ -20,7 +20,7 @@ pub fn run_suite(suite: Suite, ctx: RunCtx) -> Table {
         .with_title(format!("Figure 9 ({}): prefetch miss rate", suite.name()));
     let mut stat_rates = Vec::new();
     let mut dyn_rates = Vec::new();
-    let per_spec = parallel_map(ctx.jobs, common::specs(suite), |spec| {
+    let per_spec = WorkerPool::new(ctx.jobs).run(common::specs(suite), |spec| {
         let (_oram, stat, dynamic) = common::run_three_schemes(spec, ctx.scale);
         (
             spec.name,

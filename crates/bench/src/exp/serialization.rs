@@ -9,8 +9,8 @@
 //! Everything here is simulated cycles, so the table is deterministic.
 
 use crate::exp::RunCtx;
-use crate::jobs;
 use proram_core::SchemeConfig;
+use proram_par::WorkerPool;
 use proram_sim::{runner, MemoryKind, SystemConfig};
 use proram_stats::{table, Table};
 use proram_workloads::synthetic::LocalityMix;
@@ -49,9 +49,7 @@ fn shard_sweep(ctx: RunCtx) -> Vec<f64> {
             cells.push((cores, MemoryKind::OramShards(SchemeConfig::baseline(), n)));
         }
     }
-    jobs::parallel_map(ctx.jobs, cells, |(cores, kind)| {
-        throughput(kind, cores, ctx.scale)
-    })
+    WorkerPool::new(ctx.jobs).run(cells, |(cores, kind)| throughput(kind, cores, ctx.scale))
 }
 
 /// Regenerates the serialization-ablation table: aggregate throughput

@@ -4,8 +4,8 @@
 
 use crate::common;
 use crate::exp::RunCtx;
-use crate::jobs::parallel_map;
 use proram_core::SchemeConfig;
+use proram_par::WorkerPool;
 use proram_sim::{runner, SystemConfig};
 use proram_stats::{table, Table};
 use proram_workloads::Suite;
@@ -44,7 +44,7 @@ pub fn norm_completion_rows(
         .filter(|s| benchmarks.contains(&s.name))
         .flat_map(|spec| sweeps.iter().map(move |sweep| (spec, sweep)))
         .collect();
-    let rows = parallel_map(ctx.jobs, combos, |(spec, sweep)| {
+    let rows = WorkerPool::new(ctx.jobs).run(combos, |(spec, sweep)| {
         let scale = ctx.scale;
         let dram_cfg = (sweep.apply)(common::dram_config());
         let dram = runner::run_spec(spec, scale, &dram_cfg);

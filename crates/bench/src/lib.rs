@@ -23,5 +23,4 @@
 
 pub mod common;
 pub mod exp;
-pub mod jobs;
 pub mod obs;

@@ -1,6 +1,7 @@
 //! The `proram-bench` command line: a name or flag the chosen subcommand
 //! does not take prints usage and exits 1 — it is never silently
-//! ignored — and `list` prints the experiment registry.
+//! ignored — `list` prints the experiment registry, and a chart that
+//! cannot be written fails the run only after every table has printed.
 
 use proram_bench::exp;
 use std::process::{Command, Output};
@@ -48,6 +49,38 @@ fn misplaced_flags_are_errors() {
     assert_usage_error(&["table1", "--jobs", "0"]);
     assert_usage_error(&["table1", "--scale", "huge"]);
     assert_usage_error(&["table1", "--ops"]);
+}
+
+#[test]
+fn an_unwritable_svg_dir_prints_every_table_and_exits_1() {
+    let args = [
+        "fig8",
+        "--scale",
+        "quick",
+        "--ops",
+        "200",
+        "--fp-scale",
+        "0.01",
+    ];
+    let plain = bench(&args);
+    assert!(plain.status.success());
+    let tables = String::from_utf8_lossy(&plain.stdout)
+        .matches("== Figure 8")
+        .count();
+    assert_eq!(tables, 3);
+    // A directory under a regular file can never be created.
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_svg_blocker");
+    std::fs::write(&file, b"").unwrap();
+    let svg_dir = file.join("svg");
+    let out = bench(&[&args[..], &["--svg", svg_dir.to_str().unwrap()]].concat());
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a chart not written fails the run"
+    );
+    assert_eq!(out.stdout, plain.stdout, "every table still prints");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.matches("cannot write").count(), tables, "{stderr}");
 }
 
 #[test]

@@ -80,9 +80,6 @@ pub enum FaultKind {
     Transient,
     /// Stash occupancy crossed the soft limit; emergency eviction ran.
     StashPressure,
-    /// Path ORAM placement invariant broken (block on neither path nor
-    /// stash).
-    BlockMissing,
 }
 
 impl FaultKind {
@@ -93,7 +90,6 @@ impl FaultKind {
             FaultKind::Rollback => "rollback",
             FaultKind::Transient => "transient",
             FaultKind::StashPressure => "stash_pressure",
-            FaultKind::BlockMissing => "block_missing",
         }
     }
 }

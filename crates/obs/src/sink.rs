@@ -61,10 +61,11 @@ struct ObsCore {
 /// trace.
 ///
 /// Handles are `Send + Sync` (the core sits behind a `Mutex`), so a
-/// controller holding one can be stepped on a `proram-par` worker thread.
-/// The mutex is uncontended in practice — each shard owns its own `Obs`
-/// — so the cost over the old `RefCell` is one uncontended lock per
-/// emission.
+/// controller holding one can be borrowed onto a `proram-par` thread.
+/// `ShardedOram::attach_obs` clones one handle into every shard, so under
+/// a threaded `access_batch` the shards contend for the one lock and
+/// their events interleave in thread order; serially (every other
+/// caller) the lock is uncontended.
 ///
 /// # Examples
 ///

@@ -43,15 +43,9 @@ impl CacheProbe for ShardProbe<'_> {
 pub struct ShardedOram {
     shards: Vec<SuperBlockOram<PathOram>>,
     label: String,
-    /// Worker pool for [`ShardedOram::access_batch`]; `None` (the
-    /// default) steps shards serially on the calling thread.
-    pool: Option<WorkerPool>,
-    /// Batches in which a shard worker panicked and the abandoned slice
-    /// was re-served serially (graceful degradation, never an abort).
-    batch_panics: u64,
-    /// Armed fault injection: the next *parallel* batch panics inside its
-    /// worker on reaching this original request index (taken once).
-    panic_at: Option<usize>,
+    /// The fork/join [`ShardedOram::access_batch`] steps shards on; one
+    /// thread (the default) steps them on the caller.
+    pool: WorkerPool,
 }
 
 impl std::fmt::Debug for ShardedOram {
@@ -61,23 +55,6 @@ impl std::fmt::Debug for ShardedOram {
             .field("label", &self.label)
             .finish_non_exhaustive()
     }
-}
-
-/// One shard's slice of a batch: the controller is *moved* onto a worker
-/// thread along with its requests and moved back at the merge barrier.
-struct ShardJob {
-    shard: usize,
-    ctrl: SuperBlockOram<PathOram>,
-    /// `(original request index, shard-local request)` in issue order.
-    reqs: Vec<(usize, MemRequest)>,
-    /// Outcomes, same order as `reqs` (filled by the worker).
-    outcomes: Vec<(usize, AccessOutcome)>,
-    /// Set when a request panicked on the worker: the remaining slice is
-    /// abandoned and re-served serially at the merge barrier. Catching
-    /// *inside* the job is what keeps the moved controller alive — a
-    /// panic that escaped the closure would consume the job, and the
-    /// shard's tree, stash and position map with it.
-    panicked: bool,
 }
 
 impl ShardedOram {
@@ -113,9 +90,7 @@ impl ShardedOram {
         ShardedOram {
             shards,
             label: format!("{}_sh{num_shards}", scheme.label()),
-            pool: None,
-            batch_panics: 0,
-            panic_at: None,
+            pool: WorkerPool::new(1),
         }
     }
 
@@ -160,25 +135,24 @@ impl ShardedOram {
         BlockAddr(local.0 * self.shards.len() as u64 + shard as u64)
     }
 
-    /// Builds a pool sized for `threads` cooperating threads (the caller
-    /// included); subsequent [`ShardedOram::access_batch`] calls step
-    /// shards on it. Results are identical to the serial path at any
-    /// thread count (see DESIGN.md section 14). `threads <= 1` drops the
-    /// pool instead, restoring the serial path.
+    /// Steps subsequent [`ShardedOram::access_batch`] calls' shards on
+    /// `threads` threads, the caller included (`threads <= 1`: on the
+    /// caller alone). Results are identical at any thread count (see
+    /// DESIGN.md section 14).
     pub fn set_worker_threads(&mut self, threads: usize) {
-        self.pool = (threads > 1).then(|| WorkerPool::new(threads));
+        self.pool = WorkerPool::new(threads);
     }
 
     /// Serves a batch of independent requests, all issued at `now`, and
     /// returns one outcome per request (same order).
     ///
-    /// Requests are partitioned by owning shard; with a pool attached
-    /// ([`ShardedOram::set_worker_threads`]) each shard's controller is
-    /// *moved* onto a worker thread, steps its slice of the batch in issue
-    /// order, and is moved back at the merge barrier — the retire order
-    /// seen by the caller is the original request order regardless of
-    /// which worker finished first, so outcomes, per-shard statistics and
-    /// adversary traces are identical at any thread count.
+    /// Requests are partitioned by owning shard, and each shard's
+    /// controller, borrowed `&mut`, steps its slice in issue order on one
+    /// of the [`ShardedOram::set_worker_threads`] threads. Outcomes merge
+    /// back by original request index, so outcomes and per-shard
+    /// statistics are identical at any thread count. A panic inside a
+    /// shard resumes on the caller, as it would in a serial
+    /// [`MemoryBackend::access`] loop.
     ///
     /// Shard controllers are `!Sync` while borrowed by the caller's LLC
     /// probe, so batch accesses see no LLC ([`NoProbe`]): super-block
@@ -186,21 +160,9 @@ impl ShardedOram {
     /// traffic that wants LLC-aware prefetch decisions should keep using
     /// [`MemoryBackend::access`].
     pub fn access_batch(&mut self, now: Cycle, reqs: &[MemRequest]) -> Vec<AccessOutcome> {
-        let n = self.shards.len() as u64;
-        let parallel = self
-            .pool
-            .as_ref()
-            .is_some_and(|p| p.workers() > 0 && reqs.len() >= 2);
-        if !parallel {
-            return reqs
-                .iter()
-                .map(|req| self.access(now, *req, &NoProbe))
-                .collect();
-        }
         // Fork: partition requests by shard, preserving issue order
-        // within each shard, and move every controller into its job.
-        let mut per_shard: Vec<Vec<(usize, MemRequest)>> = Vec::new();
-        per_shard.resize_with(self.shards.len(), Vec::new);
+        // within each shard.
+        let mut per_shard: Vec<Vec<(usize, MemRequest)>> = vec![Vec::new(); self.shards.len()];
         for (i, req) in reqs.iter().enumerate() {
             let (shard, local) = self.route(req.block);
             per_shard[shard].push((
@@ -211,85 +173,30 @@ impl ShardedOram {
                 },
             ));
         }
-        let jobs: Vec<ShardJob> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .zip(per_shard)
-            .enumerate()
-            .map(|(shard, (ctrl, reqs))| ShardJob {
-                shard,
-                ctrl,
-                reqs,
-                outcomes: Vec::new(),
-                panicked: false,
-            })
-            .collect();
-        let panic_at = self.panic_at.take();
-        let pool = self.pool.as_ref().expect("parallel implies pool");
-        let done = pool.run(jobs, move |mut job: ShardJob| {
-            job.outcomes.reserve(job.reqs.len());
-            for &(orig, req) in &job.reqs {
-                let boom = panic_at == Some(orig);
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    assert!(!boom, "injected shard worker panic");
-                    job.ctrl.access(now, req, &NoProbe)
-                }));
-                let Ok(mut outcome) = attempt else {
-                    // Keep the controller; its unserved requests fall
-                    // back to the caller thread at the merge barrier.
-                    job.panicked = true;
-                    break;
-                };
-                for fill in &mut outcome.fills {
-                    fill.block = BlockAddr(fill.block.0 * n + job.shard as u64);
-                }
-                job.outcomes.push((orig, outcome));
-            }
-            job
+        // Longest slice first: threads claim shards in this order, so the
+        // long slices start early and the threads finish together.
+        let mut jobs: Vec<_> = self.shards.iter_mut().zip(per_shard).enumerate().collect();
+        jobs.sort_by_key(|(_, (_, slice))| std::cmp::Reverse(slice.len()));
+        let served = self.pool.run(jobs, |(shard, (ctrl, slice))| {
+            let outcomes: Vec<_> = slice
+                .into_iter()
+                .map(|(orig, req)| (orig, ctrl.access(now, req, &NoProbe)))
+                .collect();
+            (shard, outcomes)
         });
-        // Join: controllers return to their slots in shard order and
-        // outcomes merge back to original request positions.
+        // Join: outcomes return to their original request positions.
         let mut out: Vec<Option<AccessOutcome>> = reqs.iter().map(|_| None).collect();
-        let mut unserved: Vec<usize> = Vec::new();
-        for job in done {
-            debug_assert_eq!(job.shard, self.shards.len());
-            if job.panicked {
-                self.batch_panics += 1;
-                unserved.extend(
-                    job.reqs
-                        .iter()
-                        .skip(job.outcomes.len())
-                        .map(|&(orig, _)| orig),
-                );
-            }
-            self.shards.push(job.ctrl);
-            for (orig, outcome) in job.outcomes {
+        for (shard, outcomes) in served {
+            for (orig, mut outcome) in outcomes {
+                for fill in &mut outcome.fills {
+                    fill.block = self.unroute(shard, fill.block);
+                }
                 out[orig] = Some(outcome);
             }
-        }
-        // Graceful degradation: requests a panicked shard abandoned are
-        // re-served serially through the normal single-request path, so
-        // the batch still returns one outcome per request and later
-        // batches keep working.
-        for orig in unserved {
-            out[orig] = Some(self.access(now, reqs[orig], &NoProbe));
         }
         out.into_iter()
             .map(|o| o.expect("every request served by its shard"))
             .collect()
-    }
-
-    /// Times a shard batch hit a worker panic and fell back to serial
-    /// service for the abandoned slice.
-    pub fn batch_panics(&self) -> u64 {
-        self.batch_panics
-    }
-
-    /// Arms deterministic worker-panic injection: the next parallel batch
-    /// panics inside the worker thread when it reaches the request at
-    /// original index `orig`, exercising the abandoned-slice serial
-    /// fallback without corrupting any controller.
-    pub fn inject_worker_panic(&mut self, orig: usize) {
-        self.panic_at = Some(orig);
     }
 }
 
@@ -438,25 +345,29 @@ mod tests {
 
     #[test]
     fn batch_results_identical_at_any_worker_thread_count() {
-        // The tentpole determinism contract at the shard level: moving
-        // controllers onto worker threads and merging at the barrier must
-        // be invisible — outcomes, aggregate statistics and every
-        // per-shard stat agree with the serial path exactly.
+        // The shard-level determinism contract: stepping controllers on
+        // several threads and merging by request index is invisible —
+        // outcomes, aggregate statistics and every per-shard stat equal a
+        // plain `access` loop over the same requests.
         let reqs: Vec<MemRequest> = (0..48u64)
             .map(|a| MemRequest::read(BlockAddr((a * 7) % 1024)))
             .collect();
-        let run = |threads: usize| {
-            let mut s = sharded(4);
-            s.set_worker_threads(threads);
-            let batches: Vec<Vec<AccessOutcome>> =
-                reqs.chunks(16).map(|c| s.access_batch(0, c)).collect();
+        let finish = |s: ShardedOram, outcomes: Vec<AccessOutcome>| {
             let per_shard: Vec<BackendStats> =
                 (0..s.num_shards()).map(|i| s.shard(i).stats()).collect();
-            (batches, s.stats(), per_shard)
+            (outcomes, s.stats(), per_shard)
         };
-        let baseline = run(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(run(threads), baseline, "threads={threads}");
+        let mut serial = sharded(4);
+        let outcomes = reqs
+            .iter()
+            .map(|req| serial.access(0, *req, &NoProbe))
+            .collect();
+        let reference = finish(serial, outcomes);
+        for threads in [1, 2, 4, 7] {
+            let mut s = sharded(4);
+            s.set_worker_threads(threads);
+            let outcomes = reqs.chunks(16).flat_map(|c| s.access_batch(0, c)).collect();
+            assert_eq!(finish(s, outcomes), reference, "threads={threads}");
         }
     }
 
@@ -478,27 +389,16 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_degrades_to_serial_and_batch_completes() {
-        let reqs: Vec<MemRequest> = (0..16u64).map(|a| MemRequest::read(BlockAddr(a))).collect();
+    #[should_panic(expected = "outside the unified address space")]
+    fn a_shard_panic_resumes_on_the_caller() {
+        // A block past its shard's tree panics inside that shard, as a
+        // serial `access` loop would; the batch hands the shard's own
+        // message to the caller.
         let mut s = sharded(4);
-        s.set_worker_threads(4);
-        s.inject_worker_panic(5);
-        let outcomes = s.access_batch(0, &reqs);
-        assert_eq!(outcomes.len(), 16);
-        for (req, o) in reqs.iter().zip(&outcomes) {
-            assert!(
-                o.fills.iter().any(|f| f.block == req.block),
-                "demand block {:?} missing after panic fallback",
-                req.block
-            );
-        }
-        assert_eq!(s.batch_panics(), 1);
-        // The controllers and the pool both survive: the next batch is
-        // clean and the panic counter stays put.
-        let again = s.access_batch(0, &reqs);
-        assert_eq!(again.len(), 16);
-        assert_eq!(s.batch_panics(), 1);
-        assert_eq!(s.stats().demand_accesses, 32);
+        s.set_worker_threads(2);
+        let mut reqs: Vec<MemRequest> = (0..8u64).map(|a| MemRequest::read(BlockAddr(a))).collect();
+        reqs.push(MemRequest::read(BlockAddr(1 << 40)));
+        s.access_batch(0, &reqs);
     }
 
     #[test]
