@@ -2,17 +2,16 @@
 //! and when it stops, across fault class x injection rate.
 //!
 //! Each cell runs a seeded read stream against a [`PathOram`] whose
-//! backing store injects one fault class at one rate, with the periodic
-//! scrub and the stash hard capacity engaged. The image is the only copy
-//! of a bucket, so a corrupted, torn or rolled-back bucket cannot be
-//! repaired: the first read that meets one fail-stops the controller with
-//! the typed error, and the cell reports how many accesses were served
-//! until then. Transient read failures leave the medium intact and are
-//! retried. The experiment asserts the robustness contract directly:
-//! **zero undetected corruptions** in every cell (the injector's
-//! ground-truth `undetected` counter stays zero), a fail-stop that is
-//! typed and latched, and a zero-rate injector that is observationally
-//! identical to running with no injector at all.
+//! backing store injects one fault class at one rate. The image is the
+//! only copy of a bucket, so a corrupted, torn or rolled-back bucket
+//! cannot be repaired: the first read that meets one fail-stops the
+//! controller with the typed error, and the cell reports how many
+//! accesses were served until then. Transient read failures leave the
+//! medium intact and are retried. The experiment asserts the robustness
+//! contract directly: **zero undetected corruptions** in every cell (the
+//! injector's ground-truth `undetected` counter stays zero), a fail-stop
+//! that is typed and latched, and a zero-rate injector that is
+//! observationally identical to running with no injector at all.
 
 use crate::exp::RunCtx;
 use proram_mem::{AccessKind, BlockAddr, FaultStats};
@@ -43,12 +42,10 @@ struct CellOutcome {
 }
 
 fn run_cell(fault: Option<FaultConfig>, ops: u64) -> CellOutcome {
-    let mut cfg = OramConfig::small_for_tests(NUM_BLOCKS);
-    // Engage the whole robustness surface: periodic scrub plus a stash
-    // hard capacity (emergency eviction before fail-stop).
-    cfg.scrub_interval = 256;
-    cfg.stash_hard_capacity = Some(cfg.stash_limit);
-    cfg.fault = fault;
+    let cfg = OramConfig {
+        fault,
+        ..OramConfig::small_for_tests(NUM_BLOCKS)
+    };
     let mut oram = PathOram::new(cfg, 42);
     let mut rng = Xoshiro256::seed_from(7);
     let mut next = || BlockAddr(rng.next_below(NUM_BLOCKS));
@@ -102,8 +99,6 @@ fn row_cells(class_name: &str, rate: f64, cell: &CellOutcome, mean_latency: f64)
         stopped_by.to_owned(),
         s.recovered.to_string(),
         s.transient_retries.to_string(),
-        s.scrub_runs.to_string(),
-        s.emergency_evictions.to_string(),
         match cell.stopped {
             None => table::f3(cell.total_latency as f64 / cell.served as f64 / mean_latency),
             Some(_) => "-".to_owned(),
@@ -118,7 +113,7 @@ fn row_cells(class_name: &str, rate: f64, cell: &CellOutcome, mean_latency: f64)
 /// Panics if any injected corruption survives undetected (a false
 /// negative), if a run ends in anything but a typed, latched fault of
 /// the medium, or if the zero-rate injector perturbs the fault-free run
-/// — the assertions CI's fault smoke relies on.
+/// — so CI's quick-scale golden run, which runs this sweep, checks them.
 pub fn run(ctx: RunCtx) -> Vec<Table> {
     // Enough accesses that even the lowest rate injects faults, scaled
     // down for --scale quick.
@@ -159,8 +154,6 @@ pub fn run(ctx: RunCtx) -> Vec<Table> {
         "stopped_by",
         "recovered",
         "retries",
-        "scrubs",
-        "emerg_evict",
         "latency_x",
     ])
     .with_title(format!(

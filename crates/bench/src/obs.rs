@@ -20,9 +20,10 @@
 
 use proram_mem::{BlockAddr, MemRequest, MemoryBackend};
 use proram_obs::{Obs, ObsEvent, StageProfile};
-use proram_sim::{MemoryKind, MultiCoreSystem, ShardedOram, SystemConfig};
+use proram_sim::{runner, MemoryKind, ShardedOram, SystemConfig};
 use proram_stats::{Rng64, Table, Xoshiro256};
 use proram_workloads::synthetic::LocalityMix;
+use proram_workloads::Workload;
 
 use proram_core::SchemeConfig;
 
@@ -78,7 +79,7 @@ pub struct ObsReport {
 /// cycle split of every access the shards retire.
 fn run_multicore(obs: &Obs) {
     let cfg = SystemConfig::quick_test(MemoryKind::OramShards(SchemeConfig::dynamic(2), 2));
-    let mut sys = MultiCoreSystem::build(&cfg, 2, |id| {
+    let (mut sys, mut workloads) = runner::build_multicore(&cfg, 2, |id| {
         Box::new(LocalityMix::with_stride(
             1 << 18,
             0.8,
@@ -88,7 +89,8 @@ fn run_multicore(obs: &Obs) {
         ))
     });
     sys.attach_obs(obs.clone());
-    sys.run();
+    let mut refs: Vec<&mut dyn Workload> = workloads.iter_mut().map(|w| w.as_mut() as _).collect();
+    sys.run(&mut refs, 0);
 }
 
 /// A FIFO set standing in for the LLC: the super-block scheme only

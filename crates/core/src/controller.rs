@@ -1199,17 +1199,6 @@ mod tests {
     }
 
     #[test]
-    fn scrub_interval_ticks_under_the_scheme_driver() {
-        let mut oram = baseline_128(|c| c.scrub_interval = 4);
-        drive_baseline(&mut oram, 20);
-        assert_eq!(
-            oram.stats().faults.scrub_runs,
-            5,
-            "one scrub per 4 accesses"
-        );
-    }
-
-    #[test]
     fn transient_backoff_is_charged_under_the_scheme_driver() {
         use proram_oram::{FaultClass, FaultConfig};
         let mut oram = baseline_128(|c| {

@@ -101,13 +101,6 @@ pub struct FaultStats {
     /// Accesses that ended in a typed error and were served degraded by
     /// the scheme layer (every access after a controller's fail-stop).
     pub unrecovered: u64,
-    /// Emergency background evictions run past the normal per-access bound
-    /// because the stash crossed its hard capacity (degradation mode).
-    pub emergency_evictions: u64,
-    /// Periodic full-image scrub passes completed.
-    pub scrub_runs: u64,
-    /// Buckets verified by scrub passes.
-    pub scrub_buckets: u64,
     /// Injected faults overwritten by a later write before any read could
     /// observe them (not detectable, and nothing to detect).
     pub masked_by_overwrite: u64,
@@ -151,7 +144,7 @@ impl FaultStats {
 impl std::ops::Add for FaultStats {
     type Output = FaultStats;
 
-    /// Field-wise sum; aggregates injector- and controller-side counters.
+    /// Field-wise sum; aggregates injector- and scheme-side counters.
     fn add(self, rhs: FaultStats) -> FaultStats {
         FaultStats {
             injected_bit_flips: self.injected_bit_flips + rhs.injected_bit_flips,
@@ -164,9 +157,6 @@ impl std::ops::Add for FaultStats {
             backoff_cycles: self.backoff_cycles + rhs.backoff_cycles,
             recovered: self.recovered + rhs.recovered,
             unrecovered: self.unrecovered + rhs.unrecovered,
-            emergency_evictions: self.emergency_evictions + rhs.emergency_evictions,
-            scrub_runs: self.scrub_runs + rhs.scrub_runs,
-            scrub_buckets: self.scrub_buckets + rhs.scrub_buckets,
             masked_by_overwrite: self.masked_by_overwrite + rhs.masked_by_overwrite,
             undetected: self.undetected + rhs.undetected,
         }
@@ -189,9 +179,6 @@ impl std::ops::Sub for FaultStats {
             backoff_cycles: self.backoff_cycles - rhs.backoff_cycles,
             recovered: self.recovered - rhs.recovered,
             unrecovered: self.unrecovered - rhs.unrecovered,
-            emergency_evictions: self.emergency_evictions - rhs.emergency_evictions,
-            scrub_runs: self.scrub_runs - rhs.scrub_runs,
-            scrub_buckets: self.scrub_buckets - rhs.scrub_buckets,
             masked_by_overwrite: self.masked_by_overwrite - rhs.masked_by_overwrite,
             undetected: self.undetected - rhs.undetected,
         }
@@ -300,7 +287,7 @@ impl std::ops::Add for BackendStats {
 impl BackendStats {
     /// Counters accumulated since `baseline` was captured.
     ///
-    /// This is the snapshot-diff the tile engine uses to exclude a
+    /// This is the snapshot-diff the simulator uses to exclude a
     /// measurement-warmup prefix: capture `stats()` at the warmup
     /// boundary, then diff the final counters against it.
     pub fn since(self, baseline: BackendStats) -> BackendStats {

@@ -4,7 +4,8 @@
 //! variant: logical accesses retiring with their cycle split, stash
 //! high-water marks,
 //! super-block merge/break decisions, prefetch-window publications,
-//! fault/recovery transitions and tile-engine issue/retire. Events are
+//! detected faults, tile issue/retire and the commit protocol's crash,
+//! commit and recovery steps. Events are
 //! `Copy` and carry only integers, so recording one into a sink is a
 //! bounds check and a memcpy — cheap enough for per-access use.
 
@@ -15,7 +16,7 @@ use std::fmt;
 ///
 /// The first four variants are the lanes of an access's cycle split
 /// (`StageCycles` in `proram-oram`), recorded once per retired access and
-/// summing to its latency; `Demand` is the tile engine's end-to-end
+/// summing to its latency; `Demand` is the simulator's end-to-end
 /// demand-fetch span (issue to retire), which subsumes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StageKind {
@@ -27,7 +28,7 @@ pub enum StageKind {
     Evict,
     /// Transient-retry backoff from fault injection.
     Backoff,
-    /// Tile-engine demand fetch, issue to retire.
+    /// A core's demand fetch, issue to retire.
     Demand,
 }
 
@@ -68,8 +69,8 @@ impl fmt::Display for StageKind {
     }
 }
 
-/// The class of a detected (or recovered) fault, mirroring the ORAM
-/// error taxonomy without depending on the ORAM crate.
+/// The class of a detected fault, mirroring the ORAM error taxonomy
+/// without depending on the ORAM crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// MAC mismatch: the stored image was modified.
@@ -78,8 +79,6 @@ pub enum FaultKind {
     Rollback,
     /// Transient read failure that exhausted its retry budget.
     Transient,
-    /// Stash occupancy crossed the soft limit; emergency eviction ran.
-    StashPressure,
 }
 
 impl FaultKind {
@@ -89,7 +88,6 @@ impl FaultKind {
             FaultKind::Integrity => "integrity",
             FaultKind::Rollback => "rollback",
             FaultKind::Transient => "transient",
-            FaultKind::StashPressure => "stash_pressure",
         }
     }
 }
@@ -242,22 +240,14 @@ pub enum ObsEvent {
         /// Window's background-eviction rate in parts-per-million.
         eviction_rate_ppm: u32,
     },
-    /// A storage fault (or stash-pressure condition) was detected.
+    /// A storage fault was detected.
     FaultDetected {
         /// What was detected.
         kind: FaultKind,
-        /// Bucket concerned (0 for non-bucket-local faults).
+        /// Bucket concerned.
         bucket: u64,
     },
-    /// A previously detected condition was relieved (stash pressure
-    /// drained by emergency eviction).
-    FaultRecovered {
-        /// What was recovered.
-        kind: FaultKind,
-        /// Bucket concerned (0 for non-bucket-local faults).
-        bucket: u64,
-    },
-    /// The tile engine issued a demand fetch to the memory backend.
+    /// A simulated core issued a demand fetch to the memory backend.
     TileIssue {
         /// Core that missed.
         core: u32,
@@ -314,7 +304,6 @@ impl ObsEvent {
             ObsEvent::SuperBlockBreak { .. } => "super_block_break",
             ObsEvent::PrefetchWindow { .. } => "prefetch_window",
             ObsEvent::FaultDetected { .. } => "fault_detected",
-            ObsEvent::FaultRecovered { .. } => "fault_recovered",
             ObsEvent::TileIssue { .. } => "tile_issue",
             ObsEvent::TileRetire { .. } => "tile_retire",
             ObsEvent::CrashInject { .. } => "crash_inject",
@@ -324,7 +313,7 @@ impl ObsEvent {
     }
 
     /// Every discriminant name, for schema checks of JSONL traces.
-    pub const KINDS: [&'static str; 13] = [
+    pub const KINDS: [&'static str; 12] = [
         "access_issued",
         "access_retired",
         "stash_watermark",
@@ -332,7 +321,6 @@ impl ObsEvent {
         "super_block_break",
         "prefetch_window",
         "fault_detected",
-        "fault_recovered",
         "tile_issue",
         "tile_retire",
         "crash_inject",
@@ -399,8 +387,7 @@ impl ObsEvent {
                 push_num(&mut s, "hit_rate_ppm", u64::from(hit_rate_ppm));
                 push_num(&mut s, "eviction_rate_ppm", u64::from(eviction_rate_ppm));
             }
-            ObsEvent::FaultDetected { kind, bucket }
-            | ObsEvent::FaultRecovered { kind, bucket } => {
+            ObsEvent::FaultDetected { kind, bucket } => {
                 s.push_str(&format!(",\"kind\":\"{}\"", kind.name()));
                 push_num(&mut s, "bucket", bucket);
             }
@@ -506,10 +493,6 @@ mod tests {
                 kind: FaultKind::Rollback,
                 bucket: 9,
             },
-            ObsEvent::FaultRecovered {
-                kind: FaultKind::Integrity,
-                bucket: 9,
-            },
             ObsEvent::TileIssue {
                 core: 0,
                 addr: 77,
@@ -534,7 +517,7 @@ mod tests {
                 reverified: 30,
             },
         ];
-        assert_eq!(ObsEvent::KINDS.len(), 13);
+        assert_eq!(ObsEvent::KINDS.len(), 12);
         assert_eq!(events.len(), ObsEvent::KINDS.len());
         for e in &events {
             let line = e.to_json();

@@ -119,9 +119,7 @@ pub trait OramBackend {
     ///
     /// # Errors
     ///
-    /// Returns [`OramError::StashOverflow`] if even emergency eviction
-    /// cannot respect a configured hard capacity, or propagates
-    /// unrecovered path-read faults.
+    /// Propagates unrecovered path-read faults.
     fn drain_background(&mut self) -> Result<u64, OramError>;
 
     /// Cycles one physical tree access costs.
@@ -129,7 +127,8 @@ pub trait OramBackend {
 
     /// Alias of [`OramBackend::path_cycles`], kept only because the frozen
     /// `perf/src/span.rs` overrides it; no backend in this workspace does.
-    /// ROADMAP item 2's `benchmark` PR removes it with that override.
+    /// The `benchmark` PR that retires the names `perf/` pins removes it
+    /// with that override.
     fn fetch_cycles(&self) -> u64 {
         self.path_cycles()
     }

@@ -113,19 +113,6 @@ pub struct OramConfig {
     /// and fail-stops the controller with the typed error (there is no
     /// second copy to repair it from).
     pub fault: Option<FaultConfig>,
-    /// Hard stash capacity: if set, exceeding it after the bounded
-    /// background-eviction drain triggers *emergency eviction* (a degraded
-    /// mode counted in [`proram_mem::FaultStats`]) and, only if that also
-    /// fails, fail-stop via [`crate::OramError::StashOverflow`]. `None`
-    /// keeps the legacy behavior (soft `stash_limit` only).
-    pub stash_hard_capacity: Option<usize>,
-    /// Scrub period in logical accesses: every `scrub_interval` accesses
-    /// (counted by the background drain that closes each one),
-    /// re-authenticate the whole encrypted image
-    /// ([`crate::EncryptedStore::verify_all`]); a bucket it flags
-    /// fail-stops the controller before an access can walk into it.
-    /// `0` disables scrubbing. Requires `store_payloads`.
-    pub scrub_interval: u64,
     /// Deterministic crash injection (requires `store_payloads`): every
     /// access runs under the crash-consistent commit protocol of
     /// DESIGN.md section 15, and the configured kill point fires on its
@@ -170,8 +157,6 @@ impl OramConfig {
             dense_tree: false,
             treetop_levels: 0,
             fault: None,
-            stash_hard_capacity: None,
-            scrub_interval: 0,
             crash: None,
         }
     }
@@ -335,23 +320,6 @@ impl OramConfig {
                 return Err(ConfigError::new("fault", msg));
             }
         }
-        if let Some(cap) = self.stash_hard_capacity {
-            if cap < self.stash_limit {
-                return Err(ConfigError::new(
-                    "stash_hard_capacity",
-                    format!(
-                        "stash_hard_capacity ({cap}) below stash_limit ({})",
-                        self.stash_limit
-                    ),
-                ));
-            }
-        }
-        if self.scrub_interval != 0 && !self.store_payloads {
-            return Err(ConfigError::new(
-                "scrub_interval",
-                "scrubbing requires store_payloads (there is no image to verify otherwise)",
-            ));
-        }
         if let Some(crash) = &self.crash {
             if !self.store_payloads {
                 return Err(ConfigError::new(
@@ -493,7 +461,8 @@ impl OramConfigBuilder {
     /// Does nothing: every path read authenticates the image it fetches
     /// from, so there is nothing left to switch. Kept only because the
     /// frozen benchmark crate (`perf/src/workloads.rs`) still calls it;
-    /// it goes with the next `benchmark` PR (ROADMAP item 6).
+    /// it goes with the next `benchmark` PR, the one that retires the
+    /// names `perf/` pins.
     pub fn verify_image(self, _: bool) -> Self {
         self
     }
@@ -516,18 +485,6 @@ impl OramConfigBuilder {
         self
     }
 
-    /// Sets the hard stash capacity (emergency eviction, then fail-stop).
-    pub fn stash_hard_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.stash_hard_capacity = Some(capacity);
-        self
-    }
-
-    /// Sets the scrub period in path accesses (0 disables scrubbing).
-    pub fn scrub_interval(mut self, interval: u64) -> Self {
-        self.cfg.scrub_interval = interval;
-        self
-    }
-
     /// Arms deterministic crash injection: the kill point fires on its
     /// configured crossing and every access runs under the commit
     /// protocol (DESIGN.md section 15).
@@ -542,8 +499,8 @@ impl OramConfigBuilder {
     ///
     /// Returns the first [`ConfigError`] found by [`OramConfig::check`]
     /// — zero-block trees, treetop caches covering the whole tree, fault
-    /// rates that are not probabilities, fault injection or scrubbing
-    /// without a stored image, and the other field inconsistencies
+    /// rates that are not probabilities, fault injection without a
+    /// stored image, and the other field inconsistencies
     /// documented there.
     pub fn build(self) -> Result<OramConfig, ConfigError> {
         self.cfg.check()?;
@@ -567,8 +524,6 @@ impl Default for OramConfig {
             dense_tree: false,
             treetop_levels: 0,
             fault: None,
-            stash_hard_capacity: None,
-            scrub_interval: 0,
             crash: None,
         }
     }
@@ -684,8 +639,6 @@ mod tests {
     fn fault_injection_validates_with_payloads() {
         let cfg = OramConfig {
             fault: Some(FaultConfig::silent(1)),
-            stash_hard_capacity: Some(64),
-            scrub_interval: 100,
             ..OramConfig::small_for_tests(256)
         };
         cfg.validate();
@@ -697,16 +650,6 @@ mod tests {
         let cfg = OramConfig {
             fault: Some(FaultConfig::silent(1)),
             ..OramConfig::default()
-        };
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "below stash_limit")]
-    fn hard_capacity_below_soft_limit_rejected() {
-        let cfg = OramConfig {
-            stash_hard_capacity: Some(10),
-            ..OramConfig::small_for_tests(256)
         };
         cfg.validate();
     }
@@ -774,14 +717,10 @@ mod tests {
             .store_payloads(true)
             .trace_capacity(1 << 10)
             .init_group_size(4)
-            .stash_hard_capacity(200)
-            .scrub_interval(64)
             .build()
             .expect("consistent configuration");
         assert_eq!(cfg.num_data_blocks, 1 << 12);
         assert_eq!(cfg.init_group_size, 4);
-        assert_eq!(cfg.stash_hard_capacity, Some(200));
-        assert_eq!(cfg.scrub_interval, 64);
     }
 
     #[test]
@@ -831,14 +770,6 @@ mod tests {
         assert!(err
             .to_string()
             .contains("fault injection requires store_payloads"));
-        let err = OramConfig::builder()
-            .num_data_blocks(256)
-            .scrub_interval(10)
-            .build()
-            .unwrap_err();
-        assert!(err
-            .to_string()
-            .contains("scrubbing requires store_payloads"));
         let err = OramConfig::builder().stash_limit(0).build().unwrap_err();
         assert!(err.to_string().contains("stash limit must be positive"));
     }

@@ -8,8 +8,8 @@
 //! * `posmap` — position-map resolve and remap (PLB, top table),
 //! * `fetch` — path fetch: open the path's image (authenticate, decrypt,
 //!   decode), stash fill, block claim, fail-stop,
-//! * `writeback` — path write-back and seal, background and emergency
-//!   eviction, periodic scrub.
+//! * `writeback` — path write-back and seal, background eviction, the
+//!   on-demand image scrub.
 //!
 //! Where each piece of state lives — and that, with a store, the
 //! encrypted image is the only copy of every bucket below the treetop —
@@ -22,9 +22,9 @@
 //! [`PathOram::write_path_from_stash`],
 //! [`PathOram::try_drain_background`], entry accessors) into grouped
 //! accesses. Everything an access does besides moving blocks — crossing
-//! the crash kill points, ticking the scrub interval — lives inside the
-//! primitives, and both callers retire through
-//! [`AccessReport::retire`], so the two are the same access.
+//! the crash kill points — lives inside the primitives, and both callers
+//! retire through [`AccessReport::retire`], so the two are the same
+//! access.
 //!
 //! # Fault handling
 //!
@@ -37,8 +37,7 @@
 //! **fail-stops** — it latches the error and every later access returns
 //! it, so no payload ever comes from a bucket that did not authenticate.
 //! What leaves the medium intact is survived: transient read failures
-//! retry within their budget with backoff charged to access latency, and
-//! a stash past its hard capacity enters emergency eviction first.
+//! retry within their budget with backoff charged to access latency.
 //! Counters: [`proram_mem::FaultStats`] via [`PathOram::fault_stats`].
 
 pub(crate) mod fetch;
@@ -71,12 +70,6 @@ use std::collections::HashMap;
 /// the paper's Figure 12 at stash size 25); the controller then keeps
 /// serving requests while evicting at this rate instead of livelocking.
 pub(crate) const MAX_BACKGROUND_EVICTIONS_PER_ACCESS: u64 = 64;
-
-/// Bound on *emergency* evictions when the stash exceeds its hard
-/// capacity: the degraded mode may run this much longer than a normal
-/// drain before the controller gives up and fail-stops with
-/// [`OramError::StashOverflow`].
-pub(crate) const MAX_EMERGENCY_EVICTIONS: u64 = 4 * MAX_BACKGROUND_EVICTIONS_PER_ACCESS;
 
 /// A minimal FNV-1a accumulator for [`PathOram::state_digest`] —
 /// deterministic across platforms, unlike the std hasher.
@@ -184,15 +177,9 @@ pub struct PathOram {
     pub(crate) layout: StoreLayout,
     /// Reusable write-back scratch (see [`PathScratch`]).
     pub(crate) scratch: PathScratch,
-    /// Counters owned by the controller (emergency evictions, scrub
-    /// passes); the injector's own counters live in the store and the two
-    /// are summed by [`PathOram::fault_stats`].
-    pub(crate) ctrl_faults: FaultStats,
     /// The fault of the medium this controller fail-stopped on: once set,
     /// every path read returns it.
     pub(crate) failed: Option<OramError>,
-    /// Accesses drained since the last scrub pass.
-    pub(crate) reads_since_scrub: u64,
     /// Observability handle (events + per-stage profile); disabled by
     /// default so the hot path stays allocation- and branch-free.
     pub(crate) obs: Obs,
@@ -375,9 +362,7 @@ impl PathOram {
             treetop_saved_bytes,
             layout,
             scratch: PathScratch::new(),
-            ctrl_faults: FaultStats::default(),
             failed: None,
-            reads_since_scrub: 0,
             obs: Obs::disabled(),
             txn_open: false,
             txn_leaves: Vec::new(),
@@ -466,15 +451,12 @@ impl PathOram {
         self.scratch.allocs_avoided()
     }
 
-    /// Fault injection, detection and recovery counters: the injector's
-    /// (store-side) counters plus the controller's own (emergency
-    /// evictions, scrub passes).
+    /// Fault injection, detection and recovery counters, kept by the
+    /// store's injector (all zero without a store).
     pub fn fault_stats(&self) -> FaultStats {
-        let injector = self
-            .store
+        self.store
             .as_ref()
-            .map_or_else(FaultStats::default, EncryptedStore::fault_stats);
-        injector + self.ctrl_faults
+            .map_or_else(FaultStats::default, EncryptedStore::fault_stats)
     }
 
     /// The stash (for occupancy statistics).
@@ -533,9 +515,8 @@ impl PathOram {
     ///
     /// # Errors
     ///
-    /// Returns the typed [`OramError`] of a detected fault of the medium
-    /// — this access's, or the one the controller fail-stopped on — or
-    /// [`OramError::StashOverflow`] when emergency eviction fails.
+    /// Returns the typed [`OramError`] of a detected fault of the medium:
+    /// this access's, or the one the controller fail-stopped on.
     ///
     /// # Panics
     ///
@@ -1753,120 +1734,14 @@ mod fault_tests {
     }
 
     #[test]
-    fn scrub_catches_out_of_path_corruption_and_fail_stops() {
-        let cfg = OramConfig {
-            scrub_interval: 10,
-            ..OramConfig::small_for_tests(256)
-        };
-        let mut oram = PathOram::new(cfg, 13);
-        // Corrupt a bucket directly (not via an injector): the scrub pass
-        // must find it even if no access walks past it. There is nothing
-        // to repair it from, so what it finds ends the run.
-        let nb = oram.storage().expect("payloads on").num_buckets();
-        oram.storage_mut()
-            .expect("payloads on")
-            .corrupt_byte(nb - 1, 30, 0x08);
-        let mut rng = Xoshiro256::seed_from(6);
-        let mut access = |oram: &mut PathOram| {
-            oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
-        };
-        let served = (0..10).take_while(|_| access(&mut oram).is_ok()).count();
-        let stopped = access(&mut oram).expect_err("fail-stopped");
-        assert_eq!(stopped.bucket(), Some(nb - 1));
-        assert!(matches!(stopped, OramError::Integrity { .. }));
-        let stats = oram.fault_stats();
-        assert!(
-            served < 9 || stats.scrub_runs == 1,
-            "neither an access nor the scrub met the bucket"
-        );
-        assert_eq!(stats.recovered, 0, "nothing to repair from");
-    }
-
-    #[test]
-    fn stash_never_exceeds_hard_capacity() {
-        // Seeded-loop property: under eviction pressure with a hard
-        // capacity configured, resting occupancy stays bounded (or the
-        // controller fail-stops with a typed overflow, never silently
-        // exceeding it).
+    fn the_drain_stops_at_its_per_access_bound() {
+        // More foreign blocks than the whole tree can place: the drain
+        // evicts its bound's worth of paths and returns, leaving the
+        // stash over its limit for the next access.
         let cfg = OramConfig {
             stash_limit: 4,
-            z: 2,
-            stash_hard_capacity: Some(12),
-            ..OramConfig::small_for_tests(400)
-        };
-        let cap = cfg.stash_hard_capacity.unwrap();
-        let mut oram = PathOram::new(cfg, 11);
-        let mut rng = Xoshiro256::seed_from(1);
-        for i in 0..300 {
-            match oram.try_access_block(BlockAddr(rng.next_below(400)), AccessKind::Read) {
-                Ok(_) => assert!(
-                    oram.stash().len() <= cap,
-                    "iteration {i}: stash {} over hard capacity {cap}",
-                    oram.stash().len()
-                ),
-                Err(OramError::StashOverflow { occupancy, .. }) => {
-                    // Fail-stop is the documented last resort; it must
-                    // name the offending occupancy.
-                    assert!(occupancy > cap);
-                    return;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        oram.check_invariants();
-    }
-
-    #[test]
-    fn emergency_eviction_drains_past_the_bounded_limit() {
-        // Flood the stash past what the bounded per-access drain can
-        // place so the emergency mode must engage, at a load the tree
-        // can still absorb. Placement efficiency depends on leaf draws,
-        // so probe increasing floods (deterministic per seed) until one
-        // engages the emergency path and still drains successfully.
-        let mut engaged = false;
-        for flood in [182u64, 186, 190, 194, 198] {
-            let cfg = OramConfig {
-                stash_limit: 4,
-                stash_hard_capacity: Some(16),
-                ..OramConfig::small_for_tests(64)
-            };
-            let cap = cfg.stash_hard_capacity.unwrap();
-            let mut oram = PathOram::new(cfg, 19);
-            for i in 0..flood {
-                let leaf = oram.random_leaf();
-                oram.stash
-                    .insert(Block::opaque(BlockAddr(1_000_000 + i), leaf));
-            }
-            let Ok(evictions) = oram.try_drain_background() else {
-                break; // tree saturated; heavier floods only fail harder
-            };
-            assert!(oram.stash().len() <= cap, "drain left stash over capacity");
-            if oram.fault_stats().emergency_evictions > 0 {
-                assert!(
-                    evictions > MAX_BACKGROUND_EVICTIONS_PER_ACCESS,
-                    "emergency counted but drain stayed within the bound"
-                );
-                engaged = true;
-                break;
-            }
-        }
-        assert!(
-            engaged,
-            "no flood level engaged emergency eviction successfully"
-        );
-    }
-
-    #[test]
-    fn saturated_tree_fail_stops_with_typed_overflow() {
-        // More foreign blocks than the whole tree can absorb: even
-        // MAX_EMERGENCY_EVICTIONS paths cannot place them, so the drain
-        // must fail-stop with the typed overflow naming the occupancy.
-        let cfg = OramConfig {
-            stash_limit: 4,
-            stash_hard_capacity: Some(16),
             ..OramConfig::small_for_tests(64)
         };
-        let cap = cfg.stash_hard_capacity.unwrap();
         let mut oram = PathOram::new(cfg, 23);
         let slots = oram.tree.num_buckets() * oram.config.z;
         for i in 0..(slots as u64 + 200) {
@@ -1874,17 +1749,11 @@ mod fault_tests {
             oram.stash
                 .insert(Block::opaque(BlockAddr(1_000_000 + i), leaf));
         }
-        match oram.try_drain_background() {
-            Err(OramError::StashOverflow {
-                occupancy,
-                capacity,
-            }) => {
-                assert_eq!(capacity, cap);
-                assert!(occupancy > cap, "fail-stop below the boundary");
-            }
-            other => panic!("expected StashOverflow, got {other:?}"),
-        }
-        assert!(oram.fault_stats().emergency_evictions > 0);
+        assert_eq!(
+            oram.try_drain_background(),
+            Ok(MAX_BACKGROUND_EVICTIONS_PER_ACCESS)
+        );
+        assert!(oram.stash().over_limit());
     }
 }
 

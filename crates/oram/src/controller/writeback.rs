@@ -4,15 +4,17 @@
 //! off-chip buckets into the encrypted image (where, and only where,
 //! they then live), and drains the stash with background
 //! (dummy) evictions — paper Section 2.4 — bounded per access so an
-//! eviction storm degrades throughput instead of livelocking. The drain
-//! closes every access, so it also carries the periodic image scrub.
+//! eviction storm degrades throughput instead of livelocking. The bound
+//! is all the overflow handling there is: Path ORAM makes stash
+//! occupancy independent of the access sequence, so no access pattern
+//! can push it. [`PathOram::scrub`] re-authenticates the whole image on
+//! demand.
 
-use super::{PathOram, MAX_BACKGROUND_EVICTIONS_PER_ACCESS, MAX_EMERGENCY_EVICTIONS};
+use super::{PathOram, MAX_BACKGROUND_EVICTIONS_PER_ACCESS};
 use crate::addr::Leaf;
 use crate::crash::KillPoint;
 use crate::error::OramError;
 use crate::eviction::write_path_with;
-use proram_obs::{FaultKind, ObsEvent};
 
 impl PathOram {
     /// Greedily writes stash blocks back to the path to `leaf`; with an
@@ -51,23 +53,12 @@ impl PathOram {
     /// The closing step of one access: issues background evictions until
     /// the stash is under its limit, bounded per call so a persistent
     /// eviction storm degrades throughput instead of livelocking the
-    /// simulator, then ticks the periodic image scrub
-    /// ([`crate::OramConfig::scrub_interval`], counted in calls — one per
-    /// access). Returns how many evictions ran.
-    ///
-    /// With [`crate::OramConfig::stash_hard_capacity`] set, a stash still
-    /// above the hard capacity after the bounded drain enters **emergency
-    /// eviction**: a degraded mode (counted in
-    /// [`proram_mem::FaultStats::emergency_evictions`]) that keeps
-    /// evicting up to `MAX_EMERGENCY_EVICTIONS` more paths. Only if the
-    /// stash *still* exceeds capacity does the controller fail-stop.
+    /// simulator. Returns how many evictions ran.
     ///
     /// # Errors
     ///
-    /// Returns [`OramError::StashOverflow`] when emergency eviction cannot
-    /// bring occupancy under the hard capacity, [`OramError::Crashed`]
-    /// when the armed `Evict` crossing is reached on entry, or propagates
-    /// the fail-stop of a path read or of the scrub.
+    /// Returns [`OramError::Crashed`] when the armed `Evict` crossing is
+    /// reached on entry, or propagates the fail-stop of a path read.
     pub fn try_drain_background(&mut self) -> Result<u64, OramError> {
         self.crash_gate(KillPoint::Evict)?;
         let mut n = 0;
@@ -75,50 +66,13 @@ impl PathOram {
             self.try_background_evict()?;
             n += 1;
         }
-        if let Some(cap) = self.config.stash_hard_capacity {
-            let mut emergencies = 0;
-            if self.stash.len() > cap {
-                let occupancy = self.stash.len() as u64;
-                self.obs.emit(|| ObsEvent::FaultDetected {
-                    kind: FaultKind::StashPressure,
-                    bucket: occupancy,
-                });
-            }
-            while self.stash.len() > cap && emergencies < MAX_EMERGENCY_EVICTIONS {
-                self.try_background_evict()?;
-                self.ctrl_faults.emergency_evictions += 1;
-                emergencies += 1;
-                n += 1;
-            }
-            if self.stash.len() > cap {
-                return Err(OramError::StashOverflow {
-                    occupancy: self.stash.len(),
-                    capacity: cap,
-                });
-            }
-            if emergencies > 0 {
-                let occupancy = self.stash.len() as u64;
-                self.obs.emit(|| ObsEvent::FaultRecovered {
-                    kind: FaultKind::StashPressure,
-                    bucket: occupancy,
-                });
-            }
-        }
-        if self.config.scrub_interval > 0 {
-            self.reads_since_scrub += 1;
-            if self.reads_since_scrub >= self.config.scrub_interval {
-                self.reads_since_scrub = 0;
-                self.scrub()?;
-            }
-        }
         Ok(n)
     }
 
     /// Verifies the whole encrypted image
-    /// ([`crate::EncryptedStore::verify_all`]): the periodic scrub pass
-    /// driven by [`crate::OramConfig::scrub_interval`]; it can also be
-    /// called directly. It catches corruption no access has walked into
-    /// yet but cannot undo it: a bucket it flags fail-stops the
+    /// ([`crate::EncryptedStore::verify_all`]) on demand. It finds
+    /// corruption no access has walked into yet but cannot undo it — the
+    /// image is the only copy — so a bucket it flags fail-stops the
     /// controller as a failed path read does.
     ///
     /// # Errors
@@ -129,8 +83,6 @@ impl PathOram {
         let Some(store) = self.store.as_mut() else {
             return Ok(());
         };
-        self.ctrl_faults.scrub_runs += 1;
-        self.ctrl_faults.scrub_buckets += store.num_buckets() as u64;
         store.verify_all().map_err(|err| self.fail_stop(err))
     }
 }

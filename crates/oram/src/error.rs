@@ -4,9 +4,9 @@
 //! variant of [`OramError`]: corruption (a MAC mismatch), rollback (an
 //! authentic but stale bucket replayed by the adversary — distinguishable
 //! from corruption because per-bucket version counters are folded into the
-//! MACs), a transient read failure that exhausted its retry budget, and
-//! stash overflow past the configured hard capacity after emergency
-//! eviction. Errors propagate as values through
+//! MACs) and a transient read failure that exhausted its retry budget.
+//! Two more variants are not faults of the medium: a broken placement
+//! invariant and a simulated crash. Errors propagate as values through
 //! [`crate::backend_trait::OramBackend`] and the `MemoryBackend` access
 //! path; nothing in the storage stack panics on adversarial input.
 
@@ -35,15 +35,6 @@ pub enum OramError {
         stored_version: u64,
         /// Version the trusted on-chip counter expected.
         expected_version: u64,
-    },
-    /// The stash exceeded its configured hard capacity even after
-    /// emergency background eviction — the controller's fail-stop
-    /// condition.
-    StashOverflow {
-        /// Stash occupancy when the overflow was declared.
-        occupancy: usize,
-        /// The configured hard capacity.
-        capacity: usize,
     },
     /// A transient read failure persisted through the whole retry budget.
     Transient {
@@ -93,13 +84,6 @@ impl fmt::Display for OramError {
                 f,
                 "rollback detected in bucket {bucket}: stored version {stored_version}, expected {expected_version}"
             ),
-            OramError::StashOverflow {
-                occupancy,
-                capacity,
-            } => write!(
-                f,
-                "stash overflow: {occupancy} blocks exceed hard capacity {capacity} after emergency eviction"
-            ),
             OramError::Transient {
                 bucket, attempts, ..
             } => write!(
@@ -126,9 +110,7 @@ impl OramError {
             OramError::Integrity { bucket, .. }
             | OramError::Rollback { bucket, .. }
             | OramError::Transient { bucket, .. } => Some(*bucket),
-            OramError::StashOverflow { .. }
-            | OramError::BlockMissing { .. }
-            | OramError::Crashed { .. } => None,
+            OramError::BlockMissing { .. } | OramError::Crashed { .. } => None,
         }
     }
 }
@@ -172,14 +154,6 @@ mod tests {
             }
             .bucket(),
             Some(5)
-        );
-        assert_eq!(
-            OramError::StashOverflow {
-                occupancy: 10,
-                capacity: 8
-            }
-            .bucket(),
-            None
         );
     }
 

@@ -115,7 +115,7 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics if cache, DRAM and ORAM line sizes disagree, or if the line
-    /// size is not a power of two (the engine turns a byte address into a
+    /// size is not a power of two (the system turns a byte address into a
     /// block address by a shift).
     pub fn validate(&self) {
         assert!(

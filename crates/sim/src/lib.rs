@@ -8,14 +8,14 @@
 //! periodic-access timing-channel protection.
 //!
 //! * [`config`] — system configuration (Table 1 defaults),
-//! * [`engine`] — the shared tile engine: the one implementation of the
-//!   step path, backend construction and per-core metrics accounting,
-//! * [`system`] — the single-tile instantiation of the engine,
-//! * [`multicore`] — the N-tile instantiation of the engine,
+//! * [`system`] — the simulated chip at any core count: the one
+//!   implementation of the step path, backend construction and per-core
+//!   metrics accounting,
 //! * [`metrics`] — per-run measurements (with per-core breakdowns) and
 //!   the derived quantities the figures plot (speedup, normalized memory
 //!   accesses, miss rates),
-//! * [`runner`] — one-call experiment execution.
+//! * [`runner`] — one-call experiment execution, including the per-core
+//!   address ranges of a multi-core run.
 //!
 //! # Examples
 //!
@@ -34,16 +34,12 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod engine;
 pub mod metrics;
-pub mod multicore;
 pub mod runner;
 pub mod sharded;
 pub mod system;
 
 pub use config::{MemoryKind, SystemConfig};
-pub use engine::TileEngine;
 pub use metrics::{CoreMetrics, RunMetrics};
-pub use multicore::MultiCoreSystem;
 pub use sharded::ShardedOram;
 pub use system::System;

@@ -6,7 +6,7 @@ use proram_mem::{BackendStats, Cycle};
 
 /// Per-core (per-tile) measurements from one simulation run.
 ///
-/// Produced by the shared tile engine for every tile; a single-core run
+/// Produced by [`crate::System`] for every core; a single-core run
 /// carries exactly one entry. Aggregating the entries reproduces the
 /// run-level totals in [`RunMetrics`] (cycles aggregate as the maximum,
 /// counters as sums; the shared-LLC view in `llc` attributes each demand
@@ -135,7 +135,7 @@ impl RunMetrics {
 
     /// Whether the backend's per-stage cycle attribution (data paths +
     /// posmap/PLB paths + dummy paths) sums to its reported busy cycles.
-    /// The tile engine asserts this at the end of every run.
+    /// [`crate::System::finish`] asserts this at the end of every run.
     pub fn stage_cycles_consistent(&self) -> bool {
         self.backend.stage_cycles_consistent()
     }

@@ -2,22 +2,20 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::RunMetrics;
-use crate::multicore::MultiCoreSystem;
 use crate::system::System;
-use proram_workloads::{suite, BenchSpec, Scale, Workload};
+use proram_workloads::{suite, BenchSpec, Scale, TraceOp, Workload};
 
-/// Runs a workload on a freshly built system.
+/// Runs a workload on a freshly built one-core system.
 pub fn run_workload(workload: &mut dyn Workload, config: &SystemConfig) -> RunMetrics {
-    let system = System::build(config, workload.footprint_bytes());
-    system.run(workload)
+    System::build(config, workload.footprint_bytes()).run(&mut [workload], 0)
 }
 
 /// Builds a registered benchmark at `scale` and runs it, excluding the
 /// scale's warmup prefix from the metrics.
 pub fn run_spec(spec: BenchSpec, scale: Scale, config: &SystemConfig) -> RunMetrics {
     let mut workload = suite::build(spec, scale);
-    let system = System::build(config, workload.footprint_bytes());
-    system.run_with_warmup(workload.as_mut(), scale.warmup_ops)
+    System::build(config, workload.footprint_bytes())
+        .run(&mut [workload.as_mut()], scale.warmup_ops)
 }
 
 /// Runs one benchmark under several memory configurations, returning the
@@ -30,10 +28,60 @@ pub fn compare(spec: BenchSpec, scale: Scale, configs: &[SystemConfig]) -> Vec<R
         .collect()
 }
 
-/// Builds an `num_cores`-tile system running `build_workload(core_id)` on
-/// each core and runs it to completion, excluding the scale's warmup
-/// prefix on every core. The result carries one [`CoreMetrics`] entry per
-/// core in [`RunMetrics::per_core`].
+/// One core's workload moved to its own address range: every address it
+/// issues is shifted up by `offset` (SPMD-style data partitioning, so the
+/// cores never share a line).
+struct Shard {
+    inner: Box<dyn Workload>,
+    offset: u64,
+}
+
+impl Workload for Shard {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn footprint_bytes(&self) -> u64 {
+        self.offset + self.inner.footprint_bytes()
+    }
+
+    fn next_op(&mut self) -> Option<TraceOp> {
+        self.inner.next_op().map(|mut op| {
+            op.addr += self.offset;
+            op
+        })
+    }
+}
+
+/// Builds a `num_cores`-core system and its workloads: core `i` runs
+/// `build_workload(i)` over its own address range, based at the first
+/// line boundary past the range of core `i - 1`. Pass the workloads to
+/// [`System::run`] in order.
+///
+/// # Panics
+///
+/// Panics if `num_cores` is zero or the configuration is inconsistent.
+pub fn build_multicore(
+    config: &SystemConfig,
+    num_cores: usize,
+    mut build_workload: impl FnMut(usize) -> Box<dyn Workload>,
+) -> (System, Vec<Box<dyn Workload>>) {
+    let line_bytes = config.line_bytes();
+    let mut workloads: Vec<Box<dyn Workload>> = Vec::with_capacity(num_cores);
+    let mut footprint = 0u64;
+    for id in 0..num_cores {
+        let inner = build_workload(id);
+        let offset = footprint.div_ceil(line_bytes) * line_bytes;
+        footprint = offset + inner.footprint_bytes();
+        workloads.push(Box::new(Shard { inner, offset }));
+    }
+    (System::with_cores(config, num_cores, footprint), workloads)
+}
+
+/// Builds an `num_cores`-core system running `build_workload(core_id)` on
+/// each core ([`build_multicore`]) and runs it to completion, excluding
+/// the scale's warmup prefix on every core. The result carries one
+/// [`CoreMetrics`] entry per core in [`RunMetrics::per_core`].
 ///
 /// [`CoreMetrics`]: crate::metrics::CoreMetrics
 pub fn run_multicore(
@@ -42,7 +90,9 @@ pub fn run_multicore(
     warmup_ops: u64,
     build_workload: impl FnMut(usize) -> Box<dyn Workload>,
 ) -> RunMetrics {
-    MultiCoreSystem::build(config, num_cores, build_workload).run_with_warmup(warmup_ops)
+    let (system, mut workloads) = build_multicore(config, num_cores, build_workload);
+    let mut refs: Vec<&mut dyn Workload> = workloads.iter_mut().map(|w| w.as_mut() as _).collect();
+    system.run(&mut refs, warmup_ops)
 }
 
 #[cfg(test)]
@@ -51,6 +101,7 @@ mod tests {
     use crate::config::MemoryKind;
     use crate::metrics::CoreMetrics;
     use proram_core::SchemeConfig;
+    use proram_workloads::synthetic::LocalityMix;
     use proram_workloads::Suite;
 
     fn quick_scale() -> Scale {
@@ -118,7 +169,6 @@ mod tests {
 
     #[test]
     fn per_core_counters_reaggregate_to_run_totals() {
-        use proram_workloads::synthetic::LocalityMix;
         let scale = Scale {
             ops: 4_000,
             warmup_ops: 500,
@@ -148,7 +198,6 @@ mod tests {
 
     #[test]
     fn run_multicore_reports_per_core_breakdown() {
-        use proram_workloads::synthetic::LocalityMix;
         let cfg = SystemConfig::quick_test(MemoryKind::Dram);
         let m = run_multicore(&cfg, 2, 200, |id| {
             Box::new(LocalityMix::new(1 << 20, 0.5, 1200, 5 + id as u64))
@@ -157,6 +206,181 @@ mod tests {
         assert_eq!(m.trace_ops, 2 * 1000);
         for c in &m.per_core {
             assert_eq!(c.trace_ops, 1000);
+        }
+    }
+
+    fn run_cores(kind: MemoryKind, num_cores: usize, ops: u64) -> RunMetrics {
+        let cfg = SystemConfig::quick_test(kind);
+        run_multicore(&cfg, num_cores, 0, |id| {
+            Box::new(LocalityMix::with_stride(
+                1 << 20,
+                0.8,
+                ops,
+                7 + id as u64,
+                128,
+            ))
+        })
+    }
+
+    /// A one-core multi-core run IS the single-core run: the offsetting
+    /// path leaves timing and accounting identical for the same seed,
+    /// workload and configuration.
+    fn assert_one_core_equivalence(kind: MemoryKind) {
+        let cfg = SystemConfig::quick_test(kind);
+        let build = || LocalityMix::with_stride(1 << 20, 0.8, 4000, 7, 128);
+        let single = run_workload(&mut build(), &cfg);
+        let multi = run_multicore(&cfg, 1, 0, |_| Box::new(build()));
+        assert_eq!(single.cycles, multi.cycles, "cycles diverged");
+        assert_eq!(
+            single.demand_fetches, multi.demand_fetches,
+            "demand fetches diverged"
+        );
+        assert_eq!(
+            single.backend.physical_accesses, multi.backend.physical_accesses,
+            "physical accesses diverged"
+        );
+        assert_eq!(single.writebacks, multi.writebacks);
+        assert_eq!(single.caches.l1, multi.caches.l1);
+        assert_eq!(single.caches.l2, multi.caches.l2);
+    }
+
+    #[test]
+    fn one_core_equals_single_system_on_dram() {
+        assert_one_core_equivalence(MemoryKind::Dram);
+    }
+
+    #[test]
+    fn one_core_equals_single_system_on_dynamic_oram() {
+        assert_one_core_equivalence(MemoryKind::Oram(SchemeConfig::dynamic(2)));
+    }
+
+    #[test]
+    fn dram_throughput_scales_with_cores_but_oram_does_not() {
+        // The Section 2.6 claim. Throughput = total ops / cycles.
+        let throughput = |kind: MemoryKind, cores: usize| {
+            let m = run_cores(kind, cores, 4000);
+            m.trace_ops as f64 / m.cycles as f64
+        };
+        let dram_scaling = throughput(MemoryKind::Dram, 4) / throughput(MemoryKind::Dram, 1);
+        let oram_scaling = throughput(MemoryKind::Oram(SchemeConfig::baseline()), 4)
+            / throughput(MemoryKind::Oram(SchemeConfig::baseline()), 1);
+        assert!(
+            dram_scaling > oram_scaling + 0.3,
+            "DRAM should scale better: dram x{dram_scaling:.2} vs oram x{oram_scaling:.2}"
+        );
+        assert!(
+            oram_scaling < 1.5,
+            "ORAM serialization must cap multi-core scaling: x{oram_scaling:.2}"
+        );
+    }
+
+    /// `OramShards(s, 1)` is the serialized single controller with a
+    /// different label: timing and accounting must match exactly.
+    #[test]
+    fn one_shard_matches_single_controller() {
+        let run = |kind: MemoryKind| run_cores(kind, 2, 2500);
+        let single = run(MemoryKind::Oram(SchemeConfig::baseline()));
+        let sharded = run(MemoryKind::OramShards(SchemeConfig::baseline(), 1));
+        assert_eq!(sharded.label, "oram_sh1");
+        assert_eq!(single.cycles, sharded.cycles, "N=1 shard must serialize");
+        assert_eq!(
+            single.backend.physical_accesses,
+            sharded.backend.physical_accesses
+        );
+        assert_eq!(single.demand_fetches, sharded.demand_fetches);
+    }
+
+    /// Reads `footprint` bytes from address 0 up, in 24-byte steps
+    /// (wrapping), for `left` ops.
+    struct Scan {
+        footprint: u64,
+        next: u64,
+        left: u64,
+    }
+
+    impl Workload for Scan {
+        fn name(&self) -> &str {
+            "scan"
+        }
+
+        fn footprint_bytes(&self) -> u64 {
+            self.footprint
+        }
+
+        fn next_op(&mut self) -> Option<TraceOp> {
+            self.left = self.left.checked_sub(1)?;
+            let addr = self.next;
+            self.next = (self.next + 24) % self.footprint;
+            Some(TraceOp::read(1, addr))
+        }
+    }
+
+    /// Records every address the wrapped workload issues.
+    struct Recorder {
+        inner: Box<dyn Workload>,
+        seen: Vec<u64>,
+    }
+
+    impl Workload for Recorder {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn footprint_bytes(&self) -> u64 {
+            self.inner.footprint_bytes()
+        }
+
+        fn next_op(&mut self) -> Option<TraceOp> {
+            let op = self.inner.next_op()?;
+            self.seen.push(op.addr);
+            Some(op)
+        }
+    }
+
+    #[test]
+    fn shards_are_disjoint() {
+        let cfg = SystemConfig::quick_test(MemoryKind::Dram);
+        let line = cfg.line_bytes();
+        // Footprints that are not line multiples, so an unaligned base
+        // would share a line with the core below it.
+        let (system, workloads) = build_multicore(&cfg, 3, |id| {
+            Box::new(Scan {
+                footprint: 1000 + 700 * id as u64,
+                next: 0,
+                left: 200,
+            })
+        });
+        let mut recorders: Vec<Recorder> = workloads
+            .into_iter()
+            .map(|inner| Recorder {
+                inner,
+                seen: Vec::new(),
+            })
+            .collect();
+        let mut refs: Vec<&mut dyn Workload> = recorders
+            .iter_mut()
+            .map(|r| r as &mut dyn Workload)
+            .collect();
+        assert_eq!(system.run(&mut refs, 0).trace_ops, 600);
+        // Each core's scan starts at its base, so the lowest address it
+        // issued is the base.
+        let lines: Vec<(u64, u64)> = recorders
+            .iter()
+            .enumerate()
+            .map(|(core, r)| {
+                let (lo, hi) = (r.seen.iter().min(), r.seen.iter().max());
+                let (&lo, &hi) = lo.zip(hi).expect("every core issued");
+                assert_eq!(lo % line, 0, "core {core}'s base {lo} is not line-aligned");
+                (lo / line, hi / line)
+            })
+            .collect();
+        for (i, a) in lines.iter().enumerate() {
+            for (j, b) in lines.iter().enumerate().skip(i + 1) {
+                assert!(
+                    a.1 < b.0 || b.1 < a.0,
+                    "cores {i} and {j} share lines: {a:?} and {b:?}"
+                );
+            }
         }
     }
 }
