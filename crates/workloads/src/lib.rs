@@ -19,7 +19,9 @@
 //! * [`dbms`] — a real miniature storage engine (heap + hash index +
 //!   B-tree) traced while running YCSB-like and TPCC-like transaction
 //!   mixes,
-//! * [`suite`] — the named benchmark registry used by the figures.
+//! * [`suite`] — the named benchmark registry used by the figures; the
+//!   workloads it builds run their generator on a producer thread a
+//!   chunk ahead of the simulator.
 //!
 //! # Examples
 //!
@@ -36,6 +38,7 @@
 
 pub mod dbms;
 pub mod pattern;
+mod pipeline;
 pub mod spec06;
 pub mod splash2;
 pub mod suite;

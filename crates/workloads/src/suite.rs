@@ -1,6 +1,7 @@
 //! The named benchmark registry used by the experiment harness.
 
 use crate::dbms::{Tpcc, Ycsb};
+use crate::pipeline::Pipelined;
 use crate::trace::Workload;
 use crate::{spec06, splash2};
 
@@ -120,12 +121,20 @@ pub fn specs(suite: Suite) -> Vec<BenchSpec> {
     }
 }
 
-/// Builds the named benchmark at the given scale.
+/// Builds the named benchmark at the given scale, its generator running
+/// a chunk ahead on its own thread (the `pipeline` module): the op stream
+/// is the generator's, op for op, and the thread is joined when the
+/// workload is dropped.
 ///
 /// # Panics
 ///
 /// Panics on an unknown benchmark name.
 pub fn build(spec: BenchSpec, scale: Scale) -> Box<dyn Workload> {
+    Box::new(Pipelined::new(generator(spec, scale)))
+}
+
+/// The named benchmark's generator, run inline by whoever calls it.
+pub(crate) fn generator(spec: BenchSpec, scale: Scale) -> Box<dyn Workload + Send> {
     let ops = scale.total_ops();
     match spec.suite {
         Suite::Splash2 => Box::new(splash2::build(
