@@ -133,7 +133,7 @@ fn run_obs(trace_path: &Path) -> ExitCode {
         report.dropped
     );
     println!("{}", obs::kind_table(&report.events));
-    println!("{}", obs::stage_table(&report.profile));
+    println!("{}", obs::stage_table(&report.events));
     println!("{}", obs::shard_table(&report.shards));
     ExitCode::SUCCESS
 }

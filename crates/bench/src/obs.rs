@@ -4,22 +4,24 @@
 //! handle, so the resulting trace exercises every layer the obs layer
 //! hooks into:
 //!
-//! 1. a two-core sharded-ORAM simulation: tile issue/retire events, the
-//!    `Demand` round-trip profile, and — because every ORAM access
-//!    retires through `AccessReport::retire` — the per-stage attribution
-//!    table of the simulated run itself,
+//! 1. a two-core sharded-ORAM simulation: tile issue/retire events (the
+//!    demand round trips) and — because every ORAM access retires
+//!    through `AccessReport::retire` — one `access_retired` event per
+//!    access with its cycle split,
 //! 2. a directly driven [`ShardedOram`] for the per-shard attribution
 //!    table.
 //!
-//! The collected events are emitted as one-line-per-event JSONL.
-//! [`check`] panics when the trace violates the bounded-retention,
-//! JSONL-schema or attribution contracts, so running the subcommand
+//! The collected events are emitted as one-line-per-event JSONL, and the
+//! stage table is a fold of them ([`stage_table`]), exact because
+//! [`check`] asserts the rings dropped nothing. [`check`] panics when the
+//! trace violates the bounded-retention, JSONL-schema or attribution
+//! contracts, so running the subcommand
 //! doubles as a CI smoke gate. What the enabled sinks cost in host time
 //! is measured by `perf/` (`obs.ring_overhead_share`,
 //! `obs.events_per_op`, `obs.ring_dropped`), not here.
 
 use proram_mem::{BlockAddr, MemRequest, MemoryBackend};
-use proram_obs::{Obs, ObsEvent, StageProfile};
+use proram_obs::{Obs, ObsEvent};
 use proram_sim::{runner, MemoryKind, ShardedOram, SystemConfig};
 use proram_stats::{Rng64, Table, Xoshiro256};
 use proram_workloads::synthetic::LocalityMix;
@@ -66,8 +68,6 @@ pub struct ObsReport {
     pub events: Vec<ObsEvent>,
     /// Events the ring evicted once full.
     pub dropped: u64,
-    /// Per-stage cycle attribution aggregated over every run.
-    pub profile: StageProfile,
     /// `access_retired` events the simulated (multi-core) run retained.
     pub sim_retired: usize,
     /// Per-shard attribution from the direct sharded run.
@@ -75,8 +75,8 @@ pub struct ObsReport {
 }
 
 /// Run 1: a two-core system over a two-shard dynamic-scheme ORAM —
-/// tile issue/retire events, the `Demand` round-trip profile and the
-/// cycle split of every access the shards retire.
+/// tile issue/retire events and the cycle split of every access the
+/// shards retire.
 fn run_multicore(obs: &Obs) {
     let cfg = SystemConfig::quick_test(MemoryKind::OramShards(SchemeConfig::dynamic(2), 2));
     let (mut sys, mut workloads) = runner::build_multicore(&cfg, 2, |id| {
@@ -136,8 +136,6 @@ fn run_sharded(obs: &Obs) -> Vec<ShardRow> {
     let mut rng = Xoshiro256::seed_from(41);
     let mut now = 0;
     for i in 0..SHARD_REQUESTS {
-        // Alternate a sequential walk (drives merging) with random
-        // probes (drives breaking) so the trace shows both decisions.
         // Phases of sequential pairs (drives merging) alternating with
         // random probes (evicts prefetches unused, driving breaking).
         let sequential = (i / 500) % 2 == 0;
@@ -178,8 +176,7 @@ fn run_sharded(obs: &Obs) -> Vec<ShardRow> {
 
 /// Runs the two instrumented workloads, each with its own ring so an
 /// event-heavy run cannot starve the other out of the trace, and
-/// [`check`]s the result. Events are concatenated in run order; the
-/// stage profiles are merged.
+/// [`check`]s the result. Events are concatenated in run order.
 pub fn measure() -> ObsReport {
     let (sim, direct) = (Obs::ring(RING_CAPACITY), Obs::ring(RING_CAPACITY));
     run_multicore(&sim);
@@ -187,12 +184,9 @@ pub fn measure() -> ObsReport {
     let mut events = sim.events();
     let sim_retired = count_kind(&events, "access_retired");
     events.extend(direct.events());
-    let mut profile = sim.profile_snapshot();
-    profile.merge(&direct.profile_snapshot());
     let report = ObsReport {
         events,
         dropped: sim.dropped() + direct.dropped(),
-        profile,
         sim_retired,
         shards,
     };
@@ -204,23 +198,24 @@ fn count_kind(events: &[ObsEvent], kind: &str) -> usize {
     events.iter().filter(|e| e.kind() == kind).count()
 }
 
-/// The smoke-gate contracts: bounded retention, JSONL shape, and every
-/// stage attributed.
+/// The smoke-gate contracts: bounded retention, nothing dropped, JSONL
+/// shape, and every stage attributed.
 ///
 /// # Panics
 ///
-/// Panics if the ring retained more events than its capacity, if the
-/// trace is empty, if any event renders to something other than a
+/// Panics if the ring retained more events than its capacity or dropped
+/// any (the stage table folds the trace, so it is exact only when whole),
+/// if the trace is empty, if any event renders to something other than a
 /// single-line flat JSON object, if an event kind falls outside the
-/// published taxonomy, if a lane of the stage table has no entries, if
-/// an `access_issued` lacks its `access_retired`, or if the simulated
-/// run retired no access.
+/// published taxonomy, if a lane of the stage table has no entries, or if
+/// the simulated run retired no access.
 pub fn check(report: &ObsReport) {
     assert!(
         report.events.len() <= MAX_TRACE_EVENTS,
         "trace retained {} events, bound {MAX_TRACE_EVENTS}",
         report.events.len()
     );
+    assert_eq!(report.dropped, 0, "the rings dropped events");
     assert!(
         !report.events.is_empty(),
         "instrumented runs emitted no events"
@@ -242,14 +237,9 @@ pub fn check(report: &ObsReport) {
             "event JSON must be flat: {line}"
         );
     }
-    for (stage, _, entries) in report.profile.iter() {
+    for (stage, entries, _) in stage_lanes(&report.events) {
         assert!(entries > 0, "stage lane {stage} has no entries");
     }
-    assert_eq!(
-        count_kind(&report.events, "access_issued"),
-        count_kind(&report.events, "access_retired"),
-        "every issued access must retire"
-    );
     assert!(
         report.sim_retired > 0,
         "the simulated run retired no access into the trace"
@@ -267,18 +257,59 @@ pub fn to_jsonl(events: &[ObsEvent]) -> String {
     out
 }
 
-/// The per-stage cycle-attribution table.
-pub fn stage_table(profile: &StageProfile) -> Table {
+/// `(stage, entries, cycles)` folded from a trace: the four lanes of
+/// every `access_retired` event, then `demand`, each core's
+/// `tile_issue` → `tile_retire` round trip.
+fn stage_lanes(events: &[ObsEvent]) -> [(&'static str, u64, u64); 5] {
+    let mut lanes = [
+        ("resolve_posmap", 0, 0),
+        ("path_fetch", 0, 0),
+        ("evict", 0, 0),
+        ("backoff", 0, 0),
+        ("demand", 0, 0),
+    ];
+    let mut issued_at = std::collections::HashMap::new();
+    for e in events {
+        match *e {
+            ObsEvent::AccessRetired {
+                posmap,
+                fetch,
+                evict,
+                backoff,
+                ..
+            } => {
+                for (lane, cycles) in lanes.iter_mut().zip([posmap, fetch, evict, backoff]) {
+                    lane.1 += 1;
+                    lane.2 += cycles;
+                }
+            }
+            ObsEvent::TileIssue { core, at, .. } => {
+                issued_at.insert(core, at);
+            }
+            ObsEvent::TileRetire { core, at, .. } => {
+                if let Some(start) = issued_at.remove(&core) {
+                    lanes[4].1 += 1;
+                    lanes[4].2 += at - start;
+                }
+            }
+            _ => {}
+        }
+    }
+    lanes
+}
+
+/// The per-stage cycle-attribution table, folded from the trace.
+pub fn stage_table(events: &[ObsEvent]) -> Table {
     let mut t = Table::new(&["stage", "entries", "cycles", "avg cycles"])
         .with_title("per-stage attribution (retired accesses + demand round trips)");
-    for (stage, cycles, entries) in profile.iter() {
+    for (stage, entries, cycles) in stage_lanes(events) {
         let avg = if entries == 0 {
             0.0
         } else {
             cycles as f64 / entries as f64
         };
         t.row(&[
-            stage.name().to_string(),
+            stage.to_string(),
             entries.to_string(),
             cycles.to_string(),
             format!("{avg:.1}"),
@@ -333,7 +364,7 @@ mod tests {
         let report = measure();
         // The two runs cover tile, scheme and controller layers.
         let kinds: std::collections::BTreeSet<_> = report.events.iter().map(|e| e.kind()).collect();
-        assert!(kinds.contains("access_issued"));
+        assert!(kinds.contains("access_retired"));
         assert!(kinds.contains("tile_issue"));
         assert!(kinds.contains("prefetch_window"));
         assert!(kinds.contains("stash_watermark"));
@@ -353,7 +384,7 @@ mod tests {
     #[test]
     fn tables_render() {
         let report = measure();
-        assert!(stage_table(&report.profile)
+        assert!(stage_table(&report.events)
             .to_string()
             .contains("resolve_posmap"));
         assert!(shard_table(&report.shards)

@@ -2,7 +2,7 @@
 //! inclusive LLC.
 //!
 //! This is the single implementation of the fill/evict/promote path used
-//! by every simulated chip shape: the engine in `proram-sim` runs one
+//! by every simulated chip shape: `System` in `proram-sim` runs one
 //! tile for a single core and several for the multi-core ablations, so
 //! the two cannot diverge in cache semantics.
 //!

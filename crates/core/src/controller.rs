@@ -33,7 +33,6 @@ use proram_mem::{
 use proram_obs::{rate_to_ppm, Obs, ObsEvent};
 use proram_oram::{
     AccessReport, Leaf, OramBackend, OramConfig, OramError, PathKind, PathOram, RecoveryMode,
-    StageCycles,
 };
 use proram_stats::FxHashMap;
 
@@ -54,15 +53,6 @@ pub struct SchemeStats {
     pub prefetch_hits: u64,
     /// Prefetched blocks evicted or re-fetched without being used.
     pub prefetch_misses: u64,
-}
-
-impl SchemeStats {
-    /// Prefetch miss rate over resolved prefetches (Figure 9's metric);
-    /// `None` until a prefetch resolves.
-    pub fn prefetch_miss_rate(&self) -> Option<f64> {
-        let total = self.prefetch_hits + self.prefetch_misses;
-        (total > 0).then(|| self.prefetch_misses as f64 / total as f64)
-    }
 }
 
 /// Path ORAM with the super-block schemes of the paper.
@@ -500,8 +490,8 @@ impl<O: OramBackend> SuperBlockOram<O> {
 
     /// What a request gets when the normal path did not serve it (a
     /// replayed crash, an unrecovered fault): its demand fill, and a
-    /// report charging `latency` as one lump to the fetch lane. Never
-    /// retired into the obs sink.
+    /// report charging `latency` as one lump. Never retired into the obs
+    /// sink.
     fn served_outside_the_path(
         req: MemRequest,
         latency: u64,
@@ -516,10 +506,6 @@ impl<O: OramBackend> SuperBlockOram<O> {
             tree_accesses,
             posmap_accesses: 0,
             background_evictions: 0,
-            stages: StageCycles {
-                fetch: latency,
-                ..StageCycles::default()
-            },
         };
         (report, fills)
     }
@@ -575,7 +561,6 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
                     }
                     self.attempt_txn(req, llc).map(|(mut r, f)| {
                         r.latency += rec.cycles;
-                        r.stages.fetch += rec.cycles;
                         (r, f)
                     })
                 };
@@ -861,7 +846,7 @@ mod tests {
         let pf = o.fills.iter().find(|f| f.prefetched).unwrap().block;
         oram.note_llc_eviction(pf);
         assert_eq!(oram.scheme_stats().prefetch_misses, 1);
-        assert_eq!(oram.scheme_stats().prefetch_miss_rate(), Some(1.0));
+        assert_eq!(oram.scheme_stats().prefetch_hits, 0);
     }
 
     #[test]

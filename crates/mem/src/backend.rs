@@ -294,28 +294,12 @@ impl BackendStats {
         self - baseline
     }
 
-    /// Fraction of prefetched blocks that were used; `None` if nothing was
-    /// prefetched yet.
-    pub fn prefetch_hit_rate(&self) -> Option<f64> {
-        let total = self.prefetch_hits + self.prefetch_misses;
-        (total > 0).then(|| self.prefetch_hits as f64 / total as f64)
-    }
-
     /// `true` if the per-stage cycle attribution is complete: every busy
     /// cycle is claimed by exactly one of the data / position-map / dummy
     /// categories. Backends that attribute stages must keep this exact;
     /// the run-metrics invariant check asserts it.
     pub fn stage_cycles_consistent(&self) -> bool {
         self.data_path_cycles + self.posmap_path_cycles + self.dummy_path_cycles == self.busy_cycles
-    }
-
-    /// Fraction of physical accesses that were dummies.
-    pub fn dummy_rate(&self) -> f64 {
-        if self.physical_accesses == 0 {
-            0.0
-        } else {
-            self.dummy_accesses as f64 / self.physical_accesses as f64
-        }
     }
 }
 
@@ -366,7 +350,7 @@ pub trait MemoryBackend {
     fn label(&self) -> &str;
 
     /// Attaches an observability handle; the backend (and everything it
-    /// wraps) emits its events and per-stage profile there from now on.
+    /// wraps) emits its events there from now on.
     /// The default implementation discards the handle, so backends with
     /// nothing to report need not care.
     fn attach_obs(&mut self, _obs: Obs) {}
@@ -386,15 +370,6 @@ mod tests {
     fn fill_constructors() {
         assert!(!Fill::demand(BlockAddr(1)).prefetched);
         assert!(Fill::prefetch(BlockAddr(1)).prefetched);
-    }
-
-    #[test]
-    fn stats_hit_rate() {
-        let mut s = BackendStats::default();
-        assert_eq!(s.prefetch_hit_rate(), None);
-        s.prefetch_hits = 3;
-        s.prefetch_misses = 1;
-        assert_eq!(s.prefetch_hit_rate(), Some(0.75));
     }
 
     #[test]
@@ -448,14 +423,5 @@ mod tests {
         assert!(s.stage_cycles_consistent());
         s.dummy_path_cycles = 11;
         assert!(!s.stage_cycles_consistent());
-    }
-
-    #[test]
-    fn stats_dummy_rate() {
-        let mut s = BackendStats::default();
-        assert_eq!(s.dummy_rate(), 0.0);
-        s.physical_accesses = 10;
-        s.dummy_accesses = 4;
-        assert!((s.dummy_rate() - 0.4).abs() < 1e-12);
     }
 }

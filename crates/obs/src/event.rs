@@ -11,64 +11,6 @@
 
 use std::fmt;
 
-/// A cost center a profiled span is attributed to: one lane of the stage
-/// table.
-///
-/// The first four variants are the lanes of an access's cycle split
-/// (`StageCycles` in `proram-oram`), recorded once per retired access and
-/// summing to its latency; `Demand` is the simulator's end-to-end
-/// demand-fetch span (issue to retire), which subsumes them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum StageKind {
-    /// Position-map walk and remap.
-    ResolvePosmap,
-    /// The data path's round trip (fetch through write-back).
-    PathFetch,
-    /// Background eviction (dummy) paths after the access.
-    Evict,
-    /// Transient-retry backoff from fault injection.
-    Backoff,
-    /// A core's demand fetch, issue to retire.
-    Demand,
-}
-
-impl StageKind {
-    /// Every stage, in pipeline order; indexes agree with
-    /// [`StageKind::index`].
-    pub const ALL: [StageKind; 5] = [
-        StageKind::ResolvePosmap,
-        StageKind::PathFetch,
-        StageKind::Evict,
-        StageKind::Backoff,
-        StageKind::Demand,
-    ];
-
-    /// Number of stages ([`StageKind::ALL`]'s length).
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Dense index of this stage into [`StageKind::ALL`].
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name used in JSONL traces and tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            StageKind::ResolvePosmap => "resolve_posmap",
-            StageKind::PathFetch => "path_fetch",
-            StageKind::Evict => "evict",
-            StageKind::Backoff => "backoff",
-            StageKind::Demand => "demand",
-        }
-    }
-}
-
-impl fmt::Display for StageKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// The class of a detected fault, mirroring the ORAM error taxonomy
 /// without depending on the ORAM crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,18 +118,12 @@ impl fmt::Display for KillPoint {
 /// string escaping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEvent {
-    /// A logical access was served; always immediately followed by its
-    /// [`ObsEvent::AccessRetired`].
-    AccessIssued {
-        /// Logical block address.
-        addr: u64,
-        /// `true` for writes (identical on the wire; kept for attribution).
-        write: bool,
-    },
     /// A logical access retired with its per-stage cycle attribution.
     AccessRetired {
         /// Logical block address.
         addr: u64,
+        /// `true` for writes (identical on the wire; kept for attribution).
+        write: bool,
         /// Total latency in cycles (sum of the stage fields).
         latency: u64,
         /// Cycles fetching position-map paths.
@@ -201,9 +137,7 @@ pub enum ObsEvent {
     },
     /// The stash reached a new occupancy high-water mark.
     StashWatermark {
-        /// Occupancy that set the mark.
-        occupancy: u64,
-        /// The new peak (equals `occupancy` at the moment it is set).
+        /// The new peak, which is the stash's occupancy when it is set.
         peak: u64,
     },
     /// The dynamic scheme merged two super blocks (paper Algorithm 1).
@@ -297,7 +231,6 @@ impl ObsEvent {
     /// Stable snake_case discriminant name (the JSONL `type` field).
     pub fn kind(&self) -> &'static str {
         match self {
-            ObsEvent::AccessIssued { .. } => "access_issued",
             ObsEvent::AccessRetired { .. } => "access_retired",
             ObsEvent::StashWatermark { .. } => "stash_watermark",
             ObsEvent::SuperBlockMerge { .. } => "super_block_merge",
@@ -313,8 +246,7 @@ impl ObsEvent {
     }
 
     /// Every discriminant name, for schema checks of JSONL traces.
-    pub const KINDS: [&'static str; 12] = [
-        "access_issued",
+    pub const KINDS: [&'static str; 11] = [
         "access_retired",
         "stash_watermark",
         "super_block_merge",
@@ -336,12 +268,9 @@ impl ObsEvent {
     pub fn to_json(&self) -> String {
         let mut s = format!("{{\"type\":\"{}\"", self.kind());
         match *self {
-            ObsEvent::AccessIssued { addr, write } => {
-                push_num(&mut s, "addr", addr);
-                s.push_str(&format!(",\"write\":{write}"));
-            }
             ObsEvent::AccessRetired {
                 addr,
+                write,
                 latency,
                 posmap,
                 fetch,
@@ -349,16 +278,14 @@ impl ObsEvent {
                 backoff,
             } => {
                 push_num(&mut s, "addr", addr);
+                s.push_str(&format!(",\"write\":{write}"));
                 push_num(&mut s, "latency", latency);
                 push_num(&mut s, "posmap", posmap);
                 push_num(&mut s, "fetch", fetch);
                 push_num(&mut s, "evict", evict);
                 push_num(&mut s, "backoff", backoff);
             }
-            ObsEvent::StashWatermark { occupancy, peak } => {
-                push_num(&mut s, "occupancy", occupancy);
-                push_num(&mut s, "peak", peak);
-            }
+            ObsEvent::StashWatermark { peak } => push_num(&mut s, "peak", peak),
             ObsEvent::SuperBlockMerge {
                 base,
                 size,
@@ -437,14 +364,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_indexes_agree_with_all() {
-        for (i, s) in StageKind::ALL.iter().enumerate() {
-            assert_eq!(s.index(), i);
-        }
-        assert_eq!(StageKind::COUNT, StageKind::ALL.len());
-    }
-
-    #[test]
     fn all_kill_points_have_unique_names() {
         let mut names: Vec<&str> = KillPoint::ALL.iter().map(|p| p.name()).collect();
         names.sort_unstable();
@@ -455,22 +374,16 @@ mod tests {
     #[test]
     fn jsonl_lines_are_flat_objects_with_known_types() {
         let events = [
-            ObsEvent::AccessIssued {
-                addr: 5,
-                write: true,
-            },
             ObsEvent::AccessRetired {
                 addr: 5,
+                write: true,
                 latency: 10,
                 posmap: 4,
                 fetch: 3,
                 evict: 2,
                 backoff: 1,
             },
-            ObsEvent::StashWatermark {
-                occupancy: 12,
-                peak: 12,
-            },
+            ObsEvent::StashWatermark { peak: 12 },
             ObsEvent::SuperBlockMerge {
                 base: 16,
                 size: 4,
@@ -517,7 +430,7 @@ mod tests {
                 reverified: 30,
             },
         ];
-        assert_eq!(ObsEvent::KINDS.len(), 12);
+        assert_eq!(ObsEvent::KINDS.len(), 11);
         assert_eq!(events.len(), ObsEvent::KINDS.len());
         for e in &events {
             let line = e.to_json();
@@ -537,6 +450,7 @@ mod tests {
     fn retired_latency_fields_serialize() {
         let e = ObsEvent::AccessRetired {
             addr: 1,
+            write: false,
             latency: 65,
             posmap: 10,
             fetch: 20,
@@ -545,6 +459,7 @@ mod tests {
         };
         let j = e.to_json();
         for part in [
+            "\"write\":false",
             "\"latency\":65",
             "\"posmap\":10",
             "\"fetch\":20",

@@ -3,15 +3,13 @@
 //! PrORAM's evaluation lives and dies on attribution: which cycles went
 //! to position-map walks versus path fetches versus background eviction,
 //! and why the prefetcher fired when it did. This crate is the one layer
-//! every runtime crate reports into:
-//!
-//! 1. **Typed event tracing** — [`ObsEvent`] covers the stack's state
-//!    transitions (access retirement, stash watermarks,
-//!    super-block merges/breaks, prefetch-window decisions,
-//!    fault/recovery); [`Obs::ring`] retains the first `capacity` of
-//!    them in one fixed-size buffer and counts the rest as dropped.
-//! 2. **Profiling hooks** — [`StageProfile`] accumulates simulated
-//!    cycles per [`StageKind`], fed by [`Obs::profile`].
+//! every runtime crate reports into: [`ObsEvent`] covers the stack's
+//! state transitions (access retirement with its cycle split, stash
+//! watermarks, super-block merges/breaks, prefetch-window decisions,
+//! faults, crash and recovery); [`Obs::ring`] retains the first
+//! `capacity` of them in one fixed-size buffer and counts the rest as
+//! dropped. A per-stage cycle table is a fold of the retained
+//! `access_retired` events, not a second record.
 //!
 //! The [`Obs`] handle ties it together: a disabled handle (the default
 //! everywhere) is a `None` whose [`Obs::emit`] never evaluates its
@@ -22,14 +20,12 @@
 //! # Examples
 //!
 //! ```
-//! use proram_obs::{Obs, ObsEvent, StageKind};
+//! use proram_obs::{Obs, ObsEvent};
 //!
 //! let obs = Obs::ring(1024);
-//! obs.emit(|| ObsEvent::AccessIssued { addr: 42, write: false });
-//! obs.profile(StageKind::PathFetch, 1_640 - 1_000);
+//! obs.emit(|| ObsEvent::StashWatermark { peak: 12 });
 //!
 //! assert_eq!(obs.event_count(), 1);
-//! assert_eq!(obs.profile_snapshot().cycles(StageKind::PathFetch), 640);
 //! for event in obs.events() {
 //!     println!("{}", event.to_json()); // one JSONL line per event
 //! }
@@ -39,9 +35,7 @@
 #![warn(missing_docs)]
 
 mod event;
-mod profile;
 mod sink;
 
-pub use event::{rate_to_ppm, FaultKind, KillPoint, ObsEvent, StageKind};
-pub use profile::StageProfile;
+pub use event::{rate_to_ppm, FaultKind, KillPoint, ObsEvent};
 pub use sink::Obs;

@@ -5,13 +5,11 @@
 //! handle (the default) is a `None` — the closure is never evaluated, no
 //! event is built, and the hot path stays byte-identical to the
 //! uninstrumented code (asserted by the `hotpath_equivalence` goldens).
-//! An enabled handle shares one fixed-capacity ring buffer plus a
-//! [`StageProfile`](crate::StageProfile) between every component it was
-//! attached to, so one buffer sees the whole stack's events in emission
-//! order.
+//! An enabled handle shares one fixed-capacity ring buffer between every
+//! component it was attached to, so one buffer sees the whole stack's
+//! events in emission order.
 
-use crate::event::{ObsEvent, StageKind};
-use crate::profile::StageProfile;
+use crate::event::ObsEvent;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A fixed-capacity event buffer.
@@ -45,22 +43,17 @@ impl RingSink {
     }
 }
 
-#[derive(Debug)]
-struct ObsCore {
-    sink: RingSink,
-    profile: StageProfile,
-}
-
-/// A cloneable handle to a shared observability core (sink + profile).
+/// A cloneable handle to a shared event ring.
 ///
 /// The default handle is *disabled*: [`Obs::emit`] ignores its closure
-/// without evaluating it and [`Obs::profile`] is a no-op, so components
-/// constructed without observability pay nothing. Cloning an enabled
-/// handle shares the underlying sink — attach one handle to the
-/// controller, scheduler and engine and they interleave into a single
+/// without evaluating it, so components constructed without
+/// observability pay nothing. Cloning an enabled handle shares the
+/// underlying ring — `System::attach_obs` keeps one handle for its tiles
+/// and passes clones down through the memory backend to the scheme layer
+/// and the ORAM controller, and their events interleave into a single
 /// trace.
 ///
-/// Handles are `Send + Sync` (the core sits behind a `Mutex`), so a
+/// Handles are `Send + Sync` (the ring sits behind a `Mutex`), so a
 /// controller holding one can be borrowed onto a `proram-par` thread.
 /// `ShardedOram::attach_obs` clones one handle into every shard, so under
 /// a threaded `access_batch` the shards contend for the one lock and
@@ -73,7 +66,7 @@ struct ObsCore {
 /// use proram_obs::{Obs, ObsEvent};
 ///
 /// let obs = Obs::ring(16);
-/// obs.emit(|| ObsEvent::AccessIssued { addr: 7, write: false });
+/// obs.emit(|| ObsEvent::StashWatermark { peak: 7 });
 /// assert_eq!(obs.event_count(), 1);
 ///
 /// let disabled = Obs::disabled();
@@ -82,14 +75,14 @@ struct ObsCore {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<Mutex<ObsCore>>>,
+    inner: Option<Arc<Mutex<RingSink>>>,
 }
 
-/// Locks an obs core, ignoring poisoning: a panicked emitter leaves
-/// counters in a sane (if partial) state, and observability must not turn
-/// one panic into a cascade.
-fn lock(core: &Mutex<ObsCore>) -> MutexGuard<'_, ObsCore> {
-    core.lock().unwrap_or_else(PoisonError::into_inner)
+/// Locks a ring, ignoring poisoning: a panicked emitter leaves counters
+/// in a sane (if partial) state, and observability must not turn one
+/// panic into a cascade.
+fn lock(ring: &Mutex<RingSink>) -> MutexGuard<'_, RingSink> {
+    ring.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Obs {
@@ -103,10 +96,7 @@ impl Obs {
     /// built, none retained).
     pub fn ring(capacity: usize) -> Self {
         Obs {
-            inner: Some(Arc::new(Mutex::new(ObsCore {
-                sink: RingSink::new(capacity),
-                profile: StageProfile::default(),
-            }))),
+            inner: Some(Arc::new(Mutex::new(RingSink::new(capacity)))),
         }
     }
 
@@ -119,46 +109,16 @@ impl Obs {
     /// *without evaluating the closure*.
     #[inline]
     pub fn emit(&self, event: impl FnOnce() -> ObsEvent) {
-        if let Some(core) = &self.inner {
+        if let Some(ring) = &self.inner {
             let e = event();
-            lock(core).sink.record(&e);
-        }
-    }
-
-    /// Attributes `cycles` (simulated, not wall clock) to `stage` in the
-    /// shared [`StageProfile`].
-    #[inline]
-    pub fn profile(&self, stage: StageKind, cycles: u64) {
-        if let Some(core) = &self.inner {
-            lock(core).profile.record(stage, cycles);
-        }
-    }
-
-    /// Records the events and `(stage, cycles)` profile lanes built by
-    /// `build`, in order, under one lock acquisition — how a retiring
-    /// access reports itself. Like [`Obs::emit`], a disabled handle never
-    /// evaluates the closure.
-    #[inline]
-    pub fn emit_profiled<const E: usize, const L: usize>(
-        &self,
-        build: impl FnOnce() -> ([ObsEvent; E], [(StageKind, u64); L]),
-    ) {
-        if let Some(core) = &self.inner {
-            let (events, lanes) = build();
-            let mut core = lock(core);
-            for e in &events {
-                core.sink.record(e);
-            }
-            for (stage, cycles) in lanes {
-                core.profile.record(stage, cycles);
-            }
+            lock(ring).record(&e);
         }
     }
 
     /// A copy of the retained events (empty when disabled).
     pub fn events(&self) -> Vec<ObsEvent> {
         match &self.inner {
-            Some(core) => lock(core).sink.events.clone(),
+            Some(ring) => lock(ring).events.clone(),
             None => Vec::new(),
         }
     }
@@ -166,7 +126,7 @@ impl Obs {
     /// Number of retained events.
     pub fn event_count(&self) -> usize {
         match &self.inner {
-            Some(core) => lock(core).sink.events.len(),
+            Some(ring) => lock(ring).events.len(),
             None => 0,
         }
     }
@@ -174,16 +134,8 @@ impl Obs {
     /// Events offered to the sink but not retained.
     pub fn dropped(&self) -> u64 {
         match &self.inner {
-            Some(core) => lock(core).sink.dropped,
+            Some(ring) => lock(ring).dropped,
             None => 0,
-        }
-    }
-
-    /// A copy of the accumulated per-stage profile.
-    pub fn profile_snapshot(&self) -> StageProfile {
-        match &self.inner {
-            Some(core) => lock(core).profile.clone(),
-            None => StageProfile::default(),
         }
     }
 }
@@ -192,8 +144,8 @@ impl Obs {
 mod tests {
     use super::*;
 
-    fn ev(addr: u64) -> ObsEvent {
-        ObsEvent::AccessIssued { addr, write: false }
+    fn ev(peak: u64) -> ObsEvent {
+        ObsEvent::StashWatermark { peak }
     }
 
     #[test]
@@ -231,22 +183,6 @@ mod tests {
         b.emit(|| ev(2));
         assert_eq!(a.event_count(), 2);
         assert_eq!(b.event_count(), 2);
-    }
-
-    #[test]
-    fn emit_profiled_records_events_and_lanes_together() {
-        let obs = Obs::ring(8);
-        obs.emit_profiled(|| {
-            (
-                [ev(1), ev(2)],
-                [(StageKind::Evict, 0), (StageKind::Backoff, 9)],
-            )
-        });
-        assert_eq!(obs.events(), vec![ev(1), ev(2)]);
-        let p = obs.profile_snapshot();
-        assert_eq!(p.entries(StageKind::Evict), 1);
-        assert_eq!(p.cycles(StageKind::Backoff), 9);
-        Obs::disabled().emit_profiled::<1, 1>(|| unreachable!("not evaluated when disabled"));
     }
 
     #[test]

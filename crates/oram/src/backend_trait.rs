@@ -27,8 +27,8 @@ use proram_obs::Obs;
 /// The fallible methods return [`OramError`] for faults the backend
 /// detected and could not survive: corruption, rollback or exhausted
 /// transient retries of a bucket it has no second copy of (it then
-/// fail-stops — every later call returns the same error), stash overflow
-/// past the hard capacity, or an injected crash.
+/// fail-stops — every later call returns the same error), a broken
+/// placement invariant, or an injected crash.
 pub trait OramBackend {
     /// The unified block-address-space layout.
     fn space(&self) -> &AddressSpace;

@@ -115,13 +115,11 @@ impl PathOram {
         self.stash.sample_occupancy();
         // Watermark events fire only when the all-time peak moves, so an
         // attached sink sees the (rare) growth edges, not every access.
+        // The fetch only inserts, so a moved peak is the current length.
         let peak = self.stash.peak();
         if peak > peak_before {
-            let occupancy = self.stash.len() as u64;
-            self.obs.emit(|| ObsEvent::StashWatermark {
-                occupancy,
-                peak: peak as u64,
-            });
+            self.obs
+                .emit(|| ObsEvent::StashWatermark { peak: peak as u64 });
         }
     }
 

@@ -180,7 +180,7 @@ pub struct PathOram {
     /// The fault of the medium this controller fail-stopped on: once set,
     /// every path read returns it.
     pub(crate) failed: Option<OramError>,
-    /// Observability handle (events + per-stage profile); disabled by
+    /// Observability handle (the event ring); disabled by
     /// default so the hot path stays allocation- and branch-free.
     pub(crate) obs: Obs,
     /// Whether a commit transaction is open (between [`PathOram::txn_begin`]
@@ -664,9 +664,9 @@ impl PathOram {
             return;
         }
         if self.txn_open {
-            // The previous access unwound mid-transaction with a
-            // non-crash error (e.g. a stash-overflow fail-stop) and was
-            // never recovered: roll it back so the new transaction opens
+            // The previous access unwound mid-transaction without
+            // latching a fail-stop (a `BlockMissing`, or a crash the
+            // caller never recovered): roll it back so the new transaction opens
             // on consistent state instead of tripping the store's
             // open-journal assertion.
             self.recover();
@@ -1535,16 +1535,41 @@ mod tests {
 
     #[test]
     fn report_latency_equals_stage_total() {
+        use proram_obs::ObsEvent;
         let mut oram = small();
+        oram.attach_obs_handle(Obs::ring(1 << 12));
+        let path = oram.path_cycles();
         let mut rng = Xoshiro256::seed_from(5);
         for _ in 0..50 {
+            let addr = rng.next_below(256);
             let r = oram
-                .try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
+                .try_access_block(BlockAddr(addr), AccessKind::Read)
                 .unwrap();
-            assert_eq!(r.latency, r.stages.total(), "stage attribution broken");
-            assert_eq!(r.stages.fetch, oram.path_cycles());
-            assert_eq!(r.stages.posmap, r.posmap_accesses * oram.path_cycles());
-            assert_eq!(r.stages.evict, r.background_evictions * oram.path_cycles());
+            assert_eq!(
+                r.tree_accesses,
+                1 + r.posmap_accesses + r.background_evictions
+            );
+            assert_eq!(r.latency, r.tree_accesses * path, "no backoff here");
+            let retired = oram
+                .obs()
+                .events()
+                .into_iter()
+                .rev()
+                .find(|e| matches!(e, ObsEvent::AccessRetired { .. }))
+                .expect("the access retired into the trace");
+            assert_eq!(
+                retired,
+                ObsEvent::AccessRetired {
+                    addr,
+                    write: false,
+                    latency: r.latency,
+                    posmap: r.posmap_accesses * path,
+                    fetch: path,
+                    evict: r.background_evictions * path,
+                    backoff: 0,
+                },
+                "stage attribution broken"
+            );
         }
     }
 
@@ -1562,13 +1587,12 @@ mod tests {
             assert_eq!(oram.path_cycles(), lump);
             let mut rng = Xoshiro256::seed_from(3);
             for _ in 0..100 {
+                let backoff0 = oram.fault_stats().backoff_cycles;
                 let r = oram
                     .try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
                     .unwrap();
-                assert_eq!(
-                    r.latency,
-                    r.tree_accesses * oram.path_cycles() + r.stages.backoff
-                );
+                let backoff = oram.fault_stats().backoff_cycles - backoff0;
+                assert_eq!(r.latency, r.tree_accesses * oram.path_cycles() + backoff);
             }
         }
     }

@@ -76,7 +76,7 @@ pub use error::OramError;
 pub use eviction::PathScratch;
 pub use fault::{FaultClass, FaultConfig, FaultyStore};
 pub use layout::StoreLayout;
-pub use pipeline::{AccessReport, StageCycles};
+pub use pipeline::AccessReport;
 pub use plb::Plb;
 pub use posmap::PosEntry;
 pub use shi::{ShiOram, ShiOramConfig};

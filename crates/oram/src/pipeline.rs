@@ -6,42 +6,21 @@
 //! either by [`PathOram::try_access_block`] or by the super-block schemes
 //! in `proram-core` (which claim more than one block from the fetched
 //! path). Both end in [`AccessReport::retire`], which turns the access's
-//! path counts into its cycle split ([`StageCycles`]) and reports it to
-//! the attached observability handle. Every path — data, position-map or
-//! dummy — costs the same [`crate::PathOram::path_cycles`]: path bytes over
-//! pin bandwidth, the paper's one price for an access (Section 2.6).
+//! path counts into its latency and reports the cycle split to the
+//! attached observability handle as one `access_retired` event. Every
+//! path — data, position-map or dummy — costs the same
+//! [`crate::PathOram::path_cycles`]: path bytes over pin bandwidth, the
+//! paper's one price for an access (Section 2.6).
 //!
 //! [`PathOram::try_access_block`]: crate::PathOram::try_access_block
 
 use proram_mem::{AccessKind, BlockAddr};
-use proram_obs::{Obs, ObsEvent, StageKind};
-
-/// Per-stage cycle attribution of one access; the stage totals sum to the
-/// reported latency.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageCycles {
-    /// Cycles spent fetching position-map paths.
-    pub posmap: u64,
-    /// Cycles spent fetching the data path itself.
-    pub fetch: u64,
-    /// Cycles spent on background-eviction (dummy) paths.
-    pub evict: u64,
-    /// Transient-retry backoff charged by fault injection.
-    pub backoff: u64,
-}
-
-impl StageCycles {
-    /// Total cycles across all stages — equals the access latency.
-    pub fn total(&self) -> u64 {
-        self.posmap + self.fetch + self.evict + self.backoff
-    }
-}
+use proram_obs::{Obs, ObsEvent};
 
 /// Result of one logical access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessReport {
     /// Cycles the access occupied the ORAM (path transfers + overheads).
-    /// Always equals [`StageCycles::total`] of `stages`.
     pub latency: u64,
     /// Total tree path accesses performed (data + posmap + background).
     pub tree_accesses: u64,
@@ -49,8 +28,6 @@ pub struct AccessReport {
     pub posmap_accesses: u64,
     /// Background evictions among them.
     pub background_evictions: u64,
-    /// Per-stage cycle attribution summing to `latency`.
-    pub stages: StageCycles,
 }
 
 impl AccessReport {
@@ -61,8 +38,9 @@ impl AccessReport {
     /// claims more blocks from one shared path, so it is still exactly one
     /// data path.
     ///
-    /// An enabled `obs` receives `access_issued`, `access_retired` and one
-    /// profile entry per cycle lane, under a single lock acquisition.
+    /// An enabled `obs` receives one `access_retired` event carrying the
+    /// four cycle lanes (posmap / fetch / evict / backoff), which sum to
+    /// the latency.
     pub fn retire(
         obs: &Obs,
         addr: BlockAddr,
@@ -72,42 +50,22 @@ impl AccessReport {
         path_cycles: u64,
         backoff: u64,
     ) -> AccessReport {
-        let stages = StageCycles {
+        let tree_accesses = 1 + posmap_accesses + background_evictions;
+        let latency = tree_accesses * path_cycles + backoff;
+        obs.emit(|| ObsEvent::AccessRetired {
+            addr: addr.0,
+            write: kind == AccessKind::Write,
+            latency,
             posmap: posmap_accesses * path_cycles,
             fetch: path_cycles,
             evict: background_evictions * path_cycles,
             backoff,
-        };
-        obs.emit_profiled(|| {
-            (
-                [
-                    ObsEvent::AccessIssued {
-                        addr: addr.0,
-                        write: kind == AccessKind::Write,
-                    },
-                    ObsEvent::AccessRetired {
-                        addr: addr.0,
-                        latency: stages.total(),
-                        posmap: stages.posmap,
-                        fetch: stages.fetch,
-                        evict: stages.evict,
-                        backoff: stages.backoff,
-                    },
-                ],
-                [
-                    (StageKind::ResolvePosmap, stages.posmap),
-                    (StageKind::PathFetch, stages.fetch),
-                    (StageKind::Evict, stages.evict),
-                    (StageKind::Backoff, stages.backoff),
-                ],
-            )
         });
         AccessReport {
-            latency: stages.total(),
-            tree_accesses: 1 + posmap_accesses + background_evictions,
+            latency,
+            tree_accesses,
             posmap_accesses,
             background_evictions,
-            stages,
         }
     }
 }
@@ -122,52 +80,31 @@ mod tests {
     fn attached_sink_sees_the_access_lifecycle() {
         let mut oram = PathOram::new(OramConfig::small_for_tests(64), 9);
         oram.attach_obs_handle(Obs::ring(1024));
-        let report = oram
-            .try_access_block(BlockAddr(3), AccessKind::Read)
-            .unwrap();
-        let events = oram.obs().events();
-        // The access reports itself once, at retirement: issued then
-        // retired, back to back.
-        let issued = events
-            .iter()
-            .position(|e| matches!(e, ObsEvent::AccessIssued { .. }))
-            .expect("access issued");
-        assert_eq!(
-            events[issued],
-            ObsEvent::AccessIssued {
-                addr: 3,
-                write: false
-            }
-        );
-        assert_eq!(
-            events[issued + 1],
-            ObsEvent::AccessRetired {
-                addr: 3,
-                latency: report.latency,
-                posmap: report.stages.posmap,
-                fetch: report.stages.fetch,
-                evict: report.stages.evict,
-                backoff: report.stages.backoff,
-            }
-        );
-        let lifecycle = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    ObsEvent::AccessIssued { .. } | ObsEvent::AccessRetired { .. }
-                )
-            })
-            .count();
-        assert_eq!(lifecycle, 2, "one issued/retired pair per access");
-        // The per-stage profile mirrors the report's attribution.
-        let profile = oram.obs().profile_snapshot();
-        assert_eq!(profile.cycles(StageKind::PathFetch), report.stages.fetch);
-        assert_eq!(
-            profile.cycles(StageKind::ResolvePosmap),
-            report.stages.posmap
-        );
-        assert_eq!(profile.entries(StageKind::Backoff), 1);
+        let path = oram.path_cycles();
+        for (addr, kind) in [(3, AccessKind::Read), (5, AccessKind::Write)] {
+            let report = oram.try_access_block(BlockAddr(addr), kind).unwrap();
+            // The access reports itself once, at retirement, with lanes
+            // that sum to its latency.
+            let retired: Vec<_> = oram
+                .obs()
+                .events()
+                .into_iter()
+                .filter(|e| matches!(e, ObsEvent::AccessRetired { addr: a, .. } if *a == addr))
+                .collect();
+            assert_eq!(
+                retired,
+                vec![ObsEvent::AccessRetired {
+                    addr,
+                    write: kind == AccessKind::Write,
+                    latency: report.latency,
+                    posmap: report.posmap_accesses * path,
+                    fetch: path,
+                    evict: report.background_evictions * path,
+                    backoff: 0,
+                }]
+            );
+            assert_eq!(report.latency, report.tree_accesses * path);
+        }
     }
 
     #[test]
@@ -177,16 +114,5 @@ mod tests {
             .unwrap();
         assert!(!oram.obs().is_enabled());
         assert_eq!(oram.obs().event_count(), 0);
-    }
-
-    #[test]
-    fn stage_cycles_total_sums_fields() {
-        let s = StageCycles {
-            posmap: 10,
-            fetch: 20,
-            evict: 30,
-            backoff: 5,
-        };
-        assert_eq!(s.total(), 65);
     }
 }

@@ -9,8 +9,9 @@ use proram_mem::{BackendStats, Cycle};
 /// Produced by [`crate::System`] for every core; a single-core run
 /// carries exactly one entry. Aggregating the entries reproduces the
 /// run-level totals in [`RunMetrics`] (cycles aggregate as the maximum,
-/// counters as sums; the shared-LLC view in `llc` attributes each demand
-/// lookup and each fill-triggered eviction to the tile that issued it).
+/// counters as sums). The shared LLC's counters live once, in
+/// [`RunMetrics::caches`]; a tile's LLC misses are its `demand_fetches`
+/// and its dirty LLC evictions its `writebacks`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreMetrics {
     /// This core's completion time in cycles (its final clock).
@@ -19,10 +20,6 @@ pub struct CoreMetrics {
     pub trace_ops: u64,
     /// This core's private-L1 counters.
     pub l1: CacheStats,
-    /// This core's share of shared-LLC events: demand hits/misses it
-    /// issued and evictions its fills triggered. Dirty-eviction counts
-    /// include dirtiness folded in from private L1 copies.
-    pub llc: CacheStats,
     /// LLC demand misses this core turned into memory fetches.
     pub demand_fetches: u64,
     /// Dirty write-backs this core's fills pushed to memory.
@@ -40,7 +37,6 @@ impl CoreMetrics {
         self.cycles -= baseline.cycles;
         self.trace_ops -= baseline.trace_ops;
         self.l1 = self.l1 - baseline.l1;
-        self.llc = self.llc - baseline.llc;
         self.demand_fetches -= baseline.demand_fetches;
         self.writebacks -= baseline.writebacks;
         self.unused_prefetch_evictions -= baseline.unused_prefetch_evictions;
@@ -110,8 +106,9 @@ impl RunMetrics {
         self.cycles as f64 / baseline.cycles as f64
     }
 
-    /// Prefetch miss rate (Figure 9): unused prefetches over all resolved
-    /// prefetches, combining scheme-level and LLC-level accounting.
+    /// Prefetch miss rate (Figure 9): the backend's unused prefetches over
+    /// all it resolved (`prefetch_misses` over `prefetch_hits +
+    /// prefetch_misses`); `None` until a prefetch resolves.
     pub fn prefetch_miss_rate(&self) -> Option<f64> {
         let hits = self.backend.prefetch_hits;
         let misses = self.backend.prefetch_misses;
