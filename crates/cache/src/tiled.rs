@@ -159,11 +159,6 @@ impl TiledHierarchy {
         }
     }
 
-    /// Counters of one tile's private L1.
-    pub fn l1_stats(&self, tile: usize) -> CacheStats {
-        self.l1s[tile].stats()
-    }
-
     /// Read-only view of the shared last-level cache.
     pub fn llc(&self) -> &Cache {
         &self.l2
@@ -264,8 +259,8 @@ mod tests {
         assert_eq!(s.l1.misses, 2);
         assert_eq!(s.l2.hits, 1);
         assert_eq!(s.l2.misses, 1);
-        assert_eq!(t.l1_stats(0).misses, 1);
-        assert_eq!(t.l1_stats(1).misses, 1);
+        assert_eq!(t.l1(0).stats().misses, 1);
+        assert_eq!(t.l1(1).stats().misses, 1);
     }
 
     #[test]

@@ -45,23 +45,22 @@ impl fmt::Display for FaultKind {
 /// [`ObsEvent::CrashInject`] event and the controller's crash injector
 /// (`proram_oram::CrashConfig`) name the same type.
 ///
-/// The first six variants are crossed at the entry of the controller's
+/// The first five variants are crossed at the entry of the controller's
 /// path primitives (posmap walk, path read, write-back, drain), so every
 /// path an access performs — data, position-map or eviction — crosses
 /// them, under any driver of those primitives; the last two are crossed
 /// inside the storage commit protocol, where a real crash is most
 /// damaging: while undo entries are being journaled and during the
-/// MAC-bound epoch flip. All eight count down on the one arm the store
+/// MAC-bound epoch flip. All seven count down on the one arm the store
 /// owns, and a fired kill of any of them leaves the store dead until
 /// recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KillPoint {
     /// Entering the position-map walk.
     ResolvePosmap,
-    /// Entering a path fetch.
+    /// Entering a path fetch, before the path's image is read,
+    /// authenticated and decrypted.
     PathFetch,
-    /// Entering decrypt/authenticate.
-    DecryptVerify,
     /// Entering the stash update.
     StashUpdate,
     /// Entering the path write-back.
@@ -79,10 +78,9 @@ pub enum KillPoint {
 
 impl KillPoint {
     /// Every kill point, in pipeline-then-commit order.
-    pub const ALL: [KillPoint; 8] = [
+    pub const ALL: [KillPoint; 7] = [
         KillPoint::ResolvePosmap,
         KillPoint::PathFetch,
-        KillPoint::DecryptVerify,
         KillPoint::StashUpdate,
         KillPoint::WriteBack,
         KillPoint::Evict,
@@ -95,7 +93,6 @@ impl KillPoint {
         match self {
             KillPoint::ResolvePosmap => "resolve_posmap",
             KillPoint::PathFetch => "path_fetch",
-            KillPoint::DecryptVerify => "decrypt_verify",
             KillPoint::StashUpdate => "stash_update",
             KillPoint::WriteBack => "write_back",
             KillPoint::Evict => "evict",

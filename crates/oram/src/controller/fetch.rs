@@ -32,8 +32,8 @@ impl PathOram {
     /// fail-stops — this and every later path read return the error —
     /// and no block of that path reaches the stash.
     ///
-    /// Crosses the `PathFetch`, `DecryptVerify` and `StashUpdate` kill
-    /// points on the way, whatever kind of path this is.
+    /// Crosses the `PathFetch` and `StashUpdate` kill points on the way,
+    /// whatever kind of path this is.
     ///
     /// # Errors
     ///
@@ -48,7 +48,6 @@ impl PathOram {
             return Err(err);
         }
         self.crash_gate(KillPoint::PathFetch)?;
-        self.crash_gate(KillPoint::DecryptVerify)?;
         if let Some(store) = self.store.as_mut() {
             let mut path = [0; MAX_LEVELS];
             let mut len = 0;
@@ -88,9 +87,7 @@ impl PathOram {
     /// The stash-update half of a path fetch: moves the fetched path's
     /// blocks into the stash and records stats, trace and occupancy.
     fn fill_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) {
-        if self.tracking() {
-            self.txn_leaves.push(leaf);
-        }
+        self.log_fetched_leaf(leaf);
         let peak_before = self.stash.peak();
         read_path(&mut self.tree, &mut self.stash, leaf);
         match kind {

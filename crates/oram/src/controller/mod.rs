@@ -9,7 +9,10 @@
 //! * `fetch` — path fetch: open the path's image (authenticate, decrypt,
 //!   decode), stash fill, block claim, fail-stop,
 //! * `writeback` — path write-back and seal, background eviction, the
-//!   on-demand image scrub.
+//!   on-demand image scrub,
+//! * `durable` — the crash-consistent commit protocol's controller half:
+//!   transaction begin / commit, checkpoint seals, kill-point gates and
+//!   recovery (DESIGN.md section 15).
 //!
 //! Where each piece of state lives — and that, with a store, the
 //! encrypted image is the only copy of every bucket below the treetop —
@@ -40,6 +43,7 @@
 //! retry within their budget with backoff charged to access latency.
 //! Counters: [`proram_mem::FaultStats`] via [`PathOram::fault_stats`].
 
+pub(crate) mod durable;
 pub(crate) mod fetch;
 pub(crate) mod posmap;
 pub(crate) mod writeback;
@@ -48,10 +52,10 @@ use crate::addr::{AddressSpace, Leaf};
 use crate::block::{Block, Payload};
 use crate::bucket::{BlockRef, Bucket};
 use crate::config::OramConfig;
-use crate::crash::{CrashArm, CrashStats, KillPoint, RecoveryMode, RecoveryReport};
+use crate::crash::RecoveryReport;
 use crate::error::OramError;
 use crate::eviction::PathScratch;
-use crate::journal::{self, Checkpoint, DeltaParts, RecordShape, FULL_SEAL_EVERY};
+use crate::journal::RecordShape;
 use crate::layout::StoreLayout;
 use crate::pipeline::AccessReport;
 use crate::plb::Plb;
@@ -60,6 +64,7 @@ use crate::stash::Stash;
 use crate::storage::EncryptedStore;
 use crate::trace::TraceRecorder;
 use crate::tree::OramTree;
+use durable::Durable;
 use proram_mem::{AccessKind, BlockAddr, FaultStats};
 use proram_obs::Obs;
 use proram_stats::{Rng64, Xoshiro256};
@@ -183,31 +188,8 @@ pub struct PathOram {
     /// Observability handle (the event ring); disabled by
     /// default so the hot path stays allocation- and branch-free.
     pub(crate) obs: Obs,
-    /// Whether a commit transaction is open (between [`PathOram::txn_begin`]
-    /// and the matching commit or recovery).
-    pub(crate) txn_open: bool,
-    /// Leaves of the paths this transaction fetched. A fetched path's
-    /// buckets lose blocks to the stash before the write-back journals
-    /// them, so recovery re-reads their off-chip buckets (with the
-    /// journal's) from the store image.
-    pub(crate) txn_leaves: Vec<Leaf>,
-    /// Top-table indices written in the open transaction
-    /// ([`PathOram::entry_mut`] is the one writer).
-    pub(crate) top_dirty: Vec<u32>,
-    /// Scratch of the commit: the treetop buckets on `txn_leaves`' paths.
-    pub(crate) treetop_dirty: Vec<usize>,
-    /// Set when volatile state moves outside a transaction (a primitive
-    /// driven directly, e.g. a dummy access): the committed checkpoint
-    /// records no longer describe it, so the next transaction opens with
-    /// a `Full` seal. Never read without [`OramConfig::crash`].
-    pub(crate) unsealed: bool,
-    /// Sizes of the two checkpoint record kinds under this configuration.
-    pub(crate) shape: RecordShape,
-    /// `true` once the crash of the open transaction was counted and
-    /// emitted (a dead store surfaces through several callers).
-    pub(crate) crash_surfaced: bool,
-    /// Cumulative crash-injection and recovery counters.
-    pub(crate) crash_stats: CrashStats,
+    /// The commit protocol's controller-side state (`durable`).
+    pub(crate) durable: Durable,
 }
 
 impl PathOram {
@@ -323,16 +305,11 @@ impl PathOram {
                 store.write_bucket(layout.phys_of(idx), &bucket);
                 bucket.drain();
             }
+            // The kill points arm after initialization: init traffic is
+            // not a transaction and must never trip one.
+            store.arm_crash(config.crash);
         }
-        // Crash injection arms after initialization: init traffic is not a
-        // transaction and must never trip a kill point.
-        if let Some(cfg) = config.crash {
-            store
-                .as_mut()
-                .expect("config validation requires store_payloads")
-                .arm_crash(Some(CrashArm::new(cfg)));
-        }
-        let shape = RecordShape::new(&config, top.len());
+        let durable = Durable::new(RecordShape::new(&config, top.len()));
 
         let trace = if config.trace_capacity > 0 {
             TraceRecorder::enabled(config.trace_capacity)
@@ -364,19 +341,11 @@ impl PathOram {
             scratch: PathScratch::new(),
             failed: None,
             obs: Obs::disabled(),
-            txn_open: false,
-            txn_leaves: Vec::new(),
-            top_dirty: Vec::new(),
-            treetop_dirty: Vec::new(),
-            unsealed: false,
-            shape,
-            crash_surfaced: false,
-            crash_stats: CrashStats::default(),
+            durable,
         };
-        // The chain every later delta extends starts at the initial state.
-        if oram.config.crash.is_some() {
-            oram.seal_checkpoint(true);
-        }
+        // With the protocol armed, the chain every later delta extends
+        // starts at the initial state.
+        oram.seal_checkpoint(true);
         oram
     }
 
@@ -630,406 +599,6 @@ impl PathOram {
         self.obs = obs;
     }
 
-    // ------------------------------------------------------------------
-    // Crash-consistent commit protocol (DESIGN.md section 15)
-    // ------------------------------------------------------------------
-
-    /// Cumulative crash-injection and recovery counters.
-    pub fn crash_stats(&self) -> CrashStats {
-        self.crash_stats
-    }
-
-    /// Whether a transaction is open, i.e. whether the funnels that
-    /// mutate volatile state (this, [`PathOram::entry_mut`], the PLB and
-    /// stash logs, `txn_leaves`) are logging for the commit's delta.
-    /// Every such funnel asks here first, so a mutation outside a
-    /// transaction leaves its mark instead.
-    pub(crate) fn tracking(&mut self) -> bool {
-        if !self.txn_open {
-            self.unsealed = true;
-        }
-        self.txn_open
-    }
-
-    /// Opens the commit transaction of one logical access: starts
-    /// first-touch undo journaling and the dirty logs. Nothing is sealed —
-    /// the pre-access volatile state is what the committed checkpoint
-    /// records describe — unless it moved outside a transaction since the
-    /// last seal, in which case one `Full` brings the records up to date.
-    /// No-op without [`OramConfig::crash`] — the protocol costs nothing
-    /// when disarmed — and after a fail-stop, whose half-done transaction
-    /// stays as it is.
-    pub(crate) fn txn_begin(&mut self) {
-        if self.config.crash.is_none() || self.failed.is_some() {
-            return;
-        }
-        if self.txn_open {
-            // The previous access unwound mid-transaction without
-            // latching a fail-stop (a `BlockMissing`, or a crash the
-            // caller never recovered): roll it back so the new transaction opens
-            // on consistent state instead of tripping the store's
-            // open-journal assertion.
-            self.recover();
-        }
-        if self.unsealed {
-            self.seal_checkpoint(true);
-        }
-        self.store
-            .as_mut()
-            .expect("crash injection requires store_payloads")
-            .begin_txn();
-        self.txn_open = true;
-        self.txn_leaves.clear();
-        self.top_dirty.clear();
-        self.plb.start_log();
-        self.stash.start_log();
-        self.crash_surfaced = false;
-    }
-
-    /// Commits the open transaction: seals checkpoint B and asks the
-    /// store to flip the epoch and discard the journal.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Crashed`] when the `MidFlip` kill point fires inside
-    /// the flip; the transaction is then durable and recovery replays it.
-    pub(crate) fn txn_commit(&mut self) -> Result<(), OramError> {
-        if !self.txn_open {
-            return Ok(());
-        }
-        self.seal_checkpoint(false);
-        let store = self
-            .store
-            .as_mut()
-            .expect("crash injection requires store_payloads");
-        match store.commit_txn() {
-            Ok(entries) => {
-                let epoch = store.epoch();
-                self.txn_open = false;
-                self.obs
-                    .emit(|| proram_obs::ObsEvent::JournalCommit { entries, epoch });
-                Ok(())
-            }
-            Err(_) => Err(self.surface_crash()),
-        }
-    }
-
-    /// Seals the controller's volatile state (RNG, top table, stash, PLB,
-    /// treetop buckets) as of now into the store's checkpoint chain, and
-    /// ends the dirty logs: the sealed state is what the next log is
-    /// relative to.
-    ///
-    /// The record is a `Delta` — what the funnels logged since
-    /// [`PathOram::txn_begin`] — unless `full` is asked for, the chain
-    /// reached [`FULL_SEAL_EVERY`] records, or the delta does not fit its
-    /// fixed size (an *early* `Full`). Either kind is written from the
-    /// live structures into the store's reusable arena: nothing is
-    /// cloned, nothing allocated.
-    ///
-    /// The treetop is volatile on-chip SRAM with no ciphertext image, so
-    /// its buckets ride in the records: the on-chip prefix of every
-    /// fetched path in a `Delta`, all of it in a `Full`.
-    fn seal_checkpoint(&mut self, full: bool) {
-        let PathOram {
-            store,
-            rng,
-            top,
-            top_dirty,
-            plb,
-            stash,
-            tree,
-            layout,
-            txn_leaves,
-            treetop_dirty,
-            shape,
-            crash_stats,
-            ..
-        } = self;
-        let store = store
-            .as_mut()
-            .expect("crash injection requires store_payloads");
-        let mut sealed = None;
-        if !full && store.checkpoint_chain_len() < FULL_SEAL_EVERY {
-            top_dirty.sort_unstable();
-            top_dirty.dedup();
-            treetop_dirty.clear();
-            for &leaf in txn_leaves.iter() {
-                let prefix = 0..layout.treetop_levels();
-                treetop_dirty.extend(prefix.map(|level| tree.bucket_index(leaf, level)));
-            }
-            treetop_dirty.sort_unstable();
-            treetop_dirty.dedup();
-            sealed = store.seal_checkpoint(false, shape.delta_bytes, |out| {
-                let parts = DeltaParts {
-                    rng: rng.state(),
-                    top,
-                    top_dirty,
-                    plb_ops: plb.logged_ops(),
-                    plb_dirty: plb.logged_dirty(),
-                    stash_removed: stash.logged_removed(),
-                    stash_dirty: stash.logged_dirty(),
-                    treetop: treetop_dirty.iter().map(|&idx| (idx, tree.bucket(idx))),
-                };
-                journal::write_delta(out, parts);
-            });
-            match sealed {
-                Some(_) => crash_stats.delta_seals += 1,
-                None => crash_stats.early_full_seals += 1,
-            }
-        }
-        let bytes = sealed.unwrap_or_else(|| {
-            crash_stats.full_seals += 1;
-            let fill =
-                |out: &mut Vec<u8>| Self::write_volatile(out, rng, top, stash, plb, tree, layout);
-            store
-                .seal_checkpoint(true, shape.full_bytes, fill)
-                .expect("a Full record is never refused")
-        });
-        crash_stats.checkpoint_bytes += bytes as u64;
-        plb.stop_log();
-        stash.stop_log();
-        self.unsealed = false;
-    }
-
-    /// The plaintext of a `Full` record: the whole volatile state.
-    fn write_volatile(
-        out: &mut Vec<u8>,
-        rng: &Xoshiro256,
-        top: &[PosEntry],
-        stash: &Stash,
-        plb: &Plb,
-        tree: &OramTree,
-        layout: &StoreLayout,
-    ) {
-        let treetop = (0..layout.treetop_buckets()).map(|idx| tree.bucket(idx));
-        journal::write_full(out, rng.state(), top, stash.iter(), plb.iter(), treetop);
-    }
-
-    /// Checkpoint auditor: asserts that the committed checkpoint records,
-    /// decoded from their sealed bytes — the `Full` with every `Delta`
-    /// since applied — describe exactly the live volatile state (RNG, top
-    /// table, stash, PLB in recency order, treetop). A mutation the dirty
-    /// logs missed fails here. Vacuous without [`OramConfig::crash`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chain fails its seal or differs from the live state,
-    /// or if called inside an open transaction.
-    pub fn audit_checkpoints(&self) {
-        let Some(store) = self.store.as_ref().filter(|_| self.config.crash.is_some()) else {
-            return;
-        };
-        assert!(!self.txn_open, "checkpoints describe committed state");
-        let sealed = store
-            .fold_checkpoints()
-            .expect("checkpoint chain failed its seal");
-        let live = Checkpoint::capture(store.epoch(), |out| {
-            Self::write_volatile(
-                out,
-                &self.rng,
-                &self.top,
-                &self.stash,
-                &self.plb,
-                &self.tree,
-                &self.layout,
-            );
-        });
-        // Field by field, so a failure names what diverged.
-        assert_eq!(sealed.epoch, live.epoch, "sealed epoch");
-        assert_eq!(sealed.rng, live.rng, "sealed RNG state");
-        assert_eq!(sealed.top, live.top, "sealed top table");
-        assert_eq!(sealed.stash, live.stash, "sealed stash");
-        assert_eq!(sealed.plb, live.plb, "sealed PLB (MRU first)");
-        assert_eq!(sealed.treetop, live.treetop, "sealed treetop");
-    }
-
-    /// Crosses a stage kill point on the store's arm; the path
-    /// primitives call this at their entry. Fires only inside an open
-    /// transaction, so primitives driven without the commit protocol (no
-    /// [`OramConfig::crash`], or outside an access) never unwind here.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Crashed`] when the armed crossing is reached; the
-    /// store is dead from then until [`PathOram::recover`].
-    pub(crate) fn crash_gate(&mut self, point: KillPoint) -> Result<(), OramError> {
-        if self.txn_open && self.store.as_mut().is_some_and(|s| s.cross(point)) {
-            return Err(self.surface_crash());
-        }
-        Ok(())
-    }
-
-    /// Surfaces a kill that fired during a write the store silently
-    /// dropped (the "dead store" contract): `Ok` when the store is alive,
-    /// the typed crash otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Crashed`] naming the kill point that fired.
-    pub(crate) fn store_crash_check(&mut self) -> Result<(), OramError> {
-        match self.store.as_ref().and_then(EncryptedStore::crash_fired) {
-            None => Ok(()),
-            Some(_) => Err(self.surface_crash()),
-        }
-    }
-
-    /// Counts and emits the fired kill exactly once per transaction,
-    /// returning the typed error for the caller to propagate.
-    fn surface_crash(&mut self) -> OramError {
-        let point = self
-            .store
-            .as_ref()
-            .and_then(EncryptedStore::crash_fired)
-            .expect("a fired kill to surface");
-        if !self.crash_surfaced {
-            self.crash_surfaced = true;
-            self.crash_stats.crashes_injected += 1;
-            let crossing = self.config.crash.map_or(0, |c| c.crossing);
-            self.obs
-                .emit(|| proram_obs::ObsEvent::CrashInject { point, crossing });
-        }
-        OramError::Crashed { point }
-    }
-
-    /// Recovers from a crashed access: closes the store journal (rollback
-    /// or replay), adopts the matching sealed checkpoint, re-authenticates
-    /// the image of every bucket the transaction touched, and clears the
-    /// transaction state.
-    ///
-    /// Safe to call when nothing crashed — it reports
-    /// [`RecoveryMode::Clean`] and changes nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the epoch header or the adopted checkpoint fails its MAC,
-    /// or if a touched bucket fails re-authentication — recovery must
-    /// never adopt forged state.
-    pub fn recover(&mut self) -> RecoveryReport {
-        let Some(store) = self.store.as_mut() else {
-            self.crash_stats.clean_recoveries += 1;
-            return self.clean_recovery();
-        };
-        let Some(rec) = store.recover_txn() else {
-            // No transaction was open: volatile state and image are what
-            // they were. Only the bookkeeping needs clearing.
-            self.crash_stats.clean_recoveries += 1;
-            return self.clean_recovery();
-        };
-        // The committed records are the pre-access state after a
-        // rollback; after a replay the store committed the pending
-        // checkpoint B on top, which makes them the post-access state.
-        // Either way they end at the store's epoch. Nothing live is
-        // consulted: everything volatile comes back from sealed bytes.
-        let checkpoint = store
-            .fold_checkpoints()
-            .expect("checkpoint failed its seal");
-        assert_eq!(
-            checkpoint.epoch,
-            store.epoch(),
-            "adopted checkpoint is from another epoch"
-        );
-        // Adopt the checkpointed volatile state: RNG (so a rolled-back
-        // access retries with identical randomness), top table, stash and
-        // PLB (re-inserted oldest-first so the MRU order is restored).
-        self.rng = Xoshiro256::from_state(checkpoint.rng);
-        self.top = checkpoint.top;
-        let mut stash = Stash::new(self.stash.limit());
-        for block in checkpoint.stash {
-            stash.insert(block);
-        }
-        // The adopted stash is the sealed state the next log is
-        // relative to.
-        stash.stop_log();
-        self.stash = stash;
-        let mut plb = Plb::new(self.plb.capacity());
-        for block in checkpoint.plb.into_iter().rev() {
-            plb.insert(block);
-        }
-        self.plb = plb;
-        self.unsealed = false;
-        // The treetop is volatile SRAM with no store image: adopt the
-        // checkpointed buckets wholesale.
-        let treetop = self.layout.treetop_buckets();
-        assert_eq!(
-            checkpoint.treetop.len(),
-            treetop,
-            "adopted checkpoint has the wrong treetop geometry"
-        );
-        for (idx, blocks) in checkpoint.treetop.into_iter().enumerate() {
-            let bucket = self.tree.bucket_mut(idx);
-            bucket.drain();
-            for block in blocks {
-                bucket.push(block);
-            }
-        }
-        // Plaintext of a fetched path the crash left staged is void: its
-        // blocks are in the image or came back with the checkpoint.
-        self.tree.clear_staging();
-        // Re-authenticate the (rolled-back or replayed) image of every
-        // off-chip bucket the transaction touched. Written buckets are in
-        // the journal; a bucket only fetched so far is on the path of a
-        // fetched leaf (the treetop prefix of those paths came back with
-        // the checkpoint above).
-        let journal_entries = rec.touched.len();
-        let mut touched = rec.touched;
-        for &leaf in &self.txn_leaves {
-            touched.extend(self.layout.off_chip_path(leaf).map(|(_, phys)| phys));
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        let store = self.store.as_mut().expect("store present above");
-        for &phys in &touched {
-            store
-                .verify_bucket(phys)
-                .expect("recovered bucket failed authentication");
-        }
-        let reverified = touched.len();
-        let mode = if rec.replay {
-            self.crash_stats.replays += 1;
-            RecoveryMode::Replayed
-        } else {
-            self.crash_stats.rollbacks += 1;
-            RecoveryMode::RolledBack
-        };
-        self.txn_open = false;
-        self.crash_surfaced = false;
-        let replay = rec.replay;
-        // A rollback restored every journaled image; a replay none.
-        let restored = if replay { 0 } else { journal_entries as u64 };
-        self.obs.emit(|| proram_obs::ObsEvent::RecoverReplay {
-            replay,
-            restored,
-            reverified: reverified as u64,
-        });
-        // Modeled recovery latency: every restored image write and every
-        // re-verification read costs one off-chip bucket's share of a
-        // path fetch (restored/reverified buckets are all off-chip).
-        let levels = u64::from(self.config.off_chip_levels()).max(1);
-        let per_bucket = (self.path_cycles / levels).max(1);
-        let cycles = (restored + reverified as u64) * per_bucket;
-        RecoveryReport {
-            mode,
-            journal_entries,
-            buckets_restored: restored as usize,
-            buckets_reverified: reverified,
-            cycles,
-        }
-    }
-
-    /// The nothing-pending recovery result: clears transaction state and
-    /// reports [`RecoveryMode::Clean`].
-    fn clean_recovery(&mut self) -> RecoveryReport {
-        self.txn_open = false;
-        self.crash_surfaced = false;
-        RecoveryReport {
-            mode: RecoveryMode::Clean,
-            journal_entries: 0,
-            buckets_restored: 0,
-            buckets_reverified: 0,
-            cycles: 0,
-        }
-    }
-
     /// Hands every bucket of the tree, in heap order, to `f` — for the
     /// auditors. A resident bucket is borrowed as it is; one that lives in
     /// the image is decoded by a pure read
@@ -1256,7 +825,7 @@ impl crate::backend_trait::OramBackend for PathOram {
     }
 
     fn txn_armed(&self) -> bool {
-        self.config.crash.is_some()
+        durable::durable_store(&self.config, self.store.as_ref()).is_some()
     }
 
     fn txn_commit(&mut self) -> Result<(), OramError> {

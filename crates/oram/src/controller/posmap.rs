@@ -109,15 +109,14 @@ impl PathOram {
     pub fn entry_mut(&mut self, child: BlockAddr) -> &mut PosEntry {
         let h = self.parent_hierarchy(child);
         let idx = self.space.entry_index(child);
-        let tracking = self.tracking();
         if h == self.space.top_hierarchy() {
             let base = self.space.region_base(h - 1);
             let off = (child.0 - base) as usize;
-            if tracking {
-                self.top_dirty.push(off as u32);
-            }
+            self.log_top_write(off);
             return &mut self.top[off];
         }
+        // Outside a transaction a PLB write still leaves its mark.
+        self.tracking();
         let pm_addr = self.space.posmap_block_for(child, h);
         let block = self
             .plb

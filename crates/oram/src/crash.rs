@@ -53,14 +53,13 @@ impl CrashConfig {
     }
 }
 
-/// The live countdown for an armed [`CrashConfig`].
+/// The live countdown for an armed [`CrashConfig`]. The store holds it
+/// and drops it when it fires, so it fires at most once.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CrashArm {
-    pub(crate) point: KillPoint,
+    point: KillPoint,
     /// Crossings left before the kill fires.
-    pub(crate) remaining: u64,
-    /// Set once the kill fired; the arm never fires again.
-    pub(crate) fired: bool,
+    remaining: u64,
 }
 
 impl CrashArm {
@@ -68,30 +67,25 @@ impl CrashArm {
         CrashArm {
             point: cfg.point,
             remaining: cfg.crossing,
-            fired: false,
         }
     }
 
     /// Records one crossing of `point`; returns `true` if the kill
     /// fires now.
     pub(crate) fn cross(&mut self, point: KillPoint) -> bool {
-        if self.fired || point != self.point {
+        if point != self.point {
             return false;
         }
         self.remaining -= 1;
-        if self.remaining == 0 {
-            self.fired = true;
-            true
-        } else {
-            false
-        }
+        self.remaining == 0
     }
 }
 
 /// How [`crate::PathOram::recover`] resolved the interrupted access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RecoveryMode {
     /// No journal was pending; the store was already consistent.
+    #[default]
     Clean,
     /// The crash struck before the epoch flip: every journaled bucket
     /// was restored to its pre-transaction image and the pre-access
@@ -119,8 +113,9 @@ impl fmt::Display for RecoveryMode {
     }
 }
 
-/// What one [`crate::PathOram::recover`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one [`crate::PathOram::recover`] call did; the default is a
+/// [`RecoveryMode::Clean`] recovery that did nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Rollback, replay, or nothing to do.
     pub mode: RecoveryMode,
@@ -163,17 +158,6 @@ pub struct CrashStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arm_fires_on_the_nth_crossing_exactly_once() {
-        let mut arm = CrashArm::new(CrashConfig::at(KillPoint::WriteBack, 3));
-        assert!(!arm.cross(KillPoint::WriteBack));
-        assert!(!arm.cross(KillPoint::PathFetch));
-        assert!(!arm.cross(KillPoint::WriteBack));
-        assert!(arm.cross(KillPoint::WriteBack));
-        // Disarmed after firing.
-        assert!(!arm.cross(KillPoint::WriteBack));
-    }
 
     #[test]
     fn zero_crossing_rejected() {

@@ -33,7 +33,8 @@
 //!
 //! Everything here is serialization, one cipher pass and one MAC; the
 //! protocol logic lives in [`crate::storage`] (journaling, flip) and
-//! [`crate::controller`] (`PathOram::recover`).
+//! `controller/durable.rs` (begin, commit, seals, kill-point gates,
+//! `PathOram::recover`).
 
 use crate::addr::Leaf;
 use crate::block::{Block, Payload};
@@ -135,7 +136,7 @@ impl TxnJournal {
 
 /// Sizes of the two record kinds. Public by construction: they follow
 /// from the configuration alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RecordShape {
     /// A `Full`: top table, a stash of `stash_limit` blocks, a full PLB
     /// and every treetop bucket at Z blocks.

@@ -31,7 +31,7 @@
 use crate::addr::Leaf;
 use crate::block::{Block, Payload};
 use crate::bucket::{BlockRef, Bucket};
-use crate::crash::{CrashArm, KillPoint};
+use crate::crash::{CrashArm, CrashConfig, KillPoint};
 use crate::crypto::{Mac, MacLane, StreamCipher, MAC_LANES};
 use crate::error::OramError;
 use crate::fault::{FaultConfig, FaultyStore};
@@ -124,11 +124,12 @@ pub struct EncryptedStore {
     checkpoints: CheckpointChain,
     /// Countdown arm for the kill points: the store crosses `MidJournal`
     /// and `MidFlip` itself, the controller's path primitives cross the
-    /// six stage points through [`Self::cross`].
+    /// five stage points through [`Self::cross`]. Taken when it fires.
     crash: Option<CrashArm>,
     /// Once a kill point fired the store is "dead": every subsequent
     /// write is dropped until [`Self::recover_txn`] clears the state,
-    /// exactly as if the process had exited mid-access.
+    /// exactly as if the process had exited mid-access. The one record
+    /// that the kill fired.
     fired: Option<KillPoint>,
 }
 
@@ -280,8 +281,14 @@ impl EncryptedStore {
 
     /// Arms (or disarms) crash injection. The store holds the one arm so
     /// that a kill at any point leaves it dead, whoever crossed the point.
-    pub(crate) fn arm_crash(&mut self, arm: Option<CrashArm>) {
-        self.crash = arm;
+    pub(crate) fn arm_crash(&mut self, crash: Option<CrashConfig>) {
+        self.crash = crash.map(CrashArm::new);
+    }
+
+    /// Whether a transaction is open (between [`Self::begin_txn`] and
+    /// the commit or recovery that closes it) — the one record of it.
+    pub(crate) fn txn_open(&self) -> bool {
+        self.journal.open
     }
 
     /// The kill point that killed this store, if one fired. The store
@@ -445,15 +452,14 @@ impl EncryptedStore {
     }
 
     /// Crosses a kill point; `true` means it fired and the store is now
-    /// dead.
+    /// dead. Firing consumes the arm, so it fires at most once.
     pub(crate) fn cross(&mut self, point: KillPoint) -> bool {
-        if let Some(arm) = self.crash.as_mut() {
-            if arm.cross(point) {
-                self.fired = Some(point);
-                return true;
-            }
+        if !self.crash.as_mut().is_some_and(|arm| arm.cross(point)) {
+            return false;
         }
-        false
+        self.crash = None;
+        self.fired = Some(point);
+        true
     }
 
     /// Serializes, encrypts and stores `bucket` at `index` under a fresh
@@ -1395,8 +1401,6 @@ mod tests {
         s.write_bucket(0, &b);
     }
 
-    use crate::crash::CrashConfig;
-
     fn one_block_bucket(addr: u64, fill: u8) -> Bucket {
         let mut b = Bucket::new(3);
         b.push(data_block(addr, fill));
@@ -1475,7 +1479,7 @@ mod tests {
         seal_marker(&mut s, true, 0xA);
         s.begin_txn();
         s.write_bucket(4, &one_block_bucket(31, 0x31));
-        s.arm_crash(Some(CrashArm::new(CrashConfig::first(KillPoint::MidFlip))));
+        s.arm_crash(Some(CrashConfig::first(KillPoint::MidFlip)));
         // The `Full` due every `FULL_SEAL_EVERY` commits, as checkpoint B.
         let before = committed_records(&s);
         seal_marker(&mut s, true, 0xB);
@@ -1504,9 +1508,7 @@ mod tests {
         s.write_bucket(6, &one_block_bucket(40, 0x40));
         let before = s.ciphertext(6).to_vec();
         s.begin_txn();
-        s.arm_crash(Some(CrashArm::new(CrashConfig::first(
-            KillPoint::MidJournal,
-        ))));
+        s.arm_crash(Some(CrashConfig::first(KillPoint::MidJournal)));
         s.write_bucket(6, &one_block_bucket(41, 0x41));
         assert_eq!(s.crash_fired(), Some(KillPoint::MidJournal));
         assert_eq!(s.ciphertext(6), &before[..], "home write dropped");
@@ -1518,6 +1520,23 @@ mod tests {
         assert_eq!(rec.touched, [6], "the undo entry itself is durable");
         s.verify_all().expect("rolled-back image authenticates");
         assert_eq!(s.try_read_bucket(6).unwrap()[0].addr, BlockAddr(40));
+    }
+
+    #[test]
+    fn arm_fires_on_the_nth_crossing_exactly_once() {
+        let mut s = store();
+        s.arm_crash(Some(CrashConfig::at(KillPoint::WriteBack, 3)));
+        assert!(!s.cross(KillPoint::WriteBack));
+        assert!(!s.cross(KillPoint::PathFetch));
+        assert!(!s.cross(KillPoint::WriteBack));
+        assert_eq!(s.crash_fired(), None);
+        assert!(s.cross(KillPoint::WriteBack));
+        assert_eq!(s.crash_fired(), Some(KillPoint::WriteBack));
+        // Firing consumed the arm: recovery revives the store, and the
+        // point never fires again.
+        assert!(s.recover_txn().is_none());
+        assert_eq!(s.crash_fired(), None);
+        assert!(!(0..10).any(|_| s.cross(KillPoint::WriteBack)));
     }
 
     /// The path kernels against the per-bucket loop (batches of one) and
@@ -1656,7 +1675,7 @@ mod tests {
                     let mut s = warm.clone();
                     s.begin_txn();
                     let kill = CrashConfig::at(KillPoint::MidJournal, k as u64 + 1);
-                    s.arm_crash(Some(CrashArm::new(kill)));
+                    s.arm_crash(Some(kill));
                     if batched {
                         s.write_buckets(&refs(&doomed));
                     } else {

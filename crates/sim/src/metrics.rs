@@ -1,33 +1,23 @@
 //! Per-run measurements and the derived quantities the paper's figures
 //! plot.
 
-use proram_cache::{CacheStats, HierarchyStats};
+use proram_cache::HierarchyStats;
 use proram_mem::{BackendStats, Cycle};
 
-/// Per-core (per-tile) measurements from one simulation run.
+/// Per-core (per-tile) measurements from one simulation run: what only a
+/// core has, its clock and its op count.
 ///
 /// Produced by [`crate::System`] for every core; a single-core run
-/// carries exactly one entry. Aggregating the entries reproduces the
-/// run-level totals in [`RunMetrics`] (cycles aggregate as the maximum,
-/// counters as sums). The shared LLC's counters live once, in
-/// [`RunMetrics::caches`]; a tile's LLC misses are its `demand_fetches`
-/// and its dirty LLC evictions its `writebacks`.
+/// carries exactly one entry. Run-level `cycles` is the entries' maximum
+/// and `trace_ops` their sum. Every other counter is counted once per
+/// run, in [`RunMetrics`]: the caches in [`RunMetrics::caches`], the
+/// system's own counters beside them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreMetrics {
     /// This core's completion time in cycles (its final clock).
     pub cycles: Cycle,
     /// Trace operations this core executed.
     pub trace_ops: u64,
-    /// This core's private-L1 counters.
-    pub l1: CacheStats,
-    /// LLC demand misses this core turned into memory fetches.
-    pub demand_fetches: u64,
-    /// Dirty write-backs this core's fills pushed to memory.
-    pub writebacks: u64,
-    /// Prefetched lines evicted unused by this core's fills.
-    pub unused_prefetch_evictions: u64,
-    /// Prefetcher candidates dropped because the line was resident.
-    pub prefetch_candidates_filtered: u64,
 }
 
 impl CoreMetrics {
@@ -36,11 +26,6 @@ impl CoreMetrics {
     pub fn subtract_baseline(&mut self, baseline: &CoreMetrics) {
         self.cycles -= baseline.cycles;
         self.trace_ops -= baseline.trace_ops;
-        self.l1 = self.l1 - baseline.l1;
-        self.demand_fetches -= baseline.demand_fetches;
-        self.writebacks -= baseline.writebacks;
-        self.unused_prefetch_evictions -= baseline.unused_prefetch_evictions;
-        self.prefetch_candidates_filtered -= baseline.prefetch_candidates_filtered;
     }
 
     /// Average cycles per trace op on this core.
@@ -76,8 +61,8 @@ pub struct RunMetrics {
     pub unused_prefetch_evictions: u64,
     /// Prefetcher candidates dropped because the line was resident.
     pub prefetch_candidates_filtered: u64,
-    /// Per-core breakdown (one entry per tile; aggregates to the totals
-    /// above).
+    /// Per-core clocks and op counts (one entry per tile; `cycles` is
+    /// their maximum, `trace_ops` their sum).
     pub per_core: Vec<CoreMetrics>,
 }
 
@@ -114,20 +99,6 @@ impl RunMetrics {
         let misses = self.backend.prefetch_misses;
         let total = hits + misses;
         (total > 0).then(|| misses as f64 / total as f64)
-    }
-
-    /// Average cycles per trace op (a cost-per-instruction proxy).
-    pub fn cpi(&self) -> f64 {
-        if self.trace_ops == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.trace_ops as f64
-        }
-    }
-
-    /// Fraction of trace ops that missed the LLC.
-    pub fn llc_miss_rate(&self) -> f64 {
-        self.caches.l2.miss_rate()
     }
 
     /// Whether the backend's per-stage cycle attribution (data paths +
@@ -188,38 +159,22 @@ mod tests {
     }
 
     #[test]
-    fn cpi_computation() {
-        let m = metrics(1000, 1);
-        assert!((m.cpi() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn core_metrics_baseline_subtraction() {
         let mut c = CoreMetrics {
             cycles: 1000,
             trace_ops: 200,
-            demand_fetches: 30,
-            writebacks: 8,
-            ..CoreMetrics::default()
         };
-        c.l1.hits = 150;
-        c.l1.misses = 50;
-        let mut base = CoreMetrics {
+        c.subtract_baseline(&CoreMetrics {
             cycles: 400,
             trace_ops: 80,
-            demand_fetches: 12,
-            writebacks: 3,
-            ..CoreMetrics::default()
-        };
-        base.l1.hits = 60;
-        base.l1.misses = 20;
-        c.subtract_baseline(&base);
-        assert_eq!(c.cycles, 600);
-        assert_eq!(c.trace_ops, 120);
-        assert_eq!(c.demand_fetches, 18);
-        assert_eq!(c.writebacks, 5);
-        assert_eq!(c.l1.hits, 90);
-        assert_eq!(c.l1.misses, 30);
+        });
+        assert_eq!(
+            c,
+            CoreMetrics {
+                cycles: 600,
+                trace_ops: 120
+            }
+        );
     }
 
     #[test]
@@ -227,7 +182,6 @@ mod tests {
         let c = CoreMetrics {
             cycles: 500,
             trace_ops: 100,
-            ..CoreMetrics::default()
         };
         assert!((c.cpi() - 5.0).abs() < 1e-12);
         assert_eq!(CoreMetrics::default().cpi(), 0.0);

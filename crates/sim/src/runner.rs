@@ -99,7 +99,6 @@ pub fn run_multicore(
 mod tests {
     use super::*;
     use crate::config::MemoryKind;
-    use crate::metrics::CoreMetrics;
     use proram_core::SchemeConfig;
     use proram_workloads::synthetic::LocalityMix;
     use proram_workloads::Suite;
@@ -150,14 +149,12 @@ mod tests {
         }
     }
 
-    /// Whether the per-core counters re-aggregate to the run totals.
+    /// Whether the per-core clocks and op counts re-aggregate to the run
+    /// totals (the maximum and the sum).
     fn per_core_sums_to_totals(m: &RunMetrics) -> bool {
-        let sum = |f: fn(&CoreMetrics) -> u64| m.per_core.iter().map(f).sum::<u64>();
-        sum(|c| c.trace_ops) == m.trace_ops
-            && sum(|c| c.demand_fetches) == m.demand_fetches
-            && sum(|c| c.writebacks) == m.writebacks
-            && sum(|c| c.l1.hits) == m.caches.l1.hits
-            && sum(|c| c.l1.misses) == m.caches.l1.misses
+        let cores = m.per_core.iter();
+        cores.clone().map(|c| c.trace_ops).sum::<u64>() == m.trace_ops
+            && cores.map(|c| c.cycles).max() == Some(m.cycles)
     }
 
     /// The Table 1 system: paper-default ORAM under the dynamic scheme.
@@ -191,8 +188,13 @@ mod tests {
         });
         assert_eq!(dual.per_core.len(), 2);
         assert!(per_core_sums_to_totals(&dual));
-        // A tampered per-core counter must break the cross-check.
+        // The run-wide counters are the cache's own, counted once.
+        assert_eq!(dual.demand_fetches, dual.caches.l2.misses);
+        // A tampered per-core entry must break the cross-check.
         dual.per_core[0].trace_ops += 1;
+        assert!(!per_core_sums_to_totals(&dual));
+        dual.per_core[0].trace_ops -= 1;
+        dual.per_core[1].cycles = dual.cycles + 1;
         assert!(!per_core_sums_to_totals(&dual));
     }
 
