@@ -17,7 +17,7 @@
 //! after every table has printed.
 //!
 //! Experiments: `table1`, `fig5`, `fig6a`, `fig6b`, `fig7`, `fig8`,
-//! `fig9`, `fig10`, `fig11`, `fig12`, `fig13`, `fig14`, `fig15`,
+//! `fig9`, `fig10`, `fig11`, `fig12`, `fig13`, `fig14`, `fig15`, `gap`,
 //! `ablation`, `fault_sweep`, `serialization`.
 //!
 //! `proram-bench trace <benchmark>` dumps a benchmark's memory trace to

@@ -2,7 +2,7 @@
 
 use proram_core::SchemeConfig;
 use proram_sim::{runner, MemoryKind, RunMetrics, SystemConfig};
-use proram_workloads::{suite, BenchSpec, Scale, Workload};
+use proram_workloads::{BenchSpec, Scale, Workload};
 
 /// The three memory systems every comparison figure uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,16 +48,7 @@ pub fn dram_config() -> SystemConfig {
 /// Runs `spec` under baseline / static / dynamic ORAM with the default
 /// max super-block size (2), returning `(oram, stat, dyn)` metrics.
 pub fn run_three_schemes(spec: BenchSpec, scale: Scale) -> (RunMetrics, RunMetrics, RunMetrics) {
-    run_three_schemes_sized(spec, scale, 2)
-}
-
-/// Like [`run_three_schemes`] with an explicit max super-block size.
-pub fn run_three_schemes_sized(
-    spec: BenchSpec,
-    scale: Scale,
-    max_sbsize: u64,
-) -> (RunMetrics, RunMetrics, RunMetrics) {
-    let run = |s: BaseScheme| runner::run_spec(spec, scale, &oram_config(s.scheme(max_sbsize)));
+    let run = |s: BaseScheme| runner::run_spec(spec, scale, &oram_config(s.scheme(2)));
     (
         run(BaseScheme::Oram),
         run(BaseScheme::Static),
@@ -76,15 +67,10 @@ where
     runner::run_workload(&mut w, config)
 }
 
-/// Convenience: specs of a suite.
-pub fn specs(s: suite::Suite) -> Vec<BenchSpec> {
-    suite::specs(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proram_workloads::Suite;
+    use proram_workloads::{suite, Suite};
 
     #[test]
     fn scheme_labels() {
@@ -95,7 +81,7 @@ mod tests {
 
     #[test]
     fn three_scheme_run_produces_comparable_metrics() {
-        let spec = specs(Suite::Splash2)
+        let spec = suite::specs(Suite::Splash2)
             .into_iter()
             .find(|s| s.name == "fft")
             .unwrap();

@@ -10,7 +10,7 @@ use proram_core::SchemeConfig;
 use proram_par::WorkerPool;
 use proram_sim::runner;
 use proram_stats::{table, Table};
-use proram_workloads::Suite;
+use proram_workloads::{suite, Suite};
 
 /// The coefficient pairs of the paper's sweep.
 pub const COEFFICIENTS: &[(&str, f64, f64)] = &[
@@ -32,7 +32,7 @@ pub fn run(ctx: RunCtx) -> Table {
         .collect();
     let mut t = Table::new(&headers)
         .with_title("Figure 10: merge/break coefficient sweep, dyn speedup vs baseline ORAM");
-    let specs: Vec<_> = common::specs(Suite::Splash2)
+    let specs: Vec<_> = suite::specs(Suite::Splash2)
         .into_iter()
         .filter(|s| BENCHMARKS.contains(&s.name))
         .collect();

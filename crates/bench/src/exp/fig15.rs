@@ -10,7 +10,7 @@ use proram_core::SchemeConfig;
 use proram_par::WorkerPool;
 use proram_sim::runner;
 use proram_stats::{summary, table, Table};
-use proram_workloads::Suite;
+use proram_workloads::{suite, Suite};
 
 /// The paper's public access interval.
 pub const O_INT: u64 = 100;
@@ -27,7 +27,7 @@ pub fn run_suite(suite: Suite, ctx: RunCtx) -> Table {
         cfg
     };
     let mut gains: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    let per_spec = WorkerPool::new(ctx.jobs).run(common::specs(suite), |spec| {
+    let per_spec = WorkerPool::new(ctx.jobs).run(suite::specs(suite), |spec| {
         let scale = ctx.scale;
         let base = runner::run_spec(spec, scale, &periodic(SchemeConfig::baseline()));
         let oram_np = runner::run_spec(spec, scale, &common::oram_config(SchemeConfig::baseline()));

@@ -7,9 +7,11 @@
 
 use crate::common;
 use crate::exp::RunCtx;
+use proram_core::SchemeConfig;
 use proram_par::WorkerPool;
+use proram_sim::runner;
 use proram_stats::{table, Table};
-use proram_workloads::Suite;
+use proram_workloads::{suite, Suite};
 
 /// Runs the miss-rate comparison on one suite, skipping benchmarks whose
 /// runs resolve no prefetches at all (the paper likewise drops
@@ -20,8 +22,10 @@ pub fn run_suite(suite: Suite, ctx: RunCtx) -> Table {
         .with_title(format!("Figure 9 ({}): prefetch miss rate", suite.name()));
     let mut stat_rates = Vec::new();
     let mut dyn_rates = Vec::new();
-    let per_spec = WorkerPool::new(ctx.jobs).run(common::specs(suite), |spec| {
-        let (_oram, stat, dynamic) = common::run_three_schemes(spec, ctx.scale);
+    let per_spec = WorkerPool::new(ctx.jobs).run(suite::specs(suite), |spec| {
+        let run = |scheme| runner::run_spec(spec, ctx.scale, &common::oram_config(scheme));
+        let stat = run(SchemeConfig::static_scheme(2));
+        let dynamic = run(SchemeConfig::dynamic(2));
         (
             spec.name,
             stat.prefetch_miss_rate(),

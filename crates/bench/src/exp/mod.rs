@@ -13,6 +13,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod gap;
 pub mod serialization;
 pub mod sweep;
 pub mod table1;
@@ -67,6 +68,7 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("fig13", |c| vec![fig13::run(c)]),
     ("fig14", |c| vec![fig14::run(c)]),
     ("fig15", fig15::run),
+    ("gap", gap::run),
     ("ablation", ablation::run),
     ("fault_sweep", fault_sweep::run),
     ("serialization", serialization::run),

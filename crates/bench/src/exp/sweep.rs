@@ -8,7 +8,7 @@ use proram_core::SchemeConfig;
 use proram_par::WorkerPool;
 use proram_sim::{runner, SystemConfig};
 use proram_stats::{table, Table};
-use proram_workloads::Suite;
+use proram_workloads::{suite, Suite};
 
 /// One point of a sweep: a label and a configuration transform.
 pub struct SweptConfig {
@@ -39,7 +39,7 @@ pub fn norm_completion_rows(
     ctx: RunCtx,
 ) -> Table {
     let mut t = Table::new(&["bench", "sweep", "oram", "stat", "dyn"]).with_title(title);
-    let combos: Vec<_> = common::specs(Suite::Splash2)
+    let combos: Vec<_> = suite::specs(Suite::Splash2)
         .into_iter()
         .filter(|s| benchmarks.contains(&s.name))
         .flat_map(|spec| sweeps.iter().map(move |sweep| (spec, sweep)))

@@ -7,6 +7,16 @@ use proram_stats::Table;
 
 use crate::exp::RunCtx;
 
+/// Table 1's tree at Table 1's size: 8 GB => 2^26 data blocks => a
+/// 26-level tree, every other field the paper default. Only its shape and
+/// price are read; placing its blocks would take 8 GiB.
+pub(super) fn full_scale_oram() -> OramConfig {
+    OramConfig::builder()
+        .num_data_blocks(1 << 26)
+        .build()
+        .expect("valid full-scale configuration")
+}
+
 /// Prints the configuration the simulator runs with, alongside the
 /// paper's values.
 pub fn run(_ctx: RunCtx) -> Vec<Table> {
@@ -62,11 +72,7 @@ pub fn run(_ctx: RunCtx) -> Vec<Table> {
         "128 bytes",
         &format!("{} bytes", cfg.oram.timing.block_bytes),
     ]);
-    // Full-scale latency check: 8 GB => 2^26 data blocks => 26-level tree.
-    let full = OramConfig::builder()
-        .num_data_blocks(1 << 26)
-        .build()
-        .expect("valid full-scale configuration");
+    let full = full_scale_oram();
     let full_latency = OramTiming::paper_calibrated().path_cycles(full.tree_levels(), full.z);
     t.row(&[
         "Path ORAM latency",
@@ -97,10 +103,7 @@ mod tests {
 
     #[test]
     fn full_scale_latency_close_to_paper() {
-        let full = OramConfig::builder()
-            .num_data_blocks(1 << 26)
-            .build()
-            .expect("valid full-scale configuration");
+        let full = full_scale_oram();
         assert_eq!(full.tree_levels(), 26);
         let latency = OramTiming::paper_calibrated().path_cycles(26, 3);
         assert!((latency as f64 - 2364.0).abs() / 2364.0 < 0.02);

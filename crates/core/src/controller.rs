@@ -155,14 +155,6 @@ impl<O: OramBackend> SuperBlockOram<O> {
         }
     }
 
-    /// Attaches an observability handle to the scheme layer *and* the
-    /// underlying ORAM backend, so one sink interleaves super-block
-    /// decisions and access retirements with the backend's own events.
-    pub fn attach_obs_handle(&mut self, obs: Obs) {
-        self.oram.attach_obs(obs.clone());
-        self.obs = obs;
-    }
-
     /// The scheme configuration.
     pub fn scheme(&self) -> &SchemeConfig {
         &self.scheme
@@ -639,8 +631,12 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
         &self.label
     }
 
+    /// Attaches the handle to the scheme layer *and* the underlying ORAM
+    /// backend, so one sink interleaves super-block decisions and access
+    /// retirements with the backend's own events.
     fn attach_obs(&mut self, obs: Obs) {
-        self.attach_obs_handle(obs);
+        self.oram.attach_obs(obs.clone());
+        self.obs = obs;
     }
 }
 
@@ -1041,7 +1037,7 @@ mod tests {
     #[test]
     fn obs_sink_sees_merge_break_and_window_decisions() {
         let mut oram = small(SchemeConfig::dynamic(2));
-        oram.attach_obs_handle(Obs::ring(1 << 16));
+        oram.attach_obs(Obs::ring(1 << 16));
         let mut llc = SetProbe::default();
         for round in 0..20 {
             for a in [20u64, 21] {

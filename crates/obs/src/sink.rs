@@ -10,7 +10,8 @@
 //! events in emission order.
 
 use crate::event::ObsEvent;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A fixed-capacity event buffer.
 ///
@@ -53,12 +54,8 @@ impl RingSink {
 /// and the ORAM controller, and their events interleave into a single
 /// trace.
 ///
-/// Handles are `Send + Sync` (the ring sits behind a `Mutex`), so a
-/// controller holding one can be borrowed onto a `proram-par` thread.
-/// `ShardedOram::attach_obs` clones one handle into every shard, so under
-/// a threaded `access_batch` the shards contend for the one lock and
-/// their events interleave in thread order; serially (every other
-/// caller) the lock is uncontended.
+/// A handle belongs to one thread, as the simulated machine it observes
+/// does: the ring is an `Rc<RefCell>`, with no lock on the emit path.
 ///
 /// # Examples
 ///
@@ -75,14 +72,7 @@ impl RingSink {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<Mutex<RingSink>>>,
-}
-
-/// Locks a ring, ignoring poisoning: a panicked emitter leaves counters
-/// in a sane (if partial) state, and observability must not turn one
-/// panic into a cascade.
-fn lock(ring: &Mutex<RingSink>) -> MutexGuard<'_, RingSink> {
-    ring.lock().unwrap_or_else(PoisonError::into_inner)
+    inner: Option<Rc<RefCell<RingSink>>>,
 }
 
 impl Obs {
@@ -96,7 +86,7 @@ impl Obs {
     /// built, none retained).
     pub fn ring(capacity: usize) -> Self {
         Obs {
-            inner: Some(Arc::new(Mutex::new(RingSink::new(capacity)))),
+            inner: Some(Rc::new(RefCell::new(RingSink::new(capacity)))),
         }
     }
 
@@ -111,14 +101,14 @@ impl Obs {
     pub fn emit(&self, event: impl FnOnce() -> ObsEvent) {
         if let Some(ring) = &self.inner {
             let e = event();
-            lock(ring).record(&e);
+            ring.borrow_mut().record(&e);
         }
     }
 
     /// A copy of the retained events (empty when disabled).
     pub fn events(&self) -> Vec<ObsEvent> {
         match &self.inner {
-            Some(ring) => lock(ring).events.clone(),
+            Some(ring) => ring.borrow().events.clone(),
             None => Vec::new(),
         }
     }
@@ -126,7 +116,7 @@ impl Obs {
     /// Number of retained events.
     pub fn event_count(&self) -> usize {
         match &self.inner {
-            Some(ring) => lock(ring).events.len(),
+            Some(ring) => ring.borrow().events.len(),
             None => 0,
         }
     }
@@ -134,7 +124,7 @@ impl Obs {
     /// Events offered to the sink but not retained.
     pub fn dropped(&self) -> u64 {
         match &self.inner {
-            Some(ring) => lock(ring).dropped,
+            Some(ring) => ring.borrow().dropped,
             None => 0,
         }
     }
@@ -183,19 +173,5 @@ mod tests {
         b.emit(|| ev(2));
         assert_eq!(a.event_count(), 2);
         assert_eq!(b.event_count(), 2);
-    }
-
-    #[test]
-    fn handles_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Obs>();
-        // A shared handle actually works across a thread boundary.
-        let obs = Obs::ring(8);
-        let clone = obs.clone();
-        std::thread::spawn(move || clone.emit(|| ev(1)))
-            .join()
-            .unwrap();
-        obs.emit(|| ev(2));
-        assert_eq!(obs.event_count(), 2);
     }
 }

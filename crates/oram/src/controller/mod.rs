@@ -593,12 +593,6 @@ impl PathOram {
         &self.obs
     }
 
-    /// Attaches an observability handle: subsequent accesses emit typed
-    /// [`proram_obs::ObsEvent`]s and their per-lane cycle split into it.
-    pub fn attach_obs_handle(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
     /// Hands every bucket of the tree, in heap order, to `f` — for the
     /// auditors. A resident bucket is borrowed as it is; one that lives in
     /// the image is decoded by a pure read
@@ -873,13 +867,14 @@ impl crate::backend_trait::OramBackend for PathOram {
     }
 
     fn attach_obs(&mut self, obs: Obs) {
-        self.attach_obs_handle(obs);
+        self.obs = obs;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend_trait::OramBackend;
 
     fn small() -> PathOram {
         PathOram::new(OramConfig::small_for_tests(256), 42)
@@ -1106,7 +1101,7 @@ mod tests {
     fn report_latency_equals_stage_total() {
         use proram_obs::ObsEvent;
         let mut oram = small();
-        oram.attach_obs_handle(Obs::ring(1 << 12));
+        oram.attach_obs(Obs::ring(1 << 12));
         let path = oram.path_cycles();
         let mut rng = Xoshiro256::seed_from(5);
         for _ in 0..50 {

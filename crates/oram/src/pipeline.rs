@@ -73,13 +73,14 @@ impl AccessReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend_trait::OramBackend;
     use crate::config::OramConfig;
     use crate::controller::PathOram;
 
     #[test]
     fn attached_sink_sees_the_access_lifecycle() {
         let mut oram = PathOram::new(OramConfig::small_for_tests(64), 9);
-        oram.attach_obs_handle(Obs::ring(1024));
+        oram.attach_obs(Obs::ring(1024));
         let path = oram.path_cycles();
         for (addr, kind) in [(3, AccessKind::Read), (5, AccessKind::Write)] {
             let report = oram.try_access_block(BlockAddr(addr), kind).unwrap();

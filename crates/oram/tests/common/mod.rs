@@ -14,7 +14,7 @@
 
 use proram_mem::{AccessKind, BlockAddr};
 use proram_obs::Obs;
-use proram_oram::{CrashConfig, KillPoint, OramConfig, PathOram};
+use proram_oram::{CrashConfig, KillPoint, OramBackend, OramConfig, PathOram};
 use proram_stats::{Rng64, Xoshiro256};
 
 /// Data blocks in the golden tree.
@@ -124,7 +124,7 @@ pub fn replay_observed(cfg: OramConfig, obs: Obs) -> RunDigest {
 /// the controller it leaves behind.
 pub fn run_golden(cfg: OramConfig, obs: Obs) -> PathOram {
     let mut oram = PathOram::new(cfg, ORAM_SEED);
-    oram.attach_obs_handle(obs);
+    oram.attach_obs(obs);
     let mut rng = Xoshiro256::seed_from(WORKLOAD_SEED);
     for _ in 0..ACCESSES {
         oram.try_access_block(BlockAddr(rng.next_below(TREE_BLOCKS)), AccessKind::Read)

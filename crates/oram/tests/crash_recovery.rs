@@ -25,7 +25,7 @@ mod common;
 use common::{drive_durable, durable_shape};
 use proram_mem::{AccessKind, BlockAddr};
 use proram_oram::{
-    CrashConfig, CrashStats, KillPoint, OramConfig, OramError, PathOram, RecoveryMode,
+    CrashConfig, CrashStats, KillPoint, OramBackend, OramConfig, OramError, PathOram, RecoveryMode,
 };
 use proram_stats::{Rng64, Xoshiro256};
 
@@ -263,7 +263,7 @@ fn crash_events_reach_an_attached_sink() {
         ..base_config()
     };
     let mut oram = PathOram::new(cfg, ORAM_SEED);
-    oram.attach_obs_handle(Obs::ring(4096));
+    oram.attach_obs(Obs::ring(4096));
     let addr = addresses()[0];
     let err = oram
         .try_access_block(addr, AccessKind::Read)

@@ -4,10 +4,10 @@
 //! on up to `threads` threads and returns the results **in item order**,
 //! so its output is a pure function of its inputs — independent of
 //! thread count, scheduling, or which thread claimed which item. That
-//! ordered merge is what lets `ShardedOram::access_batch` step its shard
-//! controllers on several threads, and the experiment harness fan its
-//! independent simulations out, with output identical to a serial run
-//! (DESIGN.md sections 10 and 14).
+//! ordered merge is what lets the experiment harness fan its independent
+//! simulations out with output identical to a serial run (DESIGN.md
+//! sections 10 and 14). Each simulation is one thread from start to end;
+//! the pool only places whole simulations on threads.
 //!
 //! Each call is one [`std::thread::scope`]: `threads - 1` threads are
 //! spawned, the caller claims items beside them through one atomic
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn items_may_be_exclusive_borrows() {
-        // What `ShardedOram::access_batch` relies on: each job gets one
+        // Items may borrow from the caller's stack: each job gets one
         // `&mut` into the caller's state, and every write lands.
         let mut counters = vec![0u64; 9];
         let sums = WorkerPool::new(4).run(counters.iter_mut().enumerate().collect(), |(i, c)| {

@@ -59,8 +59,6 @@ pub struct RunMetrics {
     pub writebacks: u64,
     /// Prefetched lines evicted from the LLC without being used.
     pub unused_prefetch_evictions: u64,
-    /// Prefetcher candidates dropped because the line was resident.
-    pub prefetch_candidates_filtered: u64,
     /// Per-core clocks and op counts (one entry per tile; `cycles` is
     /// their maximum, `trace_ops` their sum).
     pub per_core: Vec<CoreMetrics>,

@@ -18,16 +18,6 @@ pub fn run_spec(spec: BenchSpec, scale: Scale, config: &SystemConfig) -> RunMetr
         .run(&mut [workload.as_mut()], scale.warmup_ops)
 }
 
-/// Runs one benchmark under several memory configurations, returning the
-/// metrics in the same order. Each run rebuilds the workload so traces
-/// are identical across configurations.
-pub fn compare(spec: BenchSpec, scale: Scale, configs: &[SystemConfig]) -> Vec<RunMetrics> {
-    configs
-        .iter()
-        .map(|cfg| run_spec(spec, scale, cfg))
-        .collect()
-}
-
 /// One core's workload moved to its own address range: every address it
 /// issues is shifted up by `offset` (SPMD-style data partitioning, so the
 /// cores never share a line).
@@ -122,22 +112,6 @@ mod tests {
         let m = run_spec(spec, quick_scale(), &cfg);
         assert_eq!(m.benchmark, "fft");
         assert_eq!(m.trace_ops, 1500);
-    }
-
-    #[test]
-    fn compare_keeps_traces_identical() {
-        let spec = suite::specs(Suite::Splash2)
-            .into_iter()
-            .find(|s| s.name == "ocean_c")
-            .expect("registered");
-        let configs = vec![
-            SystemConfig::quick_test(MemoryKind::Oram(SchemeConfig::baseline())),
-            SystemConfig::quick_test(MemoryKind::Oram(SchemeConfig::baseline())),
-        ];
-        let results = compare(spec, quick_scale(), &configs);
-        // Identical configs on identical traces give identical cycles.
-        assert_eq!(results[0].cycles, results[1].cycles);
-        assert_eq!(results[0].trace_ops, results[1].trace_ops);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use proram_mem::{
 };
 use proram_obs::Obs;
 use proram_oram::{OramConfig, PathOram};
-use proram_par::WorkerPool;
 
 /// Translates a shard's local block addresses back to global ones before
 /// probing the LLC, so super-block detection inside a shard sees the
@@ -40,21 +39,10 @@ impl CacheProbe for ShardProbe<'_> {
 }
 
 /// `N` address-partitioned ORAM controllers behind one request scheduler.
+#[derive(Debug)]
 pub struct ShardedOram {
     shards: Vec<SuperBlockOram<PathOram>>,
     label: String,
-    /// The fork/join [`ShardedOram::access_batch`] steps shards on; one
-    /// thread (the default) steps them on the caller.
-    pool: WorkerPool,
-}
-
-impl std::fmt::Debug for ShardedOram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedOram")
-            .field("shards", &self.shards.len())
-            .field("label", &self.label)
-            .finish_non_exhaustive()
-    }
 }
 
 impl ShardedOram {
@@ -90,7 +78,6 @@ impl ShardedOram {
         ShardedOram {
             shards,
             label: format!("{}_sh{num_shards}", scheme.label()),
-            pool: WorkerPool::new(1),
         }
     }
 
@@ -135,67 +122,21 @@ impl ShardedOram {
         BlockAddr(local.0 * self.shards.len() as u64 + shard as u64)
     }
 
-    /// Steps subsequent [`ShardedOram::access_batch`] calls' shards on
-    /// `threads` threads, the caller included (`threads <= 1`: on the
-    /// caller alone). Results are identical at any thread count (see
-    /// DESIGN.md section 14).
-    pub fn set_worker_threads(&mut self, threads: usize) {
-        self.pool = WorkerPool::new(threads);
-    }
+    /// Does nothing: the simulated machine is one thread, so every shard
+    /// steps on the caller's. Kept only because the frozen benchmark
+    /// crate (`perf/src/kernels.rs`) still calls it; it goes with ROADMAP
+    /// item 2's `benchmark` PR, the one that retires the names `perf/`
+    /// pins.
+    pub fn set_worker_threads(&mut self, _threads: usize) {}
 
-    /// Serves a batch of independent requests, all issued at `now`, and
-    /// returns one outcome per request (same order).
-    ///
-    /// Requests are partitioned by owning shard, and each shard's
-    /// controller, borrowed `&mut`, steps its slice in issue order on one
-    /// of the [`ShardedOram::set_worker_threads`] threads. Outcomes merge
-    /// back by original request index, so outcomes and per-shard
-    /// statistics are identical at any thread count. A panic inside a
-    /// shard resumes on the caller, as it would in a serial
-    /// [`MemoryBackend::access`] loop.
-    ///
-    /// Shard controllers are `!Sync` while borrowed by the caller's LLC
-    /// probe, so batch accesses see no LLC ([`NoProbe`]): super-block
-    /// detection runs on access-pattern history alone. Single-request
-    /// traffic that wants LLC-aware prefetch decisions should keep using
-    /// [`MemoryBackend::access`].
+    /// Serves `reqs`, all issued at `now`, one after another through
+    /// [`MemoryBackend::access`] with no LLC probe, and returns one
+    /// outcome per request in order. Kept only because the frozen
+    /// benchmark crate (`perf/src/kernels.rs`) still calls it; it goes
+    /// with ROADMAP item 2's `benchmark` PR.
     pub fn access_batch(&mut self, now: Cycle, reqs: &[MemRequest]) -> Vec<AccessOutcome> {
-        // Fork: partition requests by shard, preserving issue order
-        // within each shard.
-        let mut per_shard: Vec<Vec<(usize, MemRequest)>> = vec![Vec::new(); self.shards.len()];
-        for (i, req) in reqs.iter().enumerate() {
-            let (shard, local) = self.route(req.block);
-            per_shard[shard].push((
-                i,
-                MemRequest {
-                    block: local,
-                    ..*req
-                },
-            ));
-        }
-        // Longest slice first: threads claim shards in this order, so the
-        // long slices start early and the threads finish together.
-        let mut jobs: Vec<_> = self.shards.iter_mut().zip(per_shard).enumerate().collect();
-        jobs.sort_by_key(|(_, (_, slice))| std::cmp::Reverse(slice.len()));
-        let served = self.pool.run(jobs, |(shard, (ctrl, slice))| {
-            let outcomes: Vec<_> = slice
-                .into_iter()
-                .map(|(orig, req)| (orig, ctrl.access(now, req, &NoProbe)))
-                .collect();
-            (shard, outcomes)
-        });
-        // Join: outcomes return to their original request positions.
-        let mut out: Vec<Option<AccessOutcome>> = reqs.iter().map(|_| None).collect();
-        for (shard, outcomes) in served {
-            for (orig, mut outcome) in outcomes {
-                for fill in &mut outcome.fills {
-                    fill.block = self.unroute(shard, fill.block);
-                }
-                out[orig] = Some(outcome);
-            }
-        }
-        out.into_iter()
-            .map(|o| o.expect("every request served by its shard"))
+        reqs.iter()
+            .map(|&r| self.access(now, r, &NoProbe))
             .collect()
     }
 }
@@ -270,7 +211,6 @@ impl MemoryBackend for ShardedOram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proram_mem::NoProbe;
 
     fn sharded(n: usize) -> ShardedOram {
         let oram = OramConfig {
@@ -341,64 +281,6 @@ mod tests {
             parallel * 2 < serial,
             "4 shards should overlap 4 requests: {parallel} vs serialized {serial}"
         );
-    }
-
-    #[test]
-    fn batch_results_identical_at_any_worker_thread_count() {
-        // The shard-level determinism contract: stepping controllers on
-        // several threads and merging by request index is invisible —
-        // outcomes, aggregate statistics and every per-shard stat equal a
-        // plain `access` loop over the same requests.
-        let reqs: Vec<MemRequest> = (0..48u64)
-            .map(|a| MemRequest::read(BlockAddr((a * 7) % 1024)))
-            .collect();
-        let finish = |s: ShardedOram, outcomes: Vec<AccessOutcome>| {
-            let per_shard: Vec<BackendStats> =
-                (0..s.num_shards()).map(|i| s.shard(i).stats()).collect();
-            (outcomes, s.stats(), per_shard)
-        };
-        let mut serial = sharded(4);
-        let outcomes = reqs
-            .iter()
-            .map(|req| serial.access(0, *req, &NoProbe))
-            .collect();
-        let reference = finish(serial, outcomes);
-        for threads in [1, 2, 4, 7] {
-            let mut s = sharded(4);
-            s.set_worker_threads(threads);
-            let outcomes = reqs.chunks(16).flat_map(|c| s.access_batch(0, c)).collect();
-            assert_eq!(finish(s, outcomes), reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn batch_fills_map_back_to_global_addresses() {
-        let mut s = sharded(4);
-        s.set_worker_threads(4);
-        let reqs: Vec<MemRequest> = (0..8u64).map(|a| MemRequest::read(BlockAddr(a))).collect();
-        let outcomes = s.access_batch(0, &reqs);
-        assert_eq!(outcomes.len(), 8);
-        for (req, o) in reqs.iter().zip(&outcomes) {
-            assert!(
-                o.fills.iter().any(|f| f.block == req.block),
-                "demand block {:?} missing from fills",
-                req.block
-            );
-        }
-        assert_eq!(s.stats().demand_accesses, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the unified address space")]
-    fn a_shard_panic_resumes_on_the_caller() {
-        // A block past its shard's tree panics inside that shard, as a
-        // serial `access` loop would; the batch hands the shard's own
-        // message to the caller.
-        let mut s = sharded(4);
-        s.set_worker_threads(2);
-        let mut reqs: Vec<MemRequest> = (0..8u64).map(|a| MemRequest::read(BlockAddr(a))).collect();
-        reqs.push(MemRequest::read(BlockAddr(1 << 40)));
-        s.access_batch(0, &reqs);
     }
 
     #[test]

@@ -308,7 +308,6 @@ impl System {
             self.tiles[tile].prefetcher = Some(pf);
             for cand in candidates {
                 if self.hierarchy.contains_block(cand) {
-                    self.metrics.prefetch_candidates_filtered += 1;
                     continue;
                 }
                 let o = self.issue_request(tile, MemRequest::prefetch(cand));
