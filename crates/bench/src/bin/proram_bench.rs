@@ -23,24 +23,25 @@
 //! `proram-bench trace <benchmark>` dumps a benchmark's memory trace to
 //! stdout in the portable text format of `proram_workloads::tracefile`.
 //!
-//! `proram-bench obs [--trace PATH]` runs two instrumented workloads (a
-//! two-core simulation and a directly driven sharded controller), each
-//! with its own ring sink, dumps the event trace as JSONL to `--trace`
-//! (default `target/obs_trace.jsonl`) and prints the per-kind, per-stage
-//! and per-shard attribution tables; the stage table is the cycle split
-//! of the accesses those runs retired. The command panics if the trace
-//! violates the bounded-retention, JSONL-schema or attribution
-//! contracts, so it doubles as a CI smoke gate.
+//! `proram-bench explain <benchmark> [--trace PATH]` runs one benchmark
+//! as Figure 8's `dyn` row runs it at quick scale, with one ring sink
+//! attached after the warm-up, dumps the event trace as JSONL to
+//! `--trace` (default `target/explain_trace.jsonl`) and prints one page:
+//! the trace by event kind, the per-stage cycle split folded from it, the
+//! run's ledger, and the `perf` command that measures host time. The
+//! command panics if the trace violates the bounded-retention or
+//! JSONL-schema contracts or disagrees with the ledger, so it doubles as
+//! a CI smoke gate.
 //!
 //! A flag that does not apply to the chosen subcommand is an error
 //! (usage, exit 1), never silently ignored. Everything printed here is
 //! on the simulated clock; host time is measured by `perf/` only.
 
 use proram_bench::exp::{self, RunCtx};
-use proram_bench::obs;
+use proram_bench::explain;
 use proram_par::WorkerPool;
 use proram_stats::{BarChart, Table};
-use proram_workloads::{suite, tracefile, Scale, Suite};
+use proram_workloads::{suite, tracefile, BenchSpec, Scale};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -76,7 +77,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "       proram-bench trace <benchmark> [--scale quick|standard] [--ops N] [--fp-scale F] [--seed N]"
     );
-    eprintln!("       proram-bench obs [--trace PATH]");
+    eprintln!("       proram-bench explain <benchmark> [--trace PATH]");
     eprintln!("experiments:");
     for (name, _) in exp::EXPERIMENTS {
         eprintln!("  {name}");
@@ -84,22 +85,14 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn dump_trace(bench: &str, mut scale: Scale) -> ExitCode {
+fn dump_trace(spec: BenchSpec, mut scale: Scale) -> ExitCode {
     // Trace dumps are verbatim: no measurement warmup prefix.
     scale.warmup_ops = 0;
-    let spec = [Suite::Splash2, Suite::Spec06, Suite::Dbms]
-        .into_iter()
-        .flat_map(suite::specs)
-        .find(|s| s.name == bench);
-    let Some(spec) = spec else {
-        eprintln!("unknown benchmark '{bench}'");
-        return usage();
-    };
     let mut workload = suite::build(spec, scale);
     let mut stdout = std::io::stdout().lock();
     match tracefile::dump(workload.as_mut(), &mut stdout) {
         Ok(n) => {
-            eprintln!("[dumped {n} ops of {bench}]");
+            eprintln!("[dumped {n} ops of {}]", spec.name);
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -109,11 +102,12 @@ fn dump_trace(bench: &str, mut scale: Scale) -> ExitCode {
     }
 }
 
-fn run_obs(trace_path: &Path) -> ExitCode {
-    eprintln!("[running instrumented workloads...]");
-    // measure() panics if the trace breaks the bounded-retention,
-    // JSONL-schema or attribution contracts — the CI smoke gate.
-    let report = obs::measure();
+fn run_explain(spec: BenchSpec, trace_path: &Path) -> ExitCode {
+    eprintln!("[running {} under dyn at quick scale...]", spec.name);
+    // measure() panics if the trace breaks the bounded-retention or
+    // JSONL-schema contracts or disagrees with the ledger — the CI smoke
+    // gate.
+    let report = explain::measure(spec, Scale::quick());
     if let Some(dir) = trace_path.parent() {
         if !dir.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -122,7 +116,7 @@ fn run_obs(trace_path: &Path) -> ExitCode {
             }
         }
     }
-    if let Err(e) = std::fs::write(trace_path, obs::to_jsonl(&report.events)) {
+    if let Err(e) = std::fs::write(trace_path, explain::to_jsonl(&report.events)) {
         eprintln!("cannot write {}: {e}", trace_path.display());
         return ExitCode::FAILURE;
     }
@@ -132,9 +126,7 @@ fn run_obs(trace_path: &Path) -> ExitCode {
         report.events.len(),
         report.dropped
     );
-    println!("{}", obs::kind_table(&report.events));
-    println!("{}", obs::stage_table(&report.events));
-    println!("{}", obs::shard_table(&report.shards));
+    print!("{}", explain::page(&report));
     ExitCode::SUCCESS
 }
 
@@ -160,8 +152,8 @@ const EXPERIMENT_FLAGS: [&str; 6] = [
 /// What the first argument selected, resolved before any flag is read.
 enum Command<'a> {
     List,
-    Obs,
-    Trace(&'a str),
+    Explain(BenchSpec),
+    Trace(BenchSpec),
     All,
     Experiment(&'a str, exp::ExperimentFn),
 }
@@ -174,10 +166,13 @@ fn main() -> ExitCode {
     let mut rest = args[1..].iter();
     let command = match which {
         "list" => Command::List,
-        "obs" => Command::Obs,
-        "trace" => match rest.next() {
-            Some(bench) => Command::Trace(bench),
-            None => return usage(),
+        "explain" | "trace" => match rest.next().and_then(|bench| suite::spec(bench)) {
+            Some(spec) if which == "explain" => Command::Explain(spec),
+            Some(spec) => Command::Trace(spec),
+            None => {
+                eprintln!("'proram-bench {which}' takes a registered benchmark name");
+                return usage();
+            }
         },
         "all" => Command::All,
         name => match exp::by_name(name) {
@@ -190,7 +185,7 @@ fn main() -> ExitCode {
     };
     let allowed: &[&str] = match command {
         Command::List => &[],
-        Command::Obs => &["--trace"],
+        Command::Explain(_) => &["--trace"],
         Command::Trace(_) => &SCALE_FLAGS,
         Command::All | Command::Experiment(..) => &EXPERIMENT_FLAGS,
     };
@@ -198,7 +193,7 @@ fn main() -> ExitCode {
     let mut scale = Scale::standard();
     let mut svg_dir: Option<PathBuf> = None;
     let mut njobs: usize = 1;
-    let mut obs_trace = PathBuf::from("target/obs_trace.jsonl");
+    let mut trace_path = PathBuf::from("target/explain_trace.jsonl");
     // Every flag takes exactly one value.
     while let Some(flag) = rest.next() {
         if !allowed.contains(&flag.as_str()) {
@@ -225,7 +220,7 @@ fn main() -> ExitCode {
             "--fp-scale" => set(&mut scale.footprint_scale, value),
             "--seed" => set(&mut scale.seed, value),
             "--jobs" => set(&mut njobs, value) && njobs >= 1,
-            "--trace" => set(&mut obs_trace, value),
+            "--trace" => set(&mut trace_path, value),
             "--svg" => {
                 svg_dir = Some(PathBuf::from(value));
                 true
@@ -245,9 +240,8 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Command::Trace(bench) => dump_trace(bench, scale),
-        // Observability smoke: measure() asserts the trace contracts.
-        Command::Obs => run_obs(&obs_trace),
+        Command::Trace(spec) => dump_trace(spec, scale),
+        Command::Explain(spec) => run_explain(spec, &trace_path),
         Command::All => {
             // Fan out across experiments rather than within them: the
             // registry's work items are coarse and independent, and each

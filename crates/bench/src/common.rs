@@ -70,7 +70,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proram_workloads::{suite, Suite};
+    use proram_workloads::suite;
 
     #[test]
     fn scheme_labels() {
@@ -81,10 +81,7 @@ mod tests {
 
     #[test]
     fn three_scheme_run_produces_comparable_metrics() {
-        let spec = suite::specs(Suite::Splash2)
-            .into_iter()
-            .find(|s| s.name == "fft")
-            .unwrap();
+        let spec = suite::spec("fft").unwrap();
         let scale = Scale {
             ops: 1200,
             warmup_ops: 0,

@@ -10,7 +10,7 @@ use proram_par::WorkerPool;
 use proram_sim::runner;
 use proram_stats::{table, Table};
 use proram_workloads::synthetic::StridedScan;
-use proram_workloads::{suite, Scale, Suite};
+use proram_workloads::{suite, Scale};
 
 /// Strided super blocks on a strided scan: the contiguous scheme finds
 /// nothing; the stride-matched scheme prefetches like the sequential
@@ -47,10 +47,7 @@ pub fn strided_super_blocks(scale: Scale) -> Table {
 pub fn treetop_caching(scale: Scale) -> Table {
     let mut t = Table::new(&["treetop_levels", "oram", "dyn"])
         .with_title("Ablation: treetop caching (completion time normalized to 0 levels)");
-    let spec = suite::specs(Suite::Splash2)
-        .into_iter()
-        .find(|s| s.name == "ocean_c")
-        .expect("registered");
+    let spec = suite::spec("ocean_c").expect("registered");
     let run = |levels: u32, scheme: SchemeConfig| {
         let mut cfg = common::oram_config(scheme);
         cfg.oram.treetop_levels = levels;
@@ -75,10 +72,7 @@ pub fn treetop_caching(scale: Scale) -> Table {
 pub fn plb_sizing(scale: Scale) -> Table {
     let mut t = Table::new(&["plb_blocks", "posmap_per_demand", "norm_time"])
         .with_title("Ablation: PLB capacity (baseline ORAM on a scattered workload)");
-    let spec = suite::specs(Suite::Spec06)
-        .into_iter()
-        .find(|s| s.name == "mcf")
-        .expect("registered");
+    let spec = suite::spec("mcf").expect("registered");
     let run = |blocks: usize| {
         let mut cfg = common::oram_config(SchemeConfig::baseline());
         cfg.oram.plb_blocks = blocks;
@@ -87,14 +81,9 @@ pub fn plb_sizing(scale: Scale) -> Table {
     let base = run(64);
     for blocks in [4usize, 16, 64, 256] {
         let m = run(blocks);
-        let per_demand = if m.demand_fetches == 0 {
-            0.0
-        } else {
-            m.backend.posmap_accesses as f64 / m.demand_fetches as f64
-        };
         t.row(&[
             blocks.to_string(),
-            table::f3(per_demand),
+            table::f3(m.posmap_per_demand()),
             table::f3(m.norm_completion_time(&base)),
         ]);
     }
@@ -115,10 +104,7 @@ pub fn adaptive_interval(scale: Scale) -> Table {
         "leaked_bits",
     ])
     .with_title("Ablation: fixed vs adaptive O_int timing protection");
-    let spec = suite::specs(Suite::Splash2)
-        .into_iter()
-        .find(|s| s.name == "cholesky")
-        .expect("registered");
+    let spec = suite::spec("cholesky").expect("registered");
 
     // Fixed intervals go through the standard runner.
     let fixed = |interval: u64| -> RunMetrics {

@@ -64,6 +64,42 @@ mod tests {
     use super::*;
     use proram_workloads::Scale;
 
+    /// `BackendStats`' request fields mean different things per backend.
+    /// Behind the stream prefetcher, DRAM counts its requests in
+    /// `prefetch_requests`; the super-block ORAM serves each as one more
+    /// demand read, and its `prefetch_requests` counts super-block blocks
+    /// delivered, none for `oram_pre`'s baseline scheme. The cache sees
+    /// the same trace either way, so the ORAM's surplus of demand
+    /// accesses is exactly DRAM's prefetch requests.
+    #[test]
+    fn stream_prefetches_are_prefetch_requests_on_dram_and_demand_reads_on_oram() {
+        let spec = suite::spec(splash2::FIG5_NAMES[0]).expect("registered");
+        let scale = Scale {
+            ops: 3000,
+            warmup_ops: 500,
+            footprint_scale: 0.02,
+            seed: 2,
+        };
+        let [dram, oram] = [
+            common::dram_config(),
+            common::oram_config(SchemeConfig::baseline()),
+        ]
+        .map(|mut config| {
+            config.prefetch = Some(Default::default());
+            runner::run_spec(spec, scale, &config)
+        });
+        assert!(dram.backend.prefetch_requests > 0);
+        assert_eq!(
+            dram.backend.demand_accesses,
+            dram.demand_fetches + dram.writebacks
+        );
+        assert_eq!(oram.backend.prefetch_requests, 0);
+        assert_eq!(
+            oram.backend.demand_accesses,
+            oram.demand_fetches + oram.writebacks + dram.backend.prefetch_requests
+        );
+    }
+
     #[test]
     fn produces_one_row_per_benchmark_plus_average() {
         let t = &run(RunCtx::serial(Scale {

@@ -40,31 +40,13 @@ fn at_both_latencies(spec: BenchSpec, scale: Scale, config: &SystemConfig) -> [R
     let full_price = table1::full_scale_oram().path_cycles();
     let mut full_config = config.clone();
     let extra = full_price
-        .checked_sub(path_price(&sim))
+        .checked_sub(sim.path_price())
         .expect("a sim-scale path costs no more than a full-scale one");
     full_config.oram.timing.fixed_overhead_cycles +=
         u32::try_from(extra).expect("a path costs less than u32::MAX cycles");
     let full = runner::run_spec(spec, scale, &full_config);
-    assert_eq!(path_price(&full), full_price, "{} repriced", spec.name);
+    assert_eq!(full.path_price(), full_price, "{} repriced", spec.name);
     [sim, full]
-}
-
-/// The cycles one path cost in `m`, off the backend's own ledger.
-fn path_price(m: &RunMetrics) -> u64 {
-    let b = &m.backend;
-    assert!(b.physical_accesses > 0, "{} issued no path", m.benchmark);
-    let price = b.busy_cycles / b.physical_accesses;
-    assert_eq!(
-        price * b.physical_accesses,
-        b.busy_cycles,
-        "mixed path prices"
-    );
-    price
-}
-
-/// Posmap paths per demand access.
-fn posmap_per_demand(m: &RunMetrics) -> f64 {
-    m.backend.posmap_accesses as f64 / m.backend.demand_accesses as f64
 }
 
 /// Completion time with the posmap paths taken out.
@@ -97,12 +79,12 @@ fn measure(spec: BenchSpec, scale: Scale) -> Row {
     Row {
         name: spec.name,
         splash2: spec.suite == Suite::Splash2,
-        price: path_price(&oram[0]),
+        price: oram[0].path_price(),
         stat: over_oram(&stat),
         dynamic: over_oram(&dynamic),
         fig15_oram: [0, 1].map(|i| oram[i].speedup_over(&periodic[i])),
-        posmap_oram: posmap_per_demand(&oram[0]),
-        posmap_dyn: posmap_per_demand(&dynamic[0]),
+        posmap_oram: oram[0].posmap_per_demand(),
+        posmap_dyn: dynamic[0].posmap_per_demand(),
         dyn_without_posmap: cycles_without_posmap(&oram[0]) / cycles_without_posmap(&dynamic[0])
             - 1.0,
     }
@@ -115,11 +97,7 @@ pub fn run(ctx: RunCtx) -> Vec<Table> {
     let specs: Vec<BenchSpec> = suite::specs(Suite::Splash2)
         .into_iter()
         .filter(|s| s.memory_intensive)
-        .chain(
-            suite::specs(Suite::Dbms)
-                .into_iter()
-                .filter(|s| s.name == "YCSB"),
-        )
+        .chain(suite::spec("YCSB"))
         .collect();
     let rows = WorkerPool::new(ctx.jobs).run(specs, |spec| measure(spec, ctx.scale));
     // A PLB miss walks every on-tree posmap hierarchy. The runner's
@@ -211,14 +189,11 @@ mod tests {
 
     #[test]
     fn the_repriced_ledger_prices_every_path_at_the_full_scale_figure() {
-        let spec = suite::specs(Suite::Splash2)
-            .into_iter()
-            .find(|s| s.name == "radix")
-            .expect("radix registered");
+        let spec = suite::spec("radix").expect("radix registered");
         let [sim, full] =
             at_both_latencies(spec, tiny(), &common::oram_config(SchemeConfig::dynamic(2)));
-        assert_eq!(path_price(&full), 2365);
-        assert!(path_price(&sim) < 2365);
+        assert_eq!(full.path_price(), 2365);
+        assert!(sim.path_price() < 2365);
         assert_eq!(sim.trace_ops, full.trace_ops);
         assert!(full.cycles > sim.cycles);
     }

@@ -2,8 +2,8 @@
 //! paper's evaluation (Section 5).
 //!
 //! Each experiment module produces the same rows/series the paper plots;
-//! the `proram-bench` binary prints them as text tables ([`obs`] is the
-//! trace / stage-table viewer beside them). Everything reported here is
+//! the `proram-bench` binary prints them as text tables ([`explain`] is
+//! the one-run viewer beside them). Everything reported here is
 //! simulated cycles; host time is `perf/`'s job. Absolute numbers
 //! differ from the paper (different workload substitution and scale — see
 //! EXPERIMENTS.md) but the comparisons the paper draws are reproduced.
@@ -23,4 +23,4 @@
 
 pub mod common;
 pub mod exp;
-pub mod obs;
+pub mod explain;

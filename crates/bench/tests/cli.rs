@@ -27,11 +27,13 @@ fn unknown_names_print_usage() {
     assert_usage_error(&["fig99"]);
     assert_usage_error(&["trace"]);
     assert_usage_error(&["trace", "no_such_benchmark"]);
+    assert_usage_error(&["explain"]);
+    assert_usage_error(&["explain", "no_such_benchmark"]);
 }
 
 #[test]
 fn retired_subcommands_are_gone() {
-    for name in ["hotpath", "treetop", "crash", "pipeline", "fault"] {
+    for name in ["hotpath", "treetop", "crash", "pipeline", "fault", "obs"] {
         assert_usage_error(&[name]);
     }
 }
@@ -41,8 +43,9 @@ fn misplaced_flags_are_errors() {
     assert_usage_error(&["table1", "--trace", "x.jsonl"]);
     assert_usage_error(&["table1", "--ms", "50"]);
     assert_usage_error(&["table1", "--out", "x.json"]);
-    assert_usage_error(&["obs", "--jobs", "2"]);
-    assert_usage_error(&["obs", "--svg", "figures"]);
+    assert_usage_error(&["explain", "YCSB", "--jobs", "2"]);
+    assert_usage_error(&["explain", "YCSB", "--svg", "x"]);
+    assert_usage_error(&["explain", "YCSB", "--scale", "quick"]);
     assert_usage_error(&["trace", "fft", "--jobs", "2"]);
     assert_usage_error(&["list", "--scale", "quick"]);
     // A known flag with a bad or missing value.

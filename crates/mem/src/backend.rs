@@ -193,9 +193,14 @@ impl std::ops::Sub for FaultStats {
 /// energy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendStats {
-    /// Logical demand requests served (reads + writes, no prefetches).
+    /// Logical demand requests served (reads + writes). DRAM leaves out
+    /// stream-prefetcher requests; the super-block ORAM ignores
+    /// `MemRequest::prefetch` and serves such a request as one more
+    /// demand read, counted here.
     pub demand_accesses: u64,
-    /// Prefetcher-issued requests served.
+    /// Prefetches, counted per backend: DRAM counts the
+    /// stream-prefetcher requests it served; the super-block ORAM counts
+    /// the super-block blocks it delivered beside a demanded block.
     pub prefetch_requests: u64,
     /// Physical memory operations, including ORAM path accesses for
     /// position maps and dummy/background-eviction accesses.

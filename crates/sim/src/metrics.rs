@@ -53,7 +53,9 @@ pub struct RunMetrics {
     pub caches: HierarchyStats,
     /// Memory-backend statistics.
     pub backend: BackendStats,
-    /// LLC demand misses (memory fetches issued).
+    /// LLC demand misses, each one memory fetch: `caches.l2.misses`, set
+    /// once by [`crate::System::finish`]. Stream-prefetcher requests are
+    /// not among them.
     pub demand_fetches: u64,
     /// Dirty write-backs issued to memory.
     pub writebacks: u64,
@@ -97,6 +99,34 @@ impl RunMetrics {
         let misses = self.backend.prefetch_misses;
         let total = hits + misses;
         (total > 0).then(|| misses as f64 / total as f64)
+    }
+
+    /// The cycles one path cost in this run, off the backend's own ledger:
+    /// `busy_cycles / physical_accesses`, exact because every path of a
+    /// run costs the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run issued no path, or if its paths were priced
+    /// differently.
+    pub fn path_price(&self) -> u64 {
+        let b = &self.backend;
+        assert!(b.physical_accesses > 0, "{} issued no path", self.benchmark);
+        let price = b.busy_cycles / b.physical_accesses;
+        assert_eq!(
+            price * b.physical_accesses,
+            b.busy_cycles,
+            "mixed path prices"
+        );
+        price
+    }
+
+    /// Position-map paths per demand access, the recursion cost of the
+    /// position map: `posmap_accesses` over `demand_accesses`, whose
+    /// demand accesses are reads and write-backs alike (the posmap paths
+    /// are the walks of both). NaN if the run served no demand access.
+    pub fn posmap_per_demand(&self) -> f64 {
+        self.backend.posmap_accesses as f64 / self.backend.demand_accesses as f64
     }
 
     /// Whether the backend's per-stage cycle attribution (data paths +
@@ -154,6 +184,24 @@ mod tests {
         m.backend.prefetch_hits = 3;
         m.backend.prefetch_misses = 1;
         assert_eq!(m.prefetch_miss_rate(), Some(0.25));
+    }
+
+    #[test]
+    fn path_price_and_posmap_share_read_the_backend_ledger() {
+        let mut m = metrics(10, 4);
+        m.backend.busy_cycles = 4 * 2365;
+        m.backend.posmap_accesses = 3;
+        m.backend.demand_accesses = 2;
+        assert_eq!(m.path_price(), 2365);
+        assert_eq!(m.posmap_per_demand(), 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed path prices")]
+    fn path_price_rejects_mixed_prices() {
+        let mut m = metrics(10, 4);
+        m.backend.busy_cycles = 4 * 2365 + 1;
+        m.path_price();
     }
 
     #[test]

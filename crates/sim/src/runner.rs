@@ -51,7 +51,7 @@ impl Workload for Shard {
 /// # Panics
 ///
 /// Panics if `num_cores` is zero or the configuration is inconsistent.
-pub fn build_multicore(
+fn build_multicore(
     config: &SystemConfig,
     num_cores: usize,
     mut build_workload: impl FnMut(usize) -> Box<dyn Workload>,
@@ -69,9 +69,9 @@ pub fn build_multicore(
 }
 
 /// Builds an `num_cores`-core system running `build_workload(core_id)` on
-/// each core ([`build_multicore`]) and runs it to completion, excluding
-/// the scale's warmup prefix on every core. The result carries one
-/// [`CoreMetrics`] entry per core in [`RunMetrics::per_core`].
+/// each core, over its own address range, and runs it to completion,
+/// excluding the scale's warmup prefix on every core. The result carries
+/// one [`CoreMetrics`] entry per core in [`RunMetrics::per_core`].
 ///
 /// [`CoreMetrics`]: crate::metrics::CoreMetrics
 pub fn run_multicore(
@@ -104,10 +104,7 @@ mod tests {
 
     #[test]
     fn run_spec_executes_named_benchmark() {
-        let spec = suite::specs(Suite::Splash2)
-            .into_iter()
-            .find(|s| s.name == "fft")
-            .expect("fft registered");
+        let spec = suite::spec("fft").expect("fft registered");
         let cfg = SystemConfig::quick_test(MemoryKind::Dram);
         let m = run_spec(spec, quick_scale(), &cfg);
         assert_eq!(m.benchmark, "fft");
@@ -162,8 +159,6 @@ mod tests {
         });
         assert_eq!(dual.per_core.len(), 2);
         assert!(per_core_sums_to_totals(&dual));
-        // The run-wide counters are the cache's own, counted once.
-        assert_eq!(dual.demand_fetches, dual.caches.l2.misses);
         // A tampered per-core entry must break the cross-check.
         dual.per_core[0].trace_ops += 1;
         assert!(!per_core_sums_to_totals(&dual));

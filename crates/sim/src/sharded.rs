@@ -96,21 +96,6 @@ impl ShardedOram {
         ShardedOram::new(&config.oram, scheme, num_shards, needed, config.seed)
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Borrows shard `i`'s controller (per-shard attribution in
-    /// `proram-bench obs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn shard(&self, i: usize) -> &SuperBlockOram<PathOram> {
-        &self.shards[i]
-    }
-
     /// The shard owning a global block and that block's local address.
     fn route(&self, block: BlockAddr) -> (usize, BlockAddr) {
         let n = self.shards.len() as u64;
@@ -200,8 +185,8 @@ impl MemoryBackend for ShardedOram {
     }
 
     fn attach_obs(&mut self, obs: Obs) {
-        // Every shard shares the one sink; shard identity is recoverable
-        // from each shard's own statistics (`ShardedOram::shard`).
+        // Every shard shares the one sink; its events carry shard-local
+        // addresses.
         for shard in &mut self.shards {
             shard.attach_obs(obs.clone());
         }

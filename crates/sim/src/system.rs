@@ -17,7 +17,7 @@
 //! single place a `MemoryKind` is turned into a backend.
 //!
 //! Simplifications (documented in DESIGN.md): each core runs its own
-//! trace over a private address range ([`crate::runner::build_multicore`]
+//! trace over a private address range ([`crate::runner::run_multicore`]
 //! assigns them), so no cache-coherence traffic exists; the shared LLC is
 //! inclusive of every private L1, and an LLC eviction back-invalidates
 //! all of them.
@@ -74,8 +74,8 @@ impl TileState {
 /// which is how ORAM bandwidth contention (Section 3.1) arises.
 ///
 /// [`build`](System::build) makes one core;
-/// [`runner::build_multicore`](crate::runner::build_multicore) makes N,
-/// each over its own address range. Drive core 0 op by op with
+/// [`runner::run_multicore`](crate::runner::run_multicore) makes and runs
+/// N, each over its own address range. Drive core 0 op by op with
 /// [`step`](System::step), or every core to completion with
 /// [`run`](System::run).
 pub struct System {
@@ -158,7 +158,7 @@ impl System {
 
     /// Builds a system with `num_cores` tiles for workloads covering
     /// `footprint_bytes` in total; outside this crate, N cores come with
-    /// their address ranges from [`crate::runner::build_multicore`].
+    /// their address ranges from [`crate::runner::run_multicore`].
     ///
     /// # Panics
     ///
@@ -283,7 +283,6 @@ impl System {
     }
 
     fn demand_fetch(&mut self, tile: usize, block: BlockAddr, write: bool) {
-        self.metrics.demand_fetches += 1;
         let issued_at = self.tiles[tile].now;
         self.obs.emit(|| ObsEvent::TileIssue {
             core: tile as u32,
@@ -442,6 +441,7 @@ impl System {
         m.cycles = m.per_core.iter().map(|c| c.cycles).max().unwrap_or(0);
         m.trace_ops = m.per_core.iter().map(|c| c.trace_ops).sum();
         m.caches = hierarchy.stats() - caches_baseline;
+        m.demand_fetches = m.caches.l2.misses;
         m.backend = memory.stats() - backend_baseline;
         assert!(
             m.stage_cycles_consistent(),
@@ -510,10 +510,11 @@ mod tests {
         assert_eq!(m.cycles, m.per_core.iter().map(|c| c.cycles).max().unwrap());
         assert!(m.caches.l1.misses > 0, "L1 stats zeroed");
         assert!(m.caches.l2.misses > 0, "LLC stats zeroed");
-        assert_eq!(m.demand_fetches, m.caches.l2.misses);
         assert!(m.writebacks > 0, "writebacks zeroed");
         assert_eq!(m.writebacks, m.caches.l2.dirty_evictions);
-        assert!(m.backend.demand_accesses > 0);
+        // DRAM serves each LLC miss and each write-back as one demand
+        // access, counted apart from the cache.
+        assert_eq!(m.backend.demand_accesses, m.demand_fetches + m.writebacks);
         for (i, c) in m.per_core.iter().enumerate() {
             assert_eq!(c.trace_ops, 2000);
             assert!(c.cycles > 0, "core {i} clock zeroed");
@@ -573,9 +574,12 @@ mod tests {
     /// lanes of a run sum to the backend's path and backoff cycles, one
     /// event per demand access, one `tile_retire` per demand fetch.
     ///
-    /// Periodic mode stays out of both cells on purpose: a periodic dummy
-    /// retires no access, so there `dummy_path_cycles` exceeds the evict
-    /// lane by design.
+    /// The cells: the plain dynamic scheme; with faults; behind the
+    /// stream prefetcher, whose requests the ORAM serves as demand reads
+    /// and the LLC does not count as misses; and over two shards, each
+    /// retiring into the one sink. Periodic mode stays out on purpose: a
+    /// periodic dummy retires no access, so there `dummy_path_cycles`
+    /// exceeds the evict lane by design.
     #[test]
     fn the_trace_and_the_ledger_agree() {
         use proram_oram::{FaultClass, FaultConfig};
@@ -593,7 +597,15 @@ mod tests {
             }),
             ..plain.oram.clone()
         };
-        for (cell, cfg) in [("plain", plain), ("faults", faulty)] {
+        let mut prefetch = plain.clone();
+        prefetch.prefetch = Some(Default::default());
+        let shards = SystemConfig::quick_test(MemoryKind::OramShards(SchemeConfig::dynamic(2), 2));
+        for (cell, cfg) in [
+            ("plain", plain),
+            ("faults", faulty),
+            ("prefetch", prefetch),
+            ("shards", shards),
+        ] {
             assert_eq!(cfg.periodic_interval, None);
             let mut w = LocalityMix::new(4 << 20, 0.6, 20_000, 5);
             let mut sys = System::build(&cfg, w.footprint_bytes());
@@ -632,6 +644,9 @@ mod tests {
             assert_eq!(tile_retires, m.demand_fetches, "{cell}");
             if cell == "faults" {
                 assert!(lanes[2] > 0 && lanes[3] > 0, "{cell}: {lanes:?}");
+            }
+            if cell == "prefetch" {
+                assert!(b.demand_accesses > m.demand_fetches + m.writebacks);
             }
         }
     }
@@ -684,7 +699,6 @@ mod tests {
             trace_ops: m.trace_ops,
         };
         assert_eq!(m.per_core, [core]);
-        assert_eq!(m.demand_fetches, m.caches.l2.misses);
     }
 
     #[test]

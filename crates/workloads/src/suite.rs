@@ -121,6 +121,15 @@ pub fn specs(suite: Suite) -> Vec<BenchSpec> {
     }
 }
 
+/// The benchmark named `name`, searched across all three suites (names
+/// are unique across them); `None` if no suite registers it.
+pub fn spec(name: &str) -> Option<BenchSpec> {
+    [Suite::Splash2, Suite::Spec06, Suite::Dbms]
+        .into_iter()
+        .flat_map(specs)
+        .find(|s| s.name == name)
+}
+
 /// Builds the named benchmark at the given scale, its generator running
 /// a chunk ahead on its own thread (the `pipeline` module): the op stream
 /// is the generator's, op for op, and the thread is joined when the
@@ -192,13 +201,25 @@ mod tests {
     }
 
     #[test]
+    fn names_are_unique_across_the_suites() {
+        let all: Vec<BenchSpec> = [Suite::Splash2, Suite::Spec06, Suite::Dbms]
+            .into_iter()
+            .flat_map(specs)
+            .collect();
+        let names: std::collections::HashSet<&str> = all.iter().map(|s| s.name).collect();
+        assert_eq!(names.len(), all.len(), "a name is registered twice");
+        for s in &all {
+            assert_eq!(spec(s.name), Some(*s));
+        }
+        assert_eq!(spec("no_such_benchmark"), None);
+    }
+
+    #[test]
     fn memory_intensive_classification() {
         let splash = specs(Suite::Splash2);
         assert_eq!(splash.iter().filter(|s| s.memory_intensive).count(), 6);
-        let water = splash.iter().find(|s| s.name == "water_ns").unwrap();
-        assert!(!water.memory_intensive);
-        let ocean = splash.iter().find(|s| s.name == "ocean_c").unwrap();
-        assert!(ocean.memory_intensive);
+        assert!(!spec("water_ns").unwrap().memory_intensive);
+        assert!(spec("ocean_c").unwrap().memory_intensive);
     }
 
     #[test]

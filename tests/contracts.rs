@@ -17,7 +17,7 @@ use proram::oram::{
     RecoveryMode,
 };
 use proram::sim::{runner, MemoryKind, SystemConfig};
-use proram::workloads::{suite, Scale, Suite};
+use proram::workloads::{suite, Scale};
 use proram_mem::{AccessKind, BlockAddr, MemRequest, MemoryBackend, NoProbe};
 use proram_obs::Obs;
 use proram_stats::{Rng64, Xoshiro256};
@@ -250,10 +250,7 @@ fn a_tree_bucket_is_64_bytes() {
 #[test]
 fn cache_model_counters_are_pinned() {
     let run = |name: &str, scale: Scale| {
-        let spec = suite::specs(Suite::Splash2)
-            .into_iter()
-            .find(|s| s.name == name)
-            .expect("registered benchmark");
+        let spec = suite::spec(name).expect("registered benchmark");
         let mut cfg = SystemConfig::paper_default(MemoryKind::Oram(SchemeConfig::dynamic(2)));
         cfg.oram.num_data_blocks = 1 << 13;
         let m = runner::run_spec(spec, scale, &cfg);

@@ -4,13 +4,10 @@
 
 use proram::core_scheme::SchemeConfig;
 use proram::sim::{runner, MemoryKind, RunMetrics, SystemConfig};
-use proram::workloads::{suite, Scale, Suite};
+use proram::workloads::{suite, Scale};
 
 fn run(seed: u64) -> RunMetrics {
-    let spec = suite::specs(Suite::Splash2)
-        .into_iter()
-        .find(|s| s.name == "fft")
-        .expect("registered");
+    let spec = suite::spec("fft").expect("registered");
     let scale = Scale {
         ops: 4_000,
         warmup_ops: 1_000,
@@ -49,10 +46,7 @@ fn different_seeds_differ() {
 fn dumps_and_live_runs_of_one_spec_are_identical() {
     use proram::workloads::tracefile::dump;
 
-    let spec = suite::specs(Suite::Spec06)
-        .into_iter()
-        .find(|s| s.name == "gcc")
-        .expect("registered");
+    let spec = suite::spec("gcc").expect("registered");
     let scale = Scale {
         ops: 3_000,
         warmup_ops: 0,

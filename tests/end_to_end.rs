@@ -31,10 +31,7 @@ fn run_mix(scheme: SchemeConfig, locality: f64, ops: u64) -> RunMetrics {
 #[test]
 fn oram_slowdown_over_dram_is_order_of_magnitude_for_memory_bound() {
     // Section 1: "2-10x performance slowdown" for secure processors.
-    let spec = suite::specs(Suite::Splash2)
-        .into_iter()
-        .find(|s| s.name == "ocean_c")
-        .unwrap();
+    let spec = suite::spec("ocean_c").unwrap();
     let dram = runner::run_spec(
         spec,
         small_scale(),
@@ -188,10 +185,7 @@ fn norm_memory_accesses_track_energy_savings() {
 #[test]
 fn dbms_workloads_profit_from_dynamic_scheme() {
     // YCSB's multi-line records give PrORAM spatial locality to find.
-    let spec = suite::specs(Suite::Dbms)
-        .into_iter()
-        .find(|s| s.name == "YCSB")
-        .unwrap();
+    let spec = suite::spec("YCSB").unwrap();
     let scale = Scale {
         ops: 25_000,
         warmup_ops: 6_000,
