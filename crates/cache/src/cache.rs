@@ -76,7 +76,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Lines evicted (any reason).
     pub evictions: u64,
-    /// Dirty lines evicted.
+    /// Dirty lines evicted, by this array's own dirty bits. A line dirty
+    /// only in an L1 above it is not among them; the fabric's
+    /// `HierarchyStats::writebacks` counts it.
     pub dirty_evictions: u64,
 }
 

@@ -67,13 +67,20 @@ impl CacheAccess {
     }
 }
 
-/// Hit/miss counters for both levels.
+/// The cache fabric's ledger: each level's own counters, and what left
+/// the fabric for memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
-    /// First-level counters.
+    /// First-level counters, summed over tiles.
     pub l1: CacheStats,
     /// Second-level counters.
     pub l2: CacheStats,
+    /// Lines that left the fabric dirty, each one memory write-back. A
+    /// line dirty only in an L1 counts here but not in
+    /// `l2.dirty_evictions`.
+    pub writebacks: u64,
+    /// Prefetched lines that left the fabric without being used.
+    pub unused_prefetch_evictions: u64,
 }
 
 impl std::ops::Sub for HierarchyStats {
@@ -83,17 +90,9 @@ impl std::ops::Sub for HierarchyStats {
         HierarchyStats {
             l1: self.l1 - rhs.l1,
             l2: self.l2 - rhs.l2,
-        }
-    }
-}
-
-impl std::ops::Add for HierarchyStats {
-    type Output = HierarchyStats;
-
-    fn add(self, rhs: HierarchyStats) -> HierarchyStats {
-        HierarchyStats {
-            l1: self.l1 + rhs.l1,
-            l2: self.l2 + rhs.l2,
+            writebacks: self.writebacks - rhs.writebacks,
+            unused_prefetch_evictions: self.unused_prefetch_evictions
+                - rhs.unused_prefetch_evictions,
         }
     }
 }

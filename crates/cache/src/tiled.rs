@@ -39,6 +39,10 @@ pub struct TiledHierarchy {
     config: HierarchyConfig,
     l1s: Vec<Cache>,
     l2: Cache,
+    /// Dirty lines that left the fabric, L1 dirtiness folded in.
+    writebacks: u64,
+    /// Prefetched lines that left the fabric unused.
+    unused_prefetch_evictions: u64,
 }
 
 impl TiledHierarchy {
@@ -53,6 +57,8 @@ impl TiledHierarchy {
             config,
             l1s: (0..tiles).map(|_| Cache::new(config.l1)).collect(),
             l2: Cache::new(config.l2),
+            writebacks: 0,
+            unused_prefetch_evictions: 0,
         }
     }
 
@@ -97,7 +103,8 @@ impl TiledHierarchy {
     /// Returns the line that must leave the fabric entirely, if the LLC
     /// insert displaced one (it displaces at most one; an L1 victim stays
     /// in the inclusive LLC): a dirty one needs a memory writeback, a
-    /// clean one only a notification.
+    /// clean one only a notification. The fabric counts the departure
+    /// here, the one place its final dirtiness is known.
     pub fn fill(
         &mut self,
         tile: usize,
@@ -114,6 +121,8 @@ impl TiledHierarchy {
                     victim.dirty |= l1_victim.dirty;
                 }
             }
+            self.writebacks += u64::from(victim.dirty);
+            self.unused_prefetch_evictions += u64::from(victim.prefetched_unused);
         }
         if prefetched {
             debug_assert!(!write, "prefetch fills cannot be stores");
@@ -147,8 +156,8 @@ impl TiledHierarchy {
         self.l2.peek(block)
     }
 
-    /// Aggregate counters: L1 counters summed over tiles, plus the shared
-    /// LLC's counters.
+    /// Aggregate counters: L1 counters summed over tiles, the shared
+    /// LLC's counters, and the fabric's count of the lines that left it.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
             l1: self
@@ -156,6 +165,8 @@ impl TiledHierarchy {
                 .iter()
                 .fold(CacheStats::default(), |acc, c| acc + c.stats()),
             l2: self.l2.stats(),
+            writebacks: self.writebacks,
+            unused_prefetch_evictions: self.unused_prefetch_evictions,
         }
     }
 
@@ -247,6 +258,10 @@ mod tests {
         let ev = t.fill(0, BlockAddr(4), false, false).expect("set is full");
         assert_eq!(ev.block, BlockAddr(0));
         assert!(ev.dirty, "tile 1's dirtiness must fold in");
+        // The LLC array saw a clean victim; the fabric counts the
+        // write-back its departure needs.
+        assert_eq!(t.stats().l2.dirty_evictions, 0);
+        assert_eq!(t.stats().writebacks, 1);
     }
 
     #[test]

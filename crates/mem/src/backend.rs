@@ -290,11 +290,12 @@ impl std::ops::Add for BackendStats {
 }
 
 impl BackendStats {
-    /// Counters accumulated since `baseline` was captured.
+    /// Counters accumulated since `baseline` was captured: capture
+    /// `stats()` at a boundary, then diff later counters against it.
     ///
-    /// This is the snapshot-diff the simulator uses to exclude a
-    /// measurement-warmup prefix: capture `stats()` at the warmup
-    /// boundary, then diff the final counters against it.
+    /// The simulator's own warm-up snapshot subtracts with `-`; this
+    /// named form is for callers that measure a span of a run from
+    /// outside it, such as the `perf` harness.
     pub fn since(self, baseline: BackendStats) -> BackendStats {
         self - baseline
     }

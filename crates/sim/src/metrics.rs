@@ -10,8 +10,8 @@ use proram_mem::{BackendStats, Cycle};
 /// Produced by [`crate::System`] for every core; a single-core run
 /// carries exactly one entry. Run-level `cycles` is the entries' maximum
 /// and `trace_ops` their sum. Every other counter is counted once per
-/// run, in [`RunMetrics`]: the caches in [`RunMetrics::caches`], the
-/// system's own counters beside them.
+/// run, by the cache fabric ([`RunMetrics::caches`]) or the memory
+/// backend ([`RunMetrics::backend`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreMetrics {
     /// This core's completion time in cycles (its final clock).
@@ -21,13 +21,6 @@ pub struct CoreMetrics {
 }
 
 impl CoreMetrics {
-    /// Subtracts a warmup-boundary snapshot so the metrics cover only the
-    /// measured phase.
-    pub fn subtract_baseline(&mut self, baseline: &CoreMetrics) {
-        self.cycles -= baseline.cycles;
-        self.trace_ops -= baseline.trace_ops;
-    }
-
     /// Average cycles per trace op on this core.
     pub fn cpi(&self) -> f64 {
         if self.trace_ops == 0 {
@@ -38,8 +31,10 @@ impl CoreMetrics {
     }
 }
 
-/// Everything measured during one simulation run.
-#[derive(Debug, Clone, Default)]
+/// Everything measured during one simulation run, read by
+/// [`crate::System::finish`] off three ledgers: the tiles' clocks, the
+/// cache fabric and the memory backend.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
     /// Memory-system label (`dram`, `oram`, `stat`, `dyn`, ...).
     pub label: String,
@@ -57,9 +52,12 @@ pub struct RunMetrics {
     /// once by [`crate::System::finish`]. Stream-prefetcher requests are
     /// not among them.
     pub demand_fetches: u64,
-    /// Dirty write-backs issued to memory.
+    /// Dirty write-backs issued to memory: the fabric's
+    /// `caches.writebacks`, set once by [`crate::System::finish`].
     pub writebacks: u64,
-    /// Prefetched lines evicted from the LLC without being used.
+    /// Prefetched lines evicted from the LLC without being used: the
+    /// fabric's `caches.unused_prefetch_evictions`, set once by
+    /// [`crate::System::finish`].
     pub unused_prefetch_evictions: u64,
     /// Per-core clocks and op counts (one entry per tile; `cycles` is
     /// their maximum, `trace_ops` their sum).
@@ -202,25 +200,6 @@ mod tests {
         let mut m = metrics(10, 4);
         m.backend.busy_cycles = 4 * 2365 + 1;
         m.path_price();
-    }
-
-    #[test]
-    fn core_metrics_baseline_subtraction() {
-        let mut c = CoreMetrics {
-            cycles: 1000,
-            trace_ops: 200,
-        };
-        c.subtract_baseline(&CoreMetrics {
-            cycles: 400,
-            trace_ops: 80,
-        });
-        assert_eq!(
-            c,
-            CoreMetrics {
-                cycles: 600,
-                trace_ops: 120
-            }
-        );
     }
 
     #[test]
