@@ -23,7 +23,7 @@ pub fn run_suite(suite: Suite, ctx: RunCtx) -> Table {
     ));
     let periodic = |scheme: SchemeConfig| {
         let mut cfg = common::oram_config(scheme);
-        cfg.periodic_interval = Some(O_INT);
+        cfg.periodic_intervals = vec![O_INT];
         cfg
     };
     let mut gains: Vec<Vec<f64>> = vec![Vec::new(); 3];

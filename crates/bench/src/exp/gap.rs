@@ -73,7 +73,7 @@ fn measure(spec: BenchSpec, scale: Scale) -> Row {
     let stat = runs(SchemeConfig::static_scheme(2));
     let dynamic = runs(SchemeConfig::dynamic(2));
     let mut periodic = common::oram_config(SchemeConfig::baseline());
-    periodic.periodic_interval = Some(fig15::O_INT);
+    periodic.periodic_intervals = vec![fig15::O_INT];
     let periodic = at_both_latencies(spec, scale, &periodic);
     let over_oram = |runs: &[RunMetrics; 2]| [0, 1].map(|i| runs[i].speedup_over(&oram[i]));
     Row {

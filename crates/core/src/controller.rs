@@ -623,6 +623,7 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
             dummy_path_cycles: o.background_evictions * self.oram.path_cycles(),
             treetop_hits: o.treetop_hits,
             treetop_bytes_saved: o.treetop_bytes_saved,
+            interval_epochs: 0,
             faults: self.oram.fault_stats() + self.scheme_faults,
         }
     }

@@ -232,6 +232,12 @@ pub struct BackendStats {
     /// Bytes that never crossed the memory bus because the treetop
     /// cache absorbed them.
     pub treetop_bytes_saved: u64,
+    /// Epoch boundaries the periodic-timing wrapper crossed, each one
+    /// public choice of `O_int` from its ladder (0 without periodic
+    /// timing). The leak bound is
+    /// [`leaked_bits`](crate::periodic::leaked_bits)`(interval_epochs,
+    /// rungs)`.
+    pub interval_epochs: u64,
     /// Fault injection / detection / recovery counters (all-zero without
     /// fault injection).
     pub faults: FaultStats,
@@ -258,6 +264,7 @@ impl std::ops::Sub for BackendStats {
             dummy_path_cycles: self.dummy_path_cycles - rhs.dummy_path_cycles,
             treetop_hits: self.treetop_hits - rhs.treetop_hits,
             treetop_bytes_saved: self.treetop_bytes_saved - rhs.treetop_bytes_saved,
+            interval_epochs: self.interval_epochs - rhs.interval_epochs,
             faults: self.faults - rhs.faults,
         }
     }
@@ -284,6 +291,7 @@ impl std::ops::Add for BackendStats {
             dummy_path_cycles: self.dummy_path_cycles + rhs.dummy_path_cycles,
             treetop_hits: self.treetop_hits + rhs.treetop_hits,
             treetop_bytes_saved: self.treetop_bytes_saved + rhs.treetop_bytes_saved,
+            interval_epochs: self.interval_epochs + rhs.interval_epochs,
             faults: self.faults + rhs.faults,
         }
     }

@@ -14,7 +14,10 @@
 //!
 //! [`Periodic`] wraps any backend and enforces the paper's timing-channel
 //! protection (Sections 2.5 and 5.6): accesses start only on multiples of
-//! `O_int`, and idle slots are filled with dummy accesses.
+//! `O_int`, and idle slots are filled with dummy accesses. `O_int` comes
+//! from a public ladder: one rung is the paper's fixed interval, several
+//! rungs the adaptive scheme of Section 2.5's \[9\], whose leak
+//! [`leaked_bits`] bounds from the run's [`BackendStats`].
 //!
 //! # Examples
 //!
@@ -30,16 +33,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive_periodic;
 pub mod backend;
 pub mod dram;
 pub mod periodic;
 pub mod request;
 
-pub use adaptive_periodic::{AdaptivePeriodic, AdaptivePeriodicConfig};
 pub use backend::{
     AccessOutcome, BackendStats, CacheProbe, FaultStats, Fill, MemoryBackend, NoProbe,
 };
 pub use dram::{Dram, DramConfig};
-pub use periodic::Periodic;
+pub use periodic::{leaked_bits, Periodic, ADAPTIVE_LADDER};
 pub use request::{AccessKind, BlockAddr, Cycle, MemRequest};

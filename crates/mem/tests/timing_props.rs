@@ -1,10 +1,7 @@
 //! Randomized tests over the memory timing wrappers, generated with the
 //! workspace's deterministic RNG so every case reproduces from its seed.
 
-use proram_mem::{
-    AdaptivePeriodic, AdaptivePeriodicConfig, BlockAddr, Dram, DramConfig, MemRequest,
-    MemoryBackend, NoProbe, Periodic,
-};
+use proram_mem::{BlockAddr, Dram, DramConfig, MemRequest, MemoryBackend, NoProbe, Periodic};
 use proram_stats::{Rng64, Xoshiro256};
 
 /// DRAM with a flat, deterministic access time (one bank keeps every
@@ -22,7 +19,7 @@ fn periodic_accesses_start_on_slot_boundaries() {
         let mut rng = Xoshiro256::seed_from(0x9E12 + case);
         let interval = rng.next_range(1, 2000);
         let num_gaps = rng.next_range(1, 40);
-        let mut p = Periodic::new(flat_dram(), interval);
+        let mut p = Periodic::new(flat_dram(), &[interval]);
         let mut now = 0;
         for i in 0..num_gaps {
             now += rng.next_below(5000);
@@ -53,7 +50,7 @@ fn periodic_timing_is_independent_of_addresses() {
         // must produce identical completion timing — the timing channel
         // carries no address information.
         let run = |addrs: &[u64]| {
-            let mut p = Periodic::new(flat_dram(), interval);
+            let mut p = Periodic::new(flat_dram(), &[interval]);
             let mut now = 0;
             let mut completions = Vec::new();
             for (a, g) in addrs.iter().zip(&gaps) {
@@ -73,29 +70,29 @@ fn periodic_timing_is_independent_of_addresses() {
 
 #[test]
 fn adaptive_interval_always_on_the_ladder() {
+    let ladder = [100, 400, 1600];
     for case in 0..32u64 {
         let mut rng = Xoshiro256::seed_from(0x1ADD + case);
-        let num_gaps = rng.next_range(1, 400);
-        let cfg = AdaptivePeriodicConfig {
-            intervals: vec![100, 400, 1600],
-            epoch_requests: 32,
-            target_utilization: 0.5,
-        };
-        let mut p = AdaptivePeriodic::new(flat_dram(), cfg.clone());
+        let requests = rng.next_range(512, 2048);
+        let mut p = Periodic::new(flat_dram(), &ladder);
         let mut now = 0;
-        for i in 0..num_gaps {
+        for i in 0..requests {
             now += rng.next_below(60_000);
             now = p
                 .access(now, MemRequest::read(BlockAddr(i)), &NoProbe)
                 .complete_at;
             assert!(
-                cfg.intervals.contains(&p.current_interval()),
+                ladder.contains(&p.interval()),
                 "interval off the ladder (case {case})"
             );
         }
-        // Leakage accounting is exactly one decision per completed epoch.
-        let expected_epochs = num_gaps / cfg.epoch_requests;
-        assert_eq!(p.epochs(), expected_epochs, "epoch count (case {case})");
+        // Leakage accounting is exactly one decision per completed epoch
+        // of 256 demand requests.
+        assert_eq!(
+            p.stats().interval_epochs,
+            requests / 256,
+            "epoch count (case {case})"
+        );
     }
 }
 

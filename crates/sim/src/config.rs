@@ -54,9 +54,12 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// Enable the traditional stream prefetcher (Figure 5).
     pub prefetch: Option<StreamPrefetcherConfig>,
-    /// Periodic-access interval `O_int` for timing-channel protection
-    /// (Figure 15); `None` disables it.
-    pub periodic_interval: Option<Cycle>,
+    /// Public `O_int` ladder for timing-channel protection, ascending
+    /// (Figure 15, Section 2.5). One rung is a fixed `O_int`; more rungs
+    /// let the interval move one rung per public epoch, leaking
+    /// `log2(rungs)` bits each
+    /// ([`proram_mem::leaked_bits`]). Empty disables periodic timing.
+    pub periodic_intervals: Vec<Cycle>,
     /// RNG seed for the ORAM.
     pub seed: u64,
 }
@@ -70,7 +73,7 @@ impl SystemConfig {
             oram: OramConfig::default(),
             dram: DramConfig::default(),
             prefetch: None,
-            periodic_interval: None,
+            periodic_intervals: Vec::new(),
             seed: 42,
         }
     }
@@ -110,14 +113,22 @@ impl SystemConfig {
         self
     }
 
-    /// Checks consistency of line sizes across components.
+    /// Checks consistency of line sizes across components and of the
+    /// `O_int` ladder.
     ///
     /// # Panics
     ///
-    /// Panics if cache, DRAM and ORAM line sizes disagree, or if the line
+    /// Panics if cache, DRAM and ORAM line sizes disagree, if the line
     /// size is not a power of two (the system turns a byte address into a
-    /// block address by a shift).
+    /// block address by a shift), or if `periodic_intervals` has a zero
+    /// rung or is not strictly ascending.
     pub fn validate(&self) {
+        assert!(
+            self.periodic_intervals.first() != Some(&0)
+                && self.periodic_intervals.is_sorted_by(|a, b| a < b),
+            "periodic_intervals {:?} must be positive and strictly ascending",
+            self.periodic_intervals
+        );
         assert!(
             self.line_bytes().is_power_of_two(),
             "line size {} is not a power of two",
@@ -199,6 +210,30 @@ mod tests {
         cfg.dram.line_bytes = 96;
         cfg.oram.timing.block_bytes = 96;
         cfg.validate();
+    }
+
+    fn with_ladder(periodic_intervals: Vec<Cycle>) -> SystemConfig {
+        SystemConfig {
+            periodic_intervals,
+            ..SystemConfig::default()
+        }
+    }
+
+    /// An empty ladder is off and one rung is a fixed `O_int`; a zero
+    /// rung is caught here, not later inside `Periodic::new`.
+    #[test]
+    #[should_panic(expected = "periodic_intervals [0, 100] must be positive and strictly")]
+    fn zero_interval_rung_rejected() {
+        for ladder in [vec![], vec![100], vec![100, 200]] {
+            with_ladder(ladder).validate();
+        }
+        with_ladder(vec![0, 100]).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "periodic_intervals [100, 100] must be positive and strictly")]
+    fn interval_ladder_that_is_not_strictly_ascending_rejected() {
+        with_ladder(vec![100, 100]).validate();
     }
 
     #[test]

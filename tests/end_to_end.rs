@@ -138,7 +138,7 @@ fn periodic_oram_has_deterministic_observable_timing() {
     // programs with the same op count and compute profile finish within
     // one slot of each other.
     let mut cfg = oram_cfg(SchemeConfig::baseline());
-    cfg.periodic_interval = Some(100);
+    cfg.periodic_intervals = vec![100];
     let run = |locality: f64| {
         let mut w = LocalityMix::with_stride(1 << 20, locality, 6_000, 9, 128);
         runner::run_workload(&mut w, &cfg).backend.dummy_accesses
