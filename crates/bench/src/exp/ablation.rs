@@ -135,7 +135,7 @@ pub fn adaptive_interval(scale: Scale) -> Table {
 pub fn shi_generality(scale: Scale) -> Table {
     use proram_core::SuperBlockOram;
     use proram_mem::{BlockAddr, MemRequest, MemoryBackend};
-    use proram_oram::{ShiOram, ShiOramConfig};
+    use proram_oram::{OramConfig, OramTiming, ShiOram};
     use proram_stats::{Rng64, Xoshiro256};
 
     let mut t = Table::new(&["backend+scheme", "tree_accesses", "prefetch_hits"])
@@ -143,9 +143,12 @@ pub fn shi_generality(scale: Scale) -> Table {
     let blocks = 1u64 << 12;
     let run = |scheme: SchemeConfig| {
         let backend = ShiOram::new(
-            ShiOramConfig {
+            OramConfig {
                 num_data_blocks: blocks,
-                ..Default::default()
+                z: 4,
+                on_tree_hierarchies: 0,
+                timing: OramTiming::default(),
+                ..OramConfig::default()
             },
             scale.seed,
         );
@@ -258,57 +261,7 @@ pub fn stash_occupancy(scale: Scale) -> Table {
     t
 }
 
-/// Multi-core scaling (paper Section 2.6): "a single ORAM access
-/// saturates the available DRAM bandwidth, it brings no benefits to
-/// serve multiple ORAM requests in parallel". Throughput is trace ops
-/// per kilocycle, summed over cores.
-pub fn multicore_scaling(scale: Scale) -> Table {
-    use proram_sim::{runner, MemoryKind, SystemConfig};
-    use proram_workloads::synthetic::LocalityMix;
-
-    let mut t = Table::new(&[
-        "cores",
-        "dram_ops_per_kcycle",
-        "dram_core_cpi",
-        "oram_ops_per_kcycle",
-        "oram_core_cpi",
-    ])
-    .with_title("Ablation: multi-core throughput scaling (Section 2.6)");
-    let ops = (scale.ops / 4).max(2_000);
-    // Returns (aggregate throughput, per-core CPI range) — the range
-    // shows how evenly the shared memory controller serves the tiles.
-    let run = |kind: MemoryKind, cores: usize| {
-        let cfg = SystemConfig::paper_default(kind);
-        let m = runner::run_multicore(&cfg, cores, 0, |id| {
-            Box::new(LocalityMix::with_stride(
-                1 << 20,
-                0.8,
-                ops,
-                scale.seed + id as u64,
-                128,
-            ))
-        });
-        let cpis: Vec<f64> = m.per_core.iter().map(|c| c.cpi()).collect();
-        let lo = cpis.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = cpis.iter().cloned().fold(0.0, f64::max);
-        let throughput = m.trace_ops as f64 * 1000.0 / m.cycles as f64;
-        (throughput, format!("{lo:.1}..{hi:.1}"))
-    };
-    for cores in [1usize, 2, 4] {
-        let (dram_tp, dram_cpi) = run(MemoryKind::Dram, cores);
-        let (oram_tp, oram_cpi) = run(MemoryKind::Oram(SchemeConfig::baseline()), cores);
-        t.row(&[
-            cores.to_string(),
-            table::f3(dram_tp),
-            dram_cpi,
-            table::f3(oram_tp),
-            oram_cpi,
-        ]);
-    }
-    t
-}
-
-/// Runs all ablations. The seven studies are independent, so they fan
+/// Runs all ablations. The six studies are independent, so they fan
 /// over the worker pool; tables come back in presentation order.
 pub fn run(ctx: RunCtx) -> Vec<Table> {
     let studies: Vec<fn(Scale) -> Table> = vec![
@@ -318,7 +271,6 @@ pub fn run(ctx: RunCtx) -> Vec<Table> {
         adaptive_interval,
         shi_generality,
         stash_occupancy,
-        multicore_scaling,
     ];
     WorkerPool::new(ctx.jobs).run(studies, |study| study(ctx.scale))
 }
@@ -364,17 +316,6 @@ mod tests {
         }
         assert_eq!(t.rows()[0][3], "0.0");
         assert_eq!(t.rows()[1][3], "0.0");
-    }
-
-    #[test]
-    fn multicore_scaling_has_three_rows() {
-        let t = multicore_scaling(Scale {
-            ops: 4000,
-            warmup_ops: 0,
-            footprint_scale: 0.02,
-            seed: 3,
-        });
-        assert_eq!(t.len(), 3);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! cores buy almost nothing — then relax it across requests with
 //! address-partitioned controller shards ([`proram_sim::ShardedOram`]).
 //!
+//! The `dram` column runs the same cores on plain DRAM, which scales.
 //! `shards=1` must track the stock single controller; larger shard
 //! counts recover multi-core scaling in proportion to how much of the
 //! wall was controller serialization rather than the access pattern.
@@ -20,6 +21,8 @@ use proram_workloads::Scale;
 const CORES: [usize; 3] = [1, 2, 4];
 /// Shard counts swept (columns after the stock controller).
 const SHARDS: [usize; 3] = [1, 2, 4];
+/// Cells per core count: DRAM, the stock controller, then the shards.
+const ROW: usize = 2 + SHARDS.len();
 
 fn throughput(kind: MemoryKind, cores: usize, scale: Scale) -> f64 {
     let ops = (scale.ops / 4).clamp(1_000, 8_000);
@@ -37,13 +40,14 @@ fn throughput(kind: MemoryKind, cores: usize, scale: Scale) -> f64 {
 }
 
 /// Aggregate throughput (trace ops per kilocycle) of every
-/// (core count, controller) cell, row-major: per core count the stock
-/// controller, then `OramShards(N)` for each of [`SHARDS`].
+/// (core count, memory) cell, row-major: per core count plain DRAM, the
+/// stock controller, then `OramShards(N)` for each of [`SHARDS`].
 fn shard_sweep(ctx: RunCtx) -> Vec<f64> {
     // All cells are independent runs: fan them over the worker pool;
     // results come back in sweep order.
     let mut cells = Vec::new();
     for &cores in &CORES {
+        cells.push((cores, MemoryKind::Dram));
         cells.push((cores, MemoryKind::Oram(SchemeConfig::baseline())));
         for &n in &SHARDS {
             cells.push((cores, MemoryKind::OramShards(SchemeConfig::baseline(), n)));
@@ -53,14 +57,15 @@ fn shard_sweep(ctx: RunCtx) -> Vec<f64> {
 }
 
 /// Regenerates the serialization-ablation table: aggregate throughput
-/// (trace ops per kilocycle) of the stock serialized controller next to
-/// `OramShards(N)` for every core count.
+/// (trace ops per kilocycle) of plain DRAM and the stock serialized
+/// controller next to `OramShards(N)` for every core count.
 pub fn run(ctx: RunCtx) -> Vec<Table> {
-    let mut shards = Table::new(&["cores", "oram", "oram_sh1", "oram_sh2", "oram_sh4"]).with_title(
-        "Serialization ablation (Section 2.6): one controller caps scaling; shards relax it",
-    );
+    let mut shards = Table::new(&["cores", "dram", "oram", "oram_sh1", "oram_sh2", "oram_sh4"])
+        .with_title(
+            "Serialization ablation (Section 2.6): one controller caps scaling; shards relax it",
+        );
     let results = shard_sweep(ctx);
-    for (&cores, row) in CORES.iter().zip(results.chunks(1 + SHARDS.len())) {
+    for (&cores, row) in CORES.iter().zip(results.chunks(ROW)) {
         let mut cols = vec![cores.to_string()];
         cols.extend(row.iter().map(|tp| table::f3(*tp)));
         shards.row(&cols);
@@ -95,12 +100,16 @@ mod tests {
     #[test]
     fn one_shard_is_the_stock_controller_and_four_relax_it() {
         let cells = shard_sweep(tiny());
-        for row in cells.chunks(1 + SHARDS.len()) {
-            assert_eq!(row[0], row[1], "oram_sh1 must track the stock oram");
-        }
-        let four_cores = cells.chunks(1 + SHARDS.len()).last().expect("sweep ran");
+        let four_cores = cells.chunks(ROW).last().expect("sweep ran");
         assert!(
-            four_cores[SHARDS.len()] > four_cores[1],
+            four_cores[0] > cells[0],
+            "DRAM throughput must scale with cores"
+        );
+        for row in cells.chunks(ROW) {
+            assert_eq!(row[1], row[2], "oram_sh1 must track the stock oram");
+        }
+        assert!(
+            four_cores[ROW - 1] > four_cores[2],
             "sharding must relax controller serialization"
         );
     }

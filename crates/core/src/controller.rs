@@ -645,6 +645,7 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
 mod tests {
     use super::*;
     use proram_mem::NoProbe;
+    use proram_oram::{OramTiming, ShiOram};
     use proram_stats::{Rng64, Xoshiro256};
     use std::collections::HashSet;
 
@@ -669,6 +670,19 @@ mod tests {
 
     fn small(scheme: SchemeConfig) -> SuperBlockOram {
         SuperBlockOram::new(OramConfig::small_for_tests(256), scheme, 99)
+    }
+
+    /// The Section 6.1 backend's shape at 256 blocks: Z = 4, a flat
+    /// on-chip position map, unscaled timing.
+    fn shi_config(init_group_size: u64) -> OramConfig {
+        OramConfig {
+            num_data_blocks: 256,
+            z: 4,
+            on_tree_hierarchies: 0,
+            timing: OramTiming::default(),
+            init_group_size,
+            ..OramConfig::default()
+        }
     }
 
     #[test]
@@ -991,14 +1005,7 @@ mod tests {
     fn super_blocks_generalize_to_the_shi_tree_oram() {
         // The paper's Section 6.1 claim end to end: the same dynamic
         // super-block controller, running on a different tree ORAM.
-        use proram_oram::{ShiOram, ShiOramConfig};
-        let backend = ShiOram::new(
-            ShiOramConfig {
-                num_data_blocks: 256,
-                ..Default::default()
-            },
-            42,
-        );
+        let backend = ShiOram::new(shi_config(1), 42);
         let mut oram = SuperBlockOram::from_backend(backend, SchemeConfig::dynamic(2));
         assert_eq!(oram.label(), "dyn_shi");
         let mut llc = SetProbe::default();
@@ -1015,24 +1022,16 @@ mod tests {
         // A fresh miss delivers both members through one access.
         let o = oram.access(1_000_000, MemRequest::read(BlockAddr(10)), &NoProbe);
         assert_eq!(o.fills.len(), 2);
-        oram.oram().check_invariants();
+        oram.oram().inner().audit_full();
     }
 
     #[test]
     fn static_scheme_works_on_the_shi_backend_via_init_grouping() {
-        use proram_oram::{ShiOram, ShiOramConfig};
-        let backend = ShiOram::new(
-            ShiOramConfig {
-                num_data_blocks: 256,
-                init_group_size: 2,
-                ..Default::default()
-            },
-            43,
-        );
+        let backend = ShiOram::new(shi_config(2), 43);
         let mut oram = SuperBlockOram::from_backend(backend, SchemeConfig::static_scheme(2));
         let o = oram.access(0, MemRequest::read(BlockAddr(8)), &NoProbe);
         assert_eq!(o.fills.len(), 2, "static pair must deliver both members");
-        oram.oram().check_invariants();
+        oram.oram().inner().audit_full();
     }
 
     #[test]

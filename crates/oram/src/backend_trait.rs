@@ -9,9 +9,9 @@
 //! [`OramBackend`] captures exactly the primitives the super-block
 //! controller in `proram-core` needs: position-map access, a
 //! read-path/write-path pair, stash access, remapping and background
-//! eviction. [`crate::PathOram`] implements it natively; so does the
-//! Shi-style tree ORAM in [`crate::shi`], which is how the Section 6.1
-//! claim is reproduced.
+//! eviction. [`crate::PathOram`] implements it natively; so does
+//! [`crate::ShiOram`], a `PathOram` plus Shi et al.'s eviction step,
+//! which is how the Section 6.1 claim is reproduced.
 
 use crate::addr::{AddressSpace, Leaf};
 use crate::block::Block;

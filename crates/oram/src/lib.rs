@@ -18,7 +18,10 @@
 //! * a first-principles **timing model** (path bytes / pin bandwidth,
 //!   [`timing`]),
 //! * the **access report** ([`pipeline`]): the one place an access
-//!   retires, with per-stage cycle attribution at one price per path.
+//!   retires, with per-stage cycle attribution at one price per path,
+//! * a **Shi-et-al.-style tree ORAM** ([`shi`]) for the Section 6.1
+//!   claim: [`ShiOram`] is a [`PathOram`] plus that scheme's incremental
+//!   eviction step and its traffic in the path price.
 //!
 //! The high-level entry point is [`PathOram`]. The super-block machinery
 //! of the paper itself lives in the `proram-core` crate, built on the
@@ -79,7 +82,7 @@ pub use layout::StoreLayout;
 pub use pipeline::AccessReport;
 pub use plb::Plb;
 pub use posmap::PosEntry;
-pub use shi::{ShiOram, ShiOramConfig};
+pub use shi::ShiOram;
 pub use stash::Stash;
 pub use storage::EncryptedStore;
 pub use timing::OramTiming;

@@ -5,383 +5,194 @@
 //! structure to Path ORAM. After adding background eviction, these ORAM
 //! schemes can also benefit from using super blocks."
 //!
-//! Differences from Path ORAM as modeled here:
+//! It is the same tree, stash and position map as Path ORAM, so
+//! [`ShiOram`] is one [`PathOram`] plus what \[27\] adds:
 //!
-//! * the position map is flat and on-chip (the original scheme recurses
-//!   too, but its signature mechanism is the eviction process, which is
-//!   what matters for super-block generality);
-//! * each access additionally runs an *incremental eviction step*: at
-//!   every non-leaf level, `nu` randomly chosen buckets each push one
+//! * after every path write-back, an *incremental eviction step*: at
+//!   every non-leaf level, ν = 2 randomly chosen buckets each push one
 //!   block down one level toward its leaf, writing both children so the
 //!   direction is hidden (the \[27\] eviction with dummy writes);
-//! * the timing model charges the path transfer plus that eviction
-//!   traffic, so a `ShiOram` access moves more bytes than a `PathOram`
-//!   access of the same height — matching the schemes' relative costs.
+//! * that step's traffic in the path price, so a `ShiOram` access moves
+//!   more bytes than a `PathOram` access of the same height — matching
+//!   the schemes' relative costs.
 //!
-//! [`ShiOram`] implements [`crate::OramBackend`], so the super-block
-//! controller in `proram-core` runs on it unchanged — reproducing the
-//! Section 6.1 claim end to end.
+//! The position map is whatever the [`OramConfig`] says; the Section 6.1
+//! ablation keeps it flat and on-chip (`on_tree_hierarchies: 0`), since
+//! the scheme's signature mechanism is its eviction. [`ShiOram`]
+//! implements [`crate::OramBackend`], so the super-block controller in
+//! `proram-core` runs on it unchanged — reproducing the Section 6.1
+//! claim end to end.
 
 use crate::addr::{AddressSpace, Leaf};
 use crate::backend_trait::OramBackend;
 use crate::block::Block;
-use crate::bucket::Bucket;
-use crate::controller::{OramStats, PathKind};
+use crate::config::OramConfig;
+use crate::controller::{OramStats, PathKind, PathOram, MAX_BACKGROUND_EVICTIONS_PER_ACCESS};
+use crate::crash::RecoveryReport;
 use crate::error::OramError;
-use crate::eviction::{read_path, write_path};
-use crate::pipeline::AccessReport;
 use crate::posmap::PosEntry;
-use crate::stash::Stash;
-use crate::timing::OramTiming;
-use crate::trace::{PhysEvent, TraceRecorder};
-use crate::tree::OramTree;
-use proram_mem::BlockAddr;
+use proram_mem::{BlockAddr, FaultStats};
 use proram_obs::Obs;
-use proram_stats::{Rng64, Xoshiro256};
+use proram_stats::Rng64;
 
-/// Bound on background evictions per request (see `PathOram`).
-const MAX_BACKGROUND_EVICTIONS_PER_ACCESS: u64 = 64;
+/// Buckets the eviction step draws per non-leaf level (the scheme's ν;
+/// \[27\] uses 2).
+const EVICTION_RATE: u64 = 2;
 
-/// Configuration of the Shi-style tree ORAM.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShiOramConfig {
-    /// Number of data blocks.
-    pub num_data_blocks: u64,
-    /// Blocks per bucket, at most [`Bucket::MAX_Z`].
-    pub z: usize,
-    /// Stash capacity (physical, including one in-flight path).
-    pub stash_limit: usize,
-    /// Buckets evicted per level per access (the scheme's `nu`; \[27\]
-    /// uses 2).
-    pub eviction_rate: u32,
-    /// Override for tree levels; `None` sizes like Path ORAM.
-    pub levels_override: Option<u32>,
-    /// Timing parameters.
-    pub timing: OramTiming,
-    /// Adversary-trace capacity (0 = disabled).
-    pub trace_capacity: usize,
-    /// Initial contiguous grouping (static super blocks).
-    pub init_group_size: u64,
-}
-
-impl Default for ShiOramConfig {
-    fn default() -> Self {
-        ShiOramConfig {
-            num_data_blocks: 1 << 14,
-            z: 4,
-            stash_limit: 100,
-            eviction_rate: 2,
-            levels_override: None,
-            timing: OramTiming::default(),
-            trace_capacity: 0,
-            init_group_size: 1,
-        }
-    }
-}
-
-impl ShiOramConfig {
-    /// Tree levels: override, or the same sizing rule as Path ORAM.
-    pub fn tree_levels(&self) -> u32 {
-        if let Some(l) = self.levels_override {
-            return l;
-        }
-        let half = (self.num_data_blocks / 2).max(2);
-        let leaves = 1u64 << (63 - half.leading_zeros());
-        leaves.trailing_zeros() + 1
-    }
-
-    /// Checks internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry cannot hold the blocks.
-    pub fn validate(&self) {
-        assert!(self.num_data_blocks > 0, "need data blocks");
-        assert!(self.z > 0, "Z must be positive");
-        assert!(self.z <= Bucket::MAX_Z, "Z above {}", Bucket::MAX_Z);
-        assert!(self.eviction_rate > 0, "eviction rate must be positive");
-        assert!(
-            self.init_group_size.is_power_of_two(),
-            "init group size must be a power of two"
-        );
-        let levels = self.tree_levels();
-        let slots = ((1u64 << levels) - 1) * self.z as u64;
-        assert!(self.num_data_blocks <= slots, "tree too small");
-    }
-}
-
-/// The Shi-style tree ORAM.
+/// The Shi-style tree ORAM: a [`PathOram`] whose every write-back is
+/// followed by the \[27\] eviction step.
 ///
 /// # Examples
 ///
 /// ```
-/// use proram_oram::{OramBackend, ShiOram, ShiOramConfig};
-/// use proram_mem::{AccessKind, BlockAddr};
+/// use proram_oram::{OramBackend, OramConfig, ShiOram};
 ///
-/// let mut oram = ShiOram::new(ShiOramConfig { num_data_blocks: 256, ..Default::default() }, 7);
-/// let report = oram.access_block(BlockAddr(10), AccessKind::Read);
-/// assert!(report.tree_accesses >= 1);
-/// oram.check_invariants();
+/// let cfg = OramConfig {
+///     num_data_blocks: 256,
+///     on_tree_hierarchies: 0,
+///     ..OramConfig::default()
+/// };
+/// let oram = ShiOram::new(cfg, 7);
+/// assert_eq!(oram.backend_name(), "shi");
+/// // The eviction step's traffic is part of every path's price.
+/// assert!(oram.path_cycles() > oram.inner().config().path_cycles());
+/// oram.inner().audit_full();
 /// ```
 #[derive(Debug, Clone)]
-pub struct ShiOram {
-    config: ShiOramConfig,
-    space: AddressSpace,
-    tree: OramTree,
-    stash: Stash,
-    /// Flat on-chip position map.
-    top: Vec<PosEntry>,
-    rng: Xoshiro256,
-    trace: TraceRecorder,
-    stats: OramStats,
-    path_cycles: u64,
-    path_bytes: u64,
-}
+pub struct ShiOram(PathOram);
 
 impl ShiOram {
-    /// Builds and initializes the ORAM.
+    /// Builds and initializes the ORAM exactly as [`PathOram::new`] does,
+    /// then prices each path with the eviction step's traffic.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid configuration.
-    pub fn new(config: ShiOramConfig, seed: u64) -> Self {
-        config.validate();
-        // Flat posmap: every entry on-chip (`on_tree_hierarchies = 0`).
-        let space = AddressSpace::new(config.num_data_blocks, 32, 0);
-        let levels = config.tree_levels();
-        let mut rng = Xoshiro256::seed_from(seed);
-        let mut tree = OramTree::new(levels, config.z);
-        let leaves_count = u64::from(tree.num_leaves());
-        let group = config.init_group_size;
-        let mut top: Vec<PosEntry> = Vec::with_capacity(config.num_data_blocks as usize);
-        for addr in 0..config.num_data_blocks {
-            let leaf = if group > 1 && addr % group != 0 {
-                top[(addr / group * group) as usize].leaf
-            } else {
-                Leaf(rng.next_below(leaves_count) as u32)
-            };
-            top.push(PosEntry::new(leaf));
-        }
-        let path_blocks = levels as usize * config.z;
-        let resting = config.stash_limit.saturating_sub(path_blocks).max(8);
-        let mut stash = Stash::new(resting);
-        for addr in 0..config.num_data_blocks {
-            let block = Block::opaque(BlockAddr(addr), top[addr as usize].leaf);
-            let path: Vec<usize> = tree.path_indices(block.leaf).collect();
-            let mut placed = false;
-            for &idx in path.iter().rev() {
-                if !tree.bucket(idx).is_full() {
-                    tree.bucket_mut(idx).push(block.clone());
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                stash.insert(block);
-            }
-        }
-        // Per-access bytes: read+write the path, plus the eviction step
-        // touching nu buckets per non-leaf level, each read once and both
-        // children written (3 bucket transfers).
-        let evict_buckets = 3 * config.eviction_rate as u64 * u64::from(levels - 1);
-        let block_wire = u64::from(config.timing.block_bytes + config.timing.meta_bytes);
-        let path_bytes = config.timing.path_bytes(levels, config.z)
-            + evict_buckets * config.z as u64 * block_wire;
-        let transfer = (path_bytes as f64 * config.timing.bandwidth_derate
-            / f64::from(config.timing.bytes_per_cycle))
-        .ceil() as u64;
-        let path_cycles = transfer + u64::from(config.timing.fixed_overhead_cycles);
-        let trace = if config.trace_capacity > 0 {
-            TraceRecorder::enabled(config.trace_capacity)
-        } else {
-            TraceRecorder::disabled()
-        };
-        ShiOram {
-            config,
-            space,
-            tree,
-            stash,
-            top,
-            rng,
-            trace,
-            stats: OramStats::default(),
-            path_cycles,
-            path_bytes,
-        }
+    /// Panics if `config.store_payloads` is set — the eviction step moves
+    /// blocks between resident buckets, and with a store the buckets
+    /// below the treetop live only in the encrypted image — or if the
+    /// configuration fails [`OramConfig::validate`].
+    pub fn new(config: OramConfig, seed: u64) -> Self {
+        assert!(
+            !config.store_payloads,
+            "the Shi eviction step needs a resident tree: store_payloads must be off"
+        );
+        let mut oram = PathOram::new(config, seed);
+        // The eviction step touches ν buckets per non-leaf level, each
+        // read once and both of its children written: 3 bucket transfers.
+        let timing = oram.config.timing;
+        let bucket_bytes = oram.config.z as u64 * u64::from(timing.block_bytes + timing.meta_bytes);
+        let step_buckets = 3 * EVICTION_RATE * u64::from(oram.tree.levels() - 1);
+        oram.path_bytes += step_buckets * bucket_bytes;
+        oram.path_cycles = timing.cycles_for_bytes(oram.path_bytes);
+        ShiOram(oram)
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ShiOramConfig {
-        &self.config
+    /// The Path ORAM underneath, for reading its state: the trace, the
+    /// stash, the configuration and the auditors.
+    pub fn inner(&self) -> &PathOram {
+        &self.0
     }
 
-    /// The adversary-trace recorder.
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
-    }
-
-    /// Clears the recorded trace.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
-
-    /// The scheme's incremental eviction: at each non-leaf level, `nu`
-    /// random buckets each push one block one level down toward its leaf
-    /// (if the child has room). Not adversary-distinguishable from any
-    /// other access component — bucket choices are public randomness.
+    /// The scheme's incremental eviction: at each non-leaf level, ν
+    /// random buckets each offer their first block one level down toward
+    /// its leaf; the move is skipped when that block's child bucket is
+    /// full. Not adversary-distinguishable from any other access
+    /// component — bucket choices are public randomness.
     fn eviction_step(&mut self) {
-        let levels = self.tree.levels();
-        for level in 0..levels - 1 {
-            for _ in 0..self.config.eviction_rate {
-                let width = 1u64 << level;
-                let bucket_idx = (width - 1 + self.rng.next_below(width)) as usize;
-                // Take the first block whose child bucket has room.
-                let candidate = self
-                    .tree
-                    .bucket(bucket_idx)
-                    .iter()
-                    .map(|b| (b.addr, b.leaf))
-                    .next();
-                let Some((addr, leaf)) = candidate else {
+        let PathOram { tree, rng, .. } = &mut self.0;
+        for level in 0..tree.levels() - 1 {
+            let width = 1u64 << level;
+            for _ in 0..EVICTION_RATE {
+                let bucket_idx = (width - 1 + rng.next_below(width)) as usize;
+                let Some(first) = tree.bucket(bucket_idx).iter().next() else {
                     continue;
                 };
-                // Child on the block's path at `level + 1`.
-                let child_idx = self.tree.bucket_index(leaf, level + 1);
-                // Only children of this bucket are reachable; the leaf's
-                // level-(l+1) ancestor is a child of its level-l ancestor
-                // exactly when the level-l ancestor is this bucket.
-                if self.tree.bucket_index(leaf, level) != bucket_idx {
-                    continue;
-                }
-                if !self.tree.bucket(child_idx).is_full() {
-                    let block = self
-                        .tree
+                let (addr, leaf) = (first.addr, first.leaf);
+                // A tree block sits on its own path, so its child on that
+                // path is a child of this bucket.
+                debug_assert_eq!(tree.bucket_index(leaf, level), bucket_idx);
+                let child_idx = tree.bucket_index(leaf, level + 1);
+                if !tree.bucket(child_idx).is_full() {
+                    let block = tree
                         .bucket_mut(bucket_idx)
                         .take(addr)
                         .expect("candidate present");
-                    self.tree.bucket_mut(child_idx).push(block);
+                    tree.bucket_mut(child_idx).push(block);
                 }
             }
-        }
-    }
-
-    /// Performs one plain (no super blocks) logical access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    pub fn access_block(&mut self, addr: BlockAddr, kind: proram_mem::AccessKind) -> AccessReport {
-        self.stats.logical_accesses += 1;
-        let old_leaf = self.entry(addr).leaf;
-        let new_leaf = self.random_leaf();
-        self.entry_mut(addr).leaf = new_leaf;
-        self.read_path_into_stash(old_leaf, PathKind::Data)
-            .expect("shi backend has no encrypted image to fault");
-        let block = self
-            .stash
-            .get_mut(addr)
-            .unwrap_or_else(|| panic!("invariant broken: {addr} missing from {old_leaf}"));
-        block.leaf = new_leaf;
-        self.write_path_from_stash(old_leaf)
-            .expect("shi backend write-back is infallible");
-        let background_evictions = self
-            .drain_background()
-            .expect("shi backend has no encrypted image to fault");
-        AccessReport::retire(
-            &Obs::disabled(),
-            addr,
-            kind,
-            0,
-            background_evictions,
-            self.path_cycles,
-            0,
-        )
-    }
-
-    /// Verifies that every block sits on its mapped path or in the stash.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violation.
-    pub fn check_invariants(&self) {
-        for addr in 0..self.config.num_data_blocks {
-            let leaf = self.top[addr as usize].leaf;
-            let addr = BlockAddr(addr);
-            let found = self.stash.contains(addr)
-                || self
-                    .tree
-                    .path_indices(leaf)
-                    .any(|idx| self.tree.bucket(idx).iter().any(|b| b.addr == addr));
-            assert!(found, "block {addr} mapped to {leaf} is unreachable");
         }
     }
 }
 
 impl OramBackend for ShiOram {
     fn space(&self) -> &AddressSpace {
-        &self.space
+        self.0.space()
     }
 
-    fn resolve_posmap(&mut self, _child: BlockAddr) -> Result<u64, OramError> {
-        Ok(0) // the entire position map is on-chip
+    fn resolve_posmap(&mut self, child: BlockAddr) -> Result<u64, OramError> {
+        self.0.try_resolve_posmap(child)
     }
 
     fn entry(&self, child: BlockAddr) -> &PosEntry {
-        &self.top[child.0 as usize]
+        self.0.entry(child)
     }
 
     fn entry_mut(&mut self, child: BlockAddr) -> &mut PosEntry {
-        &mut self.top[child.0 as usize]
+        self.0.entry_mut(child)
     }
 
     fn read_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) -> Result<(), OramError> {
-        read_path(&mut self.tree, &mut self.stash, leaf);
-        match kind {
-            PathKind::Data => {
-                self.stats.data_path_accesses += 1;
-                self.trace.record(PhysEvent::PathAccess(leaf));
-            }
-            PathKind::PosMap => {
-                self.stats.posmap_path_accesses += 1;
-                self.trace.record(PhysEvent::PathAccess(leaf));
-            }
-            PathKind::Dummy => {
-                self.stats.background_evictions += 1;
-                self.trace.record(PhysEvent::DummyAccess(leaf));
-            }
-        }
-        self.stats.bytes_moved += self.path_bytes;
-        self.stash.sample_occupancy();
-        Ok(())
+        self.0.try_read_path_into_stash(leaf, kind)
     }
 
+    /// Path ORAM's greedy write-back, then the eviction step.
     fn write_path_from_stash(&mut self, leaf: Leaf) -> Result<(), OramError> {
-        write_path(&mut self.tree, &mut self.stash, leaf);
+        self.0.write_path_from_stash(leaf)?;
         self.eviction_step();
         Ok(())
     }
 
+    fn txn_begin(&mut self) {
+        self.0.txn_begin();
+    }
+
+    fn txn_armed(&self) -> bool {
+        self.0.txn_armed()
+    }
+
+    fn txn_commit(&mut self) -> Result<(), OramError> {
+        self.0.txn_commit()
+    }
+
+    fn recover_crash(&mut self) -> Option<RecoveryReport> {
+        self.0.recover_crash()
+    }
+
     fn stash_contains(&self, addr: BlockAddr) -> bool {
-        self.stash.contains(addr)
+        self.0.stash_contains(addr)
     }
 
     fn stash_block_mut(&mut self, addr: BlockAddr) -> Option<&mut Block> {
-        self.stash.get_mut(addr)
+        self.0.stash_block_mut(addr)
     }
 
     fn random_leaf(&mut self) -> Leaf {
-        Leaf(self.rng.next_below(u64::from(self.tree.num_leaves())) as u32)
+        self.0.random_leaf()
     }
 
+    /// A dummy path read, written back through this backend's own
+    /// write-back, so the eviction step follows it too.
     fn background_evict(&mut self) -> Result<(), OramError> {
-        let leaf = self.random_leaf();
-        self.read_path_into_stash(leaf, PathKind::Dummy)?;
+        let leaf = self.0.random_leaf();
+        self.0.try_read_path_into_stash(leaf, PathKind::Dummy)?;
         self.write_path_from_stash(leaf)
     }
 
+    /// Background-evicts until the stash is under its limit, under the
+    /// controller's one per-access bound.
     fn drain_background(&mut self) -> Result<u64, OramError> {
         let mut n = 0;
-        while self.stash.over_limit() && n < MAX_BACKGROUND_EVICTIONS_PER_ACCESS {
+        while self.0.stash().over_limit() && n < MAX_BACKGROUND_EVICTIONS_PER_ACCESS {
             self.background_evict()?;
             n += 1;
         }
@@ -389,51 +200,77 @@ impl OramBackend for ShiOram {
     }
 
     fn path_cycles(&self) -> u64 {
-        self.path_cycles
+        self.0.path_cycles()
     }
 
     fn oram_stats(&self) -> OramStats {
-        self.stats
+        self.0.oram_stats()
+    }
+
+    fn fault_stats(&self) -> FaultStats {
+        self.0.fault_stats()
     }
 
     fn backend_name(&self) -> &'static str {
         "shi"
+    }
+
+    fn attach_obs(&mut self, obs: Obs) {
+        self.0.attach_obs(obs);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proram_mem::AccessKind;
+    use crate::timing::OramTiming;
+    use proram_stats::Xoshiro256;
+
+    fn config(num_data_blocks: u64) -> OramConfig {
+        OramConfig {
+            num_data_blocks,
+            z: 4,
+            on_tree_hierarchies: 0,
+            timing: OramTiming::default(),
+            trace_capacity: 1 << 14,
+            ..OramConfig::default()
+        }
+    }
 
     fn small() -> ShiOram {
-        ShiOram::new(
-            ShiOramConfig {
-                num_data_blocks: 256,
-                trace_capacity: 1 << 14,
-                ..Default::default()
-            },
-            11,
-        )
+        ShiOram::new(config(256), 11)
+    }
+
+    /// One plain access through the backend primitives: remap, fetch,
+    /// claim, write back, drain.
+    fn access(oram: &mut ShiOram, addr: BlockAddr) {
+        oram.resolve_posmap(addr).unwrap();
+        let old_leaf = oram.entry(addr).leaf;
+        let new_leaf = oram.random_leaf();
+        oram.entry_mut(addr).leaf = new_leaf;
+        oram.read_path_into_stash(old_leaf, PathKind::Data).unwrap();
+        oram.stash_block_mut(addr).expect("fetched").leaf = new_leaf;
+        oram.write_path_from_stash(old_leaf).unwrap();
+        oram.drain_background().unwrap();
     }
 
     #[test]
     fn construction_satisfies_invariants() {
-        small().check_invariants();
+        small().inner().audit_full();
     }
 
     #[test]
     fn every_block_accessible_repeatedly() {
         let mut oram = small();
         for a in 0..256u64 {
-            oram.access_block(BlockAddr(a), AccessKind::Read);
+            access(&mut oram, BlockAddr(a));
         }
         let mut rng = Xoshiro256::seed_from(3);
         for _ in 0..300 {
-            oram.access_block(BlockAddr(rng.next_below(256)), AccessKind::Read);
+            access(&mut oram, BlockAddr(rng.next_below(256)));
         }
-        oram.check_invariants();
-        assert_eq!(oram.oram_stats().logical_accesses, 556);
+        oram.inner().audit_full();
+        assert_eq!(oram.oram_stats().data_path_accesses, 556);
     }
 
     #[test]
@@ -442,30 +279,27 @@ mod tests {
         // Occupancy of the upper levels should not grow monotonically:
         // the eviction step keeps pushing content toward the leaves.
         let top_levels_occupancy =
-            |o: &ShiOram| -> usize { (0..7usize).map(|idx| o.tree.bucket(idx).len()).sum() };
+            |o: &ShiOram| -> usize { (0..7usize).map(|idx| o.0.tree.bucket(idx).len()).sum() };
         let before = top_levels_occupancy(&oram);
         let mut rng = Xoshiro256::seed_from(5);
         for _ in 0..400 {
-            oram.access_block(BlockAddr(rng.next_below(256)), AccessKind::Read);
+            access(&mut oram, BlockAddr(rng.next_below(256)));
         }
         let after = top_levels_occupancy(&oram);
         // Accessed blocks keep landing high (remap) but eviction drains
         // them; the top of the tree must not be saturated.
-        let capacity = 7 * oram.config.z;
+        let capacity = 7 * oram.inner().config().z;
         assert!(
             after < capacity,
             "top levels saturated: {before} -> {after}"
         );
-        oram.check_invariants();
+        oram.inner().audit_full();
     }
 
     #[test]
     fn shi_access_costs_more_than_a_bare_path() {
         let oram = small();
-        let bare = oram
-            .config
-            .timing
-            .path_cycles(oram.config.tree_levels(), oram.config.z);
+        let bare = oram.inner().config().path_cycles();
         assert!(
             oram.path_cycles() > bare,
             "eviction traffic must be charged: {} vs {}",
@@ -477,45 +311,47 @@ mod tests {
     #[test]
     fn observed_leaves_uniform_under_repeated_access() {
         let mut oram = small();
-        oram.clear_trace();
         for _ in 0..4000 {
-            oram.access_block(BlockAddr(7), AccessKind::Read);
+            access(&mut oram, BlockAddr(7));
         }
-        let leaves = u64::from(oram.tree.num_leaves());
-        let r = proram_stats::chi2_uniform(&oram.trace().observed_leaves(), leaves);
+        let leaves = u64::from(oram.0.tree.num_leaves());
+        let r = proram_stats::chi2_uniform(&oram.inner().trace().observed_leaves(), leaves);
         assert!(
             r.is_plausibly_uniform(6.0),
             "chi2={} dof={}",
             r.statistic,
             r.dof
         );
+        oram.inner().audit_full();
     }
 
     #[test]
     fn static_init_grouping_colocates() {
-        let cfg = ShiOramConfig {
-            num_data_blocks: 64,
-            init_group_size: 4,
-            ..Default::default()
-        };
-        let oram = ShiOram::new(cfg, 9);
+        let oram = ShiOram::new(
+            OramConfig {
+                init_group_size: 4,
+                ..config(64)
+            },
+            9,
+        );
         for base in (0..64u64).step_by(4) {
             let leaf = oram.entry(BlockAddr(base)).leaf;
             for off in 1..4 {
                 assert_eq!(oram.entry(BlockAddr(base + off)).leaf, leaf);
             }
         }
-        oram.check_invariants();
+        oram.inner().audit_full();
     }
 
     #[test]
-    #[should_panic(expected = "tree too small")]
-    fn undersized_tree_rejected() {
-        ShiOramConfig {
-            num_data_blocks: 1 << 14,
-            levels_override: Some(4),
-            ..Default::default()
-        }
-        .validate();
+    #[should_panic(expected = "store_payloads must be off")]
+    fn a_stored_image_is_rejected() {
+        ShiOram::new(
+            OramConfig {
+                store_payloads: true,
+                ..config(256)
+            },
+            1,
+        );
     }
 }

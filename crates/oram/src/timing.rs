@@ -39,7 +39,13 @@ impl OramTiming {
     /// Cycles for one full path access (read + write of every bucket on
     /// the path) of a tree with `levels` levels and `z` blocks per bucket.
     pub fn path_cycles(&self, levels: u32, z: usize) -> u64 {
-        let bytes = self.path_bytes(levels, z);
+        self.cycles_for_bytes(self.path_bytes(levels, z))
+    }
+
+    /// Cycles one tree access costs that moves `bytes` on the memory
+    /// bus: the derated transfer over pin bandwidth plus the fixed
+    /// overhead.
+    pub fn cycles_for_bytes(&self, bytes: u64) -> u64 {
         let transfer =
             (bytes as f64 * self.bandwidth_derate / f64::from(self.bytes_per_cycle)).ceil() as u64;
         transfer + u64::from(self.fixed_overhead_cycles)

@@ -45,8 +45,9 @@ pub struct SystemConfig {
     pub hierarchy: HierarchyConfig,
     /// Main-memory technology.
     pub memory: MemoryKind,
-    /// ORAM parameters (used when `memory` is [`MemoryKind::Oram`]).
-    /// `num_data_blocks` is treated as a minimum — the runner grows it to
+    /// ORAM parameters (used when `memory` is [`MemoryKind::Oram`] or
+    /// [`MemoryKind::OramShards`], each shard built from them).
+    /// `num_data_blocks` is treated as a minimum — the system grows it to
     /// cover the workload footprint.
     pub oram: OramConfig,
     /// DRAM parameters (used for DRAM runs; the pin bandwidth also feeds

@@ -20,17 +20,6 @@ pub struct CoreMetrics {
     pub trace_ops: u64,
 }
 
-impl CoreMetrics {
-    /// Average cycles per trace op on this core.
-    pub fn cpi(&self) -> f64 {
-        if self.trace_ops == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.trace_ops as f64
-        }
-    }
-}
-
 /// Everything measured during one simulation run, read by
 /// [`crate::System::finish`] off three ledgers: the tiles' clocks, the
 /// cache fabric and the memory backend.
@@ -200,15 +189,5 @@ mod tests {
         let mut m = metrics(10, 4);
         m.backend.busy_cycles = 4 * 2365 + 1;
         m.path_price();
-    }
-
-    #[test]
-    fn core_cpi() {
-        let c = CoreMetrics {
-            cycles: 500,
-            trace_ops: 100,
-        };
-        assert!((c.cpi() - 5.0).abs() < 1e-12);
-        assert_eq!(CoreMetrics::default().cpi(), 0.0);
     }
 }

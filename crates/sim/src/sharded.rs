@@ -14,7 +14,6 @@
 //! Each shard is a full [`SuperBlockOram`] over [`PathOram`], so sharding
 //! composes with super-block prefetching.
 
-use crate::config::SystemConfig;
 use proram_core::{SchemeConfig, SuperBlockOram};
 use proram_mem::{
     AccessOutcome, BackendStats, BlockAddr, CacheProbe, Cycle, MemRequest, MemoryBackend, NoProbe,
@@ -79,21 +78,6 @@ impl ShardedOram {
             shards,
             label: format!("{}_sh{num_shards}", scheme.label()),
         }
-    }
-
-    /// Builds from a [`SystemConfig`] whose memory kind is
-    /// [`crate::config::MemoryKind::OramShards`], covering
-    /// `footprint_bytes`.
-    pub fn from_system(
-        config: &SystemConfig,
-        scheme: &SchemeConfig,
-        num_shards: usize,
-        footprint_bytes: u64,
-    ) -> Self {
-        let needed = footprint_bytes
-            .div_ceil(config.line_bytes())
-            .max(config.oram.num_data_blocks);
-        ShardedOram::new(&config.oram, scheme, num_shards, needed, config.seed)
     }
 
     /// The shard owning a global block and that block's local address.
