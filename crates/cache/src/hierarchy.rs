@@ -46,7 +46,8 @@ pub enum CacheAccess {
         /// Cycles to serve the access (L1 probe + L2 hit).
         latency: u64,
         /// `true` on the first demand touch of a super-block-prefetched
-        /// line — the event that must set the ORAM-side hit bit.
+        /// line — the event that must set the block's hit bit in the
+        /// super-block scheme's prefetch ledger.
         prefetch_first_use: bool,
     },
     /// Missed both levels; main memory must be accessed.

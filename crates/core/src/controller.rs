@@ -9,14 +9,17 @@
 //! so a single implementation produces every configuration in the
 //! evaluation.
 //!
-//! ## Modeling notes (see DESIGN.md §7)
+//! ## Modeling notes (see DESIGN.md §9)
 //!
 //! * The per-block *hit* and *prefetch* bits are physically "stored with
 //!   each data block in the ORAM and the LLC" / "in the Pos-Map blocks"
 //!   (Section 4.5.1); their maintenance is explicitly off the critical
-//!   path. We track them in one controller-side ledger (block → hit bit,
-//!   present while the prefetch bit is set) plus the pos-map entry bits,
-//!   with identical semantics and zero timing cost.
+//!   path. They live in one controller-side ledger and nowhere else
+//!   (block → hit bit, present while the prefetch bit is set; see
+//!   [`SuperBlockOram::prefetch_ledger`]): neither the encrypted image nor
+//!   the checkpoint journal carries them. Their bytes are priced in
+//!   [`proram_oram::OramTiming::meta_bytes`]; their maintenance costs no
+//!   cycles.
 //! * Dirty LLC write-backs access the super block and remap it as a unit
 //!   (preserving co-location) but perform no merge/break processing and
 //!   return no prefetches — the paper does not specify write-back
@@ -165,6 +168,19 @@ impl<O: OramBackend> SuperBlockOram<O> {
         self.stats
     }
 
+    /// The prefetch ledger, the one home of the paper's prefetch and hit
+    /// bits: every block whose prefetch bit is set, with its hit bit,
+    /// sorted by block.
+    pub fn prefetch_ledger(&self) -> Vec<(BlockAddr, bool)> {
+        let mut ledger: Vec<(BlockAddr, bool)> = self
+            .prefetched
+            .iter()
+            .map(|(&block, &hit)| (BlockAddr(block), hit))
+            .collect();
+        ledger.sort_unstable();
+        ledger
+    }
+
     /// The underlying ORAM (trace, stash, invariants).
     pub fn oram(&self) -> &O {
         &self.oram
@@ -249,7 +265,6 @@ impl<O: OramBackend> SuperBlockOram<O> {
             if let Some(hit) = self.prefetched.remove(&m.0) {
                 break_counter += if hit { 1 } else { -1 };
             }
-            self.oram.entry_mut(m).prefetch = false;
         }
 
         let rates = self.window.rates();
@@ -279,18 +294,8 @@ impl<O: OramBackend> SuperBlockOram<O> {
             };
             let l1 = self.oram.random_leaf();
             let l2 = self.oram.random_leaf();
-            for m in b1.members() {
-                self.oram.entry_mut(m).leaf = l1;
-                if let Some(b) = self.oram.stash_block_mut(m) {
-                    b.leaf = l1;
-                }
-            }
-            for m in b2.members() {
-                self.oram.entry_mut(m).leaf = l2;
-                if let Some(b) = self.oram.stash_block_mut(m) {
-                    b.leaf = l2;
-                }
-            }
+            self.remap(b1.members(), l1);
+            self.remap(b2.members(), l2);
             // Counters are reconstructed per-size; reset the broken super
             // block's break counter and the merge counter of the (B1, B2)
             // pair so re-merging needs fresh evidence.
@@ -304,12 +309,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             }
             // Remap the whole super block to one fresh leaf.
             let new_leaf = self.oram.random_leaf();
-            for &m in &found {
-                self.oram.entry_mut(m).leaf = new_leaf;
-                if let Some(b) = self.oram.stash_block_mut(m) {
-                    b.leaf = new_leaf;
-                }
-            }
+            self.remap(found.iter().copied(), new_leaf);
             fills.extend(self.deliver(addr, sb, &found, llc));
             // Step 2 (Algorithm 1): merge bookkeeping.
             self.try_merge(sb, llc, rates);
@@ -359,6 +359,17 @@ impl<O: OramBackend> SuperBlockOram<O> {
         ))
     }
 
+    /// Points each member's pos-map entry, and its stashed copy if there
+    /// is one, at `leaf`.
+    fn remap(&mut self, members: impl IntoIterator<Item = BlockAddr>, leaf: Leaf) {
+        for m in members {
+            self.oram.entry_mut(m).leaf = leaf;
+            if let Some(b) = self.oram.stash_block_mut(m) {
+                b.leaf = leaf;
+            }
+        }
+    }
+
     /// Returns the requested block plus prefetch fills for the other
     /// members of `group` that are not already LLC-resident, setting their
     /// prefetch bits ("each block in B2 will have the prefetch bit set and
@@ -375,7 +386,6 @@ impl<O: OramBackend> SuperBlockOram<O> {
             if m == requested || !group.contains(m) || llc.contains(m) {
                 continue;
             }
-            self.oram.entry_mut(m).prefetch = true;
             self.prefetched.insert(m.0, false);
             self.stats.prefetches_issued += 1;
             fills.push(Fill::prefetch(m));
@@ -425,12 +435,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
                 threshold: threshold.max(0) as u32,
             });
             let target = self.oram.entry(neighbor.base()).leaf;
-            for m in sb.members() {
-                self.oram.entry_mut(m).leaf = target;
-                if let Some(b) = self.oram.stash_block_mut(m) {
-                    b.leaf = target;
-                }
-            }
+            self.remap(sb.members(), target);
             // The pair's merge bits are reused at the next size; the new
             // super block starts with a fresh break counter of 2 * (2n).
             self.oram.entry_mut(pair_base).merge = 0;
@@ -457,12 +462,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             .filter(|&m| self.oram.stash_contains(m))
             .collect();
         let new_leaf = self.oram.random_leaf();
-        for &m in &found {
-            self.oram.entry_mut(m).leaf = new_leaf;
-            if let Some(b) = self.oram.stash_block_mut(m) {
-                b.leaf = new_leaf;
-            }
-        }
+        self.remap(found, new_leaf);
         let report = self.finish(
             addr,
             AccessKind::Write,

@@ -12,6 +12,7 @@ use proram_core::{SchemeConfig, SchemeStats, SuperBlockOram};
 use proram_mem::{BlockAddr, CacheProbe, MemRequest, MemoryBackend};
 use proram_oram::{CrashConfig, CrashStats, OramConfig};
 use std::collections::VecDeque;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 const BLOCKS: u64 = 256;
 const OPS: u64 = 900;
@@ -34,10 +35,16 @@ impl CacheProbe for FifoLlc {
 
 /// What a cell ends with. `reads` / `writes` are the requests the driver
 /// issued, the count `scheme`'s `demand_reads` / `writebacks` must equal
-/// whatever crashed in between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// whatever crashed in between. `ledger` is the scheme's prefetch ledger,
+/// the one home of the prefetch and hit bits, at the end of the run;
+/// `ledger_trace` hashes it after every demand read and the write-backs
+/// its fills caused, because the ledger heals: a block's bits go when it
+/// is next loaded, so a divergence can be gone by the end.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellOutcome {
     pub scheme: SchemeStats,
+    pub ledger: Vec<(BlockAddr, bool)>,
+    pub ledger_trace: u64,
     pub state_digest: u64,
     pub crash: CrashStats,
     pub unrecovered: u64,
@@ -64,6 +71,7 @@ pub fn run_cell(scheme: SchemeConfig, crash: CrashConfig) -> CellOutcome {
     let mut oram = SuperBlockOram::new(cfg, scheme, 99);
     let mut llc = FifoLlc::default();
     let (mut now, mut reads, mut writes) = (0, 0, 0);
+    let mut ledger_trace = DefaultHasher::new();
     for i in 0..OPS {
         let block = BlockAddr(stream(i));
         if llc.contains(block) {
@@ -86,10 +94,13 @@ pub fn run_cell(scheme: SchemeConfig, crash: CrashConfig) -> CellOutcome {
                 }
             }
         }
+        oram.prefetch_ledger().hash(&mut ledger_trace);
     }
     oram.oram().audit_full();
     CellOutcome {
         scheme: oram.scheme_stats(),
+        ledger: oram.prefetch_ledger(),
+        ledger_trace: ledger_trace.finish(),
         state_digest: oram.oram().state_digest(),
         crash: oram.oram().crash_stats(),
         unrecovered: oram.stats().faults.unrecovered,

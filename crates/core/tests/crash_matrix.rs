@@ -40,6 +40,7 @@ fn a_rolled_back_access_leaves_no_trace_in_the_scheme_layer() {
                 s.prefetch_hits > 0 && s.prefetch_misses > 0,
                 "the stream must exercise both bits: {s:?}"
             );
+            assert!(!free.ledger.is_empty(), "the ledger ends empty");
         }
         for point in [
             KillPoint::WriteBack,
@@ -53,6 +54,8 @@ fn a_rolled_back_access_leaves_no_trace_in_the_scheme_layer() {
                 assert_eq!(got.crash.rollbacks, 1, "{cell}");
                 assert_eq!(got.unrecovered, 0, "{cell}");
                 assert_eq!(got.scheme, free.scheme, "{cell}");
+                assert_eq!(got.ledger, free.ledger, "{cell}");
+                assert_eq!(got.ledger_trace, free.ledger_trace, "{cell}");
                 assert_eq!(got.state_digest, free.state_digest, "{cell}");
                 assert_eq!((got.reads, got.writes), (free.reads, free.writes), "{cell}");
             }

@@ -346,9 +346,10 @@ pub trait MemoryBackend {
 
     /// Informs the backend that the LLC hit on `block`.
     ///
-    /// ORAM super-block schemes use this to set the block's *hit bit*
-    /// (paper Algorithm 2: "In Processor: when block b is accessed,
-    /// b.hit = true"). The default implementation ignores it.
+    /// ORAM super-block schemes use this to set the block's *hit bit* in
+    /// their prefetch ledger (paper Algorithm 2: "In Processor: when block
+    /// b is accessed, b.hit = true"). The default implementation ignores
+    /// it.
     fn note_llc_hit(&mut self, _block: BlockAddr) {}
 
     /// Informs the backend that `block` was evicted from the LLC without a

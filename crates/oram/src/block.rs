@@ -32,18 +32,15 @@ impl Payload {
 ///
 /// Every block is mapped to a [`Leaf`]; the Path ORAM invariant is that the
 /// block resides on the path to that leaf, in the stash, or on-chip (PLB).
-/// The `hit` bit is the paper's per-data-block prefetch-hit bit (Section
-/// 4.5.1): "The hit bit is stored with each data block in the ORAM and the
-/// LLC."
+/// Address and leaf are all the metadata a Path ORAM block carries; the
+/// paper's per-block hit bit (Section 4.5.1) lives in the super-block
+/// scheme's prefetch ledger, not here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Program (block) address.
     pub addr: BlockAddr,
     /// Path the block is currently mapped to.
     pub leaf: Leaf,
-    /// Set when the block, having been prefetched into the LLC, was
-    /// actually used (paper Algorithm 2).
-    pub hit: bool,
     /// Contents.
     pub payload: Payload,
 }
@@ -54,7 +51,6 @@ impl Block {
         Block {
             addr,
             leaf,
-            hit: false,
             payload: Payload::Opaque,
         }
     }
@@ -64,7 +60,6 @@ impl Block {
         Block {
             addr,
             leaf,
-            hit: false,
             payload: Payload::Data(bytes),
         }
     }
@@ -74,7 +69,6 @@ impl Block {
         Block {
             addr,
             leaf,
-            hit: false,
             payload: Payload::PosMap(entries),
         }
     }
@@ -113,7 +107,6 @@ mod tests {
         let b = Block::opaque(BlockAddr(1), Leaf(2));
         assert_eq!(b.addr, BlockAddr(1));
         assert_eq!(b.leaf, Leaf(2));
-        assert!(!b.hit);
         assert_eq!(b.payload, Payload::Opaque);
 
         let d = Block::with_data(BlockAddr(3), Leaf(0), vec![1, 2, 3].into());

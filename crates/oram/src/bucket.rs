@@ -11,8 +11,8 @@ static OPAQUE: Payload = Payload::Opaque;
 /// One node of the ORAM tree: up to `Z` real blocks, `Z` at most
 /// [`Bucket::MAX_Z`].
 ///
-/// A bucket is one 64-byte record: the block headers — address, leaf,
-/// hit bit — lie inline, slot by slot, and payloads lie in a side array
+/// A bucket is one 64-byte record: the block headers — address and
+/// leaf — lie inline, slot by slot, and payloads lie in a side array
 /// that is allocated on the first non-opaque push and kept from then on.
 /// A tree of opaque blocks (every timing experiment) is therefore one
 /// dense allocation, and moving a block in or out of it allocates
@@ -21,8 +21,8 @@ static OPAQUE: Payload = Payload::Opaque;
 /// Slots not holding a real block are *dummy blocks* on the wire; the
 /// functional model simply leaves them empty (the encryption layer in
 /// [`crate::storage`] serializes dummies explicitly so ciphertext sizes
-/// are position-independent). A dead slot's header and hit bit are
-/// whatever was there last; it owns no payload.
+/// are position-independent). A dead slot's header is whatever was there
+/// last; it owns no payload.
 #[derive(Clone)]
 pub struct Bucket {
     addr: [u64; Bucket::MAX_Z],
@@ -31,8 +31,6 @@ pub struct Bucket {
     payloads: Option<Box<[Payload; Bucket::MAX_Z]>>,
     len: u8,
     capacity: u8,
-    /// Bit `i` is slot `i`'s hit bit.
-    hit: u8,
 }
 
 /// A resident block as [`Bucket::iter`] yields it: the header by value,
@@ -43,8 +41,6 @@ pub struct BlockRef<'a> {
     pub addr: BlockAddr,
     /// Path the block is mapped to.
     pub leaf: Leaf,
-    /// The block's prefetch-hit bit.
-    pub hit: bool,
     /// Contents.
     pub payload: &'a Payload,
 }
@@ -55,7 +51,6 @@ impl BlockRef<'_> {
         Block {
             addr: self.addr,
             leaf: self.leaf,
-            hit: self.hit,
             payload: self.payload.clone(),
         }
     }
@@ -66,7 +61,6 @@ impl<'a> From<&'a Block> for BlockRef<'a> {
         BlockRef {
             addr: block.addr,
             leaf: block.leaf,
-            hit: block.hit,
             payload: &block.payload,
         }
     }
@@ -91,7 +85,6 @@ impl Bucket {
             payloads: None,
             len: 0,
             capacity: z as u8,
-            hit: 0,
         }
     }
 
@@ -125,7 +118,6 @@ impl Bucket {
         let slot = self.len();
         self.addr[slot] = block.addr.0;
         self.leaf[slot] = block.leaf.0;
-        self.set_hit(slot, block.hit);
         if !matches!(block.payload, Payload::Opaque) {
             let payloads = self
                 .payloads
@@ -135,20 +127,11 @@ impl Bucket {
         self.len += 1;
     }
 
-    fn hit(&self, slot: usize) -> bool {
-        (self.hit >> slot) & 1 != 0
-    }
-
-    fn set_hit(&mut self, slot: usize, hit: bool) {
-        self.hit = (self.hit & !(1 << slot)) | (u8::from(hit) << slot);
-    }
-
     /// The block in `slot`, its payload moved out.
     fn take_slot(&mut self, slot: usize) -> Block {
         Block {
             addr: BlockAddr(self.addr[slot]),
             leaf: Leaf(self.leaf[slot]),
-            hit: self.hit(slot),
             payload: match &mut self.payloads {
                 Some(payloads) => std::mem::replace(&mut payloads[slot], Payload::Opaque),
                 None => Payload::Opaque,
@@ -178,7 +161,6 @@ impl Bucket {
         let last = self.len() - 1;
         self.addr[slot] = self.addr[last];
         self.leaf[slot] = self.leaf[last];
-        self.set_hit(slot, self.hit(last));
         if let Some(payloads) = &mut self.payloads {
             payloads.swap(slot, last);
         }
@@ -191,7 +173,6 @@ impl Bucket {
         (0..self.len()).map(move |slot| BlockRef {
             addr: BlockAddr(self.addr[slot]),
             leaf: Leaf(self.leaf[slot]),
-            hit: self.hit(slot),
             payload: self.payloads.as_ref().map_or(&OPAQUE, |p| &p[slot]),
         })
     }
@@ -264,13 +245,6 @@ mod tests {
         Block::opaque(BlockAddr(a), Leaf(0))
     }
 
-    fn hit_blk(a: u64) -> Block {
-        Block {
-            hit: true,
-            ..blk(a)
-        }
-    }
-
     fn pm_blk(a: u64) -> Block {
         let entries = vec![PosEntry::new(Leaf(7)), PosEntry::new(Leaf(8))];
         Block::posmap(BlockAddr(a), Leaf(3), entries.into())
@@ -285,13 +259,11 @@ mod tests {
     fn push_and_drain() {
         let mut b = Bucket::new(3);
         b.push(blk(1));
-        b.push(hit_blk(2));
+        b.push(blk(2));
         assert_eq!(b.len(), 2);
         assert!(!b.is_full());
         let blocks: Vec<Block> = b.drain().collect();
-        assert_eq!(blocks.len(), 2);
-        assert_eq!((blocks[0].addr, blocks[0].hit), (BlockAddr(1), false));
-        assert_eq!((blocks[1].addr, blocks[1].hit), (BlockAddr(2), true));
+        assert_eq!(blocks, [blk(1), blk(2)]);
         assert!(b.is_empty());
         // Opaque blocks never allocate the side array.
         assert!(b.payloads.is_none());
@@ -310,12 +282,12 @@ mod tests {
         let mut b = Bucket::new(4);
         b.push(pm_blk(1));
         b.push(blk(2));
-        b.push(hit_blk(3));
+        b.push(blk(3));
         assert_eq!(b.take(BlockAddr(1)), Some(pm_blk(1)));
         assert!(b.take(BlockAddr(1)).is_none());
         // The last block moved into the freed slot, header and payload.
         let left: Vec<Block> = b.iter().map(|b| b.to_block()).collect();
-        assert_eq!(left, [hit_blk(3), blk(2)]);
+        assert_eq!(left, [blk(3), blk(2)]);
         assert_eq!(b.take(BlockAddr(2)), Some(blk(2)));
         assert_eq!(b.len(), 1);
     }
@@ -354,7 +326,7 @@ mod tests {
     #[test]
     fn equality_ignores_dead_slots() {
         let mut a = Bucket::new(3);
-        a.push(hit_blk(9));
+        a.push(blk(9));
         a.push(pm_blk(8));
         a.drain();
         assert_eq!(a, Bucket::new(3), "stale headers, live side array");

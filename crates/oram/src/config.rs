@@ -598,6 +598,22 @@ mod tests {
     }
 
     #[test]
+    fn a_posmap_block_may_exactly_fill_the_payload() {
+        // 16 entries of 8 serialized bytes fill a 128-byte payload; one
+        // more does not fit.
+        let with_fanout = |entries_per_posmap_block| OramConfig {
+            entries_per_posmap_block,
+            store_payloads: true,
+            ..OramConfig::small_for_tests(1 << 10)
+        };
+        assert_eq!(OramTiming::default().block_bytes, 128);
+        assert_eq!(with_fanout(16).check(), Ok(()));
+        let err = with_fanout(17).check().unwrap_err();
+        assert_eq!(err.field(), "entries_per_posmap_block");
+        assert!(err.to_string().contains("posmap entries do not fit"));
+    }
+
+    #[test]
     fn path_cycles_positive() {
         assert!(OramConfig::default().path_cycles() > 1000);
     }

@@ -666,7 +666,6 @@ impl PathOram {
             h.write_u64(u64::from(e.leaf.0));
             h.write_u64(e.merge as u64);
             h.write_u64(e.brk as u64);
-            h.write_u64(u64::from(e.prefetch));
         }
         let mut stash: Vec<&Block> = self.stash.iter().collect();
         stash.sort_unstable_by_key(|b| b.addr.0);
@@ -689,7 +688,6 @@ impl PathOram {
         let b = b.into();
         h.write_u64(b.addr.0);
         h.write_u64(u64::from(b.leaf.0));
-        h.write_u64(u64::from(b.hit));
         match b.payload {
             Payload::Opaque => h.write_u64(0),
             Payload::Data(bytes) => {
@@ -702,7 +700,6 @@ impl PathOram {
                     h.write_u64(u64::from(e.leaf.0));
                     h.write_u64(e.merge as u64);
                     h.write_u64(e.brk as u64);
-                    h.write_u64(u64::from(e.prefetch));
                 }
             }
         }

@@ -305,7 +305,7 @@ impl Mac {
 /// [`Mac::tag_parts`] would take.
 pub type MacLane<'a> = (&'a [u64], &'a [&'a [u8]]);
 
-/// Widest [`Mac::tag_lanes`] call. Four chains bring a 153-byte slot tag
+/// Widest [`Mac::tag_lanes`] call. Four chains bring a ~150-byte slot tag
 /// from ~108 ns to ~36 ns on the reference host, within 1.5x of what its
 /// one multiplier port allows; a wider group would also leave more of a
 /// path's ~18 slots to narrower remainder calls.

@@ -74,9 +74,9 @@ const DELTA_TREETOP_PATHS: usize = 4;
 const RECORD_HEAD: usize = 16;
 const RECORD_TAG: usize = 8;
 
-/// Serialized block header: address, leaf, hit bit, payload kind and
-/// payload length.
-const BLOCK_HEAD: usize = 8 + 4 + 1 + 1 + 4;
+/// Serialized block header: address, leaf, payload kind and payload
+/// length.
+const BLOCK_HEAD: usize = 8 + 4 + 1 + 4;
 
 const KIND_FULL: u8 = 0;
 const KIND_DELTA: u8 = 1;
@@ -542,7 +542,6 @@ fn encode_entry(out: &mut Vec<u8>, e: &PosEntry) {
     out.extend_from_slice(&e.leaf.0.to_le_bytes());
     out.extend_from_slice(&e.merge.to_le_bytes());
     out.extend_from_slice(&e.brk.to_le_bytes());
-    out.push(u8::from(e.prefetch));
 }
 
 fn decode_entry(r: &mut Reader<'_>) -> Option<PosEntry> {
@@ -550,7 +549,6 @@ fn decode_entry(r: &mut Reader<'_>) -> Option<PosEntry> {
         leaf: Leaf(r.u32()?),
         merge: r.i16()?,
         brk: r.i16()?,
-        prefetch: r.u8()? != 0,
     })
 }
 
@@ -558,7 +556,6 @@ fn encode_block<'a>(out: &mut Vec<u8>, b: impl Into<BlockRef<'a>>) {
     let b = b.into();
     out.extend_from_slice(&b.addr.0.to_le_bytes());
     out.extend_from_slice(&b.leaf.0.to_le_bytes());
-    out.push(u8::from(b.hit));
     match b.payload {
         Payload::Opaque => out.push(0),
         Payload::Data(data) => {
@@ -576,7 +573,6 @@ fn encode_block<'a>(out: &mut Vec<u8>, b: impl Into<BlockRef<'a>>) {
 fn decode_block(r: &mut Reader<'_>) -> Option<Block> {
     let addr = BlockAddr(r.u64()?);
     let leaf = Leaf(r.u32()?);
-    let hit = r.u8()? != 0;
     let payload = match r.u8()? {
         0 => Payload::Opaque,
         1 => {
@@ -589,7 +585,6 @@ fn decode_block(r: &mut Reader<'_>) -> Option<Block> {
     Some(Block {
         addr,
         leaf,
-        hit,
         payload,
     })
 }
@@ -677,7 +672,6 @@ mod tests {
                     leaf: Leaf(0x0BAD_CAFE),
                     merge: -3,
                     brk: 4,
-                    prefetch: true,
                 },
                 PosEntry::new(Leaf(0x0DEC_ADE5)),
             ],

@@ -2,9 +2,11 @@
 //!
 //! Each position-map block stores the leaf labels of
 //! `entries_per_block` consecutive child blocks, "along with their merge
-//! and break bits" (paper Section 4.1, Figure 4). The prefetch bit is also
-//! kept here (Section 4.5.1: "The merge bit, break bit and the prefetch
-//! bit are stored in the Pos-Map blocks").
+//! and break bits" (paper Section 4.1, Figure 4). The paper keeps the
+//! prefetch bit here too (Section 4.5.1); this reproduction keeps it, with
+//! the hit bit, in the super-block scheme's prefetch ledger alone, and the
+//! timing model prices both bits ([`crate::OramTiming::meta_bytes`])
+//! whatever an entry carries.
 //!
 //! The bits are opaque to this crate; the super-block schemes in
 //! `proram-core` reconstruct merge/break counters from them. Because the
@@ -26,8 +28,6 @@ pub struct PosEntry {
     pub merge: i16,
     /// Break-counter contribution of this block (paper's break bits).
     pub brk: i16,
-    /// Set while the block sits in the LLC as an unconsumed prefetch.
-    pub prefetch: bool,
 }
 
 impl PosEntry {
@@ -37,7 +37,6 @@ impl PosEntry {
             leaf,
             merge: 0,
             brk: 0,
-            prefetch: false,
         }
     }
 }
@@ -52,7 +51,6 @@ mod tests {
         assert_eq!(e.leaf, Leaf(12));
         assert_eq!(e.merge, 0);
         assert_eq!(e.brk, 0);
-        assert!(!e.prefetch);
     }
 
     #[test]

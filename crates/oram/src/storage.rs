@@ -41,15 +41,20 @@ use proram_mem::{BlockAddr, FaultStats};
 use std::borrow::Borrow;
 
 /// Serialized size of one position-map entry.
-pub const ENTRY_BYTES: usize = 9;
+pub const ENTRY_BYTES: usize = 8;
 
-/// Per-slot header: valid flag, address, leaf, hit bit, payload kind,
-/// payload length, MAC tag.
-const SLOT_HEADER_BYTES: usize = 1 + 8 + 4 + 1 + 1 + 2 + 8;
-
-/// Offset of the slot tag within the slot; the tag covers every other
-/// slot byte (`[0, TAG)` and `[SLOT_HEADER_BYTES, end)`).
-const SLOT_TAG_OFFSET: usize = 17;
+/// Offsets of the per-slot header fields within a slot: the valid flag
+/// (1 byte), address (8), leaf (4), payload kind (1), payload length (2)
+/// and MAC tag (8). The payload area follows the header.
+const SLOT_VALID_OFFSET: usize = 0;
+const SLOT_ADDR_OFFSET: usize = SLOT_VALID_OFFSET + 1;
+const SLOT_LEAF_OFFSET: usize = SLOT_ADDR_OFFSET + 8;
+const SLOT_KIND_OFFSET: usize = SLOT_LEAF_OFFSET + 4;
+const SLOT_LEN_OFFSET: usize = SLOT_KIND_OFFSET + 1;
+/// The tag covers every other slot byte (`[0, TAG)` and
+/// `[SLOT_HEADER_BYTES, end)`).
+const SLOT_TAG_OFFSET: usize = SLOT_LEN_OFFSET + 2;
+const SLOT_HEADER_BYTES: usize = SLOT_TAG_OFFSET + 8;
 
 /// Per-bucket header, stored in the clear as a real system stores its
 /// IV/counter: encryption nonce, monotonic version counter, and a MAC over
@@ -682,7 +687,7 @@ impl EncryptedStore {
             addrs.extend(
                 k.queue
                     .iter()
-                    .map(|&(_, i)| word(plain, i * slot_bytes + 1)),
+                    .map(|&(_, i)| word(plain, i * slot_bytes + SLOT_ADDR_OFFSET)),
             );
         }
         self.kernel = k;
@@ -836,8 +841,8 @@ impl EncryptedStore {
         let mut bad = None;
         'classify: for (k, bucket) in plain.chunks_exact(body).enumerate() {
             for (i, slot) in bucket.chunks_exact(slot_bytes).enumerate() {
-                let real = slot[0] == 1;
-                if real && usize::from(half(slot, 15)) <= self.payload_bytes {
+                let real = slot[SLOT_VALID_OFFSET] == 1;
+                if real && usize::from(half(slot, SLOT_LEN_OFFSET)) <= self.payload_bytes {
                     queue.push((k, i));
                 } else if real || !all_zero(slot) {
                     bad = Some((k, i));
@@ -882,15 +887,14 @@ impl EncryptedStore {
         self.backing.bytes_mut()[index * bb + offset] ^= mask;
     }
 
-    /// Writes a block's slot fields — valid flag, address, leaf, hit,
-    /// payload kind/length and the payload bytes — into a zeroed slot,
+    /// Writes a block's slot fields — valid flag, address, leaf, payload
+    /// kind/length and the payload bytes — into a zeroed slot,
     /// leaving the tag field zero for [`Self::slot_tags`] to fill.
     fn serialize_fields(block: BlockRef<'_>, slot: &mut [u8], payload_bytes: usize) {
         let (head, body_area) = slot.split_at_mut(SLOT_HEADER_BYTES);
-        head[0] = 1; // valid
-        head[1..9].copy_from_slice(&block.addr.0.to_le_bytes());
-        head[9..13].copy_from_slice(&block.leaf.0.to_le_bytes());
-        head[13] = u8::from(block.hit);
+        head[SLOT_VALID_OFFSET] = 1;
+        head[SLOT_ADDR_OFFSET..SLOT_LEAF_OFFSET].copy_from_slice(&block.addr.0.to_le_bytes());
+        head[SLOT_LEAF_OFFSET..SLOT_KIND_OFFSET].copy_from_slice(&block.leaf.0.to_le_bytes());
         // Serialize the payload straight into the slot's body area — no
         // staging Vec; the MAC is computed over the written bytes.
         let (kind, len): (u8, usize) = match block.payload {
@@ -914,21 +918,20 @@ impl EncryptedStore {
                     out[0..4].copy_from_slice(&e.leaf.0.to_le_bytes());
                     out[4..6].copy_from_slice(&e.merge.to_le_bytes());
                     out[6..8].copy_from_slice(&e.brk.to_le_bytes());
-                    out[8] = u8::from(e.prefetch);
                 }
                 (2, len)
             }
         };
-        head[14] = kind;
-        head[15..17].copy_from_slice(&(len as u16).to_le_bytes());
+        head[SLOT_KIND_OFFSET] = kind;
+        head[SLOT_LEN_OFFSET..SLOT_TAG_OFFSET].copy_from_slice(&(len as u16).to_le_bytes());
     }
 
     /// Rebuilds the block of an authenticated real slot; `None` if the
     /// payload kind is not one this store writes.
     fn decode_block(slot: &[u8]) -> Option<Block> {
-        let len = usize::from(half(slot, 15));
+        let len = usize::from(half(slot, SLOT_LEN_OFFSET));
         let body = &slot[SLOT_HEADER_BYTES..SLOT_HEADER_BYTES + len];
-        let payload = match slot[14] {
+        let payload = match slot[SLOT_KIND_OFFSET] {
             0 => Payload::Opaque,
             1 => Payload::Data(body.to_vec().into()),
             2 => Payload::PosMap(
@@ -937,7 +940,6 @@ impl EncryptedStore {
                         leaf: Leaf(u32::from_le_bytes(chunk[0..4].try_into().expect("eleaf"))),
                         merge: i16::from_le_bytes(chunk[4..6].try_into().expect("merge")),
                         brk: i16::from_le_bytes(chunk[6..8].try_into().expect("brk")),
-                        prefetch: chunk[8] != 0,
                     })
                     .collect::<Vec<_>>()
                     .into(),
@@ -945,9 +947,12 @@ impl EncryptedStore {
             _ => return None,
         };
         Some(Block {
-            addr: BlockAddr(word(slot, 1)),
-            leaf: Leaf(u32::from_le_bytes(slot[9..13].try_into().expect("leaf"))),
-            hit: slot[13] != 0,
+            addr: BlockAddr(word(slot, SLOT_ADDR_OFFSET)),
+            leaf: Leaf(u32::from_le_bytes(
+                slot[SLOT_LEAF_OFFSET..SLOT_KIND_OFFSET]
+                    .try_into()
+                    .expect("leaf"),
+            )),
             payload,
         })
     }
@@ -1008,7 +1013,6 @@ mod tests {
                 leaf: Leaf(7),
                 merge: -2,
                 brk: 3,
-                prefetch: true,
             },
             PosEntry::new(Leaf(9)),
         ];
@@ -1021,17 +1025,6 @@ mod tests {
         s.write_bucket(0, &b);
         let blocks = s.try_read_bucket(0).expect("authentic bucket");
         assert_eq!(blocks[0].entries(), entries.as_slice());
-    }
-
-    #[test]
-    fn hit_bit_survives() {
-        let mut s = store();
-        let mut blk = data_block(1, 0x11);
-        blk.hit = true;
-        let mut b = Bucket::new(3);
-        b.push(blk);
-        s.write_bucket(1, &b);
-        assert!(s.try_read_bucket(1).expect("authentic bucket")[0].hit);
     }
 
     #[test]
@@ -1137,7 +1130,7 @@ mod tests {
     fn every_header_field_flip_reports_exact_bucket_and_slot() {
         // Flip one byte in each authenticated field — bucket header
         // (nonce, version, header tag) and slot 0's header (valid, addr,
-        // leaf, hit, kind, len, tag) — and check the error names the exact
+        // leaf, kind, len, tag) — and check the error names the exact
         // bucket, and the exact slot for slot-local corruption.
         let bucket_fields: [(&str, usize); 3] = [("nonce", 0), ("version", 8), ("header-tag", 16)];
         for (name, offset) in bucket_fields {
@@ -1155,16 +1148,14 @@ mod tests {
                 "{name} flip misclassified"
             );
         }
-        // Slot 0 begins after the bucket header; its field offsets follow
-        // the serialized layout.
+        // Slot 0 begins after the bucket header.
         let slot0 = BUCKET_HEADER_BYTES;
-        let slot_fields: [(&str, usize); 7] = [
-            ("valid", slot0),
-            ("addr", slot0 + 1),
-            ("leaf", slot0 + 9),
-            ("hit", slot0 + 13),
-            ("kind", slot0 + 14),
-            ("len", slot0 + 15),
+        let slot_fields: [(&str, usize); 6] = [
+            ("valid", slot0 + SLOT_VALID_OFFSET),
+            ("addr", slot0 + SLOT_ADDR_OFFSET),
+            ("leaf", slot0 + SLOT_LEAF_OFFSET),
+            ("kind", slot0 + SLOT_KIND_OFFSET),
+            ("len", slot0 + SLOT_LEN_OFFSET),
             ("tag", slot0 + SLOT_TAG_OFFSET),
         ];
         for (name, offset) in slot_fields {
@@ -1196,7 +1187,7 @@ mod tests {
             vec![PosEntry::new(Leaf(1)); 4].into(),
         ));
         s.write_bucket(1, &b);
-        // 4 entries * 9 bytes = 36 used of 128; flip a byte well past len.
+        // 4 entries * 8 bytes = 32 used of 128; flip a byte well past len.
         let offset = BUCKET_HEADER_BYTES + SLOT_HEADER_BYTES + 100;
         s.corrupt_byte(1, offset, 0x40);
         assert_eq!(
@@ -1206,20 +1197,6 @@ mod tests {
                 slot: Some(0)
             })
         );
-    }
-
-    #[test]
-    fn hit_byte_is_authenticated_raw() {
-        // Flipping the hit byte from 1 to another nonzero value must fail:
-        // the MAC covers the raw byte, not the derived bool.
-        let mut s = store();
-        let mut blk = data_block(1, 0x11);
-        blk.hit = true;
-        let mut b = Bucket::new(3);
-        b.push(blk);
-        s.write_bucket(0, &b);
-        s.corrupt_byte(0, BUCKET_HEADER_BYTES + 13, 0x02); // 1 -> 3
-        assert!(s.try_read_bucket(0).is_err());
     }
 
     #[test]
@@ -1780,7 +1757,13 @@ mod tests {
             // address, length field, tag, a payload byte past any `len`.
             let mut flips: Vec<(usize, Option<usize>)> = vec![(0, None), (8, None), (16, None)];
             for slot in 0..3 {
-                for field in [0, 1, 15, SLOT_TAG_OFFSET, SLOT_HEADER_BYTES + 100] {
+                for field in [
+                    SLOT_VALID_OFFSET,
+                    SLOT_ADDR_OFFSET,
+                    SLOT_LEN_OFFSET,
+                    SLOT_TAG_OFFSET,
+                    SLOT_HEADER_BYTES + 100,
+                ] {
                     flips.push((BUCKET_HEADER_BYTES + slot * slot_bytes + field, Some(slot)));
                 }
             }
@@ -1804,7 +1787,7 @@ mod tests {
             let slot_bytes = s.slot_bytes();
             // A dummy slot late on the path, a header before it, and in
             // one bucket a bad tag in slot 1 ahead of a bad dummy in slot 2.
-            s.corrupt_byte(PATH[6], BUCKET_HEADER_BYTES + 9, 0x01);
+            s.corrupt_byte(PATH[6], BUCKET_HEADER_BYTES + SLOT_LEAF_OFFSET, 0x01);
             s.corrupt_byte(PATH[5], 16, 0x01);
             s.corrupt_byte(PATH[4], BUCKET_HEADER_BYTES + 2 * slot_bytes + 50, 0x01);
             s.corrupt_byte(

@@ -72,22 +72,21 @@ fn encrypted_store_round_trips_arbitrary_buckets() {
         for _ in 0..num_blocks {
             let addr = rng.next_below(1000);
             let leaf = rng.next_below(64) as u32;
-            let hit = rng.next_bool(0.5);
             if !used.insert(addr) {
                 continue; // bucket addresses must be unique
             }
-            let mut b = Block::with_data(BlockAddr(addr), Leaf(leaf), vec![fill; 128].into());
-            b.hit = hit;
-            bucket.push(b);
+            bucket.push(Block::with_data(
+                BlockAddr(addr),
+                Leaf(leaf),
+                vec![fill; 128].into(),
+            ));
         }
         store.write_bucket(2, &bucket);
         let got = store.try_read_bucket(2).expect("authentic");
         assert_eq!(got.len(), bucket.len(), "case {case}");
         for b in &got {
             assert!(
-                bucket
-                    .iter()
-                    .any(|o| o.addr == b.addr && o.leaf == b.leaf && o.hit == b.hit),
+                bucket.iter().any(|o| o.addr == b.addr && o.leaf == b.leaf),
                 "block metadata mismatch (case {case})"
             );
             match &b.payload {
