@@ -53,15 +53,19 @@ pub fn treetop_caching(scale: Scale) -> Table {
         cfg.oram.treetop_levels = levels;
         runner::run_spec(spec, scale, &cfg)
     };
-    let base_oram = run(0, SchemeConfig::baseline());
-    let base_dyn = run(0, SchemeConfig::dynamic(2));
-    for levels in [0u32, 2, 4, 6] {
-        let oram = run(levels, SchemeConfig::baseline());
-        let dynamic = run(levels, SchemeConfig::dynamic(2));
+    let runs = [0u32, 2, 4, 6].map(|levels| {
+        (
+            levels,
+            run(levels, SchemeConfig::baseline()),
+            run(levels, SchemeConfig::dynamic(2)),
+        )
+    });
+    let (_, base_oram, base_dyn) = &runs[0];
+    for (levels, oram, dynamic) in &runs {
         t.row(&[
             levels.to_string(),
-            table::f3(oram.norm_completion_time(&base_oram)),
-            table::f3(dynamic.norm_completion_time(&base_dyn)),
+            table::f3(oram.norm_completion_time(base_oram)),
+            table::f3(dynamic.norm_completion_time(base_dyn)),
         ]);
     }
     t
@@ -78,13 +82,16 @@ pub fn plb_sizing(scale: Scale) -> Table {
         cfg.oram.plb_blocks = blocks;
         runner::run_spec(spec, scale, &cfg)
     };
-    let base = run(64);
-    for blocks in [4usize, 16, 64, 256] {
-        let m = run(blocks);
+    let runs = [4usize, 16, 64, 256].map(|blocks| (blocks, run(blocks)));
+    let (_, base) = runs
+        .iter()
+        .find(|(blocks, _)| *blocks == 64)
+        .expect("the sweep includes the 64-block base");
+    for (blocks, m) in &runs {
         t.row(&[
             blocks.to_string(),
             table::f3(m.posmap_per_demand()),
-            table::f3(m.norm_completion_time(&base)),
+            table::f3(m.norm_completion_time(base)),
         ]);
     }
     t

@@ -28,13 +28,13 @@ pub fn run(ctx: RunCtx) -> Vec<Table> {
         let scale = ctx.scale;
         let dram = runner::run_spec(spec, scale, &common::dram_config());
         let mut dram_pf = common::dram_config();
-        dram_pf.prefetch = Some(Default::default());
+        dram_pf.stream_prefetcher = true;
         let dram_pre = runner::run_spec(spec, scale, &dram_pf);
 
         let oram_cfg = common::oram_config(SchemeConfig::baseline());
         let oram = runner::run_spec(spec, scale, &oram_cfg);
         let mut oram_pf = oram_cfg.clone();
-        oram_pf.prefetch = Some(Default::default());
+        oram_pf.stream_prefetcher = true;
         let oram_pre = runner::run_spec(spec, scale, &oram_pf);
 
         (
@@ -85,7 +85,7 @@ mod tests {
             common::oram_config(SchemeConfig::baseline()),
         ]
         .map(|mut config| {
-            config.prefetch = Some(Default::default());
+            config.stream_prefetcher = true;
             runner::run_spec(spec, scale, &config)
         });
         assert!(dram.backend.prefetch_requests > 0);

@@ -13,18 +13,18 @@ use proram_workloads::synthetic::{LocalityMix, PhaseChange};
 
 /// Line-granular stride so each op touches a fresh cache line and a
 /// fixed op budget sweeps the array several times.
-const STRIDE: u64 = 128;
+pub(crate) const STRIDE: u64 = 128;
 
 /// Synthetic footprint: a small multiple of the 512 KB LLC, so the LLC
 /// holds a meaningful fraction of the array (making cache pollution by
 /// useless prefetches *visible*, as in the paper's Figure 6a where the
 /// static scheme loses at low locality), while the op budget still covers
 /// many sweeps.
-fn footprint_for(ops: u64) -> u64 {
+pub(crate) fn footprint_for(ops: u64) -> u64 {
     (ops * STRIDE / 8).clamp(1 << 20, 2 << 20)
 }
 
-fn z4(scheme: SchemeConfig) -> SystemConfig {
+pub(crate) fn z4(scheme: SchemeConfig) -> SystemConfig {
     let mut cfg = common::oram_config(scheme);
     cfg.oram.z = 4;
     // At the paper's full scale a Z=4 path (26 levels x 4 = 104 blocks)
@@ -85,7 +85,7 @@ pub fn run_6b(ctx: RunCtx) -> Table {
         ("static", SchemeConfig::static_scheme(2)),
         ("sm_nb", SchemeConfig::static_merge_no_break(2)),
         ("am_nb", SchemeConfig::adaptive_merge_no_break(2)),
-        ("am_ab", SchemeConfig::adaptive_merge_adaptive_break(2)),
+        ("am_ab", SchemeConfig::dynamic(2)),
     ];
     for (name, scheme) in variants {
         let m = common::run_built(build, &dense(scheme));

@@ -6,25 +6,19 @@
 //! merging of too large super blocks."
 
 use crate::common;
+use crate::exp::fig6::{footprint_for, z4, STRIDE};
+use crate::exp::RunCtx;
 use proram_core::SchemeConfig;
 use proram_stats::{table, Table};
 use proram_workloads::synthetic::LocalityMix;
-
-use crate::exp::RunCtx;
 
 /// Runs the sbsize in {2, 4, 8} sweep.
 pub fn run(ctx: RunCtx) -> Table {
     let scale = ctx.scale;
     let mut t = Table::new(&["sbsize", "stat", "dyn", "stat_norm_acc", "dyn_norm_acc"])
         .with_title("Figure 7: super block size sweep, 100% locality (Z=4)");
-    let footprint = (scale.ops * 128 / 8).clamp(1 << 20, 2 << 20);
-    let build = || LocalityMix::with_stride(footprint, 1.0, scale.ops, scale.seed, 128);
-    let z4 = |scheme: SchemeConfig| {
-        let mut cfg = common::oram_config(scheme);
-        cfg.oram.z = 4;
-        cfg.oram.stash_limit = 60; // see fig6: the paper's stash:path ratio
-        cfg
-    };
+    let footprint = footprint_for(scale.ops);
+    let build = || LocalityMix::with_stride(footprint, 1.0, scale.ops, scale.seed, STRIDE);
     let oram = common::run_built(build, &z4(SchemeConfig::baseline()));
     for sbsize in [2u64, 4, 8] {
         let stat_cfg = z4(SchemeConfig::static_scheme(sbsize));

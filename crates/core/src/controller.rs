@@ -39,6 +39,11 @@ use proram_oram::{
 };
 use proram_stats::FxHashMap;
 
+/// Length in ORAM requests of the window behind Equation 1's rates: "These
+/// numbers are collected within a time window and updated periodically
+/// (every 1000 ORAM requests in this paper)."
+const WINDOW_REQUESTS: u64 = 1000;
+
 /// Counters specific to the super-block machinery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchemeStats {
@@ -145,7 +150,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             format!("{}_{}", scheme.label(), backend.backend_name())
         };
         SuperBlockOram {
-            window: WindowStats::new(scheme.window),
+            window: WindowStats::new(WINDOW_REQUESTS),
             oram: backend,
             scheme,
             prefetched: FxHashMap::default(),

@@ -53,9 +53,6 @@ pub struct SchemeConfig {
     pub c_merge: f64,
     /// Break coefficient `C_break` in Equation 1.
     pub c_break: f64,
-    /// Statistics window in ORAM requests ("updated periodically — every
-    /// 1000 ORAM requests in this paper").
-    pub window: u64,
     /// Size of the aligned groups pre-merged at initialization. The
     /// static super block scheme sets this equal to `max_sbsize`; the
     /// dynamic scheme "does not merge blocks during Path ORAM
@@ -78,7 +75,6 @@ impl SchemeConfig {
             brk: BreakPolicy::Off,
             c_merge: 1.0,
             c_break: 1.0,
-            window: 1000,
             static_init_size: 1,
             stride: 1,
         }
@@ -138,11 +134,6 @@ impl SchemeConfig {
         }
     }
 
-    /// The `am_ab` variant of Figure 6b (same as [`SchemeConfig::dynamic`]).
-    pub fn adaptive_merge_adaptive_break(max: u64) -> Self {
-        SchemeConfig::dynamic(max)
-    }
-
     /// Sets the Equation-1 coefficients (Figure 10's `mXbY` sweep).
     pub fn with_coefficients(mut self, c_merge: f64, c_break: f64) -> Self {
         self.c_merge = c_merge;
@@ -161,13 +152,9 @@ impl SchemeConfig {
         self
     }
 
-    /// `true` if this configuration can ever form super blocks.
-    pub fn super_blocks_possible(&self) -> bool {
-        self.max_sbsize > 1 && (self.merge != MergePolicy::Off || self.static_init_size > 1)
-    }
-
     /// Short label used in experiment output, matching the paper's figure
-    /// legends (`oram`, `stat`, `dyn`, `sm_nb`, `am_nb`, `am_ab`).
+    /// legends (`oram`, `stat`, `dyn`, `sm_nb`, `am_nb`; Figure 6b's `am_ab`
+    /// is `dyn`).
     pub fn label(&self) -> &'static str {
         if self.max_sbsize == 1 {
             return "oram";
@@ -186,8 +173,8 @@ impl SchemeConfig {
     ///
     /// # Panics
     ///
-    /// Panics if sizes are not powers of two, coefficients are not
-    /// positive, or the window is zero.
+    /// Panics if sizes are not powers of two or coefficients are not
+    /// positive.
     pub fn validate(&self) {
         assert!(
             self.max_sbsize.is_power_of_two(),
@@ -205,7 +192,6 @@ impl SchemeConfig {
             self.c_merge > 0.0 && self.c_break > 0.0,
             "coefficients must be positive"
         );
-        assert!(self.window > 0, "window must be positive");
         assert!(
             self.stride.is_power_of_two(),
             "stride must be a power of two"
@@ -249,10 +235,6 @@ mod tests {
         assert_eq!(SchemeConfig::dynamic(2).label(), "dyn");
         assert_eq!(SchemeConfig::static_merge_no_break(2).label(), "sm_nb");
         assert_eq!(SchemeConfig::adaptive_merge_no_break(2).label(), "am_nb");
-        assert_eq!(
-            SchemeConfig::adaptive_merge_adaptive_break(2).label(),
-            "dyn"
-        );
     }
 
     #[test]
@@ -274,13 +256,6 @@ mod tests {
         assert_eq!(cfg.c_merge, 4.0);
         assert_eq!(cfg.c_break, 1.0);
         cfg.validate();
-    }
-
-    #[test]
-    fn super_block_possibility() {
-        assert!(!SchemeConfig::baseline().super_blocks_possible());
-        assert!(SchemeConfig::static_scheme(2).super_blocks_possible());
-        assert!(SchemeConfig::dynamic(2).super_blocks_possible());
     }
 
     #[test]

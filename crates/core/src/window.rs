@@ -88,7 +88,7 @@ impl WindowStats {
         self.requests += 1;
         self.background_evictions += background_evictions;
         self.elapsed_cycles += elapsed;
-        self.busy_cycles += busy.min(elapsed.max(busy));
+        self.busy_cycles += busy;
         if self.requests >= self.window {
             self.publish();
         }
@@ -108,6 +108,8 @@ impl WindowStats {
         let ar = if self.elapsed_cycles == 0 {
             0.0
         } else {
+            // The one clamp: a request's busy cycles are recorded as given
+            // and may exceed its elapsed span, but the rate is a fraction.
             (self.busy_cycles as f64 / self.elapsed_cycles as f64).min(1.0)
         };
         let resolved = self.prefetch_hits + self.prefetch_misses;

@@ -4,7 +4,6 @@ use proram_cache::HierarchyConfig;
 use proram_core::SchemeConfig;
 use proram_mem::{Cycle, DramConfig};
 use proram_oram::OramConfig;
-use proram_prefetch::StreamPrefetcherConfig;
 
 /// Which main-memory technology backs the LLC.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +52,10 @@ pub struct SystemConfig {
     /// DRAM parameters (used for DRAM runs; the pin bandwidth also feeds
     /// the ORAM timing model).
     pub dram: DramConfig,
-    /// Enable the traditional stream prefetcher (Figure 5).
-    pub prefetch: Option<StreamPrefetcherConfig>,
+    /// Enable the traditional stream prefetcher (Figure 5): 16 streams,
+    /// trained after 2 misses at one stride of at most 8 blocks, 2 blocks
+    /// ahead.
+    pub stream_prefetcher: bool,
     /// Public `O_int` ladder for timing-channel protection, ascending
     /// (Figure 15, Section 2.5). One rung is a fixed `O_int`; more rungs
     /// let the interval move one rung per public epoch, leaking
@@ -73,7 +74,7 @@ impl SystemConfig {
             memory,
             oram: OramConfig::default(),
             dram: DramConfig::default(),
-            prefetch: None,
+            stream_prefetcher: false,
             periodic_intervals: Vec::new(),
             seed: 42,
         }

@@ -35,6 +35,7 @@
 
 pub mod config;
 pub mod metrics;
+mod prefetch;
 pub mod runner;
 pub mod sharded;
 pub mod system;

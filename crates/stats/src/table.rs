@@ -65,12 +65,6 @@ impl Table {
         self
     }
 
-    /// Appends a row from mixed displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn fmt::Display]) -> &mut Self {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&strings)
-    }
-
     /// Column headers.
     pub fn headers(&self) -> &[String] {
         &self.headers
@@ -178,13 +172,6 @@ mod tests {
         t.row(&["1"]);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn row_display_converts() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row_display(&[&1.5f64, &"x"]);
-        assert!(t.to_string().contains("1.5"));
     }
 
     #[test]

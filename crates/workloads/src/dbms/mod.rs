@@ -17,4 +17,4 @@ pub mod ycsb;
 pub use btree::BTree;
 pub use engine::{Arena, HashIndex, Table, TraceSink};
 pub use tpcc::Tpcc;
-pub use ycsb::{Ycsb, YcsbMix};
+pub use ycsb::Ycsb;

@@ -47,30 +47,7 @@ pub struct Ycsb {
 /// the spatial locality behind the paper's 23.6% YCSB gain.
 const RECORD_BYTES: u64 = 1024;
 
-/// The standard YCSB core workload mixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum YcsbMix {
-    /// Workload A: 50% reads, 50% updates (the paper's evaluation mix).
-    A,
-    /// Workload B: 95% reads, 5% updates.
-    B,
-    /// Workload C: read-only.
-    C,
-    /// Workload E: 95% short range scans, 5% updates.
-    E,
-}
-
 impl Ycsb {
-    /// Creates a driver for one of the standard YCSB mixes.
-    pub fn preset(mix: YcsbMix, records: u64, ops: u64, seed: u64) -> Self {
-        match mix {
-            YcsbMix::A => Ycsb::new(records, 0.5, ops, seed),
-            YcsbMix::B => Ycsb::new(records, 0.95, ops, seed),
-            YcsbMix::C => Ycsb::new(records, 1.0, ops, seed),
-            YcsbMix::E => Ycsb::with_scans(records, 0.0, 0.95, ops, seed),
-        }
-    }
-
     /// Creates a database of `records` rows and a driver that will emit
     /// about `ops` memory operations with the given read fraction.
     ///
@@ -230,18 +207,15 @@ mod tests {
     }
 
     #[test]
-    fn presets_have_their_signature_mixes() {
-        let writes = |mix: YcsbMix| {
-            let mut w = Ycsb::preset(mix, 1000, 1500, 3);
+    fn standard_mixes_have_their_signature_writes() {
+        let writes = |read_frac: f64| {
+            let mut w = Ycsb::new(1000, read_frac, 1500, 3);
             std::iter::from_fn(move || w.next_op())
                 .filter(|o| o.write)
                 .count()
         };
-        assert_eq!(writes(YcsbMix::C), 0, "C is read-only");
-        assert!(
-            writes(YcsbMix::A) > writes(YcsbMix::B),
-            "A updates more than B"
-        );
+        assert_eq!(writes(1.0), 0, "C is read-only");
+        assert!(writes(0.5) > writes(0.95), "A updates more than B");
     }
 
     #[test]

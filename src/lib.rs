@@ -11,7 +11,6 @@
 //! | [`oram`] | `proram-oram` | Path ORAM: tree, stash, recursive position map, crypto |
 //! | [`mem`] | `proram-mem` | memory-backend trait, DRAM model, (adaptive) periodic timing protection |
 //! | [`cache`] | `proram-cache` | L1 + LLC hierarchy with prefetch/hit bits |
-//! | [`prefetch`] | `proram-prefetch` | traditional stream prefetcher |
 //! | [`workloads`] | `proram-workloads` | synthetic, Splash2-like, SPEC06-like, YCSB/TPCC-like traces |
 //! | [`sim`] | `proram-sim` | the trace-driven system simulator |
 //! | [`stats`] | `proram-stats` | deterministic RNG and the statistics toolkit |
@@ -50,7 +49,6 @@ pub use proram_cache as cache;
 pub use proram_core as core_scheme;
 pub use proram_mem as mem;
 pub use proram_oram as oram;
-pub use proram_prefetch as prefetch;
 pub use proram_sim as sim;
 pub use proram_stats as stats;
 pub use proram_workloads as workloads;

@@ -154,7 +154,7 @@ fn prefetcher_helps_dram_more_than_oram() {
     let build = || LocalityMix::with_stride(2 << 20, 0.9, 25_000, 11, 128);
     let run = |mut cfg: SystemConfig, pf: bool| {
         if pf {
-            cfg.prefetch = Some(Default::default());
+            cfg.stream_prefetcher = true;
         }
         let mut w = build();
         runner::run_workload(&mut w, &cfg)
