@@ -14,12 +14,6 @@ pub enum MemoryKind {
     /// [`SchemeConfig::baseline`] for plain ORAM, `static_scheme` for
     /// `stat`, `dynamic` for PrORAM.
     Oram(SchemeConfig),
-    /// `N` independent ORAM controllers behind one scheduler, blocks
-    /// statically address-partitioned over them
-    /// ([`crate::sharded::ShardedOram`]). `OramShards(s, 1)` reproduces
-    /// the serialized single controller of the paper's Section 2.6;
-    /// larger `N` relaxes it (the serialization ablation).
-    OramShards(SchemeConfig, usize),
 }
 
 impl MemoryKind {
@@ -28,7 +22,6 @@ impl MemoryKind {
         match self {
             MemoryKind::Dram => "dram".to_owned(),
             MemoryKind::Oram(s) => s.label().to_owned(),
-            MemoryKind::OramShards(s, n) => format!("{}_sh{n}", s.label()),
         }
     }
 }
@@ -44,8 +37,7 @@ pub struct SystemConfig {
     pub hierarchy: HierarchyConfig,
     /// Main-memory technology.
     pub memory: MemoryKind,
-    /// ORAM parameters (used when `memory` is [`MemoryKind::Oram`] or
-    /// [`MemoryKind::OramShards`], each shard built from them).
+    /// ORAM parameters (used when `memory` is [`MemoryKind::Oram`]).
     /// `num_data_blocks` is treated as a minimum — the system grows it to
     /// cover the workload footprint.
     pub oram: OramConfig,
@@ -195,10 +187,6 @@ mod tests {
         assert_eq!(MemoryKind::Dram.label(), "dram");
         assert_eq!(MemoryKind::Oram(SchemeConfig::dynamic(2)).label(), "dyn");
         assert_eq!(MemoryKind::Oram(SchemeConfig::baseline()).label(), "oram");
-        assert_eq!(
-            MemoryKind::OramShards(SchemeConfig::baseline(), 4).label(),
-            "oram_sh4"
-        );
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   the derived quantities the figures plot (speedup, normalized memory
 //!   accesses, miss rates),
 //! * [`runner`] — one-call experiment execution, including the per-core
-//!   address ranges of a multi-core run.
+//!   address ranges of a multi-core run,
+//! * [`ShardedOram`] — address-partitioned controllers, kept only because
+//!   the frozen benchmark crate (`perf/`) still calls it; no memory kind
+//!   builds it.
 //!
 //! # Examples
 //!
@@ -37,7 +40,7 @@ pub mod config;
 pub mod metrics;
 mod prefetch;
 pub mod runner;
-pub mod sharded;
+mod sharded;
 pub mod system;
 
 pub use config::{MemoryKind, SystemConfig};

@@ -21,12 +21,12 @@ pub fn run_spec(spec: BenchSpec, scale: Scale, config: &SystemConfig) -> RunMetr
 /// One core's workload moved to its own address range: every address it
 /// issues is shifted up by `offset` (SPMD-style data partitioning, so the
 /// cores never share a line).
-struct Shard {
+struct CoreRange {
     inner: Box<dyn Workload>,
     offset: u64,
 }
 
-impl Workload for Shard {
+impl Workload for CoreRange {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -63,7 +63,7 @@ fn build_multicore(
         let inner = build_workload(id);
         let offset = footprint.div_ceil(line_bytes) * line_bytes;
         footprint = offset + inner.footprint_bytes();
-        workloads.push(Box::new(Shard { inner, offset }));
+        workloads.push(Box::new(CoreRange { inner, offset }));
     }
     (System::with_cores(config, num_cores, footprint), workloads)
 }
@@ -245,22 +245,6 @@ mod tests {
         );
     }
 
-    /// `OramShards(s, 1)` is the serialized single controller with a
-    /// different label: timing and accounting must match exactly.
-    #[test]
-    fn one_shard_matches_single_controller() {
-        let run = |kind: MemoryKind| run_cores(kind, 2, 2500);
-        let single = run(MemoryKind::Oram(SchemeConfig::baseline()));
-        let sharded = run(MemoryKind::OramShards(SchemeConfig::baseline(), 1));
-        assert_eq!(sharded.label, "oram_sh1");
-        assert_eq!(single.cycles, sharded.cycles, "N=1 shard must serialize");
-        assert_eq!(
-            single.backend.physical_accesses,
-            sharded.backend.physical_accesses
-        );
-        assert_eq!(single.demand_fetches, sharded.demand_fetches);
-    }
-
     /// Reads `footprint` bytes from address 0 up, in 24-byte steps
     /// (wrapping), for `left` ops.
     struct Scan {
@@ -309,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn shards_are_disjoint() {
+    fn core_address_ranges_are_disjoint() {
         let cfg = SystemConfig::quick_test(MemoryKind::Dram);
         let line = cfg.line_bytes();
         // Footprints that are not line multiples, so an unaligned base

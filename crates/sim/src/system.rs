@@ -35,7 +35,6 @@
 use crate::config::{MemoryKind, SystemConfig};
 use crate::metrics::{CoreMetrics, RunMetrics};
 use crate::prefetch::StreamPrefetcher;
-use crate::sharded::ShardedOram;
 use proram_cache::{CacheAccess, Evicted, HierarchyStats, TiledHierarchy};
 use proram_core::SuperBlockOram;
 use proram_mem::{BackendStats, BlockAddr, Cycle, Dram, MemRequest, MemoryBackend, Periodic};
@@ -103,7 +102,7 @@ impl std::fmt::Debug for System {
 ///
 /// The ORAM holds the next power of two of blocks covering
 /// `footprint_bytes` (at least the configured minimum) so every trace
-/// address maps to a valid block; sharded, the shards split that count.
+/// address maps to a valid block.
 fn build_backend(config: &SystemConfig, footprint_bytes: u64) -> Box<dyn MemoryBackend> {
     let num_data_blocks = footprint_bytes
         .div_ceil(config.line_bytes())
@@ -119,10 +118,6 @@ fn build_backend(config: &SystemConfig, footprint_bytes: u64) -> Box<dyn MemoryB
             let backend = SuperBlockOram::new(oram_cfg, scheme.clone(), config.seed);
             timed(config, backend)
         }
-        MemoryKind::OramShards(scheme, n) => timed(
-            config,
-            ShardedOram::new(&config.oram, scheme, *n, num_data_blocks, config.seed),
-        ),
     }
 }
 
@@ -566,12 +561,11 @@ mod tests {
     /// lanes of a run sum to the backend's path and backoff cycles, one
     /// event per demand access, one `tile_retire` per demand fetch.
     ///
-    /// The cells: the plain dynamic scheme; with faults; behind the
+    /// The cells: the plain dynamic scheme; with faults; and behind the
     /// stream prefetcher, whose requests the ORAM serves as demand reads
-    /// and the LLC does not count as misses; and over two shards, each
-    /// retiring into the one sink. Periodic mode stays out on purpose: a
-    /// periodic dummy retires no access, so there `dummy_path_cycles`
-    /// exceeds the evict lane by design.
+    /// and the LLC does not count as misses. Periodic mode stays out on
+    /// purpose: a periodic dummy retires no access, so there
+    /// `dummy_path_cycles` exceeds the evict lane by design.
     #[test]
     fn the_trace_and_the_ledger_agree() {
         use proram_oram::{FaultClass, FaultConfig};
@@ -591,13 +585,7 @@ mod tests {
         };
         let mut prefetch = plain.clone();
         prefetch.stream_prefetcher = true;
-        let shards = SystemConfig::quick_test(MemoryKind::OramShards(SchemeConfig::dynamic(2), 2));
-        for (cell, cfg) in [
-            ("plain", plain),
-            ("faults", faulty),
-            ("prefetch", prefetch),
-            ("shards", shards),
-        ] {
+        for (cell, cfg) in [("plain", plain), ("faults", faulty), ("prefetch", prefetch)] {
             assert!(cfg.periodic_intervals.is_empty());
             let mut w = LocalityMix::new(4 << 20, 0.6, 20_000, 5);
             let mut sys = System::build(&cfg, w.footprint_bytes());
@@ -794,10 +782,6 @@ mod tests {
         for (kind, name) in [
             (MemoryKind::Dram, "dram"),
             (MemoryKind::Oram(SchemeConfig::baseline()), "oram"),
-            (
-                MemoryKind::OramShards(SchemeConfig::baseline(), 2),
-                "oram_sh2",
-            ),
         ] {
             for (ladder, suffix) in [
                 (vec![100], "intvl"),
