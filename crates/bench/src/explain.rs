@@ -8,15 +8,19 @@
 //! baselines at its own start, so the trace and [`RunMetrics`] cover
 //! exactly the same post-warm-up ops.
 //!
-//! [`page`] renders three tables from that one run: the retained trace
-//! by event kind (merges and breaks are its `super_block_*` counts), the
-//! per-stage cycle split folded from the trace, and the run's ledger
-//! read only from [`RunMetrics`]. [`measure`] panics when the trace
-//! breaks its contracts or disagrees with the ledger, so running the
-//! subcommand doubles as a CI smoke gate. Host time is not on the page:
-//! `perf/` measures it, and the page ends with the command that does.
+//! [`page`] renders four tables from that one run: the retained trace by
+//! event kind, the per-stage cycle split folded from the trace, the
+//! run's ledger read only from [`RunMetrics`], and the timeline of the
+//! scheme's statistics windows (one `prefetch_window` event per
+//! [`WINDOW_REQUESTS`] ORAM requests: the rates, Equation 1's first
+//! thresholds and the partition as each window closed). [`measure`]
+//! panics when the trace breaks its contracts or disagrees with the
+//! ledger, so running the subcommand doubles as a CI smoke gate. Host
+//! time is not on the page: `perf/` measures it, and the page ends with
+//! the command that does.
 
 use crate::common;
+use proram_core::controller::WINDOW_REQUESTS;
 use proram_core::SchemeConfig;
 use proram_obs::{Obs, ObsEvent};
 use proram_sim::{RunMetrics, System};
@@ -49,8 +53,8 @@ pub struct Report {
 /// # Panics
 ///
 /// Panics if the trace breaks its contracts (bounded retention, nothing
-/// dropped, flat one-line JSON of a published kind, no empty stage lane)
-/// or disagrees with the ledger.
+/// dropped, flat one-line JSON of a published kind) or disagrees with the
+/// ledger.
 pub fn measure(spec: BenchSpec, scale: Scale) -> Report {
     let config = common::oram_config(SchemeConfig::dynamic(2));
     let mut workload = suite::build(spec, scale);
@@ -77,10 +81,12 @@ fn count_kind(events: &[ObsEvent], kind: &str) -> u64 {
 
 /// The smoke-gate contracts: bounded retention, nothing dropped (the
 /// stage table folds the trace, so it is exact only when whole), one-line
-/// flat JSON of a published kind, no empty stage lane, and the trace
-/// equal to the ledger: the summed `access_retired` lanes to the
-/// backend's path and backoff cycles, one `access_retired` per demand
-/// access and one `tile_retire` per demand fetch.
+/// flat JSON of a published kind, and the trace equal to the ledger: the
+/// summed `access_retired` lanes to the backend's path and backoff
+/// cycles, one `access_retired` per demand access, one `tile_retire` per
+/// demand fetch, one `super_block_merge` / `super_block_break` per merge
+/// / break, and one `prefetch_window` per [`WINDOW_REQUESTS`] demand
+/// accesses (the first window of the trace opened during the warm-up).
 fn check(report: &Report) {
     let events = &report.events;
     assert!(
@@ -108,9 +114,6 @@ fn check(report: &Report) {
         );
     }
     let lanes = stage_lanes(events);
-    for (stage, entries, _) in lanes {
-        assert!(entries > 0, "stage lane {stage} has no entries");
-    }
     let m = &report.metrics;
     let b = &m.backend;
     assert_eq!(
@@ -132,6 +135,20 @@ fn check(report: &Report) {
         count_kind(events, "tile_retire"),
         m.demand_fetches,
         "one tile_retire per demand fetch"
+    );
+    assert_eq!(
+        [
+            count_kind(events, "super_block_merge"),
+            count_kind(events, "super_block_break")
+        ],
+        [b.merges, b.breaks],
+        "one super_block_merge / super_block_break per merge / break"
+    );
+    let windows = count_kind(events, "prefetch_window");
+    let requests = b.demand_accesses;
+    assert!(
+        windows == requests / WINDOW_REQUESTS || windows == requests.div_ceil(WINDOW_REQUESTS),
+        "{windows} prefetch_window events for {requests} demand accesses"
     );
 }
 
@@ -254,6 +271,8 @@ fn ledger_table(m: &RunMetrics) -> Table {
         ("prefetch misses", b.prefetch_misses.to_string()),
         ("prefetch miss rate", miss_rate),
         ("unused-prefetch evictions", unused),
+        ("merges", b.merges.to_string()),
+        ("breaks", b.breaks.to_string()),
         ("treetop hits", b.treetop_hits.to_string()),
     ] {
         t.row(&[quantity.to_owned(), value]);
@@ -261,14 +280,77 @@ fn ledger_table(m: &RunMetrics) -> Table {
     t
 }
 
-/// The page: the kind table, the stage table and the ledger table, then
-/// the `perf` command that measures host time.
+/// One row per `prefetch_window` event: the window's rates, Equation 1's
+/// merge threshold for two single blocks and break threshold for a
+/// size-2 super block (`off` when the policy is), the cumulative merges
+/// and breaks with their change since the previous window (`-` on the
+/// first, whose predecessor closed before the trace), and the blocks
+/// that sat in a super block when the window closed.
+fn window_table(events: &[ObsEvent]) -> Table {
+    let mut t = Table::new(&[
+        "window",
+        "hit rate",
+        "evict rate",
+        "access rate",
+        "merge thr",
+        "break thr",
+        "merges",
+        "+merges",
+        "breaks",
+        "+breaks",
+        "merged blocks",
+    ])
+    .with_title(format!(
+        "statistics windows (one per {WINDOW_REQUESTS} ORAM requests, counts since construction)"
+    ));
+    let ppm = |v: u32| table::f3(f64::from(v) / 1e6);
+    let threshold = |t: Option<u32>| t.map_or("off".to_owned(), |t| t.to_string());
+    let mut previous: Option<(u64, u64)> = None;
+    for e in events {
+        let ObsEvent::PrefetchWindow {
+            window,
+            hit_rate_ppm,
+            eviction_rate_ppm,
+            access_rate_ppm,
+            merge_threshold,
+            break_threshold,
+            merges,
+            breaks,
+            merged_blocks,
+        } = *e
+        else {
+            continue;
+        };
+        let delta = |now: u64, before: Option<u64>| {
+            before.map_or("-".to_owned(), |b| (now - b).to_string())
+        };
+        t.row(&[
+            window.to_string(),
+            ppm(hit_rate_ppm),
+            ppm(eviction_rate_ppm),
+            ppm(access_rate_ppm),
+            threshold(merge_threshold),
+            threshold(break_threshold),
+            merges.to_string(),
+            delta(merges, previous.map(|p| p.0)),
+            breaks.to_string(),
+            delta(breaks, previous.map(|p| p.1)),
+            merged_blocks.to_string(),
+        ]);
+        previous = Some((merges, breaks));
+    }
+    t
+}
+
+/// The page: the kind table, the stage table, the ledger table and the
+/// window timeline, then the `perf` command that measures host time.
 pub fn page(report: &Report) -> String {
     format!(
-        "{}\n{}\n{}\nhost time is measured by perf/, not here: {PERF_COMMAND}\n",
+        "{}\n{}\n{}\n{}\nhost time is measured by perf/, not here: {PERF_COMMAND}\n",
         kind_table(&report.events),
         stage_table(&report.events),
         ledger_table(&report.metrics),
+        window_table(&report.events),
     )
 }
 
@@ -299,6 +381,8 @@ mod tests {
         for needle in [
             "super_block_merge",
             "resolve_posmap",
+            "merges",
+            "statistics windows",
             "(YCSB under dyn",
             PERF_COMMAND,
         ] {

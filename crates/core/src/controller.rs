@@ -42,26 +42,7 @@ use proram_stats::FxHashMap;
 /// Length in ORAM requests of the window behind Equation 1's rates: "These
 /// numbers are collected within a time window and updated periodically
 /// (every 1000 ORAM requests in this paper)."
-const WINDOW_REQUESTS: u64 = 1000;
-
-/// Counters specific to the super-block machinery.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchemeStats {
-    /// Logical demand requests served.
-    pub demand_reads: u64,
-    /// Write-back requests served.
-    pub writebacks: u64,
-    /// Merge operations performed.
-    pub merges: u64,
-    /// Break operations performed.
-    pub breaks: u64,
-    /// Blocks delivered to the LLC as super-block prefetches.
-    pub prefetches_issued: u64,
-    /// Prefetched blocks that were used before leaving the LLC.
-    pub prefetch_hits: u64,
-    /// Prefetched blocks evicted or re-fetched without being used.
-    pub prefetch_misses: u64,
-}
+pub const WINDOW_REQUESTS: u64 = 1000;
 
 /// Path ORAM with the super-block schemes of the paper.
 ///
@@ -87,7 +68,15 @@ pub struct SuperBlockOram<O: OramBackend = PathOram> {
     /// fate is not yet decided (the prefetch bit), its value whether it
     /// has been used since (the hit bit).
     prefetched: FxHashMap<u64, bool>,
-    stats: SchemeStats,
+    /// The counters this layer owns — `demand_accesses`,
+    /// `prefetch_requests`, `prefetch_hits`, `prefetch_misses`, `merges`
+    /// and `breaks`; the rest stay zero and [`MemoryBackend::stats`]
+    /// fills them from the backend.
+    stats: BackendStats,
+    /// Data blocks [`SuperBlockOram::detect`] places in a super block of
+    /// two or more: a gauge, so it stays out of `BackendStats`, whose
+    /// warm-up snapshot is subtracted field by field.
+    merged_blocks: u64,
     /// Faults that surfaced to the scheme layer unrecovered (the backend
     /// already counts its own detections/recoveries).
     scheme_faults: FaultStats,
@@ -149,18 +138,21 @@ impl<O: OramBackend> SuperBlockOram<O> {
         } else {
             format!("{}_{}", scheme.label(), backend.backend_name())
         };
-        SuperBlockOram {
+        let mut oram = SuperBlockOram {
             window: WindowStats::new(WINDOW_REQUESTS),
             oram: backend,
             scheme,
             prefetched: FxHashMap::default(),
-            stats: SchemeStats::default(),
+            stats: BackendStats::default(),
+            merged_blocks: 0,
             scheme_faults: FaultStats::default(),
             busy_until: 0,
             last_complete: 0,
             label,
             obs: Obs::disabled(),
-        }
+        };
+        oram.merged_blocks = oram.scan_merged_blocks();
+        oram
     }
 
     /// The scheme configuration.
@@ -168,9 +160,15 @@ impl<O: OramBackend> SuperBlockOram<O> {
         &self.scheme
     }
 
-    /// Scheme-level statistics.
-    pub fn scheme_stats(&self) -> SchemeStats {
-        self.stats
+    /// Data blocks that sit in a super block of two or more — the
+    /// partition's merged share, kept by one scan at construction (so a
+    /// static initial partition counts) and a recount of the one
+    /// max-size group every access remaps. A remap that happens to give
+    /// two neighbours one leaf makes a super block under the paper's
+    /// leaf-equality rule, so it counts too. Exact when the backend
+    /// reports [`OramBackend::data_leaves`]; otherwise it starts at zero.
+    pub fn merged_blocks(&self) -> u64 {
+        self.merged_blocks
     }
 
     /// The prefetch ledger, the one home of the paper's prefetch and hit
@@ -197,18 +195,8 @@ impl<O: OramBackend> SuperBlockOram<O> {
     }
 
     /// The super block `addr` currently belongs to, inferred — as the
-    /// hardware does — from leaf-label equality in the (resolved) posmap
-    /// block. Performs posmap accesses if the covering posmap block is
-    /// not on-chip; returns the group and the posmap accesses spent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unrecovered faults from the posmap path reads.
-    pub fn current_super_block(&mut self, addr: BlockAddr) -> Result<(SuperBlock, u64), OramError> {
-        let pm = self.oram.resolve_posmap(addr)?;
-        Ok((self.detect(addr), pm))
-    }
-
+    /// hardware does — from leaf-label equality in the resolved posmap
+    /// block.
     fn detect(&self, addr: BlockAddr) -> SuperBlock {
         let data_blocks = self.oram.space().num_data_blocks();
         let stride = self.scheme.stride;
@@ -233,6 +221,63 @@ impl<O: OramBackend> SuperBlockOram<O> {
         sb.members().all(|m| self.oram.entry(m).leaf == leaf)
     }
 
+    /// The max-size group holding `addr`: every block an access to `addr`
+    /// remaps, and every block whose `detect` result those remaps can
+    /// change.
+    fn top_group(&self, addr: BlockAddr) -> SuperBlock {
+        SuperBlock::containing_strided(addr, self.scheme.max_sbsize, self.scheme.stride)
+    }
+
+    /// Blocks of `group` that `detect` places in a super block of two or
+    /// more, read from `leaf`: all of them when the group fits and is
+    /// co-located, otherwise those of its halves.
+    fn merged_within(
+        group: SuperBlock,
+        data_blocks: u64,
+        leaf: &impl Fn(BlockAddr) -> Leaf,
+    ) -> u64 {
+        if group.size() < 2 {
+            return 0;
+        }
+        let first = leaf(group.base());
+        if group.fits_within(data_blocks) && group.members().all(|m| leaf(m) == first) {
+            return group.size();
+        }
+        let (lo, hi) = group.halves();
+        Self::merged_within(lo, data_blocks, leaf) + Self::merged_within(hi, data_blocks, leaf)
+    }
+
+    /// [`Self::merged_within`] over the resolved position map.
+    fn merged_in(&self, group: SuperBlock) -> u64 {
+        let data_blocks = self.oram.space().num_data_blocks();
+        Self::merged_within(group, data_blocks, &|m| self.oram.entry(m).leaf)
+    }
+
+    /// The construction scan behind [`SuperBlockOram::merged_blocks`]:
+    /// each max-size group once, read from the backend's leaves.
+    fn scan_merged_blocks(&self) -> u64 {
+        if self.scheme.max_sbsize < 2 {
+            return 0;
+        }
+        let Some(leaves) = self.oram.data_leaves() else {
+            return 0;
+        };
+        let data_blocks = self.oram.space().num_data_blocks();
+        let leaf = |m: BlockAddr| leaves[m.0 as usize];
+        (0..data_blocks)
+            .map(BlockAddr)
+            .filter(|&a| self.top_group(a).base() == a)
+            .map(|a| Self::merged_within(self.top_group(a), data_blocks, &leaf))
+            .sum()
+    }
+
+    /// Moves the gauge by what the access's remaps did to `top`, which
+    /// held `before` merged blocks. Saturates only for a backend without
+    /// a construction scan, whose gauge can lag.
+    fn recount(&mut self, top: SuperBlock, before: u64) {
+        self.merged_blocks = (self.merged_blocks + self.merged_in(top)).saturating_sub(before);
+    }
+
     // ------------------------------------------------------------------
     // Demand read: the full Section 4 flow
     // ------------------------------------------------------------------
@@ -242,10 +287,12 @@ impl<O: OramBackend> SuperBlockOram<O> {
         addr: BlockAddr,
         llc: &dyn CacheProbe,
     ) -> Result<(AccessReport, Vec<Fill>), OramError> {
-        self.stats.demand_reads += 1;
+        self.stats.demand_accesses += 1;
         let backoff_before = self.oram.fault_stats().backoff_cycles;
         let posmap_accesses = self.oram.resolve_posmap(addr)?;
         let sb = self.detect(addr);
+        let top = self.top_group(addr);
+        let merged_before = self.merged_in(top);
         let old_leaf = self.oram.entry(addr).leaf;
 
         // Step 1 (Section 4): access the path and pull the whole super
@@ -320,16 +367,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             self.try_merge(sb, llc, rates);
         }
 
-        if self.obs.is_enabled() {
-            let issued = fills.iter().filter(|f| f.prefetched).count() as u32;
-            self.obs.emit(|| ObsEvent::PrefetchWindow {
-                base: sb.base().0,
-                issued,
-                hit_rate_ppm: rate_to_ppm(rates.prefetch_hit_rate),
-                eviction_rate_ppm: rate_to_ppm(rates.eviction_rate),
-            });
-        }
-
+        self.recount(top, merged_before);
         let report = self.finish(
             addr,
             AccessKind::Read,
@@ -392,7 +430,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
                 continue;
             }
             self.prefetched.insert(m.0, false);
-            self.stats.prefetches_issued += 1;
+            self.stats.prefetch_requests += 1;
             fills.push(Fill::prefetch(m));
         }
         fills
@@ -456,10 +494,12 @@ impl<O: OramBackend> SuperBlockOram<O> {
     // ------------------------------------------------------------------
 
     fn writeback(&mut self, addr: BlockAddr) -> Result<(AccessReport, Vec<Fill>), OramError> {
-        self.stats.writebacks += 1;
+        self.stats.demand_accesses += 1;
         let backoff_before = self.oram.fault_stats().backoff_cycles;
         let posmap_accesses = self.oram.resolve_posmap(addr)?;
         let sb = self.detect(addr);
+        let top = self.top_group(addr);
+        let merged_before = self.merged_in(top);
         let old_leaf = self.oram.entry(addr).leaf;
         self.oram.read_path_into_stash(old_leaf, PathKind::Data)?;
         let found: Vec<BlockAddr> = sb
@@ -468,6 +508,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             .collect();
         let new_leaf = self.oram.random_leaf();
         self.remap(found, new_leaf);
+        self.recount(top, merged_before);
         let report = self.finish(
             addr,
             AccessKind::Write,
@@ -525,17 +566,37 @@ impl<O: OramBackend> SuperBlockOram<O> {
         self.oram.txn_commit()?;
         Ok(out)
     }
+
+    /// What closing window `window` published: its rates, Equation 1's
+    /// thresholds for the first merge (two single blocks) and the first
+    /// break (a size-2 super block) under them, and the partition so far.
+    fn window_event(&self, window: u64) -> ObsEvent {
+        let rates = self.window.rates();
+        let thresholds = Thresholds::new(&self.scheme, rates);
+        let non_negative = |t: i32| t.max(0) as u32;
+        ObsEvent::PrefetchWindow {
+            window,
+            hit_rate_ppm: rate_to_ppm(rates.prefetch_hit_rate),
+            eviction_rate_ppm: rate_to_ppm(rates.eviction_rate),
+            access_rate_ppm: rate_to_ppm(rates.access_rate),
+            merge_threshold: thresholds.merge_threshold(1).map(non_negative),
+            break_threshold: thresholds.break_threshold(2).map(non_negative),
+            merges: self.stats.merges,
+            breaks: self.stats.breaks,
+            merged_blocks: self.merged_blocks,
+        }
+    }
 }
 
 impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
     fn access(&mut self, now: Cycle, req: MemRequest, llc: &dyn CacheProbe) -> AccessOutcome {
-        // The ledger and the counters are edited before the access
-        // commits, so they are part of what a rollback must undo; saved
-        // only when the backend can roll back at all.
+        // The ledger, the counters and the gauge are edited before the
+        // access commits, so they are part of what a rollback must undo;
+        // saved only when the backend can roll back at all.
         let saved = self
             .oram
             .txn_armed()
-            .then(|| (self.prefetched.clone(), self.stats));
+            .then(|| (self.prefetched.clone(), self.stats, self.merged_blocks));
         let mut attempt = self.attempt_txn(req, llc);
         // A crashed access recovers in place: the backend rolls its
         // journal back (or replays it forward past the epoch flip), and a
@@ -552,9 +613,10 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
                 attempt = if rec.mode == RecoveryMode::Replayed {
                     Ok(Self::served_outside_the_path(req, rec.cycles.max(1), 0))
                 } else {
-                    if let Some((prefetched, stats)) = saved {
+                    if let Some((prefetched, stats, merged_blocks)) = saved {
                         self.prefetched = prefetched;
                         self.stats = stats;
+                        self.merged_blocks = merged_blocks;
                     }
                     self.attempt_txn(req, llc).map(|(mut r, f)| {
                         r.latency += rec.cycles;
@@ -573,8 +635,12 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
         });
         let complete_at = self.schedule(now, report.latency);
         let elapsed = complete_at.saturating_sub(self.last_complete).max(1);
-        self.window
-            .record_request(report.background_evictions, elapsed, report.latency);
+        if let Some(window) =
+            self.window
+                .record_request(report.background_evictions, elapsed, report.latency)
+        {
+            self.obs.emit(|| self.window_event(window));
+        }
         self.last_complete = complete_at;
         AccessOutcome { complete_at, fills }
     }
@@ -614,22 +680,18 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
     fn stats(&self) -> BackendStats {
         let o = self.oram.oram_stats();
         BackendStats {
-            demand_accesses: self.stats.demand_reads + self.stats.writebacks,
-            prefetch_requests: self.stats.prefetches_issued,
             physical_accesses: o.total_path_accesses(),
             dummy_accesses: o.background_evictions,
             posmap_accesses: o.posmap_path_accesses,
             bytes_moved: o.bytes_moved,
-            prefetch_hits: self.stats.prefetch_hits,
-            prefetch_misses: self.stats.prefetch_misses,
             busy_cycles: o.total_path_accesses() * self.oram.path_cycles(),
             data_path_cycles: o.data_path_accesses * self.oram.path_cycles(),
             posmap_path_cycles: o.posmap_path_accesses * self.oram.path_cycles(),
             dummy_path_cycles: o.background_evictions * self.oram.path_cycles(),
             treetop_hits: o.treetop_hits,
             treetop_bytes_saved: o.treetop_bytes_saved,
-            interval_epochs: 0,
             faults: self.oram.fault_stats() + self.scheme_faults,
+            ..self.stats
         }
     }
 
@@ -695,7 +757,7 @@ mod tests {
         let mut oram = small(SchemeConfig::baseline());
         let o = oram.access(0, MemRequest::read(BlockAddr(5)), &NoProbe);
         assert_eq!(o.fills, vec![Fill::demand(BlockAddr(5))]);
-        assert_eq!(oram.scheme_stats().prefetches_issued, 0);
+        assert_eq!(oram.stats().prefetch_requests, 0);
     }
 
     #[test]
@@ -707,7 +769,7 @@ mod tests {
         let demands: Vec<&Fill> = o.fills.iter().filter(|f| !f.prefetched).collect();
         assert_eq!(demands.len(), 1);
         assert_eq!(demands[0].block, BlockAddr(5));
-        assert_eq!(oram.scheme_stats().prefetches_issued, 3);
+        assert_eq!(oram.stats().prefetch_requests, 3);
     }
 
     #[test]
@@ -748,7 +810,7 @@ mod tests {
             }
         }
         assert!(
-            oram.scheme_stats().merges >= 1,
+            oram.stats().merges >= 1,
             "no merge after sustained locality"
         );
         // The pair must now be co-located.
@@ -772,12 +834,12 @@ mod tests {
             let a = BlockAddr(rng.next_below(256));
             oram.access(0, MemRequest::read(a), &NoProbe);
         }
-        assert_eq!(oram.scheme_stats().merges, 0);
+        assert_eq!(oram.stats().merges, 0);
         // A handful of prefetches can still occur: with the tiny test
         // tree (128 leaves) two neighbors occasionally collide on a leaf
         // and are detected as a super block — exactly what the paper's
         // leaf-equality rule would do in hardware. No *merge* may happen.
-        assert!(oram.scheme_stats().prefetches_issued < 10);
+        assert!(oram.stats().prefetch_requests < 10);
     }
 
     #[test]
@@ -791,7 +853,7 @@ mod tests {
                 llc.insert_fills(&o.fills);
             }
         }
-        assert!(oram.scheme_stats().merges >= 1);
+        assert!(oram.stats().merges >= 1);
         // Now access only block 20 with the prefetched 21 always evicted
         // unused: each reload sees prefetch && !hit and decrements the
         // break counter until the block splits.
@@ -805,7 +867,7 @@ mod tests {
                     oram.note_llc_eviction(f.block);
                 }
             }
-            if oram.scheme_stats().breaks > 0 {
+            if oram.stats().breaks > 0 {
                 broke = true;
                 break;
             }
@@ -824,7 +886,7 @@ mod tests {
                 llc.insert_fills(&o.fills);
             }
         }
-        assert!(oram.scheme_stats().merges >= 1);
+        assert!(oram.stats().merges >= 1);
         for i in 0..40 {
             llc.0.clear();
             let o = oram.access(1000 + i, MemRequest::read(BlockAddr(20)), &llc);
@@ -834,7 +896,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(oram.scheme_stats().breaks, 0);
+        assert_eq!(oram.stats().breaks, 0);
     }
 
     #[test]
@@ -849,10 +911,10 @@ mod tests {
             .collect();
         assert_eq!(prefetched, vec![BlockAddr(1)]);
         oram.note_llc_hit(BlockAddr(1));
-        assert_eq!(oram.scheme_stats().prefetch_hits, 1);
+        assert_eq!(oram.stats().prefetch_hits, 1);
         // Hitting again does not double count.
         oram.note_llc_hit(BlockAddr(1));
-        assert_eq!(oram.scheme_stats().prefetch_hits, 1);
+        assert_eq!(oram.stats().prefetch_hits, 1);
     }
 
     #[test]
@@ -861,8 +923,8 @@ mod tests {
         let o = oram.access(0, MemRequest::read(BlockAddr(0)), &NoProbe);
         let pf = o.fills.iter().find(|f| f.prefetched).unwrap().block;
         oram.note_llc_eviction(pf);
-        assert_eq!(oram.scheme_stats().prefetch_misses, 1);
-        assert_eq!(oram.scheme_stats().prefetch_hits, 0);
+        assert_eq!(oram.stats().prefetch_misses, 1);
+        assert_eq!(oram.stats().prefetch_hits, 0);
     }
 
     #[test]
@@ -943,14 +1005,15 @@ mod tests {
     }
 
     #[test]
-    fn current_super_block_reports_size() {
+    fn detect_reports_the_super_block_size() {
         let mut oram = small(SchemeConfig::static_scheme(4));
-        let (sb, _) = oram.current_super_block(BlockAddr(6)).unwrap();
+        oram.oram_mut().resolve_posmap(BlockAddr(6)).unwrap();
+        let sb = oram.detect(BlockAddr(6));
         assert_eq!(sb.size(), 4);
         assert_eq!(sb.base(), BlockAddr(4));
         let mut oram2 = small(SchemeConfig::dynamic(4));
-        let (sb2, _) = oram2.current_super_block(BlockAddr(6)).unwrap();
-        assert_eq!(sb2.size(), 1);
+        oram2.oram_mut().resolve_posmap(BlockAddr(6)).unwrap();
+        assert_eq!(oram2.detect(BlockAddr(6)).size(), 1);
     }
 
     #[test]
@@ -966,7 +1029,7 @@ mod tests {
                 llc.insert_fills(&o.fills);
             }
         }
-        assert!(oram.scheme_stats().merges >= 1, "strided pair never merged");
+        assert!(oram.stats().merges >= 1, "strided pair never merged");
         oram.oram_mut().resolve_posmap(BlockAddr(40)).unwrap();
         assert_eq!(
             oram.oram().entry(BlockAddr(40)).leaf,
@@ -992,7 +1055,7 @@ mod tests {
                 llc.insert_fills(&o.fills);
             }
         }
-        assert_eq!(oram.scheme_stats().merges, 0);
+        assert_eq!(oram.stats().merges, 0);
     }
 
     #[test]
@@ -1020,10 +1083,7 @@ mod tests {
                 llc.insert_fills(&o.fills);
             }
         }
-        assert!(
-            oram.scheme_stats().merges >= 1,
-            "no merge on the Shi backend"
-        );
+        assert!(oram.stats().merges >= 1, "no merge on the Shi backend");
         // A fresh miss delivers both members through one access.
         let o = oram.access(1_000_000, MemRequest::read(BlockAddr(10)), &NoProbe);
         assert_eq!(o.fills.len(), 2);
@@ -1058,9 +1118,13 @@ mod tests {
                     oram.note_llc_eviction(f.block);
                 }
             }
-            if oram.scheme_stats().breaks > 0 {
+            if oram.stats().breaks > 0 {
                 break;
             }
+        }
+        // Past the first statistics window.
+        for i in 0..WINDOW_REQUESTS {
+            oram.access(2000 + i, MemRequest::read(BlockAddr(i % 256)), &NoProbe);
         }
         let events = oram.obs.events();
         let merges = events
@@ -1075,19 +1139,121 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, ObsEvent::PrefetchWindow { .. }))
             .count() as u64;
-        assert_eq!(merges, oram.scheme_stats().merges);
-        assert_eq!(breaks, oram.scheme_stats().breaks);
-        assert_eq!(windows, oram.scheme_stats().demand_reads);
+        assert_eq!(merges, oram.stats().merges);
+        assert_eq!(breaks, oram.stats().breaks);
+        assert_eq!(windows, oram.stats().demand_accesses / WINDOW_REQUESTS);
+        assert_eq!(windows, 1);
         // Every access retires into the same sink, and the backend's own
         // events (stash watermarks) interleave with them.
         let retired = events
             .iter()
             .filter(|e| matches!(e, ObsEvent::AccessRetired { .. }))
             .count() as u64;
-        assert_eq!(retired, oram.scheme_stats().demand_reads);
+        assert_eq!(retired, oram.stats().demand_accesses);
         assert!(events
             .iter()
             .any(|e| matches!(e, ObsEvent::StashWatermark { .. })));
+    }
+
+    /// Brute force for the merged-block gauge: resolve every data block
+    /// on a copy of the controller and ask `detect`.
+    fn scan_merged<O: OramBackend + Clone>(oram: &SuperBlockOram<O>) -> u64 {
+        let mut probe = oram.clone();
+        let data_blocks = probe.oram.space().num_data_blocks();
+        (0..data_blocks)
+            .filter(|&a| {
+                probe.oram.resolve_posmap(BlockAddr(a)).unwrap();
+                probe.detect(BlockAddr(a)).size() >= 2
+            })
+            .count() as u64
+    }
+
+    /// Drives `ops` requests behind a 24-line FIFO LLC: phases of `phase`
+    /// requests alternate between pairwise locality (merges) and uniform
+    /// addresses that waste the prefetches (breaks), and every fifth
+    /// request is a write-back. `after` runs after each access with its
+    /// index and completion cycle, and returns the cycle to go on from.
+    fn drive_phases<O: OramBackend>(
+        oram: &mut SuperBlockOram<O>,
+        ops: u64,
+        phase: u64,
+        mut after: impl FnMut(&mut SuperBlockOram<O>, u64, Cycle) -> Cycle,
+    ) {
+        let mut llc = SetProbe::default();
+        let mut resident = std::collections::VecDeque::new();
+        let mut rng = Xoshiro256::seed_from(5);
+        let mut now = 0;
+        for i in 0..ops {
+            let addr = if (i / phase).is_multiple_of(2) {
+                (rng.next_below(16) * 2 + i % 2) % 256
+            } else {
+                rng.next_below(256)
+            };
+            let req = if i % 5 == 4 {
+                MemRequest::write(BlockAddr(addr))
+            } else {
+                MemRequest::read(BlockAddr(addr))
+            };
+            let out = oram.access(now, req, &llc);
+            llc.insert_fills(&out.fills);
+            resident.extend(out.fills.iter().map(|f| f.block));
+            while resident.len() > 24 {
+                let victim = resident.pop_front().expect("non-empty");
+                if llc.0.remove(&victim.0) {
+                    oram.note_llc_eviction(victim);
+                }
+            }
+            now = after(oram, i, out.complete_at);
+        }
+    }
+
+    /// Runs 2 500 requests of [`drive_phases`] and checks each
+    /// statistics-window event against the ledger, and the gauge against
+    /// a brute-force scan when one fires and at the end. Returns the
+    /// final stats.
+    fn windows_report_the_ledger<O: OramBackend + Clone>(
+        mut oram: SuperBlockOram<O>,
+    ) -> BackendStats {
+        assert_eq!(oram.merged_blocks(), scan_merged(&oram), "at construction");
+        let obs = Obs::ring(1 << 16);
+        oram.attach_obs(obs.clone());
+        let mut windows = 0;
+        drive_phases(&mut oram, 2_500, 250, |oram, _, now| {
+            if let Some(&ObsEvent::PrefetchWindow {
+                window,
+                merges,
+                breaks,
+                merged_blocks,
+                ..
+            }) = obs.events().last()
+            {
+                windows += 1;
+                assert_eq!(window, windows);
+                let s = oram.stats();
+                assert_eq!((merges, breaks), (s.merges, s.breaks), "window {window}");
+                assert_eq!(merged_blocks, oram.merged_blocks(), "window {window}");
+                assert_eq!(merged_blocks, scan_merged(oram), "window {window}");
+            }
+            now
+        });
+        assert_eq!(windows, 2, "2 500 requests close two 1 000-request windows");
+        assert_eq!(oram.merged_blocks(), scan_merged(&oram), "at the end");
+        oram.stats()
+    }
+
+    #[test]
+    fn one_window_event_per_window_carries_the_ledger_and_the_partition() {
+        let s = windows_report_the_ledger(small(SchemeConfig::dynamic(2)));
+        assert!(s.merges > 0 && s.breaks > 0, "{s:?}");
+        let s = windows_report_the_ledger(small(SchemeConfig::dynamic(4)));
+        assert!(s.merges > 0 && s.breaks > 0, "{s:?}");
+        let stat = small(SchemeConfig::static_scheme(2));
+        assert_eq!(stat.merged_blocks(), 256, "the static partition counts");
+        windows_report_the_ledger(stat);
+        let shi = ShiOram::new(shi_config(1), 42);
+        let s =
+            windows_report_the_ledger(SuperBlockOram::from_backend(shi, SchemeConfig::dynamic(2)));
+        assert!(s.merges > 0, "{s:?}");
     }
 
     /// Drives `n` chained uniform reads over a 128-block baseline
@@ -1140,40 +1306,16 @@ mod tests {
             ..OramConfig::small_for_tests(256)
         };
         let mut oram = SuperBlockOram::new(cfg, SchemeConfig::dynamic(2), 99);
-        let mut llc = SetProbe::default();
-        let mut resident = std::collections::VecDeque::new();
-        let mut rng = Xoshiro256::seed_from(5);
-        let mut now = 0;
-        for i in 0..5_000u64 {
-            // Phases of pairwise locality (merges) alternate with uniform
-            // phases that waste the prefetches (breaks).
-            let addr = if (i / 500) % 2 == 0 {
-                (rng.next_below(16) * 2 + i % 2) % 256
-            } else {
-                rng.next_below(256)
-            };
-            let req = if i % 5 == 4 {
-                MemRequest::write(BlockAddr(addr))
-            } else {
-                MemRequest::read(BlockAddr(addr))
-            };
-            let out = oram.access(now, req, &llc);
-            now = out.complete_at;
+        drive_phases(&mut oram, 5_000, 500, |oram, i, now| {
             oram.oram().audit_checkpoints();
-            llc.insert_fills(&out.fills);
-            resident.extend(out.fills.iter().map(|f| f.block));
-            while resident.len() > 24 {
-                let victim = resident.pop_front().expect("non-empty");
-                if llc.0.remove(&victim.0) {
-                    oram.note_llc_eviction(victim);
-                }
-            }
             if i % 97 == 96 {
-                now = oram.dummy_access(now);
+                oram.dummy_access(now)
+            } else {
+                now
             }
-        }
-        let scheme = oram.scheme_stats();
-        assert!(scheme.merges > 0 && scheme.breaks > 0, "{scheme:?}");
+        });
+        let s = oram.stats();
+        assert!(s.merges > 0 && s.breaks > 0, "{s:?}");
         let crash = oram.oram().crash_stats();
         assert_eq!(crash.early_full_seals, 0, "{crash:?}");
         // One Full at construction, one per 64-record chain, one after

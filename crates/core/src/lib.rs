@@ -43,7 +43,7 @@ pub mod superblock;
 pub mod threshold;
 pub mod window;
 
-pub use controller::{SchemeStats, SuperBlockOram};
+pub use controller::SuperBlockOram;
 pub use policy::{BreakPolicy, MergePolicy, SchemeConfig};
 pub use superblock::SuperBlock;
 pub use threshold::Thresholds;

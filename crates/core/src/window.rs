@@ -59,6 +59,8 @@ pub struct WindowStats {
     prefetch_hits: u64,
     prefetch_misses: u64,
     published: WindowRates,
+    /// Windows closed so far.
+    closed: u64,
 }
 
 impl WindowStats {
@@ -78,20 +80,25 @@ impl WindowStats {
             prefetch_hits: 0,
             prefetch_misses: 0,
             published: WindowRates::default(),
+            closed: 0,
         }
     }
 
     /// Records one memory request: how many background evictions it
     /// caused, the wall-clock span since the previous request, and the
-    /// cycles the ORAM spent busy serving it.
-    pub fn record_request(&mut self, background_evictions: u64, elapsed: u64, busy: u64) {
+    /// cycles the ORAM spent busy serving it. Returns the ordinal of the
+    /// window this request closed (1 for the first), if it closed one.
+    pub fn record_request(
+        &mut self,
+        background_evictions: u64,
+        elapsed: u64,
+        busy: u64,
+    ) -> Option<u64> {
         self.requests += 1;
         self.background_evictions += background_evictions;
         self.elapsed_cycles += elapsed;
         self.busy_cycles += busy;
-        if self.requests >= self.window {
-            self.publish();
-        }
+        (self.requests >= self.window).then(|| self.publish())
     }
 
     /// Records the outcome of a resolved prefetch.
@@ -103,7 +110,7 @@ impl WindowStats {
         }
     }
 
-    fn publish(&mut self) {
+    fn publish(&mut self) -> u64 {
         let evr = self.background_evictions as f64 / self.requests as f64;
         let ar = if self.elapsed_cycles == 0 {
             0.0
@@ -131,6 +138,8 @@ impl WindowStats {
         self.busy_cycles = 0;
         self.prefetch_hits = 0;
         self.prefetch_misses = 0;
+        self.closed += 1;
+        self.closed
     }
 
     /// The most recently published rates (priors before the first window
@@ -155,13 +164,15 @@ mod tests {
     #[test]
     fn rates_published_at_window_boundary() {
         let mut w = WindowStats::new(2);
-        w.record_request(0, 1000, 500);
+        assert_eq!(w.record_request(0, 1000, 500), None);
         // Not yet published.
         assert_eq!(w.rates().access_rate, 0.0);
-        w.record_request(2, 1000, 1000);
+        assert_eq!(w.record_request(2, 1000, 1000), Some(1));
         let r = w.rates();
         assert!((r.eviction_rate - 1.0).abs() < 1e-12);
         assert!((r.access_rate - 0.75).abs() < 1e-12);
+        assert_eq!(w.record_request(0, 1000, 0), None);
+        assert_eq!(w.record_request(0, 1000, 0), Some(2));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! (prefetch hits) and jumps away every seventh op (prefetches that leave
 //! unused — misses, break-counter decrements).
 
-use proram_core::{SchemeConfig, SchemeStats, SuperBlockOram};
-use proram_mem::{BlockAddr, CacheProbe, MemRequest, MemoryBackend};
+use proram_core::{SchemeConfig, SuperBlockOram};
+use proram_mem::{BackendStats, BlockAddr, CacheProbe, MemRequest, MemoryBackend};
+use proram_obs::{Obs, ObsEvent};
 use proram_oram::{CrashConfig, CrashStats, OramConfig};
 use std::collections::VecDeque;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -33,8 +34,14 @@ impl CacheProbe for FifoLlc {
     }
 }
 
-/// What a cell ends with. `reads` / `writes` are the requests the driver
-/// issued, the count `scheme`'s `demand_reads` / `writebacks` must equal
+/// What a cell ends with. `scheme` is the six counters of `stats()` the
+/// scheme layer owns (`demand_accesses`, `prefetch_requests`,
+/// `prefetch_hits`, `prefetch_misses`, `merges`, `breaks`; every other
+/// field zero), `merged_blocks` its partition gauge and `merge_events`
+/// the `super_block_merge` events the run emitted — one more than
+/// `merges` when a killed attempt had merged before its retry merged
+/// again, since the trace is not rolled back. `reads` / `writes` are the
+/// requests the driver issued, whose sum `demand_accesses` must equal
 /// whatever crashed in between. `ledger` is the scheme's prefetch ledger,
 /// the one home of the prefetch and hit bits, at the end of the run;
 /// `ledger_trace` hashes it after every demand read and the write-backs
@@ -42,7 +49,9 @@ impl CacheProbe for FifoLlc {
 /// is next loaded, so a divergence can be gone by the end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellOutcome {
-    pub scheme: SchemeStats,
+    pub scheme: BackendStats,
+    pub merged_blocks: u64,
+    pub merge_events: u64,
     pub ledger: Vec<(BlockAddr, bool)>,
     pub ledger_trace: u64,
     pub state_digest: u64,
@@ -69,6 +78,8 @@ pub fn run_cell(scheme: SchemeConfig, crash: CrashConfig) -> CellOutcome {
         ..OramConfig::small_for_tests(BLOCKS)
     };
     let mut oram = SuperBlockOram::new(cfg, scheme, 99);
+    let obs = Obs::ring(1 << 16);
+    oram.attach_obs(obs.clone());
     let mut llc = FifoLlc::default();
     let (mut now, mut reads, mut writes) = (0, 0, 0);
     let mut ledger_trace = DefaultHasher::new();
@@ -97,13 +108,28 @@ pub fn run_cell(scheme: SchemeConfig, crash: CrashConfig) -> CellOutcome {
         oram.prefetch_ledger().hash(&mut ledger_trace);
     }
     oram.oram().audit_full();
+    let stats = oram.stats();
     CellOutcome {
-        scheme: oram.scheme_stats(),
+        scheme: BackendStats {
+            demand_accesses: stats.demand_accesses,
+            prefetch_requests: stats.prefetch_requests,
+            prefetch_hits: stats.prefetch_hits,
+            prefetch_misses: stats.prefetch_misses,
+            merges: stats.merges,
+            breaks: stats.breaks,
+            ..BackendStats::default()
+        },
+        merged_blocks: oram.merged_blocks(),
+        merge_events: obs
+            .events()
+            .iter()
+            .filter(|e| matches!(e, ObsEvent::SuperBlockMerge { .. }))
+            .count() as u64,
         ledger: oram.prefetch_ledger(),
         ledger_trace: ledger_trace.finish(),
         state_digest: oram.oram().state_digest(),
         crash: oram.oram().crash_stats(),
-        unrecovered: oram.stats().faults.unrecovered,
+        unrecovered: stats.faults.unrecovered,
         reads,
         writes,
     }

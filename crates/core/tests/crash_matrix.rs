@@ -1,6 +1,7 @@
 //! The crash × scheme matrix: a crash that rolls the backend back must
-//! be invisible to the scheme layer too — its counters and its
-//! prefetch / hit bits sit outside the backend's transaction.
+//! be invisible to the scheme layer too — its counters, its merged-block
+//! gauge and its prefetch / hit bits sit outside the backend's
+//! transaction.
 
 mod common;
 
@@ -25,8 +26,7 @@ fn crash_free(scheme: &SchemeConfig) -> CellOutcome {
         CrashConfig::at(KillPoint::MidFlip, u64::MAX),
     );
     assert_eq!(free.crash.crashes_injected, 0);
-    assert_eq!(free.scheme.demand_reads, free.reads);
-    assert_eq!(free.scheme.writebacks, free.writes);
+    assert_eq!(free.scheme.demand_accesses, free.reads + free.writes);
     free
 }
 
@@ -54,6 +54,7 @@ fn a_rolled_back_access_leaves_no_trace_in_the_scheme_layer() {
                 assert_eq!(got.crash.rollbacks, 1, "{cell}");
                 assert_eq!(got.unrecovered, 0, "{cell}");
                 assert_eq!(got.scheme, free.scheme, "{cell}");
+                assert_eq!(got.merged_blocks, free.merged_blocks, "{cell}");
                 assert_eq!(got.ledger, free.ledger, "{cell}");
                 assert_eq!(got.ledger_trace, free.ledger_trace, "{cell}");
                 assert_eq!(got.state_digest, free.state_digest, "{cell}");
@@ -61,6 +62,30 @@ fn a_rolled_back_access_leaves_no_trace_in_the_scheme_layer() {
             }
         }
     }
+}
+
+/// The first write-back kill under `dyn` that lands on an access which
+/// had merged (its retry merges again, so the trace holds one merge event
+/// more than the ledger): the gauge that merge moved is rolled back with
+/// the counters, so the run ends on the crash-free partition.
+#[test]
+fn a_rolled_back_merge_leaves_the_partition_gauge_as_it_was() {
+    let scheme = SchemeConfig::dynamic(2);
+    let free = crash_free(&scheme);
+    assert_eq!(free.merge_events, free.scheme.merges);
+    let got = (1..=400)
+        .map(|crossing| {
+            run_cell(
+                scheme.clone(),
+                CrashConfig::at(KillPoint::WriteBack, crossing),
+            )
+        })
+        .find(|cell| cell.merge_events > cell.scheme.merges)
+        .expect("some write-back kill lands on a merging access");
+    assert_eq!(got.crash.rollbacks, 1);
+    assert_eq!(got.scheme, free.scheme);
+    assert_eq!(got.merged_blocks, free.merged_blocks);
+    assert_eq!(got.state_digest, free.state_digest);
 }
 
 /// A kill after the epoch flip is replayed, not retried: the access
@@ -79,8 +104,7 @@ fn a_replayed_access_is_counted_once() {
             assert_eq!(got.crash.crashes_injected, 1, "{cell}: never fired");
             assert_eq!(got.crash.replays, 1, "{cell}");
             assert_eq!(got.unrecovered, 0, "{cell}");
-            assert_eq!(got.scheme.demand_reads, got.reads, "{cell}");
-            assert_eq!(got.scheme.writebacks, got.writes, "{cell}");
+            assert_eq!(got.scheme.demand_accesses, got.reads + got.writes, "{cell}");
         }
     }
 }

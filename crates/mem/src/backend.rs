@@ -215,6 +215,10 @@ pub struct BackendStats {
     pub prefetch_hits: u64,
     /// Super-block / prefetcher blocks evicted or reloaded unused.
     pub prefetch_misses: u64,
+    /// Super-block merges (paper Algorithm 1; 0 for DRAM).
+    pub merges: u64,
+    /// Super-block breaks (paper Algorithm 2; 0 for DRAM).
+    pub breaks: u64,
     /// Cycles during which the memory resource was busy.
     pub busy_cycles: u64,
     /// Busy cycles attributable to demand-data path accesses (for DRAM,
@@ -258,6 +262,8 @@ impl std::ops::Sub for BackendStats {
             bytes_moved: self.bytes_moved - rhs.bytes_moved,
             prefetch_hits: self.prefetch_hits - rhs.prefetch_hits,
             prefetch_misses: self.prefetch_misses - rhs.prefetch_misses,
+            merges: self.merges - rhs.merges,
+            breaks: self.breaks - rhs.breaks,
             busy_cycles: self.busy_cycles - rhs.busy_cycles,
             data_path_cycles: self.data_path_cycles - rhs.data_path_cycles,
             posmap_path_cycles: self.posmap_path_cycles - rhs.posmap_path_cycles,
@@ -266,33 +272,6 @@ impl std::ops::Sub for BackendStats {
             treetop_bytes_saved: self.treetop_bytes_saved - rhs.treetop_bytes_saved,
             interval_epochs: self.interval_epochs - rhs.interval_epochs,
             faults: self.faults - rhs.faults,
-        }
-    }
-}
-
-impl std::ops::Add for BackendStats {
-    type Output = BackendStats;
-
-    /// Field-wise sum; used to aggregate statistics across shards or
-    /// measurement windows.
-    fn add(self, rhs: BackendStats) -> BackendStats {
-        BackendStats {
-            demand_accesses: self.demand_accesses + rhs.demand_accesses,
-            prefetch_requests: self.prefetch_requests + rhs.prefetch_requests,
-            physical_accesses: self.physical_accesses + rhs.physical_accesses,
-            dummy_accesses: self.dummy_accesses + rhs.dummy_accesses,
-            posmap_accesses: self.posmap_accesses + rhs.posmap_accesses,
-            bytes_moved: self.bytes_moved + rhs.bytes_moved,
-            prefetch_hits: self.prefetch_hits + rhs.prefetch_hits,
-            prefetch_misses: self.prefetch_misses + rhs.prefetch_misses,
-            busy_cycles: self.busy_cycles + rhs.busy_cycles,
-            data_path_cycles: self.data_path_cycles + rhs.data_path_cycles,
-            posmap_path_cycles: self.posmap_path_cycles + rhs.posmap_path_cycles,
-            dummy_path_cycles: self.dummy_path_cycles + rhs.dummy_path_cycles,
-            treetop_hits: self.treetop_hits + rhs.treetop_hits,
-            treetop_bytes_saved: self.treetop_bytes_saved + rhs.treetop_bytes_saved,
-            interval_epochs: self.interval_epochs + rhs.interval_epochs,
-            faults: self.faults + rhs.faults,
         }
     }
 }
@@ -388,24 +367,27 @@ mod tests {
     }
 
     #[test]
-    fn stats_add_and_since_round_trip() {
-        let a = BackendStats {
-            demand_accesses: 3,
-            physical_accesses: 10,
+    fn stats_since_subtracts_field_wise() {
+        let later = BackendStats {
+            demand_accesses: 5,
+            physical_accesses: 15,
             bytes_moved: 1024,
+            merges: 4,
+            breaks: 1,
             ..Default::default()
         };
-        let b = BackendStats {
+        let baseline = BackendStats {
             demand_accesses: 2,
             physical_accesses: 5,
-            prefetch_hits: 1,
+            merges: 3,
             ..Default::default()
         };
-        let sum = a + b;
-        assert_eq!(sum.demand_accesses, 5);
-        assert_eq!(sum.physical_accesses, 15);
-        assert_eq!(sum.since(b), a);
-        assert_eq!(sum.since(a), b);
+        let span = later.since(baseline);
+        assert_eq!(span.demand_accesses, 3);
+        assert_eq!(span.physical_accesses, 10);
+        assert_eq!(span.bytes_moved, 1024);
+        assert_eq!((span.merges, span.breaks), (1, 1));
+        assert_eq!(span.since(BackendStats::default()), span);
     }
 
     #[test]

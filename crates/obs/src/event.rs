@@ -3,11 +3,12 @@
 //! Every observable state transition of the stack is one [`ObsEvent`]
 //! variant: logical accesses retiring with their cycle split, stash
 //! high-water marks,
-//! super-block merge/break decisions, prefetch-window publications,
+//! super-block merge/break decisions, statistics-window publications,
 //! detected faults, tile issue/retire and the commit protocol's crash,
 //! commit and recovery steps. Events are
-//! `Copy` and carry only integers, so recording one into a sink is a
-//! bounds check and a memcpy — cheap enough for per-access use.
+//! `Copy` and carry only integers, flags and optional thresholds, so
+//! recording one into a sink is a bounds check and a memcpy — cheap
+//! enough for per-access use.
 
 use std::fmt;
 
@@ -110,9 +111,10 @@ impl fmt::Display for KillPoint {
 
 /// One observable state transition of the PrORAM stack.
 ///
-/// All payloads are plain integers (rates are scaled to parts-per-million)
-/// so events stay `Copy + Eq` and serialize to one JSONL line with no
-/// string escaping.
+/// All payloads are plain integers (rates are scaled to parts-per-million),
+/// a threshold that may be disabled is an `Option` (JSON `null`), so
+/// events stay `Copy + Eq` and serialize to one JSONL line with no string
+/// escaping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEvent {
     /// A logical access retired with its per-stage cycle attribution.
@@ -159,17 +161,32 @@ pub enum ObsEvent {
         /// Threshold it fell below.
         threshold: u32,
     },
-    /// A demand read delivered a super block; its siblings were issued as
-    /// prefetches under the current adaptive window rates.
+    /// The scheme's statistics window closed (every 1000 ORAM requests,
+    /// paper Section 4.4.2) and published the rates Equation 1 reads
+    /// until the next one closes.
     PrefetchWindow {
-        /// Base address of the super block served.
-        base: u64,
-        /// Sibling blocks issued as prefetches.
-        issued: u32,
+        /// Ordinal of the window, 1 for the first.
+        window: u64,
         /// Window's prefetch hit rate in parts-per-million.
         hit_rate_ppm: u32,
         /// Window's background-eviction rate in parts-per-million.
         eviction_rate_ppm: u32,
+        /// Window's ORAM access rate (busy share of time) in
+        /// parts-per-million.
+        access_rate_ppm: u32,
+        /// Equation 1's merge threshold for a pair of single blocks under
+        /// the published rates; `None` (JSON `null`) when merging is off.
+        merge_threshold: Option<u32>,
+        /// Equation 1's break threshold for a size-2 super block; `None`
+        /// (JSON `null`) when breaking is off.
+        break_threshold: Option<u32>,
+        /// Merges since the controller was built.
+        merges: u64,
+        /// Breaks since the controller was built.
+        breaks: u64,
+        /// Data blocks that sit in a super block of two or more when the
+        /// window closes.
+        merged_blocks: u64,
     },
     /// A storage fault was detected.
     FaultDetected {
@@ -259,9 +276,9 @@ impl ObsEvent {
 
     /// Serializes the event as one JSONL line (no trailing newline).
     ///
-    /// Every value is a JSON number, boolean or fixed identifier string,
-    /// so the output needs no escaping and parses as one flat object with
-    /// a `type` discriminant.
+    /// Every value is a JSON number, boolean, `null` or fixed identifier
+    /// string, so the output needs no escaping and parses as one flat
+    /// object with a `type` discriminant.
     pub fn to_json(&self) -> String {
         let mut s = format!("{{\"type\":\"{}\"", self.kind());
         match *self {
@@ -301,15 +318,25 @@ impl ObsEvent {
                 push_num(&mut s, "threshold", u64::from(threshold));
             }
             ObsEvent::PrefetchWindow {
-                base,
-                issued,
+                window,
                 hit_rate_ppm,
                 eviction_rate_ppm,
+                access_rate_ppm,
+                merge_threshold,
+                break_threshold,
+                merges,
+                breaks,
+                merged_blocks,
             } => {
-                push_num(&mut s, "base", base);
-                push_num(&mut s, "issued", u64::from(issued));
+                push_num(&mut s, "window", window);
                 push_num(&mut s, "hit_rate_ppm", u64::from(hit_rate_ppm));
                 push_num(&mut s, "eviction_rate_ppm", u64::from(eviction_rate_ppm));
+                push_num(&mut s, "access_rate_ppm", u64::from(access_rate_ppm));
+                push_opt(&mut s, "merge_threshold", merge_threshold);
+                push_opt(&mut s, "break_threshold", break_threshold);
+                push_num(&mut s, "merges", merges);
+                push_num(&mut s, "breaks", breaks);
+                push_num(&mut s, "merged_blocks", merged_blocks);
             }
             ObsEvent::FaultDetected { kind, bucket } => {
                 s.push_str(&format!(",\"kind\":\"{}\"", kind.name()));
@@ -345,6 +372,13 @@ impl ObsEvent {
 
 fn push_num(s: &mut String, key: &str, value: u64) {
     s.push_str(&format!(",\"{key}\":{value}"));
+}
+
+fn push_opt(s: &mut String, key: &str, value: Option<u32>) {
+    match value {
+        Some(v) => push_num(s, key, u64::from(v)),
+        None => s.push_str(&format!(",\"{key}\":null")),
+    }
 }
 
 /// Converts a rate in `[0, 1]` to parts-per-million, saturating.
@@ -394,10 +428,15 @@ mod tests {
                 threshold: 1,
             },
             ObsEvent::PrefetchWindow {
-                base: 16,
-                issued: 3,
+                window: 2,
                 hit_rate_ppm: 500_000,
                 eviction_rate_ppm: 0,
+                access_rate_ppm: 250_000,
+                merge_threshold: Some(1),
+                break_threshold: None,
+                merges: 7,
+                breaks: 1,
+                merged_blocks: 12,
             },
             ObsEvent::FaultDetected {
                 kind: FaultKind::Rollback,
@@ -465,6 +504,31 @@ mod tests {
         ] {
             assert!(j.contains(part), "{j}");
         }
+    }
+
+    #[test]
+    fn a_disabled_threshold_renders_as_null() {
+        let window = |merge_threshold, break_threshold| ObsEvent::PrefetchWindow {
+            window: 1,
+            hit_rate_ppm: 1_000_000,
+            eviction_rate_ppm: 0,
+            access_rate_ppm: 0,
+            merge_threshold,
+            break_threshold,
+            merges: 0,
+            breaks: 0,
+            merged_blocks: 0,
+        };
+        let on = window(Some(0), Some(0)).to_json();
+        assert!(
+            on.contains("\"merge_threshold\":0,\"break_threshold\":0,"),
+            "{on}"
+        );
+        let off = window(None, None).to_json();
+        assert!(
+            off.contains("\"merge_threshold\":null,\"break_threshold\":null,"),
+            "{off}"
+        );
     }
 
     #[test]

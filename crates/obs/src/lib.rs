@@ -5,7 +5,7 @@
 //! and why the prefetcher fired when it did. This crate is the one layer
 //! every runtime crate reports into: [`ObsEvent`] covers the stack's
 //! state transitions (access retirement with its cycle split, stash
-//! watermarks, super-block merges/breaks, prefetch-window decisions,
+//! watermarks, super-block merges/breaks, statistics-window publications,
 //! faults, crash and recovery); [`Obs::ring`] retains the first
 //! `capacity` of them in one fixed-size buffer and counts the rest as
 //! dropped. A per-stage cycle table is a fold of the retained

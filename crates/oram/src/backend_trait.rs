@@ -47,6 +47,14 @@ pub trait OramBackend {
     /// Mutably borrows `child`'s position-map entry.
     fn entry_mut(&mut self, child: BlockAddr) -> &mut PosEntry;
 
+    /// The leaf of every data block, indexed by address, read without a
+    /// path access and without changing any state — how a scheme layer
+    /// learns the partition a backend was built with. `None` (the
+    /// default) when the backend cannot read its position map that way.
+    fn data_leaves(&self) -> Option<Vec<Leaf>> {
+        None
+    }
+
     /// Read phase of one access: brings every real block that the access
     /// may serve into the stash, recording the adversary-visible event.
     ///

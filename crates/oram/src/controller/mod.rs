@@ -597,22 +597,32 @@ impl PathOram {
     /// auditors. A resident bucket is borrowed as it is; one that lives in
     /// the image is decoded by a pure read
     /// ([`EncryptedStore::peek_bucket`]), so auditing changes nothing.
-    fn for_each_bucket(&self, mut f: impl FnMut(usize, &Bucket)) {
+    /// Visits every bucket of the tree in heap order, the off-chip ones
+    /// opened from the image without recording anything.
+    ///
+    /// # Errors
+    ///
+    /// The first image bucket that fails authentication.
+    fn try_for_each_bucket(&self, mut f: impl FnMut(usize, &Bucket)) -> Result<(), OramError> {
         let resident = self.tree.resident_buckets();
         for idx in 0..resident {
             f(idx, self.tree.bucket(idx));
         }
         // Without a store every bucket is resident.
         let Some(store) = self.store.as_ref() else {
-            return;
+            return Ok(());
         };
         let mut bucket = Bucket::new(self.config.z);
         for idx in resident..self.tree.num_buckets() {
-            store
-                .peek_bucket(self.layout.phys_of(idx), &mut bucket)
-                .expect("auditor: image bucket failed authentication");
+            store.peek_bucket(self.layout.phys_of(idx), &mut bucket)?;
             f(idx, &bucket);
         }
+        Ok(())
+    }
+
+    fn for_each_bucket(&self, f: impl FnMut(usize, &Bucket)) {
+        self.try_for_each_bucket(f)
+            .expect("auditor: image bucket failed authentication");
     }
 
     /// Full-state auditor: asserts block conservation — every logical
@@ -801,6 +811,36 @@ impl crate::backend_trait::OramBackend for PathOram {
 
     fn entry_mut(&mut self, child: BlockAddr) -> &mut PosEntry {
         PathOram::entry_mut(self, child)
+    }
+
+    /// One pass over the top table, the PLB, the stash and the tree, each
+    /// position-map block read where it sits; `None` when an image
+    /// bucket fails authentication.
+    fn data_leaves(&self) -> Option<Vec<Leaf>> {
+        let mut leaves = vec![Leaf(0); self.space.num_data_blocks() as usize];
+        // Entries of posmap children (addresses past the data region)
+        // fall off the end of `leaves`.
+        let mut record = |first: BlockAddr, entries: &[PosEntry]| {
+            for (leaf, e) in leaves.iter_mut().skip(first.0 as usize).zip(entries) {
+                *leaf = e.leaf;
+            }
+        };
+        let top_child = self.space.on_tree_hierarchies();
+        record(BlockAddr(self.space.region_base(top_child)), &self.top);
+        for b in self.stash.iter().chain(self.plb.iter()) {
+            if let Payload::PosMap(entries) = &b.payload {
+                record(self.space.first_child(b.addr), entries);
+            }
+        }
+        self.try_for_each_bucket(|_, bucket| {
+            for b in bucket.iter() {
+                if let Payload::PosMap(entries) = b.payload {
+                    record(self.space.first_child(b.addr), entries);
+                }
+            }
+        })
+        .ok()?;
+        Some(leaves)
     }
 
     fn read_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) -> Result<(), OramError> {

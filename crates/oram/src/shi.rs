@@ -141,6 +141,10 @@ impl OramBackend for ShiOram {
         self.0.entry_mut(child)
     }
 
+    fn data_leaves(&self) -> Option<Vec<Leaf>> {
+        self.0.data_leaves()
+    }
+
     fn read_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) -> Result<(), OramError> {
         self.0.try_read_path_into_stash(leaf, kind)
     }

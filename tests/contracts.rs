@@ -98,8 +98,9 @@ fn mid_flip_kill_replays_the_payload_it_reported_durable() {
 /// The pinned cell of `crates/core/tests/crash_matrix.rs`: the 200th
 /// write-back is killed under a load that consumed a prefetch bit, the
 /// backend rolls back and the request is retried — and the scheme layer's
-/// counters and prefetch ledger (the prefetch / hit bits), which sit
-/// outside the backend's transaction, end where the crash-free run's do.
+/// six counters, its merged-block gauge and its prefetch ledger (the
+/// prefetch / hit bits), which sit outside the backend's transaction, end
+/// where the crash-free run's do.
 #[test]
 fn a_rolled_back_access_leaves_no_trace_in_the_scheme_layer() {
     let run = |crash| scheme_cell::run_cell(SchemeConfig::static_scheme(2), crash);
@@ -109,9 +110,9 @@ fn a_rolled_back_access_leaves_no_trace_in_the_scheme_layer() {
     assert_eq!(got.crash.crashes_injected, 1);
     assert_eq!(got.crash.rollbacks, 1);
     assert_eq!(got.unrecovered, 0);
-    assert_eq!(got.scheme.demand_reads, got.reads);
-    assert_eq!(got.scheme.writebacks, got.writes);
+    assert_eq!(got.scheme.demand_accesses, got.reads + got.writes);
     assert_eq!(got.scheme, free.scheme);
+    assert_eq!(got.merged_blocks, free.merged_blocks);
     assert_eq!(got.ledger, free.ledger);
     assert_eq!(got.ledger_trace, free.ledger_trace);
     assert_eq!(got.state_digest, free.state_digest);
