@@ -27,9 +27,9 @@ use proram_sim::{RunMetrics, System};
 use proram_stats::{table, Table};
 use proram_workloads::{suite, BenchSpec, Scale};
 
-/// Ring capacity: twice the longest quick-scale trace of any registry
-/// benchmark (mcf, ~61k events), so the stage table folds the whole
-/// trace.
+/// Ring capacity: above the longest quick-scale trace of any registry
+/// benchmark (mcf, ~83k events: ~47k plus one `path_access` per each of
+/// its ~35k physical accesses), so the stage table folds the whole trace.
 const RING_CAPACITY: usize = 1 << 17;
 
 /// The command that measures host time, which this page does not.
@@ -83,10 +83,12 @@ fn count_kind(events: &[ObsEvent], kind: &str) -> u64 {
 /// stage table folds the trace, so it is exact only when whole), one-line
 /// flat JSON of a published kind, and the trace equal to the ledger: the
 /// summed `access_retired` lanes to the backend's path and backoff
-/// cycles, one `access_retired` per demand access, one `tile_retire` per
-/// demand fetch, one `super_block_merge` / `super_block_break` per merge
-/// / break, and one `prefetch_window` per [`WINDOW_REQUESTS`] demand
-/// accesses (the first window of the trace opened during the warm-up).
+/// cycles, one `access_retired` per demand access, one `path_access` per
+/// physical access (the adversary's view is the ledger's paths), one
+/// `tile_retire` per demand fetch, one `super_block_merge` /
+/// `super_block_break` per merge / break, and one `prefetch_window` per
+/// [`WINDOW_REQUESTS`] demand accesses (the first window of the trace
+/// opened during the warm-up).
 fn check(report: &Report) {
     let events = &report.events;
     assert!(
@@ -130,6 +132,11 @@ fn check(report: &Report) {
         count_kind(events, "access_retired"),
         b.demand_accesses,
         "one access_retired per demand access"
+    );
+    assert_eq!(
+        count_kind(events, "path_access"),
+        b.physical_accesses,
+        "one path_access per physical access"
     );
     assert_eq!(
         count_kind(events, "tile_retire"),

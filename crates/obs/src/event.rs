@@ -1,8 +1,8 @@
 //! The typed event taxonomy.
 //!
 //! Every observable state transition of the stack is one [`ObsEvent`]
-//! variant: logical accesses retiring with their cycle split, stash
-//! high-water marks,
+//! variant: logical accesses retiring with their cycle split, the path
+//! each physical access reads and writes back, stash high-water marks,
 //! super-block merge/break decisions, statistics-window publications,
 //! detected faults, tile issue/retire and the commit protocol's crash,
 //! commit and recovery steps. Events are
@@ -134,6 +134,18 @@ pub enum ObsEvent {
         /// Transient-retry backoff cycles.
         backoff: u64,
     },
+    /// A physical access read and wrote back the path to `leaf`: what an
+    /// adversary on the memory bus sees of the ORAM. The sequence of
+    /// these leaves is the adversary's whole view (paper Section 4.6).
+    PathAccess {
+        /// The path's leaf label.
+        leaf: u64,
+        /// `true` for a dummy access (background eviction or periodic
+        /// filler). The wire shows no difference; the flag is ground
+        /// truth for tests, which must treat both kinds as one
+        /// observable.
+        dummy: bool,
+    },
     /// The stash reached a new occupancy high-water mark.
     StashWatermark {
         /// The new peak, which is the stash's occupancy when it is set.
@@ -246,6 +258,7 @@ impl ObsEvent {
     pub fn kind(&self) -> &'static str {
         match self {
             ObsEvent::AccessRetired { .. } => "access_retired",
+            ObsEvent::PathAccess { .. } => "path_access",
             ObsEvent::StashWatermark { .. } => "stash_watermark",
             ObsEvent::SuperBlockMerge { .. } => "super_block_merge",
             ObsEvent::SuperBlockBreak { .. } => "super_block_break",
@@ -260,8 +273,9 @@ impl ObsEvent {
     }
 
     /// Every discriminant name, for schema checks of JSONL traces.
-    pub const KINDS: [&'static str; 11] = [
+    pub const KINDS: [&'static str; 12] = [
         "access_retired",
+        "path_access",
         "stash_watermark",
         "super_block_merge",
         "super_block_break",
@@ -273,6 +287,15 @@ impl ObsEvent {
         "journal_commit",
         "recover_replay",
     ];
+
+    /// The leaf of a `path_access` event, whatever its kind: the one
+    /// thing the bus shows of it. `None` for every other event.
+    pub fn path_leaf(&self) -> Option<u64> {
+        match *self {
+            ObsEvent::PathAccess { leaf, .. } => Some(leaf),
+            _ => None,
+        }
+    }
 
     /// Serializes the event as one JSONL line (no trailing newline).
     ///
@@ -298,6 +321,10 @@ impl ObsEvent {
                 push_num(&mut s, "fetch", fetch);
                 push_num(&mut s, "evict", evict);
                 push_num(&mut s, "backoff", backoff);
+            }
+            ObsEvent::PathAccess { leaf, dummy } => {
+                push_num(&mut s, "leaf", leaf);
+                s.push_str(&format!(",\"dummy\":{dummy}"));
             }
             ObsEvent::StashWatermark { peak } => push_num(&mut s, "peak", peak),
             ObsEvent::SuperBlockMerge {
@@ -414,6 +441,10 @@ mod tests {
                 evict: 2,
                 backoff: 1,
             },
+            ObsEvent::PathAccess {
+                leaf: 3,
+                dummy: true,
+            },
             ObsEvent::StashWatermark { peak: 12 },
             ObsEvent::SuperBlockMerge {
                 base: 16,
@@ -466,7 +497,7 @@ mod tests {
                 reverified: 30,
             },
         ];
-        assert_eq!(ObsEvent::KINDS.len(), 11);
+        assert_eq!(ObsEvent::KINDS.len(), 12);
         assert_eq!(events.len(), ObsEvent::KINDS.len());
         for e in &events {
             let line = e.to_json();
@@ -476,6 +507,7 @@ mod tests {
                 "{line}"
             );
             assert!(ObsEvent::KINDS.contains(&e.kind()));
+            assert_eq!(e.path_leaf().is_some(), e.kind() == "path_access");
             assert_eq!(line.matches('{').count(), 1, "flat object: {line}");
             assert_eq!(line.matches('}').count(), 1, "flat object: {line}");
             assert!(!line.contains('\n'));

@@ -4,12 +4,13 @@
 //! to position-map walks versus path fetches versus background eviction,
 //! and why the prefetcher fired when it did. This crate is the one layer
 //! every runtime crate reports into: [`ObsEvent`] covers the stack's
-//! state transitions (access retirement with its cycle split, stash
-//! watermarks, super-block merges/breaks, statistics-window publications,
-//! faults, crash and recovery); [`Obs::ring`] retains the first
-//! `capacity` of them in one fixed-size buffer and counts the rest as
-//! dropped. A per-stage cycle table is a fold of the retained
-//! `access_retired` events, not a second record.
+//! state transitions (access retirement with its cycle split, the path of
+//! every physical access, stash watermarks, super-block merges/breaks,
+//! statistics-window publications, faults, crash and recovery);
+//! [`Obs::ring`] retains the first `capacity` of them in one fixed-size
+//! buffer and counts the rest as dropped. A per-stage cycle table is a
+//! fold of the retained `access_retired` events, and the adversary's view
+//! a fold of the `path_access` events — neither is a second record.
 //!
 //! The [`Obs`] handle ties it together: a disabled handle (the default
 //! everywhere) is a `None` whose [`Obs::emit`] never evaluates its

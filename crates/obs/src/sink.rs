@@ -15,10 +15,11 @@ use std::rc::Rc;
 
 /// A fixed-capacity event buffer.
 ///
-/// Like the adversary trace recorder, it keeps the *oldest* events and
-/// counts the ones that arrive after the buffer is full — the head of a
-/// run is usually what attribution wants, and never reallocating keeps
-/// the record cost flat.
+/// It keeps the *oldest* events and counts the ones that arrive after the
+/// buffer is full — the head of a run is usually what attribution wants,
+/// and never reallocating keeps the record cost flat. A reader that folds
+/// the whole run (the adversary's leaf sequence, the stage table) asserts
+/// that nothing was dropped.
 #[derive(Debug)]
 struct RingSink {
     events: Vec<ObsEvent>,

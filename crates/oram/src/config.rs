@@ -96,8 +96,6 @@ pub struct OramConfig {
     /// a write-back seals them into it. Off (opaque mode), the tree is
     /// plaintext metadata only — what the timing experiments run on.
     pub store_payloads: bool,
-    /// Capacity of the adversary-trace recorder (0 = disabled).
-    pub trace_capacity: usize,
     /// Initial super-block grouping: every aligned group of this many data
     /// blocks starts mapped to one common leaf. `1` disables grouping;
     /// the *static super block* scheme of paper Section 3.3 sets this to
@@ -140,8 +138,8 @@ impl OramConfig {
         }
     }
 
-    /// A tiny functional configuration for unit tests: payload storage and
-    /// trace recording on, small posmap fanout so recursion is exercised.
+    /// A tiny functional configuration for unit tests: payload storage on,
+    /// small posmap fanout so recursion is exercised.
     pub fn small_for_tests(num_data_blocks: u64) -> Self {
         OramConfig {
             num_data_blocks,
@@ -152,7 +150,6 @@ impl OramConfig {
             plb_blocks: 8,
             timing: OramTiming::default(),
             store_payloads: true,
-            trace_capacity: 1 << 16,
             init_group_size: 1,
             dense_tree: false,
             treetop_levels: 0,
@@ -467,9 +464,12 @@ impl OramConfigBuilder {
         self
     }
 
-    /// Sets the adversary-trace recorder capacity (0 disables it).
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.trace_capacity = capacity;
+    /// Does nothing: the adversary's view is the `path_access` events of
+    /// an attached [`proram_obs::Obs`] ring, so there is no recorder to
+    /// size. Kept only because the frozen benchmark crate
+    /// (`perf/src/workloads.rs`) still calls it; it goes with the next
+    /// `benchmark` PR, the one that retires the names `perf/` pins.
+    pub fn trace_capacity(self, _: usize) -> Self {
         self
     }
 
@@ -519,7 +519,6 @@ impl Default for OramConfig {
             plb_blocks: 64,
             timing: OramTiming::paper_calibrated(),
             store_payloads: false,
-            trace_capacity: 0,
             init_group_size: 1,
             dense_tree: false,
             treetop_levels: 0,
@@ -731,7 +730,6 @@ mod tests {
             .dense_tree(false)
             .treetop_levels(1)
             .store_payloads(true)
-            .trace_capacity(1 << 10)
             .init_group_size(4)
             .build()
             .expect("consistent configuration");

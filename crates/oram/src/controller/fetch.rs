@@ -11,7 +11,6 @@ use crate::block::Block;
 use crate::crash::KillPoint;
 use crate::error::OramError;
 use crate::eviction::read_path;
-use crate::trace::PhysEvent;
 use proram_obs::{FaultKind, ObsEvent};
 
 /// More levels than any tree has ([`crate::OramTree::new`] caps them at
@@ -85,25 +84,21 @@ impl PathOram {
     }
 
     /// The stash-update half of a path fetch: moves the fetched path's
-    /// blocks into the stash and records stats, trace and occupancy.
+    /// blocks into the stash and records stats, the adversary-visible
+    /// `path_access` event and occupancy.
     fn fill_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) {
         self.log_fetched_leaf(leaf);
         let peak_before = self.stash.peak();
         read_path(&mut self.tree, &mut self.stash, leaf);
         match kind {
-            PathKind::Data => {
-                self.stats.data_path_accesses += 1;
-                self.trace.record(PhysEvent::PathAccess(leaf));
-            }
-            PathKind::PosMap => {
-                self.stats.posmap_path_accesses += 1;
-                self.trace.record(PhysEvent::PathAccess(leaf));
-            }
-            PathKind::Dummy => {
-                self.stats.background_evictions += 1;
-                self.trace.record(PhysEvent::DummyAccess(leaf));
-            }
+            PathKind::Data => self.stats.data_path_accesses += 1,
+            PathKind::PosMap => self.stats.posmap_path_accesses += 1,
+            PathKind::Dummy => self.stats.background_evictions += 1,
         }
+        self.obs.emit(|| ObsEvent::PathAccess {
+            leaf: u64::from(leaf.0),
+            dummy: kind == PathKind::Dummy,
+        });
         self.stats.bytes_moved += self.path_bytes;
         if self.config.treetop_levels > 0 {
             self.stats.treetop_hits += u64::from(self.config.treetop_levels);

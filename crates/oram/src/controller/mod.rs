@@ -62,7 +62,6 @@ use crate::plb::Plb;
 use crate::posmap::PosEntry;
 use crate::stash::Stash;
 use crate::storage::EncryptedStore;
-use crate::trace::TraceRecorder;
 use crate::tree::OramTree;
 use durable::Durable;
 use proram_mem::{AccessKind, BlockAddr, FaultStats};
@@ -169,7 +168,6 @@ pub struct PathOram {
     pub(crate) top: Vec<PosEntry>,
     pub(crate) rng: Xoshiro256,
     pub(crate) store: Option<EncryptedStore>,
-    pub(crate) trace: TraceRecorder,
     pub(crate) stats: OramStats,
     pub(crate) path_cycles: u64,
     pub(crate) path_bytes: u64,
@@ -311,11 +309,6 @@ impl PathOram {
         }
         let durable = Durable::new(RecordShape::new(&config, top.len()));
 
-        let trace = if config.trace_capacity > 0 {
-            TraceRecorder::enabled(config.trace_capacity)
-        } else {
-            TraceRecorder::disabled()
-        };
         // Treetop-cached levels live in on-chip SRAM: they cost neither
         // bus cycles nor bytes. The functional tree is unchanged — the
         // cached buckets simply reside on-chip.
@@ -332,7 +325,6 @@ impl PathOram {
             top,
             rng,
             store,
-            trace,
             stats: OramStats::default(),
             path_cycles,
             path_bytes,
@@ -414,12 +406,6 @@ impl PathOram {
         self.plb.stats()
     }
 
-    /// Heap allocations avoided so far by reusing the write-back scratch
-    /// (one per path write-back; see [`PathScratch`]).
-    pub fn allocs_avoided(&self) -> u64 {
-        self.scratch.allocs_avoided()
-    }
-
     /// Fault injection, detection and recovery counters, kept by the
     /// store's injector (all zero without a store).
     pub fn fault_stats(&self) -> FaultStats {
@@ -433,11 +419,6 @@ impl PathOram {
         &self.stash
     }
 
-    /// The adversary-trace recorder.
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
-    }
-
     /// The encrypted DRAM image, when payload storage is enabled.
     pub fn storage(&self) -> Option<&EncryptedStore> {
         self.store.as_ref()
@@ -447,11 +428,6 @@ impl PathOram {
     /// this to tamper with ciphertexts and check detection.
     pub fn storage_mut(&mut self) -> Option<&mut EncryptedStore> {
         self.store.as_mut()
-    }
-
-    /// Clears the recorded adversary trace.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
     }
 
     /// Draws a fresh uniformly random leaf.
@@ -594,11 +570,10 @@ impl PathOram {
     }
 
     /// Hands every bucket of the tree, in heap order, to `f` — for the
-    /// auditors. A resident bucket is borrowed as it is; one that lives in
-    /// the image is decoded by a pure read
-    /// ([`EncryptedStore::peek_bucket`]), so auditing changes nothing.
-    /// Visits every bucket of the tree in heap order, the off-chip ones
-    /// opened from the image without recording anything.
+    /// auditors and `data_leaves`. A resident bucket is borrowed as it
+    /// is; one that lives in the image is decoded by a pure read
+    /// ([`EncryptedStore::peek_bucket`]), so a visit records nothing and
+    /// changes nothing.
     ///
     /// # Errors
     ///
@@ -912,6 +887,7 @@ impl crate::backend_trait::OramBackend for PathOram {
 mod tests {
     use super::*;
     use crate::backend_trait::OramBackend;
+    use proram_obs::ObsEvent;
 
     fn small() -> PathOram {
         PathOram::new(OramConfig::small_for_tests(256), 42)
@@ -996,12 +972,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_accesses() {
+    fn every_path_fetch_emits_one_path_access() {
         let mut oram = small();
-        oram.clear_trace();
-        oram.try_access_block(BlockAddr(0), AccessKind::Read)
-            .unwrap();
-        assert!(!oram.trace().events().is_empty());
+        let obs = Obs::ring(1 << 10);
+        oram.attach_obs(obs.clone());
+        for addr in 0..20 {
+            oram.try_access_block(BlockAddr(addr), AccessKind::Read)
+                .unwrap();
+        }
+        let paths = obs.events().iter().filter_map(ObsEvent::path_leaf).count();
+        assert_eq!(obs.dropped(), 0);
+        assert_eq!(paths as u64, oram.oram_stats().total_path_accesses());
     }
 
     #[test]
@@ -1106,13 +1087,19 @@ mod tests {
     #[test]
     fn observed_leaves_cover_the_tree() {
         let mut oram = PathOram::new(OramConfig::small_for_tests(512), 13);
-        oram.clear_trace();
+        let obs = Obs::ring(1 << 12);
+        oram.attach_obs(obs.clone());
         let mut rng = Xoshiro256::seed_from(2);
         for _ in 0..400 {
             oram.try_access_block(BlockAddr(rng.next_below(512)), AccessKind::Read)
                 .unwrap();
         }
-        let leaves = oram.trace().observed_leaves();
+        assert_eq!(obs.dropped(), 0);
+        let leaves: Vec<u64> = obs
+            .events()
+            .iter()
+            .filter_map(ObsEvent::path_leaf)
+            .collect();
         assert!(leaves.len() >= 400);
         // Many distinct leaves must appear (uniform remapping).
         let mut distinct: Vec<u64> = leaves.clone();
@@ -1136,7 +1123,6 @@ mod tests {
 
     #[test]
     fn report_latency_equals_stage_total() {
-        use proram_obs::ObsEvent;
         let mut oram = small();
         oram.attach_obs(Obs::ring(1 << 12));
         let path = oram.path_cycles();
@@ -1199,18 +1185,6 @@ mod tests {
     }
 
     #[test]
-    fn write_backs_reuse_the_scratch() {
-        let mut oram = small();
-        oram.try_access_block(BlockAddr(1), AccessKind::Read)
-            .unwrap();
-        let after_one = oram.allocs_avoided();
-        assert!(after_one > 0, "each write-back counts a scratch reuse");
-        oram.try_access_block(BlockAddr(2), AccessKind::Read)
-            .unwrap();
-        assert!(oram.allocs_avoided() > after_one);
-    }
-
-    #[test]
     fn small_flat_posmap_config_works() {
         // on_tree_hierarchies = 0: the whole position map is on-chip.
         let cfg = OramConfig {
@@ -1231,6 +1205,7 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::backend_trait::OramBackend;
     use crate::fault::{FaultClass, FaultConfig};
 
     fn faulty_cfg(fault: FaultConfig) -> OramConfig {
@@ -1250,16 +1225,15 @@ mod fault_tests {
                 ..OramConfig::small_for_tests(256)
             };
             let mut oram = PathOram::new(cfg, 42);
+            let obs = Obs::ring(1 << 12);
+            oram.attach_obs(obs.clone());
             let mut rng = Xoshiro256::seed_from(3);
             for _ in 0..200 {
                 oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
                     .unwrap();
             }
-            (
-                oram.oram_stats(),
-                oram.trace().observed_leaves(),
-                oram.stash().peak(),
-            )
+            assert_eq!(obs.dropped(), 0);
+            (oram.oram_stats(), obs.events(), oram.stash().peak())
         };
         assert_eq!(run(None), run(Some(FaultConfig::silent(99))));
     }

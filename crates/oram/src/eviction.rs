@@ -31,20 +31,12 @@ pub struct PathScratch {
     /// `bins[level]` holds addresses of stash blocks whose deepest
     /// eligible level is `level`.
     bins: Vec<Vec<u64>>,
-    /// Allocations avoided by reusing this scratch (one per write-back
-    /// that would have built a fresh candidate `Vec`).
-    reuses: u64,
 }
 
 impl PathScratch {
     /// Creates an empty scratch; bins grow on first use.
     pub fn new() -> Self {
         PathScratch::default()
-    }
-
-    /// Number of heap allocations avoided by buffer reuse so far.
-    pub fn allocs_avoided(&self) -> u64 {
-        self.reuses
     }
 }
 
@@ -79,7 +71,6 @@ pub fn write_path_with(
     if scratch.bins.len() < levels {
         scratch.bins.resize_with(levels, Vec::new);
     }
-    scratch.reuses += 1;
     for bin in &mut scratch.bins {
         bin.clear();
     }
@@ -271,16 +262,5 @@ mod tests {
             contents
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn scratch_counts_reuses() {
-        let (mut tree, mut stash) = setup(4, 2);
-        let mut scratch = PathScratch::new();
-        stash.insert(Block::opaque(BlockAddr(1), Leaf(5)));
-        write_path_with(&mut tree, &mut stash, Leaf(5), &mut scratch);
-        read_path(&mut tree, &mut stash, Leaf(5));
-        write_path_with(&mut tree, &mut stash, Leaf(5), &mut scratch);
-        assert_eq!(scratch.allocs_avoided(), 2);
     }
 }

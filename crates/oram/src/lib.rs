@@ -13,8 +13,9 @@
 //!   ([`crypto`], [`storage`]), with rollback-detecting authentication,
 //! * a seeded **fault injector** and typed error taxonomy for exercising
 //!   the detection/recovery machinery ([`fault`], [`error`]),
-//! * the **adversary-observable physical trace** ([`trace`]) used by the
-//!   obliviousness test-suite,
+//! * the **adversary-observable physical trace**: every path fetch emits
+//!   one `path_access` event into the attached `proram_obs::Obs` ring,
+//!   which the obliviousness test-suite reads,
 //! * a first-principles **timing model** (path bytes / pin bandwidth,
 //!   [`timing`]),
 //! * the **access report** ([`pipeline`]): the one place an access
@@ -64,7 +65,6 @@ pub mod shi;
 pub mod stash;
 pub mod storage;
 pub mod timing;
-pub mod trace;
 pub mod tree;
 
 pub use addr::{AddressSpace, Leaf};
@@ -86,7 +86,6 @@ pub use shi::ShiOram;
 pub use stash::Stash;
 pub use storage::EncryptedStore;
 pub use timing::OramTiming;
-pub use trace::{PhysEvent, TraceRecorder};
 pub use tree::OramTree;
 
 /// The canonical public surface in one import.

@@ -236,7 +236,6 @@ mod tests {
             z: 4,
             on_tree_hierarchies: 0,
             timing: OramTiming::default(),
-            trace_capacity: 1 << 14,
             ..OramConfig::default()
         }
     }
@@ -315,11 +314,19 @@ mod tests {
     #[test]
     fn observed_leaves_uniform_under_repeated_access() {
         let mut oram = small();
+        let obs = Obs::ring(1 << 14);
+        oram.attach_obs(obs.clone());
         for _ in 0..4000 {
             access(&mut oram, BlockAddr(7));
         }
+        assert_eq!(obs.dropped(), 0);
+        let observed: Vec<u64> = obs
+            .events()
+            .iter()
+            .filter_map(proram_obs::ObsEvent::path_leaf)
+            .collect();
         let leaves = u64::from(oram.0.tree.num_leaves());
-        let r = proram_stats::chi2_uniform(&oram.inner().trace().observed_leaves(), leaves);
+        let r = proram_stats::chi2_uniform(&observed, leaves);
         assert!(
             r.is_plausibly_uniform(6.0),
             "chi2={} dof={}",

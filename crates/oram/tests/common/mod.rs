@@ -3,17 +3,18 @@
 //! The golden workload is: a 256-block tree, ORAM seed 42, 2000 uniform
 //! reads drawn from a Xoshiro stream seeded with 7. Every observable of
 //! that run — stats counters, stash-occupancy histogram, physical access
-//! trace, stash peak — was captured on the seed implementation and is
-//! pinned here as constants. `hotpath_equivalence.rs` asserts the
-//! allocation-free hot path reproduces them; `image_goldens.rs` pins the
-//! bytes of the encrypted image the same run leaves behind.
+//! trace (the `path_access` events of an attached ring), stash peak — was
+//! captured on the seed implementation and is pinned here as constants.
+//! `hotpath_equivalence.rs` asserts the allocation-free hot path
+//! reproduces them; `image_goldens.rs` pins the bytes of the encrypted
+//! image the same run leaves behind.
 
 // Each integration-test binary compiles its own copy of this module and
 // uses a different subset of it.
 #![allow(dead_code)]
 
 use proram_mem::{AccessKind, BlockAddr};
-use proram_obs::Obs;
+use proram_obs::{Obs, ObsEvent};
 use proram_oram::{CrashConfig, KillPoint, OramBackend, OramConfig, PathOram};
 use proram_stats::{Rng64, Xoshiro256};
 
@@ -54,14 +55,12 @@ pub struct RunDigest {
     pub hist_total: u64,
     /// FNV fold of the observed leaf trace.
     pub trace_hash: u64,
-    /// Events the trace retained.
+    /// `path_access` events the ring retained.
     pub trace_events: usize,
-    /// Events the trace dropped.
+    /// Events the ring dropped.
     pub trace_dropped: u64,
     /// All-time stash peak.
     pub stash_peak: usize,
-    /// Path-scratch reuses (allocation-free round trips).
-    pub allocs_avoided: u64,
 }
 
 /// The goldens that differ between the payloads-on and payloads-off
@@ -108,9 +107,17 @@ pub fn replay(store_payloads: bool) -> RunDigest {
     replay_cfg(golden_config(store_payloads))
 }
 
-/// Replays the golden workload under `cfg` with observability detached.
+/// Replays the golden workload under `cfg` with a [`golden_ring`]
+/// attached.
 pub fn replay_cfg(cfg: OramConfig) -> RunDigest {
-    replay_observed(cfg, Obs::disabled())
+    replay_observed(cfg, golden_ring())
+}
+
+/// A ring that holds the golden run's whole trace (2000
+/// `access_retired`, 4210 `path_access` and a few `stash_watermark`
+/// events).
+pub fn golden_ring() -> Obs {
+    Obs::ring(1 << 14)
 }
 
 /// Replays the golden workload under `cfg` with `obs` attached and
@@ -133,7 +140,9 @@ pub fn run_golden(cfg: OramConfig, obs: Obs) -> PathOram {
 }
 
 /// Digests every observable of a finished replay (for tests that drive
-/// the workload themselves, e.g. with mid-run injection).
+/// the workload themselves, e.g. with mid-run injection). The trace is
+/// the `path_access` events of the ring attached to `oram`; detached, it
+/// reads empty.
 pub fn digest_state(oram: &PathOram) -> RunDigest {
     let s = oram.oram_stats();
     let h = oram.stash().occupancy_histogram();
@@ -141,7 +150,12 @@ pub fn digest_state(oram: &PathOram) -> RunDigest {
     for (v, c) in h.iter() {
         hist_hash = fnv(fnv(hist_hash, v), c);
     }
-    let leaves = oram.trace().observed_leaves();
+    let leaves: Vec<u64> = oram
+        .obs()
+        .events()
+        .iter()
+        .filter_map(ObsEvent::path_leaf)
+        .collect();
     let mut trace_hash = FNV_INIT;
     for l in &leaves {
         trace_hash = fnv(trace_hash, *l);
@@ -156,9 +170,8 @@ pub fn digest_state(oram: &PathOram) -> RunDigest {
         hist_total: h.total(),
         trace_hash,
         trace_events: leaves.len(),
-        trace_dropped: oram.trace().dropped(),
+        trace_dropped: oram.obs().dropped(),
         stash_peak: oram.stash().peak(),
-        allocs_avoided: oram.allocs_avoided(),
     }
 }
 
@@ -180,9 +193,6 @@ pub fn assert_common(d: &RunDigest) {
     assert_eq!(d.hist_total, 4210);
     assert_eq!(d.trace_events, 4210);
     assert_eq!(d.trace_dropped, 0);
-    // Every one of the 4210 path accesses reuses the scratch buffers
-    // (initialization warms them before the first access).
-    assert_eq!(d.allocs_avoided, 4210);
 }
 
 /// Asserts [`assert_common`] plus the configuration-specific goldens.
@@ -200,7 +210,6 @@ pub fn durable_shape() -> OramConfig {
         .num_data_blocks(1 << 16)
         .entries_per_posmap_block(8)
         .store_payloads(true)
-        .trace_capacity(0)
         .crash(CrashConfig::at(KillPoint::MidFlip, u64::MAX))
         .build()
         .expect("valid durable configuration")

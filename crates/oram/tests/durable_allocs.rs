@@ -62,7 +62,6 @@ const MEASURED: usize = 1_000;
 fn steady_state(crash: Option<CrashConfig>) -> u64 {
     let cfg = OramConfig {
         crash,
-        trace_capacity: 0,
         ..OramConfig::small_for_tests(BLOCKS)
     };
     let mut oram = PathOram::new(cfg, 11);
@@ -89,7 +88,6 @@ fn steady_state_commits_allocate_nothing() {
 fn steady_state_opaque_accesses_allocate_nothing() {
     let cfg = OramConfig {
         store_payloads: false,
-        trace_capacity: 0,
         ..OramConfig::small_for_tests(BLOCKS)
     };
     let mut oram = PathOram::new(cfg, 11);

@@ -14,7 +14,10 @@
 
 mod common;
 
-use common::{assert_golden, golden_config, image_hash, run_golden, GOLDEN_IMAGE, GOLDEN_PAYLOADS};
+use common::{
+    assert_golden, golden_config, golden_ring, image_hash, run_golden, GOLDEN_IMAGE,
+    GOLDEN_PAYLOADS,
+};
 use proram_obs::Obs;
 use proram_oram::{CrashConfig, FaultConfig, KillPoint, OramConfigBuilder};
 
@@ -29,7 +32,7 @@ fn replay(edit: impl FnOnce(OramConfigBuilder) -> OramConfigBuilder) -> (common:
     let cfg = edit(golden_config(true).to_builder())
         .build()
         .expect("valid golden configuration");
-    let oram = run_golden(cfg, Obs::disabled());
+    let oram = run_golden(cfg, golden_ring());
     (common::digest_state(&oram), image_hash(&oram))
 }
 
@@ -38,6 +41,9 @@ fn flat_image_matches_the_pinned_bytes() {
     let (digest, image) = replay(|b| b);
     assert_golden(&digest, &GOLDEN_PAYLOADS);
     assert_eq!(image, GOLDEN_IMAGE, "got {image:#018x}");
+    // The ring the digest reads moves no image byte.
+    let detached = run_golden(golden_config(true), Obs::disabled());
+    assert_eq!(image_hash(&detached), GOLDEN_IMAGE, "detached");
 }
 
 #[test]

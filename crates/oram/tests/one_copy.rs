@@ -10,7 +10,8 @@
 //! those paths and the access is served (the scrub still finds it).
 
 use proram_mem::BlockAddr;
-use proram_oram::{CrashConfig, KillPoint, Leaf, OramConfig, OramError, PathOram, PhysEvent};
+use proram_obs::{Obs, ObsEvent};
+use proram_oram::{CrashConfig, KillPoint, Leaf, OramBackend, OramConfig, OramError, PathOram};
 use proram_stats::{Rng64, Xoshiro256};
 use std::collections::{BTreeSet, HashMap};
 
@@ -82,16 +83,19 @@ fn a_tampered_bucket_on_the_fetched_paths_stops_the_access_and_one_off_them_does
 
         // What the next access fetches, from a clone that runs it.
         let mut probe = warm.clone();
-        probe.clear_trace();
+        let obs = Obs::ring(1 << 10);
+        probe.attach_obs(obs.clone());
         let served = probe.try_read_block(target).expect("no faults injected");
+        assert_eq!(obs.dropped(), 0);
         let layout = warm.store_layout().clone();
-        let on_paths: BTreeSet<usize> = probe
-            .trace()
+        let on_paths: BTreeSet<usize> = obs
             .events()
             .iter()
-            .flat_map(|event| {
-                let (PhysEvent::PathAccess(leaf) | PhysEvent::DummyAccess(leaf)) = *event;
-                layout.off_chip_path(leaf).map(|(_, phys)| phys)
+            .filter_map(ObsEvent::path_leaf)
+            .flat_map(|leaf| {
+                layout
+                    .off_chip_path(Leaf(leaf as u32))
+                    .map(|(_, phys)| phys)
             })
             .collect();
         assert!(on_paths.len() >= layout.off_chip_path(Leaf(0)).count());

@@ -79,7 +79,6 @@ impl SystemConfig {
             oram: OramConfig {
                 num_data_blocks: 1 << 12,
                 store_payloads: false,
-                trace_capacity: 0,
                 ..OramConfig::default()
             },
             ..SystemConfig::paper_default(memory)

@@ -92,7 +92,6 @@ mod tests {
         let oram = OramConfig {
             num_data_blocks: 1 << 10,
             store_payloads: false,
-            trace_capacity: 0,
             ..OramConfig::default()
         };
         ShardedOram::new(&oram, &SchemeConfig::baseline(), n, 1 << 10, 42)

@@ -644,7 +644,6 @@ mod tests {
         // Crash injection needs the encrypted store; the payload-bearing
         // test layout is the one the crash suites use.
         cfg.oram = OramConfig {
-            trace_capacity: 0,
             crash: Some(CrashConfig::at(KillPoint::MidJournal, 4)),
             ..OramConfig::small_for_tests(1 << 12)
         };

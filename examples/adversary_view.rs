@@ -8,27 +8,35 @@
 //! ```
 
 use proram::core_scheme::{SchemeConfig, SuperBlockOram};
-use proram::oram::OramConfig;
+use proram::oram::prelude::{Obs, ObsEvent, OramConfig};
 use proram::stats::{chi2_uniform, serial_correlation};
 use proram_mem::{BlockAddr, MemRequest, MemoryBackend, NoProbe};
 use proram_stats::{Rng64, Xoshiro256};
 
 /// Runs `n` accesses with the given address generator and returns the
-/// observed leaf sequence.
+/// observed leaf sequence: the `path_access` events of a ring attached to
+/// the controller.
 fn observe(mut next_addr: impl FnMut(u64) -> u64, n: u64) -> (Vec<u64>, u64) {
     let config = OramConfig::builder()
         .num_data_blocks(1 << 12)
-        .trace_capacity(1 << 18)
         .store_payloads(false)
         .build()
         .expect("valid ORAM configuration");
     let mut oram = SuperBlockOram::new(config, SchemeConfig::dynamic(2), 99);
+    let obs = Obs::ring(1 << 18);
+    oram.attach_obs(obs.clone());
     let leaves = 1u64 << (oram.oram().config().tree_levels() - 1);
     for i in 0..n {
         let addr = BlockAddr(next_addr(i) % (1 << 12));
         oram.access(0, MemRequest::read(addr), &NoProbe);
     }
-    (oram.oram().trace().observed_leaves(), leaves)
+    assert_eq!(obs.dropped(), 0, "the ring holds the whole trace");
+    let observed = obs
+        .events()
+        .iter()
+        .filter_map(ObsEvent::path_leaf)
+        .collect();
+    (observed, leaves)
 }
 
 fn report(name: &str, leaves: &[u64], num_leaves: u64) {

@@ -31,7 +31,6 @@ impl SecureKvStore {
         let config = OramConfig::small_for_tests(capacity)
             .to_builder()
             .store_payloads(true)
-            .trace_capacity(1 << 16)
             .build()
             .expect("valid ORAM configuration");
         let value_bytes = config.timing.block_bytes as usize;
@@ -89,12 +88,19 @@ fn main() {
     }
     assert!(store.get("mallory").is_none());
 
-    // Hammer one key: an adversary must not be able to tell.
-    store.oram.clear_trace();
+    // Hammer one key: an adversary must not be able to tell. What the bus
+    // shows is the leaf of every `path_access` event.
+    let obs = Obs::ring(1 << 12);
+    store.oram.attach_obs(obs.clone());
     for _ in 0..300 {
         store.get("alice");
     }
-    let leaves = store.oram.trace().observed_leaves();
+    assert_eq!(obs.dropped(), 0, "the ring holds the whole trace");
+    let leaves: Vec<u64> = obs
+        .events()
+        .iter()
+        .filter_map(ObsEvent::path_leaf)
+        .collect();
     let num_leaves = 1u64 << (store.oram.config().tree_levels() - 1);
     let result = chi2_uniform(&leaves, num_leaves);
     println!("\nadversary's view after 300 accesses to the SAME key:");

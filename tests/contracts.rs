@@ -8,8 +8,8 @@ mod common;
 mod scheme_cell;
 
 use common::{
-    assert_golden, digest_state, golden_config, image_hash, replay_cfg, run_golden, RunDigest,
-    GOLDEN_IMAGE, GOLDEN_PAYLOADS,
+    assert_golden, digest_state, golden_config, golden_ring, image_hash, replay_cfg, run_golden,
+    RunDigest, GOLDEN_IMAGE, GOLDEN_PAYLOADS,
 };
 use proram::core_scheme::{SchemeConfig, SuperBlockOram};
 use proram::oram::{
@@ -19,7 +19,6 @@ use proram::oram::{
 use proram::sim::{runner, MemoryKind, SystemConfig};
 use proram::workloads::{suite, Scale};
 use proram_mem::{AccessKind, BlockAddr, MemRequest, MemoryBackend, NoProbe};
-use proram_obs::Obs;
 use proram_stats::{Rng64, Xoshiro256};
 
 /// The golden read stream, for the cells that drive a prefix of it.
@@ -32,7 +31,7 @@ fn golden_addresses() -> Vec<BlockAddr> {
 
 #[test]
 fn encrypted_golden_run_and_image_are_byte_identical() {
-    let oram = run_golden(golden_config(true), Obs::disabled());
+    let oram = run_golden(golden_config(true), golden_ring());
     assert_golden(&digest_state(&oram), &GOLDEN_PAYLOADS);
     assert_eq!(image_hash(&oram), GOLDEN_IMAGE);
 }

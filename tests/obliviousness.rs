@@ -1,20 +1,37 @@
 //! Security test-suite: replays the adversary-observable trace of the
-//! ORAM (with and without super blocks) and checks the distributional
-//! claims of paper Section 4.6.
+//! ORAM (with and without super blocks, on its own and through the
+//! simulated system) and checks the distributional claims of paper
+//! Section 4.6. The trace is the `path_access` events of an attached
+//! `Obs` ring.
 
 use proram::core_scheme::{SchemeConfig, SuperBlockOram};
-use proram::oram::{OramConfig, PathOram};
+use proram::oram::{Leaf, OramBackend, OramConfig, PathOram};
+use proram::sim::{MemoryKind, System, SystemConfig};
 use proram::stats::{chi2_uniform, serial_correlation};
-use proram_mem::{AccessKind, BlockAddr, MemRequest, MemoryBackend, NoProbe};
+use proram::workloads::TraceOp;
+use proram_mem::{AccessKind, BlockAddr, MemRequest, MemoryBackend, NoProbe, ADAPTIVE_LADDER};
+use proram_obs::{Obs, ObsEvent};
 use proram_stats::{Rng64, Xoshiro256};
 
-fn traced_config(blocks: u64) -> OramConfig {
+/// Events a ring keeps: more than any test here emits.
+const RING: usize = 1 << 18;
+
+fn opaque_config(blocks: u64) -> OramConfig {
     OramConfig::builder()
         .num_data_blocks(blocks)
-        .trace_capacity(1 << 18)
         .store_payloads(false)
         .build()
-        .expect("valid traced configuration")
+        .expect("valid configuration")
+}
+
+/// The adversary's view: the leaf of every `path_access` event `obs`
+/// holds, in bus order.
+fn observed_leaves(obs: &Obs) -> Vec<u64> {
+    assert_eq!(obs.dropped(), 0, "the ring must hold the whole trace");
+    obs.events()
+        .iter()
+        .filter_map(ObsEvent::path_leaf)
+        .collect()
 }
 
 fn observe_scheme(
@@ -31,19 +48,23 @@ fn observe_scheme_seeded(
     accesses: u64,
     seed: u64,
 ) -> (Vec<u64>, u64) {
-    let cfg = traced_config(1 << 11);
+    let cfg = opaque_config(1 << 11);
     let mut oram = SuperBlockOram::new(cfg, scheme, seed);
+    let obs = Obs::ring(RING);
+    oram.attach_obs(obs.clone());
     let leaves = 1u64 << (oram.oram().config().tree_levels() - 1);
     for i in 0..accesses {
         let addr = BlockAddr(next_addr(i) % (1 << 11));
         oram.access(0, MemRequest::read(addr), &NoProbe);
     }
-    (oram.oram().trace().observed_leaves(), leaves)
+    (observed_leaves(&obs), leaves)
 }
 
 #[test]
 fn baseline_oram_leaves_are_uniform() {
-    let mut oram = PathOram::new(traced_config(1 << 11), 7);
+    let mut oram = PathOram::new(opaque_config(1 << 11), 7);
+    let obs = Obs::ring(RING);
+    oram.attach_obs(obs.clone());
     let leaves = 1u64 << (oram.config().tree_levels() - 1);
     // Repeatedly access the same block: the observed paths must still be
     // uniform (this is the unlinkability property of step 4).
@@ -51,7 +72,7 @@ fn baseline_oram_leaves_are_uniform() {
         oram.try_access_block(BlockAddr(42), AccessKind::Read)
             .unwrap();
     }
-    let observed = oram.trace().observed_leaves();
+    let observed = observed_leaves(&obs);
     let r = chi2_uniform(&observed, leaves);
     assert!(
         r.is_plausibly_uniform(6.0),
@@ -63,13 +84,15 @@ fn baseline_oram_leaves_are_uniform() {
 
 #[test]
 fn baseline_oram_leaves_are_unlinkable() {
-    let mut oram = PathOram::new(traced_config(1 << 11), 8);
+    let mut oram = PathOram::new(opaque_config(1 << 11), 8);
+    let obs = Obs::ring(RING);
+    oram.attach_obs(obs.clone());
     let mut rng = Xoshiro256::seed_from(3);
     for _ in 0..8000 {
         oram.try_access_block(BlockAddr(rng.next_below(1 << 11)), AccessKind::Read)
             .unwrap();
     }
-    let rho = serial_correlation(&oram.trace().observed_leaves());
+    let rho = serial_correlation(&observed_leaves(&obs));
     assert!(
         rho.abs() < 0.05,
         "observable accesses are serially correlated: {rho}"
@@ -154,12 +177,14 @@ fn dummy_accesses_are_indistinguishable_from_real_ones() {
     // Collect the leaf distribution of background evictions and real
     // accesses separately (ground truth the adversary lacks) and verify
     // both are uniform — on the wire nothing separates them.
-    let cfg = traced_config(1 << 11)
+    let cfg = opaque_config(1 << 11)
         .to_builder()
         .stash_limit(50)
         .build()
-        .expect("valid traced configuration");
+        .expect("valid configuration");
     let mut oram = PathOram::new(cfg, 9);
+    let obs = Obs::ring(RING);
+    oram.attach_obs(obs.clone());
     let leaves = 1u64 << (oram.config().tree_levels() - 1);
     let mut rng = Xoshiro256::seed_from(10);
     for _ in 0..4000 {
@@ -167,17 +192,23 @@ fn dummy_accesses_are_indistinguishable_from_real_ones() {
             .unwrap();
         oram.try_background_evict().expect("healthy tree evicts");
     }
-    use proram::oram::PhysEvent;
-    let (mut real, mut dummy) = (Vec::new(), Vec::new());
-    for e in oram.trace().events() {
-        match e {
-            PhysEvent::PathAccess(l) => real.push(u64::from(l.0)),
-            PhysEvent::DummyAccess(l) => dummy.push(u64::from(l.0)),
-        }
-    }
+    let (real, dummy) = real_and_dummy_leaves(&obs);
     assert!(!real.is_empty() && !dummy.is_empty());
     assert!(chi2_uniform(&real, leaves).is_plausibly_uniform(6.0));
     assert!(chi2_uniform(&dummy, leaves).is_plausibly_uniform(6.0));
+}
+
+/// The leaves of `obs`'s `path_access` events split by ground truth:
+/// `(real, dummy)`.
+fn real_and_dummy_leaves(obs: &Obs) -> (Vec<u64>, Vec<u64>) {
+    assert_eq!(obs.dropped(), 0, "the ring must hold the whole trace");
+    let (mut real, mut dummy) = (Vec::new(), Vec::new());
+    for e in obs.events() {
+        if let ObsEvent::PathAccess { leaf, dummy: d } = e {
+            if d { &mut dummy } else { &mut real }.push(leaf);
+        }
+    }
+    (real, dummy)
 }
 
 #[test]
@@ -238,14 +269,13 @@ fn every_bucket_of_a_fetched_path_is_refreshed_and_no_other() {
                 })
                 .collect();
             let newest = before.iter().map(|(image, _)| nonce(image)).max().unwrap();
-            oram.clear_trace();
+            let obs = Obs::ring(RING);
+            oram.attach_obs(obs.clone());
             oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
                 .unwrap();
-            let fetched: BTreeSet<usize> = oram
-                .trace()
-                .events()
-                .iter()
-                .flat_map(|event| oram.store_layout().off_chip_path(event.leaf()))
+            let fetched: BTreeSet<usize> = observed_leaves(&obs)
+                .into_iter()
+                .flat_map(|leaf| oram.store_layout().off_chip_path(Leaf(leaf as u32)))
                 .map(|(_, phys)| phys)
                 .collect();
             assert!(!fetched.is_empty());
@@ -274,8 +304,10 @@ fn every_bucket_of_a_fetched_path_is_refreshed_and_no_other() {
 #[test]
 fn merge_and_break_do_not_leak_into_the_trace() {
     // Force heavy merge/break churn and check uniformity still holds.
-    let cfg = traced_config(1 << 10);
+    let cfg = opaque_config(1 << 10);
     let mut oram = SuperBlockOram::new(cfg, SchemeConfig::dynamic(2), 5);
+    let obs = Obs::ring(RING);
+    oram.attach_obs(obs.clone());
     let leaves = 1u64 << (oram.oram().config().tree_levels() - 1);
     let mut rng = Xoshiro256::seed_from(6);
     for phase in 0..40u64 {
@@ -290,7 +322,7 @@ fn merge_and_break_do_not_leak_into_the_trace() {
             oram.access(0, MemRequest::read(addr), &NoProbe);
         }
     }
-    let observed = oram.oram().trace().observed_leaves();
+    let observed = observed_leaves(&obs);
     let r = chi2_uniform(&observed, leaves);
     assert!(
         r.is_plausibly_uniform(6.0),
@@ -298,6 +330,63 @@ fn merge_and_break_do_not_leak_into_the_trace() {
         r.statistic,
         r.dof
     );
+}
+
+/// The `O_int` ladder through the simulated system: the dynamic scheme
+/// behind one rung and behind five ([`ADAPTIVE_LADDER`]), each running a
+/// sequential and a random program whose compute between loads leaves
+/// the ORAM idle slots to fill with dummies. The adversary's view is the
+/// ledger's every physical access, its real and dummy leaves are each
+/// uniform, and the whole sequence is unlinkable.
+#[test]
+fn periodic_ladder_cells_stay_oblivious_through_the_system() {
+    const LOADS: u64 = 4_000;
+    let mut rng = Xoshiro256::seed_from(9);
+    let random: Vec<u64> = (0..LOADS).map(|_| rng.next_u64()).collect();
+    for ladder in [vec![100], ADAPTIVE_LADDER.to_vec()] {
+        for (program, lines) in [
+            ("sequential", (0..LOADS).collect()),
+            ("random", random.clone()),
+        ] {
+            let cell = format!("{} rung(s), {program}", ladder.len());
+            let mut cfg = SystemConfig::quick_test(MemoryKind::Oram(SchemeConfig::dynamic(2)));
+            cfg.periodic_intervals = ladder.clone();
+            // The footprint's lines are exactly the configured blocks, so
+            // the system builds the tree `cfg.oram` describes.
+            let blocks = cfg.oram.num_data_blocks;
+            let leaves = 1u64 << (cfg.oram.tree_levels() - 1);
+            let mut system = System::build(&cfg, blocks * cfg.line_bytes());
+            let obs = Obs::ring(RING);
+            system.attach_obs(obs.clone());
+            for line in lines {
+                system.step(TraceOp {
+                    comp_cycles: 2_000,
+                    addr: line % blocks * cfg.line_bytes(),
+                    write: false,
+                });
+            }
+            let m = system.finish();
+            let (real, dummy) = real_and_dummy_leaves(&obs);
+            assert_eq!(
+                (real.len() + dummy.len()) as u64,
+                m.backend.physical_accesses,
+                "{cell}: one path_access per physical access"
+            );
+            assert_eq!(dummy.len() as u64, m.backend.dummy_accesses, "{cell}");
+            for (kind, observed) in [("real", &real), ("dummy", &dummy)] {
+                let r = chi2_uniform(observed, leaves);
+                assert!(
+                    r.is_plausibly_uniform(6.0),
+                    "{cell}, {kind}: chi2={} dof={} over {} leaves",
+                    r.statistic,
+                    r.dof,
+                    observed.len()
+                );
+            }
+            let rho = serial_correlation(&observed_leaves(&obs));
+            assert!(rho.abs() < 0.05, "{cell}: rho={rho}");
+        }
+    }
 }
 
 #[test]
