@@ -1,7 +1,7 @@
 //! Shared experiment plumbing.
 
 use proram_core::SchemeConfig;
-use proram_sim::{runner, MemoryKind, RunMetrics, SystemConfig};
+use proram_sim::{runner, MemoryKind, RunMetrics, System, SystemConfig};
 use proram_workloads::{BenchSpec, Scale, Workload};
 
 /// The three memory systems every comparison figure uses.
@@ -54,6 +54,17 @@ pub fn run_three_schemes(spec: BenchSpec, scale: Scale) -> (RunMetrics, RunMetri
         run(BaseScheme::Static),
         run(BaseScheme::Dynamic),
     )
+}
+
+/// Steps the first `ops` operations of `workload` on core 0 (fewer if
+/// the trace ends first): the warm-up prefix `System::run` would
+/// exclude, stepped by hand so the caller can read the system at the
+/// warm-up boundary before `run(.., 0)` measures the rest.
+pub(crate) fn warm_up(system: &mut System, workload: &mut dyn Workload, ops: u64) {
+    for _ in 0..ops {
+        let Some(op) = workload.next_op() else { break };
+        system.step(op);
+    }
 }
 
 /// Runs a self-built workload (synthetic benchmarks) under a config.

@@ -8,12 +8,20 @@ use crate::common;
 use crate::exp::RunCtx;
 use proram_core::SchemeConfig;
 use proram_par::WorkerPool;
-use proram_sim::runner;
+use proram_sim::{runner, SystemConfig};
 use proram_stats::{summary, table, Table};
 use proram_workloads::{suite, Suite};
 
 /// The paper's public access interval.
 pub const O_INT: u64 = 100;
+
+/// The default ORAM system under `scheme`, behind periodic timing at
+/// [`O_INT`].
+pub(crate) fn periodic(scheme: SchemeConfig) -> SystemConfig {
+    let mut cfg = common::oram_config(scheme);
+    cfg.periodic_intervals = vec![O_INT];
+    cfg
+}
 
 /// Runs one suite.
 pub fn run_suite(suite: Suite, ctx: RunCtx) -> Table {
@@ -21,11 +29,6 @@ pub fn run_suite(suite: Suite, ctx: RunCtx) -> Table {
         "Figure 15 ({}): speedup vs periodic baseline ORAM, O_int = {O_INT}",
         suite.name()
     ));
-    let periodic = |scheme: SchemeConfig| {
-        let mut cfg = common::oram_config(scheme);
-        cfg.periodic_intervals = vec![O_INT];
-        cfg
-    };
     let mut gains: Vec<Vec<f64>> = vec![Vec::new(); 3];
     let per_spec = WorkerPool::new(ctx.jobs).run(suite::specs(suite), |spec| {
         let scale = ctx.scale;

@@ -1,200 +1,197 @@
-//! The Splash2 gap, attributed: why `dyn` gains about half the paper's
-//! +20.2 % on Splash2's memory-intensive benchmarks.
+//! Where `dyn` trails `stat`: each scheme's speedup beside the partition
+//! it builds.
 //!
-//! A scaled tree is the suspect, and it bundles two effects that this
-//! experiment separates on the tree the runner already builds:
+//! The paper has `dyn` track `stat` at high locality (Figure 6a) and gain
+//! about twice as much (Figure 8). Six traces run the way their figure
+//! runs them: YCSB, ocean_c, ocean_nc and TPCC as in Figure 8, Figure
+//! 6a's 100 % locality point (Z = 4, no warm-up) and YCSB at Figure 15's
+//! `O_int`. Each runs under `stat`, `dyn` and `dyn_warm` (`dyn` started
+//! from the static partition), measured against the trace's own
+//! baseline (`oram`, periodic on the `O_int` row), so the `stat` and
+//! `dyn` speedups are the source figure's cells. Beside each speedup:
 //!
-//! * *Path latency.* A sim-scale path is cheaper than the paper's
-//!   full-scale one, so memory is a smaller share of completion time and
-//!   the same saved accesses buy a smaller speedup. Every run is repeated
-//!   at the full-scale latency: its path price is read off its own ledger
-//!   (`busy_cycles / physical_accesses`, exact because every path costs
-//!   `path_cycles`) and the difference to Table 1's full-scale price is
-//!   added to the fixed per-path overhead. The tree, the trace and every
-//!   scheme decision stay as they were; only the price of a path moves.
-//! * *Posmap share.* Posmap paths per demand access under `oram` and
-//!   `dyn`, and the `dyn` gain with each run's posmap path cycles taken
-//!   out of its completion time — the most that posmap traffic can
-//!   explain.
-//!
-//! Figure 15's `oram` column (non-periodic over the `O_int = 100`
-//! periodic baseline) is reported at both latencies as well.
+//! * the merged share (`MemoryBackend::merged_fraction`), a gauge read
+//!   off the controller at the end of the warm-up and at the end of the
+//!   run;
+//! * merges and breaks per 10k measured ops;
+//! * prefetches per merge, `-` without merges.
 
 use crate::common;
-use crate::exp::{fig15, table1, RunCtx};
+use crate::exp::{fig15, fig6, RunCtx};
 use proram_core::SchemeConfig;
 use proram_par::WorkerPool;
-use proram_sim::{runner, RunMetrics, SystemConfig};
-use proram_stats::{summary, table, Table};
-use proram_workloads::{suite, BenchSpec, Scale, Suite};
+use proram_sim::{RunMetrics, System, SystemConfig};
+use proram_stats::{table, Table};
+use proram_workloads::synthetic::LocalityMix;
+use proram_workloads::{suite, Scale, Workload};
 
-/// Runs `spec` under `config` at the sim-scale latency (the tree as
-/// built) and again with every path repriced to the full-scale latency.
-///
-/// # Panics
-///
-/// Panics if the run issues no path, or if the repriced run's ledger does
-/// not price every path at exactly the full-scale figure.
-fn at_both_latencies(spec: BenchSpec, scale: Scale, config: &SystemConfig) -> [RunMetrics; 2] {
-    let sim = runner::run_spec(spec, scale, config);
-    let full_price = table1::full_scale_oram().path_cycles();
-    let mut full_config = config.clone();
-    let extra = full_price
-        .checked_sub(sim.path_price())
-        .expect("a sim-scale path costs no more than a full-scale one");
-    full_config.oram.timing.fixed_overhead_cycles +=
-        u32::try_from(extra).expect("a path costs less than u32::MAX cycles");
-    let full = runner::run_spec(spec, scale, &full_config);
-    assert_eq!(full.path_price(), full_price, "{} repriced", spec.name);
-    [sim, full]
+/// One trace, with the system and warm-up its figure runs it with.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// A registry benchmark as Figure 8 runs it.
+    Fig8(&'static str),
+    /// Figure 6a's 100 % locality point.
+    Fig6a,
+    /// A registry benchmark as Figure 15 runs it.
+    Fig15(&'static str),
 }
 
-/// Completion time with the posmap paths taken out.
-fn cycles_without_posmap(m: &RunMetrics) -> f64 {
-    (m.cycles - m.backend.posmap_path_cycles) as f64
-}
+/// Each trace under the name its rows carry.
+const SOURCES: [(&str, Source); 6] = [
+    ("YCSB", Source::Fig8("YCSB")),
+    ("ocean_c", Source::Fig8("ocean_c")),
+    ("ocean_nc", Source::Fig8("ocean_nc")),
+    ("TPCC", Source::Fig8("TPCC")),
+    ("locality_100%", Source::Fig6a),
+    ("YCSB_intvl", Source::Fig15("YCSB")),
+];
 
-/// One benchmark's measurements; each pair is `[sim, full]` latency.
-struct Row {
-    name: &'static str,
-    splash2: bool,
-    price: u64,
-    stat: [f64; 2],
-    dynamic: [f64; 2],
-    fig15_oram: [f64; 2],
-    posmap_oram: f64,
-    posmap_dyn: f64,
-    dyn_without_posmap: f64,
-}
+impl Source {
+    fn config(self, scheme: SchemeConfig) -> SystemConfig {
+        match self {
+            Source::Fig8(_) => common::oram_config(scheme),
+            Source::Fig6a => fig6::z4(scheme),
+            Source::Fig15(_) => fig15::periodic(scheme),
+        }
+    }
 
-fn measure(spec: BenchSpec, scale: Scale) -> Row {
-    let runs = |scheme| at_both_latencies(spec, scale, &common::oram_config(scheme));
-    let oram = runs(SchemeConfig::baseline());
-    let stat = runs(SchemeConfig::static_scheme(2));
-    let dynamic = runs(SchemeConfig::dynamic(2));
-    let mut periodic = common::oram_config(SchemeConfig::baseline());
-    periodic.periodic_intervals = vec![fig15::O_INT];
-    let periodic = at_both_latencies(spec, scale, &periodic);
-    let over_oram = |runs: &[RunMetrics; 2]| [0, 1].map(|i| runs[i].speedup_over(&oram[i]));
-    Row {
-        name: spec.name,
-        splash2: spec.suite == Suite::Splash2,
-        price: oram[0].path_price(),
-        stat: over_oram(&stat),
-        dynamic: over_oram(&dynamic),
-        fig15_oram: [0, 1].map(|i| oram[i].speedup_over(&periodic[i])),
-        posmap_oram: oram[0].posmap_per_demand(),
-        posmap_dyn: dynamic[0].posmap_per_demand(),
-        dyn_without_posmap: cycles_without_posmap(&oram[0]) / cycles_without_posmap(&dynamic[0])
-            - 1.0,
+    /// The trace and its warm-up prefix.
+    fn workload(self, scale: Scale) -> (Box<dyn Workload>, u64) {
+        match self {
+            Source::Fig8(name) | Source::Fig15(name) => {
+                let spec = suite::spec(name).expect("registered benchmark");
+                (suite::build(spec, scale), scale.warmup_ops)
+            }
+            Source::Fig6a => {
+                let footprint = fig6::footprint_for(scale.ops);
+                let mix =
+                    LocalityMix::with_stride(footprint, 1.0, scale.ops, scale.seed, fig6::STRIDE);
+                (Box::new(mix), 0)
+            }
+        }
     }
 }
 
-/// Runs the attribution: Figure 8's memory-intensive Splash2 rows and
-/// YCSB, then a `mem_avg` row over the Splash2 rows (geometric mean of
-/// the speedup columns, as Figure 8's).
+/// Runs `source` under `scheme`: the ledger of the measured ops, and the
+/// merged share at the end of the warm-up and at the end of the run.
+fn measure(source: Source, scale: Scale, scheme: SchemeConfig) -> (RunMetrics, [f64; 2]) {
+    let (mut workload, warmup_ops) = source.workload(scale);
+    let mut system = System::build(&source.config(scheme), workload.footprint_bytes());
+    common::warm_up(&mut system, workload.as_mut(), warmup_ops);
+    let warm = system.memory().merged_fraction();
+    let metrics = system.run(&mut [workload.as_mut()], 0);
+    (metrics, [warm, system.memory().merged_fraction()])
+}
+
+/// Runs the table: every trace under `oram` and the three schemes, one
+/// row per trace and scheme.
 pub fn run(ctx: RunCtx) -> Vec<Table> {
-    let specs: Vec<BenchSpec> = suite::specs(Suite::Splash2)
-        .into_iter()
-        .filter(|s| s.memory_intensive)
-        .chain(suite::spec("YCSB"))
+    let schemes = [
+        ("oram", SchemeConfig::baseline()),
+        ("stat", SchemeConfig::static_scheme(2)),
+        ("dyn", SchemeConfig::dynamic(2)),
+        (
+            "dyn_warm",
+            SchemeConfig {
+                static_init_size: 2,
+                ..SchemeConfig::dynamic(2)
+            },
+        ),
+    ];
+    let runs: Vec<(Source, SchemeConfig)> = SOURCES
+        .iter()
+        .flat_map(|&(_, source)| schemes.iter().map(move |(_, s)| (source, s.clone())))
         .collect();
-    let rows = WorkerPool::new(ctx.jobs).run(specs, |spec| measure(spec, ctx.scale));
-    // A PLB miss walks every on-tree posmap hierarchy. The runner's
-    // re-sizing changes only the data-block count, so the walk at every
-    // sim-scale tree is the configured one.
-    let full = table1::full_scale_oram();
-    let sim_walk = common::oram_config(SchemeConfig::baseline())
-        .oram
-        .address_space()
-        .on_tree_hierarchies();
+    let measured =
+        WorkerPool::new(ctx.jobs).run(runs, |(source, scheme)| measure(source, ctx.scale, scheme));
     let mut t = Table::new(&[
         "bench",
-        "path_sim",
-        "stat_sim",
-        "dyn_sim",
-        "stat_full",
-        "dyn_full",
-        "f15_oram_sim",
-        "f15_oram_full",
-        "pm_oram",
-        "pm_dyn",
-        "dyn_no_pm",
+        "scheme",
+        "speedup",
+        "merged_warm",
+        "merged_end",
+        "merges_10k",
+        "breaks_10k",
+        "pf_per_merge",
     ])
-    .with_title(format!(
-        "Splash2 gap: speedup vs baseline ORAM at the sim-scale path price and at the full-scale {} cycles; a PLB miss walks {} posmap paths at 2^26 blocks and {sim_walk} at every sim-scale tree",
-        full.path_cycles(),
-        full.address_space().on_tree_hierarchies(),
-    ));
-    for r in &rows {
-        t.row(&[
-            r.name,
-            &r.price.to_string(),
-            &table::pct(r.stat[0]),
-            &table::pct(r.dynamic[0]),
-            &table::pct(r.stat[1]),
-            &table::pct(r.dynamic[1]),
-            &table::pct(r.fig15_oram[0]),
-            &table::pct(r.fig15_oram[1]),
-            &table::f3(r.posmap_oram),
-            &table::f3(r.posmap_dyn),
-            &table::pct(r.dyn_without_posmap),
-        ]);
+    .with_title(
+        "Scheme partitions: speedup vs the row's baseline ORAM, merged share at the end of \
+         warm-up and of the run, merges and breaks per 10k ops, prefetches per merge",
+    );
+    for ((bench, _), group) in SOURCES.iter().zip(measured.chunks(schemes.len())) {
+        let (base, _) = &group[0];
+        for ((scheme, _), (m, merged)) in schemes.iter().zip(group).skip(1) {
+            let b = &m.backend;
+            let per_10k = |n: u64| format!("{:.1}", n as f64 * 1e4 / m.trace_ops as f64);
+            let per_merge = match b.merges {
+                0 => "-".to_owned(),
+                merges => format!("{:.2}", b.prefetch_requests as f64 / merges as f64),
+            };
+            t.row(&[
+                bench.to_string(),
+                scheme.to_string(),
+                table::pct(m.speedup_over(base)),
+                table::f3(merged[0]),
+                table::f3(merged[1]),
+                per_10k(b.merges),
+                per_10k(b.breaks),
+                per_merge,
+            ]);
+        }
     }
-    let splash2: Vec<&Row> = rows.iter().filter(|r| r.splash2).collect();
-    let mean = |gain: fn(&Row) -> f64| {
-        let ratios: Vec<f64> = splash2.iter().map(|r| 1.0 + gain(r)).collect();
-        table::pct(summary::geometric_mean(&ratios) - 1.0)
-    };
-    t.row(&[
-        "mem_avg",
-        "-",
-        &mean(|r| r.stat[0]),
-        &mean(|r| r.dynamic[0]),
-        &mean(|r| r.stat[1]),
-        &mean(|r| r.dynamic[1]),
-        &mean(|r| r.fig15_oram[0]),
-        &mean(|r| r.fig15_oram[1]),
-        "-",
-        "-",
-        &mean(|r| r.dyn_without_posmap),
-    ]);
     vec![t]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::fig8;
+    use proram_workloads::Suite;
 
-    fn tiny() -> Scale {
-        Scale {
-            ops: 600,
-            warmup_ops: 0,
+    /// The cell of `t` in the first row whose leading cells are `keys`,
+    /// under `column`.
+    fn cell(t: &Table, keys: &[&str], column: &str) -> String {
+        let col = t.headers().iter().position(|h| h == column).expect(column);
+        let row = t
+            .rows()
+            .iter()
+            .find(|r| r.iter().zip(keys).all(|(c, k)| c == k));
+        row.expect("a row with those leading cells")[col].clone()
+    }
+
+    /// The same runs give the same cells: every `stat` / `dyn` speedup is
+    /// its source figure's (`dyn_warm` has no source). `dyn_warm` starts
+    /// with every block merged, and `dyn` with next to none.
+    #[test]
+    fn every_speedup_is_its_source_figures_cell() {
+        let ctx = RunCtx::serial(Scale {
+            ops: 1500,
+            warmup_ops: 500,
             footprint_scale: 0.02,
             seed: 1,
+        });
+        let gap = &run(ctx)[0];
+        assert_eq!(gap.len(), 6 * 3);
+        let splash2 = fig8::run_suite(Suite::Splash2, ctx);
+        let dbms = fig8::run_suite(Suite::Dbms, ctx);
+        let fig6a = fig6::run_6a(ctx);
+        let fig15 = fig15::run_suite(Suite::Dbms, ctx);
+        for (bench, figure, row, suffix) in [
+            ("YCSB", &dbms, "YCSB", ""),
+            ("ocean_c", &splash2, "ocean_c", ""),
+            ("ocean_nc", &splash2, "ocean_nc", ""),
+            ("TPCC", &dbms, "TPCC", ""),
+            ("locality_100%", &fig6a, "100%", ""),
+            ("YCSB_intvl", &fig15, "YCSB", "_intvl"),
+        ] {
+            for scheme in ["stat", "dyn"] {
+                let source = cell(figure, &[row], &format!("{scheme}{suffix}"));
+                assert_eq!(cell(gap, &[bench, scheme], "speedup"), source, "{bench}");
+            }
         }
-    }
-
-    #[test]
-    fn one_row_per_benchmark_plus_mem_avg() {
-        // Every full-latency run asserts its own ledger price, so running
-        // the table checks each of them.
-        let t = &run(RunCtx::serial(tiny()))[0];
-        let names: Vec<&str> = t.rows().iter().map(|r| r[0].as_str()).collect();
-        assert_eq!(
-            names,
-            ["lu_nc", "raytrace", "radix", "fft", "ocean_c", "ocean_nc", "YCSB", "mem_avg"]
-        );
-    }
-
-    #[test]
-    fn the_repriced_ledger_prices_every_path_at_the_full_scale_figure() {
-        let spec = suite::spec("radix").expect("radix registered");
-        let [sim, full] =
-            at_both_latencies(spec, tiny(), &common::oram_config(SchemeConfig::dynamic(2)));
-        assert_eq!(full.path_price(), 2365);
-        assert!(sim.path_price() < 2365);
-        assert_eq!(sim.trace_ops, full.trace_ops);
-        assert!(full.cycles > sim.cycles);
+        let start = |scheme| cell(gap, &["locality_100%", scheme], "merged_warm");
+        assert_eq!(start("dyn_warm"), "1.000");
+        let dyn_start: f64 = start("dyn").parse().expect("a share");
+        assert!(dyn_start < 0.01, "dyn starts at {dyn_start}");
     }
 }

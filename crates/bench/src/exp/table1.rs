@@ -10,7 +10,7 @@ use crate::exp::RunCtx;
 /// Table 1's tree at Table 1's size: 8 GB => 2^26 data blocks => a
 /// 26-level tree, every other field the paper default. Only its shape and
 /// price are read; placing its blocks would take 8 GiB.
-pub(super) fn full_scale_oram() -> OramConfig {
+fn full_scale_oram() -> OramConfig {
     OramConfig::builder()
         .num_data_blocks(1 << 26)
         .build()

@@ -59,10 +59,7 @@ pub fn measure(spec: BenchSpec, scale: Scale) -> Report {
     let config = common::oram_config(SchemeConfig::dynamic(2));
     let mut workload = suite::build(spec, scale);
     let mut system = System::build(&config, workload.footprint_bytes());
-    for _ in 0..scale.warmup_ops {
-        let Some(op) = workload.next_op() else { break };
-        system.step(op);
-    }
+    common::warm_up(&mut system, workload.as_mut(), scale.warmup_ops);
     let obs = Obs::ring(RING_CAPACITY);
     system.attach_obs(obs.clone());
     let metrics = system.run(&mut [workload.as_mut()], 0);

@@ -87,6 +87,24 @@ pub struct SuperBlockOram<O: OramBackend = PathOram> {
     obs: Obs,
 }
 
+/// What [`SuperBlockOram::open`] read for one access and
+/// [`SuperBlockOram::close`] needs back.
+struct Opened {
+    addr: BlockAddr,
+    /// The super block `addr` belongs to.
+    sb: SuperBlock,
+    /// Its members the path read brought into the stash.
+    found: Vec<BlockAddr>,
+    /// The leaf the access read, and writes back.
+    old_leaf: Leaf,
+    /// The max-size group the access can remap, and its merged blocks
+    /// before it did.
+    top: SuperBlock,
+    merged_before: u64,
+    posmap_accesses: u64,
+    backoff_before: u64,
+}
+
 impl SuperBlockOram<PathOram> {
     /// Builds a Path ORAM and attaches the super-block scheme.
     ///
@@ -278,6 +296,34 @@ impl<O: OramBackend> SuperBlockOram<O> {
         self.merged_blocks = (self.merged_blocks + self.merged_in(top)).saturating_sub(before);
     }
 
+    /// The opening every access shares: count it, resolve `addr`'s
+    /// position map, find its super block, read the path and pull the
+    /// super block's members on-chip.
+    fn open(&mut self, addr: BlockAddr) -> Result<Opened, OramError> {
+        self.stats.demand_accesses += 1;
+        let backoff_before = self.oram.fault_stats().backoff_cycles;
+        let posmap_accesses = self.oram.resolve_posmap(addr)?;
+        let sb = self.detect(addr);
+        let top = self.top_group(addr);
+        let merged_before = self.merged_in(top);
+        let old_leaf = self.oram.entry(addr).leaf;
+        self.oram.read_path_into_stash(old_leaf, PathKind::Data)?;
+        let found = sb
+            .members()
+            .filter(|&m| self.oram.stash_contains(m))
+            .collect();
+        Ok(Opened {
+            addr,
+            sb,
+            found,
+            old_leaf,
+            top,
+            merged_before,
+            posmap_accesses,
+            backoff_before,
+        })
+    }
+
     // ------------------------------------------------------------------
     // Demand read: the full Section 4 flow
     // ------------------------------------------------------------------
@@ -287,30 +333,21 @@ impl<O: OramBackend> SuperBlockOram<O> {
         addr: BlockAddr,
         llc: &dyn CacheProbe,
     ) -> Result<(AccessReport, Vec<Fill>), OramError> {
-        self.stats.demand_accesses += 1;
-        let backoff_before = self.oram.fault_stats().backoff_cycles;
-        let posmap_accesses = self.oram.resolve_posmap(addr)?;
-        let sb = self.detect(addr);
-        let top = self.top_group(addr);
-        let merged_before = self.merged_in(top);
-        let old_leaf = self.oram.entry(addr).leaf;
-
         // Step 1 (Section 4): access the path and pull the whole super
         // block on-chip.
-        self.oram.read_path_into_stash(old_leaf, PathKind::Data)?;
-        let found: Vec<BlockAddr> = sb
-            .members()
-            .filter(|&m| self.oram.stash_contains(m))
-            .collect();
+        let opened = self.open(addr)?;
+        let sb = opened.sb;
+        let found = &opened.found;
         assert!(
             found.contains(&addr),
-            "invariant broken: requested block {addr} absent from path {old_leaf} and stash"
+            "invariant broken: requested block {addr} absent from path {} and stash",
+            opened.old_leaf
         );
 
         // Step 3 (Algorithm 2): reconstruct and update the break counter
         // from the prefetch/hit bits of members coming from ORAM.
         let mut break_counter = i32::from(self.oram.entry(sb.base()).brk);
-        for &m in &found {
+        for &m in found {
             if llc.contains(m) {
                 continue; // still in the LLC: not "coming from ORAM"
             }
@@ -353,7 +390,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             // pair so re-merging needs fresh evidence.
             self.oram.entry_mut(sb.base()).brk = 0;
             self.oram.entry_mut(sb.base()).merge = 0;
-            fills.extend(self.deliver(addr, b1, &found, llc));
+            fills.extend(self.deliver(addr, b1, found, llc));
         } else {
             if sb.size() >= 2 {
                 let cap = CounterWidth::break_cap(sb.size());
@@ -362,43 +399,30 @@ impl<O: OramBackend> SuperBlockOram<O> {
             // Remap the whole super block to one fresh leaf.
             let new_leaf = self.oram.random_leaf();
             self.remap(found.iter().copied(), new_leaf);
-            fills.extend(self.deliver(addr, sb, &found, llc));
+            fills.extend(self.deliver(addr, sb, found, llc));
             // Step 2 (Algorithm 1): merge bookkeeping.
             self.try_merge(sb, llc, rates);
         }
 
-        self.recount(top, merged_before);
-        let report = self.finish(
-            addr,
-            AccessKind::Read,
-            old_leaf,
-            posmap_accesses,
-            backoff_before,
-        )?;
-        Ok((report, fills))
+        Ok((self.close(&opened, AccessKind::Read)?, fills))
     }
 
-    /// The closing steps every access shares with
+    /// The closing every access shares: move the partition gauge by what
+    /// the access remapped, then the steps it shares with
     /// [`PathOram::try_access_block`]: write the fetched path back, drain
     /// the stash, retire.
-    fn finish(
-        &mut self,
-        addr: BlockAddr,
-        kind: AccessKind,
-        old_leaf: Leaf,
-        posmap_accesses: u64,
-        backoff_before: u64,
-    ) -> Result<AccessReport, OramError> {
-        self.oram.write_path_from_stash(old_leaf)?;
+    fn close(&mut self, opened: &Opened, kind: AccessKind) -> Result<AccessReport, OramError> {
+        self.recount(opened.top, opened.merged_before);
+        self.oram.write_path_from_stash(opened.old_leaf)?;
         let background_evictions = self.oram.drain_background()?;
         Ok(AccessReport::retire(
             &self.obs,
-            addr,
+            opened.addr,
             kind,
-            posmap_accesses,
+            opened.posmap_accesses,
             background_evictions,
             self.oram.path_cycles(),
-            self.oram.fault_stats().backoff_cycles - backoff_before,
+            self.oram.fault_stats().backoff_cycles - opened.backoff_before,
         ))
     }
 
@@ -494,29 +518,10 @@ impl<O: OramBackend> SuperBlockOram<O> {
     // ------------------------------------------------------------------
 
     fn writeback(&mut self, addr: BlockAddr) -> Result<(AccessReport, Vec<Fill>), OramError> {
-        self.stats.demand_accesses += 1;
-        let backoff_before = self.oram.fault_stats().backoff_cycles;
-        let posmap_accesses = self.oram.resolve_posmap(addr)?;
-        let sb = self.detect(addr);
-        let top = self.top_group(addr);
-        let merged_before = self.merged_in(top);
-        let old_leaf = self.oram.entry(addr).leaf;
-        self.oram.read_path_into_stash(old_leaf, PathKind::Data)?;
-        let found: Vec<BlockAddr> = sb
-            .members()
-            .filter(|&m| self.oram.stash_contains(m))
-            .collect();
+        let opened = self.open(addr)?;
         let new_leaf = self.oram.random_leaf();
-        self.remap(found, new_leaf);
-        self.recount(top, merged_before);
-        let report = self.finish(
-            addr,
-            AccessKind::Write,
-            old_leaf,
-            posmap_accesses,
-            backoff_before,
-        )?;
-        Ok((report, Vec::new()))
+        self.remap(opened.found.iter().copied(), new_leaf);
+        Ok((self.close(&opened, AccessKind::Write)?, Vec::new()))
     }
 
     fn schedule(&mut self, now: Cycle, latency: u64) -> Cycle {
@@ -677,6 +682,10 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
         }
     }
 
+    fn merged_fraction(&self) -> f64 {
+        self.merged_blocks as f64 / self.oram.space().num_data_blocks() as f64
+    }
+
     fn stats(&self) -> BackendStats {
         let o = self.oram.oram_stats();
         BackendStats {
@@ -711,7 +720,7 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proram_mem::NoProbe;
+    use proram_mem::{Dram, NoProbe, Periodic};
     use proram_oram::{OramTiming, ShiOram};
     use proram_stats::{Rng64, Xoshiro256};
     use std::collections::HashSet;
@@ -1209,8 +1218,9 @@ mod tests {
 
     /// Runs 2 500 requests of [`drive_phases`] and checks each
     /// statistics-window event against the ledger, and the gauge against
-    /// a brute-force scan when one fires and at the end. Returns the
-    /// final stats.
+    /// a brute-force scan when one fires and at the end; the merged share
+    /// is the gauge over the data blocks, through the periodic wrapper
+    /// too. Returns the final stats.
     fn windows_report_the_ledger<O: OramBackend + Clone>(
         mut oram: SuperBlockOram<O>,
     ) -> BackendStats {
@@ -1233,6 +1243,10 @@ mod tests {
                 assert_eq!((merges, breaks), (s.merges, s.breaks), "window {window}");
                 assert_eq!(merged_blocks, oram.merged_blocks(), "window {window}");
                 assert_eq!(merged_blocks, scan_merged(oram), "window {window}");
+                let share = merged_blocks as f64 / oram.oram.space().num_data_blocks() as f64;
+                assert_eq!(oram.merged_fraction(), share, "window {window}");
+                let periodic = Periodic::new(oram.clone(), &[100]);
+                assert_eq!(periodic.merged_fraction(), share, "window {window}");
             }
             now
         });
@@ -1254,6 +1268,8 @@ mod tests {
         let s =
             windows_report_the_ledger(SuperBlockOram::from_backend(shi, SchemeConfig::dynamic(2)));
         assert!(s.merges > 0, "{s:?}");
+        let dram = Dram::new(proram_mem::DramConfig::default());
+        assert_eq!(dram.merged_fraction(), 0.0, "no super blocks");
     }
 
     /// Drives `n` chained uniform reads over a 128-block baseline

@@ -337,8 +337,22 @@ pub trait MemoryBackend {
     /// it.
     fn note_llc_eviction(&mut self, _block: BlockAddr) {}
 
+    /// Tells the backend that no request will start before `now`, so it
+    /// can account for the idle time up to it. Periodic timing issues the
+    /// dummy accesses of the slots that pass; every other backend has
+    /// nothing to do, which is the default.
+    fn idle_until(&mut self, _now: Cycle) {}
+
     /// Statistics accumulated since construction.
     fn stats(&self) -> BackendStats;
+
+    /// Share of the data blocks that sit in a super block of two or more
+    /// right now: a gauge of the partition, not a counter, so it is not
+    /// part of [`BackendStats`]. Zero for a backend without super blocks,
+    /// which is the default.
+    fn merged_fraction(&self) -> f64 {
+        0.0
+    }
 
     /// Short human-readable name used in experiment output.
     fn label(&self) -> &str;

@@ -187,11 +187,21 @@ impl<B: MemoryBackend> MemoryBackend for Periodic<B> {
         self.inner.note_llc_eviction(block);
     }
 
+    /// Issues the dummies of every slot that starts before `now`: the
+    /// idle tail of a run, which no later demand access would replay.
+    fn idle_until(&mut self, now: Cycle) {
+        self.drain_dummies_until(now);
+    }
+
     fn stats(&self) -> BackendStats {
         BackendStats {
             interval_epochs: self.epochs,
             ..self.inner.stats()
         }
+    }
+
+    fn merged_fraction(&self) -> f64 {
+        self.inner.merged_fraction()
     }
 
     fn label(&self) -> &str {
@@ -275,6 +285,25 @@ mod tests {
             assert!(s.dummy_accesses > min_dummies, "{ladder:?}: {s:?}");
             assert_eq!(s.demand_accesses, 2);
         }
+    }
+
+    /// Idling up to a cycle issues the dummies the next access would
+    /// have replayed, and only those: a later access completes where it
+    /// would have, behind the same number of dummies.
+    #[test]
+    fn idling_issues_the_dummies_the_next_access_would_replay() {
+        let mut idled = periodic_dram(100);
+        let mut plain = periodic_dram(100);
+        idled.access(0, MemRequest::read(BlockAddr(0)), &NoProbe);
+        plain.access(0, MemRequest::read(BlockAddr(0)), &NoProbe);
+        idled.idle_until(5_000);
+        // Slots 200, 400, ..., 4 800 carry a dummy each; 5 000 is not
+        // before the cycle idled to.
+        assert_eq!(idled.stats().dummy_accesses, 24);
+        let a = idled.access(10_000, MemRequest::read(BlockAddr(1)), &NoProbe);
+        let b = plain.access(10_000, MemRequest::read(BlockAddr(1)), &NoProbe);
+        assert_eq!(a, b);
+        assert_eq!(idled.stats(), plain.stats());
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn run_multicore(
     warmup_ops: u64,
     build_workload: impl FnMut(usize) -> Box<dyn Workload>,
 ) -> RunMetrics {
-    let (system, mut workloads) = build_multicore(config, num_cores, build_workload);
+    let (mut system, mut workloads) = build_multicore(config, num_cores, build_workload);
     let mut refs: Vec<&mut dyn Workload> = workloads.iter_mut().map(|w| w.as_mut() as _).collect();
     system.run(&mut refs, warmup_ops)
 }
@@ -298,7 +298,7 @@ mod tests {
         let line = cfg.line_bytes();
         // Footprints that are not line multiples, so an unaligned base
         // would share a line with the core below it.
-        let (system, workloads) = build_multicore(&cfg, 3, |id| {
+        let (mut system, workloads) = build_multicore(&cfg, 3, |id| {
             Box::new(Scan {
                 footprint: 1000 + 700 * id as u64,
                 next: 0,
