@@ -30,7 +30,7 @@ use crate::superblock::SuperBlock;
 use crate::threshold::{CounterWidth, Thresholds};
 use crate::window::WindowStats;
 use proram_mem::{
-    AccessKind, AccessOutcome, BackendStats, BlockAddr, CacheProbe, Cycle, FaultStats, Fill,
+    AccessKind, AccessOutcome, BackendStats, BlockAddr, CacheProbe, Cycle, FaultStats, Fill, Fills,
     MemRequest, MemoryBackend,
 };
 use proram_obs::{rate_to_ppm, Obs, ObsEvent};
@@ -80,6 +80,9 @@ pub struct SuperBlockOram<O: OramBackend = PathOram> {
     /// Faults that surfaced to the scheme layer unrecovered (the backend
     /// already counts its own detections/recoveries).
     scheme_faults: FaultStats,
+    /// The buffer [`Opened::found`] borrows for one access and hands
+    /// back, so an access allocates no list of its own.
+    found: Vec<BlockAddr>,
     busy_until: Cycle,
     last_complete: Cycle,
     label: String,
@@ -93,7 +96,8 @@ struct Opened {
     addr: BlockAddr,
     /// The super block `addr` belongs to.
     sb: SuperBlock,
-    /// Its members the path read brought into the stash.
+    /// Its members the path read brought into the stash (the scheme's
+    /// reused buffer, handed back by [`SuperBlockOram::close`]).
     found: Vec<BlockAddr>,
     /// The leaf the access read, and writes back.
     old_leaf: Leaf,
@@ -164,6 +168,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             stats: BackendStats::default(),
             merged_blocks: 0,
             scheme_faults: FaultStats::default(),
+            found: Vec::new(),
             busy_until: 0,
             last_complete: 0,
             label,
@@ -308,10 +313,9 @@ impl<O: OramBackend> SuperBlockOram<O> {
         let merged_before = self.merged_in(top);
         let old_leaf = self.oram.entry(addr).leaf;
         self.oram.read_path_into_stash(old_leaf, PathKind::Data)?;
-        let found = sb
-            .members()
-            .filter(|&m| self.oram.stash_contains(m))
-            .collect();
+        let mut found = std::mem::take(&mut self.found);
+        found.clear();
+        found.extend(sb.members().filter(|&m| self.oram.stash_contains(m)));
         Ok(Opened {
             addr,
             sb,
@@ -332,7 +336,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
         &mut self,
         addr: BlockAddr,
         llc: &dyn CacheProbe,
-    ) -> Result<(AccessReport, Vec<Fill>), OramError> {
+    ) -> Result<(AccessReport, Fills), OramError> {
         // Step 1 (Section 4): access the path and pull the whole super
         // block on-chip.
         let opened = self.open(addr)?;
@@ -358,7 +362,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
 
         let rates = self.window.rates();
         let break_threshold = Thresholds::new(&self.scheme, rates).break_threshold(sb.size());
-        let mut fills = Vec::new();
+        let mut fills = Fills::new();
 
         let broke = sb.size() >= 2
             && matches!(self.scheme.brk, BreakPolicy::Static | BreakPolicy::Adaptive)
@@ -390,7 +394,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             // pair so re-merging needs fresh evidence.
             self.oram.entry_mut(sb.base()).brk = 0;
             self.oram.entry_mut(sb.base()).merge = 0;
-            fills.extend(self.deliver(addr, b1, found, llc));
+            self.deliver(addr, b1, found, llc, &mut fills);
         } else {
             if sb.size() >= 2 {
                 let cap = CounterWidth::break_cap(sb.size());
@@ -399,20 +403,21 @@ impl<O: OramBackend> SuperBlockOram<O> {
             // Remap the whole super block to one fresh leaf.
             let new_leaf = self.oram.random_leaf();
             self.remap(found.iter().copied(), new_leaf);
-            fills.extend(self.deliver(addr, sb, found, llc));
+            self.deliver(addr, sb, found, llc, &mut fills);
             // Step 2 (Algorithm 1): merge bookkeeping.
             self.try_merge(sb, llc, rates);
         }
 
-        Ok((self.close(&opened, AccessKind::Read)?, fills))
+        Ok((self.close(opened, AccessKind::Read)?, fills))
     }
 
     /// The closing every access shares: move the partition gauge by what
-    /// the access remapped, then the steps it shares with
-    /// [`PathOram::try_access_block`]: write the fetched path back, drain
-    /// the stash, retire.
-    fn close(&mut self, opened: &Opened, kind: AccessKind) -> Result<AccessReport, OramError> {
+    /// the access remapped and hand the `found` buffer back, then the
+    /// steps it shares with [`PathOram::try_access_block`]: write the
+    /// fetched path back, drain the stash, retire.
+    fn close(&mut self, opened: Opened, kind: AccessKind) -> Result<AccessReport, OramError> {
         self.recount(opened.top, opened.merged_before);
+        self.found = opened.found;
         self.oram.write_path_from_stash(opened.old_leaf)?;
         let background_evictions = self.oram.drain_background()?;
         Ok(AccessReport::retire(
@@ -437,7 +442,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
         }
     }
 
-    /// Returns the requested block plus prefetch fills for the other
+    /// Appends the requested block plus prefetch fills for the other
     /// members of `group` that are not already LLC-resident, setting their
     /// prefetch bits ("each block in B2 will have the prefetch bit set and
     /// hit bit reset").
@@ -447,8 +452,9 @@ impl<O: OramBackend> SuperBlockOram<O> {
         group: SuperBlock,
         found: &[BlockAddr],
         llc: &dyn CacheProbe,
-    ) -> Vec<Fill> {
-        let mut fills = vec![Fill::demand(requested)];
+        fills: &mut Fills,
+    ) {
+        fills.push(Fill::demand(requested));
         for &m in found {
             if m == requested || !group.contains(m) || llc.contains(m) {
                 continue;
@@ -457,7 +463,6 @@ impl<O: OramBackend> SuperBlockOram<O> {
             self.stats.prefetch_requests += 1;
             fills.push(Fill::prefetch(m));
         }
-        fills
     }
 
     /// Algorithm 1: update the merge counter of `(B, B')` and merge when
@@ -517,11 +522,11 @@ impl<O: OramBackend> SuperBlockOram<O> {
     // Write-back
     // ------------------------------------------------------------------
 
-    fn writeback(&mut self, addr: BlockAddr) -> Result<(AccessReport, Vec<Fill>), OramError> {
+    fn writeback(&mut self, addr: BlockAddr) -> Result<(AccessReport, Fills), OramError> {
         let opened = self.open(addr)?;
         let new_leaf = self.oram.random_leaf();
         self.remap(opened.found.iter().copied(), new_leaf);
-        Ok((self.close(&opened, AccessKind::Write)?, Vec::new()))
+        Ok((self.close(opened, AccessKind::Write)?, Fills::new()))
     }
 
     fn schedule(&mut self, now: Cycle, latency: u64) -> Cycle {
@@ -539,11 +544,11 @@ impl<O: OramBackend> SuperBlockOram<O> {
         req: MemRequest,
         latency: u64,
         tree_accesses: u64,
-    ) -> (AccessReport, Vec<Fill>) {
-        let fills = match req.kind {
-            AccessKind::Read => vec![Fill::demand(req.block)],
-            AccessKind::Write => Vec::new(),
-        };
+    ) -> (AccessReport, Fills) {
+        let mut fills = Fills::new();
+        if req.kind == AccessKind::Read {
+            fills.push(Fill::demand(req.block));
+        }
         let report = AccessReport {
             latency,
             tree_accesses,
@@ -562,7 +567,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
         &mut self,
         req: MemRequest,
         llc: &dyn CacheProbe,
-    ) -> Result<(AccessReport, Vec<Fill>), OramError> {
+    ) -> Result<(AccessReport, Fills), OramError> {
         self.oram.txn_begin();
         let out = match req.kind {
             AccessKind::Read => self.demand_read(req.block, llc),
@@ -765,7 +770,7 @@ mod tests {
     fn baseline_delivers_only_the_requested_block() {
         let mut oram = small(SchemeConfig::baseline());
         let o = oram.access(0, MemRequest::read(BlockAddr(5)), &NoProbe);
-        assert_eq!(o.fills, vec![Fill::demand(BlockAddr(5))]);
+        assert_eq!(*o.fills, [Fill::demand(BlockAddr(5))]);
         assert_eq!(oram.stats().prefetch_requests, 0);
     }
 
@@ -1281,7 +1286,7 @@ mod tests {
         for _ in 0..n {
             let addr = BlockAddr(rng.next_below(128));
             let out = oram.access(now, MemRequest::read(addr), &NoProbe);
-            assert_eq!(out.fills, vec![Fill::demand(addr)], "fill must be served");
+            assert_eq!(*out.fills, [Fill::demand(addr)], "fill must be served");
             now = out.complete_at;
         }
         now

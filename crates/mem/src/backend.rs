@@ -57,6 +57,113 @@ impl Fill {
     }
 }
 
+/// How many fills [`Fills`] holds without a heap allocation.
+const INLINE_FILLS: usize = 8;
+
+/// The blocks one access delivers to the LLC, in delivery order.
+///
+/// Up to 8 fills — a demanded block and the other members of a super
+/// block of 8, the largest any experiment uses — lie inline, so an
+/// access allocates nothing for them; a longer list moves to the heap.
+/// Reads as a slice of [`Fill`].
+#[derive(Clone)]
+pub struct Fills {
+    inline: [Fill; INLINE_FILLS],
+    /// Fills held in `inline` (0 once they moved to `heap`).
+    len: usize,
+    /// Every fill, once there are more than `inline` holds.
+    heap: Vec<Fill>,
+}
+
+impl Fills {
+    /// No fills.
+    pub fn new() -> Self {
+        Fills {
+            inline: [Fill::demand(BlockAddr(0)); INLINE_FILLS],
+            len: 0,
+            heap: Vec::new(),
+        }
+    }
+
+    /// Appends `fill`.
+    pub fn push(&mut self, fill: Fill) {
+        if self.len < INLINE_FILLS && self.heap.is_empty() {
+            self.inline[self.len] = fill;
+            self.len += 1;
+        } else {
+            if self.heap.is_empty() {
+                self.heap.extend_from_slice(&self.inline[..self.len]);
+                self.len = 0;
+            }
+            self.heap.push(fill);
+        }
+    }
+}
+
+impl Default for Fills {
+    fn default() -> Self {
+        Fills::new()
+    }
+}
+
+impl std::ops::Deref for Fills {
+    type Target = [Fill];
+
+    fn deref(&self) -> &[Fill] {
+        if self.heap.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.heap
+        }
+    }
+}
+
+impl std::ops::DerefMut for Fills {
+    fn deref_mut(&mut self) -> &mut [Fill] {
+        if self.heap.is_empty() {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.heap
+        }
+    }
+}
+
+impl PartialEq for Fills {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Fills {}
+
+impl std::fmt::Debug for Fills {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Fills {
+    type Item = &'a Fill;
+    type IntoIter = std::slice::Iter<'a, Fill>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl IntoIterator for Fills {
+    type Item = Fill;
+    type IntoIter = std::iter::Chain<
+        std::iter::Take<std::array::IntoIter<Fill, INLINE_FILLS>>,
+        std::vec::IntoIter<Fill>,
+    >;
+
+    /// The fills in delivery order: the inline ones, or else the heap's.
+    fn into_iter(self) -> Self::IntoIter {
+        self.inline.into_iter().take(self.len).chain(self.heap)
+    }
+}
+
 /// Result of one [`MemoryBackend::access`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessOutcome {
@@ -64,7 +171,7 @@ pub struct AccessOutcome {
     pub complete_at: Cycle,
     /// Blocks to insert into the LLC (demand block first, then any blocks
     /// prefetched alongside it).
-    pub fills: Vec<Fill>,
+    pub fills: Fills,
 }
 
 /// Fault-injection, detection and recovery counters of a backend whose
@@ -378,6 +485,21 @@ mod tests {
     fn fill_constructors() {
         assert!(!Fill::demand(BlockAddr(1)).prefetched);
         assert!(Fill::prefetch(BlockAddr(1)).prefetched);
+    }
+
+    #[test]
+    fn fills_keep_delivery_order_past_the_inline_capacity() {
+        let all: Vec<Fill> = (0..INLINE_FILLS as u64 + 5)
+            .map(|b| Fill::prefetch(BlockAddr(b)))
+            .collect();
+        let mut fills = Fills::new();
+        assert!(fills.is_empty());
+        for (n, &fill) in all.iter().enumerate() {
+            fills.push(fill);
+            assert_eq!(*fills, all[..=n], "after {} pushes", n + 1);
+        }
+        assert_eq!(fills.clone().into_iter().collect::<Vec<_>>(), all);
+        assert_eq!((&fills).into_iter().count(), all.len());
     }
 
     #[test]

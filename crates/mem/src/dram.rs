@@ -8,7 +8,7 @@
 //! issue multiple memory requests at the same time, all ORAM accesses are
 //! serialized."
 
-use crate::backend::{AccessOutcome, BackendStats, CacheProbe, Fill, MemoryBackend};
+use crate::backend::{AccessOutcome, BackendStats, CacheProbe, Fill, Fills, MemoryBackend};
 use crate::request::{Cycle, MemRequest};
 
 /// Configuration of the DRAM timing model.
@@ -134,13 +134,12 @@ impl MemoryBackend for Dram {
         }
         let complete_at = self.schedule(now);
         self.stats.data_path_cycles += self.config.transfer_cycles();
-        AccessOutcome {
-            complete_at,
-            fills: vec![Fill {
-                block: req.block,
-                prefetched: req.prefetch,
-            }],
-        }
+        let mut fills = Fills::new();
+        fills.push(Fill {
+            block: req.block,
+            prefetched: req.prefetch,
+        });
+        AccessOutcome { complete_at, fills }
     }
 
     fn dummy_access(&mut self, now: Cycle) -> Cycle {
@@ -179,7 +178,7 @@ mod tests {
         let o = d.access(0, MemRequest::read(BlockAddr(0)), &NoProbe);
         // 100 latency + 128/16 = 8 transfer.
         assert_eq!(o.complete_at, 108);
-        assert_eq!(o.fills, vec![Fill::demand(BlockAddr(0))]);
+        assert_eq!(*o.fills, [Fill::demand(BlockAddr(0))]);
     }
 
     #[test]
@@ -228,7 +227,7 @@ mod tests {
     fn prefetch_fill_is_marked() {
         let mut d = dram();
         let o = d.access(0, MemRequest::prefetch(BlockAddr(5)), &NoProbe);
-        assert_eq!(o.fills, vec![Fill::prefetch(BlockAddr(5))]);
+        assert_eq!(*o.fills, [Fill::prefetch(BlockAddr(5))]);
     }
 
     #[test]

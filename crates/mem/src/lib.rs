@@ -39,7 +39,7 @@ pub mod periodic;
 pub mod request;
 
 pub use backend::{
-    AccessOutcome, BackendStats, CacheProbe, FaultStats, Fill, MemoryBackend, NoProbe,
+    AccessOutcome, BackendStats, CacheProbe, FaultStats, Fill, Fills, MemoryBackend, NoProbe,
 };
 pub use dram::{Dram, DramConfig};
 pub use periodic::{leaked_bits, Periodic, ADAPTIVE_LADDER};

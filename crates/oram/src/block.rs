@@ -26,6 +26,11 @@ impl Payload {
     pub fn is_posmap(&self) -> bool {
         matches!(self, Payload::PosMap(_))
     }
+
+    /// `true` for [`Payload::Opaque`].
+    pub(crate) fn is_opaque(&self) -> bool {
+        matches!(self, Payload::Opaque)
+    }
 }
 
 /// One ORAM block as tracked by the controller.

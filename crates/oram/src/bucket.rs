@@ -113,18 +113,66 @@ impl Bucket {
     /// # Panics
     ///
     /// Panics if the bucket is full.
-    pub fn push(&mut self, block: Block) {
+    pub fn push(&mut self, mut block: Block) {
+        self.push_from(&mut block);
+    }
+
+    /// [`Bucket::push`] of a block left where it is, its payload moved
+    /// out (what stays behind reads as opaque): the write-back's way to
+    /// place a block of the stash's lane without copying it twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bucket is full.
+    pub(crate) fn push_from(&mut self, block: &mut Block) {
         assert!(!self.is_full(), "bucket overflow (Z={})", self.capacity);
         let slot = self.len();
         self.addr[slot] = block.addr.0;
         self.leaf[slot] = block.leaf.0;
-        if !matches!(block.payload, Payload::Opaque) {
-            let payloads = self
-                .payloads
-                .get_or_insert_with(|| Box::new([const { Payload::Opaque }; Self::MAX_Z]));
-            payloads[slot] = block.payload;
+        // Once the side array exists every payload moves into it, opaque
+        // or not: the slot is dead, so it holds an opaque one already.
+        match &mut self.payloads {
+            Some(payloads) => std::mem::swap(&mut payloads[slot], &mut block.payload),
+            None if !block.payload.is_opaque() => {
+                let mut payloads = Box::new([const { Payload::Opaque }; Self::MAX_Z]);
+                std::mem::swap(&mut payloads[slot], &mut block.payload);
+                self.payloads = Some(payloads);
+            }
+            None => {}
         }
         self.len += 1;
+    }
+
+    /// Reads a word from every cache line the bucket and its payload side
+    /// array occupy, so that a caller about to drain a whole path can
+    /// start all of its memory loads at once.
+    pub(crate) fn touch(&self) -> u64 {
+        let last = Self::MAX_Z - 1;
+        let header = self.addr[0] ^ self.addr[last] ^ u64::from(self.leaf[0] ^ self.leaf[last]);
+        let payloads = self.payloads.as_ref().map_or(0, |p| {
+            u64::from(p[0].is_posmap()) + u64::from(p[last].is_posmap())
+        });
+        header ^ u64::from(self.len) ^ payloads
+    }
+
+    /// Empties the bucket into the first [`Bucket::MAX_Z`] entries of
+    /// `out`, slot for slot, and returns how many slots held a block.
+    /// Every slot is copied, live or dead, so that no branch depends on
+    /// the bucket's length; a dead slot leaves a stale header and an
+    /// opaque payload. `out`'s entries must hold opaque payloads: a bucket
+    /// without a side array leaves them as they are.
+    pub(crate) fn drain_into(&mut self, out: &mut [Block]) -> usize {
+        let out = &mut out[..Self::MAX_Z];
+        for (slot, block) in out.iter_mut().enumerate() {
+            block.addr = BlockAddr(self.addr[slot]);
+            block.leaf = Leaf(self.leaf[slot]);
+        }
+        if let Some(payloads) = &mut self.payloads {
+            for (payload, block) in payloads.iter_mut().zip(out) {
+                block.payload = std::mem::replace(payload, Payload::Opaque);
+            }
+        }
+        std::mem::replace(&mut self.len, 0).into()
     }
 
     /// The block in `slot`, its payload moved out.

@@ -602,8 +602,9 @@ impl PathOram {
 
     /// Full-state auditor: asserts block conservation — every logical
     /// block of the address space lives in exactly one place (stash, PLB,
-    /// or one tree bucket) — that no plaintext of an off-chip bucket
-    /// outlived its access, and then the per-block placement invariant
+    /// or one tree bucket) — that no plaintext of an off-chip bucket and
+    /// no block of the stash's lane outlived its access, and then the
+    /// per-block placement invariant
     /// ([`PathOram::check_invariants`]). The crash-recovery suite runs
     /// this after every recovery.
     ///
@@ -614,6 +615,10 @@ impl PathOram {
         assert!(
             self.tree.staging().iter().all(Bucket::is_empty),
             "plaintext of an off-chip bucket is resident between accesses"
+        );
+        assert!(
+            !self.stash.lane_in_use(),
+            "the stash's lane holds a path between accesses"
         );
         let total = self.space.total_tree_blocks();
         let mut count = vec![0u32; total as usize];

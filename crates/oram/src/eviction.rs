@@ -1,122 +1,217 @@
 //! Path read and greedy write-back.
 //!
 //! Steps 2 and 5 of the Path ORAM access (paper Section 2.2): reading a
-//! path moves every real block on it into the stash; writing the path back
-//! greedily evicts as many stash blocks as possible, placing each block as
-//! deep as its leaf mapping allows. Background eviction (Section 2.4)
-//! reuses the same two operations on a random path without remapping
-//! anything.
+//! path moves every real block on it into the stash's lane; writing the
+//! path back greedily evicts as many stash blocks as possible, the lane's
+//! and the map's alike, placing each block as deep as its leaf mapping
+//! allows, and moves the lane's blocks that find no slot into the map.
+//! Background eviction (Section 2.4) reuses the same two operations on a
+//! random path without remapping anything.
 //!
 //! Both operations are allocation-free on the hot path: the path-index
 //! iterator owns its geometry (no collected `Vec`), a bucket is a fixed
-//! inline record that blocks move in and out of by value, and write-back
-//! bins candidates into a reusable [`PathScratch`] instead of sorting a
-//! freshly allocated candidate list.
+//! inline record that blocks move in and out of by value, the lane is a
+//! vector the stash reuses, and write-back orders its candidates in a
+//! reusable [`PathScratch`].
 
 use crate::addr::Leaf;
+use crate::block::Block;
+use crate::bucket::Bucket;
 use crate::stash::Stash;
 use crate::tree::OramTree;
 
-/// Reusable write-back scratch: one bin of candidate addresses per tree
-/// level, keyed by the deepest level the candidate may occupy.
+/// A write-back candidate is one `u64` key: from the top, the deepest
+/// level it may occupy (5 bits: a tree has at most 31 levels), its
+/// address ([`ADDR_BITS`]) and where it is held ([`SLOT_BITS`]). Keys
+/// compare as their `(level, address)` pairs, since addresses are
+/// unique.
+const SLOT_BITS: u32 = 16;
+/// Address bits of a key: room for 2^43 blocks, far beyond the 2^33 a
+/// 31-level tree of [`crate::Bucket::MAX_Z`] slots holds.
+const ADDR_BITS: u32 = 43;
+/// Where a key's level starts.
+const LEVEL_SHIFT: u32 = SLOT_BITS + ADDR_BITS;
+/// The slot of a candidate held in the stash's map; a lane candidate's
+/// slot is its index in the lane, always below.
+const IN_MAP: u64 = (1 << SLOT_BITS) - 1;
+
+/// Reusable write-back scratch: the candidates' keys before and after
+/// they are put in placement order.
 ///
-/// Owned by the controller (one per ORAM) so the per-level bins are
-/// allocated once and reused for every path access. The counting-bin pass
-/// replaces the seed implementation's per-write-back
-/// `sort_unstable` over all `(common_level, addr)` pairs: binning is O(n),
-/// and only each (typically tiny) bin is sorted to preserve the exact
-/// deepest-first, address-descending placement order of the original.
+/// Owned by the controller (one per ORAM) so the vectors are allocated
+/// once and reused for every path access.
 #[derive(Debug, Clone, Default)]
 pub struct PathScratch {
-    /// `bins[level]` holds addresses of stash blocks whose deepest
-    /// eligible level is `level`.
-    bins: Vec<Vec<u64>>,
+    /// One key per candidate, in the order they were found.
+    keys: Vec<u64>,
+    /// The same keys in placement order: descending.
+    order: Vec<u64>,
 }
 
 impl PathScratch {
-    /// Creates an empty scratch; bins grow on first use.
+    /// Creates an empty scratch; its vectors grow on first use.
     pub fn new() -> Self {
         PathScratch::default()
     }
 }
 
-/// Moves every real block on the path to `leaf` into the stash.
+/// Moves every real block on the path to `leaf` into the stash's lane.
 pub fn read_path(tree: &mut OramTree, stash: &mut Stash, leaf: Leaf) {
-    // The owned index iterator lets us mutate buckets mid-walk: no
-    // temporary `Vec<usize>` of path indices.
+    // Load every bucket of the path before draining any: the loads are
+    // independent, so their cache misses overlap instead of queueing
+    // behind each bucket's drain.
+    let touched = tree
+        .path_indices(leaf)
+        .fold(0, |acc, idx| acc ^ tree.bucket(idx).touch());
+    std::hint::black_box(touched);
+    // Each bucket empties into the lane's spare entries, and the lane
+    // then grows over the ones that hold blocks. The owned index iterator
+    // lets us mutate buckets mid-walk.
+    let room = tree.levels() as usize * Bucket::MAX_Z;
+    let (lane, len) = stash.lane_buffer(room);
     for idx in tree.path_indices(leaf) {
-        for block in tree.bucket_mut(idx).drain() {
-            stash.insert(block);
-        }
+        *len += tree.bucket_mut(idx).drain_into(&mut lane[*len..]);
     }
+    stash.lane_filled();
 }
 
 /// Greedily writes stash blocks back onto the path to `leaf`.
 ///
 /// Each stash block may be placed in any bucket on the path no deeper than
 /// the deepest level its own leaf shares with `leaf`; the greedy pass
-/// fills from the leaf level upward, deepest-eligible blocks first —
-/// the standard Path ORAM eviction. Returns the number of blocks placed.
+/// fills from the leaf level upward, deepest-eligible blocks first and,
+/// among those, higher addresses first — the standard Path ORAM
+/// eviction. Returns the number of blocks placed.
 ///
-/// Behavior (which blocks land in which buckets, and in what slot order)
-/// is identical to sorting all candidates by `(common_level, addr)`
-/// descending; see [`PathScratch`].
+/// The candidates are the lane and the map together, keyed in one pass
+/// and binned by level with a counting sort; only a bin holding two keys
+/// or more is ordered, and only as far as it can be placed. Each level's
+/// share of the ordered keys is then a count, and no branch depends on
+/// a bucket's fill. A lane block is placed from where it lies, and the
+/// lane's blocks that find no slot move to the map.
 pub fn write_path_with(
     tree: &mut OramTree,
     stash: &mut Stash,
     leaf: Leaf,
     scratch: &mut PathScratch,
 ) -> usize {
-    let levels = tree.levels() as usize;
-    if scratch.bins.len() < levels {
-        scratch.bins.resize_with(levels, Vec::new);
+    let PathScratch { keys, order } = scratch;
+    keys.clear();
+    let mut bin_len = [0usize; 32];
+    // Bit `level` is set once that level's bin holds two keys.
+    let mut crowded = 0u32;
+    let mut key = |block: &Block, slot: u64| {
+        assert!(
+            block.addr.0 < 1 << ADDR_BITS,
+            "block {} out of key range",
+            block.addr
+        );
+        let level = tree.common_level(block.leaf, leaf);
+        bin_len[level as usize] += 1;
+        crowded |= u32::from(bin_len[level as usize] > 1) << level;
+        keys.push(u64::from(level) << LEVEL_SHIFT | block.addr.0 << SLOT_BITS | slot);
+    };
+    let lane = stash.lane();
+    assert!(
+        (lane.len() as u64) < IN_MAP,
+        "lane longer than a key's slot"
+    );
+    for (slot, block) in lane.iter().enumerate() {
+        key(block, slot as u64);
     }
-    for bin in &mut scratch.bins {
-        bin.clear();
-    }
-    // Counting-bin pass: group candidates by the deepest level they can
-    // occupy on this path.
-    for b in stash.iter() {
-        scratch.bins[tree.common_level(b.leaf, leaf) as usize].push(b.addr.0);
-    }
-    // Within a bin, match the seed implementation's address-descending
-    // tiebreak so placement is bit-identical.
-    for bin in &mut scratch.bins[..levels] {
-        bin.sort_unstable_by(|a, b| b.cmp(a));
+    for block in stash.map_blocks() {
+        key(block, IN_MAP);
     }
 
-    let mut placed = 0;
-    // Cursor over the bins from deepest to shallowest: the concatenation
-    // (bins[levels-1], ..., bins[0]) is exactly the old sorted candidate
-    // order.
-    let mut bin = levels; // bins[bin - 1] is the current bin
-    let mut off = 0;
+    // Counting sort by level, deepest bin first, then each crowded bin on
+    // its own: most bins hold one key or none.
+    let levels = tree.levels() as usize;
+    let mut bin_start = [0usize; 32];
+    let mut start = 0;
     for level in (0..levels).rev() {
-        let idx = tree.bucket_index(leaf, level as u32);
-        while !tree.bucket(idx).is_full() {
-            // Advance to the next non-exhausted bin.
-            while bin > 0 && off >= scratch.bins[bin - 1].len() {
-                bin -= 1;
-                off = 0;
+        bin_start[level] = start;
+        start += bin_len[level];
+    }
+    let mut bin_end = bin_start;
+    order.clear();
+    order.resize(keys.len(), 0);
+    for &key in keys.iter() {
+        let level = (key >> LEVEL_SHIFT) as usize;
+        order[bin_end[level]] = key;
+        bin_end[level] += 1;
+    }
+    let z = tree.z();
+    while crowded != 0 {
+        let level = crowded.trailing_zeros() as usize;
+        crowded &= crowded - 1;
+        sort_head(
+            &mut order[bin_start[level]..bin_end[level]],
+            z * (level + 1),
+        );
+    }
+
+    // Walking up from the leaf, a bucket takes the next candidates in
+    // `order` while it has room and they may go this deep: the keys of
+    // this level and the deeper ones not yet placed. So the placed blocks
+    // are a prefix of `order`, and each level's share is a count.
+    let mut placed = 0;
+    let mut eligible = 0;
+    let path = tree.path_indices(leaf).rev();
+    for (level, idx) in (0..levels).rev().zip(path) {
+        eligible += bin_len[level];
+        let bucket = tree.bucket_mut(idx);
+        let take = (bucket.capacity() - bucket.len()).min(eligible - placed);
+        for &key in &order[placed..placed + take] {
+            match key & IN_MAP {
+                IN_MAP => bucket.push(
+                    stash
+                        .take_from_map(key >> SLOT_BITS & ((1 << ADDR_BITS) - 1))
+                        .expect("candidate vanished from stash"),
+                ),
+                slot => bucket.push_from(stash.lane_block_mut(slot as usize)),
             }
-            if bin == 0 {
-                return placed; // all candidates consumed
-            }
-            let common = bin - 1;
-            if common < level {
-                break; // everything left is shallower-only
-            }
-            let addr = scratch.bins[common][off];
-            off += 1;
-            let block = stash
-                .take(proram_mem::BlockAddr(addr))
-                .expect("candidate vanished from stash");
-            debug_assert!(tree.common_level(block.leaf, leaf) as usize >= level);
-            tree.bucket_mut(idx).push(block);
-            placed += 1;
+        }
+        placed += take;
+    }
+    // The lane's candidates that found no slot join the map.
+    for &key in &order[placed..] {
+        let slot = key & IN_MAP;
+        if slot != IN_MAP {
+            stash.spill_lane(slot as usize);
         }
     }
+    stash.clear_lane();
     placed
+}
+
+/// Puts the `head` largest keys of `bin` first, in descending order,
+/// and the rest after them in no particular order. Only a bin's head can
+/// be placed: its keys fit no deeper than their level, and the buckets
+/// at that level and above hold `head` blocks at most.
+fn sort_head(bin: &mut [u64], head: usize) {
+    if let [a, b] = bin {
+        // The common case, without a branch on the keys.
+        (*a, *b) = ((*a).max(*b), (*a).min(*b));
+        return;
+    }
+    for i in 1..bin.len() {
+        let key = bin[i];
+        let mut at = i;
+        if at >= head {
+            // `key` enters the head only by beating its last key, which
+            // then takes `key`'s place outside.
+            if key < bin[head - 1] {
+                continue;
+            }
+            bin[i] = bin[head - 1];
+            at = head - 1;
+        }
+        while at > 0 && bin[at - 1] < key {
+            bin[at] = bin[at - 1];
+            at -= 1;
+        }
+        bin[at] = key;
+    }
 }
 
 /// [`write_path_with`] with a throwaway scratch, for tests and callers
@@ -129,6 +224,7 @@ pub fn write_path(tree: &mut OramTree, stash: &mut Stash, leaf: Leaf) -> usize {
 mod tests {
     use super::*;
     use crate::block::Block;
+    use crate::bucket::Bucket;
     use proram_mem::BlockAddr;
 
     fn setup(levels: u32, z: usize) -> (OramTree, Stash) {
@@ -262,5 +358,98 @@ mod tests {
             contents
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// The placement rule written out plainly: every candidate sorted by
+    /// `(common_level, addr)` descending, then placed greedily from the
+    /// leaf up. Returns the candidates left over, in that order.
+    fn reference_write_back(tree: &mut OramTree, mut blocks: Vec<Block>, leaf: Leaf) -> Vec<Block> {
+        let key = |b: &Block| (tree.common_level(b.leaf, leaf), b.addr.0);
+        blocks.sort_by_key(|b| std::cmp::Reverse(key(b)));
+        let mut candidates = blocks.into_iter().peekable();
+        for level in (0..tree.levels()).rev() {
+            let idx = tree.bucket_index(leaf, level);
+            while !tree.bucket(idx).is_full() {
+                match candidates.peek() {
+                    Some(b) if tree.common_level(b.leaf, leaf) >= level => {
+                        let block = candidates.next().expect("peeked");
+                        tree.bucket_mut(idx).push(block);
+                    }
+                    _ => break,
+                }
+            }
+        }
+        candidates.collect()
+    }
+
+    #[test]
+    fn write_back_matches_the_reference_placement() {
+        use proram_stats::{Rng64, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from(2024);
+        for case in 0..400 {
+            let levels = 1 + rng.next_below(7) as u32;
+            let z = 1 + rng.next_below(Bucket::MAX_Z as u64) as usize;
+            let mut tree = OramTree::new(levels, z);
+            let leaves = u64::from(tree.num_leaves());
+            let mut next_addr = 0u64;
+            let mut block = |rng: &mut Xoshiro256| {
+                // Sparse addresses, so ties and orders of magnitude both
+                // occur; every fourth block carries a payload.
+                next_addr += 1 + rng.next_below(1000);
+                let leaf = Leaf(rng.next_below(leaves) as u32);
+                if rng.next_below(4) == 0 {
+                    Block::with_data(BlockAddr(next_addr), leaf, vec![next_addr as u8; 3].into())
+                } else {
+                    Block::opaque(BlockAddr(next_addr), leaf)
+                }
+            };
+            // A random tree: each bucket partly filled.
+            for idx in 0..tree.num_buckets() {
+                for _ in 0..rng.next_below(z as u64 + 1) {
+                    let b = block(&mut rng);
+                    tree.bucket_mut(idx).push(b);
+                }
+            }
+            let mut stash = Stash::new(1000);
+            for _ in 0..rng.next_below(3 * z as u64 * u64::from(levels)) {
+                stash.insert(block(&mut rng));
+            }
+            let leaf = Leaf(rng.next_below(leaves) as u32);
+            // Most cases read the path first (the buckets start empty);
+            // some write back onto a path that still holds blocks.
+            if rng.next_below(4) != 0 {
+                read_path(&mut tree, &mut stash, leaf);
+            }
+            // The lane may also hold blocks that came off other paths.
+            for _ in 0..rng.next_below(2 * z as u64) {
+                let b = block(&mut rng);
+                let (lane, len) = stash.lane_buffer(1);
+                lane[*len] = b;
+                *len += 1;
+            }
+
+            let mut expected_tree = tree.clone();
+            let all: Vec<Block> = stash.iter().cloned().collect();
+            let mut expected_left = reference_write_back(&mut expected_tree, all, leaf);
+            let before = stash.len();
+            let placed = write_path_with(&mut tree, &mut stash, leaf, &mut PathScratch::new());
+
+            for idx in 0..tree.num_buckets() {
+                assert_eq!(
+                    tree.bucket(idx),
+                    expected_tree.bucket(idx),
+                    "case {case}: bucket {idx} (contents or slot order)"
+                );
+            }
+            let mut left: Vec<Block> = stash.iter().cloned().collect();
+            left.sort_by_key(|b| b.addr);
+            expected_left.sort_by_key(|b| b.addr);
+            assert_eq!(left, expected_left, "case {case}: leftover stash");
+            assert_eq!(placed, before - left.len(), "case {case}: placed count");
+            assert!(
+                !stash.lane_in_use(),
+                "case {case}: the lane outlived the write-back"
+            );
+        }
     }
 }

@@ -5,12 +5,21 @@
 //! stash when path write-back cannot place them; when occupancy crosses
 //! the configured limit the controller issues background evictions
 //! (Section 2.4) until it drains.
+//!
+//! The stash holds its blocks in two places. The *lane* is the path in
+//! flight: [`crate::eviction::read_path`] appends a path's blocks to it
+//! and [`crate::eviction::write_path_with`] empties it, so between
+//! accesses it is empty. The *map* holds every other block: the ones a
+//! write-back could not place and the ones inserted directly (a PLB
+//! victim, what did not fit the tree at construction). Every reader — length, peak, occupancy, the commit log,
+//! lookups and iteration — sees the two as one set.
 
 use crate::block::Block;
 use proram_mem::BlockAddr;
 use proram_stats::{FxHashMap, Histogram};
 
-/// The stash: an address-indexed set of blocks with occupancy tracking.
+/// The stash: a set of blocks, addressable by block address, with
+/// occupancy tracking.
 ///
 /// # Examples
 ///
@@ -25,10 +34,17 @@ use proram_stats::{FxHashMap, Histogram};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Stash {
-    /// Address-indexed block set. Keyed with the deterministic
-    /// [`FxHashMap`] — stash lookups sit on the per-access hot path, and
-    /// no consumer depends on iteration order (every order-sensitive
-    /// caller imposes a total order itself).
+    /// The blocks of the paths read since the last write-back, in
+    /// `lane[..lane_len]`, in the order they were read (a block taken out
+    /// early swaps the last one into its place). A path's blocks pass
+    /// through here instead of being hashed into `blocks` and out again.
+    /// Past `lane_len` lie spare entries with opaque payloads, which a
+    /// path read overwrites a bucket's worth at a time.
+    lane: Vec<Block>,
+    lane_len: usize,
+    /// The blocks a write-back left over, address-indexed. Keyed with the
+    /// deterministic [`FxHashMap`]; no consumer depends on iteration
+    /// order (every order-sensitive caller imposes a total order itself).
     blocks: FxHashMap<u64, Block>,
     limit: usize,
     occupancy_hist: Histogram,
@@ -57,6 +73,8 @@ impl Stash {
     pub fn new(limit: usize) -> Self {
         assert!(limit > 0, "stash limit must be positive");
         Stash {
+            lane: Vec::new(),
+            lane_len: 0,
             blocks: FxHashMap::default(),
             limit,
             occupancy_hist: Histogram::new(),
@@ -78,12 +96,13 @@ impl Stash {
     pub(crate) fn stop_log(&mut self) {
         self.logging = false;
         self.sealed.clear();
-        self.sealed.extend(self.blocks.keys());
+        let lane = self.lane[..self.lane_len].iter().map(|b| b.addr.0);
+        self.sealed.extend(lane.chain(self.blocks.keys().copied()));
     }
 
     /// Addresses of the sealed state that are no longer resident.
     pub(crate) fn logged_removed(&self) -> impl Iterator<Item = u64> + '_ {
-        let gone = |addr: &u64| !self.blocks.contains_key(addr);
+        let gone = |&addr: &u64| !self.contains(BlockAddr(addr));
         self.sealed.iter().copied().filter(gone)
     }
 
@@ -91,7 +110,7 @@ impl Stash {
     /// log marks as possibly rewritten.
     pub(crate) fn logged_dirty(&self) -> impl Iterator<Item = &Block> {
         let changed = |a: &u64| !self.sealed.contains(a) || self.dirty.contains(a);
-        self.blocks.values().filter(move |b| changed(&b.addr.0))
+        self.iter().filter(move |b| changed(&b.addr.0))
     }
 
     /// Logs `addr` as possibly rewritten, if it is part of the sealed
@@ -109,18 +128,74 @@ impl Stash {
 
     /// Number of blocks currently stashed.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.lane_len + self.blocks.len()
     }
 
     /// `true` if the stash holds no blocks.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len() == 0
     }
 
     /// `true` once occupancy is at or above the limit — the condition that
     /// triggers background eviction.
     pub fn over_limit(&self) -> bool {
-        self.blocks.len() >= self.limit
+        self.len() >= self.limit
+    }
+
+    /// `true` while the lane holds a path's blocks: from a path read to
+    /// its write-back.
+    pub(crate) fn lane_in_use(&self) -> bool {
+        self.lane_len > 0
+    }
+
+    /// The blocks in the lane, in the order they were read.
+    pub(crate) fn lane(&self) -> &[Block] {
+        &self.lane[..self.lane_len]
+    }
+
+    /// The whole lane buffer, with at least `room` spare entries past the
+    /// lane's end, and the lane's length: a path read writes blocks past
+    /// the end and advances the length over them.
+    pub(crate) fn lane_buffer(&mut self, room: usize) -> (&mut [Block], &mut usize) {
+        let need = self.lane_len + room;
+        if self.lane.len() < need {
+            self.lane.resize(need, spare());
+        }
+        (&mut self.lane, &mut self.lane_len)
+    }
+
+    /// Counts the lane's latest blocks toward the peak, once a path read
+    /// is complete.
+    pub(crate) fn lane_filled(&mut self) {
+        debug_assert!(
+            self.lane()
+                .iter()
+                .all(|b| !self.blocks.contains_key(&b.addr.0)),
+            "duplicate block in stash"
+        );
+        self.peak = self.peak.max(self.len());
+    }
+
+    /// The block at `slot` of the lane, for the write-back to move out of;
+    /// it must leave an opaque payload behind.
+    pub(crate) fn lane_block_mut(&mut self, slot: usize) -> &mut Block {
+        &mut self.lane[..self.lane_len][slot]
+    }
+
+    /// Moves the block at `slot` of the lane into the map: a write-back
+    /// found it no slot. The stash's size does not change, so neither
+    /// does its peak.
+    pub(crate) fn spill_lane(&mut self, slot: usize) {
+        let block = std::mem::replace(self.lane_block_mut(slot), spare());
+        self.log(block.addr.0);
+        let prev = self.blocks.insert(block.addr.0, block);
+        assert!(prev.is_none(), "duplicate block in stash");
+    }
+
+    /// Ends a write-back: every block of the lane has been moved out.
+    pub(crate) fn clear_lane(&mut self) {
+        debug_assert!(self.lane().iter().all(|b| b.payload.is_opaque()));
+        self.lane_len = 0;
     }
 
     /// Inserts a block.
@@ -130,48 +205,81 @@ impl Stash {
     /// Panics if a block with the same address is already stashed (the
     /// controller must never duplicate blocks).
     pub fn insert(&mut self, block: Block) {
+        assert!(
+            !self.lane().iter().any(|b| b.addr == block.addr),
+            "duplicate block in stash"
+        );
         self.log(block.addr.0);
         let prev = self.blocks.insert(block.addr.0, block);
         assert!(prev.is_none(), "duplicate block in stash");
-        self.peak = self.peak.max(self.blocks.len());
+        self.peak = self.peak.max(self.len());
+    }
+
+    /// Where the lane holds this address.
+    fn lane_slot(&self, addr: BlockAddr) -> Option<usize> {
+        self.lane().iter().position(|b| b.addr == addr)
     }
 
     /// `true` if a block with this address is stashed.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.blocks.contains_key(&addr.0)
+        self.lane_slot(addr).is_some() || self.blocks.contains_key(&addr.0)
     }
 
     /// Borrows the stashed block with this address.
     pub fn get(&self, addr: BlockAddr) -> Option<&Block> {
-        self.blocks.get(&addr.0)
+        match self.lane_slot(addr) {
+            Some(slot) => Some(&self.lane[slot]),
+            None => self.blocks.get(&addr.0),
+        }
     }
 
     /// Mutably borrows the stashed block with this address.
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut Block> {
         self.log(addr.0);
-        self.blocks.get_mut(&addr.0)
+        match self.lane_slot(addr) {
+            Some(slot) => Some(&mut self.lane[slot]),
+            None => self.blocks.get_mut(&addr.0),
+        }
     }
 
     /// Removes and returns the block with this address.
     pub fn take(&mut self, addr: BlockAddr) -> Option<Block> {
-        self.blocks.remove(&addr.0)
+        match self.lane_slot(addr) {
+            Some(slot) => {
+                self.lane_len -= 1;
+                self.lane.swap(slot, self.lane_len);
+                Some(std::mem::replace(&mut self.lane[self.lane_len], spare()))
+            }
+            None => self.blocks.remove(&addr.0),
+        }
+    }
+
+    /// Removes and returns the block with this address from the map; the
+    /// write-back's path to the blocks it already knows are there.
+    pub(crate) fn take_from_map(&mut self, addr: u64) -> Option<Block> {
+        self.blocks.remove(&addr)
+    }
+
+    /// Iterates over the blocks of the map alone (unspecified order).
+    pub(crate) fn map_blocks(&self) -> impl Iterator<Item = &Block> {
+        self.blocks.values()
     }
 
     /// Iterates over stashed blocks (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.values()
+        self.lane().iter().chain(self.blocks.values())
     }
 
     /// Addresses of all stashed blocks (unspecified order), borrowed —
     /// callers that need them sorted collect explicitly.
     pub fn addrs(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.blocks.keys().map(|&a| BlockAddr(a))
+        self.iter().map(|b| b.addr)
     }
 
     /// Records the current occupancy into the histogram; the controller
     /// calls this once per ORAM access.
     pub fn sample_occupancy(&mut self) {
-        self.occupancy_hist.record(self.blocks.len() as u64);
+        self.occupancy_hist.record(self.len() as u64);
     }
 
     /// Occupancy histogram accumulated via [`Stash::sample_occupancy`].
@@ -183,6 +291,12 @@ impl Stash {
     pub fn peak(&self) -> usize {
         self.peak
     }
+}
+
+/// What a lane entry past the lane's end holds: an opaque block that
+/// stands for none.
+fn spare() -> Block {
+    Block::opaque(BlockAddr(u64::MAX), crate::addr::Leaf(0))
 }
 
 #[cfg(test)]
@@ -273,6 +387,77 @@ mod tests {
     #[should_panic(expected = "limit must be positive")]
     fn zero_limit_panics() {
         Stash::new(0);
+    }
+
+    /// A 3-level tree with blocks 1 and 2 in the leaf bucket of leaf 0
+    /// and block 3, mapped to leaf 3, in the root.
+    fn tree_with_a_path() -> crate::tree::OramTree {
+        let mut tree = crate::tree::OramTree::new(3, 2);
+        let leaf_bucket = tree.bucket_index(Leaf(0), 2);
+        tree.bucket_mut(leaf_bucket).push(blk(1));
+        tree.bucket_mut(leaf_bucket).push(blk(2));
+        tree.bucket_mut(0)
+            .push(Block::opaque(BlockAddr(3), Leaf(3)));
+        tree
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate block")]
+    fn a_duplicate_of_a_lane_address_panics() {
+        let mut tree = tree_with_a_path();
+        let mut s = Stash::new(10);
+        crate::eviction::read_path(&mut tree, &mut s, Leaf(0));
+        s.insert(blk(2));
+    }
+
+    #[test]
+    fn len_and_peak_count_the_lane() {
+        let mut tree = tree_with_a_path();
+        let mut s = Stash::new(10);
+        s.insert(blk(9));
+        crate::eviction::read_path(&mut tree, &mut s, Leaf(0));
+        assert!(s.lane_in_use());
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.peak(), 4);
+        assert!(s.contains(BlockAddr(1)) && s.contains(BlockAddr(9)));
+        let mut all: Vec<u64> = s.addrs().map(|a| a.0).collect();
+        all.sort_unstable();
+        assert_eq!(all, [1, 2, 3, 9]);
+        crate::eviction::write_path(&mut tree, &mut s, Leaf(0));
+        assert!(!s.lane_in_use());
+        assert_eq!(s.len(), 0, "all four fit on the path");
+        assert_eq!(s.peak(), 4);
+    }
+
+    #[test]
+    fn a_block_read_and_placed_again_within_one_log_is_neither_dirty_nor_removed() {
+        let mut tree = tree_with_a_path();
+        let mut s = Stash::new(10);
+        s.stop_log();
+        s.start_log();
+        crate::eviction::read_path(&mut tree, &mut s, Leaf(0));
+        crate::eviction::write_path(&mut tree, &mut s, Leaf(0));
+        assert_eq!(s.logged_dirty().count(), 0);
+        assert_eq!(s.logged_removed().count(), 0);
+    }
+
+    #[test]
+    fn a_block_that_spills_to_the_map_is_dirty() {
+        let mut tree = tree_with_a_path();
+        let mut s = Stash::new(10);
+        s.stop_log();
+        s.start_log();
+        // Remapped to leaf 3, blocks 1 and 2 share only the root with leaf
+        // 0's path, as block 3 does: of the three, the root takes the two
+        // higher addresses, and block 1 finds no slot.
+        crate::eviction::read_path(&mut tree, &mut s, Leaf(0));
+        s.get_mut(BlockAddr(1)).unwrap().leaf = Leaf(3);
+        s.get_mut(BlockAddr(2)).unwrap().leaf = Leaf(3);
+        crate::eviction::write_path(&mut tree, &mut s, Leaf(0));
+        assert_eq!(s.len(), 1);
+        let dirty: Vec<u64> = s.logged_dirty().map(|b| b.addr.0).collect();
+        assert_eq!(dirty, [1]);
+        assert_eq!(s.logged_removed().count(), 0);
     }
 
     #[test]

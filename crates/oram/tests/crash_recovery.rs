@@ -254,6 +254,35 @@ fn recovery_reports_work_and_charges_latency() {
     assert!(report.cycles > 0, "recovery must cost cycles");
 }
 
+/// A kill between a path read and its write-back leaves the path's blocks
+/// in the stash's lane, which the auditor refuses between accesses;
+/// recovery adopts the sealed stash, and its lane is empty.
+#[test]
+fn a_kill_before_the_write_back_leaves_no_block_in_the_lane() {
+    let cfg = OramConfig {
+        crash: Some(CrashConfig::first(KillPoint::WriteBack)),
+        ..base_config()
+    };
+    let mut oram = PathOram::new(cfg, ORAM_SEED);
+    let err = oram
+        .try_access_block(addresses()[0], AccessKind::Read)
+        .expect_err("first write-back entry must crash");
+    assert!(matches!(err, OramError::Crashed { .. }));
+    let audit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| oram.audit_full()));
+    let panic = audit.expect_err("the lane still holds the read path");
+    let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert!(
+        message.contains("lane"),
+        "the audit failed elsewhere: {message}"
+    );
+    oram.recover();
+    oram.audit_full();
+    for &addr in &addresses() {
+        oram.try_access_block(addr, AccessKind::Read).unwrap();
+    }
+    oram.audit_full();
+}
+
 #[test]
 fn crash_events_reach_an_attached_sink() {
     use proram_obs::{Obs, ObsEvent};

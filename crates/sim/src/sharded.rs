@@ -75,7 +75,7 @@ impl ShardedOram {
                     ..req
                 };
                 let mut outcome = self.shards[shard].access(now, local_req, &NoProbe);
-                for fill in &mut outcome.fills {
+                for fill in outcome.fills.iter_mut() {
                     fill.block = self.unroute(shard, fill.block);
                 }
                 outcome
