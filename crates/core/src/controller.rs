@@ -20,11 +20,17 @@
 //!   the checkpoint journal carries them. Their bytes are priced in
 //!   [`proram_oram::OramTiming::meta_bytes`]; their maintenance costs no
 //!   cycles.
+//! * The bits, the scheme's six counters, its merged-block gauge and its
+//!   merge / break events are one value that commits or rolls back with
+//!   the access, beside the backend's commit transaction: a crash that
+//!   rolls the backend back rolls them back too, and the retry starts
+//!   from where the killed attempt did.
 //! * Dirty LLC write-backs access the super block and remap it as a unit
 //!   (preserving co-location) but perform no merge/break processing and
 //!   return no prefetches — the paper does not specify write-back
 //!   behaviour; this choice avoids cache re-pollution.
 
+use crate::ledger::SchemeLedger;
 use crate::policy::{BreakPolicy, SchemeConfig};
 use crate::superblock::SuperBlock;
 use crate::threshold::{CounterWidth, Thresholds};
@@ -37,7 +43,6 @@ use proram_obs::{rate_to_ppm, Obs, ObsEvent};
 use proram_oram::{
     AccessReport, Leaf, OramBackend, OramConfig, OramError, PathKind, PathOram, RecoveryMode,
 };
-use proram_stats::FxHashMap;
 
 /// Length in ORAM requests of the window behind Equation 1's rates: "These
 /// numbers are collected within a time window and updated periodically
@@ -64,19 +69,10 @@ pub struct SuperBlockOram<O: OramBackend = PathOram> {
     oram: O,
     scheme: SchemeConfig,
     window: WindowStats,
-    /// The prefetch ledger: a key is a block delivered as a prefetch whose
-    /// fate is not yet decided (the prefetch bit), its value whether it
-    /// has been used since (the hit bit).
-    prefetched: FxHashMap<u64, bool>,
-    /// The counters this layer owns — `demand_accesses`,
-    /// `prefetch_requests`, `prefetch_hits`, `prefetch_misses`, `merges`
-    /// and `breaks`; the rest stay zero and [`MemoryBackend::stats`]
-    /// fills them from the backend.
-    stats: BackendStats,
-    /// Data blocks [`SuperBlockOram::detect`] places in a super block of
-    /// two or more: a gauge, so it stays out of `BackendStats`, whose
-    /// warm-up snapshot is subtracted field by field.
-    merged_blocks: u64,
+    /// The prefetch and hit bits, the counters this layer owns (the rest
+    /// of [`MemoryBackend::stats`] comes from the backend), the
+    /// merged-block gauge and the open access's merge / break events.
+    ledger: SchemeLedger,
     /// Faults that surfaced to the scheme layer unrecovered (the backend
     /// already counts its own detections/recoveries).
     scheme_faults: FaultStats,
@@ -107,6 +103,16 @@ struct Opened {
     merged_before: u64,
     posmap_accesses: u64,
     backoff_before: u64,
+}
+
+/// What [`SuperBlockOram::close`] leaves for [`AccessReport::retire`],
+/// which runs once the access has committed.
+struct Closed {
+    addr: BlockAddr,
+    kind: AccessKind,
+    posmap_accesses: u64,
+    background_evictions: u64,
+    backoff: u64,
 }
 
 impl SuperBlockOram<PathOram> {
@@ -164,9 +170,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             window: WindowStats::new(WINDOW_REQUESTS),
             oram: backend,
             scheme,
-            prefetched: FxHashMap::default(),
-            stats: BackendStats::default(),
-            merged_blocks: 0,
+            ledger: SchemeLedger::default(),
             scheme_faults: FaultStats::default(),
             found: Vec::new(),
             busy_until: 0,
@@ -174,7 +178,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             label,
             obs: Obs::disabled(),
         };
-        oram.merged_blocks = oram.scan_merged_blocks();
+        oram.ledger.merged_blocks = oram.scan_merged_blocks();
         oram
     }
 
@@ -191,7 +195,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
     /// leaf-equality rule, so it counts too. Exact when the backend
     /// reports [`OramBackend::data_leaves`]; otherwise it starts at zero.
     pub fn merged_blocks(&self) -> u64 {
-        self.merged_blocks
+        self.ledger.merged_blocks
     }
 
     /// The prefetch ledger, the one home of the paper's prefetch and hit
@@ -199,9 +203,9 @@ impl<O: OramBackend> SuperBlockOram<O> {
     /// sorted by block.
     pub fn prefetch_ledger(&self) -> Vec<(BlockAddr, bool)> {
         let mut ledger: Vec<(BlockAddr, bool)> = self
-            .prefetched
-            .iter()
-            .map(|(&block, &hit)| (BlockAddr(block), hit))
+            .ledger
+            .bits()
+            .map(|(block, hit)| (BlockAddr(block), hit))
             .collect();
         ledger.sort_unstable();
         ledger
@@ -210,11 +214,6 @@ impl<O: OramBackend> SuperBlockOram<O> {
     /// The underlying ORAM (trace, stash, invariants).
     pub fn oram(&self) -> &O {
         &self.oram
-    }
-
-    /// Mutable access to the underlying ORAM (tests and examples).
-    pub fn oram_mut(&mut self) -> &mut O {
-        &mut self.oram
     }
 
     /// The super block `addr` currently belongs to, inferred — as the
@@ -298,14 +297,16 @@ impl<O: OramBackend> SuperBlockOram<O> {
     /// held `before` merged blocks. Saturates only for a backend without
     /// a construction scan, whose gauge can lag.
     fn recount(&mut self, top: SuperBlock, before: u64) {
-        self.merged_blocks = (self.merged_blocks + self.merged_in(top)).saturating_sub(before);
+        let after = self.merged_in(top);
+        let gauge = &mut self.ledger.merged_blocks;
+        *gauge = (*gauge + after).saturating_sub(before);
     }
 
     /// The opening every access shares: count it, resolve `addr`'s
     /// position map, find its super block, read the path and pull the
     /// super block's members on-chip.
     fn open(&mut self, addr: BlockAddr) -> Result<Opened, OramError> {
-        self.stats.demand_accesses += 1;
+        self.ledger.stats.demand_accesses += 1;
         let backoff_before = self.oram.fault_stats().backoff_cycles;
         let posmap_accesses = self.oram.resolve_posmap(addr)?;
         let sb = self.detect(addr);
@@ -336,7 +337,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
         &mut self,
         addr: BlockAddr,
         llc: &dyn CacheProbe,
-    ) -> Result<(AccessReport, Fills), OramError> {
+    ) -> Result<(Closed, Fills), OramError> {
         // Step 1 (Section 4): access the path and pull the whole super
         // block on-chip.
         let opened = self.open(addr)?;
@@ -355,7 +356,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
             if llc.contains(m) {
                 continue; // still in the LLC: not "coming from ORAM"
             }
-            if let Some(hit) = self.prefetched.remove(&m.0) {
+            if let Some(hit) = self.ledger.take(m.0) {
                 break_counter += if hit { 1 } else { -1 };
             }
         }
@@ -372,8 +373,8 @@ impl<O: OramBackend> SuperBlockOram<O> {
             // Break B into B1 (with the requested block, returned to the
             // LLC) and B2 (written back): remap the halves to independent
             // fresh leaves.
-            self.stats.breaks += 1;
-            self.obs.emit(|| ObsEvent::SuperBlockBreak {
+            self.ledger.stats.breaks += 1;
+            self.ledger.emit(&self.obs, || ObsEvent::SuperBlockBreak {
                 base: sb.base().0,
                 size: sb.size() as u32,
                 counter: break_counter.max(0) as u32,
@@ -414,21 +415,19 @@ impl<O: OramBackend> SuperBlockOram<O> {
     /// The closing every access shares: move the partition gauge by what
     /// the access remapped and hand the `found` buffer back, then the
     /// steps it shares with [`PathOram::try_access_block`]: write the
-    /// fetched path back, drain the stash, retire.
-    fn close(&mut self, opened: Opened, kind: AccessKind) -> Result<AccessReport, OramError> {
+    /// fetched path back and drain the stash.
+    fn close(&mut self, opened: Opened, kind: AccessKind) -> Result<Closed, OramError> {
         self.recount(opened.top, opened.merged_before);
         self.found = opened.found;
         self.oram.write_path_from_stash(opened.old_leaf)?;
         let background_evictions = self.oram.drain_background()?;
-        Ok(AccessReport::retire(
-            &self.obs,
-            opened.addr,
+        Ok(Closed {
+            addr: opened.addr,
             kind,
-            opened.posmap_accesses,
+            posmap_accesses: opened.posmap_accesses,
             background_evictions,
-            self.oram.path_cycles(),
-            self.oram.fault_stats().backoff_cycles - opened.backoff_before,
-        ))
+            backoff: self.oram.fault_stats().backoff_cycles - opened.backoff_before,
+        })
     }
 
     /// Points each member's pos-map entry, and its stashed copy if there
@@ -459,8 +458,8 @@ impl<O: OramBackend> SuperBlockOram<O> {
             if m == requested || !group.contains(m) || llc.contains(m) {
                 continue;
             }
-            self.prefetched.insert(m.0, false);
-            self.stats.prefetch_requests += 1;
+            self.ledger.set(m.0);
+            self.ledger.stats.prefetch_requests += 1;
             fills.push(Fill::prefetch(m));
         }
     }
@@ -499,8 +498,8 @@ impl<O: OramBackend> SuperBlockOram<O> {
         // super block of the same size, so "the position map of B'" is
         // well defined.
         if neighbor_resident && counter >= threshold && self.colocated(neighbor) {
-            self.stats.merges += 1;
-            self.obs.emit(|| ObsEvent::SuperBlockMerge {
+            self.ledger.stats.merges += 1;
+            self.ledger.emit(&self.obs, || ObsEvent::SuperBlockMerge {
                 base: pair_base.0,
                 size: (2 * sb.size()) as u32,
                 counter: counter.max(0) as u32,
@@ -522,7 +521,7 @@ impl<O: OramBackend> SuperBlockOram<O> {
     // Write-back
     // ------------------------------------------------------------------
 
-    fn writeback(&mut self, addr: BlockAddr) -> Result<(AccessReport, Fills), OramError> {
+    fn writeback(&mut self, addr: BlockAddr) -> Result<(Closed, Fills), OramError> {
         let opened = self.open(addr)?;
         let new_leaf = self.oram.random_leaf();
         self.remap(opened.found.iter().copied(), new_leaf);
@@ -561,20 +560,37 @@ impl<O: OramBackend> SuperBlockOram<O> {
     /// One transactional attempt at serving `req`: the whole composite
     /// access — demand read or write-back, including every super-block
     /// prefetch path and eviction it triggers — runs inside one backend
-    /// commit transaction (DESIGN.md section 15), so a crash anywhere
-    /// inside it rolls back to the access boundary.
+    /// commit transaction (DESIGN.md section 15), and its scheme-layer
+    /// edits in one ledger attempt beside it, so a crash anywhere inside
+    /// it can roll both back to the access boundary. The ledger commits
+    /// after the backend, releasing the access's merge / break events,
+    /// and only then does the access retire: a trace holds committed
+    /// decisions only, and an access's come before its `access_retired`.
+    /// An attempt that fails returns with the ledger attempt still open,
+    /// for [`MemoryBackend::access`] to commit or roll back.
     fn attempt_txn(
         &mut self,
         req: MemRequest,
         llc: &dyn CacheProbe,
     ) -> Result<(AccessReport, Fills), OramError> {
+        self.ledger.begin();
         self.oram.txn_begin();
-        let out = match req.kind {
+        let (closed, fills) = match req.kind {
             AccessKind::Read => self.demand_read(req.block, llc),
             AccessKind::Write => self.writeback(req.block),
         }?;
         self.oram.txn_commit()?;
-        Ok(out)
+        self.ledger.commit(&self.obs);
+        let report = AccessReport::retire(
+            &self.obs,
+            closed.addr,
+            closed.kind,
+            closed.posmap_accesses,
+            closed.background_evictions,
+            self.oram.path_cycles(),
+            closed.backoff,
+        );
+        Ok((report, fills))
     }
 
     /// What closing window `window` published: its rates, Equation 1's
@@ -591,43 +607,34 @@ impl<O: OramBackend> SuperBlockOram<O> {
             access_rate_ppm: rate_to_ppm(rates.access_rate),
             merge_threshold: thresholds.merge_threshold(1).map(non_negative),
             break_threshold: thresholds.break_threshold(2).map(non_negative),
-            merges: self.stats.merges,
-            breaks: self.stats.breaks,
-            merged_blocks: self.merged_blocks,
+            merges: self.ledger.stats.merges,
+            breaks: self.ledger.stats.breaks,
+            merged_blocks: self.ledger.merged_blocks,
         }
     }
 }
 
 impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
     fn access(&mut self, now: Cycle, req: MemRequest, llc: &dyn CacheProbe) -> AccessOutcome {
-        // The ledger, the counters and the gauge are edited before the
-        // access commits, so they are part of what a rollback must undo;
-        // saved only when the backend can roll back at all.
-        let saved = self
-            .oram
-            .txn_armed()
-            .then(|| (self.prefetched.clone(), self.stats, self.merged_blocks));
         let mut attempt = self.attempt_txn(req, llc);
         // A crashed access recovers in place: the backend rolls its
         // journal back (or replays it forward past the epoch flip), and a
-        // rolled-back request is retried once from the pre-attempt scheme
-        // state — the checkpointed RNG replays identical randomness. A
-        // replayed transaction already committed, so it keeps its edits
-        // and the fill is delivered without re-executing (a retry would
-        // double-apply the remap); only the recovery work is charged.
-        // Backends without a commit protocol return `None` and fall
-        // through to the degraded-fault path below.
+        // rolled-back request is retried once from the pre-attempt state,
+        // the scheme ledger's included — the checkpointed RNG replays
+        // identical randomness. A replayed transaction already committed,
+        // so its ledger attempt commits too and the fill is delivered
+        // without re-executing (a retry would double-apply the remap);
+        // only the recovery work is charged. Backends without a commit
+        // protocol return `None` and fall through to the degraded-fault
+        // path below.
         if let Err(OramError::Crashed { .. }) = attempt {
             if let Some(rec) = self.oram.recover_crash() {
                 self.scheme_faults.recovered += 1;
                 attempt = if rec.mode == RecoveryMode::Replayed {
+                    self.ledger.commit(&self.obs);
                     Ok(Self::served_outside_the_path(req, rec.cycles.max(1), 0))
                 } else {
-                    if let Some((prefetched, stats, merged_blocks)) = saved {
-                        self.prefetched = prefetched;
-                        self.stats = stats;
-                        self.merged_blocks = merged_blocks;
-                    }
+                    self.ledger.roll_back();
                     self.attempt_txn(req, llc).map(|(mut r, f)| {
                         r.latency += rec.cycles;
                         (r, f)
@@ -636,11 +643,13 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
             }
         }
         // An unrecovered fault degrades the access instead of aborting the
-        // simulation: the requested block is still delivered (reads), the
-        // access is charged one path latency, and the fault is reported in
-        // the run's fault counters.
+        // simulation: the scheme layer keeps what the attempt did, the
+        // requested block is still delivered (reads), the access is
+        // charged one path latency, and the fault is reported in the
+        // run's fault counters.
         let (report, fills) = attempt.unwrap_or_else(|_err| {
             self.scheme_faults.unrecovered += 1;
+            self.ledger.commit(&self.obs);
             Self::served_outside_the_path(req, self.oram.path_cycles(), 1)
         });
         let complete_at = self.schedule(now, report.latency);
@@ -667,11 +676,9 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
     }
 
     fn note_llc_hit(&mut self, block: BlockAddr) {
-        if let Some(hit) = self.prefetched.get_mut(&block.0) {
-            if !std::mem::replace(hit, true) {
-                self.stats.prefetch_hits += 1;
-                self.window.record_prefetch(true);
-            }
+        if self.ledger.mark_hit(block.0) {
+            self.ledger.stats.prefetch_hits += 1;
+            self.window.record_prefetch(true);
         }
     }
 
@@ -681,14 +688,14 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
         // next load; double counting is impossible because an evicted
         // block can only be evicted again after a re-delivery, which
         // resets its bits.
-        if self.prefetched.get(&block.0) == Some(&false) {
-            self.stats.prefetch_misses += 1;
+        if self.ledger.get(block.0) == Some(false) {
+            self.ledger.stats.prefetch_misses += 1;
             self.window.record_prefetch(false);
         }
     }
 
     fn merged_fraction(&self) -> f64 {
-        self.merged_blocks as f64 / self.oram.space().num_data_blocks() as f64
+        self.ledger.merged_blocks as f64 / self.oram.space().num_data_blocks() as f64
     }
 
     fn stats(&self) -> BackendStats {
@@ -705,7 +712,7 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
             treetop_hits: o.treetop_hits,
             treetop_bytes_saved: o.treetop_bytes_saved,
             faults: self.oram.fault_stats() + self.scheme_faults,
-            ..self.stats
+            ..self.ledger.stats
         }
     }
 
@@ -795,7 +802,7 @@ mod tests {
             oram.access(0, MemRequest::read(a), &NoProbe);
         }
         for base in (0..256u64).step_by(2) {
-            oram.oram_mut().resolve_posmap(BlockAddr(base)).unwrap();
+            oram.oram.resolve_posmap(BlockAddr(base)).unwrap();
             let l0 = oram.oram().entry(BlockAddr(base)).leaf;
             let l1 = oram.oram().entry(BlockAddr(base + 1)).leaf;
             assert_eq!(l0, l1, "static group {base} split");
@@ -828,7 +835,7 @@ mod tests {
             "no merge after sustained locality"
         );
         // The pair must now be co-located.
-        oram.oram_mut().resolve_posmap(BlockAddr(10)).unwrap();
+        oram.oram.resolve_posmap(BlockAddr(10)).unwrap();
         assert_eq!(
             oram.oram().entry(BlockAddr(10)).leaf,
             oram.oram().entry(BlockAddr(11)).leaf
@@ -946,7 +953,7 @@ mod tests {
         let mut oram = small(SchemeConfig::static_scheme(4));
         let o = oram.access(0, MemRequest::write(BlockAddr(9)), &NoProbe);
         assert!(o.fills.is_empty());
-        oram.oram_mut().resolve_posmap(BlockAddr(8)).unwrap();
+        oram.oram.resolve_posmap(BlockAddr(8)).unwrap();
         let leaf = oram.oram().entry(BlockAddr(8)).leaf;
         for m in 9..12u64 {
             assert_eq!(oram.oram().entry(BlockAddr(m)).leaf, leaf);
@@ -1021,12 +1028,12 @@ mod tests {
     #[test]
     fn detect_reports_the_super_block_size() {
         let mut oram = small(SchemeConfig::static_scheme(4));
-        oram.oram_mut().resolve_posmap(BlockAddr(6)).unwrap();
+        oram.oram.resolve_posmap(BlockAddr(6)).unwrap();
         let sb = oram.detect(BlockAddr(6));
         assert_eq!(sb.size(), 4);
         assert_eq!(sb.base(), BlockAddr(4));
         let mut oram2 = small(SchemeConfig::dynamic(4));
-        oram2.oram_mut().resolve_posmap(BlockAddr(6)).unwrap();
+        oram2.oram.resolve_posmap(BlockAddr(6)).unwrap();
         assert_eq!(oram2.detect(BlockAddr(6)).size(), 1);
     }
 
@@ -1044,7 +1051,7 @@ mod tests {
             }
         }
         assert!(oram.stats().merges >= 1, "strided pair never merged");
-        oram.oram_mut().resolve_posmap(BlockAddr(40)).unwrap();
+        oram.oram.resolve_posmap(BlockAddr(40)).unwrap();
         assert_eq!(
             oram.oram().entry(BlockAddr(40)).leaf,
             oram.oram().entry(BlockAddr(44)).leaf,
@@ -1372,7 +1379,7 @@ mod tests {
         // absorbs that access and every later one into the unrecovered
         // counter, and the fills are still served.
         let mut oram = baseline_128(|_| {});
-        oram.oram_mut()
+        oram.oram
             .storage_mut()
             .expect("payloads on")
             .corrupt_byte(0, 30, 0x01);

@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod controller;
+mod ledger;
 pub mod policy;
 pub mod superblock;
 pub mod threshold;

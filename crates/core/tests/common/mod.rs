@@ -37,10 +37,13 @@ impl CacheProbe for FifoLlc {
 /// What a cell ends with. `scheme` is the six counters of `stats()` the
 /// scheme layer owns (`demand_accesses`, `prefetch_requests`,
 /// `prefetch_hits`, `prefetch_misses`, `merges`, `breaks`; every other
-/// field zero), `merged_blocks` its partition gauge and `merge_events`
-/// the `super_block_merge` events the run emitted — one more than
-/// `merges` when a killed attempt had merged before its retry merged
-/// again, since the trace is not rolled back. `reads` / `writes` are the
+/// field zero), `merged_blocks` its partition gauge, and `merge_events` /
+/// `break_events` the `super_block_merge` / `super_block_break` events
+/// the run's trace holds. `retry_merged` says a rolled-back access's
+/// retry merged: the trace has a `recover_replay { replay: false }`
+/// followed by a `super_block_merge` before the next `access_retired` —
+/// the retry replays the killed attempt's randomness against the same
+/// LLC, so the killed attempt had merged too. `reads` / `writes` are the
 /// requests the driver issued, whose sum `demand_accesses` must equal
 /// whatever crashed in between. `ledger` is the scheme's prefetch ledger,
 /// the one home of the prefetch and hit bits, at the end of the run;
@@ -52,6 +55,8 @@ pub struct CellOutcome {
     pub scheme: BackendStats,
     pub merged_blocks: u64,
     pub merge_events: u64,
+    pub break_events: u64,
+    pub retry_merged: bool,
     pub ledger: Vec<(BlockAddr, bool)>,
     pub ledger_trace: u64,
     pub state_digest: u64,
@@ -108,6 +113,19 @@ pub fn run_cell(scheme: SchemeConfig, crash: CrashConfig) -> CellOutcome {
         oram.prefetch_ledger().hash(&mut ledger_trace);
     }
     oram.oram().audit_full();
+    assert_eq!(obs.dropped(), 0, "the event counts need the whole trace");
+    let events = obs.events();
+    let count = |kind| events.iter().filter(|e| e.kind() == kind).count() as u64;
+    let mut retrying = false;
+    let mut retry_merged = false;
+    for e in &events {
+        match e {
+            ObsEvent::RecoverReplay { replay: false, .. } => retrying = true,
+            ObsEvent::SuperBlockMerge { .. } => retry_merged |= retrying,
+            ObsEvent::AccessRetired { .. } => retrying = false,
+            _ => {}
+        }
+    }
     let stats = oram.stats();
     CellOutcome {
         scheme: BackendStats {
@@ -120,11 +138,9 @@ pub fn run_cell(scheme: SchemeConfig, crash: CrashConfig) -> CellOutcome {
             ..BackendStats::default()
         },
         merged_blocks: oram.merged_blocks(),
-        merge_events: obs
-            .events()
-            .iter()
-            .filter(|e| matches!(e, ObsEvent::SuperBlockMerge { .. }))
-            .count() as u64,
+        merge_events: count("super_block_merge"),
+        break_events: count("super_block_break"),
+        retry_merged,
         ledger: oram.prefetch_ledger(),
         ledger_trace: ledger_trace.finish(),
         state_digest: oram.oram().state_digest(),

@@ -1,7 +1,9 @@
 //! The crash × scheme matrix: a crash that rolls the backend back must
-//! be invisible to the scheme layer too — its counters, its merged-block
-//! gauge and its prefetch / hit bits sit outside the backend's
-//! transaction.
+//! be invisible to the scheme layer too. Its counters, its merged-block
+//! gauge, its prefetch / hit bits and its merge / break events are one
+//! ledger that commits or rolls back with the access, so in every cell —
+//! rolled back or replayed — the trace's merge and break events equal the
+//! ledger's counts.
 
 mod common;
 
@@ -27,7 +29,16 @@ fn crash_free(scheme: &SchemeConfig) -> CellOutcome {
     );
     assert_eq!(free.crash.crashes_injected, 0);
     assert_eq!(free.scheme.demand_accesses, free.reads + free.writes);
+    assert_trace_is_the_ledger(&free, "crash-free");
     free
+}
+
+/// One `super_block_merge` event per counted merge and one
+/// `super_block_break` per counted break: a killed attempt's decisions
+/// left neither.
+fn assert_trace_is_the_ledger(got: &CellOutcome, cell: &str) {
+    assert_eq!(got.merge_events, got.scheme.merges, "{cell}: merge events");
+    assert_eq!(got.break_events, got.scheme.breaks, "{cell}: break events");
 }
 
 #[test]
@@ -53,6 +64,7 @@ fn a_rolled_back_access_leaves_no_trace_in_the_scheme_layer() {
                 assert_eq!(got.crash.crashes_injected, 1, "{cell}: never fired");
                 assert_eq!(got.crash.rollbacks, 1, "{cell}");
                 assert_eq!(got.unrecovered, 0, "{cell}");
+                assert_trace_is_the_ledger(&got, &cell);
                 assert_eq!(got.scheme, free.scheme, "{cell}");
                 assert_eq!(got.merged_blocks, free.merged_blocks, "{cell}");
                 assert_eq!(got.ledger, free.ledger, "{cell}");
@@ -65,14 +77,14 @@ fn a_rolled_back_access_leaves_no_trace_in_the_scheme_layer() {
 }
 
 /// The first write-back kill under `dyn` that lands on an access which
-/// had merged (its retry merges again, so the trace holds one merge event
-/// more than the ledger): the gauge that merge moved is rolled back with
-/// the counters, so the run ends on the crash-free partition.
+/// had merged (its retry merges again): the gauge that merge moved is
+/// rolled back with the counters and the event, so the run ends on the
+/// crash-free partition with one merge event per merge.
 #[test]
 fn a_rolled_back_merge_leaves_the_partition_gauge_as_it_was() {
     let scheme = SchemeConfig::dynamic(2);
     let free = crash_free(&scheme);
-    assert_eq!(free.merge_events, free.scheme.merges);
+    assert!(free.scheme.merges > 0, "the stream must merge");
     let got = (1..=400)
         .map(|crossing| {
             run_cell(
@@ -80,18 +92,20 @@ fn a_rolled_back_merge_leaves_the_partition_gauge_as_it_was() {
                 CrashConfig::at(KillPoint::WriteBack, crossing),
             )
         })
-        .find(|cell| cell.merge_events > cell.scheme.merges)
+        .find(|cell| cell.retry_merged)
         .expect("some write-back kill lands on a merging access");
     assert_eq!(got.crash.rollbacks, 1);
+    assert_trace_is_the_ledger(&got, "the merging kill");
     assert_eq!(got.scheme, free.scheme);
     assert_eq!(got.merged_blocks, free.merged_blocks);
     assert_eq!(got.state_digest, free.state_digest);
 }
 
 /// A kill after the epoch flip is replayed, not retried: the access
-/// committed, keeps its scheme-layer edits and delivers only the demand
-/// fill, so the run is not the crash-free one — but it is consistent and
-/// every request is still counted once.
+/// committed, keeps its scheme-layer edits and events and delivers only
+/// the demand fill, so the run is not the crash-free one — but it is
+/// consistent, every request is still counted once, and the trace holds
+/// each merge and break once.
 #[test]
 fn a_replayed_access_is_counted_once() {
     for scheme in schemes() {
@@ -104,6 +118,7 @@ fn a_replayed_access_is_counted_once() {
             assert_eq!(got.crash.crashes_injected, 1, "{cell}: never fired");
             assert_eq!(got.crash.replays, 1, "{cell}");
             assert_eq!(got.unrecovered, 0, "{cell}");
+            assert_trace_is_the_ledger(&got, &cell);
             assert_eq!(got.scheme.demand_accesses, got.reads + got.writes, "{cell}");
         }
     }

@@ -225,26 +225,9 @@ impl FaultStats {
             + self.injected_transients
     }
 
-    /// Corruptions injected and still observable (not masked by a later
-    /// write) — the denominator of [`FaultStats::detection_rate`].
-    pub fn observable_corruptions(&self) -> u64 {
-        (self.injected_bit_flips + self.injected_torn_writes + self.injected_rollbacks)
-            .saturating_sub(self.masked_by_overwrite)
-    }
-
     /// Corruption detections (integrity + rollback).
     pub fn total_detected(&self) -> u64 {
         self.detected_integrity + self.detected_rollback
-    }
-
-    /// Fraction of observable injected corruptions that were detected;
-    /// `None` when nothing observable was injected.
-    pub fn detection_rate(&self) -> Option<f64> {
-        let obs = self.observable_corruptions();
-        (obs > 0).then(|| {
-            let caught = obs - self.undetected;
-            caught as f64 / obs as f64
-        })
     }
 }
 
@@ -527,18 +510,16 @@ mod tests {
     }
 
     #[test]
-    fn fault_stats_rates_and_arithmetic() {
-        let mut f = FaultStats::default();
-        assert_eq!(f.detection_rate(), None);
-        f.injected_bit_flips = 4;
-        f.injected_rollbacks = 2;
-        f.masked_by_overwrite = 1;
-        f.detected_integrity = 4;
-        f.detected_rollback = 1;
-        assert_eq!(f.observable_corruptions(), 5);
-        assert_eq!(f.detection_rate(), Some(1.0));
-        f.undetected = 1;
-        assert_eq!(f.detection_rate(), Some(0.8));
+    fn fault_stats_arithmetic() {
+        let f = FaultStats {
+            injected_bit_flips: 4,
+            injected_rollbacks: 2,
+            masked_by_overwrite: 1,
+            detected_integrity: 4,
+            detected_rollback: 1,
+            undetected: 1,
+            ..FaultStats::default()
+        };
         let sum = f + f;
         assert_eq!(sum.injected_bit_flips, 8);
         assert_eq!(sum - f, f);

@@ -28,7 +28,7 @@ pub struct DramConfig {
 
 impl DramConfig {
     /// Cycles the shared data bus is occupied per line transfer.
-    pub fn transfer_cycles(&self) -> u64 {
+    fn transfer_cycles(&self) -> u64 {
         u64::from(self.line_bytes.div_ceil(self.bytes_per_cycle).max(1))
     }
 }

@@ -80,14 +80,6 @@ pub trait OramBackend {
     /// crash injection is disabled.
     fn txn_begin(&mut self) {}
 
-    /// Whether [`OramBackend::txn_begin`] opens a transaction that
-    /// [`OramBackend::recover_crash`] can roll back — what a caller that
-    /// keeps state of its own beside the backend's must know to undo it
-    /// too. `false` (the default) for backends without a commit protocol.
-    fn txn_armed(&self) -> bool {
-        false
-    }
-
     /// Commits the transaction opened by [`OramBackend::txn_begin`].
     ///
     /// # Errors

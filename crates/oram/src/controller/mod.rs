@@ -835,10 +835,6 @@ impl crate::backend_trait::OramBackend for PathOram {
         PathOram::txn_begin(self);
     }
 
-    fn txn_armed(&self) -> bool {
-        durable::durable_store(&self.config, self.store.as_ref()).is_some()
-    }
-
     fn txn_commit(&mut self) -> Result<(), OramError> {
         PathOram::txn_commit(self)
     }

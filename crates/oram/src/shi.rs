@@ -160,10 +160,6 @@ impl OramBackend for ShiOram {
         self.0.txn_begin();
     }
 
-    fn txn_armed(&self) -> bool {
-        self.0.txn_armed()
-    }
-
     fn txn_commit(&mut self) -> Result<(), OramError> {
         self.0.txn_commit()
     }

@@ -237,7 +237,7 @@ impl EncryptedStore {
     }
 
     /// Whether a fault injector backs this store.
-    pub fn faults_enabled(&self) -> bool {
+    fn faults_enabled(&self) -> bool {
         matches!(self.backing, Backing::Faulty(_))
     }
 
@@ -308,7 +308,7 @@ impl EncryptedStore {
     }
 
     /// Verifies the durable epoch header's MAC against the trusted epoch.
-    pub fn epoch_header_ok(&self) -> bool {
+    fn epoch_header_ok(&self) -> bool {
         self.epoch_tag == self.mac.tag(&[EPOCH_DOMAIN, self.epoch], &[])
     }
 

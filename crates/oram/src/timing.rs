@@ -67,12 +67,6 @@ impl OramTiming {
         }
     }
 
-    /// Timing with a different line size (Fig 14 sweep).
-    pub fn with_block_bytes(mut self, block_bytes: u32) -> Self {
-        self.block_bytes = block_bytes;
-        self
-    }
-
     /// Timing with a different pin bandwidth in GB/s at 1 GHz (Fig 11
     /// sweep: 4, 8, 16).
     pub fn with_bandwidth_gbps(mut self, gbps: u32) -> Self {
@@ -134,8 +128,14 @@ mod tests {
 
     #[test]
     fn block_size_scales_bytes() {
-        let t64 = OramTiming::default().with_block_bytes(64);
-        let t256 = OramTiming::default().with_block_bytes(256);
+        let t64 = OramTiming {
+            block_bytes: 64,
+            ..OramTiming::default()
+        };
+        let t256 = OramTiming {
+            block_bytes: 256,
+            ..OramTiming::default()
+        };
         assert!(t64.path_bytes(20, 3) < t256.path_bytes(20, 3));
     }
 }

@@ -53,7 +53,7 @@ impl Histogram {
     }
 
     /// Records `n` observations of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }

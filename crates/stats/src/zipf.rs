@@ -57,16 +57,6 @@ impl Zipf {
         }
     }
 
-    /// Number of items in the population.
-    pub fn population(&self) -> u64 {
-        self.n
-    }
-
-    /// Skew exponent.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
     fn zeta(n: u64, theta: f64) -> f64 {
         // Direct summation; populations in the simulator are at most a few
         // million so this is fine and exact.
@@ -151,12 +141,5 @@ mod tests {
     #[should_panic(expected = "theta must be in")]
     fn theta_one_panics() {
         Zipf::new(10, 1.0);
-    }
-
-    #[test]
-    fn accessors_round_trip() {
-        let zipf = Zipf::new(42, 0.75);
-        assert_eq!(zipf.population(), 42);
-        assert!((zipf.theta() - 0.75).abs() < 1e-12);
     }
 }

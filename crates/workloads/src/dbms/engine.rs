@@ -92,7 +92,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if `id` is out of capacity.
-    pub fn record_addr(&self, id: u64) -> u64 {
+    fn record_addr(&self, id: u64) -> u64 {
         assert!(
             id < self.capacity,
             "record {id} beyond capacity {}",

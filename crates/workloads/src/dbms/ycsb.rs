@@ -66,7 +66,7 @@ impl Ycsb {
     /// # Panics
     ///
     /// Panics if `records` is zero or a fraction is outside `[0, 1]`.
-    pub fn with_scans(records: u64, read_frac: f64, scan_frac: f64, ops: u64, seed: u64) -> Self {
+    fn with_scans(records: u64, read_frac: f64, scan_frac: f64, ops: u64, seed: u64) -> Self {
         assert!(records > 0, "need at least one record");
         assert!((0.0..=1.0).contains(&read_frac), "read fraction in [0, 1]");
         assert!((0.0..=1.0).contains(&scan_frac), "scan fraction in [0, 1]");

@@ -169,7 +169,7 @@ impl PhaseChange {
     }
 
     /// The phase (0-based) a given op index falls into.
-    pub fn phase_of(&self, op_index: u64) -> u64 {
+    fn phase_of(&self, op_index: u64) -> u64 {
         op_index / self.phase_len
     }
 }

@@ -98,8 +98,8 @@ fn mid_flip_kill_replays_the_payload_it_reported_durable() {
 /// write-back is killed under a load that consumed a prefetch bit, the
 /// backend rolls back and the request is retried — and the scheme layer's
 /// six counters, its merged-block gauge and its prefetch ledger (the
-/// prefetch / hit bits), which sit outside the backend's transaction, end
-/// where the crash-free run's do.
+/// prefetch / hit bits), one ledger that rolls back with the backend's
+/// transaction, end where the crash-free run's do.
 #[test]
 fn a_rolled_back_access_leaves_no_trace_in_the_scheme_layer() {
     let run = |crash| scheme_cell::run_cell(SchemeConfig::static_scheme(2), crash);
