@@ -43,7 +43,11 @@ impl CacheProbe for FifoLlc {
 /// retry merged: the trace has a `recover_replay { replay: false }`
 /// followed by a `super_block_merge` before the next `access_retired` —
 /// the retry replays the killed attempt's randomness against the same
-/// LLC, so the killed attempt had merged too. `reads` / `writes` are the
+/// LLC, so the killed attempt had merged too. `retry_broke` is the same
+/// for a `super_block_break`, and `break_paths` holds, per break event,
+/// the number of paths read before it: the breaking access committed
+/// after its last path's write-back, so a `write_back` kill at that
+/// crossing lands on the breaking access. `reads` / `writes` are the
 /// requests the driver issued, whose sum `demand_accesses` must equal
 /// whatever crashed in between. `ledger` is the scheme's prefetch ledger,
 /// the one home of the prefetch and hit bits, at the end of the run;
@@ -57,6 +61,8 @@ pub struct CellOutcome {
     pub merge_events: u64,
     pub break_events: u64,
     pub retry_merged: bool,
+    pub retry_broke: bool,
+    pub break_paths: Vec<u64>,
     pub ledger: Vec<(BlockAddr, bool)>,
     pub ledger_trace: u64,
     pub state_digest: u64,
@@ -117,11 +123,17 @@ pub fn run_cell(scheme: SchemeConfig, crash: CrashConfig) -> CellOutcome {
     let events = obs.events();
     let count = |kind| events.iter().filter(|e| e.kind() == kind).count() as u64;
     let mut retrying = false;
-    let mut retry_merged = false;
+    let (mut retry_merged, mut retry_broke) = (false, false);
+    let (mut paths, mut break_paths) = (0, Vec::new());
     for e in &events {
         match e {
             ObsEvent::RecoverReplay { replay: false, .. } => retrying = true,
             ObsEvent::SuperBlockMerge { .. } => retry_merged |= retrying,
+            ObsEvent::SuperBlockBreak { .. } => {
+                retry_broke |= retrying;
+                break_paths.push(paths);
+            }
+            ObsEvent::PathAccess { .. } => paths += 1,
             ObsEvent::AccessRetired { .. } => retrying = false,
             _ => {}
         }
@@ -141,6 +153,8 @@ pub fn run_cell(scheme: SchemeConfig, crash: CrashConfig) -> CellOutcome {
         merge_events: count("super_block_merge"),
         break_events: count("super_block_break"),
         retry_merged,
+        retry_broke,
+        break_paths,
         ledger: oram.prefetch_ledger(),
         ledger_trace: ledger_trace.finish(),
         state_digest: oram.oram().state_digest(),

@@ -101,6 +101,35 @@ fn a_rolled_back_merge_leaves_the_partition_gauge_as_it_was() {
     assert_eq!(got.state_digest, free.state_digest);
 }
 
+/// A write-back kill under `dyn` on an access which broke a super block
+/// (its retry breaks it again), found among the crossings the crash-free
+/// run's breaks name: the break counter,
+/// the gauge the break moved and the remap of the broken halves are
+/// rolled back with the event, so the run ends on the crash-free state
+/// with one break event per break.
+#[test]
+fn a_rolled_back_break_leaves_the_partition_gauge_as_it_was() {
+    let scheme = SchemeConfig::dynamic(2);
+    let free = crash_free(&scheme);
+    assert!(free.scheme.breaks > 0, "the stream must break");
+    let got = (free.break_paths.iter())
+        .map(|&crossing| {
+            run_cell(
+                scheme.clone(),
+                CrashConfig::at(KillPoint::WriteBack, crossing),
+            )
+        })
+        .find(|cell| cell.retry_broke)
+        .expect("some write-back kill lands on a breaking access");
+    assert_eq!(got.crash.rollbacks, 1);
+    assert_trace_is_the_ledger(&got, "the breaking kill");
+    assert_eq!(got.scheme, free.scheme);
+    assert_eq!(got.scheme.breaks, free.scheme.breaks);
+    assert_eq!(got.merged_blocks, free.merged_blocks);
+    assert_eq!(got.state_digest, free.state_digest, "the remap");
+    assert_eq!(got.ledger, free.ledger);
+}
+
 /// A kill after the epoch flip is replayed, not retried: the access
 /// committed, keeps its scheme-layer edits and events and delivers only
 /// the demand fill, so the run is not the crash-free one — but it is

@@ -47,7 +47,8 @@ pub type Hierarchy = u8;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressSpace {
     num_data_blocks: u64,
-    entries_per_block: u64,
+    /// Position-map entries per posmap block.
+    fanout: Divisor,
     /// Number of posmap hierarchies whose blocks are stored in the tree.
     /// Hierarchy `on_tree_hierarchies + 1`'s labels live on-chip.
     on_tree_hierarchies: u8,
@@ -67,12 +68,13 @@ impl AddressSpace {
     ///
     /// # Panics
     ///
-    /// Panics if `num_data_blocks` is zero or `entries_per_block < 2`.
+    /// Panics if `num_data_blocks` is zero or above `u32::MAX`, or
+    /// `entries_per_block` is not in `2..=u32::MAX`.
     pub fn new(num_data_blocks: u64, entries_per_block: u64, on_tree_hierarchies: u8) -> Self {
         assert!(num_data_blocks > 0, "address space needs data blocks");
         assert!(
-            entries_per_block >= 2,
-            "posmap blocks must hold at least 2 entries"
+            num_data_blocks <= u64::from(u32::MAX),
+            "address space above 2^32 data blocks"
         );
         let levels = usize::from(on_tree_hierarchies) + 2;
         let mut region_base = Vec::with_capacity(levels);
@@ -87,7 +89,7 @@ impl AddressSpace {
         }
         AddressSpace {
             num_data_blocks,
-            entries_per_block,
+            fanout: Divisor::new(entries_per_block),
             on_tree_hierarchies,
             region_base,
             region_len,
@@ -101,7 +103,7 @@ impl AddressSpace {
 
     /// Position-map entries per posmap block.
     pub fn entries_per_block(&self) -> u64 {
-        self.entries_per_block
+        self.fanout.d
     }
 
     /// Number of posmap hierarchies stored in the tree.
@@ -149,6 +151,24 @@ impl AddressSpace {
         panic!("block {block} outside the unified address space");
     }
 
+    /// Where `block`'s position-map entry lives: see [`Parent`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is outside the regions below the top hierarchy.
+    pub(crate) fn parent_of(&self, block: BlockAddr) -> Parent {
+        let child = self.hierarchy_of(block);
+        let h = child + 1;
+        assert!(h <= self.top_hierarchy(), "block {block} has no parent");
+        let offset = block.0 - self.region_base[usize::from(child)];
+        Parent {
+            hierarchy: h,
+            offset,
+            block: BlockAddr(self.region_base[usize::from(h)] + self.fanout.div(offset)),
+            index: self.fanout.rem(offset) as usize,
+        }
+    }
+
     /// The hierarchy-`h` posmap block whose entries cover `block` (a block
     /// of hierarchy `h - 1`).
     ///
@@ -167,14 +187,14 @@ impl AddressSpace {
             off < self.region_len[child],
             "block {block} not in hierarchy {child}"
         );
-        BlockAddr(self.region_base[usize::from(h)] + off / self.entries_per_block)
+        BlockAddr(self.region_base[usize::from(h)] + self.fanout.div(off))
     }
 
     /// Index of `block`'s entry within its covering posmap block.
     pub fn entry_index(&self, block: BlockAddr) -> usize {
         let h = self.hierarchy_of(block);
         let off = block.0 - self.region_base[usize::from(h)];
-        (off % self.entries_per_block) as usize
+        self.fanout.rem(off) as usize
     }
 
     /// The first child block address covered by posmap block `pm`.
@@ -186,7 +206,7 @@ impl AddressSpace {
         let h = self.hierarchy_of(pm);
         assert!(h >= 1, "data blocks have no children");
         let off = pm.0 - self.region_base[usize::from(h)];
-        BlockAddr(self.region_base[usize::from(h) - 1] + off * self.entries_per_block)
+        BlockAddr(self.region_base[usize::from(h) - 1] + off * self.fanout.d)
     }
 
     /// Number of valid entries in posmap block `pm` (the last block of a
@@ -196,7 +216,56 @@ impl AddressSpace {
         assert!(h >= 1, "data blocks have no children");
         let child_len = self.region_len[usize::from(h) - 1];
         let first = self.first_child(pm).0 - self.region_base[usize::from(h) - 1];
-        (child_len - first).min(self.entries_per_block) as usize
+        (child_len - first).min(self.fanout.d) as usize
+    }
+}
+
+/// Where a block's position-map entry lives ([`AddressSpace::parent_of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Parent {
+    /// Hierarchy of the covering posmap block; the top hierarchy's
+    /// entries live in the on-chip table.
+    pub hierarchy: Hierarchy,
+    /// The block's offset in its own region: its entry's index in the
+    /// on-chip table when `hierarchy` is the top one.
+    pub offset: u64,
+    /// The covering posmap block.
+    pub block: BlockAddr,
+    /// The entry's index within `block`.
+    pub index: usize,
+}
+
+/// Division by a fixed divisor in `2..=u32::MAX`, as a multiply by its
+/// 64-bit reciprocal and no `div` (Lemire, Kaser and Kurz, "Faster
+/// remainder by direct computation", 2019): exact for every numerator
+/// below 2^32, which every offset in an [`AddressSpace`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Divisor {
+    d: u64,
+    /// `ceil(2^64 / d)`.
+    m: u64,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Self {
+        assert!(
+            (2..=u64::from(u32::MAX)).contains(&d),
+            "posmap blocks must hold 2..=2^32-1 entries"
+        );
+        Divisor {
+            d,
+            m: u64::MAX / d + 1,
+        }
+    }
+
+    fn div(self, n: u64) -> u64 {
+        debug_assert!(n <= u64::from(u32::MAX));
+        ((u128::from(self.m) * u128::from(n)) >> 64) as u64
+    }
+
+    fn rem(self, n: u64) -> u64 {
+        debug_assert!(n <= u64::from(u32::MAX));
+        ((u128::from(self.m.wrapping_mul(n)) * u128::from(self.d)) >> 64) as u64
     }
 }
 
@@ -287,6 +356,51 @@ mod tests {
     #[should_panic(expected = "invalid hierarchy")]
     fn posmap_block_for_hierarchy_zero_panics() {
         space().posmap_block_for(BlockAddr(0), 0);
+    }
+
+    #[test]
+    fn parent_of_agrees_with_the_separate_lookups() {
+        let s = space();
+        for addr in 0..1032 {
+            let b = BlockAddr(addr);
+            let p = s.parent_of(b);
+            let h = s.hierarchy_of(b) + 1;
+            assert_eq!(p.hierarchy, h);
+            assert_eq!(p.offset, addr - s.region_base(h - 1));
+            assert_eq!(p.block, s.posmap_block_for(b, h));
+            assert_eq!(p.index, s.entry_index(b));
+        }
+    }
+
+    #[test]
+    fn the_reciprocal_divides_exactly_below_2_to_the_32() {
+        let divisors = [
+            2,
+            3,
+            7,
+            8,
+            31,
+            32,
+            33,
+            1000,
+            65_537,
+            (1 << 31) + 1,
+            u32::MAX,
+        ];
+        let mut n = 0x9E37_79B9u64;
+        for d in divisors.map(u64::from) {
+            let div = Divisor::new(d);
+            let max = u64::from(u32::MAX);
+            let edges = [0, 1, d - 1, d, (d + 1).min(max), max - 1, max];
+            for i in 0..2000 {
+                n = n
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407)
+                    >> 32;
+                let x = edges.get(i).copied().unwrap_or(n);
+                assert_eq!((div.div(x), div.rem(x)), (x / d, x % d), "{x} / {d}");
+            }
+        }
     }
 
     #[test]

@@ -5,33 +5,43 @@ use crate::block::{Block, Payload};
 use proram_mem::BlockAddr;
 use std::fmt;
 
-/// What a slot without a payload of its own reads as.
-static OPAQUE: Payload = Payload::Opaque;
-
 /// One node of the ORAM tree: up to `Z` real blocks, `Z` at most
 /// [`Bucket::MAX_Z`].
 ///
-/// A bucket is one 64-byte record: the block headers — address and
-/// leaf — lie inline, slot by slot, and payloads lie in a side array
-/// that is allocated on the first non-opaque push and kept from then on.
-/// A tree of opaque blocks (every timing experiment) is therefore one
-/// dense allocation, and moving a block in or out of it allocates
-/// nothing. Only position-map blocks and stored data carry a payload.
+/// A bucket is one 64-byte record holding every slot inline: a 32-bit
+/// address, a leaf and a one-word [`Payload`] per slot. The top bits of
+/// the first two address words hold the bucket's length and capacity, so
+/// a block address must lie below [`Bucket::ADDR_LIMIT`]
+/// ([`crate::OramConfig::check`] rejects a geometry whose addresses do
+/// not). A tree is therefore one dense allocation, and moving a block in
+/// or out of it copies three words and allocates nothing, whatever it
+/// carries. Only position-map blocks and stored data point anywhere.
 ///
 /// Slots not holding a real block are *dummy blocks* on the wire; the
 /// functional model simply leaves them empty (the encryption layer in
 /// [`crate::storage`] serializes dummies explicitly so ciphertext sizes
 /// are position-independent). A dead slot's header is whatever was there
-/// last; it owns no payload.
+/// last; its payload is opaque.
 #[derive(Clone)]
 pub struct Bucket {
-    addr: [u64; Bucket::MAX_Z],
+    /// Slot addresses in the low [`ADDR_BITS`]; above them, `addr[LEN]`
+    /// holds the length and `addr[CAPACITY]` the capacity.
+    addr: [u32; Bucket::MAX_Z],
     leaf: [u32; Bucket::MAX_Z],
-    /// `None` until a block with a payload is pushed.
-    payloads: Option<Box<[Payload; Bucket::MAX_Z]>>,
-    len: u8,
-    capacity: u8,
+    /// A dead slot's payload is opaque.
+    payloads: [Payload; Bucket::MAX_Z],
 }
+
+/// Address bits of a slot's address word.
+const ADDR_BITS: u32 = 29;
+/// The address bits of an address word.
+const ADDR_MASK: u32 = (1 << ADDR_BITS) - 1;
+/// The address word whose top bits hold the length.
+const LEN: usize = 0;
+/// The address word whose top bits hold the capacity.
+const CAPACITY: usize = 1;
+// The bits above an address hold every length and capacity up to `MAX_Z`.
+const _: () = assert!(Bucket::MAX_Z < 1 << (32 - ADDR_BITS) && CAPACITY < Bucket::MAX_Z);
 
 /// A resident block as [`Bucket::iter`] yields it: the header by value,
 /// the payload borrowed.
@@ -71,6 +81,9 @@ impl Bucket {
     /// (Table 1) and 4 (Figures 6-7).
     pub const MAX_Z: usize = 4;
 
+    /// Block addresses a bucket can hold: `0..ADDR_LIMIT`.
+    pub const ADDR_LIMIT: u64 = 1 << ADDR_BITS;
+
     /// Creates an empty bucket with `z` slots.
     ///
     /// # Panics
@@ -79,40 +92,59 @@ impl Bucket {
     pub fn new(z: usize) -> Self {
         assert!(z > 0, "bucket capacity must be positive");
         assert!(z <= Self::MAX_Z, "bucket capacity above {}", Self::MAX_Z);
+        let mut addr = [0; Self::MAX_Z];
+        addr[CAPACITY] = (z as u32) << ADDR_BITS;
         Bucket {
-            addr: [0; Self::MAX_Z],
+            addr,
             leaf: [0; Self::MAX_Z],
-            payloads: None,
-            len: 0,
-            capacity: z as u8,
+            payloads: [Payload::OPAQUE; Self::MAX_Z],
         }
     }
 
     /// Slot capacity `Z`.
     pub fn capacity(&self) -> usize {
-        usize::from(self.capacity)
+        (self.addr[CAPACITY] >> ADDR_BITS) as usize
     }
 
     /// Number of real blocks held.
     pub fn len(&self) -> usize {
-        usize::from(self.len)
+        (self.addr[LEN] >> ADDR_BITS) as usize
+    }
+
+    fn set_len(&mut self, len: usize) {
+        self.addr[LEN] = self.addr[LEN] & ADDR_MASK | (len as u32) << ADDR_BITS;
+    }
+
+    /// The address in `slot`.
+    fn addr_at(&self, slot: usize) -> BlockAddr {
+        BlockAddr(u64::from(self.addr[slot] & ADDR_MASK))
+    }
+
+    /// Writes `addr` into `slot`'s address bits.
+    fn set_addr(&mut self, slot: usize, addr: BlockAddr) {
+        assert!(
+            addr.0 < Self::ADDR_LIMIT,
+            "block {addr} beyond the bucket's address field"
+        );
+        self.addr[slot] = self.addr[slot] & !ADDR_MASK | addr.0 as u32;
     }
 
     /// `true` if the bucket holds no real blocks.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// `true` if no slot is free.
     pub fn is_full(&self) -> bool {
-        self.len == self.capacity
+        self.len() == self.capacity()
     }
 
     /// Inserts a block into the next free slot.
     ///
     /// # Panics
     ///
-    /// Panics if the bucket is full.
+    /// Panics if the bucket is full or the block's address is not below
+    /// [`Bucket::ADDR_LIMIT`].
     pub fn push(&mut self, mut block: Block) {
         self.push_from(&mut block);
     }
@@ -123,77 +155,62 @@ impl Bucket {
     ///
     /// # Panics
     ///
-    /// Panics if the bucket is full.
+    /// As [`Bucket::push`].
     pub(crate) fn push_from(&mut self, block: &mut Block) {
-        assert!(!self.is_full(), "bucket overflow (Z={})", self.capacity);
         let slot = self.len();
-        self.addr[slot] = block.addr.0;
+        assert!(
+            slot < self.capacity(),
+            "bucket overflow (Z={})",
+            self.capacity()
+        );
+        self.set_addr(slot, block.addr);
         self.leaf[slot] = block.leaf.0;
-        // Once the side array exists every payload moves into it, opaque
-        // or not: the slot is dead, so it holds an opaque one already.
-        match &mut self.payloads {
-            Some(payloads) => std::mem::swap(&mut payloads[slot], &mut block.payload),
-            None if !block.payload.is_opaque() => {
-                let mut payloads = Box::new([const { Payload::Opaque }; Self::MAX_Z]);
-                std::mem::swap(&mut payloads[slot], &mut block.payload);
-                self.payloads = Some(payloads);
-            }
-            None => {}
-        }
-        self.len += 1;
+        // The slot is dead, so its payload is opaque: the block gets that.
+        std::mem::swap(&mut self.payloads[slot], &mut block.payload);
+        self.set_len(slot + 1);
     }
 
-    /// Reads a word from every cache line the bucket and its payload side
-    /// array occupy, so that a caller about to drain a whole path can
-    /// start all of its memory loads at once.
+    /// Reads a word from each end of the record, so that a caller about
+    /// to drain a whole path can start all of its memory loads at once
+    /// (the record may straddle two cache lines).
     pub(crate) fn touch(&self) -> u64 {
         let last = Self::MAX_Z - 1;
-        let header = self.addr[0] ^ self.addr[last] ^ u64::from(self.leaf[0] ^ self.leaf[last]);
-        let payloads = self.payloads.as_ref().map_or(0, |p| {
-            u64::from(p[0].is_posmap()) + u64::from(p[last].is_posmap())
-        });
-        header ^ u64::from(self.len) ^ payloads
+        u64::from(self.addr[LEN]) ^ u64::from(self.payloads[last].is_opaque())
     }
 
     /// Empties the bucket into the first [`Bucket::MAX_Z`] entries of
     /// `out`, slot for slot, and returns how many slots held a block.
     /// Every slot is copied, live or dead, so that no branch depends on
     /// the bucket's length; a dead slot leaves a stale header and an
-    /// opaque payload. `out`'s entries must hold opaque payloads: a bucket
-    /// without a side array leaves them as they are.
+    /// opaque payload. `out`'s entries must hold opaque payloads: they
+    /// trade places with the bucket's.
     pub(crate) fn drain_into(&mut self, out: &mut [Block]) -> usize {
+        let len = self.len();
         let out = &mut out[..Self::MAX_Z];
         for (slot, block) in out.iter_mut().enumerate() {
-            block.addr = BlockAddr(self.addr[slot]);
+            block.addr = self.addr_at(slot);
             block.leaf = Leaf(self.leaf[slot]);
+            std::mem::swap(&mut block.payload, &mut self.payloads[slot]);
         }
-        if let Some(payloads) = &mut self.payloads {
-            for (payload, block) in payloads.iter_mut().zip(out) {
-                block.payload = std::mem::replace(payload, Payload::Opaque);
-            }
-        }
-        std::mem::replace(&mut self.len, 0).into()
+        self.set_len(0);
+        len
     }
 
     /// The block in `slot`, its payload moved out.
     fn take_slot(&mut self, slot: usize) -> Block {
         Block {
-            addr: BlockAddr(self.addr[slot]),
+            addr: self.addr_at(slot),
             leaf: Leaf(self.leaf[slot]),
-            payload: match &mut self.payloads {
-                Some(payloads) => std::mem::replace(&mut payloads[slot], Payload::Opaque),
-                None => Payload::Opaque,
-            },
+            payload: std::mem::take(&mut self.payloads[slot]),
         }
     }
 
     /// Removes and yields all blocks, in slot order (the path-read
     /// operation). The bucket is empty from this call on, whether or not
-    /// the iterator is run to its end; the payload side array, if there
-    /// is one, stays allocated for the refill.
+    /// the iterator is run to its end.
     pub fn drain(&mut self) -> Drain<'_> {
         let end = self.len();
-        self.len = 0;
+        self.set_len(0);
         Drain {
             bucket: self,
             next: 0,
@@ -204,24 +221,23 @@ impl Bucket {
     /// Removes the block with the given address, if present; the last
     /// block takes its slot.
     pub fn take(&mut self, addr: BlockAddr) -> Option<Block> {
-        let slot = self.addr[..self.len()].iter().position(|&a| a == addr.0)?;
+        let slot = (0..self.len()).find(|&slot| self.addr_at(slot) == addr)?;
         let block = self.take_slot(slot);
         let last = self.len() - 1;
-        self.addr[slot] = self.addr[last];
+        let moved = self.addr_at(last);
+        self.set_addr(slot, moved);
         self.leaf[slot] = self.leaf[last];
-        if let Some(payloads) = &mut self.payloads {
-            payloads.swap(slot, last);
-        }
-        self.len -= 1;
+        self.payloads.swap(slot, last);
+        self.set_len(last);
         Some(block)
     }
 
     /// Iterates over resident blocks, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = BlockRef<'_>> {
         (0..self.len()).map(move |slot| BlockRef {
-            addr: BlockAddr(self.addr[slot]),
+            addr: self.addr_at(slot),
             leaf: Leaf(self.leaf[slot]),
-            payload: self.payloads.as_ref().map_or(&OPAQUE, |p| &p[slot]),
+            payload: &self.payloads[slot],
         })
     }
 }
@@ -230,7 +246,7 @@ impl Bucket {
 /// blocks in the same slots; what dead slots last held does not count.
 impl PartialEq for Bucket {
     fn eq(&self, other: &Self) -> bool {
-        self.capacity == other.capacity && self.iter().eq(other.iter())
+        self.capacity() == other.capacity() && self.iter().eq(other.iter())
     }
 }
 
@@ -239,7 +255,7 @@ impl Eq for Bucket {}
 impl fmt::Debug for Bucket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Bucket")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.capacity())
             .field("blocks", &self.iter().collect::<Vec<_>>())
             .finish()
     }
@@ -275,12 +291,10 @@ impl Iterator for Drain<'_> {
 impl ExactSizeIterator for Drain<'_> {}
 
 impl Drop for Drain<'_> {
-    /// Drops the payloads of the blocks not taken, so that a dead slot
-    /// owns none.
+    /// Drops the payloads of the blocks not taken, so that a dead slot's
+    /// payload is opaque.
     fn drop(&mut self) {
-        if let Some(payloads) = &mut self.bucket.payloads {
-            payloads[self.next..self.end].fill(Payload::Opaque);
-        }
+        self.bucket.payloads[self.next..self.end].fill(Payload::OPAQUE);
     }
 }
 
@@ -299,8 +313,30 @@ mod tests {
     }
 
     #[test]
-    fn a_bucket_is_one_cache_line() {
+    fn a_bucket_is_one_cache_line_of_thin_blocks() {
         assert_eq!(std::mem::size_of::<Bucket>(), 64);
+        assert_eq!(std::mem::size_of::<Payload>(), 8);
+        assert_eq!(std::mem::size_of::<Block>(), 24);
+    }
+
+    #[test]
+    fn addresses_up_to_the_limit_round_trip_beside_length_and_capacity() {
+        let top = Bucket::ADDR_LIMIT - 1;
+        let mut b = Bucket::new(4);
+        b.push(blk(top));
+        b.push(pm_blk(top - 1));
+        b.push(blk(0));
+        assert_eq!((b.len(), b.capacity()), (3, 4));
+        assert_eq!(b.take(BlockAddr(top)), Some(blk(top)));
+        let left: Vec<Block> = b.iter().map(|b| b.to_block()).collect();
+        assert_eq!(left, [blk(0), pm_blk(top - 1)]);
+        assert_eq!((b.len(), b.capacity()), (2, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the bucket's address field")]
+    fn an_address_past_the_limit_panics() {
+        Bucket::new(2).push(blk(Bucket::ADDR_LIMIT));
     }
 
     #[test]
@@ -313,8 +349,7 @@ mod tests {
         let blocks: Vec<Block> = b.drain().collect();
         assert_eq!(blocks, [blk(1), blk(2)]);
         assert!(b.is_empty());
-        // Opaque blocks never allocate the side array.
-        assert!(b.payloads.is_none());
+        assert!(b.payloads.iter().all(Payload::is_opaque));
     }
 
     #[test]
@@ -348,10 +383,10 @@ mod tests {
         let drained: Vec<Block> = b.drain().collect();
         assert_eq!(drained, [blk(1), pm_blk(2)]);
         // Opaque blocks into the slots the posmap block and its
-        // neighbour used: every reader sees `Payload::Opaque`.
+        // neighbour used: every reader sees an opaque payload.
         b.push(blk(10));
         b.push(blk(11));
-        assert!(b.iter().all(|b| *b.payload == Payload::Opaque));
+        assert!(b.iter().all(|b| b.payload.is_opaque()));
         let mut fresh = Bucket::new(3);
         fresh.push(blk(10));
         fresh.push(blk(11));
@@ -366,6 +401,7 @@ mod tests {
         b.push(pm_blk(2));
         b.drain();
         assert!(b.is_empty());
+        assert!(b.payloads.iter().all(Payload::is_opaque));
         b.push(blk(3));
         b.push(blk(4));
         assert_eq!(b.drain().collect::<Vec<_>>(), [blk(3), blk(4)]);
@@ -377,7 +413,7 @@ mod tests {
         a.push(blk(9));
         a.push(pm_blk(8));
         a.drain();
-        assert_eq!(a, Bucket::new(3), "stale headers, live side array");
+        assert_eq!(a, Bucket::new(3), "stale headers");
         a.push(blk(1));
         let mut b = Bucket::new(3);
         b.push(blk(1));

@@ -232,10 +232,10 @@ impl OramConfig {
                 ),
             ));
         }
-        if self.entries_per_posmap_block < 2 {
+        if !(2..=u64::from(u32::MAX)).contains(&self.entries_per_posmap_block) {
             return Err(ConfigError::new(
                 "entries_per_posmap_block",
-                "posmap fanout must be >= 2",
+                "posmap fanout must be in 2..=2^32-1",
             ));
         }
         if self.stash_limit == 0 {
@@ -258,7 +258,19 @@ impl OramConfig {
                 "init_group_size must be a power of two no larger than the posmap fanout",
             ));
         }
-        let space = self.address_space();
+        // A bucket keeps a block's address in its low bits. The data
+        // blocks come first, so too many of them fail before the address
+        // space is laid out.
+        let space = (self.num_data_blocks < Bucket::ADDR_LIMIT).then(|| self.address_space());
+        let Some(space) = space.filter(|s| s.total_tree_blocks() <= Bucket::ADDR_LIMIT) else {
+            return Err(ConfigError::new(
+                "num_data_blocks",
+                format!(
+                    "block addresses must lie below {}, the limit of a bucket's address field",
+                    Bucket::ADDR_LIMIT
+                ),
+            ));
+        };
         let levels = self.tree_levels();
         let slots = (1u64 << levels).saturating_sub(1) * self.z as u64;
         if space.total_tree_blocks() > slots {
@@ -269,13 +281,6 @@ impl OramConfig {
                     space.total_tree_blocks(),
                     slots
                 ),
-            ));
-        }
-        let leaves = 1u64 << (levels - 1);
-        if leaves > u64::from(u32::MAX) {
-            return Err(ConfigError::new(
-                "num_data_blocks",
-                "leaf labels overflow u32",
             ));
         }
         if self.treetop_levels >= levels {
@@ -583,6 +588,29 @@ mod tests {
             ..OramConfig::default()
         };
         assert_eq!(cfg.check(), Ok(()));
+    }
+
+    #[test]
+    fn block_addresses_past_the_bucket_field_are_a_typed_error() {
+        let with_blocks = |num_data_blocks| OramConfig {
+            num_data_blocks,
+            ..OramConfig::default()
+        };
+        // 2^28 data blocks and their posmap blocks fit; 2^29 data blocks
+        // do not, nor do 2^29 - 1 once their posmap blocks are counted.
+        assert_eq!(with_blocks(1 << 28).check(), Ok(()));
+        for n in [Bucket::ADDR_LIMIT - 1, Bucket::ADDR_LIMIT, 1 << 40] {
+            let err = with_blocks(n).check().unwrap_err();
+            assert_eq!(err.field(), "num_data_blocks", "{n}");
+            assert!(err.to_string().contains("bucket's address field"), "{err}");
+        }
+        let err = OramConfig {
+            entries_per_posmap_block: 1 << 32,
+            ..OramConfig::default()
+        }
+        .check()
+        .unwrap_err();
+        assert_eq!(err.field(), "entries_per_posmap_block");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub(crate) mod posmap;
 pub(crate) mod writeback;
 
 use crate::addr::{AddressSpace, Leaf};
-use crate::block::{Block, Payload};
+use crate::block::{Block, Payload, PayloadRef};
 use crate::bucket::{BlockRef, Bucket};
 use crate::config::OramConfig;
 use crate::crash::RecoveryReport;
@@ -272,22 +272,27 @@ impl PathOram {
         let resident = tree.resident_buckets();
         let mut occupancy = vec![0; tree.num_buckets() - resident];
         let mut off_chip: Vec<(usize, u64)> = Vec::new();
-        let make = |addr: u64| {
-            let leaf = leaves[addr as usize];
-            Self::make_block(&config, &space, BlockAddr(addr), leaf, &leaves)
+        // A data block starts as one zeroed block, or opaque without a store.
+        let zeros = match config.store_payloads {
+            true => vec![0; config.timing.block_bytes as usize],
+            false => Vec::new(),
         };
+        let make =
+            |addr: u64, spare| Self::make_block(&space, BlockAddr(addr), &leaves, &zeros, spare);
         for addr in 0..total {
             let free = |&idx: &usize| match idx.checked_sub(resident) {
                 None => !tree.bucket(idx).is_full(),
                 Some(off) => occupancy[off] < config.z,
             };
             match tree.path_indices(leaves[addr as usize]).rev().find(free) {
-                Some(idx) if idx < resident => tree.bucket_mut(idx).push(make(addr)),
+                Some(idx) if idx < resident => {
+                    tree.bucket_mut(idx).push(make(addr, Payload::OPAQUE))
+                }
                 Some(idx) => {
                     occupancy[idx - resident] += 1;
                     off_chip.push((idx, addr));
                 }
-                None => stash.insert(make(addr)),
+                None => stash.insert(make(addr, Payload::OPAQUE)),
             }
         }
         if let Some(store) = store.as_mut() {
@@ -298,10 +303,10 @@ impl PathOram {
             let mut bucket = Bucket::new(config.z);
             for idx in resident..tree.num_buckets() {
                 while let Some(&(_, addr)) = members.next_if(|m| m.0 == idx) {
-                    bucket.push(make(addr));
+                    bucket.push(make(addr, store.spare_payload()));
                 }
                 store.write_bucket(layout.phys_of(idx), &bucket);
-                bucket.drain();
+                store.reclaim(std::slice::from_mut(&mut bucket));
             }
             // The kill points arm after initialization: init traffic is
             // not a transaction and must never trip one.
@@ -341,33 +346,30 @@ impl PathOram {
         oram
     }
 
+    /// Block `addr` as it starts out, mapped to `leaves[addr]`, its
+    /// payload built in `spare`'s memory: `data` for a data block (empty
+    /// when payloads are not stored: opaque), and a position-map block's
+    /// entries from `leaves`.
     fn make_block(
-        config: &OramConfig,
         space: &AddressSpace,
         addr: BlockAddr,
-        leaf: Leaf,
         leaves: &[Leaf],
+        data: &[u8],
+        spare: Payload,
     ) -> Block {
-        match space.hierarchy_of(addr) {
-            0 => {
-                if config.store_payloads {
-                    Block::with_data(
-                        addr,
-                        leaf,
-                        vec![0; config.timing.block_bytes as usize].into(),
-                    )
-                } else {
-                    Block::opaque(addr, leaf)
-                }
-            }
+        let payload = match space.hierarchy_of(addr) {
+            0 if data.is_empty() => Payload::OPAQUE,
+            0 => spare.refill_data(data),
             _ => {
-                let first = space.first_child(addr);
-                let count = space.child_count(addr);
-                let entries: Vec<PosEntry> = (0..count as u64)
-                    .map(|i| PosEntry::new(leaves[(first.0 + i) as usize]))
-                    .collect();
-                Block::posmap(addr, leaf, entries.into())
+                let first = space.first_child(addr).0 as usize;
+                let children = &leaves[first..first + space.child_count(addr)];
+                spare.refill_posmap(children.iter().map(|&leaf| PosEntry::new(leaf)))
             }
+        };
+        Block {
+            addr,
+            leaf: leaves[addr.0 as usize],
+            payload,
         }
     }
 
@@ -529,7 +531,7 @@ impl PathOram {
     pub fn try_read_block(&mut self, addr: BlockAddr) -> Result<Option<Vec<u8>>, OramError> {
         let mut data = None;
         self.access_with(addr, AccessKind::Read, |block| {
-            if let Payload::Data(bytes) = &block.payload {
+            if let PayloadRef::Data(bytes) = block.payload.view() {
                 data = Some(bytes.to_vec());
             }
         })?;
@@ -557,9 +559,12 @@ impl PathOram {
             self.config.timing.block_bytes as usize,
             "payload must be exactly one block"
         );
-        self.access_with(addr, AccessKind::Write, |block| match &mut block.payload {
-            Payload::Data(data) => data.copy_from_slice(bytes),
-            _ => unreachable!("with store_payloads every data block carries one block of bytes"),
+        self.access_with(addr, AccessKind::Write, |block| {
+            block
+                .payload
+                .data_mut()
+                .expect("with store_payloads every data block carries one block of bytes")
+                .copy_from_slice(bytes)
         })?;
         Ok(())
     }
@@ -678,13 +683,13 @@ impl PathOram {
         let b = b.into();
         h.write_u64(b.addr.0);
         h.write_u64(u64::from(b.leaf.0));
-        match b.payload {
-            Payload::Opaque => h.write_u64(0),
-            Payload::Data(bytes) => {
+        match b.payload.view() {
+            PayloadRef::Opaque => h.write_u64(0),
+            PayloadRef::Data(bytes) => {
                 h.write_u64(1);
                 h.write_bytes(bytes);
             }
-            Payload::PosMap(entries) => {
+            PayloadRef::PosMap(entries) => {
                 h.write_u64(2);
                 for e in entries.iter() {
                     h.write_u64(u64::from(e.leaf.0));
@@ -739,14 +744,13 @@ impl PathOram {
     }
 
     fn authoritative_leaf(&self, addr: BlockAddr, on_tree: &OnTree) -> Option<Leaf> {
-        let h = self.parent_hierarchy(addr);
-        if h == self.space.top_hierarchy() {
-            let base = self.space.region_base(h - 1);
-            return Some(self.top[(addr.0 - base) as usize].leaf);
+        let at = self.space.parent_of(addr);
+        if at.hierarchy == self.space.top_hierarchy() {
+            return Some(self.top[at.offset as usize].leaf);
         }
-        let pm_addr = self.space.posmap_block_for(addr, h);
+        let pm_addr = at.block;
         if let Some(block) = self.plb.peek(pm_addr) {
-            return Some(block.entries()[self.space.entry_index(addr)].leaf);
+            return Some(block.entries()[at.index].leaf);
         }
         // The parent itself must be findable; read its entry wherever it
         // is (stash or tree).
@@ -756,7 +760,7 @@ impl PathOram {
             .get(pm_addr)
             .or_else(|| on_tree.posmap.get(&pm_addr))
             .filter(|_| self.block_is_findable(pm_addr, parent_leaf, on_tree))?;
-        Some(parent.entries()[self.space.entry_index(addr)].leaf)
+        Some(parent.entries()[at.index].leaf)
     }
 
     fn block_is_findable(&self, addr: BlockAddr, leaf: Leaf, on_tree: &OnTree) -> bool {
@@ -808,13 +812,13 @@ impl crate::backend_trait::OramBackend for PathOram {
         let top_child = self.space.on_tree_hierarchies();
         record(BlockAddr(self.space.region_base(top_child)), &self.top);
         for b in self.stash.iter().chain(self.plb.iter()) {
-            if let Payload::PosMap(entries) = &b.payload {
+            if let PayloadRef::PosMap(entries) = b.payload.view() {
                 record(self.space.first_child(b.addr), entries);
             }
         }
         self.try_for_each_bucket(|_, bucket| {
             for b in bucket.iter() {
-                if let Payload::PosMap(entries) = b.payload {
+                if let PayloadRef::PosMap(entries) = b.payload.view() {
                     record(self.space.first_child(b.addr), entries);
                 }
             }

@@ -7,18 +7,13 @@
 //! and of the grouped accesses in `proram-core`.
 
 use super::{PathKind, PathOram};
-use crate::addr::{Hierarchy, Leaf};
+use crate::addr::Leaf;
 use crate::crash::KillPoint;
 use crate::error::OramError;
 use crate::posmap::PosEntry;
 use proram_mem::BlockAddr;
 
 impl PathOram {
-    /// Hierarchy of the posmap container holding `child`'s entry.
-    pub(crate) fn parent_hierarchy(&self, child: BlockAddr) -> Hierarchy {
-        self.space.hierarchy_of(child) + 1
-    }
-
     /// Ensures the position-map block holding `child`'s entry is on-chip
     /// (PLB or the top table), fetching ancestors as needed. Returns the
     /// number of tree accesses performed.
@@ -37,11 +32,11 @@ impl PathOram {
     /// level of the walk).
     pub fn try_resolve_posmap(&mut self, child: BlockAddr) -> Result<u64, OramError> {
         self.crash_gate(KillPoint::ResolvePosmap)?;
-        let h = self.parent_hierarchy(child);
-        if h == self.space.top_hierarchy() {
+        let parent = self.space.parent_of(child);
+        if parent.hierarchy == self.space.top_hierarchy() {
             return Ok(0); // entry lives in the on-chip table
         }
-        let pm_addr = self.space.posmap_block_for(child, h);
+        let pm_addr = parent.block;
         // From here on the PLB's recency order moves.
         self.tracking();
         if self.plb.get_mut(pm_addr).is_some() {
@@ -83,19 +78,15 @@ impl PathOram {
     /// Panics if the covering posmap block is not on-chip — call
     /// [`PathOram::try_resolve_posmap`] first.
     pub fn entry(&self, child: BlockAddr) -> &PosEntry {
-        let h = self.parent_hierarchy(child);
-        let idx = self.space.entry_index(child);
-        if h == self.space.top_hierarchy() {
-            let base = self.space.region_base(h - 1);
-            let off = (child.0 - base) as usize;
-            return &self.top[off];
+        let parent = self.space.parent_of(child);
+        if parent.hierarchy == self.space.top_hierarchy() {
+            return &self.top[parent.offset as usize];
         }
-        let pm_addr = self.space.posmap_block_for(child, h);
         let block = self
             .plb
-            .peek(pm_addr)
-            .unwrap_or_else(|| panic!("posmap block {pm_addr} not resolved"));
-        &block.entries()[idx]
+            .peek(parent.block)
+            .unwrap_or_else(|| panic!("posmap block {} not resolved", parent.block));
+        &block.entries()[parent.index]
     }
 
     /// Mutably borrows `child`'s position-map entry: the one place the
@@ -107,21 +98,18 @@ impl PathOram {
     ///
     /// Panics if the covering posmap block is not on-chip.
     pub fn entry_mut(&mut self, child: BlockAddr) -> &mut PosEntry {
-        let h = self.parent_hierarchy(child);
-        let idx = self.space.entry_index(child);
-        if h == self.space.top_hierarchy() {
-            let base = self.space.region_base(h - 1);
-            let off = (child.0 - base) as usize;
+        let parent = self.space.parent_of(child);
+        if parent.hierarchy == self.space.top_hierarchy() {
+            let off = parent.offset as usize;
             self.log_top_write(off);
             return &mut self.top[off];
         }
         // Outside a transaction a PLB write still leaves its mark.
         self.tracking();
-        let pm_addr = self.space.posmap_block_for(child, h);
         let block = self
             .plb
-            .peek_mut(pm_addr)
-            .unwrap_or_else(|| panic!("posmap block {pm_addr} not resolved"));
-        &mut block.entries_mut()[idx]
+            .peek_mut(parent.block)
+            .unwrap_or_else(|| panic!("posmap block {} not resolved", parent.block));
+        &mut block.entries_mut()[parent.index]
     }
 }

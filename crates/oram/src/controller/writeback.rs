@@ -19,7 +19,7 @@ use crate::eviction::write_path_with;
 impl PathOram {
     /// Greedily writes stash blocks back to the path to `leaf`; with an
     /// encrypted image, seals the off-chip buckets into it straight from
-    /// the staging row and drops their plaintext.
+    /// the staging row and hands their plaintext back to the store.
     ///
     /// # Errors
     ///
@@ -33,7 +33,7 @@ impl PathOram {
         if let Some(store) = self.store.as_mut() {
             let indices = self.layout.off_chip_path(leaf).map(|(_, phys)| phys);
             store.write_buckets(indices.zip(self.tree.staging()));
-            self.tree.clear_staging();
+            store.reclaim(self.tree.staging_mut());
         }
         self.store_crash_check()
     }

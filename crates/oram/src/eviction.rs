@@ -188,29 +188,18 @@ pub fn write_path_with(
 /// and the rest after them in no particular order. Only a bin's head can
 /// be placed: its keys fit no deeper than their level, and the buckets
 /// at that level and above hold `head` blocks at most.
+///
+/// Each key sinks through the sorted head so far, one max / min per
+/// step and no branch on the keys, and the smallest of the two stays
+/// where the key was: the insertion sort of the head, with what it
+/// pushes out of the head left behind.
 fn sort_head(bin: &mut [u64], head: usize) {
-    if let [a, b] = bin {
-        // The common case, without a branch on the keys.
-        (*a, *b) = ((*a).max(*b), (*a).min(*b));
-        return;
-    }
     for i in 1..bin.len() {
-        let key = bin[i];
-        let mut at = i;
-        if at >= head {
-            // `key` enters the head only by beating its last key, which
-            // then takes `key`'s place outside.
-            if key < bin[head - 1] {
-                continue;
-            }
-            bin[i] = bin[head - 1];
-            at = head - 1;
+        let mut key = bin[i];
+        for kept in &mut bin[..i.min(head)] {
+            (*kept, key) = ((*kept).max(key), (*kept).min(key));
         }
-        while at > 0 && bin[at - 1] < key {
-            bin[at] = bin[at - 1];
-            at -= 1;
-        }
-        bin[at] = key;
+        bin[i] = key;
     }
 }
 
@@ -358,6 +347,46 @@ mod tests {
             contents
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// `sort_head` against the capped insertion it replaced, which moved
+    /// a key into the head only when it beat the head's last key: both
+    /// leave every bin in the same order, tail included, so the lane's
+    /// unplaced blocks reach the map in the same order too.
+    #[test]
+    fn sort_head_leaves_what_the_capped_insertion_leaves() {
+        fn capped_insertion(bin: &mut [u64], head: usize) {
+            for i in 1..bin.len() {
+                let key = bin[i];
+                let mut at = i;
+                if at >= head {
+                    if key < bin[head - 1] {
+                        continue;
+                    }
+                    bin[i] = bin[head - 1];
+                    at = head - 1;
+                }
+                while at > 0 && bin[at - 1] < key {
+                    bin[at] = bin[at - 1];
+                    at -= 1;
+                }
+                bin[at] = key;
+            }
+        }
+        use proram_stats::{Rng64, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from(0x50A7);
+        for _ in 0..2000 {
+            let len = rng.next_below(40) as usize;
+            let head = 1 + rng.next_below(12) as usize;
+            let mut keys: Vec<u64> = (0..len as u64).map(|i| i * 7 + rng.next_below(7)).collect();
+            for i in (1..len).rev() {
+                keys.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let mut expected = keys.clone();
+            capped_insertion(&mut expected, head);
+            sort_head(&mut keys, head);
+            assert_eq!(keys, expected, "head {head}");
+        }
     }
 
     /// The placement rule written out plainly: every candidate sorted by

@@ -37,7 +37,7 @@
 //! `PathOram::recover`).
 
 use crate::addr::Leaf;
-use crate::block::{Block, Payload};
+use crate::block::{Block, Payload, PayloadRef};
 use crate::bucket::{BlockRef, Bucket};
 use crate::config::OramConfig;
 use crate::crypto::{Mac, StreamCipher};
@@ -556,14 +556,14 @@ fn encode_block<'a>(out: &mut Vec<u8>, b: impl Into<BlockRef<'a>>) {
     let b = b.into();
     out.extend_from_slice(&b.addr.0.to_le_bytes());
     out.extend_from_slice(&b.leaf.0.to_le_bytes());
-    match b.payload {
-        Payload::Opaque => out.push(0),
-        Payload::Data(data) => {
+    match b.payload.view() {
+        PayloadRef::Opaque => out.push(0),
+        PayloadRef::Data(data) => {
             out.push(1);
             push_len(out, data.len());
             out.extend_from_slice(data);
         }
-        Payload::PosMap(entries) => {
+        PayloadRef::PosMap(entries) => {
             out.push(2);
             push_counted(out, entries.iter(), encode_entry);
         }
@@ -574,12 +574,12 @@ fn decode_block(r: &mut Reader<'_>) -> Option<Block> {
     let addr = BlockAddr(r.u64()?);
     let leaf = Leaf(r.u32()?);
     let payload = match r.u8()? {
-        0 => Payload::Opaque,
+        0 => Payload::OPAQUE,
         1 => {
             let len = r.len()?;
-            Payload::Data(r.bytes(len)?.to_vec().into_boxed_slice())
+            Payload::data(r.bytes(len)?.into())
         }
-        2 => Payload::PosMap(r.counted(decode_entry)?.into_boxed_slice()),
+        2 => Payload::posmap(r.counted(decode_entry)?.into_boxed_slice()),
         _ => return None,
     };
     Some(Block {

@@ -69,7 +69,7 @@ pub mod tree;
 
 pub use addr::{AddressSpace, Leaf};
 pub use backend_trait::OramBackend;
-pub use block::{Block, Payload};
+pub use block::{Block, Payload, PayloadRef};
 pub use bucket::{BlockRef, Bucket};
 pub use config::{ConfigError, OramConfig, OramConfigBuilder};
 pub use controller::{OramStats, PathKind, PathOram};

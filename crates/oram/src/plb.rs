@@ -6,11 +6,16 @@
 //! updating their entries costs no tree access. On a miss the controller
 //! fetches the block with a real ORAM access and inserts it here; the LRU
 //! victim returns to the stash.
+//!
+//! A block stays in the slot it was inserted into until it leaves; an
+//! address index finds the slot, and the recency order is a list of slot
+//! numbers. So a lookup hashes once and a hit moves a few slot numbers,
+//! never a block.
 
 use crate::block::Block;
 use crate::journal::{PLB_OP_INSERT, PLB_OP_INSERT_EVICT};
 use proram_mem::BlockAddr;
-use std::collections::VecDeque;
+use proram_stats::FxHashMap;
 
 /// A small fully-associative LRU cache of position-map blocks.
 ///
@@ -27,11 +32,14 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Plb {
-    /// Most recently used first. A deque so the MRU insert and LRU
-    /// eviction on every PLB miss are O(1) instead of shifting the whole
-    /// buffer; the LRU order (and thus every eviction decision) is
-    /// unchanged.
-    blocks: VecDeque<Block>,
+    /// The resident blocks, by slot.
+    blocks: Vec<Block>,
+    /// Slots in recency order, most recently used first.
+    order: Vec<u32>,
+    /// The slot of each resident address. Sized for twice the capacity,
+    /// so that the table's occasional clean-up of removed entries happens
+    /// in place and it never allocates after construction.
+    index: FxHashMap<u64, u32>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -54,8 +62,12 @@ impl Plb {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "PLB capacity must be positive");
+        let mut index = FxHashMap::default();
+        index.reserve(2 * capacity);
         Plb {
-            blocks: VecDeque::with_capacity(capacity),
+            blocks: Vec::with_capacity(capacity),
+            order: Vec::with_capacity(capacity),
+            index,
             capacity,
             hits: 0,
             misses: 0,
@@ -93,7 +105,7 @@ impl Plb {
     /// inserted or mutably borrowed.
     pub(crate) fn logged_dirty(&self) -> impl Iterator<Item = (usize, &Block)> {
         let dirty = |(_, b): &(usize, &Block)| self.dirty.contains(&b.addr.0);
-        self.blocks.iter().enumerate().filter(dirty)
+        self.iter().enumerate().filter(dirty)
     }
 
     /// Capacity in blocks.
@@ -114,29 +126,44 @@ impl Plb {
     /// Looks up a resident posmap block, refreshing LRU and counting
     /// hit/miss statistics.
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut Block> {
-        match self.blocks.iter().position(|b| b.addr == addr) {
-            Some(pos) => {
-                self.hits += 1;
-                if pos != 0 {
-                    let b = self.blocks.remove(pos).expect("position just found");
-                    self.blocks.push_front(b);
-                }
-                if self.logging && pos != 0 {
-                    self.ops.push(pos as u32);
-                }
-                self.log_dirty(addr);
-                Some(&mut self.blocks[0])
-            }
-            None => {
-                self.misses += 1;
-                None
+        let Some(slot) = self.slot_of(addr) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        if self.order[0] != slot {
+            let pos = self.order.iter().position(|&s| s == slot);
+            let pos = pos.expect("an indexed slot is in the recency order");
+            self.move_to_front(pos);
+            if self.logging {
+                self.ops.push(pos as u32);
             }
         }
+        self.log_dirty(addr);
+        Some(&mut self.blocks[slot as usize])
+    }
+
+    /// The slot holding `addr`. The MRU block is checked first: an
+    /// access reads the entries of the block its lookup just moved to
+    /// the front.
+    fn slot_of(&self, addr: BlockAddr) -> Option<u32> {
+        let &mru = self.order.first()?;
+        if self.blocks[mru as usize].addr == addr {
+            return Some(mru);
+        }
+        self.index.get(&addr.0).copied()
+    }
+
+    /// Moves the slot at `pos` of the recency order to the front.
+    fn move_to_front(&mut self, pos: usize) {
+        let slot = self.order[pos];
+        self.order.copy_within(..pos, 1);
+        self.order[0] = slot;
     }
 
     /// Tag probe without LRU or counter effects.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.blocks.iter().any(|b| b.addr == addr)
+        self.slot_of(addr).is_some()
     }
 
     /// Borrows a resident block without touching LRU order or the hit/miss
@@ -144,12 +171,14 @@ impl Plb {
     /// lookup.
     pub fn peek_mut(&mut self, addr: BlockAddr) -> Option<&mut Block> {
         self.log_dirty(addr);
-        self.blocks.iter_mut().find(|b| b.addr == addr)
+        let slot = self.slot_of(addr)?;
+        Some(&mut self.blocks[slot as usize])
     }
 
     /// Borrows a resident block immutably without statistics effects.
     pub fn peek(&self, addr: BlockAddr) -> Option<&Block> {
-        self.blocks.iter().find(|b| b.addr == addr)
+        let slot = self.slot_of(addr)?;
+        Some(&self.blocks[slot as usize])
     }
 
     /// Inserts a posmap block as MRU; returns the LRU victim if full.
@@ -160,9 +189,20 @@ impl Plb {
     pub fn insert(&mut self, block: Block) -> Option<Block> {
         assert!(block.payload.is_posmap(), "PLB holds only posmap blocks");
         assert!(!self.contains(block.addr), "posmap block already in PLB");
+        let addr = block.addr;
         let victim = if self.blocks.len() == self.capacity {
-            self.blocks.pop_back()
+            // The LRU slot takes the block and moves to the front.
+            self.move_to_front(self.capacity - 1);
+            let slot = self.order[0];
+            let victim = std::mem::replace(&mut self.blocks[slot as usize], block);
+            self.index.remove(&victim.addr.0);
+            self.index.insert(addr.0, slot);
+            Some(victim)
         } else {
+            let slot = self.blocks.len() as u32;
+            self.blocks.push(block);
+            self.order.insert(0, slot);
+            self.index.insert(addr.0, slot);
             None
         };
         if self.logging {
@@ -171,20 +211,25 @@ impl Plb {
                 None => PLB_OP_INSERT,
             });
         }
-        self.log_dirty(block.addr);
-        self.blocks.push_front(block);
+        self.log_dirty(addr);
         victim
     }
 
-    /// Removes every resident block (used when flushing state for tests).
+    /// Removes every resident block, MRU first (used when flushing state
+    /// for tests).
     pub fn drain(&mut self) -> Vec<Block> {
-        std::mem::take(&mut self.blocks).into_iter().collect()
+        let mut blocks: Vec<Option<Block>> = self.blocks.drain(..).map(Some).collect();
+        self.index.clear();
+        let order = self.order.drain(..);
+        order
+            .map(|slot| blocks[slot as usize].take().expect("each slot once"))
+            .collect()
     }
 
     /// Iterates resident blocks in recency order, MRU first (used to
     /// serialize the PLB into a crash-consistency checkpoint).
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.iter()
+        self.order.iter().map(|&slot| &self.blocks[slot as usize])
     }
 
     /// `(hits, misses)` since construction.
@@ -253,9 +298,44 @@ mod tests {
         let mut p = Plb::new(3);
         p.insert(pm(1));
         p.insert(pm(2));
-        let all = p.drain();
-        assert_eq!(all.len(), 2);
+        let all: Vec<u64> = p.drain().iter().map(|b| b.addr.0).collect();
+        assert_eq!(all, [2, 1], "MRU first");
         assert!(p.is_empty());
+        assert!(!p.contains(BlockAddr(1)));
+        p.insert(pm(1));
+        assert_eq!(p.peek(BlockAddr(1)), Some(&pm(1)));
+    }
+
+    /// The PLB against a list kept in recency order, as the PLB itself
+    /// was once kept: every hit, miss, eviction and the order agree.
+    #[test]
+    fn recency_matches_a_plain_lru_list() {
+        use proram_stats::{Rng64, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from(0x91B);
+        for capacity in [1, 2, 5, 16] {
+            let mut p = Plb::new(capacity);
+            let mut model: Vec<u64> = Vec::new();
+            for _ in 0..2000 {
+                let addr = rng.next_below(3 * capacity as u64);
+                let hit = p.get_mut(BlockAddr(addr)).is_some();
+                match model.iter().position(|&a| a == addr) {
+                    Some(pos) => {
+                        assert!(hit);
+                        let a = model.remove(pos);
+                        model.insert(0, a);
+                    }
+                    None => {
+                        assert!(!hit);
+                        let victim = p.insert(pm(addr)).map(|b| b.addr.0);
+                        let expected = (model.len() == capacity).then(|| model.pop());
+                        assert_eq!(victim, expected.flatten());
+                        model.insert(0, addr);
+                    }
+                }
+                let order: Vec<u64> = p.iter().map(|b| b.addr.0).collect();
+                assert_eq!(order, model);
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,13 @@
 //! and [`crate::eviction::write_path_with`] empties it, so between
 //! accesses it is empty. The *map* holds every other block: the ones a
 //! write-back could not place and the ones inserted directly (a PLB
-//! victim, what did not fit the tree at construction). Every reader — length, peak, occupancy, the commit log,
-//! lookups and iteration — sees the two as one set.
+//! victim, what did not fit the tree at construction). Every reader —
+//! length, peak, occupancy, the commit log, lookups and iteration — sees
+//! the two as one set.
+//!
+//! A [`Block`] is 24 bytes with a one-word payload, so a path read fills
+//! the lane, and a write-back places and spills from it, by moving three
+//! words a block, whatever the block carries.
 
 use crate::block::Block;
 use proram_mem::BlockAddr;

@@ -29,7 +29,7 @@
 //! typed [`OramError`] values — nothing here panics on adversarial input.
 
 use crate::addr::Leaf;
-use crate::block::{Block, Payload};
+use crate::block::{Block, Payload, PayloadRef};
 use crate::bucket::{BlockRef, Bucket};
 use crate::crash::{CrashArm, CrashConfig, KillPoint};
 use crate::crypto::{Mac, MacLane, StreamCipher, MAC_LANES};
@@ -152,6 +152,9 @@ struct KernelScratch {
     /// order. The seal kernel computes their tags, the open kernel
     /// verifies them and leaves the queue for its callers.
     queue: Vec<(usize, usize)>,
+    /// Payloads of sealed plaintext, at most a path's worth, for the
+    /// decoder to rebuild blocks in ([`EncryptedStore::reclaim`]).
+    spare: Vec<Payload>,
 }
 
 /// What [`EncryptedStore::recover_txn`] did with the open journal; the
@@ -623,9 +626,28 @@ impl EncryptedStore {
     pub fn read_path(&mut self, indices: &[usize], row: &mut [Bucket]) -> Result<(), OramError> {
         let mut k = std::mem::take(&mut self.kernel);
         let opened = self.open_batch(indices, &mut k).map_err(|(_, err)| err);
-        let read = opened.and_then(|()| self.decode_queue(&k, indices, row));
+        let read = opened.and_then(|()| self.decode_queue(&mut k, indices, row));
         self.kernel = k;
         read
+    }
+
+    /// Empties a row of plaintext buckets that has been sealed, keeping
+    /// up to a path's worth of their payloads for the next decode to
+    /// rebuild blocks in, so that a path of stored data does not allocate
+    /// a payload per block on every read.
+    pub(crate) fn reclaim(&mut self, row: &mut [Bucket]) {
+        let spare = &mut self.kernel.spare;
+        let keep = row.len() * self.z;
+        for block in row.iter_mut().flat_map(Bucket::drain) {
+            if !block.payload.is_opaque() && spare.len() < keep {
+                spare.push(block.payload);
+            }
+        }
+    }
+
+    /// A payload [`EncryptedStore::reclaim`] kept, or an opaque one.
+    pub(crate) fn spare_payload(&mut self) -> Payload {
+        self.kernel.spare.pop().unwrap_or_default()
     }
 
     /// Reads bucket `index` into `out` (emptied first) without side
@@ -640,21 +662,22 @@ impl EncryptedStore {
         let mut k = KernelScratch::default();
         k.plain.resize(self.body_bytes(), 0);
         self.open_kernel(&[index], 0, &mut k)?;
-        self.decode_queue(&k, &[index], std::slice::from_mut(out))
+        self.decode_queue(&mut k, &[index], std::slice::from_mut(out))
     }
 
     /// Rebuilds the blocks of the slots an open left queued in `k`, from
     /// its plaintext bodies, into the row.
     fn decode_queue(
         &self,
-        k: &KernelScratch,
+        k: &mut KernelScratch,
         indices: &[usize],
         row: &mut [Bucket],
     ) -> Result<(), OramError> {
         let (body, slot_bytes) = (self.body_bytes(), self.slot_bytes());
         for &(pos, i) in &k.queue {
             let slot = &k.plain[pos * body + i * slot_bytes..][..slot_bytes];
-            let block = Self::decode_block(slot).ok_or(OramError::Integrity {
+            let spare = k.spare.pop().unwrap_or_default();
+            let block = Self::decode_block(slot, spare).ok_or(OramError::Integrity {
                 bucket: indices[pos],
                 slot: Some(i),
             })?;
@@ -897,9 +920,9 @@ impl EncryptedStore {
         head[SLOT_LEAF_OFFSET..SLOT_KIND_OFFSET].copy_from_slice(&block.leaf.0.to_le_bytes());
         // Serialize the payload straight into the slot's body area — no
         // staging Vec; the MAC is computed over the written bytes.
-        let (kind, len): (u8, usize) = match block.payload {
-            Payload::Opaque => (0, 0),
-            Payload::Data(bytes) => {
+        let (kind, len): (u8, usize) = match block.payload.view() {
+            PayloadRef::Opaque => (0, 0),
+            PayloadRef::Data(bytes) => {
                 assert!(
                     bytes.len() <= payload_bytes,
                     "payload {} exceeds slot {payload_bytes}",
@@ -908,7 +931,7 @@ impl EncryptedStore {
                 body_area[..bytes.len()].copy_from_slice(bytes);
                 (1, bytes.len())
             }
-            Payload::PosMap(entries) => {
+            PayloadRef::PosMap(entries) => {
                 let len = entries.len() * ENTRY_BYTES;
                 assert!(
                     len <= payload_bytes,
@@ -926,28 +949,28 @@ impl EncryptedStore {
         head[SLOT_LEN_OFFSET..SLOT_TAG_OFFSET].copy_from_slice(&(len as u16).to_le_bytes());
     }
 
-    /// Rebuilds the block of an authenticated real slot; `None` if the
-    /// payload kind is not one this store writes.
-    fn decode_block(slot: &[u8]) -> Option<Block> {
+    /// Rebuilds the block of an authenticated real slot, its payload in
+    /// `spare`'s memory; `None` if the payload kind or the address is not
+    /// one this store writes.
+    fn decode_block(slot: &[u8], spare: Payload) -> Option<Block> {
+        let addr = word(slot, SLOT_ADDR_OFFSET);
+        if addr >= Bucket::ADDR_LIMIT {
+            return None;
+        }
         let len = usize::from(half(slot, SLOT_LEN_OFFSET));
         let body = &slot[SLOT_HEADER_BYTES..SLOT_HEADER_BYTES + len];
         let payload = match slot[SLOT_KIND_OFFSET] {
-            0 => Payload::Opaque,
-            1 => Payload::Data(body.to_vec().into()),
-            2 => Payload::PosMap(
-                body.chunks_exact(ENTRY_BYTES)
-                    .map(|chunk| PosEntry {
-                        leaf: Leaf(u32::from_le_bytes(chunk[0..4].try_into().expect("eleaf"))),
-                        merge: i16::from_le_bytes(chunk[4..6].try_into().expect("merge")),
-                        brk: i16::from_le_bytes(chunk[6..8].try_into().expect("brk")),
-                    })
-                    .collect::<Vec<_>>()
-                    .into(),
-            ),
+            0 => Payload::OPAQUE,
+            1 => spare.refill_data(body),
+            2 => spare.refill_posmap(body.chunks_exact(ENTRY_BYTES).map(|chunk| PosEntry {
+                leaf: Leaf(u32::from_le_bytes(chunk[0..4].try_into().expect("eleaf"))),
+                merge: i16::from_le_bytes(chunk[4..6].try_into().expect("merge")),
+                brk: i16::from_le_bytes(chunk[6..8].try_into().expect("brk")),
+            })),
             _ => return None,
         };
         Some(Block {
-            addr: BlockAddr(word(slot, SLOT_ADDR_OFFSET)),
+            addr: BlockAddr(addr),
             leaf: Leaf(u32::from_le_bytes(
                 slot[SLOT_LEAF_OFFSET..SLOT_KIND_OFFSET]
                     .try_into()
@@ -999,8 +1022,8 @@ mod tests {
         assert_eq!(blocks.len(), 2);
         let b1 = blocks.iter().find(|b| b.addr == BlockAddr(1)).unwrap();
         assert_eq!(b1.leaf, Leaf(3));
-        match &b1.payload {
-            Payload::Data(bytes) => assert!(bytes.iter().all(|&x| x == 0xAA)),
+        match b1.payload.view() {
+            PayloadRef::Data(bytes) => assert!(bytes.iter().all(|&x| x == 0xAA)),
             other => panic!("wrong payload: {other:?}"),
         }
     }

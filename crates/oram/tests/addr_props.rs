@@ -3,7 +3,7 @@
 //! reproduces from its seed.
 
 use proram_mem::BlockAddr;
-use proram_oram::{AddressSpace, Block, Bucket, EncryptedStore, Leaf, Payload, PosEntry};
+use proram_oram::{AddressSpace, Block, Bucket, EncryptedStore, Leaf, PayloadRef, PosEntry};
 use proram_stats::{Rng64, Xoshiro256};
 
 #[test]
@@ -89,8 +89,8 @@ fn encrypted_store_round_trips_arbitrary_buckets() {
                 bucket.iter().any(|o| o.addr == b.addr && o.leaf == b.leaf),
                 "block metadata mismatch (case {case})"
             );
-            match &b.payload {
-                Payload::Data(bytes) => {
+            match b.payload.view() {
+                PayloadRef::Data(bytes) => {
                     assert!(bytes.iter().all(|&x| x == fill), "case {case}")
                 }
                 other => panic!("wrong payload {other:?} (case {case})"),

@@ -5,10 +5,13 @@
 //! the greedy write-back, and the fills handed back to the cache fabric.
 //! This binary counts heap allocations with its own `#[global_allocator]`
 //! and holds the loop to the absolute: once the stash, the write-back
-//! scratch, the prefetch ledger and every bucket's payload side array
-//! have reached their working size, stepping allocates nothing, on the
-//! baseline ORAM and under the dynamic scheme alike. The trace is
-//! generated before the count starts, so only the simulator is counted.
+//! scratch and the prefetch ledger have reached their working size,
+//! stepping allocates nothing, on the baseline ORAM and under the
+//! dynamic scheme alike. A bucket holds every slot's payload inline, so
+//! a position-map block moves through the tree, the stash's lane and
+//! the PLB as one word and allocates nowhere; a small PLB keeps those
+//! moves frequent. The trace is generated before the count starts, so
+//! only the simulator is counted.
 
 use proram_cache::CacheConfig;
 use proram_core::SchemeConfig;
@@ -56,13 +59,11 @@ static ALLOCATOR: Counting = Counting;
 /// steps that miss go to a 4096-block ORAM.
 const FOOTPRINT: u64 = 512 << 10;
 const LOCALITY: f64 = 0.5;
-/// Steps before the count starts. A bucket allocates its payload side
-/// array when the first position-map block lands in it, and the stash
-/// and the write-back scratch grow to their high-water marks. With 8
-/// entries per position-map block those blocks reach every bucket of
-/// this tree within the warm-up; with the paper's 32 that takes
-/// millions of steps.
-const WARM_UP: usize = 1_000_000;
+/// Steps before the count starts, in which the stash, the write-back
+/// scratch and the prefetch ledger grow to their high-water marks. Under
+/// the dynamic scheme the last growth lands between 100,000 and 300,000
+/// steps.
+const WARM_UP: usize = 500_000;
 const MEASURED: usize = 200_000;
 
 /// Allocations of `MEASURED` steps of a warmed one-core system, and how
@@ -71,7 +72,6 @@ fn steady_state(memory: MemoryKind) -> (u64, u64) {
     let mut cfg = SystemConfig::quick_test(memory);
     let l2 = cfg.hierarchy.l2;
     cfg.hierarchy.l2 = CacheConfig::new(64 << 10, l2.ways, l2.line_bytes, l2.hit_latency);
-    cfg.oram.entries_per_posmap_block = 8;
     cfg.oram.plb_blocks = 8;
     let mut workload = LocalityMix::new(FOOTPRINT, LOCALITY, (WARM_UP + MEASURED) as u64, 3);
     let ops: Vec<TraceOp> = std::iter::from_fn(|| workload.next_op()).collect();

@@ -13,8 +13,8 @@ use common::{
 };
 use proram::core_scheme::{SchemeConfig, SuperBlockOram};
 use proram::oram::{
-    Bucket, CrashConfig, FaultClass, FaultConfig, KillPoint, OramConfig, OramError, PathOram,
-    RecoveryMode,
+    Block, Bucket, CrashConfig, FaultClass, FaultConfig, KillPoint, OramConfig, OramError,
+    PathOram, Payload, RecoveryMode,
 };
 use proram::sim::{runner, MemoryKind, SystemConfig};
 use proram::workloads::{suite, Scale};
@@ -234,12 +234,15 @@ fn both_drivers_of_the_stage_primitives_are_one_access() {
     assert_eq!(now, latency);
 }
 
-/// The resident tree costs one cache line per bucket: headers inline,
-/// payloads behind one pointer. A field added to `Bucket` must not
-/// silently double every tree.
+/// The resident tree costs one cache line per bucket: every slot's
+/// address, leaf and one-word payload inline, data and position-map
+/// entries behind that word. A field added to `Bucket`, `Block` or
+/// `Payload` must not silently grow every tree, path and stash.
 #[test]
 fn a_tree_bucket_is_64_bytes() {
     assert_eq!(std::mem::size_of::<Bucket>(), 64);
+    assert_eq!(std::mem::size_of::<Payload>(), 8);
+    assert_eq!(std::mem::size_of::<Block>(), 24);
 }
 
 /// The cache model's observable behaviour, pinned where `cargo test -q`
