@@ -15,7 +15,7 @@ use proram_workloads::{suite, Scale};
 /// Strided super blocks on a strided scan: the contiguous scheme finds
 /// nothing; the stride-matched scheme prefetches like the sequential
 /// case.
-pub fn strided_super_blocks(scale: Scale) -> Table {
+fn strided_super_blocks(scale: Scale) -> Table {
     let mut t = Table::new(&["scheme", "speedup", "prefetch_hits", "norm_accesses"])
         .with_title("Ablation: strided super blocks (Section 6.2 extension), 8-block-stride scan");
     // 8-block (1 KiB) stride over a footprint sized for several sweeps.
@@ -44,7 +44,7 @@ pub fn strided_super_blocks(scale: Scale) -> Table {
 }
 
 /// Treetop caching sweep: on-chip top levels shorten the paid path.
-pub fn treetop_caching(scale: Scale) -> Table {
+fn treetop_caching(scale: Scale) -> Table {
     let mut t = Table::new(&["treetop_levels", "oram", "dyn"])
         .with_title("Ablation: treetop caching (completion time normalized to 0 levels)");
     let spec = suite::spec("ocean_c").expect("registered");
@@ -73,7 +73,7 @@ pub fn treetop_caching(scale: Scale) -> Table {
 
 /// PLB capacity sweep: the unified position map's on-chip cache governs
 /// how many extra tree accesses each miss costs.
-pub fn plb_sizing(scale: Scale) -> Table {
+fn plb_sizing(scale: Scale) -> Table {
     let mut t = Table::new(&["plb_blocks", "posmap_per_demand", "norm_time"])
         .with_title("Ablation: PLB capacity (baseline ORAM on a scattered workload)");
     let spec = suite::spec("mcf").expect("registered");
@@ -100,7 +100,7 @@ pub fn plb_sizing(scale: Scale) -> Table {
 /// Adaptive O_int (dynamic timing protection, \[9\]): performance and
 /// leakage against fixed intervals. Every row is one `System` run of
 /// cholesky under baseline ORAM, differing only in the `O_int` ladder.
-pub fn adaptive_interval(scale: Scale) -> Table {
+fn adaptive_interval(scale: Scale) -> Table {
     use proram_mem::{leaked_bits, ADAPTIVE_LADDER};
 
     let mut t = Table::new(&[
@@ -139,7 +139,7 @@ pub fn adaptive_interval(scale: Scale) -> Table {
 /// Super blocks on a different tree ORAM (paper Section 6.1): the same
 /// dynamic controller on the Shi-style backend, driven by a sequential
 /// workload, against its own baseline.
-pub fn shi_generality(scale: Scale) -> Table {
+fn shi_generality(scale: Scale) -> Table {
     use proram_core::SuperBlockOram;
     use proram_mem::{BlockAddr, MemRequest, MemoryBackend};
     use proram_oram::{OramConfig, OramTiming, ShiOram};
@@ -210,7 +210,7 @@ pub fn shi_generality(scale: Scale) -> Table {
 
 /// Stash occupancy under the three schemes: the quantity background
 /// eviction exists to bound (cf. the stash design space in \[25\]).
-pub fn stash_occupancy(scale: Scale) -> Table {
+fn stash_occupancy(scale: Scale) -> Table {
     use proram_core::SuperBlockOram;
     use proram_mem::{BlockAddr, MemRequest, MemoryBackend};
     use proram_stats::{Rng64, Xoshiro256};

@@ -151,7 +151,7 @@ impl Bucket {
 
     /// [`Bucket::push`] of a block left where it is, its payload moved
     /// out (what stays behind reads as opaque): the write-back's way to
-    /// place a block of the stash's lane without copying it twice.
+    /// place a stashed block without copying it twice.
     ///
     /// # Panics
     ///

@@ -125,19 +125,6 @@ pub struct OramConfig {
 }
 
 impl OramConfig {
-    /// Scaled paper configuration with the given data-block count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_data_blocks` is zero.
-    pub fn scaled(num_data_blocks: u64) -> Self {
-        assert!(num_data_blocks > 0, "ORAM needs at least one data block");
-        OramConfig {
-            num_data_blocks,
-            ..OramConfig::default()
-        }
-    }
-
     /// A tiny functional configuration for unit tests: payload storage on,
     /// small posmap fanout so recursion is exercised.
     pub fn small_for_tests(num_data_blocks: u64) -> Self {
@@ -733,14 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_changes_only_size() {
-        let cfg = OramConfig::scaled(1 << 16);
-        assert_eq!(cfg.num_data_blocks, 1 << 16);
-        assert_eq!(cfg.z, 3);
-        cfg.validate();
-    }
-
-    #[test]
     fn builder_round_trips_the_default() {
         let built = OramConfig::builder().build().expect("default is valid");
         assert_eq!(built, OramConfig::default());
@@ -833,7 +812,10 @@ mod tests {
         for cfg in [
             OramConfig::default(),
             OramConfig::small_for_tests(64),
-            OramConfig::scaled(1 << 10),
+            OramConfig {
+                num_data_blocks: 1 << 10,
+                ..OramConfig::default()
+            },
         ] {
             assert!(cfg.check().is_ok());
             cfg.validate();

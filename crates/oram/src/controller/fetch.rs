@@ -84,10 +84,9 @@ impl PathOram {
     }
 
     /// The stash-update half of a path fetch: moves the fetched path's
-    /// blocks into the stash's lane, where they stay until the paired
-    /// write-back places them or moves them to the stash's map, and
-    /// records stats, the adversary-visible `path_access` event and
-    /// occupancy (the lane counts toward both).
+    /// blocks into the stash, where they stay until a write-back places
+    /// them, and records stats, the adversary-visible `path_access` event
+    /// and occupancy.
     fn fill_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) {
         self.log_fetched_leaf(leaf);
         let peak_before = self.stash.peak();

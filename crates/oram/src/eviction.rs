@@ -1,39 +1,34 @@
 //! Path read and greedy write-back.
 //!
 //! Steps 2 and 5 of the Path ORAM access (paper Section 2.2): reading a
-//! path moves every real block on it into the stash's lane; writing the
-//! path back greedily evicts as many stash blocks as possible, the lane's
-//! and the map's alike, placing each block as deep as its leaf mapping
-//! allows, and moves the lane's blocks that find no slot into the map.
-//! Background eviction (Section 2.4) reuses the same two operations on a
-//! random path without remapping anything.
+//! path moves every real block on it into the stash; writing the path
+//! back greedily evicts as many stash blocks as possible, placing each
+//! block as deep as its leaf mapping allows. Background eviction
+//! (Section 2.4) reuses the same two operations on a random path without
+//! remapping anything.
 //!
 //! Both operations are allocation-free on the hot path: the path-index
 //! iterator owns its geometry (no collected `Vec`), a bucket is a fixed
-//! inline record that blocks move in and out of by value, the lane is a
-//! vector the stash reuses, and write-back orders its candidates in a
+//! inline record that blocks move in and out of by value, the stash is
+//! one vector it reuses, and write-back orders its candidates in a
 //! reusable [`PathScratch`].
 
 use crate::addr::Leaf;
-use crate::block::Block;
 use crate::bucket::Bucket;
 use crate::stash::Stash;
 use crate::tree::OramTree;
 
 /// A write-back candidate is one `u64` key: from the top, the deepest
 /// level it may occupy (5 bits: a tree has at most 31 levels), its
-/// address ([`ADDR_BITS`]) and where it is held ([`SLOT_BITS`]). Keys
-/// compare as their `(level, address)` pairs, since addresses are
-/// unique.
-const SLOT_BITS: u32 = 16;
-/// Address bits of a key: room for 2^43 blocks, far beyond the 2^33 a
-/// 31-level tree of [`crate::Bucket::MAX_Z`] slots holds.
-const ADDR_BITS: u32 = 43;
+/// address ([`ADDR_BITS`]) and its index in the stash (the
+/// [`SLOT_BITS`] left). Keys compare as their `(level, address)` pairs,
+/// since addresses are unique.
+const SLOT_BITS: u32 = 64 - 5 - ADDR_BITS;
+/// Address bits of a key: a bucket holds addresses below
+/// [`Bucket::ADDR_LIMIT`], so every block does.
+const ADDR_BITS: u32 = Bucket::ADDR_LIMIT.trailing_zeros();
 /// Where a key's level starts.
 const LEVEL_SHIFT: u32 = SLOT_BITS + ADDR_BITS;
-/// The slot of a candidate held in the stash's map; a lane candidate's
-/// slot is its index in the lane, always below.
-const IN_MAP: u64 = (1 << SLOT_BITS) - 1;
 
 /// Reusable write-back scratch: the candidates' keys before and after
 /// they are put in placement order.
@@ -55,7 +50,7 @@ impl PathScratch {
     }
 }
 
-/// Moves every real block on the path to `leaf` into the stash's lane.
+/// Moves every real block on the path to `leaf` into the stash.
 pub fn read_path(tree: &mut OramTree, stash: &mut Stash, leaf: Leaf) {
     // Load every bucket of the path before draining any: the loads are
     // independent, so their cache misses overlap instead of queueing
@@ -64,15 +59,23 @@ pub fn read_path(tree: &mut OramTree, stash: &mut Stash, leaf: Leaf) {
         .path_indices(leaf)
         .fold(0, |acc, idx| acc ^ tree.bucket(idx).touch());
     std::hint::black_box(touched);
-    // Each bucket empties into the lane's spare entries, and the lane
-    // then grows over the ones that hold blocks. The owned index iterator
-    // lets us mutate buckets mid-walk.
+    // Each bucket empties into the stash's spare entries, and the stash
+    // then grows over the ones that hold blocks. The owned index
+    // iterator lets us mutate buckets mid-walk.
     let room = tree.levels() as usize * Bucket::MAX_Z;
-    let (lane, len) = stash.lane_buffer(room);
-    for idx in tree.path_indices(leaf) {
-        *len += tree.bucket_mut(idx).drain_into(&mut lane[*len..]);
-    }
-    stash.lane_filled();
+    stash.append_with(room, |held, spares| {
+        let mut read = 0;
+        for idx in tree.path_indices(leaf) {
+            read += tree.bucket_mut(idx).drain_into(&mut spares[read..]);
+        }
+        debug_assert!(
+            spares[..read]
+                .iter()
+                .all(|b| held.iter().all(|h| h.addr != b.addr)),
+            "duplicate block in stash"
+        );
+        read
+    });
 }
 
 /// Greedily writes stash blocks back onto the path to `leaf`.
@@ -83,12 +86,12 @@ pub fn read_path(tree: &mut OramTree, stash: &mut Stash, leaf: Leaf) {
 /// among those, higher addresses first — the standard Path ORAM
 /// eviction. Returns the number of blocks placed.
 ///
-/// The candidates are the lane and the map together, keyed in one pass
-/// and binned by level with a counting sort; only a bin holding two keys
-/// or more is ordered, and only as far as it can be placed. Each level's
-/// share of the ordered keys is then a count, and no branch depends on
-/// a bucket's fill. A lane block is placed from where it lies, and the
-/// lane's blocks that find no slot move to the map.
+/// Every stashed block is a candidate, keyed in one pass and binned by
+/// level with a counting sort; only a bin holding two keys or more is
+/// ordered, and only as far as it can be placed. Each level's share of
+/// the ordered keys is then a count, and no branch depends on a bucket's
+/// fill. A block is placed from where it lies in the stash, which then
+/// closes the gaps.
 pub fn write_path_with(
     tree: &mut OramTree,
     stash: &mut Stash,
@@ -100,7 +103,11 @@ pub fn write_path_with(
     let mut bin_len = [0usize; 32];
     // Bit `level` is set once that level's bin holds two keys.
     let mut crowded = 0u32;
-    let mut key = |block: &Block, slot: u64| {
+    assert!(
+        (stash.len() as u64) < 1 << SLOT_BITS,
+        "stash longer than a key's slot"
+    );
+    for (slot, block) in stash.iter().enumerate() {
         assert!(
             block.addr.0 < 1 << ADDR_BITS,
             "block {} out of key range",
@@ -109,18 +116,7 @@ pub fn write_path_with(
         let level = tree.common_level(block.leaf, leaf);
         bin_len[level as usize] += 1;
         crowded |= u32::from(bin_len[level as usize] > 1) << level;
-        keys.push(u64::from(level) << LEVEL_SHIFT | block.addr.0 << SLOT_BITS | slot);
-    };
-    let lane = stash.lane();
-    assert!(
-        (lane.len() as u64) < IN_MAP,
-        "lane longer than a key's slot"
-    );
-    for (slot, block) in lane.iter().enumerate() {
-        key(block, slot as u64);
-    }
-    for block in stash.map_blocks() {
-        key(block, IN_MAP);
+        keys.push(u64::from(level) << LEVEL_SHIFT | block.addr.0 << SLOT_BITS | slot as u64);
     }
 
     // Counting sort by level, deepest bin first, then each crowded bin on
@@ -162,25 +158,12 @@ pub fn write_path_with(
         let bucket = tree.bucket_mut(idx);
         let take = (bucket.capacity() - bucket.len()).min(eligible - placed);
         for &key in &order[placed..placed + take] {
-            match key & IN_MAP {
-                IN_MAP => bucket.push(
-                    stash
-                        .take_from_map(key >> SLOT_BITS & ((1 << ADDR_BITS) - 1))
-                        .expect("candidate vanished from stash"),
-                ),
-                slot => bucket.push_from(stash.lane_block_mut(slot as usize)),
-            }
+            let slot = key & ((1 << SLOT_BITS) - 1);
+            stash.move_out(slot as usize, |block| bucket.push_from(block));
         }
         placed += take;
     }
-    // The lane's candidates that found no slot join the map.
-    for &key in &order[placed..] {
-        let slot = key & IN_MAP;
-        if slot != IN_MAP {
-            stash.spill_lane(slot as usize);
-        }
-    }
-    stash.clear_lane();
+    stash.close_gaps();
     placed
 }
 
@@ -351,8 +334,7 @@ mod tests {
 
     /// `sort_head` against the capped insertion it replaced, which moved
     /// a key into the head only when it beat the head's last key: both
-    /// leave every bin in the same order, tail included, so the lane's
-    /// unplaced blocks reach the map in the same order too.
+    /// leave every bin in the same order, tail included.
     #[test]
     fn sort_head_leaves_what_the_capped_insertion_leaves() {
         fn capped_insertion(bin: &mut [u64], head: usize) {
@@ -411,6 +393,9 @@ mod tests {
         candidates.collect()
     }
 
+    /// Three rounds of read and write-back on one tree and stash, each
+    /// against the reference on a copy: one write-back's leftovers are
+    /// the next one's candidates.
     #[test]
     fn write_back_matches_the_reference_placement() {
         use proram_stats::{Rng64, Xoshiro256};
@@ -443,42 +428,40 @@ mod tests {
             for _ in 0..rng.next_below(3 * z as u64 * u64::from(levels)) {
                 stash.insert(block(&mut rng));
             }
-            let leaf = Leaf(rng.next_below(leaves) as u32);
-            // Most cases read the path first (the buckets start empty);
-            // some write back onto a path that still holds blocks.
-            if rng.next_below(4) != 0 {
-                read_path(&mut tree, &mut stash, leaf);
-            }
-            // The lane may also hold blocks that came off other paths.
-            for _ in 0..rng.next_below(2 * z as u64) {
-                let b = block(&mut rng);
-                let (lane, len) = stash.lane_buffer(1);
-                lane[*len] = b;
-                *len += 1;
-            }
+            for round in 0..3 {
+                let leaf = Leaf(rng.next_below(leaves) as u32);
+                // Most rounds read the path first (the buckets start
+                // empty); some write back onto a path that still holds
+                // blocks.
+                if rng.next_below(4) != 0 {
+                    read_path(&mut tree, &mut stash, leaf);
+                }
+                // Blocks may also arrive between the read and the
+                // write-back.
+                for _ in 0..rng.next_below(2 * z as u64) {
+                    stash.insert(block(&mut rng));
+                }
 
-            let mut expected_tree = tree.clone();
-            let all: Vec<Block> = stash.iter().cloned().collect();
-            let mut expected_left = reference_write_back(&mut expected_tree, all, leaf);
-            let before = stash.len();
-            let placed = write_path_with(&mut tree, &mut stash, leaf, &mut PathScratch::new());
+                let mut expected_tree = tree.clone();
+                let all: Vec<Block> = stash.iter().cloned().collect();
+                let mut expected_left = reference_write_back(&mut expected_tree, all, leaf);
+                let before = stash.len();
+                let placed = write_path_with(&mut tree, &mut stash, leaf, &mut PathScratch::new());
 
-            for idx in 0..tree.num_buckets() {
-                assert_eq!(
-                    tree.bucket(idx),
-                    expected_tree.bucket(idx),
-                    "case {case}: bucket {idx} (contents or slot order)"
-                );
+                let at = format!("case {case} round {round}");
+                for idx in 0..tree.num_buckets() {
+                    assert_eq!(
+                        tree.bucket(idx),
+                        expected_tree.bucket(idx),
+                        "{at}: bucket {idx} (contents or slot order)"
+                    );
+                }
+                let mut left: Vec<Block> = stash.iter().cloned().collect();
+                left.sort_by_key(|b| b.addr);
+                expected_left.sort_by_key(|b| b.addr);
+                assert_eq!(left, expected_left, "{at}: leftover stash");
+                assert_eq!(placed, before - left.len(), "{at}: placed count");
             }
-            let mut left: Vec<Block> = stash.iter().cloned().collect();
-            left.sort_by_key(|b| b.addr);
-            expected_left.sort_by_key(|b| b.addr);
-            assert_eq!(left, expected_left, "case {case}: leftover stash");
-            assert_eq!(placed, before - left.len(), "case {case}: placed count");
-            assert!(
-                !stash.lane_in_use(),
-                "case {case}: the lane outlived the write-back"
-            );
         }
     }
 }

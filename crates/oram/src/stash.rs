@@ -6,22 +6,22 @@
 //! the configured limit the controller issues background evictions
 //! (Section 2.4) until it drains.
 //!
-//! The stash holds its blocks in two places. The *lane* is the path in
-//! flight: [`crate::eviction::read_path`] appends a path's blocks to it
-//! and [`crate::eviction::write_path_with`] empties it, so between
-//! accesses it is empty. The *map* holds every other block: the ones a
-//! write-back could not place and the ones inserted directly (a PLB
-//! victim, what did not fit the tree at construction). Every reader —
-//! length, peak, occupancy, the commit log, lookups and iteration — sees
-//! the two as one set.
+//! The stash is one vector of blocks, in the order they arrived.
+//! [`crate::eviction::read_path`] appends a path's blocks to it where
+//! they will lie, and [`crate::eviction::write_path_with`] moves the ones
+//! it places out of it and closes the gaps. Between the two, and after,
+//! a block read off a path is stashed like any other: one set for every
+//! reader — length, peak, occupancy, the commit log, lookups and
+//! iteration.
 //!
 //! A [`Block`] is 24 bytes with a one-word payload, so a path read fills
-//! the lane, and a write-back places and spills from it, by moving three
-//! words a block, whatever the block carries.
+//! the stash, and a write-back places from it, by moving three words a
+//! block, whatever the block carries. The stash holds tens of blocks, so
+//! a lookup is a scan.
 
 use crate::block::Block;
 use proram_mem::BlockAddr;
-use proram_stats::{FxHashMap, Histogram};
+use proram_stats::Histogram;
 
 /// The stash: a set of blocks, addressable by block address, with
 /// occupancy tracking.
@@ -39,18 +39,14 @@ use proram_stats::{FxHashMap, Histogram};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Stash {
-    /// The blocks of the paths read since the last write-back, in
-    /// `lane[..lane_len]`, in the order they were read (a block taken out
-    /// early swaps the last one into its place). A path's blocks pass
-    /// through here instead of being hashed into `blocks` and out again.
-    /// Past `lane_len` lie spare entries with opaque payloads, which a
-    /// path read overwrites a bucket's worth at a time.
-    lane: Vec<Block>,
-    lane_len: usize,
-    /// The blocks a write-back left over, address-indexed. Keyed with the
-    /// deterministic [`FxHashMap`]; no consumer depends on iteration
-    /// order (every order-sensitive caller imposes a total order itself).
-    blocks: FxHashMap<u64, Block>,
+    /// The stashed blocks in `blocks[..len]`, in the order they arrived
+    /// (a block taken out swaps the last one into its place). Past `len`
+    /// lie spare entries with opaque payloads, which a path read
+    /// overwrites a bucket's worth at a time. A spare's address is
+    /// [`SPARE`], except where a path read's dead bucket slots left a
+    /// stale one; nothing reads an address past `len`.
+    blocks: Vec<Block>,
+    len: usize,
     limit: usize,
     occupancy_hist: Histogram,
     peak: usize,
@@ -61,12 +57,15 @@ pub struct Stash {
     /// state). One of these gone at the next seal is a removal; a resident
     /// block that is not one of these is an arrival.
     sealed: Vec<u64>,
-    /// While logging: the addresses of `sealed` inserted or borrowed
-    /// mutably since — the blocks that may have been rewritten in place.
-    /// Bounded by `sealed`, so the log of a long access is no longer than
-    /// that of a short one.
+    /// While logging: the addresses of `sealed` inserted, read back off a
+    /// path or borrowed mutably since — the blocks that may have been
+    /// rewritten in place. Bounded by `sealed`, so the log of a long
+    /// access is no longer than that of a short one.
     dirty: Vec<u64>,
 }
+
+/// The address of a spare entry, which no block has.
+const SPARE: BlockAddr = BlockAddr(u64::MAX);
 
 impl Stash {
     /// Creates an empty stash with a background-eviction threshold of
@@ -78,9 +77,8 @@ impl Stash {
     pub fn new(limit: usize) -> Self {
         assert!(limit > 0, "stash limit must be positive");
         Stash {
-            lane: Vec::new(),
-            lane_len: 0,
-            blocks: FxHashMap::default(),
+            blocks: Vec::new(),
+            len: 0,
             limit,
             occupancy_hist: Histogram::new(),
             peak: 0,
@@ -101,8 +99,8 @@ impl Stash {
     pub(crate) fn stop_log(&mut self) {
         self.logging = false;
         self.sealed.clear();
-        let lane = self.lane[..self.lane_len].iter().map(|b| b.addr.0);
-        self.sealed.extend(lane.chain(self.blocks.keys().copied()));
+        self.sealed
+            .extend(self.blocks[..self.len].iter().map(|b| b.addr.0));
     }
 
     /// Addresses of the sealed state that are no longer resident.
@@ -133,7 +131,7 @@ impl Stash {
 
     /// Number of blocks currently stashed.
     pub fn len(&self) -> usize {
-        self.lane_len + self.blocks.len()
+        self.len
     }
 
     /// `true` if the stash holds no blocks.
@@ -147,60 +145,60 @@ impl Stash {
         self.len() >= self.limit
     }
 
-    /// `true` while the lane holds a path's blocks: from a path read to
-    /// its write-back.
-    pub(crate) fn lane_in_use(&self) -> bool {
-        self.lane_len > 0
-    }
-
-    /// The blocks in the lane, in the order they were read.
-    pub(crate) fn lane(&self) -> &[Block] {
-        &self.lane[..self.lane_len]
-    }
-
-    /// The whole lane buffer, with at least `room` spare entries past the
-    /// lane's end, and the lane's length: a path read writes blocks past
-    /// the end and advances the length over them.
-    pub(crate) fn lane_buffer(&mut self, room: usize) -> (&mut [Block], &mut usize) {
-        let need = self.lane_len + room;
-        if self.lane.len() < need {
-            self.lane.resize(need, spare());
+    /// Appends blocks where they will lie: `fill` gets the stashed blocks
+    /// and at least `room` spare entries past them, writes the new blocks
+    /// into the spare entries' head — each spare's opaque payload trading
+    /// places with a block's — and returns how many it wrote.
+    pub(crate) fn append_with(
+        &mut self,
+        room: usize,
+        fill: impl FnOnce(&[Block], &mut [Block]) -> usize,
+    ) {
+        let need = self.len + room;
+        if self.blocks.len() < need {
+            self.blocks.resize(need, spare());
         }
-        (&mut self.lane, &mut self.lane_len)
+        let (held, spares) = self.blocks.split_at_mut(self.len);
+        let added = fill(held, spares);
+        assert!(added <= room, "appended past the room asked for");
+        let start = self.len;
+        self.len += added;
+        if self.logging {
+            for slot in start..self.len {
+                self.log(self.blocks[slot].addr.0);
+            }
+        }
+        self.peak = self.peak.max(self.len);
     }
 
-    /// Counts the lane's latest blocks toward the peak, once a path read
-    /// is complete.
-    pub(crate) fn lane_filled(&mut self) {
+    /// Moves the stashed block at `slot` out through `put`, which must
+    /// leave an opaque payload behind, and leaves the entry spare: the
+    /// write-back's way to place a block without copying it twice. The
+    /// stash's length stays until [`Stash::close_gaps`].
+    pub(crate) fn move_out(&mut self, slot: usize, put: impl FnOnce(&mut Block)) {
+        let block = &mut self.blocks[..self.len][slot];
+        put(block);
         debug_assert!(
-            self.lane()
-                .iter()
-                .all(|b| !self.blocks.contains_key(&b.addr.0)),
-            "duplicate block in stash"
+            block.payload.is_opaque(),
+            "a moved-out block kept its payload"
         );
-        self.peak = self.peak.max(self.len());
+        block.addr = SPARE;
     }
 
-    /// The block at `slot` of the lane, for the write-back to move out of;
-    /// it must leave an opaque payload behind.
-    pub(crate) fn lane_block_mut(&mut self, slot: usize) -> &mut Block {
-        &mut self.lane[..self.lane_len][slot]
-    }
-
-    /// Moves the block at `slot` of the lane into the map: a write-back
-    /// found it no slot. The stash's size does not change, so neither
-    /// does its peak.
-    pub(crate) fn spill_lane(&mut self, slot: usize) {
-        let block = std::mem::replace(self.lane_block_mut(slot), spare());
-        self.log(block.addr.0);
-        let prev = self.blocks.insert(block.addr.0, block);
-        assert!(prev.is_none(), "duplicate block in stash");
-    }
-
-    /// Ends a write-back: every block of the lane has been moved out.
-    pub(crate) fn clear_lane(&mut self) {
-        debug_assert!(self.lane().iter().all(|b| b.payload.is_opaque()));
-        self.lane_len = 0;
+    /// Closes the gaps [`Stash::move_out`] left: the blocks still stashed
+    /// move to the front in the order they were in, the spare entries
+    /// behind them. The blocks before the first gap stay where they are;
+    /// from there on, one swap a block and no branch on which it is.
+    pub(crate) fn close_gaps(&mut self) {
+        let held = &mut self.blocks[..self.len];
+        let Some(mut kept) = held.iter().position(|b| b.addr == SPARE) else {
+            return;
+        };
+        for slot in kept + 1..held.len() {
+            held.swap(kept, slot);
+            kept += usize::from(held[kept].addr != SPARE);
+        }
+        self.len = kept;
     }
 
     /// Inserts a block.
@@ -210,75 +208,51 @@ impl Stash {
     /// Panics if a block with the same address is already stashed (the
     /// controller must never duplicate blocks).
     pub fn insert(&mut self, block: Block) {
-        assert!(
-            !self.lane().iter().any(|b| b.addr == block.addr),
-            "duplicate block in stash"
-        );
+        assert!(!self.contains(block.addr), "duplicate block in stash");
         self.log(block.addr.0);
-        let prev = self.blocks.insert(block.addr.0, block);
-        assert!(prev.is_none(), "duplicate block in stash");
-        self.peak = self.peak.max(self.len());
+        if self.len == self.blocks.len() {
+            self.blocks.push(block);
+        } else {
+            self.blocks[self.len] = block;
+        }
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
     }
 
-    /// Where the lane holds this address.
-    fn lane_slot(&self, addr: BlockAddr) -> Option<usize> {
-        self.lane().iter().position(|b| b.addr == addr)
+    /// Where the stash holds this address. The scan starts from the
+    /// newest block: a lookup most often wants one the last path read
+    /// brought in.
+    fn slot(&self, addr: BlockAddr) -> Option<usize> {
+        self.blocks[..self.len].iter().rposition(|b| b.addr == addr)
     }
 
     /// `true` if a block with this address is stashed.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.lane_slot(addr).is_some() || self.blocks.contains_key(&addr.0)
+        self.slot(addr).is_some()
     }
 
     /// Borrows the stashed block with this address.
     pub fn get(&self, addr: BlockAddr) -> Option<&Block> {
-        match self.lane_slot(addr) {
-            Some(slot) => Some(&self.lane[slot]),
-            None => self.blocks.get(&addr.0),
-        }
+        self.slot(addr).map(|slot| &self.blocks[slot])
     }
 
     /// Mutably borrows the stashed block with this address.
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut Block> {
         self.log(addr.0);
-        match self.lane_slot(addr) {
-            Some(slot) => Some(&mut self.lane[slot]),
-            None => self.blocks.get_mut(&addr.0),
-        }
+        self.slot(addr).map(|slot| &mut self.blocks[slot])
     }
 
     /// Removes and returns the block with this address.
     pub fn take(&mut self, addr: BlockAddr) -> Option<Block> {
-        match self.lane_slot(addr) {
-            Some(slot) => {
-                self.lane_len -= 1;
-                self.lane.swap(slot, self.lane_len);
-                Some(std::mem::replace(&mut self.lane[self.lane_len], spare()))
-            }
-            None => self.blocks.remove(&addr.0),
-        }
+        let slot = self.slot(addr)?;
+        self.len -= 1;
+        self.blocks.swap(slot, self.len);
+        Some(std::mem::replace(&mut self.blocks[self.len], spare()))
     }
 
-    /// Removes and returns the block with this address from the map; the
-    /// write-back's path to the blocks it already knows are there.
-    pub(crate) fn take_from_map(&mut self, addr: u64) -> Option<Block> {
-        self.blocks.remove(&addr)
-    }
-
-    /// Iterates over the blocks of the map alone (unspecified order).
-    pub(crate) fn map_blocks(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.values()
-    }
-
-    /// Iterates over stashed blocks (unspecified order).
+    /// Iterates over stashed blocks, in the order they arrived.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
-        self.lane().iter().chain(self.blocks.values())
-    }
-
-    /// Addresses of all stashed blocks (unspecified order), borrowed —
-    /// callers that need them sorted collect explicitly.
-    pub fn addrs(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.iter().map(|b| b.addr)
+        self.blocks[..self.len].iter()
     }
 
     /// Records the current occupancy into the histogram; the controller
@@ -298,10 +272,10 @@ impl Stash {
     }
 }
 
-/// What a lane entry past the lane's end holds: an opaque block that
-/// stands for none.
+/// What an entry past the stash's end holds: an opaque block that stands
+/// for none.
 fn spare() -> Block {
-    Block::opaque(BlockAddr(u64::MAX), crate::addr::Leaf(0))
+    Block::opaque(SPARE, crate::addr::Leaf(0))
 }
 
 #[cfg(test)]
@@ -408,7 +382,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "duplicate block")]
-    fn a_duplicate_of_a_lane_address_panics() {
+    fn a_duplicate_of_a_block_read_off_a_path_panics() {
         let mut tree = tree_with_a_path();
         let mut s = Stash::new(10);
         crate::eviction::read_path(&mut tree, &mut s, Leaf(0));
@@ -416,20 +390,17 @@ mod tests {
     }
 
     #[test]
-    fn len_and_peak_count_the_lane() {
+    fn len_and_peak_count_a_path_read_in_arrival_order() {
         let mut tree = tree_with_a_path();
         let mut s = Stash::new(10);
         s.insert(blk(9));
         crate::eviction::read_path(&mut tree, &mut s, Leaf(0));
-        assert!(s.lane_in_use());
         assert_eq!(s.len(), 4);
         assert_eq!(s.peak(), 4);
         assert!(s.contains(BlockAddr(1)) && s.contains(BlockAddr(9)));
-        let mut all: Vec<u64> = s.addrs().map(|a| a.0).collect();
-        all.sort_unstable();
-        assert_eq!(all, [1, 2, 3, 9]);
+        let all: Vec<u64> = s.iter().map(|b| b.addr.0).collect();
+        assert_eq!(all, [9, 3, 1, 2], "the stash, then the path root first");
         crate::eviction::write_path(&mut tree, &mut s, Leaf(0));
-        assert!(!s.lane_in_use());
         assert_eq!(s.len(), 0, "all four fit on the path");
         assert_eq!(s.peak(), 4);
     }
@@ -447,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn a_block_that_spills_to_the_map_is_dirty() {
+    fn a_block_read_and_left_over_is_an_arrival() {
         let mut tree = tree_with_a_path();
         let mut s = Stash::new(10);
         s.stop_log();
@@ -466,12 +437,40 @@ mod tests {
     }
 
     #[test]
-    fn addrs_lists_blocks() {
+    fn a_block_of_the_sealed_state_read_back_off_a_path_is_dirty() {
+        let mut tree = crate::tree::OramTree::new(3, 2);
         let mut s = Stash::new(10);
-        s.insert(blk(3));
-        s.insert(blk(7));
-        let mut a: Vec<u64> = s.addrs().map(|b| b.0).collect();
-        a.sort_unstable();
-        assert_eq!(a, vec![3, 7]);
+        s.insert(blk(1));
+        s.insert(blk(2));
+        s.stop_log(); // sealed: 1 2
+        s.start_log();
+        crate::eviction::write_path(&mut tree, &mut s, Leaf(0));
+        crate::eviction::read_path(&mut tree, &mut s, Leaf(0));
+        let dirty: Vec<u64> = s.logged_dirty().map(|b| b.addr.0).collect();
+        assert_eq!(dirty, [2, 1], "read back in the bucket's slot order");
+        assert_eq!(s.logged_removed().count(), 0);
+    }
+
+    #[test]
+    fn a_write_back_keeps_the_survivors_in_arrival_order_and_leaves_spares() {
+        // Z = 1 and three levels: the path takes the three highest
+        // addresses.
+        let mut tree = crate::tree::OramTree::new(3, 1);
+        let mut s = Stash::new(10);
+        for a in [14, 10, 13, 11, 12] {
+            s.insert(Block::with_data(
+                BlockAddr(a),
+                Leaf(3),
+                vec![a as u8].into(),
+            ));
+        }
+        assert_eq!(crate::eviction::write_path(&mut tree, &mut s, Leaf(3)), 3);
+        let left: Vec<u64> = s.iter().map(|b| b.addr.0).collect();
+        assert_eq!(left, [10, 11]);
+        let spares = &s.blocks[s.len..];
+        assert_eq!(spares.len(), 3);
+        assert!(spares
+            .iter()
+            .all(|b| b.addr == SPARE && b.payload.is_opaque()));
     }
 }

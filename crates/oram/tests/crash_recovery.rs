@@ -255,10 +255,11 @@ fn recovery_reports_work_and_charges_latency() {
 }
 
 /// A kill between a path read and its write-back leaves the path's blocks
-/// in the stash's lane, which the auditor refuses between accesses;
-/// recovery adopts the sealed stash, and its lane is empty.
+/// in the stash and still in the image, which the auditor's conservation
+/// check refuses; recovery adopts the sealed stash, and the state audits
+/// clean.
 #[test]
-fn a_kill_before_the_write_back_leaves_no_block_in_the_lane() {
+fn a_kill_before_the_write_back_leaves_blocks_the_auditor_counts_twice() {
     let cfg = OramConfig {
         crash: Some(CrashConfig::first(KillPoint::WriteBack)),
         ..base_config()
@@ -269,10 +270,12 @@ fn a_kill_before_the_write_back_leaves_no_block_in_the_lane() {
         .expect_err("first write-back entry must crash");
     assert!(matches!(err, OramError::Crashed { .. }));
     let audit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| oram.audit_full()));
-    let panic = audit.expect_err("the lane still holds the read path");
-    let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+    let panic = audit.expect_err("the read path is in the stash and the image");
+    let message = (panic.downcast_ref::<String>().map(String::as_str))
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
     assert!(
-        message.contains("lane"),
+        message.contains("appears 2 times"),
         "the audit failed elsewhere: {message}"
     );
     oram.recover();

@@ -8,7 +8,7 @@
 //! scratch and the prefetch ledger have reached their working size,
 //! stepping allocates nothing, on the baseline ORAM and under the
 //! dynamic scheme alike. A bucket holds every slot's payload inline, so
-//! a position-map block moves through the tree, the stash's lane and
+//! a position-map block moves through the tree, the stash and
 //! the PLB as one word and allocates nowhere; a small PLB keeps those
 //! moves frequent. The trace is generated before the count starts, so
 //! only the simulator is counted.
